@@ -39,9 +39,9 @@ type (
 	JobState          = api.JobState
 	VersionResponse   = api.VersionResponse
 	Health            = api.Health
-	// SolverSpec is the per-job solver configuration (dispatch mode,
-	// budgets, portfolio width, warm starting) attachable to both submit
-	// requests; see webssari.SolverConfig for the semantics.
+	// SolverSpec is the per-job solver configuration (dispatch mode and
+	// budgets) attachable to both submit requests; see
+	// webssari.SolverConfig for the semantics.
 	SolverSpec = api.SolverSpec
 )
 

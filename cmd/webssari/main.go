@@ -21,17 +21,9 @@
 //	-paper            use the paper's exact enumeration (§3.3.2)
 //	-timeout D        wall-clock deadline per verification unit (e.g. 30s)
 //	-max-conflicts N  SAT conflict budget per solver call (0 = unlimited)
-//	-solver-mode M    solver dispatch mode: per-assert (default), shared
+//	-solver-mode M    solver dispatch mode: per-assert (default) or shared
 //	                  (one incremental solver per file, learnt clauses
-//	                  accumulate across assertions), or portfolio (race
-//	                  K solver configurations per hard assertion)
-//	-portfolio N      portfolio lane count raced per hard assertion
-//	-warm-start       persist the shared solver's learnt clauses in the
-//	                  result store and re-import them on re-verification
-//	                  (requires -solver-mode shared and -store)
-//	-solver-stats     print per-input solver statistics to stderr: mode,
-//	                  search effort, warm-start hit/miss with clause
-//	                  counts, portfolio races and winning lanes
+//	                  accumulate across assertions)
 //	-j N              verification worker count (default GOMAXPROCS)
 //	-v                print the run profile (stage wall times, solver
 //	                  effort, cache and pool stats) to stderr
@@ -65,7 +57,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -125,10 +116,7 @@ func run(args []string) int {
 		paper    = fs.Bool("paper", false, "paper-exact counterexample enumeration")
 		timeout  = fs.Duration("timeout", 0, "wall-clock deadline per verification unit (0 = none)")
 		maxConf  = fs.Uint64("max-conflicts", 0, "SAT conflict budget per solver call (0 = unlimited)")
-		solverM  = fs.String("solver-mode", "", "solver dispatch mode: per-assert|shared|portfolio")
-		portfol  = fs.Int("portfolio", 0, "portfolio lane count raced per hard assertion (0 = engine default)")
-		warm     = fs.Bool("warm-start", false, "persist and re-import learnt clauses across runs (shared mode, requires -store)")
-		solverSt = fs.Bool("solver-stats", false, "print per-input solver statistics (mode, effort, warm start, races) to stderr")
+		solverM  = fs.String("solver-mode", "", "solver dispatch mode: per-assert|shared")
 		jobs     = fs.Int("j", 0, "verification worker count (0 = GOMAXPROCS)")
 		verbose  = fs.Bool("v", false, "print the run profile to stderr")
 		traceF   = fs.String("trace", "", "write Chrome trace-event JSON to this file")
@@ -252,18 +240,10 @@ func run(args []string) int {
 	if *timeout > 0 {
 		opts = append(opts, webssari.WithDeadline(*timeout))
 	}
-	if *maxConf > 0 {
-		opts = append(opts, webssari.WithBudget(*maxConf))
-	}
-	if *warm && *storeDir == "" {
-		fmt.Fprintln(os.Stderr, "webssari: -warm-start requires -store (learnt clauses persist in the result store)")
-		return 2
-	}
-	if *solverM != "" || *portfol != 0 || *warm {
+	if *solverM != "" || *maxConf > 0 {
 		opts = append(opts, webssari.WithSolverConfig(webssari.SolverConfig{
-			Mode:      webssari.SolverMode(*solverM),
-			Portfolio: *portfol,
-			WarmStart: *warm,
+			Mode:         webssari.SolverMode(*solverM),
+			MaxConflicts: *maxConf,
 		}))
 	}
 	if *preludeF != "" {
@@ -317,9 +297,6 @@ func run(args []string) int {
 			if *verbose && pr.Profile != nil {
 				fmt.Fprintf(os.Stderr, "webssari: %s: %s\n", file, pr.Profile)
 			}
-			if *solverSt {
-				printSolverStats(file, pr.Profile)
-			}
 			exit = worse(exit, verdictExit(pr.Verdict()))
 			continue
 		}
@@ -342,9 +319,6 @@ func run(args []string) int {
 			printReport(rep, *jsonOut)
 			if *verbose {
 				printStats(file, rep)
-			}
-			if *solverSt {
-				printSolverStats(file, rep.Profile)
 			}
 			if rep.Verdict == webssari.VerdictUnsafe {
 				out := strings.TrimSuffix(file, ".php") + ".secured.php"
@@ -392,9 +366,6 @@ func run(args []string) int {
 		if *verbose {
 			printStats(file, rep)
 		}
-		if *solverSt {
-			printSolverStats(file, rep.Profile)
-		}
 		exit = worse(exit, verdictExit(rep.Verdict))
 	}
 	return exit
@@ -407,50 +378,6 @@ func printStats(file string, rep *webssari.Report) {
 		return
 	}
 	fmt.Fprintf(os.Stderr, "webssari: %s: %s\n", file, rep.Profile)
-}
-
-// printSolverStats writes one input's solver statistics — dispatch mode,
-// search effort, and the warm-start / portfolio outcome — to stderr.
-// It is the solver-focused subset of -v: stage wall times and cache
-// provenance are omitted, so the line is stable enough to grep in CI.
-func printSolverStats(file string, p *webssari.RunProfile) {
-	if p == nil {
-		return
-	}
-	if p.StoreHit {
-		fmt.Fprintf(os.Stderr, "webssari: %s: served from result store (no solve)\n", file)
-		return
-	}
-	mode := p.SolverMode
-	if mode == "" {
-		mode = "per-assert"
-	}
-	s := p.Solver
-	line := fmt.Sprintf("webssari: %s: solver mode %s: %d decision(s), %d conflict(s), %d restart(s), %d learnt",
-		file, mode, s.Decisions, s.Conflicts, s.Restarts, s.LearntClauses)
-	if ws := p.WarmStart; ws != nil {
-		state := "miss"
-		switch {
-		case ws.Hit:
-			state = "hit"
-		case !ws.Attempted:
-			state = "cold"
-		}
-		line += fmt.Sprintf("; warm start %s (%d imported, %d exported)",
-			state, ws.ImportedClauses, ws.ExportedClauses)
-	}
-	if pf := p.Portfolio; pf != nil && pf.Races > 0 {
-		line += fmt.Sprintf("; %d portfolio race(s)", pf.Races)
-		lanes := make([]string, 0, len(pf.WinsByLane))
-		for lane := range pf.WinsByLane {
-			lanes = append(lanes, lane)
-		}
-		sort.Strings(lanes)
-		for _, lane := range lanes {
-			line += fmt.Sprintf(" lane%s×%d", lane, pf.WinsByLane[lane])
-		}
-	}
-	fmt.Fprintln(os.Stderr, line)
 }
 
 func dirOf(file string) string {

@@ -20,10 +20,8 @@
 //	-timeout D         wall-clock deadline per verification unit
 //	-max-conflicts N   SAT conflict budget per solver call (0 = unlimited)
 //	-solver-mode M     default solver dispatch mode for jobs:
-//	                   per-assert|shared|portfolio (per-job "solver"
-//	                   fields override it)
-//	-portfolio N       default portfolio lane count raced per hard
-//	                   assertion (0 = engine default)
+//	                   per-assert|shared (per-job "solver" fields
+//	                   override it)
 //	-no-dirs           reject directory submissions (clients may then only
 //	                   POST source text)
 //	-incremental       default directory jobs to delta re-verification via
@@ -146,8 +144,7 @@ func run(args []string, ready chan<- string) int {
 		jobs        = fs.Int("j", 0, "per-job verification parallelism (0 = engine default)")
 		timeout     = fs.Duration("timeout", 0, "wall-clock deadline per verification unit (0 = none)")
 		maxConf     = fs.Uint64("max-conflicts", 0, "SAT conflict budget per solver call (0 = unlimited)")
-		solverMode  = fs.String("solver-mode", "", "default solver dispatch mode: per-assert|shared|portfolio (per-job solver spec overrides)")
-		portfolio   = fs.Int("portfolio", 0, "default portfolio lane count raced per hard assertion (0 = engine default)")
+		solverMode  = fs.String("solver-mode", "", "default solver dispatch mode: per-assert|shared (per-job solver spec overrides)")
 		noDirs      = fs.Bool("no-dirs", false, "reject directory submissions")
 		incr        = fs.Bool("incremental", false, "default directory jobs to delta re-verification (requires -store)")
 		watchIvl    = fs.Duration("watch-interval", service.DefaultWatchInterval, "snapshot poll interval for watch-mode jobs")
@@ -240,8 +237,8 @@ func run(args []string, ready chan<- string) int {
 	// overlay it field-wise. Validated at startup so a typo'd mode fails
 	// here instead of on the first submission.
 	solverCfg := webssari.SolverConfig{
-		Mode:      webssari.SolverMode(*solverMode),
-		Portfolio: *portfolio,
+		Mode:         webssari.SolverMode(*solverMode),
+		MaxConflicts: *maxConf,
 	}
 	if solverCfg != (webssari.SolverConfig{}) {
 		if _, err := webssari.ExportConfig(webssari.WithSolverConfig(solverCfg)); err != nil {
@@ -255,16 +252,15 @@ func run(args []string, ready chan<- string) int {
 	// coordinator's (mismatched options would break verdict identity).
 	// The policy is part of it: a worker running a different default
 	// policy must not join. Fingerprint itself erases the verdict-neutral
-	// solver fields (mode, portfolio width, warm start), so passing the
-	// full solver config here is safe: workers may race portfolios while
-	// the coordinator runs per-assert and still fingerprint identically.
+	// solver mode, so passing the full solver config here is safe:
+	// workers may solve in shared mode while the coordinator runs
+	// per-assert and still fingerprint identically.
 	fingerprint := cluster.Fingerprint(webssari.WithConfig(webssari.Config{
-		Policy:       policyName,
-		PolicyJSON:   policyJSON,
-		Deadline:     *timeout,
-		MaxConflicts: *maxConf,
-		Parallelism:  *jobs,
-		Solver:       solverCfg,
+		Policy:      policyName,
+		PolicyJSON:  policyJSON,
+		Deadline:    *timeout,
+		Parallelism: *jobs,
+		Solver:      solverCfg,
 	}))
 
 	svcCfg := service.Config{
@@ -279,7 +275,6 @@ func run(args []string, ready chan<- string) int {
 		JobParallelism:   *jobs,
 		QueueSize:        *queueSize,
 		JobDeadline:      *timeout,
-		MaxConflicts:     *maxConf,
 		Solver:           solverCfg,
 		DisableDirs:      *noDirs,
 		Incremental:      *incr,

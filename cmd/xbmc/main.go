@@ -22,10 +22,9 @@
 // run profile (per-stage wall time and solver effort) to stderr.
 //
 // The -solver-mode flag selects the solver dispatch mode — per-assert
-// (default), shared (one incremental solver per file, learnt clauses
-// carried across assertions), or portfolio (race -portfolio solver
-// configurations per hard assertion) — in every local mode, and the
-// selection travels with -remote submissions as the job's solver spec.
+// (default) or shared (one incremental solver per file, learnt clauses
+// carried across assertions) — in every local mode, and the selection
+// travels with -remote submissions as the job's solver spec.
 //
 // Observability: -trace FILE writes a Chrome trace-event JSON of every
 // pipeline span (load it in chrome://tracing or Perfetto) — the file is
@@ -95,8 +94,7 @@ func run(args []string) int {
 		outDir      = fs.String("o", "", "directory for DIMACS dumps (with -stage cnf)")
 		timeout     = fs.Duration("timeout", 0, "wall-clock deadline for verification (0 = none)")
 		maxConf     = fs.Uint64("max-conflicts", 0, "SAT conflict budget per solver call (0 = unlimited)")
-		solverMode  = fs.String("solver-mode", "", "solver dispatch mode: per-assert|shared|portfolio")
-		portfolio   = fs.Int("portfolio", 0, "portfolio lane count raced per hard assertion (0 = engine default)")
+		solverMode  = fs.String("solver-mode", "", "solver dispatch mode: per-assert|shared")
 		jobs        = fs.Int("j", 0, "assertion-level worker count (0 = sequential)")
 		verbose     = fs.Bool("v", false, "print the run profile to stderr")
 		traceFile   = fs.String("trace", "", "write Chrome trace-event JSON to this file")
@@ -153,8 +151,8 @@ func run(args []string) int {
 		return 2
 	}
 	var solverSpec *client.SolverSpec
-	if *solverMode != "" || *portfolio != 0 {
-		solverSpec = &client.SolverSpec{Mode: *solverMode, Portfolio: *portfolio}
+	if *solverMode != "" {
+		solverSpec = &client.SolverSpec{Mode: *solverMode}
 	}
 	if *remoteURL != "" {
 		if *stage != "" || *naive {
@@ -223,13 +221,10 @@ func run(args []string) int {
 		if *timeout > 0 {
 			opts = append(opts, webssari.WithDeadline(*timeout))
 		}
-		if *maxConf > 0 {
-			opts = append(opts, webssari.WithBudget(*maxConf))
-		}
-		if *solverMode != "" || *portfolio != 0 {
+		if *solverMode != "" || *maxConf > 0 {
 			opts = append(opts, webssari.WithSolverConfig(webssari.SolverConfig{
-				Mode:      webssari.SolverMode(*solverMode),
-				Portfolio: *portfolio,
+				Mode:         webssari.SolverMode(*solverMode),
+				MaxConflicts: *maxConf,
 			}))
 		}
 		if tel != nil {
@@ -350,12 +345,11 @@ func run(args []string) int {
 	ctx = telemetry.WithTelemetry(ctx, tel)
 	ctx, fsp := telemetry.StartRootSpan(ctx, "verify_file", "file", target)
 	copts := core.Options{
-		Flow:           fopts,
-		Ctx:            ctx,
-		Solver:         sat.Options{MaxConflicts: *maxConf},
-		Parallelism:    *jobs,
-		Mode:           coreMode,
-		PortfolioWidth: *portfolio,
+		Flow:        fopts,
+		Ctx:         ctx,
+		Solver:      sat.Options{MaxConflicts: *maxConf},
+		Parallelism: *jobs,
+		Mode:        coreMode,
 	}
 	compileStart := time.Now()
 	compiled, errs := core.Compile(target, src, copts)
@@ -476,8 +470,6 @@ func resolveSolverMode(mode string) (core.SolveMode, error) {
 		return core.ModePerAssert, nil
 	case webssari.SolverShared:
 		return core.ModeShared, nil
-	case webssari.SolverPortfolio:
-		return core.ModePortfolio, nil
 	default:
 		return 0, fmt.Errorf("unknown -solver-mode %q (valid: %v)", mode, webssari.SolverModes())
 	}

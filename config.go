@@ -24,73 +24,57 @@ type SinkSpec struct {
 // SolverMode selects how the SAT back end dispatches the assertions of
 // one verification unit. The zero value ("" — equivalent to
 // SolverPerAssert) is the classic behavior: every assertion gets a
-// fresh solver over its own encoding. All modes produce byte-identical
+// fresh solver over its own encoding. Both modes produce byte-identical
 // reports (profiles aside); they differ only in cost.
 type SolverMode string
 
 const (
 	// SolverPerAssert solves each assertion on a fresh solver instance
-	// over a per-assertion encoding — the default, and the mode with the
-	// best per-assertion parallelism.
+	// over a per-assertion encoding — the paper's loop, the default, and
+	// the mode with the best per-assertion parallelism.
 	SolverPerAssert SolverMode = "per-assert"
 	// SolverShared solves every assertion under selector assumptions on
 	// ONE incremental CDCL instance, so learnt clauses accumulate across
-	// assertions (and, with SolverConfig.WarmStart, across runs). Best
-	// for files with many assertions over shared program structure.
+	// assertions. Best for files with many assertions over shared
+	// program structure.
 	SolverShared SolverMode = "shared"
-	// SolverPortfolio keeps per-assertion dispatch but races K solver
-	// configurations on each assertion the cheap probe cannot decide;
-	// the first complete answer wins. Best against adversarial or
-	// hard instances under a conflict budget.
-	SolverPortfolio SolverMode = "portfolio"
 )
 
 // SolverModes lists the valid SolverMode values, in preference order —
 // also the capability list the daemon advertises on /v1/version.
 func SolverModes() []string {
-	return []string{string(SolverPerAssert), string(SolverShared), string(SolverPortfolio)}
+	return []string{string(SolverPerAssert), string(SolverShared)}
 }
 
-// SolverConfig is the unified solver configuration: dispatch mode,
-// search budgets, portfolio width, and warm starting, applied together
-// with WithSolverConfig. The zero value means "all defaults" (per-assert
-// mode, unlimited budgets, no warm start). It is carried verbatim by
-// Config.Solver, by the v1 wire schema's "solver" job field, and by the
-// typed client.
+// SolverConfig is the unified solver configuration: dispatch mode and
+// search budgets, applied together with WithSolverConfig. The zero value
+// means "all defaults" (per-assert mode, unlimited budgets). It is
+// carried verbatim by Config.Solver, by the v1 wire schema's "solver"
+// job field, and by the typed client.
 //
-// Mode, Portfolio, and WarmStart are verdict-neutral: they change cost,
-// never report content, and are therefore excluded from result-store
-// keys. MaxConflicts and MaxRestarts are verdict-shaping (an exhausted
-// budget degrades assertions to Unknown) and participate in keys.
+// Mode is verdict-neutral: it changes cost, never report content, and is
+// therefore excluded from result-store keys. MaxConflicts and
+// MaxRestarts are verdict-shaping (an exhausted budget degrades
+// assertions to Unknown) and participate in keys.
 type SolverConfig struct {
 	// Mode selects the dispatch strategy ("" = per-assert).
 	Mode SolverMode `json:"mode,omitempty"`
 	// MaxConflicts caps SAT effort per solver call in conflicts
-	// (0 = unlimited). Supersedes the deprecated WithBudget /
-	// Config.MaxConflicts, which remain as forwarding shims.
+	// (0 = unlimited).
 	MaxConflicts uint64 `json:"max_conflicts,omitempty"`
 	// MaxRestarts caps SAT effort per solver call in restarts
 	// (0 = unlimited).
 	MaxRestarts uint64 `json:"max_restarts,omitempty"`
-	// Portfolio is the lane count raced per hard assertion in portfolio
-	// mode (0 = the default width; capped at the preset table size).
-	Portfolio int `json:"portfolio,omitempty"`
-	// WarmStart persists the shared solver's learnt clauses in the
-	// attached result store and re-imports them when the same program is
-	// verified again under the same configuration. Requires Mode ==
-	// SolverShared and a WithStore/WithStoreBackend store; otherwise it
-	// is inert.
-	WarmStart bool `json:"warm_start,omitempty"`
 }
 
 // WithSolverConfig applies a SolverConfig. Zero fields leave the
 // corresponding setting unchanged, so the option composes with earlier
-// WithBudget/WithSolverConfig applications (later options win).
+// WithSolverConfig applications (later options win).
 func WithSolverConfig(sc SolverConfig) Option {
 	return func(c *config) error {
 		if sc.Mode != "" {
 			switch sc.Mode {
-			case SolverPerAssert, SolverShared, SolverPortfolio:
+			case SolverPerAssert, SolverShared:
 				c.solverMode = sc.Mode
 			default:
 				return fmt.Errorf("webssari: unknown solver mode %q (valid: %v)", sc.Mode, SolverModes())
@@ -98,19 +82,9 @@ func WithSolverConfig(sc SolverConfig) Option {
 		}
 		if sc.MaxConflicts != 0 {
 			c.solver.MaxConflicts = sc.MaxConflicts
-			c.budgetViaSolver = true
 		}
 		if sc.MaxRestarts != 0 {
 			c.solver.MaxRestarts = sc.MaxRestarts
-		}
-		if sc.Portfolio != 0 {
-			if sc.Portfolio < 1 {
-				return fmt.Errorf("webssari: portfolio width must be ≥ 1, got %d", sc.Portfolio)
-			}
-			c.portfolioWidth = sc.Portfolio
-		}
-		if sc.WarmStart {
-			c.warmStart = true
 		}
 		return nil
 	}
@@ -160,13 +134,8 @@ type Config struct {
 	MaxCounterexamples int `json:"max_counterexamples,omitempty"`
 	// Deadline bounds each verification unit's wall time (WithDeadline).
 	Deadline time.Duration `json:"deadline,omitempty"`
-	// MaxConflicts caps SAT effort per solver call (WithBudget).
-	//
-	// Deprecated: set Solver.MaxConflicts instead; this field remains a
-	// forwarding shim (Solver.MaxConflicts wins when both are set).
-	MaxConflicts uint64 `json:"max_conflicts,omitempty"`
 	// Solver is the unified solver configuration (WithSolverConfig):
-	// dispatch mode, search budgets, portfolio width, warm starting.
+	// dispatch mode and search budgets.
 	Solver SolverConfig `json:"solver,omitempty"`
 	// Limits caps model and formula sizes (WithResourceLimits).
 	Limits ResourceLimits `json:"limits,omitempty"`
@@ -237,9 +206,6 @@ func WithConfig(cc Config) Option {
 		if cc.Deadline > 0 {
 			opts = append(opts, WithDeadline(cc.Deadline))
 		}
-		if cc.MaxConflicts != 0 {
-			opts = append(opts, WithBudget(cc.MaxConflicts))
-		}
 		if cc.Solver != (SolverConfig{}) {
 			opts = append(opts, WithSolverConfig(cc.Solver))
 		}
@@ -298,23 +264,14 @@ func (c *config) export() Config {
 		MaxCounterexamples: c.maxCEX,
 		Deadline:           c.deadline,
 		Solver: SolverConfig{
-			Mode:        c.solverMode,
-			MaxRestarts: c.solver.MaxRestarts,
-			Portfolio:   c.portfolioWidth,
-			WarmStart:   c.warmStart,
+			Mode:         c.solverMode,
+			MaxConflicts: c.solver.MaxConflicts,
+			MaxRestarts:  c.solver.MaxRestarts,
 		},
-		Limits: c.limits,
-		Parallelism:        c.parallelism,
-		Incremental:        c.incremental,
-		Telemetry:          c.telemetry,
-	}
-	// The conflict budget exports under whichever field last set it, so
-	// both the deprecated WithBudget/Config.MaxConflicts path and the
-	// SolverConfig path round-trip exactly.
-	if c.budgetViaSolver {
-		cc.Solver.MaxConflicts = c.solver.MaxConflicts
-	} else {
-		cc.MaxConflicts = c.solver.MaxConflicts
+		Limits:      c.limits,
+		Parallelism: c.parallelism,
+		Incremental: c.incremental,
+		Telemetry:   c.telemetry,
 	}
 	// The store handle exports under the most specific field that holds
 	// it: a local *ResultStore as Store, anything else as StoreBackend.

@@ -34,12 +34,10 @@ func TestConfigRoundTrip(t *testing.T) {
 	cc.PaperEnumeration = true
 	cc.MaxCounterexamples = 7
 	cc.Deadline = 42 * time.Second
-	cc.MaxConflicts = 9999
 	cc.Solver = webssari.SolverConfig{
-		Mode:        webssari.SolverShared,
-		MaxRestarts: 11,
-		Portfolio:   3,
-		WarmStart:   true,
+		Mode:         webssari.SolverShared,
+		MaxConflicts: 9999,
+		MaxRestarts:  11,
 	}
 	cc.Parallelism = 2
 	cc.Incremental = true

@@ -33,7 +33,7 @@ func FuzzVerify(f *testing.F) {
 		start := time.Now()
 		rep, err := webssari.Verify(src, "fuzz.php", limits,
 			webssari.WithDeadline(2*time.Second),
-			webssari.WithBudget(200), webssari.WithMaxCounterexamples(16))
+			webssari.WithSolverConfig(webssari.SolverConfig{MaxConflicts: 200}), webssari.WithMaxCounterexamples(16))
 		if elapsed := time.Since(start); elapsed > 10*time.Second {
 			t.Fatalf("verification ran %v despite a 2s deadline: %q", elapsed, src)
 		}

@@ -71,17 +71,14 @@ func (c *config) configFingerprint() string {
 		// Solver settings are enumerated explicitly rather than %+v'd:
 		// only the verdict-shaping fields participate (budgets, which
 		// decide whether assertions degrade to Unknown, and the search
-		// feature switches). The dispatch mode, portfolio width, and warm
-		// starting are deliberately ABSENT — they are verdict-neutral
-		// (reports are byte-identical across them, profiles aside), and
-		// keying on them would make a shared-mode run blind to the cache
-		// a per-assert run populated. Options.Interrupt is a live func
-		// (never set at config time) and must never be formatted into a
-		// persistent key.
-		fmt.Sprintf("solver=conflicts:%d,restarts:%d,restartbase:%d,phase:%t,decay:%g,novsids:%t,nolearn:%t,norestart:%t",
-			c.solver.MaxConflicts, c.solver.MaxRestarts, c.solver.RestartBase,
-			c.solver.InitialPhase, c.solver.VarDecay,
-			c.solver.DisableVSIDS, c.solver.DisableLearning, c.solver.DisableRestarts),
+		// feature switches). The dispatch mode is deliberately ABSENT — it
+		// is verdict-neutral (reports are byte-identical across modes,
+		// profiles aside), and keying on it would make a shared-mode run
+		// blind to the cache a per-assert run populated.
+		// Options.Interrupt is a live func (never set at config time) and
+		// must never be formatted into a persistent key.
+		fmt.Sprintf("solver=conflicts:%d,restarts:%d,novsids:%t,nolearn:%t,norestart:%t",
+			c.solver.MaxConflicts, c.solver.MaxRestarts, c.solver.DisableVSIDS, c.solver.DisableLearning, c.solver.DisableRestarts),
 		fmt.Sprintf("limits=%+v", c.limits),
 	)
 }

@@ -164,17 +164,11 @@ func Fingerprint(opts ...webssari.Option) string {
 	if err != nil {
 		return ""
 	}
-	// Verdict-neutral solver settings (dispatch mode, portfolio width,
-	// warm starting) are erased before hashing: a shared-mode worker and
-	// a per-assert coordinator produce byte-identical verdicts, and
-	// gating registration on them would split clusters for no reason.
-	// The conflict budget is normalized into the legacy field so the two
-	// spellings (Config.MaxConflicts vs Config.Solver.MaxConflicts) of
-	// the same verdict-shaping setting fingerprint identically.
-	if cc.Solver.MaxConflicts != 0 {
-		cc.MaxConflicts = cc.Solver.MaxConflicts
-	}
-	cc.Solver = webssari.SolverConfig{MaxRestarts: cc.Solver.MaxRestarts}
+	// The verdict-neutral dispatch mode is erased before hashing: a
+	// shared-mode worker and a per-assert coordinator produce
+	// byte-identical verdicts, and gating registration on it would split
+	// clusters for no reason.
+	cc.Solver.Mode = ""
 	// Config is a plain struct (no maps), so its JSON field order is
 	// fixed and the encoding canonical.
 	payload, err := json.Marshal(cc)
@@ -534,18 +528,12 @@ func (c *Coordinator) dispatchFile(ctx context.Context, src []byte, name string,
 		// The solver spec rides along so a worker solves under the
 		// coordinator's exact configuration — budgets are verdict-shaping
 		// (they decide whether assertions degrade to Unknown), and the
-		// verdict-neutral mode fields keep cost behavior consistent
-		// across placements. The legacy budget spelling is normalized
-		// into the spec.
+		// verdict-neutral mode keeps cost behavior consistent across
+		// placements.
 		spec := api.SolverSpec{
 			Mode:         string(cc.Solver.Mode),
 			MaxConflicts: cc.Solver.MaxConflicts,
 			MaxRestarts:  cc.Solver.MaxRestarts,
-			Portfolio:    cc.Solver.Portfolio,
-			WarmStart:    cc.Solver.WarmStart,
-		}
-		if spec.MaxConflicts == 0 {
-			spec.MaxConflicts = cc.MaxConflicts
 		}
 		if spec != (api.SolverSpec{}) {
 			sreq.Solver = &spec

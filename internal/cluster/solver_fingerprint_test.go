@@ -1,10 +1,9 @@
 package cluster
 
-// Fingerprint neutrality of the solver-mode surface: a worker racing
-// portfolios (or warm-starting) must still join a per-assert
-// coordinator — those knobs change cost, never verdicts — while the
-// verdict-shaping solver fields (budgets, restart caps) must still gate
-// registration, under either their legacy or SolverConfig spelling.
+// Fingerprint neutrality of the solver-mode surface: a worker solving in
+// shared mode must still join a per-assert coordinator — the mode changes
+// cost, never verdicts — while the verdict-shaping solver fields
+// (budgets, restart caps) must still gate registration.
 
 import (
 	"testing"
@@ -13,14 +12,10 @@ import (
 )
 
 func TestFingerprintSolverModeNeutral(t *testing.T) {
-	base := Fingerprint(webssari.WithConfig(webssari.Config{MaxConflicts: 500}))
+	base := Fingerprint(webssari.WithConfig(webssari.Config{Solver: webssari.SolverConfig{MaxConflicts: 500}}))
 	for _, cfg := range []webssari.Config{
-		{MaxConflicts: 500, Solver: webssari.SolverConfig{Mode: webssari.SolverShared}},
-		{MaxConflicts: 500, Solver: webssari.SolverConfig{Mode: webssari.SolverPortfolio, Portfolio: 4}},
-		{MaxConflicts: 500, Solver: webssari.SolverConfig{Mode: webssari.SolverShared, WarmStart: true}},
-		// The same budget spelled through SolverConfig instead of the
-		// legacy field.
-		{Solver: webssari.SolverConfig{MaxConflicts: 500}},
+		{Solver: webssari.SolverConfig{Mode: webssari.SolverShared, MaxConflicts: 500}},
+		{Solver: webssari.SolverConfig{Mode: webssari.SolverPerAssert, MaxConflicts: 500}},
 	} {
 		if fp := Fingerprint(webssari.WithConfig(cfg)); fp != base {
 			t.Errorf("verdict-neutral solver config %+v changed the fingerprint", cfg.Solver)
@@ -31,7 +26,6 @@ func TestFingerprintSolverModeNeutral(t *testing.T) {
 func TestFingerprintSolverShapingGates(t *testing.T) {
 	base := Fingerprint(webssari.WithConfig(webssari.Config{}))
 	for _, cfg := range []webssari.Config{
-		{MaxConflicts: 500},
 		{Solver: webssari.SolverConfig{MaxConflicts: 500}},
 		{Solver: webssari.SolverConfig{MaxRestarts: 7}},
 	} {

@@ -68,26 +68,11 @@ type Options struct {
 	// Solver tunes the SAT solver (ablations).
 	Solver sat.Options
 	// Mode selects the back-end strategy: per-assertion solvers (the
-	// paper's loop, the default), one shared incremental solver, or a
-	// portfolio race. All modes produce identical verdicts and
-	// counterexample sets — counterexamples are canonically ordered by
-	// trace key in every mode — so Mode is verdict-neutral.
+	// paper's loop, the default) or one shared incremental solver. Both
+	// modes produce identical verdicts and counterexample sets —
+	// counterexamples are canonically ordered by trace key in each — so
+	// Mode is verdict-neutral.
 	Mode SolveMode
-	// PortfolioWidth is the number of solver configurations raced per
-	// hard assertion in ModePortfolio (0 = DefaultPortfolioWidth,
-	// clamped to sat.PortfolioWidthMax). Width 1 degenerates to the
-	// per-assertion mode.
-	PortfolioWidth int
-	// LearntBlob seeds the shared-mode solver with learnt clauses
-	// exported by a previous run over the same program (ModeShared
-	// only). The blob is validated against the freshly encoded CNF's
-	// hash; any mismatch or corruption degrades to a cold solve.
-	LearntBlob []byte
-	// LearntSink, when non-nil, receives the shared-mode solver's
-	// exported learnt clauses after the run — the persistence half of
-	// warm-starting. Never called when the export would be unsound
-	// (see SolveShared's epoch gating).
-	LearntSink func(blob []byte)
 	// Parallelism bounds how many assertions one Solve checks
 	// concurrently. Zero or one means sequential (the default, which
 	// reproduces the paper's loop exactly); results are identical either
@@ -121,12 +106,8 @@ const (
 	ModePerAssert SolveMode = iota
 	// ModeShared encodes the whole program once and checks each
 	// assertion under a selector assumption on one incremental solver,
-	// retaining learnt clauses across assertions (and, with a
-	// LearntBlob/LearntSink pair, across runs).
+	// retaining learnt clauses across assertions.
 	ModeShared
-	// ModePortfolio races distinct solver configurations per hard
-	// assertion, first canonical answer wins.
-	ModePortfolio
 )
 
 // String returns the mode's wire spelling.
@@ -134,16 +115,10 @@ func (m SolveMode) String() string {
 	switch m {
 	case ModeShared:
 		return "shared"
-	case ModePortfolio:
-		return "portfolio"
 	default:
 		return "per-assert"
 	}
 }
-
-// DefaultPortfolioWidth is the portfolio width when Options.PortfolioWidth
-// is zero: the base configuration plus two heuristic variants.
-const DefaultPortfolioWidth = 3
 
 // DefaultMaxCEX bounds counterexample enumeration per assertion.
 const DefaultMaxCEX = 4096
@@ -320,37 +295,6 @@ type AssertResult struct {
 	// verdict was carried over. A Reused result has no counterexamples,
 	// no encoding sizes, and no solver stats.
 	Reused bool
-
-	// racedLane records a portfolio race outcome: the lane that
-	// supplied the canonical answer (-1 = lane-0 fallback). Unexported
-	// and out-of-band of the report content — racing is verdict-neutral.
-	racedLane *int
-}
-
-// WarmStartStats reports learnt-clause persistence activity for one
-// shared-mode solve. Informational only: warm-starting injects clauses
-// already implied by the formula, so it can never change a verdict.
-type WarmStartStats struct {
-	// Attempted is set when a LearntBlob was offered to the run.
-	Attempted bool
-	// Hit is set when the blob decoded cleanly and its CNF hash matched
-	// this program's encoding; otherwise the run solved cold.
-	Hit bool
-	// ImportedClauses and ExportedClauses count the clauses moved in
-	// each direction.
-	ImportedClauses int
-	ExportedClauses int
-}
-
-// PortfolioStats reports portfolio-mode racing activity: how many
-// assertions escalated from the probe to a full race, and which lane
-// supplied each canonical answer. Informational only.
-type PortfolioStats struct {
-	Races int
-	// WinsByLane maps lane index → races whose canonical answer that
-	// lane supplied (-1 keys the deterministic lane-0 fallback when no
-	// lane produced a canonical answer).
-	WinsByLane map[int]int
 }
 
 // Result is a whole-program verification outcome.
@@ -369,19 +313,13 @@ type Result struct {
 	// ParseErrors records syntax errors the parser recovered from: the
 	// model then covers only what parsed, so the result is Incomplete.
 	ParseErrors []string
-	// WarmStart is populated by shared-mode solves that were offered a
-	// learnt blob or asked to export one; nil otherwise.
-	WarmStart *WarmStartStats
-	// Portfolio is populated by portfolio-mode solves; nil otherwise.
-	Portfolio *PortfolioStats
 }
 
 // sortCounterexamples puts one assertion's counterexamples into
 // canonical trace-key order. Every solve mode applies it, which is what
-// makes reports byte-identical across per-assertion, shared, and
-// portfolio solving: a complete enumeration always discovers the same
-// *set* of trace classes, only the discovery order is heuristic-
-// dependent.
+// makes reports byte-identical across per-assertion and shared
+// solving: a complete enumeration always discovers the same *set* of
+// trace classes, only the discovery order is heuristic-dependent.
 func sortCounterexamples(ar *AssertResult) {
 	if len(ar.Counterexamples) < 2 {
 		return

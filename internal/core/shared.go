@@ -14,23 +14,12 @@ import (
 // incremental CDCL solver holds the whole program's encoding, and each
 // assertion is checked by solving under its selector assumption (see
 // internal/cnf/shared.go). Learnt clauses accumulate across assertions
-// on the one instance, and — via Options.LearntBlob / LearntSink —
-// across runs.
+// on the one instance.
 //
-// Soundness of cross-run clause reuse rests on epoch gating. Blocking
-// clauses added during counterexample enumeration are NOT implied by
-// the program formula (they exclude real models), so clauses learnt
-// from them must never leak into the exported set. Every blocking
-// clause therefore carries the negation of a per-run epoch literal,
-// which is assumed true during enumeration. The epoch variable occurs
-// only negatively in the clause database, so (a) it can never be
-// propagated at decision level 0, and (b) resolution can never
-// eliminate ¬epoch from a derived clause — any learnt clause tainted by
-// a blocking clause syntactically mentions the epoch variable. The
-// export filter drops exactly those clauses. As a belt-and-braces
-// guard, if the epoch variable somehow does end up assigned at the top
-// level (where conflict analysis skips literals and the syntactic
-// argument no longer applies), the export is abandoned entirely.
+// Blocking clauses added during counterexample enumeration are not
+// implied by the program formula, but each one carries the negation of
+// its assertion's selector (cnf.EncodedAll.BlockingClause), so it is
+// satisfied — and inert — whenever another assertion is being checked.
 
 // VerifyAIShared verifies every assertion with a single incremental
 // solver: CompileAI followed by SolveShared. It produces the same
@@ -84,38 +73,6 @@ func SolveShared(ctx context.Context, p *Program, opts Options) (*Result, error)
 	solver := sat.NewWith(sopts)
 	loaded := encoded.F.LoadInto(solver)
 
-	// Warm start: bind to the exact CNF just loaded. Hashing is skipped
-	// entirely when neither import nor export is requested.
-	var ws *WarmStartStats
-	var cnfHash uint64
-	if opts.LearntBlob != nil || opts.LearntSink != nil {
-		ws = &WarmStartStats{}
-		res.WarmStart = ws
-		cnfHash = sat.HashCNF(encoded.F)
-	}
-	if opts.LearntBlob != nil && loaded {
-		ws.Attempted = true
-		if blobHash, clauses, err := sat.DecodeLearntBlob(opts.LearntBlob); err == nil && blobHash == cnfHash {
-			ws.Hit = true
-			for _, cl := range clauses {
-				if !solver.AddClause(cl...) {
-					// Implied clauses cannot make a satisfiable formula
-					// unsatisfiable; reaching here means the base formula
-					// itself is trivially unsat, which loaded would have
-					// caught — but stay defensive.
-					loaded = false
-					break
-				}
-				ws.ImportedClauses++
-			}
-		}
-	}
-
-	// The epoch literal gating this run's blocking clauses. Allocated
-	// after the base load and the (filtered, epoch-free) import, so its
-	// index is deterministic across runs over the same CNF.
-	epoch := sat.Lit(solver.NewVar())
-
 	// When the caller seeded prior SAFE verdicts, fingerprint every
 	// check once up front, exactly as Solve does.
 	var fps []string
@@ -145,43 +102,14 @@ func SolveShared(ctx context.Context, p *Program, opts Options) (*Result, error)
 			ar.Cause = CauseDeadline
 			continue
 		}
-		if err := enumerateShared(sys, encoded, solver, epoch, i, opts, ar); err != nil {
+		if err := enumerateShared(sys, encoded, solver, i, opts, ar); err != nil {
 			return res, err
 		}
 		sortCounterexamples(ar)
 	}
 
-	if opts.LearntSink != nil && loaded && !solver.AssignedAtTopLevel(epoch.Var()) {
-		epochVar := epoch.Var()
-		clauses := solver.ExportLearnts(func(v int) bool { return v == epochVar })
-		ws.ExportedClauses = len(clauses)
-		opts.LearntSink(sat.EncodeLearntBlob(cnfHash, clauses))
-	}
 	recordSolveMetrics(ctx, res)
-	recordWarmStartMetrics(ctx, ws)
 	return res, nil
-}
-
-// recordWarmStartMetrics rolls one run's warm-start counters into the
-// context's metrics registry.
-func recordWarmStartMetrics(ctx context.Context, ws *WarmStartStats) {
-	if ws == nil {
-		return
-	}
-	reg := telemetry.From(ctx)
-	if reg == nil || reg.Metrics == nil {
-		return
-	}
-	m := reg.Metrics
-	if ws.Attempted {
-		if ws.Hit {
-			m.Counter(telemetry.MetricWarmStartHits).Inc()
-		} else {
-			m.Counter(telemetry.MetricWarmStartMisses).Inc()
-		}
-	}
-	m.Counter(telemetry.MetricWarmStartImported).Add(int64(ws.ImportedClauses))
-	m.Counter(telemetry.MetricWarmStartExported).Add(int64(ws.ExportedClauses))
 }
 
 func ctxErr(opts Options) error { return opts.context().Err() }
@@ -190,13 +118,12 @@ func enumerateShared(
 	sys *constraint.System,
 	encoded *cnf.EncodedAll,
 	solver *sat.Solver,
-	epoch sat.Lit,
 	idx int,
 	opts Options,
 	ar *AssertResult,
 ) error {
 	target := sys.Checks[idx].Origin
-	assumptions := append(encoded.PriorAssumptions(idx), epoch)
+	assumptions := encoded.PriorAssumptions(idx)
 	seen := make(map[string]bool)
 	for {
 		verdict := solver.SolveAssuming(assumptions)
@@ -236,10 +163,6 @@ func enumerateShared(
 		if blocking == nil {
 			return nil // single trace class exhausted
 		}
-		// Epoch gating: the blocking clause is not implied by the program
-		// formula, so it only exists inside this run's epoch (see the
-		// file comment on export soundness).
-		blocking = append(blocking, epoch.Not())
 		if !solver.AddClause(blocking...) {
 			return nil
 		}

@@ -114,7 +114,7 @@ func Solve(ctx context.Context, p *Program, opts Options) *Result {
 				}
 				continue
 			}
-			ar, err := checkOne(ctx, sys, idx, opts)
+			ar, err := checkAssertion(ctx, sys, idx, opts)
 			if err != nil {
 				// Fault isolation: a panic or internal error in one
 				// assertion's encode/solve degrades it to Unknown.
@@ -166,20 +166,8 @@ func Solve(ctx context.Context, p *Program, opts Options) *Result {
 		res.Warnings = append(res.Warnings, fmt.Sprintf(
 			"deadline expired before assert_%d: %d assertion(s) unchecked", firstSkipped, skippedCount))
 	}
-	if opts.Mode == ModePortfolio {
-		res.Portfolio = collectPortfolioStats(ctx, results)
-	}
 	recordSolveMetrics(ctx, res)
 	return res
-}
-
-// checkOne routes one assertion to the mode's checker: the plain
-// per-assertion loop, or the portfolio race.
-func checkOne(ctx context.Context, sys *constraint.System, idx int, opts Options) (*AssertResult, error) {
-	if opts.Mode == ModePortfolio {
-		return checkAssertionPortfolio(ctx, sys, idx, opts)
-	}
-	return checkAssertion(ctx, sys, idx, opts)
 }
 
 // recordSolveMetrics rolls one Result's counters into the context's
@@ -286,18 +274,18 @@ func checkAssertion(ctx context.Context, sys *constraint.System, idx int, opts O
 		return ar, nil
 	}
 
-	enumerateAssert(ctx, sys, idx, encoded, opts, opts.Solver, ar)
+	enumerateAssert(ctx, sys, idx, encoded, opts, ar)
 	return ar, nil
 }
 
 // enumerateAssert runs the counterexample enumeration loop of §3.3.2
-// over an already encoded check, on a fresh solver built from sopts
-// (the context interrupt is merged in here). It fills ar's search-side
-// fields and leaves the counterexamples in canonical trace-key order.
-// The encoded artifact is only read, never written, so any number of
-// enumerations — portfolio lanes — may share one Encoded concurrently.
-func enumerateAssert(ctx context.Context, sys *constraint.System, idx int, encoded *cnf.Encoded, opts Options, sopts sat.Options, ar *AssertResult) {
+// over an already encoded check, on a fresh solver built from
+// opts.Solver (the context interrupt is merged in here). It fills ar's
+// search-side fields and leaves the counterexamples in canonical
+// trace-key order.
+func enumerateAssert(ctx context.Context, sys *constraint.System, idx int, encoded *cnf.Encoded, opts Options, ar *AssertResult) {
 	check := sys.Checks[idx]
+	sopts := opts.Solver
 	sopts.Interrupt = interruptFor(ctx, sopts.Interrupt)
 	solver := sat.NewWith(sopts)
 

@@ -28,14 +28,14 @@ type HTMLContext struct {
 type ctxState int
 
 const (
-	stateText ctxState = iota
-	stateTagOpen          // just consumed '<'
-	stateBang             // consumed "<!", matching toward "<!--"
-	stateComment          // inside <!-- ... -->, matching toward "-->"
-	stateTag              // inside <tag ...>, outside any quoted value
-	stateAttrVal          // inside a quoted attribute value
-	stateScript           // inside <script> ... matching toward "</script"
-	stateScriptEnd        // matched "</script", skipping to '>'
+	stateText      ctxState = iota
+	stateTagOpen            // just consumed '<'
+	stateBang               // consumed "<!", matching toward "<!--"
+	stateComment            // inside <!-- ... -->, matching toward "-->"
+	stateTag                // inside <tag ...>, outside any quoted value
+	stateAttrVal            // inside a quoted attribute value
+	stateScript             // inside <script> ... matching toward "</script"
+	stateScriptEnd          // matched "</script", skipping to '>'
 )
 
 // Context names produced by the machine.

@@ -36,19 +36,6 @@ type Options struct {
 	// MaxRestarts aborts Solve with Unknown after this many restarts
 	// (0 = unlimited). Like MaxConflicts it is a per-call budget.
 	MaxRestarts uint64
-	// RestartBase scales the Luby restart sequence: the i-th restart
-	// fires after RestartBase·luby(i) conflicts (0 = the default 100).
-	// Smaller bases restart more aggressively — a portfolio axis.
-	RestartBase uint64
-	// InitialPhase flips the initial decision polarity to true. Phase
-	// saving still takes over once a variable has been assigned; this
-	// only changes the first decision on each variable — a cheap way to
-	// explore a structurally different part of the search tree.
-	InitialPhase bool
-	// VarDecay overrides the VSIDS activity decay factor in (0, 1)
-	// (0 = the default 0.95). Lower values weight recent conflicts more
-	// heavily — another portfolio axis.
-	VarDecay float64
 	// Interrupt, when non-nil, is polled during search (once per conflict
 	// and periodically between decisions); when it returns true, Solve
 	// stops and reports Unknown. It plumbs wall-clock deadlines and
@@ -109,7 +96,7 @@ func NewWith(opts Options) *Solver {
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, nil)
 	s.activity = append(s.activity, 0)
-	s.polarity = append(s.polarity, opts.InitialPhase)
+	s.polarity = append(s.polarity, false)
 	s.seen = append(s.seen, false)
 	s.watches = append(s.watches, nil, nil)
 	return s
@@ -123,7 +110,7 @@ func (s *Solver) NewVar() int {
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, nil)
 	s.activity = append(s.activity, 0)
-	s.polarity = append(s.polarity, s.opts.InitialPhase)
+	s.polarity = append(s.polarity, false)
 	s.seen = append(s.seen, false)
 	s.watches = append(s.watches, nil, nil) // slots 2v and 2v+1
 	s.order.push(v)
@@ -446,16 +433,13 @@ func (s *Solver) bumpClause(c *clause) {
 }
 
 const (
-	varDecay = 0.95
-	claDecay = 0.999
+	varDecay    = 0.95
+	claDecay    = 0.999
+	restartBase = 100 // the i-th restart fires after restartBase·luby(i) conflicts
 )
 
 func (s *Solver) decayActivities() {
-	vd := s.opts.VarDecay
-	if vd <= 0 || vd >= 1 {
-		vd = varDecay
-	}
-	s.varInc /= vd
+	s.varInc /= varDecay
 	s.claInc /= claDecay
 }
 
@@ -562,10 +546,6 @@ func (s *Solver) SolveAssuming(assumptions []Lit) Result {
 	}
 
 	var conflictsAtStart = s.stats.Conflicts
-	restartBase := s.opts.RestartBase
-	if restartBase == 0 {
-		restartBase = 100
-	}
 	restartCount := uint64(0)
 	conflictBudget := restartBase * luby(restartCount+1)
 	conflictsSinceRestart := uint64(0)
@@ -687,56 +667,6 @@ func (s *Solver) Model() []bool {
 // Okay reports whether the instance is still possibly satisfiable (false
 // once an empty clause has been derived).
 func (s *Solver) Okay() bool { return s.ok }
-
-// AssignedAtTopLevel reports whether variable v holds a decision-level-0
-// assignment — a fact implied by the clause database rather than any
-// retractable decision or assumption.
-func (s *Solver) AssignedAtTopLevel(v int) bool {
-	return v >= 1 && v <= s.numVars && s.assign[v] != lUndef && s.level[v] == 0
-}
-
-// ExportLearnts snapshots the solver's derived knowledge as plain
-// clauses: every retained learnt clause plus the top-level implied unit
-// facts (single-literal clauses). Any clause or unit mentioning a
-// variable for which skip returns true is omitted — callers use this to
-// filter out clauses tainted by non-implied additions (e.g. blocking
-// clauses gated behind an epoch variable) or by variables whose meaning
-// is not stable across runs. A nil skip exports everything.
-//
-// Every exported clause is a logical consequence of the problem clauses
-// alone (assumption literals appear inside learnt clauses rather than
-// conditioning them), so re-adding the result to a fresh solver over the
-// same CNF — same variable numbering — via AddClause is sound.
-func (s *Solver) ExportLearnts(skip func(v int) bool) [][]Lit {
-	keep := func(lits []Lit) bool {
-		if skip == nil {
-			return true
-		}
-		for _, l := range lits {
-			if skip(l.Var()) {
-				return false
-			}
-		}
-		return true
-	}
-	var out [][]Lit
-	for _, c := range s.learnts {
-		if keep(c.lits) {
-			out = append(out, append([]Lit(nil), c.lits...))
-		}
-	}
-	// Top-level units: the trail prefix below the first decision level.
-	bound := len(s.trail)
-	if len(s.trailLim) > 0 {
-		bound = s.trailLim[0]
-	}
-	for _, l := range s.trail[:bound] {
-		if keep([]Lit{l}) {
-			out = append(out, []Lit{l})
-		}
-	}
-	return out
-}
 
 // ---------------------------------------------------------------- var heap
 

@@ -32,24 +32,18 @@ func (s JobState) Terminal() bool { return s == StateDone || s == StateFailed }
 // SolverSpec is a job's solver configuration — the wire form of
 // webssari.SolverConfig, carried under the "solver" key of both submit
 // bodies. Zero fields keep the daemon's defaults; an unknown mode is
-// rejected at admission (400). Mode, portfolio width, and warm starting
-// are verdict-neutral (they change cost, never report content), so two
-// jobs differing only in them still share cached results.
+// rejected at admission (400), and so is any field outside this struct:
+// job bodies are decoded with unknown fields disallowed. Mode is
+// verdict-neutral (it changes cost, never report content), so two jobs
+// differing only in it still share cached results.
 type SolverSpec struct {
-	// Mode is the dispatch mode: "per-assert" (default), "shared", or
-	// "portfolio" (see VersionResponse.SolverModes).
+	// Mode is the dispatch mode: "per-assert" (default) or "shared" (see
+	// VersionResponse.SolverModes).
 	Mode string `json:"mode,omitempty"`
 	// MaxConflicts / MaxRestarts cap SAT effort per solver call
 	// (0 = daemon default).
 	MaxConflicts uint64 `json:"max_conflicts,omitempty"`
 	MaxRestarts  uint64 `json:"max_restarts,omitempty"`
-	// Portfolio is the lane count raced per hard assertion in portfolio
-	// mode (0 = engine default).
-	Portfolio int `json:"portfolio,omitempty"`
-	// WarmStart re-imports the shared solver's learnt clauses from the
-	// daemon's result store on repeat verification (shared mode + store
-	// required; inert otherwise).
-	WarmStart bool `json:"warm_start,omitempty"`
 }
 
 // SubmitFileRequest is the POST /v1/files body.

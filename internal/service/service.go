@@ -11,7 +11,7 @@
 //     slots, so heavy traffic saturates the hardware without
 //     oversubscribing it. Each job runs under the engine's PR-1
 //     discipline: per-unit deadlines (WithDeadline), SAT conflict
-//     budgets (WithBudget), fault isolation per file.
+//     budgets (WithSolverConfig), fault isolation per file.
 //   - Results stream: every job records one NDJSON line per finished
 //     file the moment it completes, and GET /v1/jobs/{id}/stream replays
 //     then follows that stream live. The same encoder serves xbmc's
@@ -147,16 +147,10 @@ type Config struct {
 	// JobDeadline bounds each verification unit's wall time
 	// (WithDeadline: per file under directory jobs); 0 means none.
 	JobDeadline time.Duration
-	// MaxConflicts is the per-solver-call SAT budget (WithBudget); 0
-	// means unlimited.
-	//
-	// Deprecated: set Solver.MaxConflicts instead; this field remains a
-	// forwarding shim (Solver.MaxConflicts wins when both are set).
-	MaxConflicts uint64
 	// Solver is the daemon's default solver configuration
-	// (webssari.WithSolverConfig): dispatch mode, search budgets,
-	// portfolio width, warm starting. Per-job SolverSpec fields in
-	// api.SubmitFileRequest / SubmitDirRequest override it field-wise.
+	// (webssari.WithSolverConfig): dispatch mode and search budgets.
+	// Per-job SolverSpec fields in api.SubmitFileRequest /
+	// SubmitDirRequest override it field-wise.
 	Solver webssari.SolverConfig
 	// MaxSourceBytes caps a submitted source (<= 0: DefaultMaxSourceBytes).
 	MaxSourceBytes int64
@@ -540,8 +534,8 @@ func (s *Server) Drain(ctx context.Context) error {
 // Draining reports whether Drain has begun.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// newJob registers a job in the history (evicting the oldest finished
-// entries past the retention cap).
+// newJob registers a job in the history, evicting only as many of the
+// oldest finished entries as the history exceeds the retention cap by.
 func (s *Server) newJob(kind, target string, source []byte, dir string) *job {
 	j := &job{
 		ID:        fmt.Sprintf("j%d", s.nextID.Add(1)),
@@ -556,16 +550,19 @@ func (s *Server) newJob(kind, target string, source []byte, dir string) *job {
 	s.jobsMu.Lock()
 	s.jobs[j.ID] = j
 	s.jobOrder = append(s.jobOrder, j.ID)
-	if len(s.jobOrder) > defaultRetainedJobs {
+	if excess := len(s.jobOrder) - defaultRetainedJobs; excess > 0 {
 		kept := s.jobOrder[:0]
 		for _, id := range s.jobOrder {
-			old := s.jobs[id]
-			old.mu.Lock()
-			finished := old.state == stateDone || old.state == stateFailed
-			old.mu.Unlock()
-			if finished && len(s.jobOrder)-len(kept) > defaultRetainedJobs {
-				delete(s.jobs, id)
-				continue
+			if excess > 0 {
+				old := s.jobs[id]
+				old.mu.Lock()
+				finished := old.state == stateDone || old.state == stateFailed
+				old.mu.Unlock()
+				if finished {
+					delete(s.jobs, id)
+					excess--
+					continue
+				}
 			}
 			kept = append(kept, id)
 		}
@@ -606,7 +603,6 @@ func (s *Server) jobOptions(tel *telemetry.Telemetry, j *job) []webssari.Option 
 		StoreBackend: s.cfg.StoreBackend,
 		Telemetry:    tel,
 		Deadline:     s.deadline,
-		MaxConflicts: s.cfg.MaxConflicts,
 		Parallelism:  s.cfg.JobParallelism,
 	}
 	if base.Policy == "" && base.PolicyJSON == "" {
@@ -633,12 +629,6 @@ func mergeSolver(base, over webssari.SolverConfig) webssari.SolverConfig {
 	if over.MaxRestarts != 0 {
 		base.MaxRestarts = over.MaxRestarts
 	}
-	if over.Portfolio != 0 {
-		base.Portfolio = over.Portfolio
-	}
-	if over.WarmStart {
-		base.WarmStart = true
-	}
 	return base
 }
 
@@ -651,14 +641,12 @@ func solverConfigOf(sp *api.SolverSpec) webssari.SolverConfig {
 		Mode:         webssari.SolverMode(sp.Mode),
 		MaxConflicts: sp.MaxConflicts,
 		MaxRestarts:  sp.MaxRestarts,
-		Portfolio:    sp.Portfolio,
-		WarmStart:    sp.WarmStart,
 	}
 }
 
 // setSolver validates and records a job's solver override. A non-nil
-// error is an admission failure (400) — unknown modes and invalid
-// widths are rejected before the job ever queues.
+// error is an admission failure (400) — unknown modes are rejected
+// before the job ever queues.
 func (s *Server) setSolver(j *job, sp *api.SolverSpec) error {
 	if sp == nil {
 		return nil

@@ -433,6 +433,33 @@ func TestJobHistoryEviction(t *testing.T) {
 	}
 }
 
+// TestJobHistoryEvictsOnlyOverflow runs one job past the retention cap
+// to completion and checks that only the oldest finished job left the
+// history: the second-oldest must still answer its status.
+func TestJobHistoryEvictsOnlyOverflow(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Drain(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for i := 0; i < defaultRetainedJobs+1; i++ {
+		code, sub := postJSON(t, ts, "/v1/files", map[string]any{
+			"name": fmt.Sprintf("p%d.php", i), "source": safeSrc,
+		})
+		if code != http.StatusAccepted {
+			t.Fatalf("submit %d: HTTP %d (%v)", i, code, sub)
+		}
+		id, _ := sub["job"].(string)
+		waitDone(t, ts, id)
+	}
+	if code, _ := getJSON(t, ts, "/v1/jobs/j1"); code != http.StatusNotFound {
+		t.Errorf("GET /v1/jobs/j1: HTTP %d, want 404 (oldest job past the cap)", code)
+	}
+	if code, body := getJSON(t, ts, "/v1/jobs/j2"); code != http.StatusOK {
+		t.Fatalf("GET /v1/jobs/j2: HTTP %d (%v), want 200", code, body)
+	}
+}
+
 // TestSchemaStamp checks every JSON response carries the v1 schema
 // marker — the versioning contract of satellite importance: clients key
 // compatibility off this field.

@@ -52,8 +52,7 @@ func TestSubmitSolverSpec(t *testing.T) {
 	ref := submit(map[string]any{"name": "page.php", "source": vulnerableSrc})
 	for _, spec := range []map[string]any{
 		{"mode": "shared"},
-		{"mode": "portfolio", "portfolio": 3},
-		{"mode": "shared", "warm_start": true},
+		{"mode": "per-assert"},
 	} {
 		got := submit(map[string]any{"name": "page.php", "source": vulnerableSrc, "solver": spec})
 		if !reflect.DeepEqual(got, ref) {
@@ -62,7 +61,10 @@ func TestSubmitSolverSpec(t *testing.T) {
 	}
 }
 
-// TestSubmitSolverSpecValidation covers rejection at admission.
+// TestSubmitSolverSpecValidation covers rejection at admission,
+// including the solver fields and mode the v1 schema no longer has:
+// job bodies disallow unknown fields, so they fail with 400 rather than
+// being silently ignored.
 func TestSubmitSolverSpecValidation(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Drain(context.Background())
@@ -71,7 +73,9 @@ func TestSubmitSolverSpecValidation(t *testing.T) {
 
 	cases := []map[string]any{
 		{"mode": "quantum"},
-		{"portfolio": -1},
+		{"mode": "portfolio"},
+		{"portfolio": 3},
+		{"warm_start": true},
 	}
 	for _, spec := range cases {
 		code, body := postJSON(t, ts, "/v1/files", map[string]any{
@@ -111,7 +115,7 @@ func TestVersionAdvertisesSolverModes(t *testing.T) {
 	if err := json.Unmarshal(raw, &v); err != nil {
 		t.Fatal(err)
 	}
-	want := webssari.SolverModes()
+	want := []string{"per-assert", "shared"}
 	if !reflect.DeepEqual(v.SolverModes, want) {
 		t.Fatalf("solver_modes = %v, want %v", v.SolverModes, want)
 	}
@@ -120,14 +124,13 @@ func TestVersionAdvertisesSolverModes(t *testing.T) {
 // TestMergeSolver pins the field-wise overlay of per-job specs onto the
 // daemon default.
 func TestMergeSolver(t *testing.T) {
-	base := webssari.SolverConfig{Mode: webssari.SolverShared, MaxConflicts: 100, WarmStart: true}
-	over := webssari.SolverConfig{Mode: webssari.SolverPortfolio, Portfolio: 4}
+	base := webssari.SolverConfig{Mode: webssari.SolverShared, MaxConflicts: 100}
+	over := webssari.SolverConfig{Mode: webssari.SolverPerAssert, MaxRestarts: 4}
 	got := mergeSolver(base, over)
 	want := webssari.SolverConfig{
-		Mode:         webssari.SolverPortfolio,
+		Mode:         webssari.SolverPerAssert,
 		MaxConflicts: 100,
-		Portfolio:    4,
-		WarmStart:    true,
+		MaxRestarts:  4,
 	}
 	if got != want {
 		t.Fatalf("mergeSolver = %+v, want %+v", got, want)

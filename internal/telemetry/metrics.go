@@ -37,19 +37,6 @@ const (
 	MetricStageSeconds       = "webssari_stage_seconds"  // histogram, label stage
 	MetricDegraded           = "webssari_degraded_total" // counter, label cause
 
-	// Solver warm-start (learnt-clause persistence) series: blob lookups
-	// that matched the program's CNF (hits) vs. missed/corrupt/mismatched
-	// blobs, and the clause volume moved in each direction.
-	MetricWarmStartHits     = "webssari_warmstart_hits_total"
-	MetricWarmStartMisses   = "webssari_warmstart_misses_total"
-	MetricWarmStartImported = "webssari_warmstart_imported_clauses_total"
-	MetricWarmStartExported = "webssari_warmstart_exported_clauses_total"
-	// MetricPortfolioRaces counts portfolio-raced assertions; wins are
-	// labelled by the lane that supplied the canonical answer
-	// (Name(MetricPortfolioWins, "lane", "2")).
-	MetricPortfolioRaces = "webssari_portfolio_races_total"
-	MetricPortfolioWins  = "webssari_portfolio_wins_total" // counter, label lane
-
 	// Tier-2 (on-disk result store) series, mirrored live by
 	// store.Store.Instrument.
 	MetricStoreHits        = "webssari_store_hits_total"

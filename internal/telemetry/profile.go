@@ -140,51 +140,6 @@ type ClusterProfile struct {
 	Degraded bool `json:"degraded,omitempty"`
 }
 
-// WarmStartProfile reports one shared-mode run's learnt-clause reuse:
-// whether a persisted blob was found and bound to the run's exact CNF
-// (Hit), and how many clauses moved in each direction. Clause counts are
-// informational only — warm starting never changes a verdict.
-type WarmStartProfile struct {
-	// Attempted is set when a persisted blob existed for the key.
-	Attempted bool `json:"attempted,omitempty"`
-	// Hit is set when the blob decoded and its CNF hash matched this
-	// run's formula; anything else (corruption, schema drift, changed
-	// source) degrades to a cold start.
-	Hit bool `json:"hit,omitempty"`
-	// ImportedClauses / ExportedClauses count learnt clauses loaded from
-	// and persisted to the store.
-	ImportedClauses int `json:"imported_clauses,omitempty"`
-	ExportedClauses int `json:"exported_clauses,omitempty"`
-}
-
-// Add accumulates o into w (project aggregation).
-func (w *WarmStartProfile) Add(o WarmStartProfile) {
-	w.Attempted = w.Attempted || o.Attempted
-	w.Hit = w.Hit || o.Hit
-	w.ImportedClauses += o.ImportedClauses
-	w.ExportedClauses += o.ExportedClauses
-}
-
-// PortfolioProfile reports portfolio-mode racing: how many assertions
-// escalated past the probe into a race, and which lane answered first.
-// The lane key "-1" is the deterministic lane-0 fallback taken when no
-// lane produced a canonical answer.
-type PortfolioProfile struct {
-	Races      int            `json:"races,omitempty"`
-	WinsByLane map[string]int `json:"wins_by_lane,omitempty"`
-}
-
-// Add accumulates o into p (project aggregation).
-func (p *PortfolioProfile) Add(o PortfolioProfile) {
-	p.Races += o.Races
-	for lane, n := range o.WinsByLane {
-		if p.WinsByLane == nil {
-			p.WinsByLane = make(map[string]int)
-		}
-		p.WinsByLane[lane] += n
-	}
-}
-
 // RunProfile is the exportable summary of one verification run — per
 // file (attached to Report) or per project (attached to ProjectReport,
 // where the per-file profiles are aggregated and the pool/cache sections
@@ -229,16 +184,9 @@ type RunProfile struct {
 	// the coordinator placed the files across workers.
 	Cluster *ClusterProfile `json:"cluster,omitempty"`
 	// SolverMode names the solver dispatch mode the run used
-	// ("per-assert", "shared", "portfolio"); omitted for the default
-	// per-assert mode so existing profile consumers see no change.
+	// ("per-assert", "shared"); omitted for the default per-assert mode
+	// so existing profile consumers see no change.
 	SolverMode string `json:"solver_mode,omitempty"`
-	// WarmStart is populated on shared-mode runs that attempted
-	// learnt-clause reuse; Portfolio on portfolio-mode runs that raced
-	// at least one assertion. Both are stripped (with the whole profile)
-	// before byte-identical report comparisons — solver modes never
-	// change verdicts, only where the time went.
-	WarmStart *WarmStartProfile `json:"warm_start,omitempty"`
-	Portfolio *PortfolioProfile `json:"portfolio,omitempty"`
 }
 
 // CompileWall returns the front-end wall time as a Duration.
@@ -319,18 +267,6 @@ func (p *RunProfile) Merge(o *RunProfile) {
 		}
 		p.Degraded[cause] += n
 	}
-	if o.WarmStart != nil {
-		if p.WarmStart == nil {
-			p.WarmStart = &WarmStartProfile{}
-		}
-		p.WarmStart.Add(*o.WarmStart)
-	}
-	if o.Portfolio != nil {
-		if p.Portfolio == nil {
-			p.Portfolio = &PortfolioProfile{}
-		}
-		p.Portfolio.Add(*o.Portfolio)
-	}
 }
 
 // String renders a compact single-audience summary — what the CLIs print
@@ -355,28 +291,6 @@ func (p *RunProfile) String() string {
 		s.Decisions, s.Propagations, s.Conflicts, s.Restarts, s.LearntClauses)
 	if p.SolverMode != "" {
 		fmt.Fprintf(&b, " (%s mode)", p.SolverMode)
-	}
-	if ws := p.WarmStart; ws != nil {
-		state := "miss"
-		switch {
-		case ws.Hit:
-			state = "hit"
-		case !ws.Attempted:
-			state = "cold"
-		}
-		fmt.Fprintf(&b, "; warm start: %s, %d imported / %d exported clause(s)",
-			state, ws.ImportedClauses, ws.ExportedClauses)
-	}
-	if pf := p.Portfolio; pf != nil && pf.Races > 0 {
-		lanes := make([]string, 0, len(pf.WinsByLane))
-		for lane := range pf.WinsByLane {
-			lanes = append(lanes, lane)
-		}
-		sort.Strings(lanes)
-		fmt.Fprintf(&b, "; portfolio: %d race(s)", pf.Races)
-		for _, lane := range lanes {
-			fmt.Fprintf(&b, " lane%s×%d", lane, pf.WinsByLane[lane])
-		}
 	}
 	if p.Cache != nil {
 		fmt.Fprintf(&b, "; cache: %d hit(s) / %d miss(es), %d evicted, %d stale",

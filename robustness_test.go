@@ -61,7 +61,7 @@ func TestAdversarialInputCompletesIncomplete(t *testing.T) {
 	rep, err := webssari.Verify(src, head,
 		webssari.WithDir(dir),
 		webssari.WithDeadline(1*time.Second),
-		webssari.WithBudget(1),
+		webssari.WithSolverConfig(webssari.SolverConfig{MaxConflicts: 1}),
 		webssari.WithResourceLimits(webssari.ResourceLimits{MaxCNFClauses: 16}),
 	)
 	elapsed := time.Since(start)
@@ -89,7 +89,7 @@ func TestBudgetExhaustionNeverSafe(t *testing.T) {
 	src := "<?php\n" + mixedBranches(6)
 	rep, err := webssari.Verify([]byte(src), "budget.php",
 		webssari.WithPaperEnumeration(), // full-BN blocking forces search
-		webssari.WithBudget(1),
+		webssari.WithSolverConfig(webssari.SolverConfig{MaxConflicts: 1}),
 	)
 	if err != nil {
 		t.Fatal(err)

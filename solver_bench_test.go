@@ -1,9 +1,8 @@
 package webssari_test
 
-// Solver-level benchmark suite (ISSUE 10): dispatch-mode comparison,
-// warm-start pricing, and raw learnt-clause transport. BENCH_solver.json
-// records the numbers; the "Solver dispatch modes" section of
-// EXPERIMENTS.md interprets them. The xBMC0.1 location-variable ablation
+// Solver-level benchmark suite: the per-assert vs shared dispatch-mode
+// comparison. BENCH_solver.json records the numbers; the "Solver
+// dispatch modes" section of EXPERIMENTS.md interprets them. The xBMC0.1 location-variable ablation
 // that completes the suite lives in BenchmarkEncodingAblation (§3.3.1),
 // with its CI guard in TestLocationVariableAblationFactor.
 
@@ -12,7 +11,6 @@ import (
 	"testing"
 
 	"webssari"
-	"webssari/internal/sat"
 )
 
 // solverBenchSrc is a shared-core workload: eight conditional sinks over
@@ -27,22 +25,7 @@ func solverBenchSrc() []byte {
 	return []byte(src)
 }
 
-// branchyBenchSrc is an enumeration-heavy single-sink workload: four
-// appending branches yield 16 violating trace classes, so the blocking
-// loop generates real solver conflicts (the per-assert probe budget and
-// warm-start budgets bite here).
-func branchyBenchSrc() []byte {
-	return []byte(`<?php
-$x = $_GET['a'];
-if ($b1) { $x = $x . '1'; }
-if ($b2) { $x = $x . '2'; }
-if ($b3) { $x = $x . '3'; }
-if ($b4) { $x = $x . '4'; }
-echo $x;
-mysql_query($x);`)
-}
-
-// BenchmarkSolverModes prices the three dispatch modes of SolverConfig
+// BenchmarkSolverModes prices the two dispatch modes of SolverConfig
 // against each other on the shared-core workload. The report text must
 // stay byte-identical across modes (the differential suite pins the full
 // corpus; the in-bench check keeps a miswired benchmark from recording
@@ -59,7 +42,6 @@ func BenchmarkSolverModes(b *testing.B) {
 	}{
 		{"per-assert", nil},
 		{"shared", []webssari.Option{webssari.WithSolverConfig(webssari.SolverConfig{Mode: webssari.SolverShared})}},
-		{"portfolio", []webssari.Option{webssari.WithSolverConfig(webssari.SolverConfig{Mode: webssari.SolverPortfolio, Portfolio: 4})}},
 	}
 	for _, m := range modes {
 		b.Run(m.name, func(b *testing.B) {
@@ -76,145 +58,6 @@ func BenchmarkSolverModes(b *testing.B) {
 			}
 			b.ReportMetric(float64(p.Solver.Decisions), "decisions")
 			b.ReportMetric(float64(p.Solver.Conflicts), "conflicts")
-			if pf := p.Portfolio; pf != nil {
-				b.ReportMetric(float64(pf.Races), "races")
-			}
-		})
-	}
-}
-
-// BenchmarkWarmStart prices the learnt-clause store on the designed
-// warm-start scenario: budget-limited re-verification of an unchanged
-// file. (An unbudgeted second run never reaches the solver at all — the
-// result store serves the complete report — so the budget keeps every
-// run incomplete and therefore re-solving.) cold-first-run pays store
-// open plus blob export into a fresh store each iteration;
-// warm-second-run re-verifies against a primed store and must report a
-// warm-start hit on every iteration.
-func BenchmarkWarmStart(b *testing.B) {
-	src := branchyBenchSrc()
-	warmOpts := func(st *webssari.ResultStore) []webssari.Option {
-		return []webssari.Option{
-			webssari.WithStore(st),
-			webssari.WithBudget(4),
-			webssari.WithSolverConfig(webssari.SolverConfig{Mode: webssari.SolverShared, WarmStart: true}),
-		}
-	}
-
-	b.Run("cold-first-run", func(b *testing.B) {
-		var p *webssari.RunProfile
-		for i := 0; i < b.N; i++ {
-			st, err := webssari.OpenStore(b.TempDir(), 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rep, err := webssari.Verify(src, "bench.php", warmOpts(st)...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if ws := rep.Profile.WarmStart; ws == nil || ws.Hit {
-				b.Fatalf("first run must be cold: %+v", ws)
-			}
-			p = rep.Profile
-		}
-		b.ReportMetric(float64(p.Solver.Conflicts), "conflicts")
-		b.ReportMetric(0, "warm-hits")
-	})
-
-	b.Run("warm-second-run", func(b *testing.B) {
-		st, err := webssari.OpenStore(b.TempDir(), 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := webssari.Verify(src, "bench.php", warmOpts(st)...); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		var p *webssari.RunProfile
-		for i := 0; i < b.N; i++ {
-			rep, err := webssari.Verify(src, "bench.php", warmOpts(st)...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ws := rep.Profile.WarmStart
-			if ws == nil || !ws.Hit {
-				b.Fatalf("second run must hit the learnt store: %+v", ws)
-			}
-			p = rep.Profile
-		}
-		b.ReportMetric(float64(p.Solver.Conflicts), "conflicts")
-		b.ReportMetric(1, "warm-hits")
-		b.ReportMetric(float64(p.WarmStart.ImportedClauses), "imported-clauses")
-	})
-}
-
-// BenchmarkLearntReuseSAT measures raw learnt-clause transport at the
-// solver level, where the PHP-derived instances cannot show it (their
-// conflicts come from enumeration blocking clauses, which are
-// epoch-tainted and so — correctly — never exported; see DESIGN.md §16).
-// A cold solve of each instance is compared against a warm solve that
-// imports the cold run's exported blob: on the unsatisfiable pigeonhole
-// instance the exported top-level units contain the refutation, so the
-// warm solve finishes without a single conflict.
-func BenchmarkLearntReuseSAT(b *testing.B) {
-	instances := []struct {
-		name string
-		cnf  func() *sat.CNF
-		want sat.Result
-	}{
-		{"pigeonhole-7-6", func() *sat.CNF { return pigeonholeCNF(7, 6) }, sat.Unsat},
-		// The fixed-seed phase-transition instance happens to be unsat.
-		{"random-3sat", func() *sat.CNF { return random3SAT(140, 596, 99) }, sat.Unsat},
-	}
-	for _, inst := range instances {
-		b.Run(inst.name+"/cold", func(b *testing.B) {
-			var conflicts uint64
-			for i := 0; i < b.N; i++ {
-				f := inst.cnf()
-				s := sat.NewWith(sat.Options{})
-				f.LoadInto(s)
-				if got := s.Solve(); got != inst.want {
-					b.Fatalf("cold solve: %v", got)
-				}
-				conflicts = s.Stats().Conflicts
-			}
-			b.ReportMetric(float64(conflicts), "conflicts")
-		})
-		b.Run(inst.name+"/warm", func(b *testing.B) {
-			f := inst.cnf()
-			s := sat.NewWith(sat.Options{})
-			f.LoadInto(s)
-			if got := s.Solve(); got != inst.want {
-				b.Fatalf("priming solve: %v", got)
-			}
-			blob := sat.EncodeLearntBlob(sat.HashCNF(f), s.ExportLearnts(nil))
-			b.ResetTimer()
-			var conflicts uint64
-			var imported int
-			for i := 0; i < b.N; i++ {
-				f := inst.cnf()
-				s := sat.NewWith(sat.Options{})
-				f.LoadInto(s)
-				hash, clauses, err := sat.DecodeLearntBlob(blob)
-				if err != nil || hash != sat.HashCNF(f) {
-					b.Fatalf("blob rejected: %v", err)
-				}
-				imported = 0
-				for _, cl := range clauses {
-					if !s.AddClause(cl...) {
-						// The imported units alone refute the formula
-						// (possible only on an unsat instance).
-						break
-					}
-					imported++
-				}
-				if got := s.Solve(); got != inst.want {
-					b.Fatalf("warm solve: %v", got)
-				}
-				conflicts = s.Stats().Conflicts
-			}
-			b.ReportMetric(float64(conflicts), "conflicts")
-			b.ReportMetric(float64(imported), "imported-clauses")
 		})
 	}
 }

@@ -1,127 +1,46 @@
 package webssari
 
-// Internal tests of the learnt-clause persistence plumbing — key
-// derivation and the corruption-degrades-to-cold guarantee need access
-// to learntKey and the unexported config, so they live inside the
-// package (every other solver-mode test is external, see solver_test.go).
+// Internal test of result-store key derivation: it needs resultKey and
+// the unexported config, so it lives inside the package (every other
+// solver-mode test is external, see solver_test.go).
 
-import (
-	"os"
-	"path/filepath"
-	"testing"
+import "testing"
 
-	"webssari/internal/store"
-)
-
-// TestCorruptLearntBlobDegradesToCold overwrites a persisted learnt
-// blob with garbage and checks the next run (a) keeps its verdict,
-// (b) records a warm-start miss rather than a hit, and (c) survives a
-// blob whose framing is valid but whose CNF hash belongs to another
-// formula.
-func TestCorruptLearntBlobDegradesToCold(t *testing.T) {
-	src, err := os.ReadFile(filepath.Join("examples", "php", "guestbook.php"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const name = "examples/php/guestbook.php"
-	st, err := OpenStore(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := []Option{
-		WithStore(st),
-		WithBudget(1), // incomplete verdict: never persisted, so every run re-solves
-		WithSolverConfig(SolverConfig{Mode: SolverShared, WarmStart: true}),
-	}
-	rep1, err := Verify(src, name, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep1.Incomplete {
-		t.Fatalf("want an incomplete run under budget 1, got %s", rep1.Verdict)
-	}
-
-	// Locate the blob exactly as wireWarmStart does.
-	cfg, err := buildConfig(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ns := store.NamespaceOf(st, LearntNamespace)
-	key := learntKey(name, src, cfg)
-	if _, ok := ns.Get(key); !ok {
-		t.Fatal("run 1 persisted no learnt blob under the derived key")
-	}
-
-	corruptions := []struct {
-		label string
-		blob  []byte
-	}{
-		{"garbage", []byte("not a learnt blob at all")},
-		{"truncated", []byte{'W', 'S', 'L'}},
-		{"empty", nil},
-	}
-	for _, c := range corruptions {
-		if err := ns.Put(key, c.blob); err != nil {
-			t.Fatalf("%s: seeding corruption: %v", c.label, err)
-		}
-		rep, err := Verify(src, name, opts...)
-		if err != nil {
-			t.Fatalf("%s: Verify: %v", c.label, err)
-		}
-		ws := rep.Profile.WarmStart
-		if ws == nil {
-			t.Fatalf("%s: no warm-start section in profile", c.label)
-		}
-		if ws.Hit {
-			t.Fatalf("%s: corrupted blob reported as a hit", c.label)
-		}
-		if ws.ImportedClauses != 0 {
-			t.Fatalf("%s: imported %d clauses from a corrupted blob", c.label, ws.ImportedClauses)
-		}
-		if rep.Verdict != rep1.Verdict || rep.Symptoms != rep1.Symptoms {
-			t.Fatalf("%s: corruption changed the verdict: %s/%d, want %s/%d",
-				c.label, rep.Verdict, rep.Symptoms, rep1.Verdict, rep1.Symptoms)
-		}
-		// Each degraded run re-exports a fresh valid blob; re-corrupt on
-		// the next loop iteration.
-	}
-}
-
-// TestLearntKeyDiscriminates pins what addresses a learnt blob: the
+// TestResultKeyDiscriminates pins what addresses a stored result: the
 // entry name, the source bytes, and the verdict-shaping configuration —
-// and, just as deliberately, what does NOT (the verdict-neutral mode,
-// width, and warm-start fields, which must never fragment the cache).
-func TestLearntKeyDiscriminates(t *testing.T) {
+// and, just as deliberately, what does NOT (the verdict-neutral solver
+// mode, which must never fragment the cache).
+func TestResultKeyDiscriminates(t *testing.T) {
 	mk := func(opts ...Option) string {
 		t.Helper()
 		cfg, err := buildConfig(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return learntKey("a.php", []byte("<?php echo 1;"), cfg)
+		return resultKey("a.php", []byte("<?php echo 1;"), cfg)
 	}
 	base := mk()
 	if mk() != base {
-		t.Fatal("learnt key not deterministic")
+		t.Fatal("result key not deterministic")
 	}
 	cfg, err := buildConfig(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if learntKey("b.php", []byte("<?php echo 1;"), cfg) == base {
+	if resultKey("b.php", []byte("<?php echo 1;"), cfg) == base {
 		t.Fatal("name does not discriminate")
 	}
-	if learntKey("a.php", []byte("<?php echo 2;"), cfg) == base {
+	if resultKey("a.php", []byte("<?php echo 2;"), cfg) == base {
 		t.Fatal("source does not discriminate")
 	}
 	if mk(WithPolicy("ssrf")) == base {
 		t.Fatal("policy does not discriminate")
 	}
-	if mk(WithBudget(7)) == base {
+	if mk(WithSolverConfig(SolverConfig{MaxConflicts: 7})) == base {
 		t.Fatal("conflict budget does not discriminate")
 	}
-	// Verdict-neutral solver settings share the address.
-	if mk(WithSolverConfig(SolverConfig{Mode: SolverShared, WarmStart: true, Portfolio: 4})) != base {
-		t.Fatal("verdict-neutral solver fields fragmented the learnt key")
+	// The verdict-neutral solver mode shares the address.
+	if mk(WithSolverConfig(SolverConfig{Mode: SolverShared})) != base {
+		t.Fatal("verdict-neutral solver mode fragmented the result key")
 	}
 }

@@ -1,9 +1,9 @@
 package webssari_test
 
-// Differential tests for the solver dispatch modes: shared, portfolio,
-// and warm-started runs must produce reports byte-identical (profiles
-// stripped) to the default per-assertion cold solve — solver modes are
-// verdict-neutral by contract, and this suite is the contract's teeth.
+// Differential tests for the solver dispatch modes: shared-mode runs
+// must produce reports byte-identical (profiles stripped) to the default
+// per-assertion solve — solver modes are verdict-neutral by contract,
+// and this suite is the contract's teeth.
 
 import (
 	"encoding/json"
@@ -50,9 +50,8 @@ func examplePHPFiles(t *testing.T) []string {
 }
 
 // TestSolverModesByteIdentical sweeps the example corpus under every
-// built-in policy and asserts that shared mode, portfolio mode (at
-// sequential and oversubscribed parallelism), and warm-started shared
-// mode all reproduce the per-assertion cold report byte for byte.
+// built-in policy and asserts that shared mode reproduces the
+// per-assertion report byte for byte.
 func TestSolverModesByteIdentical(t *testing.T) {
 	policies := []string{"default", "xss-context", "ssrf"}
 	for _, file := range examplePHPFiles(t) {
@@ -67,115 +66,22 @@ func TestSolverModesByteIdentical(t *testing.T) {
 				}
 				refJSON, refText := stripped(t, ref)
 
-				variants := []struct {
-					label string
-					opts  []webssari.Option
-				}{
-					{"shared", append([]webssari.Option{
-						webssari.WithSolverConfig(webssari.SolverConfig{Mode: webssari.SolverShared}),
-					}, base...)},
-					{"portfolio", append([]webssari.Option{
-						webssari.WithSolverConfig(webssari.SolverConfig{Mode: webssari.SolverPortfolio}),
-					}, base...)},
-					{"portfolio-parallel", append([]webssari.Option{
-						webssari.WithSolverConfig(webssari.SolverConfig{Mode: webssari.SolverPortfolio, Portfolio: 4}),
-						webssari.WithParallelism(4),
-					}, base...)},
-				}
-				for _, v := range variants {
-					rep, err := webssari.Verify(src, name, v.opts...)
-					if err != nil {
-						t.Fatalf("%s Verify: %v", v.label, err)
-					}
-					gotJSON, gotText := stripped(t, rep)
-					if gotJSON != refJSON {
-						t.Errorf("%s report diverges from per-assert:\n got %s\nwant %s", v.label, gotJSON, refJSON)
-					}
-					if gotText != refText {
-						t.Errorf("%s text diverges from per-assert:\n got %q\nwant %q", v.label, gotText, refText)
-					}
-				}
-
-				// Warm-started shared mode: two runs over a fresh store. A
-				// tight budget keeps the result store from short-circuiting
-				// the second solve when the first run came back incomplete;
-				// complete first runs legitimately serve run 2 from disk —
-				// either way both reports must match a cold per-assert run
-				// under the same budget.
-				st, err := webssari.OpenStore(t.TempDir(), 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				warm := append([]webssari.Option{
-					webssari.WithStore(st),
-					webssari.WithSolverConfig(webssari.SolverConfig{Mode: webssari.SolverShared, WarmStart: true}),
+				shared := append([]webssari.Option{
+					webssari.WithSolverConfig(webssari.SolverConfig{Mode: webssari.SolverShared}),
 				}, base...)
-				for run := 1; run <= 2; run++ {
-					rep, err := webssari.Verify(src, name, warm...)
-					if err != nil {
-						t.Fatalf("warm run %d: %v", run, err)
-					}
-					gotJSON, gotText := stripped(t, rep)
-					if gotJSON != refJSON {
-						t.Errorf("warm run %d diverges from per-assert:\n got %s\nwant %s", run, gotJSON, refJSON)
-					}
-					if gotText != refText {
-						t.Errorf("warm run %d text diverges:\n got %q\nwant %q", run, gotText, refText)
-					}
+				rep, err := webssari.Verify(src, name, shared...)
+				if err != nil {
+					t.Fatalf("shared Verify: %v", err)
+				}
+				gotJSON, gotText := stripped(t, rep)
+				if gotJSON != refJSON {
+					t.Errorf("shared report diverges from per-assert:\n got %s\nwant %s", gotJSON, refJSON)
+				}
+				if gotText != refText {
+					t.Errorf("shared text diverges from per-assert:\n got %q\nwant %q", gotText, refText)
 				}
 			})
 		}
-	}
-}
-
-// TestWarmStartSecondRunHits pins the warm-start lifecycle over a
-// budget-limited verification (incomplete verdicts are never persisted,
-// so the second run re-solves instead of being served from tier 2):
-// run 1 is cold and exports a blob, run 2 finds it, binds it to the
-// same CNF, and reports a hit in the profile.
-func TestWarmStartSecondRunHits(t *testing.T) {
-	src := readExample(t, "guestbook.php")
-	st, err := webssari.OpenStore(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := []webssari.Option{
-		webssari.WithStore(st),
-		webssari.WithBudget(1),
-		webssari.WithSolverConfig(webssari.SolverConfig{Mode: webssari.SolverShared, WarmStart: true}),
-	}
-	rep1, err := webssari.Verify(src, "examples/php/guestbook.php", opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep1.Incomplete {
-		t.Fatalf("want an incomplete first run under budget 1, got verdict %s", rep1.Verdict)
-	}
-	ws1 := rep1.Profile.WarmStart
-	if ws1 == nil {
-		t.Fatal("run 1 profile has no warm-start section")
-	}
-	if ws1.Attempted || ws1.Hit {
-		t.Fatalf("run 1 should be cold, got %+v", ws1)
-	}
-
-	rep2, err := webssari.Verify(src, "examples/php/guestbook.php", opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.StoreHit {
-		t.Fatal("incomplete verdicts must not be served from the result store")
-	}
-	ws2 := rep2.Profile.WarmStart
-	if ws2 == nil {
-		t.Fatal("run 2 profile has no warm-start section")
-	}
-	if !ws2.Attempted || !ws2.Hit {
-		t.Fatalf("run 2 should hit the persisted blob, got %+v", ws2)
-	}
-	if rep1.Verdict != rep2.Verdict || rep1.Symptoms != rep2.Symptoms {
-		t.Fatalf("warm start changed the verdict: run1 %s/%d, run2 %s/%d",
-			rep1.Verdict, rep1.Symptoms, rep2.Verdict, rep2.Symptoms)
 	}
 }
 
@@ -188,10 +94,6 @@ func TestSolverConfigOptionValidation(t *testing.T) {
 		t.Fatal("unknown solver mode accepted")
 	} else if !strings.Contains(err.Error(), "per-assert") {
 		t.Fatalf("error should list the valid modes, got: %v", err)
-	}
-	if _, err := webssari.Verify(src, "t.php",
-		webssari.WithSolverConfig(webssari.SolverConfig{Portfolio: -2})); err == nil {
-		t.Fatal("negative portfolio width accepted")
 	}
 	// The zero SolverConfig is a no-op, not an error.
 	if _, err := webssari.Verify(src, "t.php",

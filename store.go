@@ -116,43 +116,6 @@ func WithFileObserver(fn func(*Report)) Option {
 	}
 }
 
-// LearntNamespace is the result-store namespace warm-started shared-mode
-// runs (SolverConfig.WarmStart) keep learnt-clause blobs under. Like the
-// dependency-graph namespace it shares the store's crash-safe framing,
-// GC budget, and telemetry but can never collide with verification
-// results — and, critically, learnt blobs never participate in result
-// keys: warm starting is verdict-neutral and must not fragment the
-// result cache.
-const LearntNamespace = "learnt"
-
-// learntKey addresses one program's learnt-clause blob: the entry name,
-// the source content hash, and the fingerprint of every verdict-shaping
-// option. The key is best-effort addressing only — the blob itself
-// embeds a hash of the exact CNF it was learnt from (see sat.
-// EncodeLearntBlob), and the solver rejects any blob whose hash does not
-// match the formula it is about to solve, so a stale or colliding key
-// degrades to a cold start, never to wrong clauses.
-func learntKey(name string, src []byte, cfg *config) string {
-	sum := sha256.Sum256(src)
-	return store.Key("webssari-learnt-v1", name, hex.EncodeToString(sum[:]), cfg.configFingerprint())
-}
-
-// wireWarmStart attaches the learnt-clause import/export endpoints to an
-// engine options value. Inert unless the configuration asks for warm
-// starting (shared mode + WarmStart) and carries a store; store read and
-// write failures both degrade to a cold start.
-func (c *config) wireWarmStart(eopts *core.Options, name string, src []byte) {
-	if !c.warmStart || c.solverMode != SolverShared || c.resultStore == nil {
-		return
-	}
-	ns := store.NamespaceOf(c.resultStore, LearntNamespace)
-	key := learntKey(name, src, c)
-	if blob, ok := ns.Get(key); ok {
-		eopts.LearntBlob = blob
-	}
-	eopts.LearntSink = func(blob []byte) { _ = ns.Put(key, blob) }
-}
-
 // resultSchema versions the envelope layout inside store blobs,
 // independent of the store's own framing version. Bump it when the
 // Report JSON shape changes incompatibly.

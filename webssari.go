@@ -203,25 +203,19 @@ type config struct {
 	// the seed behavior); policyName/policyJSON record how it was
 	// selected so the choice round-trips through ExportConfig and the
 	// cluster wire format.
-	policy       *policy.Compiled
-	policyName   string
-	policyJSON   string
-	loader       func(string) ([]byte, error)
-	dir          string
-	unroll       int
-	paperMode    bool
-	blockAll     bool
-	routine      string
-	solver       sat.Options
-	// solverMode, portfolioWidth, and warmStart are the verdict-neutral
-	// halves of the SolverConfig surface; budgetViaSolver records whether
-	// the conflict budget was last set through SolverConfig (vs the
-	// deprecated WithBudget), so ExportConfig round-trips both spellings.
-	solverMode      SolverMode
-	portfolioWidth  int
-	warmStart       bool
-	budgetViaSolver bool
-	maxCEX          int
+	policy     *policy.Compiled
+	policyName string
+	policyJSON string
+	loader     func(string) ([]byte, error)
+	dir        string
+	unroll     int
+	paperMode  bool
+	blockAll   bool
+	routine    string
+	solver     sat.Options
+	// solverMode is the verdict-neutral half of the SolverConfig surface.
+	solverMode   SolverMode
+	maxCEX       int
 	deadline     time.Duration
 	limits       ResourceLimits
 	parallelism  int
@@ -495,23 +489,6 @@ func WithDeadline(d time.Duration) Option {
 	}
 }
 
-// WithBudget caps SAT search effort at maxConflicts conflicts per solver
-// call (0 restores the default: unlimited). An exhausted budget degrades
-// the assertion to Unknown and the report to VerdictIncomplete; it never
-// silently reads as "no counterexample".
-//
-// Deprecated: use WithSolverConfig(SolverConfig{MaxConflicts: n}) — the
-// unified solver surface that also selects the dispatch mode, restart
-// budget, portfolio width, and warm starting. WithBudget remains a
-// forwarding shim and the two compose (later options win).
-func WithBudget(maxConflicts uint64) Option {
-	return func(c *config) error {
-		c.solver.MaxConflicts = maxConflicts
-		c.budgetViaSolver = false
-		return nil
-	}
-}
-
 // ResourceLimits caps model and formula sizes so pathological inputs
 // degrade into an Incomplete verdict instead of exhausting memory. Zero
 // fields keep the engine defaults; negative values disable a cap.
@@ -640,7 +617,6 @@ func (c *config) engineOptions(ctx context.Context) core.Options {
 		MaxCounterexamples: c.maxCEX,
 		Solver:             c.solver,
 		Mode:               c.coreMode(),
-		PortfolioWidth:     c.portfolioWidth,
 		Parallelism:        c.parallelism,
 		Workers:            c.workers,
 	}
@@ -651,8 +627,6 @@ func (c *config) coreMode() core.SolveMode {
 	switch c.solverMode {
 	case SolverShared:
 		return core.ModeShared
-	case SolverPortfolio:
-		return core.ModePortfolio
 	default:
 		return core.ModePerAssert
 	}
@@ -736,7 +710,6 @@ func runAnalysis(ctx context.Context, src []byte, name string, cfg *config) (res
 	if hint, ok := cfg.priorHints[name]; ok {
 		eopts.KnownSafeChecks = hint.knownSafeChecks(prog)
 	}
-	cfg.wireWarmStart(&eopts, name, src)
 	start = time.Now()
 	res = core.Solve(ctx, prog, eopts)
 	st.solveTime = time.Since(start)
@@ -778,21 +751,6 @@ func (st analysisStats) profile(res *core.Result) *RunProfile {
 	}
 	if st.solverMode != "" && st.solverMode != SolverPerAssert {
 		p.SolverMode = string(st.solverMode)
-	}
-	if ws := res.WarmStart; ws != nil {
-		p.WarmStart = &telemetry.WarmStartProfile{
-			Attempted:       ws.Attempted,
-			Hit:             ws.Hit,
-			ImportedClauses: ws.ImportedClauses,
-			ExportedClauses: ws.ExportedClauses,
-		}
-	}
-	if pf := res.Portfolio; pf != nil && pf.Races > 0 {
-		pp := &telemetry.PortfolioProfile{Races: pf.Races, WinsByLane: make(map[string]int, len(pf.WinsByLane))}
-		for lane, n := range pf.WinsByLane {
-			pp.WinsByLane[fmt.Sprintf("%d", lane)] = n
-		}
-		p.Portfolio = pp
 	}
 	for i, ar := range res.PerAssert {
 		// A reused assertion ran neither encoder nor solver; counting it
