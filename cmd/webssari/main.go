@@ -24,7 +24,8 @@
 //	-solver-mode M    solver dispatch mode: per-assert (default) or shared
 //	                  (one incremental solver per file, learnt clauses
 //	                  accumulate across assertions)
-//	-j N              verification worker count (default GOMAXPROCS)
+//	-j N              verification workers (0 = sequential for one file,
+//	                  GOMAXPROCS across a directory's files)
 //	-v                print the run profile (stage wall times, solver
 //	                  effort, cache and pool stats) to stderr
 //	-trace FILE       write Chrome trace-event JSON of every pipeline span
@@ -62,42 +63,11 @@ import (
 
 	"webssari"
 	"webssari/internal/buildinfo"
+	"webssari/internal/cli"
 	"webssari/internal/core"
 	"webssari/internal/corpus"
 	"webssari/internal/ir"
-	"webssari/internal/telemetry"
 )
-
-// Exit codes, by precedence: an error outranks a finding, a finding
-// outranks an incomplete run, which outranks safe.
-const (
-	exitSafe       = 0
-	exitUnsafe     = 1
-	exitError      = 2
-	exitIncomplete = 3
-)
-
-// worse merges an exit code into the accumulated one, keeping the more
-// severe of the two (error > unsafe > incomplete > safe).
-func worse(cur, next int) int {
-	rank := map[int]int{exitSafe: 0, exitIncomplete: 1, exitUnsafe: 2, exitError: 3}
-	if rank[next] > rank[cur] {
-		return next
-	}
-	return cur
-}
-
-// verdictExit maps a report verdict to its exit code.
-func verdictExit(verdict string) int {
-	switch verdict {
-	case webssari.VerdictUnsafe:
-		return exitUnsafe
-	case webssari.VerdictIncomplete:
-		return exitIncomplete
-	default:
-		return exitSafe
-	}
-}
 
 func main() {
 	os.Exit(run(os.Args[1:]))
@@ -105,39 +75,25 @@ func main() {
 
 func run(args []string) int {
 	fs := flag.NewFlagSet("webssari", flag.ContinueOnError)
+	sh := cli.RegisterBatch(fs)
 	var (
 		patch    = fs.Bool("patch", false, "write secured copies of vulnerable files")
 		jsonOut  = fs.Bool("json", false, "emit JSON reports")
 		htmlOut  = fs.String("html", "", "write a cross-referenced HTML report to this file")
-		policyF  = fs.String("policy", "", "security policy: a built-in name or a policy JSON file")
 		preludeF = fs.String("prelude", "", "extra prelude file to merge")
 		sinks    multiFlag
-		unroll   = fs.Int("unroll", 1, "loop deconstruction factor")
 		paper    = fs.Bool("paper", false, "paper-exact counterexample enumeration")
-		timeout  = fs.Duration("timeout", 0, "wall-clock deadline per verification unit (0 = none)")
-		maxConf  = fs.Uint64("max-conflicts", 0, "SAT conflict budget per solver call (0 = unlimited)")
-		solverM  = fs.String("solver-mode", "", "solver dispatch mode: per-assert|shared")
-		jobs     = fs.Int("j", 0, "verification worker count (0 = GOMAXPROCS)")
-		verbose  = fs.Bool("v", false, "print the run profile to stderr")
-		traceF   = fs.String("trace", "", "write Chrome trace-event JSON to this file")
-		metrics  = fs.String("metrics-addr", "", "serve /metrics, /debug/vars, /debug/pprof on this address (\":0\" picks a free port)")
-		logLevel = fs.String("log-level", "info", "structured log level: debug|info|warn|error")
-		logFmt   = fs.String("log-format", "text", "structured log encoding: text|json")
 		fig10    = fs.Bool("figure10", false, "regenerate the Figure 10 table")
 		scale    = fs.Float64("scale", 0.02, "corpus statement scale for -figure10")
 		seed     = fs.Uint64("seed", 2004, "corpus generation seed")
-		dumpIR   = fs.Bool("dump-ir", false, "print each input's typed flow IR and exit (no solving)")
-		storeDir = fs.String("store", "", "persistent result store directory (\"\" disables)")
-		incr     = fs.Bool("incremental", false, "delta re-verification for directory inputs (requires -store)")
-		version  = fs.Bool("version", false, "print version and exit")
 	)
 	fs.Var(&sinks, "sink", "extra sink, NAME or NAME:argpos[,argpos...] (repeatable)")
 	if err := fs.Parse(args); err != nil {
-		return 2
+		return cli.ExitError
 	}
-	if *version {
+	if sh.Version {
 		fmt.Println(buildinfo.Version("webssari"))
-		return 0
+		return cli.ExitSafe
 	}
 
 	if *fig10 {
@@ -145,112 +101,37 @@ func run(args []string) int {
 	}
 	if fs.NArg() == 0 {
 		fmt.Fprintln(os.Stderr, "webssari: no input files (try -figure10 or pass .php files)")
-		return 2
+		return cli.ExitError
+	}
+	if err := sh.Validate(false); err != nil {
+		return sh.Fail(err)
 	}
 
-	if *jobs < 0 {
-		fmt.Fprintf(os.Stderr, "webssari: -j must be ≥ 0, got %d\n", *jobs)
-		return 2
-	}
-
-	if *dumpIR {
+	if sh.DumpIR {
 		for _, target := range fs.Args() {
 			if err := ir.DumpTree(os.Stdout, os.Stderr, target); err != nil {
-				fmt.Fprintf(os.Stderr, "webssari: %v\n", err)
-				return 2
+				return sh.Fail(err)
 			}
 		}
-		return 0
+		return cli.ExitSafe
 	}
 
-	if *incr && *storeDir == "" {
-		fmt.Fprintln(os.Stderr, "webssari: -incremental requires -store (the dependency graph lives in the result store)")
-		return 2
-	}
-
-	opts := []webssari.Option{webssari.WithLoopUnroll(*unroll)}
-	if *policyF != "" {
-		// A readable file is a policy JSON declaration; anything else must
-		// name a built-in policy.
-		if data, err := os.ReadFile(*policyF); err == nil {
-			opts = append(opts, webssari.WithPolicyJSON(*policyF, data))
-		} else {
-			opts = append(opts, webssari.WithPolicy(*policyF))
-		}
-	}
-	if *storeDir != "" {
-		st, err := webssari.OpenStore(*storeDir, 0)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "webssari: opening store: %v\n", err)
-			return 2
-		}
-		opts = append(opts, webssari.WithStore(st))
-	}
-	if *incr {
-		opts = append(opts, webssari.WithIncremental())
-	}
-	lvl, err := telemetry.ParseLogLevel(*logLevel)
+	obs, err := sh.Start()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "webssari: %v\n", err)
-		return 2
+		return sh.Fail(err)
 	}
-	logger, err := telemetry.NewLogger(os.Stderr, lvl, *logFmt, telemetry.DefaultFlightRecorderSize)
+	defer obs.Close()
+	opts, err := sh.Options(obs)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "webssari: %v\n", err)
-		return 2
-	}
-	var tel *webssari.Telemetry
-	if *traceF != "" || *metrics != "" {
-		tel = webssari.NewTelemetry()
-		tel.Logs = logger.Recorder()
-		opts = append(opts, webssari.WithTelemetry(tel))
-	}
-	if *traceF != "" {
-		// Registered before anything below that can fail and return early
-		// (the metrics listener, prelude reads, …) so an aborted run still
-		// leaves a trace file of whatever spans were recorded.
-		defer func() {
-			f, err := os.Create(*traceF)
-			if err == nil {
-				err = webssari.WriteTrace(tel, f)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "webssari: %v\n", err)
-			}
-		}()
-	}
-	if *metrics != "" {
-		srv, err := webssari.ServeMetrics(*metrics, tel)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "webssari: %v\n", err)
-			return 2
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "webssari: metrics served at http://%s/metrics\n", srv.Addr)
-	}
-	if *jobs > 0 {
-		opts = append(opts, webssari.WithParallelism(*jobs))
+		return sh.Fail(err)
 	}
 	if *paper {
 		opts = append(opts, webssari.WithPaperEnumeration())
 	}
-	if *timeout > 0 {
-		opts = append(opts, webssari.WithDeadline(*timeout))
-	}
-	if *solverM != "" || *maxConf > 0 {
-		opts = append(opts, webssari.WithSolverConfig(webssari.SolverConfig{
-			Mode:         webssari.SolverMode(*solverM),
-			MaxConflicts: *maxConf,
-		}))
-	}
 	if *preludeF != "" {
 		text, err := os.ReadFile(*preludeF)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "webssari: %v\n", err)
-			return 2
+			return sh.Fail(err)
 		}
 		opts = append(opts, webssari.WithExtraPrelude(string(text)))
 	}
@@ -261,8 +142,7 @@ func run(args []string) int {
 			for _, part := range strings.Split(argSpec, ",") {
 				n, err := strconv.Atoi(part)
 				if err != nil {
-					fmt.Fprintf(os.Stderr, "webssari: bad -sink %q: %v\n", s, err)
-					return 2
+					return sh.Fail(fmt.Errorf("bad -sink %q: %v", s, err))
 				}
 				argPos = append(argPos, n)
 			}
@@ -270,16 +150,16 @@ func run(args []string) int {
 		opts = append(opts, webssari.WithSink(name, argPos...))
 	}
 
-	exit := 0
+	exit := cli.ExitSafe
 	for _, file := range fs.Args() {
-		logger.Debug("verifying", "file", file)
+		obs.Logger.Debug("verifying", "file", file)
 		if info, err := os.Stat(file); err == nil && info.IsDir() {
 			// Whole-project verification: one report per PHP file plus the
 			// Figure 10-style project totals.
 			pr, err := webssari.VerifyDir(file, opts...)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "webssari: %v\n", err)
-				exit = worse(exit, exitError)
+				exit = cli.Worse(exit, cli.ExitError)
 				continue
 			}
 			for _, rep := range pr.Files {
@@ -294,17 +174,17 @@ func run(args []string) int {
 			fmt.Printf("project %s: %d file(s), %d vulnerable, %d incomplete, %d failed; TS symptoms %d, BMC groups %d\n",
 				file, len(pr.Files), pr.VulnerableFiles, pr.IncompleteFiles,
 				len(pr.Failures), pr.Symptoms, pr.Groups)
-			if *verbose && pr.Profile != nil {
+			if sh.Verbose && pr.Profile != nil {
 				fmt.Fprintf(os.Stderr, "webssari: %s: %s\n", file, pr.Profile)
 			}
-			exit = worse(exit, verdictExit(pr.Verdict()))
+			exit = cli.Worse(exit, cli.VerdictExit(pr.Verdict()))
 			continue
 		}
 
 		src, err := os.ReadFile(file)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "webssari: %v\n", err)
-			exit = worse(exit, exitError)
+			exit = cli.Worse(exit, cli.ExitError)
 			continue
 		}
 		fileOpts := append([]webssari.Option{webssari.WithDir(dirOf(file))}, opts...)
@@ -313,60 +193,59 @@ func run(args []string) int {
 			patched, rep, err := webssari.Patch(src, file, fileOpts...)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "webssari: %s: %v\n", file, err)
-				exit = worse(exit, exitError)
+				exit = cli.Worse(exit, cli.ExitError)
 				continue
 			}
 			printReport(rep, *jsonOut)
-			if *verbose {
+			if sh.Verbose {
 				printStats(file, rep)
 			}
 			if rep.Verdict == webssari.VerdictUnsafe {
 				out := strings.TrimSuffix(file, ".php") + ".secured.php"
 				if err := os.WriteFile(out, patched, 0o644); err != nil {
 					fmt.Fprintf(os.Stderr, "webssari: %v\n", err)
-					exit = worse(exit, exitError)
+					exit = cli.Worse(exit, cli.ExitError)
 					continue
 				}
 				fmt.Printf("secured copy written to %s (%d runtime guard(s))\n", out, rep.Groups)
 			}
-			exit = worse(exit, verdictExit(rep.Verdict))
+			exit = cli.Worse(exit, cli.VerdictExit(rep.Verdict))
 			continue
 		}
 
 		if *htmlOut != "" {
 			f, err := os.Create(*htmlOut)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "webssari: %v\n", err)
-				return 2
+				return sh.Fail(err)
 			}
 			rep, err := webssari.VerifyToHTML(src, file, f, fileOpts...)
 			closeErr := f.Close()
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "webssari: %s: %v\n", file, err)
-				exit = worse(exit, exitError)
+				exit = cli.Worse(exit, cli.ExitError)
 				continue
 			}
 			if closeErr != nil {
 				fmt.Fprintf(os.Stderr, "webssari: %v\n", closeErr)
-				exit = worse(exit, exitError)
+				exit = cli.Worse(exit, cli.ExitError)
 				continue
 			}
 			fmt.Printf("HTML report written to %s\n", *htmlOut)
-			exit = worse(exit, verdictExit(rep.Verdict))
+			exit = cli.Worse(exit, cli.VerdictExit(rep.Verdict))
 			continue
 		}
 
 		rep, err := webssari.Verify(src, file, fileOpts...)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "webssari: %s: %v\n", file, err)
-			exit = worse(exit, exitError)
+			exit = cli.Worse(exit, cli.ExitError)
 			continue
 		}
 		printReport(rep, *jsonOut)
-		if *verbose {
+		if sh.Verbose {
 			printStats(file, rep)
 		}
-		exit = worse(exit, verdictExit(rep.Verdict))
+		exit = cli.Worse(exit, cli.VerdictExit(rep.Verdict))
 	}
 	return exit
 }
@@ -411,7 +290,7 @@ func runFigure10(scale float64, seed uint64) int {
 		stats, err := corpus.Run(proj, nil, core.Options{})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "webssari: %s: %v\n", prof.Name, err)
-			return 2
+			return cli.ExitError
 		}
 		totals.Accumulate(stats)
 		fmt.Printf("%-40s %3d %6d %6d %3d/%d\n",
@@ -419,7 +298,7 @@ func runFigure10(scale float64, seed uint64) int {
 	}
 	fmt.Printf("%-40s %3s %6d %6d (paper: 980/578)\n", "Total", "", totals.TS, totals.BMC)
 	fmt.Printf("instrumentation reduction: %.1f%% (paper: 41.0%%)\n", totals.Reduction()*100)
-	return 0
+	return cli.ExitSafe
 }
 
 func maxInt(a, b int) int {

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -105,6 +106,53 @@ func TestNoInputs(t *testing.T) {
 	if code := run(nil); code != 2 {
 		t.Fatalf("exit = %d, want 2", code)
 	}
+}
+
+// TestRejectsBadSharedFlags pins startup validation: a bad shared flag
+// prints one error and exits 2 before the metrics listener starts or
+// any input is verified, however many inputs there are.
+func TestRejectsBadSharedFlags(t *testing.T) {
+	a := writeTemp(t, "a.php", `<?php echo $_GET['x'];`)
+	b := writeTemp(t, "b.php", `<?php echo 'ok';`)
+	for _, bad := range [][]string{
+		{"-solver-mode", "bogus"},
+		{"-policy", "bogus"},
+		{"-j", "-1"},
+		{"-unroll", "0"},
+		{"-incremental"},
+		{"-log-format", "bogus"},
+	} {
+		args := append(append([]string{"-metrics-addr", "127.0.0.1:0"}, bad...), a, b)
+		var code int
+		stderr := captureStderr(t, func() { code = run(args) })
+		if code != 2 {
+			t.Errorf("%v exited %d, want 2", bad, code)
+		}
+		if lines := strings.Split(strings.TrimSpace(stderr), "\n"); len(lines) != 1 {
+			t.Errorf("%v: want one error line, got:\n%s", bad, stderr)
+		}
+	}
+}
+
+// captureStderr runs fn with os.Stderr redirected to a pipe and returns
+// what it wrote.
+func captureStderr(t *testing.T, fn func()) string {
+	t.Helper()
+	old := os.Stderr
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stderr = w
+	done := make(chan string, 1)
+	go func() {
+		data, _ := io.ReadAll(r)
+		done <- string(data)
+	}()
+	fn()
+	os.Stderr = old
+	w.Close()
+	return <-done
 }
 
 func TestMissingInput(t *testing.T) {

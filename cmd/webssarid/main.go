@@ -16,7 +16,8 @@
 //	                   256 MiB, negative = unbounded)
 //	-queue N           submission queue depth; a full queue answers 429
 //	-workers N         concurrently running jobs (0 = GOMAXPROCS)
-//	-j N               per-job verification parallelism (0 = engine default)
+//	-j N               verification workers per job (0 = sequential for a
+//	                   file job, GOMAXPROCS across a directory job's files)
 //	-timeout D         wall-clock deadline per verification unit
 //	-max-conflicts N   SAT conflict budget per solver call (0 = unlimited)
 //	-solver-mode M     default solver dispatch mode for jobs:
@@ -119,11 +120,11 @@ import (
 
 	"webssari"
 	"webssari/internal/buildinfo"
+	"webssari/internal/cli"
 	"webssari/internal/cluster"
 	"webssari/internal/service"
 	"webssari/internal/service/api"
 	"webssari/internal/store"
-	"webssari/internal/telemetry"
 )
 
 func main() {
@@ -135,27 +136,17 @@ func main() {
 // ":0" and need the real port).
 func run(args []string, ready chan<- string) int {
 	fs := flag.NewFlagSet("webssarid", flag.ContinueOnError)
+	sh := cli.Register(fs)
 	var (
-		addr        = fs.String("addr", ":8722", "API listen address (\":0\" picks a free port)")
-		storeDir    = fs.String("store", "", "persistent result store directory (\"\" disables)")
-		storeMax    = fs.Int64("store-max-bytes", 0, "store size budget before LRU GC (0 = 256 MiB, negative = unbounded)")
-		queueSize   = fs.Int("queue", service.DefaultQueueSize, "submission queue depth (full queue answers 429)")
-		workers     = fs.Int("workers", 0, "concurrently running jobs (0 = GOMAXPROCS)")
-		jobs        = fs.Int("j", 0, "per-job verification parallelism (0 = engine default)")
-		timeout     = fs.Duration("timeout", 0, "wall-clock deadline per verification unit (0 = none)")
-		maxConf     = fs.Uint64("max-conflicts", 0, "SAT conflict budget per solver call (0 = unlimited)")
-		solverMode  = fs.String("solver-mode", "", "default solver dispatch mode: per-assert|shared (per-job solver spec overrides)")
-		noDirs      = fs.Bool("no-dirs", false, "reject directory submissions")
-		incr        = fs.Bool("incremental", false, "default directory jobs to delta re-verification (requires -store)")
-		watchIvl    = fs.Duration("watch-interval", service.DefaultWatchInterval, "snapshot poll interval for watch-mode jobs")
-		grace       = fs.Duration("grace", 30*time.Second, "shutdown grace period for draining jobs")
-		metricsAddr = fs.String("metrics-addr", "", "serve /metrics, /debug/vars, /debug/pprof on a second address")
-		logLevel    = fs.String("log-level", "info", "structured log level: debug|info|warn|error")
-		logFormat   = fs.String("log-format", "text", "structured log encoding: text|json")
-		slo         = fs.Duration("slo", time.Second, "latency objective for /v1 requests (0 disables breach counting)")
-		slowFile    = fs.Duration("slow-file", 10*time.Second, "warn about files slower than this (0 disables)")
-		policyFlag  = fs.String("policy", "", "default security policy: a built-in name or a policy JSON file (per-job \"policy\" overrides)")
-		version     = fs.Bool("version", false, "print version and exit")
+		addr      = fs.String("addr", ":8722", "API listen address (\":0\" picks a free port)")
+		storeMax  = fs.Int64("store-max-bytes", 0, "store size budget before LRU GC (0 = 256 MiB, negative = unbounded)")
+		queueSize = fs.Int("queue", service.DefaultQueueSize, "submission queue depth (full queue answers 429)")
+		workers   = fs.Int("workers", 0, "concurrently running jobs (0 = GOMAXPROCS)")
+		noDirs    = fs.Bool("no-dirs", false, "reject directory submissions")
+		watchIvl  = fs.Duration("watch-interval", service.DefaultWatchInterval, "snapshot poll interval for watch-mode jobs")
+		grace     = fs.Duration("grace", 30*time.Second, "shutdown grace period for draining jobs")
+		slo       = fs.Duration("slo", time.Second, "latency objective for /v1 requests (0 disables breach counting)")
+		slowFile  = fs.Duration("slow-file", 10*time.Second, "warn about files slower than this (0 disables)")
 
 		coord       = fs.Bool("coord", false, "coordinator mode: accept worker registrations and shard jobs across them")
 		joinURL     = fs.String("join", "", "worker mode: register with the coordinator at this URL")
@@ -166,86 +157,51 @@ func run(args []string, ready chan<- string) int {
 		storeRemote = fs.String("store-remote", "", "use the shared result store served by the coordinator at this URL")
 	)
 	if err := fs.Parse(args); err != nil {
-		return 2
+		return cli.ExitError
 	}
-	if *version {
+	if sh.Version {
 		fmt.Println(buildinfo.Version("webssarid"))
-		return 0
+		return cli.ExitSafe
 	}
 	if fs.NArg() != 0 {
 		fmt.Fprintln(os.Stderr, "webssarid: unexpected arguments (the daemon takes submissions over HTTP)")
-		return 2
+		return cli.ExitError
 	}
-	if *incr && *storeDir == "" && *storeRemote == "" {
-		fmt.Fprintln(os.Stderr, "webssarid: -incremental requires -store or -store-remote (the dependency graph lives in the result store)")
-		return 2
+	// Per-job policy and solver fields override the daemon defaults
+	// validated here, so a bad default fails startup, not the first job.
+	if err := sh.Validate(*storeRemote != ""); err != nil {
+		return sh.Fail(err)
 	}
 	if *coord && *joinURL != "" {
 		fmt.Fprintln(os.Stderr, "webssarid: -coord and -join are mutually exclusive (a daemon is a coordinator or a worker, not both)")
-		return 2
+		return cli.ExitError
 	}
-	if *storeRemote != "" && *storeDir != "" {
+	if *storeRemote != "" && sh.Store != "" {
 		fmt.Fprintln(os.Stderr, "webssarid: -store and -store-remote are mutually exclusive")
-		return 2
+		return cli.ExitError
 	}
 
-	tel := telemetry.New()
-	lvl, err := telemetry.ParseLogLevel(*logLevel)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "webssarid: %v\n", err)
-		return 2
-	}
-	logger, err := telemetry.NewLogger(os.Stderr, lvl, *logFormat, telemetry.DefaultFlightRecorderSize)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "webssarid: %v\n", err)
-		return 2
-	}
-	tel.Logs = logger.Recorder()
 	var st *store.Store
-	if *storeDir != "" {
+	if sh.Store != "" {
 		var err error
-		st, err = store.Open(*storeDir, store.Options{MaxBytes: *storeMax})
+		st, err = store.Open(sh.Store, store.Options{MaxBytes: *storeMax})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "webssarid: opening store: %v\n", err)
-			return 2
+			return sh.Fail(fmt.Errorf("opening store: %w", err))
 		}
 		fmt.Fprintf(os.Stderr, "webssarid: result store at %s (%d entr(ies) resident)\n",
-			*storeDir, st.Stats().Entries)
+			sh.Store, st.Stats().Entries)
 	}
 	var remoteStore *cluster.RemoteStore
 	if *storeRemote != "" {
 		remoteStore = cluster.NewRemoteStore(*storeRemote, nil)
 		fmt.Fprintf(os.Stderr, "webssarid: shared result store via %s\n", *storeRemote)
 	}
-	if *metricsAddr != "" {
-		msrv, err := telemetry.Serve(*metricsAddr, tel.Metrics, tel.Logs)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "webssarid: %v\n", err)
-			return 2
-		}
-		defer msrv.Close()
-		fmt.Fprintf(os.Stderr, "webssarid: metrics served at http://%s/metrics\n", msrv.Addr)
-	}
-
-	policyName, policyJSON, err := resolvePolicy(*policyFlag)
+	obs, err := sh.Start()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "webssarid: %v\n", err)
-		return 2
+		return sh.Fail(err)
 	}
-
-	// The daemon-default solver configuration; per-job solver specs
-	// overlay it field-wise. Validated at startup so a typo'd mode fails
-	// here instead of on the first submission.
-	solverCfg := webssari.SolverConfig{
-		Mode:         webssari.SolverMode(*solverMode),
-		MaxConflicts: *maxConf,
-	}
-	if solverCfg != (webssari.SolverConfig{}) {
-		if _, err := webssari.ExportConfig(webssari.WithSolverConfig(solverCfg)); err != nil {
-			fmt.Fprintf(os.Stderr, "webssarid: %v\n", err)
-			return 2
-		}
-	}
+	defer obs.Close()
+	tel, logger := obs.Telemetry, obs.Logger
 
 	// The verdict-shaping daemon configuration, fingerprinted so cluster
 	// registration can reject a worker whose options differ from the
@@ -255,29 +211,24 @@ func run(args []string, ready chan<- string) int {
 	// solver mode, so passing the full solver config here is safe:
 	// workers may solve in shared mode while the coordinator runs
 	// per-assert and still fingerprint identically.
-	fingerprint := cluster.Fingerprint(webssari.WithConfig(webssari.Config{
-		Policy:      policyName,
-		PolicyJSON:  policyJSON,
-		Deadline:    *timeout,
-		Parallelism: *jobs,
-		Solver:      solverCfg,
-	}))
+	fingerprint := cluster.Fingerprint(webssari.WithConfig(sh.Config()))
 
+	pol := sh.ResolvedPolicy()
 	svcCfg := service.Config{
-		Policy:           policyName,
-		PolicyJSON:       policyJSON,
+		Policy:           pol.Name,
+		PolicyJSON:       pol.JSON,
 		Store:            st,
 		Telemetry:        tel,
 		Logger:           logger,
 		LatencyObjective: *slo,
 		SlowFile:         *slowFile,
 		Workers:          *workers,
-		JobParallelism:   *jobs,
+		JobParallelism:   sh.Jobs,
 		QueueSize:        *queueSize,
-		JobDeadline:      *timeout,
-		Solver:           solverCfg,
+		JobDeadline:      sh.Timeout,
+		Solver:           sh.Solver(),
 		DisableDirs:      *noDirs,
-		Incremental:      *incr,
+		Incremental:      sh.Incremental,
 		WatchInterval:    *watchIvl,
 	}
 	if remoteStore != nil {
@@ -317,7 +268,7 @@ func run(args []string, ready chan<- string) int {
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "webssarid: listen %s: %v\n", *addr, err)
-		return 2
+		return cli.ExitError
 	}
 	handler := svc.Handler()
 	if coordinator != nil {
@@ -351,7 +302,7 @@ func run(args []string, ready chan<- string) int {
 		jcancel()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "webssarid: %v\n", err)
-			return 2
+			return cli.ExitError
 		}
 		fmt.Fprintf(os.Stderr, "webssarid: joined cluster at %s as %s (advertising %s)\n",
 			*joinURL, agent.ID(), adv)
@@ -369,7 +320,7 @@ func run(args []string, ready chan<- string) int {
 		fmt.Fprintf(os.Stderr, "webssarid: %v: draining (grace %s)\n", sig, *grace)
 	case err := <-serveErr:
 		fmt.Fprintf(os.Stderr, "webssarid: serve: %v\n", err)
-		return 2
+		return cli.ExitError
 	}
 
 	// Drain: leave the cluster first (so the coordinator reroutes new
@@ -391,29 +342,8 @@ func run(args []string, ready chan<- string) int {
 	}
 	if drained != nil {
 		fmt.Fprintf(os.Stderr, "webssarid: drain incomplete after %s: %v\n", *grace, drained)
-		return 2
+		return cli.ExitError
 	}
 	fmt.Fprintln(os.Stderr, "webssarid: drained cleanly")
-	return 0
-}
-
-// resolvePolicy turns the -policy flag into the Config policy fields: a
-// readable file is loaded as a policy JSON declaration, anything else
-// must be a built-in policy name. Either form is validated here so a bad
-// policy fails startup instead of the first job.
-func resolvePolicy(arg string) (name, policyJSON string, err error) {
-	if arg == "" {
-		return "", "", nil
-	}
-	if data, rerr := os.ReadFile(arg); rerr == nil {
-		policyJSON = string(data)
-	} else {
-		name = arg
-	}
-	if _, err := webssari.ExportConfig(webssari.WithConfig(webssari.Config{
-		Policy: name, PolicyJSON: policyJSON,
-	})); err != nil {
-		return "", "", fmt.Errorf("-policy %s: %w", arg, err)
-	}
-	return name, policyJSON, nil
+	return cli.ExitSafe
 }

@@ -363,3 +363,55 @@ func TestIncrementalNeedsStore(t *testing.T) {
 		t.Fatalf("-incremental without -store exited %d, want 2", code)
 	}
 }
+
+// TestRejectsBadSharedFlags pins startup validation: each bad shared
+// flag prints one error and exits 2 before the metrics listener or the
+// API listener starts.
+func TestRejectsBadSharedFlags(t *testing.T) {
+	for _, bad := range [][]string{
+		{"-j", "-1"},
+		{"-solver-mode", "bogus"},
+		{"-policy", "bogus"},
+		{"-log-level", "bogus"},
+	} {
+		args := append([]string{"-addr", "127.0.0.1:0", "-metrics-addr", "127.0.0.1:0"}, bad...)
+		stderr := captureStderr(t, func() {
+			ready, exit := make(chan string, 1), make(chan int, 1)
+			go func() { exit <- run(args, ready) }()
+			select {
+			case code := <-exit:
+				if code != 2 {
+					t.Errorf("%v exited %d, want 2", bad, code)
+				}
+			case <-ready:
+				t.Errorf("%v: the daemon started serving", bad)
+				_ = syscall.Kill(syscall.Getpid(), syscall.SIGTERM)
+				<-exit
+			}
+		})
+		if lines := strings.Split(strings.TrimSpace(stderr), "\n"); len(lines) != 1 {
+			t.Errorf("%v: want one error line, got:\n%s", bad, stderr)
+		}
+	}
+}
+
+// captureStderr runs fn with os.Stderr redirected to a pipe and returns
+// what it wrote.
+func captureStderr(t *testing.T, fn func()) string {
+	t.Helper()
+	old := os.Stderr
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stderr = w
+	done := make(chan string, 1)
+	go func() {
+		data, _ := io.ReadAll(r)
+		done <- string(data)
+	}()
+	fn()
+	os.Stderr = old
+	w.Close()
+	return <-done
+}

@@ -17,9 +17,11 @@
 //
 // The -timeout and -max-conflicts flags bound the search; an assertion
 // left undecided prints UNKNOWN with its cause and the command exits 3
-// (incomplete) instead of claiming the program safe. The -j flag fans
-// independent assertions out across a worker pool, and -v prints the
-// run profile (per-stage wall time and solver effort) to stderr.
+// (incomplete) instead of claiming the program safe. The -j flag sets
+// the verification workers (0 = sequential for one file, GOMAXPROCS
+// across a directory's files), and -v prints the run profile (per-stage
+// wall time and solver effort; for one file, each assertion's encode
+// and search time) to stderr.
 //
 // The -solver-mode flag selects the solver dispatch mode — per-assert
 // (default) or shared (one incremental solver per file, learnt clauses
@@ -66,17 +68,16 @@ import (
 	"webssari"
 	"webssari/client"
 	"webssari/internal/buildinfo"
+	"webssari/internal/cli"
 	"webssari/internal/cnf"
 	"webssari/internal/constraint"
 	"webssari/internal/core"
 	"webssari/internal/flow"
 	"webssari/internal/ir"
-	"webssari/internal/policy"
 	"webssari/internal/prelude"
 	"webssari/internal/rename"
 	"webssari/internal/sat"
 	"webssari/internal/service"
-	"webssari/internal/telemetry"
 )
 
 func main() {
@@ -85,324 +86,212 @@ func main() {
 
 func run(args []string) int {
 	fs := flag.NewFlagSet("xbmc", flag.ContinueOnError)
+	sh := cli.RegisterBatch(fs)
 	var (
-		stage       = fs.String("stage", "", "dump a pipeline stage: ai | renamed | constraints | cnf")
-		dumpIR      = fs.Bool("dump-ir", false, "print each file's typed flow IR and exit (no solving)")
-		naive       = fs.Bool("naive", false, "use the xBMC0.1 location-variable encoding")
-		unroll      = fs.Int("unroll", 1, "loop deconstruction factor")
-		policyArg   = fs.String("policy", "", "security policy: a built-in name or a policy JSON file")
-		outDir      = fs.String("o", "", "directory for DIMACS dumps (with -stage cnf)")
-		timeout     = fs.Duration("timeout", 0, "wall-clock deadline for verification (0 = none)")
-		maxConf     = fs.Uint64("max-conflicts", 0, "SAT conflict budget per solver call (0 = unlimited)")
-		solverMode  = fs.String("solver-mode", "", "solver dispatch mode: per-assert|shared")
-		jobs        = fs.Int("j", 0, "assertion-level worker count (0 = sequential)")
-		verbose     = fs.Bool("v", false, "print the run profile to stderr")
-		traceFile   = fs.String("trace", "", "write Chrome trace-event JSON to this file")
-		metricsAddr = fs.String("metrics-addr", "", "serve /metrics, /debug/vars, /debug/pprof on this address (\":0\" picks a free port)")
-		logLevel    = fs.String("log-level", "info", "structured log level: debug|info|warn|error")
-		logFormat   = fs.String("log-format", "text", "structured log encoding: text|json")
-		ndjsonOut   = fs.Bool("ndjson", false, "directory mode: stream per-file reports as NDJSON to stdout")
-		storeDir    = fs.String("store", "", "directory mode: persistent result store directory (\"\" disables)")
-		incremental = fs.Bool("incremental", false, "directory mode: delta re-verification via the dependency graph (requires -store)")
-		remoteURL   = fs.String("remote", "", "verify via a webssarid daemon at this base URL instead of in-process")
-		watchMode   = fs.Bool("watch", false, "remote directory mode: re-verify on every change until interrupted")
-		version     = fs.Bool("version", false, "print version and exit")
+		stage     = fs.String("stage", "", "dump a pipeline stage: ai | renamed | constraints | cnf")
+		naive     = fs.Bool("naive", false, "use the xBMC0.1 location-variable encoding")
+		outDir    = fs.String("o", "", "directory for DIMACS dumps (with -stage cnf)")
+		ndjsonOut = fs.Bool("ndjson", false, "directory mode: stream per-file reports as NDJSON to stdout")
+		remoteURL = fs.String("remote", "", "verify via a webssarid daemon at this base URL instead of in-process")
+		watchMode = fs.Bool("watch", false, "remote directory mode: re-verify on every change until interrupted")
 	)
 	if err := fs.Parse(args); err != nil {
-		return 2
+		return cli.ExitError
 	}
-	if *version {
+	if sh.Version {
 		fmt.Println(buildinfo.Version("xbmc"))
-		return 0
+		return cli.ExitSafe
 	}
 	if fs.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "xbmc: exactly one PHP file or directory expected")
-		return 2
+		return cli.ExitError
 	}
-	if *jobs < 0 {
-		fmt.Fprintf(os.Stderr, "xbmc: -j must be ≥ 0, got %d\n", *jobs)
-		return 2
+	// A -remote daemon brings its own result store for -incremental.
+	if err := sh.Validate(*remoteURL != ""); err != nil {
+		return sh.Fail(err)
 	}
-	if *dumpIR {
+	target := fs.Arg(0)
+	if sh.DumpIR {
 		if *remoteURL != "" || *stage != "" || *naive {
 			fmt.Fprintln(os.Stderr, "xbmc: -dump-ir cannot combine with -remote, -stage, or -naive")
-			return 2
+			return cli.ExitError
 		}
-		if err := ir.DumpTree(os.Stdout, os.Stderr, fs.Arg(0)); err != nil {
-			fmt.Fprintf(os.Stderr, "xbmc: %v\n", err)
-			return 2
+		if err := ir.DumpTree(os.Stdout, os.Stderr, target); err != nil {
+			return sh.Fail(err)
 		}
-		return 0
+		return cli.ExitSafe
 	}
 	if *watchMode && *remoteURL == "" {
 		fmt.Fprintln(os.Stderr, "xbmc: -watch requires -remote (watch jobs run on the daemon)")
-		return 2
-	}
-	pc, policyName, policyJSON, err := resolvePolicy(*policyArg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "xbmc: -policy %s: %v\n", *policyArg, err)
-		return 2
-	}
-	// Resolved up front so an unknown mode errors identically in local,
-	// directory, and remote modes.
-	coreMode, err := resolveSolverMode(*solverMode)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "xbmc: %v\n", err)
-		return 2
-	}
-	var solverSpec *client.SolverSpec
-	if *solverMode != "" {
-		solverSpec = &client.SolverSpec{Mode: *solverMode}
+		return cli.ExitError
 	}
 	if *remoteURL != "" {
 		if *stage != "" || *naive {
 			fmt.Fprintln(os.Stderr, "xbmc: -stage and -naive are local-only; they cannot combine with -remote")
-			return 2
+			return cli.ExitError
 		}
-		return runRemote(fs.Arg(0), *remoteURL, policyName, policyJSON, solverSpec, *incremental, *watchMode, *ndjsonOut, *timeout)
-	}
-	if *incremental && *storeDir == "" {
-		fmt.Fprintln(os.Stderr, "xbmc: -incremental requires -store (the dependency graph lives in the result store)")
-		return 2
+		return runRemote(target, *remoteURL, sh, *watchMode, *ndjsonOut)
 	}
 
-	lvl, err := telemetry.ParseLogLevel(*logLevel)
+	obs, err := sh.Start()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "xbmc: %v\n", err)
-		return 2
+		return sh.Fail(err)
 	}
-	logger, err := telemetry.NewLogger(os.Stderr, lvl, *logFormat, telemetry.DefaultFlightRecorderSize)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "xbmc: %v\n", err)
-		return 2
+	defer obs.Close()
+	obs.Logger.Debug("verifying", "target", target)
+	info, err := os.Stat(target)
+	isDir := err == nil && info.IsDir()
+	if isDir && (*stage != "" || *naive) {
+		fmt.Fprintln(os.Stderr, "xbmc: -stage and -naive need a single PHP file, not a directory")
+		return cli.ExitError
 	}
-	var tel *telemetry.Telemetry
-	if *traceFile != "" || *metricsAddr != "" {
-		tel = telemetry.New()
-		tel.Logs = logger.Recorder()
-	}
-	if *traceFile != "" {
-		// Registered before anything that can fail below (the metrics
-		// listener, store open, …) so an early error exit still leaves a
-		// trace file of whatever spans were recorded.
-		defer func() {
-			if err := writeTraceFile(*traceFile, tel); err != nil {
-				fmt.Fprintf(os.Stderr, "xbmc: %v\n", err)
-			}
-		}()
-	}
-	if *metricsAddr != "" {
-		srv, err := telemetry.Serve(*metricsAddr, tel.Metrics, tel.Logs)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "xbmc: %v\n", err)
-			return 2
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "xbmc: metrics served at http://%s/metrics\n", srv.Addr)
-	}
-
-	target := fs.Arg(0)
-	logger.Debug("verifying", "target", target)
-	if info, err := os.Stat(target); err == nil && info.IsDir() {
-		if *stage != "" || *naive {
-			fmt.Fprintln(os.Stderr, "xbmc: -stage and -naive need a single PHP file, not a directory")
-			return 2
-		}
-		opts := []webssari.Option{webssari.WithLoopUnroll(*unroll)}
-		switch {
-		case policyJSON != "":
-			opts = append(opts, webssari.WithPolicyJSON(policyName, []byte(policyJSON)))
-		case policyName != "":
-			opts = append(opts, webssari.WithPolicy(policyName))
-		}
-		if *jobs > 0 {
-			opts = append(opts, webssari.WithParallelism(*jobs))
-		}
-		if *timeout > 0 {
-			opts = append(opts, webssari.WithDeadline(*timeout))
-		}
-		if *solverMode != "" || *maxConf > 0 {
-			opts = append(opts, webssari.WithSolverConfig(webssari.SolverConfig{
-				Mode:         webssari.SolverMode(*solverMode),
-				MaxConflicts: *maxConf,
-			}))
-		}
-		if tel != nil {
-			opts = append(opts, webssari.WithTelemetry(tel))
-		}
-		if *storeDir != "" {
-			st, err := webssari.OpenStore(*storeDir, 0)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "xbmc: opening store: %v\n", err)
-				return 2
-			}
-			opts = append(opts, webssari.WithStore(st))
-		}
-		if *incremental {
-			opts = append(opts, webssari.WithIncremental())
-		}
-		return verifyDir(target, opts, *ndjsonOut, *verbose)
-	}
-	if *ndjsonOut || *storeDir != "" || *incremental {
+	if !isDir && (*ndjsonOut || sh.Store != "" || sh.Incremental) {
 		fmt.Fprintln(os.Stderr, "xbmc: -ndjson, -store, and -incremental apply to directory mode only")
-		return 2
+		return cli.ExitError
 	}
+	if *stage != "" || *naive {
+		return runStage(target, *stage, *naive, *outDir, sh)
+	}
+	opts, err := sh.Options(obs)
+	if err != nil {
+		return sh.Fail(err)
+	}
+	if isDir {
+		return verifyDir(target, opts, *ndjsonOut, sh.Verbose)
+	}
+	return verifyFile(target, opts, sh.Verbose)
+}
 
+// verifyFile checks one PHP file through the public engine and prints
+// one line per assertion, read from the report's run profile, then the
+// verdict.
+func verifyFile(target string, opts []webssari.Option, verbose bool) int {
 	src, err := os.ReadFile(target)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "xbmc: %v\n", err)
-		return 2
+		return cli.ExitError
 	}
+	rep, err := webssari.Verify(src, target, append(opts, webssari.WithLoader(os.ReadFile))...)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "xbmc: %v\n", err)
+		return cli.ExitError
+	}
+	for _, w := range rep.Warnings {
+		fmt.Fprintf(os.Stderr, "xbmc: %s\n", w)
+	}
+	if verbose {
+		fmt.Fprintf(os.Stderr, "xbmc: %s: %s\n", target, rep.Profile)
+	}
+	for _, a := range rep.Profile.Assertions {
+		verdict := "HOLDS (unsat)"
+		switch {
+		case a.Counterexamples > 0:
+			verdict = fmt.Sprintf("VIOLATED: %d counterexample trace(s)", a.Counterexamples)
+		case a.Unknown:
+			verdict = fmt.Sprintf("UNKNOWN (%s)", a.Cause)
+		}
+		fmt.Printf("assert_%d %s at %s: %s  [%d vars, %d clauses; %s]\n",
+			a.Index, a.Sink, a.Site, verdict, a.Vars, a.Clauses, a.Solver)
+		if verbose {
+			fmt.Fprintf(os.Stderr, "xbmc: assert_%d: encode %v, search %v\n", a.Index,
+				time.Duration(a.EncodeNS).Round(time.Microsecond), time.Duration(a.SearchNS).Round(time.Microsecond))
+		}
+	}
+	switch rep.Verdict {
+	case webssari.VerdictIncomplete:
+		fmt.Println("INCOMPLETE: some assertions are undecided; no safety claim")
+	case webssari.VerdictSafe:
+		fmt.Println("VERIFIED: program is safe")
+	}
+	return cli.VerdictExit(rep.Verdict)
+}
 
+// runStage prints one Figure 6 pipeline stage of a single file, or with
+// -naive verifies it under the xBMC0.1 location-variable encoding.
+func runStage(target, stage string, naive bool, outDir string, sh *cli.Flags) int {
+	src, err := os.ReadFile(target)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "xbmc: %v\n", err)
+		return cli.ExitError
+	}
 	fopts := flow.Options{
 		Prelude:    prelude.Default(),
-		LoopUnroll: *unroll,
+		LoopUnroll: sh.Unroll,
 		Loader:     os.ReadFile,
 	}
-	if pc != nil {
+	if pc := sh.ResolvedPolicy().Compiled; pc != nil {
 		fopts.Prelude, fopts.Policy = nil, pc
 	}
-
-	if *stage != "" || *naive {
-		prog, errs := flow.BuildSource(target, src, fopts)
-		for _, err := range errs {
-			fmt.Fprintf(os.Stderr, "xbmc: %v\n", err)
-		}
-		if prog == nil {
-			return 2
-		}
-		switch *stage {
-		case "ai":
-			fmt.Print(prog.String())
-			fmt.Printf("diameter=%d size=%d branches=%d asserts=%d\n",
-				prog.Diameter(), prog.Size(), prog.Branches, len(prog.Asserts()))
-			return 0
-		case "renamed":
-			fmt.Print(rename.Rename(prog).String())
-			return 0
-		case "constraints":
-			fmt.Print(constraint.Build(rename.Rename(prog)).String())
-			return 0
-		case "cnf":
-			sys := constraint.Build(rename.Rename(prog))
-			for i := range sys.Checks {
-				enc, err := cnf.EncodeCheck(sys, i, cnf.Options{})
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "xbmc: %v\n", err)
-					return 2
-				}
-				fmt.Printf("assert_%d: %d vars, %d clauses, %d branch vars\n",
-					i, enc.F.NumVars, len(enc.F.Clauses), len(enc.BranchVars))
-				if *outDir != "" {
-					path := fmt.Sprintf("%s/assert_%d.cnf", *outDir, i)
-					f, err := os.Create(path)
-					if err != nil {
-						fmt.Fprintf(os.Stderr, "xbmc: %v\n", err)
-						return 2
-					}
-					if err := enc.F.WriteDIMACS(f); err != nil {
-						fmt.Fprintf(os.Stderr, "xbmc: %v\n", err)
-						return 2
-					}
-					if err := f.Close(); err != nil {
-						fmt.Fprintf(os.Stderr, "xbmc: %v\n", err)
-						return 2
-					}
-				}
-			}
-			return 0
-		case "":
-			// -naive verification below
-		default:
-			fmt.Fprintf(os.Stderr, "xbmc: unknown stage %q\n", *stage)
-			return 2
-		}
-		exit := 0
-		for i, a := range prog.Asserts() {
-			violated, enc, err := core.VerifyAssertNaive(prog, a, sat.Options{})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "xbmc: %v\n", err)
-				return 2
-			}
-			verdict := "HOLDS (unsat)"
-			if violated {
-				verdict = "VIOLATED"
-				exit = 1
-			}
-			fmt.Printf("assert_%d %s at %s: %s  [xBMC0.1: %d vars, %d clauses, %d steps, %d state vars]\n",
-				i, a.Fn, a.Site.Pos, verdict,
-				enc.F.NumVars, len(enc.F.Clauses), enc.Steps, enc.StateVars)
-		}
-		return exit
-	}
-
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-	ctx = telemetry.WithTelemetry(ctx, tel)
-	ctx, fsp := telemetry.StartRootSpan(ctx, "verify_file", "file", target)
-	copts := core.Options{
-		Flow:        fopts,
-		Ctx:         ctx,
-		Solver:      sat.Options{MaxConflicts: *maxConf},
-		Parallelism: *jobs,
-		Mode:        coreMode,
-	}
-	compileStart := time.Now()
-	compiled, errs := core.Compile(target, src, copts)
+	prog, errs := flow.BuildSource(target, src, fopts)
 	for _, err := range errs {
 		fmt.Fprintf(os.Stderr, "xbmc: %v\n", err)
 	}
-	if compiled == nil {
-		fsp.End()
-		return 2
+	if prog == nil {
+		return cli.ExitError
 	}
-	compileTime := time.Since(compileStart)
-	solveStart := time.Now()
-	res := core.Solve(ctx, compiled, copts)
-	fsp.End()
-	if *verbose {
-		fmt.Fprintf(os.Stderr, "xbmc: %s: compile %v, solve %v (%d assertion(s))\n",
-			target, compileTime, time.Since(solveStart), len(res.PerAssert))
-		cs := compiled.Stats
-		fmt.Fprintf(os.Stderr, "xbmc: stages: parse %v, flow %v, rename %v, constraints %v\n",
-			time.Duration(cs.ParseNS).Round(time.Microsecond),
-			time.Duration(cs.FlowNS).Round(time.Microsecond),
-			time.Duration(cs.RenameNS).Round(time.Microsecond),
-			time.Duration(cs.ConstraintsNS).Round(time.Microsecond))
-	}
-	unsafeCount, unknownCount := 0, 0
-	for i, ar := range res.PerAssert {
-		verdict := "HOLDS (unsat)"
-		switch {
-		case len(ar.Counterexamples) > 0:
-			verdict = fmt.Sprintf("VIOLATED: %d counterexample trace(s)", len(ar.Counterexamples))
-			unsafeCount++
-		case ar.Unknown:
-			verdict = fmt.Sprintf("UNKNOWN (%s)", ar.Cause)
-			unknownCount++
+	switch stage {
+	case "ai":
+		fmt.Print(prog.String())
+		fmt.Printf("diameter=%d size=%d branches=%d asserts=%d\n",
+			prog.Diameter(), prog.Size(), prog.Branches, len(prog.Asserts()))
+		return cli.ExitSafe
+	case "renamed":
+		fmt.Print(rename.Rename(prog).String())
+		return cli.ExitSafe
+	case "constraints":
+		fmt.Print(constraint.Build(rename.Rename(prog)).String())
+		return cli.ExitSafe
+	case "cnf":
+		sys := constraint.Build(rename.Rename(prog))
+		for i := range sys.Checks {
+			enc, err := cnf.EncodeCheck(sys, i, cnf.Options{})
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "xbmc: %v\n", err)
+				return cli.ExitError
+			}
+			fmt.Printf("assert_%d: %d vars, %d clauses, %d branch vars\n",
+				i, enc.F.NumVars, len(enc.F.Clauses), len(enc.BranchVars))
+			if outDir != "" {
+				path := fmt.Sprintf("%s/assert_%d.cnf", outDir, i)
+				f, err := os.Create(path)
+				if err != nil {
+					fmt.Fprintf(os.Stderr, "xbmc: %v\n", err)
+					return cli.ExitError
+				}
+				if err := enc.F.WriteDIMACS(f); err != nil {
+					fmt.Fprintf(os.Stderr, "xbmc: %v\n", err)
+					return cli.ExitError
+				}
+				if err := f.Close(); err != nil {
+					fmt.Fprintf(os.Stderr, "xbmc: %v\n", err)
+					return cli.ExitError
+				}
+			}
 		}
-		fmt.Printf("assert_%d %s at %s: %s  [%d vars, %d clauses; %s]\n",
-			i, ar.Assert.Origin.Fn, ar.Assert.Origin.Site.Pos, verdict,
-			ar.EncodedVars, ar.EncodedClauses, ar.SolverStats)
-		if *verbose {
-			fmt.Fprintf(os.Stderr, "xbmc: assert_%d: encode %v, search %v\n",
-				i, ar.EncodeTime.Round(time.Microsecond), ar.SearchTime.Round(time.Microsecond))
-		}
-	}
-	switch {
-	case unsafeCount > 0:
-		return 1
-	case unknownCount > 0:
-		fmt.Println("INCOMPLETE: some assertions are undecided; no safety claim")
-		return 3
+		return cli.ExitSafe
+	case "":
+		// -naive verification below
 	default:
-		fmt.Println("VERIFIED: program is safe")
-		return 0
+		fmt.Fprintf(os.Stderr, "xbmc: unknown stage %q\n", stage)
+		return cli.ExitError
 	}
+	exit := cli.ExitSafe
+	for i, a := range prog.Asserts() {
+		violated, enc, err := core.VerifyAssertNaive(prog, a, sat.Options{})
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "xbmc: %v\n", err)
+			return cli.ExitError
+		}
+		verdict := "HOLDS (unsat)"
+		if violated {
+			verdict = "VIOLATED"
+			exit = cli.ExitUnsafe
+		}
+		fmt.Printf("assert_%d %s at %s: %s  [xBMC0.1: %d vars, %d clauses, %d steps, %d state vars]\n",
+			i, a.Fn, a.Site.Pos, verdict,
+			enc.F.NumVars, len(enc.F.Clauses), enc.Steps, enc.StateVars)
+	}
+	return exit
 }
 
 // verifyDir checks every PHP file under dir through the public engine —
@@ -422,7 +311,7 @@ func verifyDir(dir string, opts []webssari.Option, ndjson, verbose bool) int {
 	pr, err := webssari.VerifyDir(dir, opts...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "xbmc: %v\n", err)
-		return 2
+		return cli.ExitError
 	}
 	if ndjson {
 		// Final line: the project aggregate, minus the per-file reports
@@ -446,33 +335,7 @@ func verifyDir(dir string, opts []webssari.Option, ndjson, verbose bool) int {
 	if verbose && pr.Profile != nil {
 		fmt.Fprintf(os.Stderr, "xbmc: %s: %s\n", dir, pr.Profile)
 	}
-	return verdictExit(pr.Verdict())
-}
-
-// verdictExit maps a three-valued verdict to the process exit code
-// shared by local and remote modes: 0 safe, 1 unsafe, 3 incomplete.
-func verdictExit(verdict string) int {
-	switch verdict {
-	case webssari.VerdictUnsafe:
-		return 1
-	case webssari.VerdictIncomplete:
-		return 3
-	default:
-		return 0
-	}
-}
-
-// resolveSolverMode maps the -solver-mode flag to the engine's dispatch
-// mode, rejecting unknown names with the list of valid ones.
-func resolveSolverMode(mode string) (core.SolveMode, error) {
-	switch webssari.SolverMode(mode) {
-	case "", webssari.SolverPerAssert:
-		return core.ModePerAssert, nil
-	case webssari.SolverShared:
-		return core.ModeShared, nil
-	default:
-		return 0, fmt.Errorf("unknown -solver-mode %q (valid: %v)", mode, webssari.SolverModes())
-	}
+	return cli.VerdictExit(pr.Verdict())
 }
 
 // runRemote verifies the target through a webssarid daemon via the
@@ -480,13 +343,18 @@ func resolveSolverMode(mode string) (core.SolveMode, error) {
 // target has its source uploaded; a directory target must exist on the
 // daemon's filesystem. Watch jobs stream until interrupted; Ctrl-C
 // cancels the remote job before exiting.
-func runRemote(target, base, policyName, policyJSON string, solver *client.SolverSpec, incremental, watch, ndjson bool, timeout time.Duration) int {
+func runRemote(target, base string, sh *cli.Flags, watch, ndjson bool) int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	if timeout > 0 && !watch {
+	if sh.Timeout > 0 && !watch {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
+		ctx, cancel = context.WithTimeout(ctx, sh.Timeout)
 		defer cancel()
+	}
+	pol := sh.ResolvedPolicy()
+	var solver *client.SolverSpec
+	if sc := sh.Solver(); sc != (webssari.SolverConfig{}) {
+		solver = &client.SolverSpec{Mode: string(sc.Mode), MaxConflicts: sc.MaxConflicts}
 	}
 	// A transient 429 (queue full) or 503 (draining) rejection retries
 	// with backoff, honoring the daemon's Retry-After hint.
@@ -494,52 +362,52 @@ func runRemote(target, base, policyName, policyJSON string, solver *client.Solve
 
 	info, statErr := os.Stat(target)
 	if watch || (statErr == nil && info.IsDir()) {
-		return runRemoteDir(ctx, c, target, policyName, policyJSON, solver, incremental, watch, ndjson)
+		req := client.SubmitDirRequest{Dir: target, Watch: watch, Policy: pol.Name, PolicyJSON: pol.JSON, Solver: solver}
+		if sh.Incremental {
+			req.Incremental = &sh.Incremental
+		}
+		return runRemoteDir(ctx, c, req, ndjson)
 	}
 
 	src, err := os.ReadFile(target)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "xbmc: %v\n", err)
-		return 2
+		return cli.ExitError
 	}
 	sub, err := c.SubmitFile(ctx, client.SubmitFileRequest{
-		Name: target, Source: string(src), Policy: policyName, PolicyJSON: policyJSON,
+		Name: target, Source: string(src), Policy: pol.Name, PolicyJSON: pol.JSON,
 		Solver: solver,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "xbmc: %v\n", err)
-		return 2
+		return cli.ExitError
 	}
 	if _, err := c.Wait(ctx, sub.Job); err != nil {
 		fmt.Fprintf(os.Stderr, "xbmc: %v\n", err)
-		return 2
+		return cli.ExitError
 	}
 	text, err := c.FileResultText(ctx, sub.Job)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "xbmc: %v\n", err)
-		return 2
+		return cli.ExitError
 	}
 	fmt.Print(text)
 	rep, err := c.FileResult(ctx, sub.Job)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "xbmc: %v\n", err)
-		return 2
+		return cli.ExitError
 	}
-	return verdictExit(rep.Verdict)
+	return cli.VerdictExit(rep.Verdict)
 }
 
 // runRemoteDir submits one daemon-side directory job (one-shot or
 // watch) and renders its outcome.
-func runRemoteDir(ctx context.Context, c *client.Client, dir, policyName, policyJSON string, solver *client.SolverSpec, incremental, watch, ndjson bool) int {
-	req := client.SubmitDirRequest{Dir: dir, Watch: watch, Policy: policyName, PolicyJSON: policyJSON, Solver: solver}
-	if incremental {
-		on := true
-		req.Incremental = &on
-	}
+func runRemoteDir(ctx context.Context, c *client.Client, req client.SubmitDirRequest, ndjson bool) int {
+	dir, watch := req.Dir, req.Watch
 	sub, err := c.SubmitDir(ctx, req)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "xbmc: %v\n", err)
-		return 2
+		return cli.ExitError
 	}
 
 	streamDone := make(chan error, 1)
@@ -565,23 +433,23 @@ func runRemoteDir(ctx context.Context, c *client.Client, dir, policyName, policy
 			if serr != nil && serr != context.Canceled {
 				fmt.Fprintf(os.Stderr, "xbmc: %v\n", serr)
 			}
-			return 2
+			return cli.ExitError
 		}
 		if final, werr := c.Wait(cctx, sub.Job); werr == nil {
 			st = final
 		}
 		fmt.Fprintf(os.Stderr, "xbmc: watch ended after %d round(s)\n", st.Rounds)
-		return verdictExit(st.Verdict)
+		return cli.VerdictExit(st.Verdict)
 	}
 
 	if _, err := c.Wait(ctx, sub.Job); err != nil {
 		fmt.Fprintf(os.Stderr, "xbmc: %v\n", err)
-		return 2
+		return cli.ExitError
 	}
 	pr, err := c.DirResult(ctx, sub.Job)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "xbmc: %v\n", err)
-		return 2
+		return cli.ExitError
 	}
 	if ndjson {
 		// Per-file lines came from the daemon's stream; close with the
@@ -605,39 +473,5 @@ func runRemoteDir(ctx context.Context, c *client.Client, dir, policyName, policy
 		fmt.Printf("project %s: %d file(s), %d vulnerable, %d incomplete, %d failed\n",
 			dir, len(pr.Files), pr.VulnerableFiles, pr.IncompleteFiles, len(pr.Failures))
 	}
-	return verdictExit(pr.Verdict())
-}
-
-// writeTraceFile dumps the collected spans as Chrome trace-event JSON.
-func writeTraceFile(path string, tel *telemetry.Telemetry) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tel.Tracer.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// resolvePolicy turns the -policy argument into its compiled form plus
-// the wire fields a remote submission carries: a readable file is a
-// policy JSON declaration, anything else must name a built-in policy.
-func resolvePolicy(arg string) (pc *policy.Compiled, name, policyJSON string, err error) {
-	if arg == "" {
-		return nil, "", "", nil
-	}
-	if data, rerr := os.ReadFile(arg); rerr == nil {
-		pc, err = policy.LoadJSON(arg, data)
-		if err != nil {
-			return nil, "", "", err
-		}
-		return pc, pc.Name(), string(data), nil
-	}
-	pc, err = policy.Lookup(arg)
-	if err != nil {
-		return nil, "", "", err
-	}
-	return pc, arg, "", nil
+	return cli.VerdictExit(pr.Verdict())
 }

@@ -2,10 +2,14 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -53,6 +57,10 @@ func TestVerifyDefaultStage(t *testing.T) {
 	}
 	if code := run([]string{writePHP(t, `<?php echo 'ok';`)}); code != 0 {
 		t.Fatalf("safe: exit = %d, want 0", code)
+	}
+	// Parse errors leave part of the model unverified: no safety claim.
+	if code := run([]string{writePHP(t, `<?php $x = ; } } if (`)}); code != 3 {
+		t.Fatalf("parse errors: exit = %d, want 3", code)
 	}
 }
 
@@ -147,25 +155,91 @@ func TestDirectoryRejectsStageFlags(t *testing.T) {
 	}
 }
 
-// captureStdout runs fn with os.Stdout redirected to a pipe and returns
-// what it wrote.
-func captureStdout(t *testing.T, fn func()) string {
+// capture runs fn with *stream (os.Stdout or os.Stderr) redirected to a
+// pipe and returns what it wrote.
+func capture(t *testing.T, stream **os.File, fn func()) string {
 	t.Helper()
-	old := os.Stdout
+	old := *stream
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	os.Stdout = w
+	*stream = w
 	done := make(chan string, 1)
 	go func() {
 		data, _ := io.ReadAll(r)
 		done <- string(data)
 	}()
 	fn()
-	os.Stdout = old
+	*stream = old
 	w.Close()
 	return <-done
+}
+
+// captureStdout runs fn with os.Stdout redirected and returns what it
+// wrote.
+func captureStdout(t *testing.T, fn func()) string {
+	t.Helper()
+	return capture(t, &os.Stdout, fn)
+}
+
+// TestSingleFileGolden pins single-file stdout and exit codes over
+// examples/php under every built-in policy, plus the expired-deadline
+// path. testdata/single_file.golden holds one section per case: a
+// "=== <flags> <file>" header, an "exit N" line, then the stdout.
+func TestSingleFileGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/single_file.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob("../../examples/php/*.php")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no example files: %v", err)
+	}
+	var cases [][]string
+	for _, pol := range []string{"default", "xss-context", "ssrf"} {
+		for _, f := range files {
+			cases = append(cases, []string{"-policy", pol, f})
+		}
+	}
+	cases = append(cases, []string{"-timeout", "1ns", "../../examples/php/guestbook.php"})
+	var got strings.Builder
+	for _, args := range cases {
+		var code int
+		out := captureStdout(t, func() { code = run(args) })
+		fmt.Fprintf(&got, "=== %s\nexit %d\n%s", strings.Join(args, " "), code, out)
+	}
+	if got.String() == string(want) {
+		return
+	}
+	wantSecs := strings.Split(string(want), "=== ")
+	gotSecs := strings.Split(got.String(), "=== ")
+	for i := range gotSecs {
+		if i >= len(wantSecs) || gotSecs[i] != wantSecs[i] {
+			w := ""
+			if i < len(wantSecs) {
+				w = wantSecs[i]
+			}
+			t.Fatalf("section %d differs from the golden:\n got: %s\nwant: %s", i, gotSecs[i], w)
+		}
+	}
+	t.Fatalf("got %d sections, golden has %d", len(gotSecs), len(wantSecs))
+}
+
+// TestVerboseProfilesLowerStage checks single-file -v prints the run
+// profile, including the IR lowering stage.
+func TestVerboseProfilesLowerStage(t *testing.T) {
+	path := writePHP(t, vulnSrc)
+	var code int
+	stderr := capture(t, &os.Stderr, func() { code = run([]string{"-v", path}) })
+	if code != 1 {
+		t.Fatalf("exit = %d, want 1", code)
+	}
+	for _, want := range []string{"stage lower", "assert_0: encode"} {
+		if !strings.Contains(stderr, want) {
+			t.Errorf("-v stderr lacks %q:\n%s", want, stderr)
+		}
+	}
 }
 
 // TestNDJSONDirectoryMode checks -ndjson: one JSON line per file, then a
@@ -260,5 +334,34 @@ func TestVersionFlag(t *testing.T) {
 	})
 	if !strings.HasPrefix(out, "xbmc ") {
 		t.Fatalf("-version banner: %q", out)
+	}
+}
+
+// TestRemoteSendsSolverSpec checks -remote carries the whole solver
+// configuration on file and directory submissions. The fake daemon
+// records each body and rejects the job, so xbmc exits 2.
+func TestRemoteSendsSolverSpec(t *testing.T) {
+	bodies := map[string]string{}
+	var mu sync.Mutex
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		data, _ := io.ReadAll(r.Body)
+		mu.Lock()
+		bodies[r.URL.Path] = string(data)
+		mu.Unlock()
+		http.Error(w, `{"schema":"v1","error":"recorded"}`, http.StatusBadRequest)
+	}))
+	defer srv.Close()
+
+	for _, target := range []string{writePHP(t, vulnSrc), t.TempDir()} {
+		if code := run([]string{"-remote", srv.URL, "-max-conflicts", "7", target}); code != 2 {
+			t.Fatalf("%s: exit = %d, want 2 from the rejecting daemon", target, code)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, path := range []string{"/v1/files", "/v1/dirs"} {
+		if !strings.Contains(bodies[path], `"solver":{"max_conflicts":7}`) {
+			t.Errorf("%s body lacks the solver spec: %s", path, bodies[path])
+		}
 	}
 }

@@ -34,6 +34,12 @@ func (s *SolverProfile) Add(o SolverProfile) {
 	}
 }
 
+// String renders the effort in the format of sat.Stats.String.
+func (s SolverProfile) String() string {
+	return fmt.Sprintf("decisions=%d propagations=%d conflicts=%d restarts=%d learnt=%d deleted=%d minimized=%d",
+		s.Decisions, s.Propagations, s.Conflicts, s.Restarts, s.LearntClauses, s.DeletedClauses, s.MinimizedLits)
+}
+
 // AssertProfile is the per-assertion slice of a RunProfile: encoding
 // size, stage wall time, and the solver's search effort — the
 // observability counterpart of the per-assertion lines in the xbmc CLI.
