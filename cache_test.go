@@ -20,7 +20,7 @@ func TestPatchReusesCompileCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.CacheHit {
+	if rep.Profile.CacheHit {
 		t.Fatal("first Verify on a cold cache reported a cache hit")
 	}
 	if hits, misses := webssari.CompileCacheStats(); hits != 0 || misses != 1 {
@@ -31,7 +31,7 @@ func TestPatchReusesCompileCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !prep.CacheHit {
+	if !prep.Profile.CacheHit {
 		t.Fatal("Patch after Verify recompiled instead of hitting the compile cache")
 	}
 	if hits, misses := webssari.CompileCacheStats(); hits != 1 || misses != 1 {
@@ -63,7 +63,7 @@ func TestCompileCacheKeyedByOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.CacheHit {
+	if !rep.Profile.CacheHit {
 		t.Fatal("identical (source, options) pair missed the cache")
 	}
 }
@@ -97,7 +97,7 @@ func TestCompileCacheIncludeInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.CacheHit {
+	if rep.Profile.CacheHit {
 		t.Fatal("stale cache hit: edited include was not revalidated")
 	}
 	if rep.Verdict != webssari.VerdictUnsafe {
@@ -118,7 +118,7 @@ func TestCompileCacheIncludeInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.CacheHit {
+	if rep.Profile.CacheHit {
 		t.Fatal("stale cache hit: include that newly appeared on disk was not re-probed")
 	}
 	if rep.Verdict != webssari.VerdictUnsafe {

@@ -190,18 +190,7 @@ func verifyDirIncremental(ctx context.Context, dir string, snap incremental.Snap
 	}
 	if pr.Profile != nil {
 		inc.ReusedAsserts = pr.Profile.ReusedAsserts
-	}
-	if pr.Profile != nil {
 		pr.Profile.Incremental = inc
-	}
-	if tel := cfg.telemetry; tel != nil && tel.Metrics != nil {
-		tel.Metrics.Counter(telemetry.MetricIncrementalPlanned).Add(int64(inc.Planned))
-		tel.Metrics.Counter(telemetry.MetricIncrementalSkipped).Add(int64(inc.Skipped))
-		tel.Metrics.Counter(telemetry.MetricIncrementalInvalidated).Add(int64(inc.Invalidated))
-		tel.Metrics.Counter(telemetry.MetricIncrementalReusedAsserts).Add(int64(inc.ReusedAsserts))
-		if inc.Full {
-			tel.Metrics.Counter(telemetry.MetricIncrementalFullRuns).Inc()
-		}
 	}
 
 	// Persist the rebuilt graph. Failures are swallowed like result-store

@@ -132,7 +132,7 @@ func TestIncrementalUnchangedRunDoesZeroWork(t *testing.T) {
 			checkedAfterCold, got)
 	}
 	for _, rep := range pr2.Files {
-		if !rep.StoreHit {
+		if !rep.Profile.StoreHit {
 			t.Fatalf("%s not served from the store on the warm run", rep.File)
 		}
 	}

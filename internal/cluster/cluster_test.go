@@ -111,7 +111,6 @@ func projectIdentity(t *testing.T, pr *webssari.ProjectReport) string {
 	cp.Profile = nil
 	cp.CacheHits, cp.CacheMisses = 0, 0
 	cp.StoreHits, cp.StoreMisses = 0, 0
-	cp.CompileWall, cp.SolveWall = 0, 0
 	files := make([]*webssari.Report, len(pr.Files))
 	for i, f := range pr.Files {
 		fc := *f

@@ -71,10 +71,12 @@ func NewCompileCache(max int) *CompileCache {
 }
 
 // Compile is the caching equivalent of the package-level Compile. The
-// third result reports whether the Program came from cache (coalesced
-// waiters count as hits). Failed compiles (nil Program) are returned to
-// every coalesced waiter but not retained.
-func (c *CompileCache) Compile(name string, src []byte, opts Options) (*Program, []error, bool) {
+// last result reports whether the Program came from cache (coalesced
+// waiters count as hits). The CompileStats are the stage timings of the
+// compile this call ran — also of a failed one — and zero on a hit.
+// Failed compiles (nil Program) are returned to every coalesced waiter
+// but not retained.
+func (c *CompileCache) Compile(name string, src []byte, opts Options) (*Program, []error, CompileStats, bool) {
 	key := cacheKey(name, src, opts)
 
 	c.mu.Lock()
@@ -95,7 +97,7 @@ func (c *CompileCache) Compile(name string, src []byte, opts Options) (*Program,
 		c.mu.Lock()
 		c.hits++
 		c.mu.Unlock()
-		return e.prog, e.errs, true
+		return e.prog, e.errs, CompileStats{}, true
 	}
 	e := &cacheEntry{key: key, ready: make(chan struct{})}
 	e.elem = c.lru.PushFront(e)
@@ -110,12 +112,13 @@ func (c *CompileCache) Compile(name string, src []byte, opts Options) (*Program,
 	}
 	c.mu.Unlock()
 
-	e.prog, e.errs = Compile(name, src, opts)
+	var stats CompileStats
+	e.prog, stats, e.errs = compile(name, src, opts)
 	close(e.ready)
 	if e.prog == nil {
 		c.remove(key, e)
 	}
-	return e.prog, e.errs, false
+	return e.prog, e.errs, stats, false
 }
 
 // remove drops the entry if it is still the one stored under key.

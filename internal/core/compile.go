@@ -66,13 +66,6 @@ type CompileStats struct {
 	ConstraintsNS int64
 }
 
-// observeStage records one stage duration into the context's stage
-// histogram (a no-op without telemetry).
-func observeStage(ctx context.Context, stage string, ns int64) {
-	telemetry.Histogram(ctx, telemetry.Name(telemetry.MetricStageSeconds, "stage", stage)).
-		Observe(float64(ns) / 1e9)
-}
-
 // Compile parses, filters, and compiles one PHP source text into a
 // Program. A panic in the parser or filter is recovered into a
 // *StageError; recoverable syntax errors are recorded on the Program
@@ -80,22 +73,29 @@ func observeStage(ctx context.Context, stage string, ns int64) {
 // them as errors. On a nil Program the error list explains why.
 //
 // Each stage is timed into the Program's CompileStats and, when opts.Ctx
-// carries a Telemetry, emitted as a trace span and histogram sample.
+// carries a Telemetry, emitted as a trace span.
 func Compile(name string, src []byte, opts Options) (*Program, []error) {
+	p, _, errs := compile(name, src, opts)
+	return p, errs
+}
+
+// compile is Compile that also returns the stage timings on failure:
+// the stages that ran before the failing one keep their wall times.
+func compile(name string, src []byte, opts Options) (*Program, CompileStats, []error) {
 	ctx := opts.context()
 
 	var (
 		parsed *parser.Result
 		errs   []error
+		stats  CompileStats
 	)
 	start := time.Now()
 	_, sp := telemetry.StartSpan(ctx, "parse", "file", name)
 	err := guard("parse", func() { parsed = parser.Parse(name, src) })
 	sp.End()
-	parseNS := time.Since(start).Nanoseconds()
-	observeStage(ctx, "parse", parseNS)
+	stats.ParseNS = time.Since(start).Nanoseconds()
 	if err != nil {
-		return nil, []error{err}
+		return nil, stats, []error{err}
 	}
 	errs = append(errs, parsed.Errs...)
 
@@ -107,13 +107,12 @@ func Compile(name string, src []byte, opts Options) (*Program, []error) {
 	_, sp = telemetry.StartSpan(ctx, "lower", "file", name)
 	err = guard("lower", func() { unit, lowerErr = ir.Lower(parsed.File) })
 	sp.End()
-	lowerNS := time.Since(start).Nanoseconds()
-	observeStage(ctx, "lower", lowerNS)
+	stats.LowerNS = time.Since(start).Nanoseconds()
 	if err != nil {
-		return nil, append([]error{err}, errs...)
+		return nil, stats, append([]error{err}, errs...)
 	}
 	if lowerErr != nil {
-		return nil, append([]error{lowerErr}, errs...)
+		return nil, stats, append([]error{lowerErr}, errs...)
 	}
 
 	var (
@@ -124,27 +123,23 @@ func Compile(name string, src []byte, opts Options) (*Program, []error) {
 	_, sp = telemetry.StartSpan(ctx, "flow", "file", name)
 	err = guard("flow", func() { prog, buildErr = flow.BuildUnit(unit, opts.Flow) })
 	sp.End()
-	flowNS := time.Since(start).Nanoseconds()
-	observeStage(ctx, "flow", flowNS)
+	stats.FlowNS = time.Since(start).Nanoseconds()
 	if err != nil {
-		return nil, append([]error{err}, errs...)
+		return nil, stats, append([]error{err}, errs...)
 	}
 	if buildErr != nil {
-		return nil, append([]error{buildErr}, errs...)
+		return nil, stats, append([]error{buildErr}, errs...)
 	}
 
-	p, cerr := compileAI(ctx, prog)
+	p, cerr := compileAI(ctx, prog, &stats)
 	if cerr != nil {
-		return nil, append(errs, cerr)
+		return nil, stats, append(errs, cerr)
 	}
 	p.Unit = unit
-	p.Stats.ParseNS = parseNS
-	p.Stats.LowerNS = lowerNS
-	p.Stats.FlowNS = flowNS
 	for _, perr := range parsed.Errs {
 		p.ParseErrors = append(p.ParseErrors, perr.Error())
 	}
-	return p, errs
+	return p, stats, errs
 }
 
 // CompileFile compiles an already-parsed file.
@@ -154,8 +149,8 @@ func CompileFile(file *ast.File, opts Options) (*Program, error) {
 	_, sp := telemetry.StartSpan(ctx, "lower")
 	unit, err := ir.Lower(file)
 	sp.End()
-	lowerNS := time.Since(start).Nanoseconds()
-	observeStage(ctx, "lower", lowerNS)
+	var stats CompileStats
+	stats.LowerNS = time.Since(start).Nanoseconds()
 	if err != nil {
 		return nil, err
 	}
@@ -163,18 +158,15 @@ func CompileFile(file *ast.File, opts Options) (*Program, error) {
 	_, sp = telemetry.StartSpan(ctx, "flow")
 	prog, err := flow.BuildUnit(unit, opts.Flow)
 	sp.End()
-	flowNS := time.Since(start).Nanoseconds()
-	observeStage(ctx, "flow", flowNS)
+	stats.FlowNS = time.Since(start).Nanoseconds()
 	if err != nil {
 		return nil, err
 	}
-	p, err := compileAI(ctx, prog)
+	p, err := compileAI(ctx, prog, &stats)
 	if err != nil {
 		return nil, err
 	}
 	p.Unit = unit
-	p.Stats.LowerNS = lowerNS
-	p.Stats.FlowNS = flowNS
 	return p, nil
 }
 
@@ -182,14 +174,15 @@ func CompileFile(file *ast.File, opts Options) (*Program, error) {
 // generation — over an existing abstract interpretation. A panic is
 // recovered into a *StageError.
 func CompileAI(prog *ai.Program) (*Program, error) {
-	return compileAI(context.Background(), prog)
+	return compileAI(context.Background(), prog, &CompileStats{})
 }
 
-func compileAI(ctx context.Context, prog *ai.Program) (*Program, error) {
+// compileAI records the rename and constraints stages into stats, which
+// becomes the returned Program's Stats.
+func compileAI(ctx context.Context, prog *ai.Program, stats *CompileStats) (*Program, error) {
 	var (
-		ren   *rename.Program
-		sys   *constraint.System
-		stats CompileStats
+		ren *rename.Program
+		sys *constraint.System
 	)
 	if err := guard("constraint", func() {
 		start := time.Now()
@@ -197,16 +190,14 @@ func compileAI(ctx context.Context, prog *ai.Program) (*Program, error) {
 		ren = rename.Rename(prog)
 		sp.End()
 		stats.RenameNS = time.Since(start).Nanoseconds()
-		observeStage(ctx, "rename", stats.RenameNS)
 
 		start = time.Now()
 		_, sp = telemetry.StartSpan(ctx, "constraints")
 		sys = constraint.Build(ren)
 		sp.End()
 		stats.ConstraintsNS = time.Since(start).Nanoseconds()
-		observeStage(ctx, "constraints", stats.ConstraintsNS)
 	}); err != nil {
 		return nil, err
 	}
-	return &Program{AI: prog, Renamed: ren, System: sys, Stats: stats}, nil
+	return &Program{AI: prog, Renamed: ren, System: sys, Stats: *stats}, nil
 }

@@ -287,7 +287,11 @@ type AssertResult struct {
 	// SolverStats aggregates the SAT search effort for this assertion.
 	SolverStats sat.Stats
 	// EncodeTime and SearchTime split this assertion's wall time between
-	// CNF encoding and the SAT enumeration loop.
+	// CNF encoding and the SAT enumeration loop. Each is zero when its
+	// step never ran: no encode for an assertion skipped at the deadline,
+	// reused, or faulted; no search for one the encoder decided. In
+	// shared mode the single whole-program encoding is charged to
+	// assertion 0.
 	EncodeTime time.Duration
 	SearchTime time.Duration
 	// Reused is set when the assertion was not solved at all: its check

@@ -186,3 +186,28 @@ func TestPoolAcquireRespectsContext(t *testing.T) {
 		t.Fatal("TryAcquire failed on a free pool")
 	}
 }
+
+// TestPoolPeakNeverExceedsCapacity: a slot is counted in use only while
+// it is held, so the in-use high-water mark stays within capacity when
+// a release and the next acquire race.
+func TestPoolPeakNeverExceedsCapacity(t *testing.T) {
+	pool := NewPool(1)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				if err := pool.Acquire(context.Background()); err != nil {
+					t.Error(err)
+					return
+				}
+				pool.Release()
+			}
+		}()
+	}
+	wg.Wait()
+	if got := pool.Snapshot().MaxInUse; got > 1 {
+		t.Errorf("peak in use = %d on a 1-slot pool", got)
+	}
+}

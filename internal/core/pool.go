@@ -110,10 +110,12 @@ func (p *Pool) TryAcquire() bool {
 	}
 }
 
-// Release returns a slot taken by Acquire or TryAcquire.
+// Release returns a slot taken by Acquire or TryAcquire. The slot leaves
+// the in-use count before it is freed, so the next acquire can never
+// count it twice and MaxInUse stays within Cap.
 func (p *Pool) Release() {
-	<-p.sem
 	p.gInUse.Set(p.inUse.Add(-1))
+	<-p.sem
 }
 
 // Cap returns the pool's slot count.

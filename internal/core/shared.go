@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"time"
 
 	"webssari/internal/ai"
 	"webssari/internal/cnf"
@@ -67,7 +68,14 @@ func SolveShared(ctx context.Context, p *Program, opts Options) (*Result, error)
 	ctx, ssp := telemetry.StartSpan(ctx, "solve_shared", "asserts", len(sys.Checks))
 	defer ssp.End()
 
+	// The one whole-program encoding is charged to assertion 0, and each
+	// assertion's enumeration is its search, so the profile counts one
+	// encode and one search per searched assertion.
+	encStart := time.Now()
+	_, esp := telemetry.StartSpan(ctx, "encode")
 	encoded := cnf.EncodeAllChecks(sys, opts.cnfOptions())
+	esp.End()
+	encodeTime := time.Since(encStart)
 	sopts := opts.Solver
 	sopts.Interrupt = interruptFor(ctx, opts.Solver.Interrupt)
 	solver := sat.NewWith(sopts)
@@ -102,13 +110,19 @@ func SolveShared(ctx context.Context, p *Program, opts Options) (*Result, error)
 			ar.Cause = CauseDeadline
 			continue
 		}
-		if err := enumerateShared(sys, encoded, solver, i, opts, ar); err != nil {
+		searchStart := time.Now()
+		_, srsp := telemetry.StartSpan(ctx, "search", "index", i)
+		err := enumerateShared(sys, encoded, solver, i, opts, ar)
+		srsp.End()
+		ar.SearchTime = time.Since(searchStart)
+		if err != nil {
 			return res, err
 		}
 		sortCounterexamples(ar)
 	}
-
-	recordSolveMetrics(ctx, res)
+	if len(res.PerAssert) > 0 {
+		res.PerAssert[0].EncodeTime = encodeTime
+	}
 	return res, nil
 }
 

@@ -166,36 +166,7 @@ func Solve(ctx context.Context, p *Program, opts Options) *Result {
 		res.Warnings = append(res.Warnings, fmt.Sprintf(
 			"deadline expired before assert_%d: %d assertion(s) unchecked", firstSkipped, skippedCount))
 	}
-	recordSolveMetrics(ctx, res)
 	return res
-}
-
-// recordSolveMetrics rolls one Result's counters into the context's
-// metrics registry. Called once per Solve, from the (single-threaded)
-// assembly path, so the per-assertion hot loops stay metric-free.
-func recordSolveMetrics(ctx context.Context, res *Result) {
-	reg := telemetry.From(ctx)
-	if reg == nil || reg.Metrics == nil {
-		return
-	}
-	m := reg.Metrics
-	var agg sat.Stats
-	var cexs int64
-	for _, ar := range res.PerAssert {
-		agg.Add(ar.SolverStats)
-		cexs += int64(len(ar.Counterexamples))
-		if ar.Unknown {
-			m.Counter(telemetry.Name(telemetry.MetricDegraded, "cause", telemetry.CauseLabel(ar.Cause))).Inc()
-		}
-	}
-	m.Counter(telemetry.MetricAssertionsChecked).Add(int64(len(res.PerAssert)))
-	m.Counter(telemetry.MetricCounterexamples).Add(cexs)
-	m.Counter(telemetry.MetricSolverDecisions).Add(int64(agg.Decisions))
-	m.Counter(telemetry.MetricSolverPropagations).Add(int64(agg.Propagations))
-	m.Counter(telemetry.MetricSolverConflicts).Add(int64(agg.Conflicts))
-	m.Counter(telemetry.MetricSolverRestarts).Add(int64(agg.Restarts))
-	m.Counter(telemetry.MetricSolverLearnt).Add(int64(agg.LearntClauses))
-	m.Counter(telemetry.MetricSolverDeleted).Add(int64(agg.DeletedClauses))
 }
 
 // extraWorkers decides how many goroutines to add beside the calling one
@@ -256,7 +227,6 @@ func checkAssertion(ctx context.Context, sys *constraint.System, idx int, opts O
 	encoded, err := cnf.EncodeCheck(sys, idx, opts.cnfOptions())
 	esp.End()
 	ar.EncodeTime = time.Since(encStart)
-	observeStage(ctx, "encode", ar.EncodeTime.Nanoseconds())
 	var lim *cnf.LimitError
 	if errors.As(err, &lim) {
 		ar.Unknown = true
@@ -298,7 +268,6 @@ func enumerateAssert(ctx context.Context, sys *constraint.System, idx int, encod
 	defer func() {
 		srsp.End()
 		ar.SearchTime = time.Since(searchStart)
-		observeStage(ctx, "search", ar.SearchTime.Nanoseconds())
 		sortCounterexamples(ar)
 	}()
 

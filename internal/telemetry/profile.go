@@ -163,6 +163,9 @@ type RunProfile struct {
 	// result store (tier 2): nothing was compiled or solved, so such a
 	// profile has no stage or solver data.
 	StoreHit bool `json:"store_hit,omitempty"`
+	// Failed is set on the per-file profile of a file whose front end
+	// failed: no report carries it, only the metrics roll-up counts it.
+	Failed bool `json:"-"`
 	// Stages holds finer-grained per-stage wall times (parse, lower,
 	// flow, rename, constraints, encode, search), sorted by name.
 	Stages []StageProfile `json:"stages,omitempty"`
@@ -211,9 +214,14 @@ func (p *RunProfile) SolveWall() time.Duration {
 	return time.Duration(p.SolveWallNS)
 }
 
-// AddStage accumulates d into the named stage.
+// AddStage accumulates d into the named stage. A zero d means the stage
+// never ran (a compile-cache hit, an assertion skipped at the deadline or
+// decided by the encoder) and is not counted, so the stage table agrees
+// with the trace's spans.
 func (p *RunProfile) AddStage(name string, d time.Duration) {
-	p.addStage(name, d.Nanoseconds(), 1)
+	if d > 0 {
+		p.addStage(name, d.Nanoseconds(), 1)
+	}
 }
 
 func (p *RunProfile) addStage(name string, wallNS, count int64) {
@@ -273,6 +281,71 @@ func (p *RunProfile) Merge(o *RunProfile) {
 		}
 		p.Degraded[cause] += n
 	}
+}
+
+// Record rolls a finished profile into r's series; it is the only writer
+// of the engine's verification metrics. A per-file profile adds the file,
+// assertion, counterexample, solver and degradation counters and its
+// stage samples: one per front-end stage, and one encode and one search
+// sample per assertion whose encoder and search ran. A project profile
+// (one with a Cache section) adds only the compile-cache and incremental
+// series, since its files were recorded as each one finished. A nil
+// registry or profile records nothing and allocates nothing.
+func (r *Registry) Record(p *RunProfile) {
+	if r == nil || p == nil {
+		return
+	}
+	if c := p.Cache; c != nil {
+		r.Counter(MetricCacheHits).Add(c.Hits)
+		r.Counter(MetricCacheMisses).Add(c.Misses)
+		r.Counter(MetricCacheEvictions).Add(c.Evictions)
+		r.Counter(MetricCacheStale).Add(c.Stale)
+		r.Gauge(MetricCacheEntries).Set(int64(c.Entries))
+		if inc := p.Incremental; inc != nil {
+			r.Counter(MetricIncrementalPlanned).Add(int64(inc.Planned))
+			r.Counter(MetricIncrementalSkipped).Add(int64(inc.Skipped))
+			r.Counter(MetricIncrementalInvalidated).Add(int64(inc.Invalidated))
+			r.Counter(MetricIncrementalReusedAsserts).Add(int64(inc.ReusedAsserts))
+			if inc.Full {
+				r.Counter(MetricIncrementalFullRuns).Inc()
+			}
+		}
+		return
+	}
+	stage := func(name string, ns int64) {
+		r.Histogram(Name(MetricStageSeconds, "stage", name), nil).Observe(float64(ns) / 1e9)
+	}
+	for _, st := range p.Stages {
+		if st.Name != "encode" && st.Name != "search" {
+			stage(st.Name, st.WallNS)
+		}
+	}
+	if p.Failed {
+		r.Counter(MetricFilesFailed).Inc()
+		return
+	}
+	var cexs int64
+	for _, a := range p.Assertions {
+		if a.EncodeNS > 0 {
+			stage("encode", a.EncodeNS)
+		}
+		if a.SearchNS > 0 {
+			stage("search", a.SearchNS)
+		}
+		cexs += int64(a.Counterexamples)
+	}
+	for cause, n := range p.Degraded {
+		r.Counter(Name(MetricDegraded, "cause", cause)).Add(n)
+	}
+	r.Counter(MetricAssertionsChecked).Add(int64(len(p.Assertions)))
+	r.Counter(MetricCounterexamples).Add(cexs)
+	r.Counter(MetricSolverDecisions).Add(int64(p.Solver.Decisions))
+	r.Counter(MetricSolverPropagations).Add(int64(p.Solver.Propagations))
+	r.Counter(MetricSolverConflicts).Add(int64(p.Solver.Conflicts))
+	r.Counter(MetricSolverRestarts).Add(int64(p.Solver.Restarts))
+	r.Counter(MetricSolverLearnt).Add(int64(p.Solver.LearntClauses))
+	r.Counter(MetricSolverDeleted).Add(int64(p.Solver.DeletedClauses))
+	r.Counter(MetricFilesVerified).Inc()
 }
 
 // String renders a compact single-audience summary — what the CLIs print

@@ -5,9 +5,9 @@
 //
 // The package is deliberately zero-dependency (stdlib only) and designed
 // so that an *uninstrumented* run pays nothing: every method on every
-// type is nil-safe, a context without a Telemetry yields nil spans and
-// nil metrics, and the hot-path cost of a disabled site is a single
-// pointer comparison. Instrumented call sites therefore never need to be
+// type is nil-safe, a context without a Telemetry yields nil spans, a nil
+// Registry records nothing, and the hot-path cost of a disabled site is a
+// single pointer comparison. Instrumented call sites therefore never need to be
 // guarded:
 //
 //	ctx, sp := telemetry.StartSpan(ctx, "parse")
@@ -44,15 +44,6 @@ func New() *Telemetry {
 	return &Telemetry{Metrics: NewRegistry(), Tracer: NewTracer()}
 }
 
-// Registry returns t's metrics registry, nil-safe: metric lookups on a
-// nil registry return nil metrics whose methods are no-ops.
-func (t *Telemetry) registry() *Registry {
-	if t == nil {
-		return nil
-	}
-	return t.Metrics
-}
-
 // ctxKey is the private context-key namespace.
 type ctxKey int
 
@@ -74,28 +65,11 @@ func WithTelemetry(ctx context.Context, t *Telemetry) context.Context {
 }
 
 // From returns the Telemetry carried by ctx, or nil. The nil result is
-// directly usable: spans and metrics derived from it are no-ops.
+// directly usable: spans derived from it are no-ops.
 func From(ctx context.Context) *Telemetry {
 	if ctx == nil {
 		return nil
 	}
 	t, _ := ctx.Value(telemetryKey).(*Telemetry)
 	return t
-}
-
-// Counter resolves a named counter from the context's telemetry, or nil
-// (a no-op counter) when none is attached.
-func Counter(ctx context.Context, name string) *CounterMetric {
-	return From(ctx).registry().Counter(name)
-}
-
-// Gauge resolves a named gauge from the context's telemetry, or nil.
-func Gauge(ctx context.Context, name string) *GaugeMetric {
-	return From(ctx).registry().Gauge(name)
-}
-
-// Histogram resolves a named histogram (with duration buckets) from the
-// context's telemetry, or nil.
-func Histogram(ctx context.Context, name string) *HistogramMetric {
-	return From(ctx).registry().Histogram(name, nil)
 }

@@ -178,10 +178,9 @@ func TestNilSafety(t *testing.T) {
 	if d := sp.Duration(); d != 0 {
 		t.Errorf("nil span duration = %v", d)
 	}
-	Counter(ctx, "c").Inc()
-	Gauge(ctx, "g").Set(3)
-	Histogram(ctx, "h").Observe(1)
 	var reg *Registry
+	reg.Record(&RunProfile{Stages: []StageProfile{{Name: "parse", WallNS: 1, Count: 1}}})
+	NewRegistry().Record(nil)
 	if reg.Counter("c") != nil || reg.Gauge("g") != nil || reg.Histogram("h", nil) != nil {
 		t.Errorf("nil registry returned a live metric")
 	}
@@ -199,13 +198,20 @@ func TestNilSafety(t *testing.T) {
 }
 
 // TestDisabledFastPathAllocs pins the uninstrumented cost: resolving
-// spans and metrics from a bare context must not allocate.
+// spans from a bare context and rolling a profile into a nil registry
+// must not allocate.
 func TestDisabledFastPathAllocs(t *testing.T) {
 	ctx := context.Background()
+	prof := &RunProfile{
+		Stages:     []StageProfile{{Name: "parse", WallNS: 1, Count: 1}},
+		Assertions: []AssertProfile{{EncodeNS: 1, SearchNS: 1, Counterexamples: 1}},
+		Degraded:   map[string]int64{"deadline": 1},
+	}
+	var reg *Registry
 	allocs := testing.AllocsPerRun(100, func() {
 		_, sp := StartSpan(ctx, "parse")
 		sp.End()
-		Counter(ctx, MetricFilesVerified).Inc()
+		reg.Record(prof)
 	})
 	if allocs != 0 {
 		t.Errorf("disabled telemetry allocates %.1f per op, want 0", allocs)
@@ -295,6 +301,71 @@ func TestNameRoundTrip(t *testing.T) {
 	}
 	if CauseLabel("") != "unknown" {
 		t.Errorf("CauseLabel empty = %q", CauseLabel(""))
+	}
+}
+
+// TestRecordRollsUpProfile maps a per-file and a project profile onto
+// the engine's series: every counter, each stage sample, and the split
+// between the per-file and the project sections.
+func TestRecordRollsUpProfile(t *testing.T) {
+	reg := NewRegistry()
+	file := &RunProfile{
+		Stages: []StageProfile{
+			{Name: "encode", WallNS: 99, Count: 3},
+			{Name: "parse", WallNS: 2e6, Count: 1},
+			{Name: "search", WallNS: 99, Count: 1},
+		},
+		Solver: SolverProfile{Decisions: 5, Propagations: 6, Conflicts: 7, Restarts: 1, LearntClauses: 2, DeletedClauses: 3},
+		Assertions: []AssertProfile{
+			{EncodeNS: 10, SearchNS: 20, Counterexamples: 2},
+			{EncodeNS: 10},  // decided by the encoder: no search
+			{Unknown: true}, // skipped at the deadline: no encode
+			{Reused: true},  // reused: neither
+			{EncodeNS: 10, SearchNS: 5, Counterexamples: 1},
+		},
+		Degraded: map[string]int64{"deadline": 1},
+	}
+	reg.Record(file)
+	reg.Record(&RunProfile{Failed: true, Stages: []StageProfile{{Name: "parse", WallNS: 1, Count: 1}}})
+	reg.Record(&RunProfile{
+		Files:       2,
+		Stages:      []StageProfile{{Name: "parse", WallNS: 1, Count: 2}},
+		Cache:       &CacheProfile{Hits: 1, Misses: 2, Evictions: 3, Stale: 4, Entries: 5},
+		Incremental: &IncrementalProfile{Planned: 2, Skipped: 3, Invalidated: 1, Full: true, ReusedAsserts: 4},
+	})
+	snap := reg.Snapshot()
+	for name, want := range map[string]float64{
+		MetricFilesVerified:                                  1,
+		MetricFilesFailed:                                    1,
+		MetricAssertionsChecked:                              5,
+		MetricCounterexamples:                                3,
+		MetricSolverDecisions:                                5,
+		MetricSolverPropagations:                             6,
+		MetricSolverConflicts:                                7,
+		MetricSolverRestarts:                                 1,
+		MetricSolverLearnt:                                   2,
+		MetricSolverDeleted:                                  3,
+		Name(MetricDegraded, "cause", "deadline"):            1,
+		Name(MetricStageSeconds+"_count", "stage", "parse"):  2,
+		Name(MetricStageSeconds+"_count", "stage", "encode"): 3,
+		Name(MetricStageSeconds+"_count", "stage", "search"): 2,
+		MetricCacheHits:                                      1,
+		MetricCacheMisses:                                    2,
+		MetricCacheEvictions:                                 3,
+		MetricCacheStale:                                     4,
+		MetricCacheEntries:                                   5,
+		MetricIncrementalPlanned:                             2,
+		MetricIncrementalSkipped:                             3,
+		MetricIncrementalInvalidated:                         1,
+		MetricIncrementalReusedAsserts:                       4,
+		MetricIncrementalFullRuns:                            1,
+	} {
+		if snap[name] != want {
+			t.Errorf("%s = %v, want %v", name, snap[name], want)
+		}
+	}
+	if got, want := snap[Name(MetricStageSeconds+"_sum", "stage", "search")], 25e-9; got != want {
+		t.Errorf("search seconds = %v, want %v (per-assertion samples, not the stage row)", got, want)
 	}
 }
 

@@ -222,7 +222,7 @@ func TestPolicyKeysCaches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.CacheHit {
+	if !rep.Profile.CacheHit {
 		t.Fatal("identical (source, policy) pair missed the compile cache")
 	}
 
@@ -238,7 +238,7 @@ func TestPolicyKeysCaches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.StoreHit {
+	if rep.Profile.StoreHit {
 		t.Fatal("a different policy was served the stored verdict")
 	}
 	if rep.Safe {

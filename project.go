@@ -10,7 +10,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"webssari/internal/core"
 	"webssari/internal/incremental"
@@ -69,11 +68,6 @@ type ProjectReport struct {
 	// worker-pool sections. Like the per-file profiles, its wall-clock
 	// fields are the one nondeterministic part of the report.
 	Profile *RunProfile `json:"profile,omitempty"`
-	// CompileWall and SolveWall are views over Profile: the summed
-	// per-file stage wall-clock times. Excluded from JSON — the same
-	// values marshal under "profile".
-	CompileWall time.Duration `json:"-"`
-	SolveWall   time.Duration `json:"-"`
 }
 
 // Safe reports whether every file verified safe: no vulnerable files, no
@@ -122,10 +116,20 @@ func VerifyDirContext(ctx context.Context, dir string, opts ...Option) (*Project
 	if err != nil {
 		return nil, fmt.Errorf("webssari: walking %s: %w", dir, err)
 	}
-	if cfg, err := buildConfig(opts); err == nil && cfg.incremental && cfg.resultStore != nil {
-		return verifyDirIncremental(ctx, dir, snap, walkFails, opts, cfg)
+	cfg, cerr := buildConfig(opts)
+	var pr *ProjectReport
+	if cerr == nil && cfg.incremental && cfg.resultStore != nil {
+		pr, err = verifyDirIncremental(ctx, dir, snap, walkFails, opts, cfg)
+	} else {
+		pr, err = verifyDirFiles(ctx, dir, snap, walkFails, nil, opts)
 	}
-	return verifyDirFiles(ctx, dir, snap, walkFails, nil, opts)
+	if err != nil {
+		return nil, err
+	}
+	if cerr == nil {
+		cfg.metrics().Record(pr.Profile)
+	}
+	return pr, nil
 }
 
 // snapshotDir walks dir collecting every .php entry file's stat
@@ -300,16 +304,15 @@ func verifyDirFiles(ctx context.Context, dir string, snap incremental.Snapshot, 
 		pr.Files = append(pr.Files, rep)
 		pr.Symptoms += rep.Symptoms
 		pr.Groups += rep.Groups
-		pr.CompileWall += rep.CompileTime
-		pr.SolveWall += rep.SolveTime
 		prof.Merge(rep.Profile)
-		if rep.StoreHit {
+		// A FileVerifier's report may carry no profile: count it a miss.
+		if rep.Profile != nil && rep.Profile.StoreHit {
 			pr.StoreHits++
 		} else {
 			if hasStore {
 				pr.StoreMisses++
 			}
-			if rep.CacheHit {
+			if rep.Profile != nil && rep.Profile.CacheHit {
 				pr.CacheHits++
 			} else {
 				pr.CacheMisses++
@@ -335,13 +338,5 @@ func verifyDirFiles(ctx context.Context, dir string, snap incremental.Snapshot, 
 	}
 	prof.Pool = pool.Snapshot()
 	pr.Profile = prof
-	if tel != nil && tel.Metrics != nil {
-		m := tel.Metrics
-		m.Counter(telemetry.MetricCacheHits).Add(prof.Cache.Hits)
-		m.Counter(telemetry.MetricCacheMisses).Add(prof.Cache.Misses)
-		m.Counter(telemetry.MetricCacheEvictions).Add(prof.Cache.Evictions)
-		m.Counter(telemetry.MetricCacheStale).Add(prof.Cache.Stale)
-		m.Gauge(telemetry.MetricCacheEntries).Set(int64(prof.Cache.Entries))
-	}
 	return pr, nil
 }

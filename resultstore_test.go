@@ -32,7 +32,7 @@ func TestResultStoreSecondTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep1.StoreHit {
+	if rep1.Profile.StoreHit {
 		t.Fatal("first verification claimed a store hit")
 	}
 	if st := s1.Stats(); st.Puts != 1 {
@@ -49,10 +49,10 @@ func TestResultStoreSecondTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep2.StoreHit {
+	if !rep2.Profile.StoreHit {
 		t.Fatal("second verification missed the store")
 	}
-	if rep2.CacheHit {
+	if rep2.Profile.CacheHit {
 		t.Fatal("store hit also claimed a compile-cache hit")
 	}
 	if st := s2.Stats(); st.Hits != 1 {
@@ -100,7 +100,7 @@ func TestResultStoreKeyedByConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.StoreHit {
+	if rep.Profile.StoreHit {
 		t.Fatal("different configuration was served the cached verdict")
 	}
 	// And a source change misses too.
@@ -108,7 +108,7 @@ func TestResultStoreKeyedByConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.StoreHit {
+	if rep.Profile.StoreHit {
 		t.Fatal("changed source was served the cached verdict")
 	}
 }
@@ -155,7 +155,7 @@ func TestResultStoreIncludeInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep1.StoreHit {
+	if rep1.Profile.StoreHit {
 		t.Fatal("first run hit")
 	}
 	// Unchanged include: the second run is a hit.
@@ -163,7 +163,7 @@ func TestResultStoreIncludeInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep2.StoreHit {
+	if !rep2.Profile.StoreHit {
 		t.Skip("include snapshot not persisted for this shape; nothing to invalidate")
 	}
 	// Edit the include: now the tainted value flows into echo.
@@ -175,7 +175,7 @@ func TestResultStoreIncludeInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep3.StoreHit {
+	if rep3.Profile.StoreHit {
 		t.Fatal("edited include served the stale verdict")
 	}
 	if st := s.Stats(); st.Stale == 0 {

@@ -209,11 +209,10 @@ func storeDecode(cfg *config, key string) (*storedEnvelope, bool) {
 }
 
 // serveStored prepares a decoded envelope's report for return: rendered
-// text restored, StoreHit marked, and a minimal fresh profile.
+// text restored and a minimal fresh profile marking the store hit.
 func serveStored(env *storedEnvelope) *Report {
 	rep := env.Report
 	rep.Text = env.Text
-	rep.StoreHit = true
 	rep.Profile = &RunProfile{StoreHit: true}
 	return rep
 }

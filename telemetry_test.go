@@ -2,12 +2,14 @@ package webssari_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"webssari"
 	"webssari/internal/telemetry"
@@ -147,7 +149,7 @@ func TestVerifyDirTelemetry(t *testing.T) {
 }
 
 // TestProfileWithoutTelemetry: profiles are built into the engine — no
-// sink required — and the compatibility views agree with them.
+// sink required.
 func TestProfileWithoutTelemetry(t *testing.T) {
 	rep, err := webssari.Verify([]byte(telemetryPages["inject.php"]), "inject.php")
 	if err != nil {
@@ -159,10 +161,6 @@ func TestProfileWithoutTelemetry(t *testing.T) {
 	if rep.Profile.CompileWallNS <= 0 || rep.Profile.SolveWallNS <= 0 {
 		t.Errorf("profile walls = %d/%d, want > 0",
 			rep.Profile.CompileWallNS, rep.Profile.SolveWallNS)
-	}
-	if rep.CompileTime != rep.Profile.CompileWall() || rep.SolveTime != rep.Profile.SolveWall() {
-		t.Errorf("compat views diverge from profile: %v/%v vs %v/%v",
-			rep.CompileTime, rep.SolveTime, rep.Profile.CompileWall(), rep.Profile.SolveWall())
 	}
 	if len(rep.Profile.Assertions) == 0 {
 		t.Error("profile has no per-assertion breakdown")
@@ -228,5 +226,108 @@ func TestHTMLReportIncludesProfile(t *testing.T) {
 		if !strings.Contains(html, want) {
 			t.Errorf("HTML report missing %q", want)
 		}
+	}
+}
+
+// stageOf returns the named stage row of a profile.
+func stageOf(p *webssari.RunProfile, name string) (telemetry.StageProfile, bool) {
+	for _, st := range p.Stages {
+		if st.Name == name {
+			return st, true
+		}
+	}
+	return telemetry.StageProfile{}, false
+}
+
+// TestDeadlineSkippedAssertionsAreNotEncoded: an assertion skipped at an
+// expired deadline never reached the encoder, so the profile counts no
+// encode for it, and neither does /metrics.
+func TestDeadlineSkippedAssertionsAreNotEncoded(t *testing.T) {
+	src, err := os.ReadFile("examples/php/guestbook.php")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tel := webssari.NewTelemetry()
+	rep, err := webssari.Verify(src, "guestbook.php",
+		webssari.WithDeadline(time.Nanosecond), webssari.WithTelemetry(tel))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(rep.Profile.Assertions)
+	if n == 0 {
+		t.Fatal("no assertions; the fixture is broken")
+	}
+	if st, ok := stageOf(rep.Profile, "encode"); ok {
+		t.Errorf("profile counts encode ×%d for assertions skipped at the deadline", st.Count)
+	}
+	if got := rep.Profile.Degraded["deadline"]; got != int64(n) {
+		t.Errorf("degraded deadline = %d, want %d (every assertion)", got, n)
+	}
+	encode := telemetry.Name(telemetry.MetricStageSeconds+"_count", "stage", "encode")
+	if got := tel.Metrics.Snapshot()[encode]; got != 0 {
+		t.Errorf("%s = %v, want 0", encode, got)
+	}
+}
+
+// TestSharedModeProfilesEncodeAndSearch: shared mode encodes the program
+// once and searches each assertion the encoder left open, and its
+// profile and /metrics say so.
+func TestSharedModeProfilesEncodeAndSearch(t *testing.T) {
+	src, err := os.ReadFile("examples/php/guestbook.php")
+	if err != nil {
+		t.Fatal(err)
+	}
+	perAssert, err := webssari.Verify(src, "guestbook.php")
+	if err != nil {
+		t.Fatal(err)
+	}
+	searched, ok := stageOf(perAssert.Profile, "search")
+	if !ok {
+		t.Fatal("per-assert run searched nothing; the fixture is broken")
+	}
+
+	tel := webssari.NewTelemetry()
+	rep, err := webssari.Verify(src, "guestbook.php", webssari.WithTelemetry(tel),
+		webssari.WithSolverConfig(webssari.SolverConfig{Mode: webssari.SolverShared}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, ok := stageOf(rep.Profile, "encode")
+	if !ok || enc.Count != 1 || enc.WallNS <= 0 {
+		t.Errorf("shared encode stage = %+v (present %v), want ×1 with a nonzero wall", enc, ok)
+	}
+	search, _ := stageOf(rep.Profile, "search")
+	if search.Count != searched.Count {
+		t.Errorf("shared search ×%d, want ×%d (the non-trivial assertions)", search.Count, searched.Count)
+	}
+	snap := tel.Metrics.Snapshot()
+	for stage, want := range map[string]int64{"encode": 1, "search": searched.Count} {
+		name := telemetry.Name(telemetry.MetricStageSeconds+"_count", "stage", stage)
+		if got := snap[name]; got != float64(want) {
+			t.Errorf("%s = %v, want %d", name, got, want)
+		}
+	}
+}
+
+// TestFileVerifierReportWithoutProfile: a FileVerifier may return
+// reports that carry no profile; the project run counts them as
+// compile-cache misses instead of failing.
+func TestFileVerifierReportWithoutProfile(t *testing.T) {
+	dir := writeTelemetryProject(t)
+	bare := func(ctx context.Context, src []byte, name string, opts ...webssari.Option) (*webssari.Report, error) {
+		rep, err := webssari.VerifyContext(ctx, src, name, opts...)
+		if rep != nil {
+			rep.Profile = nil
+		}
+		return rep, err
+	}
+	pr, err := webssari.VerifyDir(dir, webssari.WithFileVerifier(bare))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(telemetryPages)
+	if len(pr.Files) != n || pr.CacheMisses != n || pr.CacheHits != 0 {
+		t.Errorf("files %d, cache hits/misses %d/%d; want %d files, all misses",
+			len(pr.Files), pr.CacheHits, pr.CacheMisses, n)
 	}
 }

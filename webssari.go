@@ -180,18 +180,6 @@ type Report struct {
 	// are the one intentionally nondeterministic part of a report: strip
 	// Profile before comparing reports byte-for-byte across runs.
 	Profile *RunProfile `json:"profile,omitempty"`
-	// CompileTime, SolveTime, and CacheHit are views over Profile kept for
-	// compatibility: the wall-clock durations of the two engine stages and
-	// whether the front end was served from the compile cache. Excluded
-	// from JSON — the same values marshal under "profile".
-	CompileTime time.Duration `json:"-"`
-	SolveTime   time.Duration `json:"-"`
-	CacheHit    bool          `json:"-"`
-	// StoreHit is set when the whole report was served from the
-	// persistent result store (tier 2, see WithStore): nothing was
-	// compiled or solved. Like CacheHit it is a view excluded from JSON;
-	// the same fact marshals under "profile".
-	StoreHit bool `json:"-"`
 }
 
 // Option configures Verify and Patch.
@@ -599,6 +587,15 @@ func buildConfig(opts []Option) (*config, error) {
 	return c, nil
 }
 
+// metrics is the configured metrics registry, nil (recording nothing)
+// without telemetry.
+func (c *config) metrics() *telemetry.Registry {
+	if c.telemetry == nil {
+		return nil
+	}
+	return c.telemetry.Metrics
+}
+
 func (c *config) engineOptions(ctx context.Context) core.Options {
 	return core.Options{
 		Flow: flow.Options{
@@ -667,29 +664,21 @@ func CompileCacheStats() (hits, misses int64) { return defaultCompileCache.Stats
 // only affects performance and the Stats counters.
 func ResetCompileCache() { defaultCompileCache.Reset() }
 
-// analysisStats carries per-call stage timings and cache provenance from
-// runAnalysis to the Report.
-type analysisStats struct {
-	compileTime  time.Duration
-	solveTime    time.Duration
-	cacheHit     bool
-	compileStats core.CompileStats
-	solverMode   SolverMode
-}
-
 // runAnalysis drives the core pipeline — a cached Compile followed by
 // Solve — and the counterexample analysis under ctx, recovering any panic
 // that escapes a stage boundary into a structured *EngineError so a
-// single pathological input can never crash a project-wide run.
+// single pathological input can never crash a project-wide run. It
+// builds the file's RunProfile and rolls it into the metrics, also when
+// the compile fails.
 //
 // When cfg carries a Telemetry it is attached to ctx here — the single
 // point all entry paths (Verify, Patch, VerifyToHTML, VerifyDir workers)
 // funnel through — and the whole file gets a root span on a fresh trace
 // lane, under which the engine's stage spans nest.
-func runAnalysis(ctx context.Context, src []byte, name string, cfg *config) (res *core.Result, analysis *fixing.Analysis, st analysisStats, err error) {
+func runAnalysis(ctx context.Context, src []byte, name string, cfg *config) (res *core.Result, analysis *fixing.Analysis, prof *RunProfile, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			res, analysis = nil, nil
+			res, analysis, prof = nil, nil, nil
 			err = &EngineError{Stage: "analysis", File: name, Err: fmt.Errorf("panic: %v", r)}
 		}
 	}()
@@ -697,73 +686,35 @@ func runAnalysis(ctx context.Context, src []byte, name string, cfg *config) (res
 	ctx, fsp := telemetry.StartRootSpan(ctx, "verify_file", "file", name)
 	defer fsp.End()
 	eopts := cfg.engineOptions(ctx)
-	st.solverMode = cfg.solverMode
 	start := time.Now()
-	prog, errs, hit := defaultCompileCache.Compile(name, src, eopts)
-	st.compileTime = time.Since(start)
-	st.cacheHit = hit
+	prog, errs, cs, hit := defaultCompileCache.Compile(name, src, eopts)
+	prof = &RunProfile{CompileWallNS: time.Since(start).Nanoseconds(), CacheHit: hit}
+	// Only the stages this call ran count: a cache hit has zero stats, as
+	// counting another compile's work again would double-book it in
+	// project aggregates, and a failed compile stops at the failing stage.
+	prof.AddStage("parse", time.Duration(cs.ParseNS))
+	prof.AddStage("lower", time.Duration(cs.LowerNS))
+	prof.AddStage("flow", time.Duration(cs.FlowNS))
+	prof.AddStage("rename", time.Duration(cs.RenameNS))
+	prof.AddStage("constraints", time.Duration(cs.ConstraintsNS))
 	if prog == nil {
-		telemetry.Counter(ctx, telemetry.MetricFilesFailed).Inc()
-		return nil, nil, st, engineErr(name, errs)
+		prof.Failed = true
+		cfg.metrics().Record(prof)
+		return nil, nil, nil, engineErr(name, errs)
 	}
-	st.compileStats = prog.Stats
 	if hint, ok := cfg.priorHints[name]; ok {
 		eopts.KnownSafeChecks = hint.knownSafeChecks(prog)
 	}
 	start = time.Now()
 	res = core.Solve(ctx, prog, eopts)
-	st.solveTime = time.Since(start)
+	prof.SolveWallNS = time.Since(start).Nanoseconds()
 	analysis = fixing.Analyze(res)
-	telemetry.Counter(ctx, telemetry.MetricFilesVerified).Inc()
-	return res, analysis, st, nil
-}
-
-// finish stamps the stage timings, cache provenance, and the run profile
-// onto a report.
-func (st analysisStats) finish(rep *Report, res *core.Result) *Report {
-	rep.CompileTime = st.compileTime
-	rep.SolveTime = st.solveTime
-	rep.CacheHit = st.cacheHit
-	rep.Profile = st.profile(res)
-	return rep
-}
-
-// profile builds the per-file RunProfile from the run's timings and the
-// engine result's per-assertion records.
-func (st analysisStats) profile(res *core.Result) *RunProfile {
-	p := &RunProfile{
-		CompileWallNS: st.compileTime.Nanoseconds(),
-		SolveWallNS:   st.solveTime.Nanoseconds(),
-		CacheHit:      st.cacheHit,
-	}
-	if !st.cacheHit {
-		// A cache hit re-used another compile's work; counting its stage
-		// times again would double-book them in project aggregates.
-		cs := st.compileStats
-		p.AddStage("parse", time.Duration(cs.ParseNS))
-		p.AddStage("lower", time.Duration(cs.LowerNS))
-		p.AddStage("flow", time.Duration(cs.FlowNS))
-		p.AddStage("rename", time.Duration(cs.RenameNS))
-		p.AddStage("constraints", time.Duration(cs.ConstraintsNS))
-	}
-	if res == nil {
-		return p
-	}
-	if st.solverMode != "" && st.solverMode != SolverPerAssert {
-		p.SolverMode = string(st.solverMode)
+	if cfg.solverMode != "" && cfg.solverMode != SolverPerAssert {
+		prof.SolverMode = string(cfg.solverMode)
 	}
 	for i, ar := range res.PerAssert {
-		// A reused assertion ran neither encoder nor solver; counting it
-		// would make the stage table disagree with the trace's spans.
-		if !ar.Reused {
-			p.AddStage("encode", ar.EncodeTime)
-		}
-		// A zero SearchTime means no SAT search ran at all (the encoder
-		// proved the assertion trivially unsat) — counting it would make
-		// the stage table disagree with the trace's search spans.
-		if ar.SearchTime > 0 {
-			p.AddStage("search", ar.SearchTime)
-		}
+		prof.AddStage("encode", ar.EncodeTime)
+		prof.AddStage("search", ar.SearchTime)
 		sp := telemetry.SolverProfile{
 			Decisions:      ar.SolverStats.Decisions,
 			Propagations:   ar.SolverStats.Propagations,
@@ -774,7 +725,7 @@ func (st analysisStats) profile(res *core.Result) *RunProfile {
 			MinimizedLits:  ar.SolverStats.MinimizedLits,
 			MaxDepth:       ar.SolverStats.MaxDepth,
 		}
-		p.Solver.Add(sp)
+		prof.Solver.Add(sp)
 		ap := telemetry.AssertProfile{
 			Index:           i,
 			Vars:            ar.EncodedVars,
@@ -792,15 +743,16 @@ func (st analysisStats) profile(res *core.Result) *RunProfile {
 			pos := ar.Assert.Origin.Site.Pos
 			ap.Site = fmt.Sprintf("%s:%d:%d", pos.File, pos.Line, pos.Col)
 		}
-		p.Assertions = append(p.Assertions, ap)
+		prof.Assertions = append(prof.Assertions, ap)
 		if ar.Reused {
-			p.ReusedAsserts++
+			prof.ReusedAsserts++
 		}
 		if ar.Unknown {
-			p.AddDegraded(telemetry.CauseLabel(ar.Cause))
+			prof.AddDegraded(telemetry.CauseLabel(ar.Cause))
 		}
 	}
-	return p
+	cfg.metrics().Record(prof)
+	return res, analysis, prof, nil
 }
 
 // Verify analyzes one PHP source text and returns its report. A non-nil
@@ -817,7 +769,7 @@ func Verify(src []byte, name string, opts ...Option) (*Report, error) {
 //
 // With a WithStore result store attached, the store is consulted first:
 // a valid persisted report for identical content under an identical
-// configuration is returned directly (Report.StoreHit), and complete
+// configuration is returned directly (Report.Profile.StoreHit), and complete
 // fresh reports are written back for future runs — including runs in
 // future processes.
 func VerifyContext(ctx context.Context, src []byte, name string, opts ...Option) (*Report, error) {
@@ -836,11 +788,11 @@ func VerifyContext(ctx context.Context, src []byte, name string, opts ...Option)
 	}
 	ctx, cancel := cfg.applyDeadline(ctx)
 	defer cancel()
-	res, analysis, st, err := runAnalysis(ctx, src, name, cfg)
+	res, analysis, prof, err := runAnalysis(ctx, src, name, cfg)
 	if err != nil {
 		return nil, err
 	}
-	rep := st.finish(buildReport(res, analysis), res)
+	rep := buildReport(res, analysis, prof)
 	if cfg.resultStore != nil {
 		storePut(telemetry.WithTelemetry(ctx, cfg.telemetry), cfg, name, key, rep, res)
 	}
@@ -871,11 +823,11 @@ func PatchContext(ctx context.Context, src []byte, name string, opts ...Option) 
 	// The front end comes from the compile cache, so a Patch directly
 	// after a Verify of the same source re-uses the compiled Program and
 	// only re-runs the solver and fixing analysis.
-	res, analysis, st, err := runAnalysis(ctx, src, name, cfg)
+	res, analysis, prof, err := runAnalysis(ctx, src, name, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	rep := st.finish(buildReport(res, analysis), res)
+	rep := buildReport(res, analysis, prof)
 	if res.Safe() {
 		return src, rep, nil
 	}
@@ -935,16 +887,16 @@ func VerifyToHTML(src []byte, name string, w io.Writer, opts ...Option) (*Report
 	}
 	ctx, cancel := cfg.applyDeadline(context.Background())
 	defer cancel()
-	res, analysis, st, err := runAnalysis(ctx, src, name, cfg)
+	res, analysis, prof, err := runAnalysis(ctx, src, name, cfg)
 	if err != nil {
 		return nil, err
 	}
 	rep := report.Build(res, analysis)
-	rep.Profile = st.profile(res)
+	rep.Profile = prof
 	if err := rep.WriteHTML(w, map[string][]byte{name: src}); err != nil {
 		return nil, &EngineError{Stage: "report", File: name, Err: err}
 	}
-	return st.finish(buildReport(res, analysis), res), nil
+	return buildReport(res, analysis, prof), nil
 }
 
 // SymptomCount runs only the fast TS baseline and returns its error count.
@@ -963,9 +915,10 @@ func SymptomCount(src []byte, name string, opts ...Option) (int, error) {
 	return typestate.CountUnit(unit, cfg.engineOptions(context.Background()).Flow)
 }
 
-func buildReport(res *core.Result, analysis *fixing.Analysis) *Report {
+func buildReport(res *core.Result, analysis *fixing.Analysis, prof *RunProfile) *Report {
 	rep := report.Build(res, analysis)
 	out := &Report{
+		Profile:    prof,
 		File:       rep.File,
 		Safe:       rep.Safe,
 		Incomplete: rep.Incomplete,
