@@ -1,9 +1,8 @@
 package ai
 
 import (
-	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 
 	"webssari/internal/lattice"
 )
@@ -27,23 +26,36 @@ type Violation struct {
 }
 
 // Key returns a canonical identity for the violation: the assertion site
-// plus the encountered branch decisions.
-func (v Violation) Key() string {
-	ids := make([]int, 0, len(v.Branches))
-	for id := range v.Branches {
+// plus the encountered branch decisions (see TraceKey).
+func (v Violation) Key() string { return TraceKey(v.Assert, v.Branches) }
+
+// TraceKey renders the canonical identity of an error trace that reaches
+// assertion a under the given branch decisions: "<site>|<fn>|" followed
+// by "+id" (taken) or "-id" (not taken) for each decision in ascending
+// branch-ID order. Both the exhaustive oracle and the model checker's
+// counterexamples are keyed by it, and canonical counterexample order is
+// lexicographic over these bytes, so they must not change.
+func TraceKey(a *Assert, branches map[int]bool) string {
+	var idBuf [32]int
+	ids := idBuf[:0]
+	for id := range branches {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s|%s|", v.Assert.Site, v.Assert.Fn)
+	var buf [128]byte
+	b := a.Site.Pos.Append(buf[:0])
+	b = append(b, '|')
+	b = append(b, a.Fn...)
+	b = append(b, '|')
 	for _, id := range ids {
-		if v.Branches[id] {
-			fmt.Fprintf(&b, "+%d", id)
+		if branches[id] {
+			b = append(b, '+')
 		} else {
-			fmt.Fprintf(&b, "-%d", id)
+			b = append(b, '-')
 		}
+		b = strconv.AppendInt(b, int64(id), 10)
 	}
-	return b.String()
+	return string(b)
 }
 
 // Eval executes the program with branch decisions supplied by choose

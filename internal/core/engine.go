@@ -243,25 +243,22 @@ type Counterexample struct {
 	Violating []rename.SSAVar
 	// FailingArgs indexes Assert.Args entries that breached the bound.
 	FailingArgs []int
+
+	// key caches Key, set by replayTrace before the value escapes.
+	key string
 }
 
-// Key returns a canonical identity (assert site + branch decisions),
-// comparable with ai.Violation.Key.
+// Key returns the canonical trace identity, ai.TraceKey over the
+// assertion and its branch decisions, so it is comparable with
+// ai.Violation.Key. The model checker computes it once, when it builds
+// the counterexample; a Counterexample built any other way computes it
+// on every call and never stores it, so Key writes nothing and is safe on
+// a Result shared across goroutines.
 func (c *Counterexample) Key() string {
-	ids := make([]int, 0, len(c.Branches))
-	for id := range c.Branches {
-		ids = append(ids, id)
+	if c.key != "" {
+		return c.key
 	}
-	sort.Ints(ids)
-	key := fmt.Sprintf("%s|%s|", c.Assert.Origin.Site, c.Assert.Origin.Fn)
-	for _, id := range ids {
-		if c.Branches[id] {
-			key += fmt.Sprintf("+%d", id)
-		} else {
-			key += fmt.Sprintf("-%d", id)
-		}
-	}
-	return key
+	return ai.TraceKey(c.Assert.Origin, c.Branches)
 }
 
 // AssertResult is the verification outcome for one assertion.
@@ -323,17 +320,12 @@ type Result struct {
 // canonical trace-key order. Every solve mode applies it, which is what
 // makes reports byte-identical across per-assertion and shared
 // solving: a complete enumeration always discovers the same *set* of
-// trace classes, only the discovery order is heuristic-dependent.
+// trace classes, only the discovery order is heuristic-dependent. The
+// order is lexicographic over the key bytes ("+10" sorts before "+9"),
+// and reports depend on it byte for byte.
 func sortCounterexamples(ar *AssertResult) {
-	if len(ar.Counterexamples) < 2 {
-		return
-	}
-	keys := make(map[*Counterexample]string, len(ar.Counterexamples))
-	for _, c := range ar.Counterexamples {
-		keys[c] = c.Key()
-	}
 	sort.SliceStable(ar.Counterexamples, func(i, j int) bool {
-		return keys[ar.Counterexamples[i]] < keys[ar.Counterexamples[j]]
+		return ar.Counterexamples[i].Key() < ar.Counterexamples[j].Key()
 	})
 }
 

@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"webssari/internal/ai"
 	"webssari/internal/cnf"
 	"webssari/internal/constraint"
 	"webssari/internal/lattice"
@@ -439,5 +440,6 @@ func replayTrace(p *rename.Program, target *rename.Assert, branches map[int]bool
 		}
 	}
 	cex.Violating = uniq
+	cex.key = ai.TraceKey(target.Origin, cex.Branches)
 	return cex
 }

@@ -16,6 +16,7 @@ package fixing
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"webssari/internal/core"
@@ -33,12 +34,27 @@ type FixPoint struct {
 	// in-program assignment introduces the taint (e.g. echo $_GET['x']).
 	Assert *rename.Assert
 	ArgPos int
+
+	// key caches Key, set by Analysis.intern.
+	key string
 }
 
-// Key canonically identifies the fix point by its source span.
+// Key canonically identifies the fix point by its source span:
+// "<pos>+<end>". Analyze computes it once, when it interns the fix
+// point; a FixPoint built any other way computes it on every call.
 func (f *FixPoint) Key() string {
+	if f.key != "" {
+		return f.key
+	}
+	return f.spanKey()
+}
+
+func (f *FixPoint) spanKey() string {
 	pos, end := f.Span()
-	return fmt.Sprintf("%s+%d", pos, end)
+	var buf [64]byte
+	b := pos.Append(buf[:0])
+	b = append(b, '+')
+	return string(strconv.AppendInt(b, int64(end), 10))
 }
 
 // Span returns the source span the guard wraps. A fix point with neither
@@ -128,12 +144,15 @@ func Analyze(res *core.Result) *Analysis {
 	return a
 }
 
+// intern returns the analysis' fix point for f's span, adopting f (with
+// its key stamped) when the span is new. Fix points are therefore unique
+// per key, and pointer identity is key identity.
 func (a *Analysis) intern(f *FixPoint) *FixPoint {
-	key := f.Key()
-	if existing, ok := a.fixPoints[key]; ok {
+	f.key = f.spanKey()
+	if existing, ok := a.fixPoints[f.key]; ok {
 		return existing
 	}
-	a.fixPoints[key] = f
+	a.fixPoints[f.key] = f
 	return f
 }
 
@@ -160,9 +179,13 @@ func violatingArgPos(cex *core.Counterexample, v rename.SSAVar) int {
 // the unique r-value of a single assignment — sanitizing any member has
 // the same effect as sanitizing vα (Lemma 1).
 func ReplacementSet(p *rename.Program, cex *core.Counterexample, v rename.SSAVar) []rename.SSAVar {
+	executed := make(map[rename.SSAVar]bool, len(cex.Steps))
+	for _, s := range cex.Steps {
+		executed[s.Set.V] = true
+	}
 	var out []rename.SSAVar
 	seen := make(map[rename.SSAVar]bool)
-	cur := effectiveVar(cex, v)
+	cur := effectiveVar(executed, v)
 	for {
 		if seen[cur] {
 			break
@@ -181,19 +204,16 @@ func ReplacementSet(p *rename.Program, cex *core.Counterexample, v rename.SSAVar
 		if !ok {
 			break
 		}
-		cur = effectiveVar(cex, next)
+		cur = effectiveVar(executed, next)
 	}
 	return out
 }
 
 // effectiveVar resolves an SSA variable to the index actually assigned on
-// the trace: if vα's defining assignment was not executed (its branch was
-// not taken), the value observed is that of a lower index.
-func effectiveVar(cex *core.Counterexample, v rename.SSAVar) rename.SSAVar {
-	executed := make(map[rename.SSAVar]bool, len(cex.Steps))
-	for _, s := range cex.Steps {
-		executed[s.Set.V] = true
-	}
+// the trace, given the set of variables the trace's steps assigned: if
+// vα's defining assignment was not executed (its branch was not taken),
+// the value observed is that of a lower index.
+func effectiveVar(executed map[rename.SSAVar]bool, v rename.SSAVar) rename.SSAVar {
 	for v.Idx > 0 && !executed[v] {
 		v.Idx--
 	}
@@ -237,15 +257,15 @@ func uniqueRValue(p *rename.Program, e rename.Expr) (rename.SSAVar, bool) {
 // strategy the paper's TS algorithm effectively used, patching every
 // symptom.
 func (a *Analysis) NaiveFix() []*FixPoint {
-	seen := make(map[string]bool)
+	seen := make(map[*FixPoint]bool)
 	var out []*FixPoint
 	for _, con := range a.Constraints {
 		if len(con.Options) == 0 {
 			continue
 		}
 		f := con.Options[0]
-		if !seen[f.Key()] {
-			seen[f.Key()] = true
+		if !seen[f] {
+			seen[f] = true
 			out = append(out, f)
 		}
 	}
@@ -260,36 +280,33 @@ func (a *Analysis) GreedyMinimalFix() []*FixPoint {
 		f     *FixPoint
 		cover []int
 	}
-	coverage := make(map[string]*candidate)
+	coverage := make(map[*FixPoint]*candidate)
+	var candidates []*candidate
+	uncovered := make([]bool, len(a.Constraints))
+	remaining := 0
 	for i, con := range a.Constraints {
 		for _, f := range con.Options {
-			c, ok := coverage[f.Key()]
+			c, ok := coverage[f]
 			if !ok {
 				c = &candidate{f: f}
-				coverage[f.Key()] = c
+				coverage[f] = c
+				candidates = append(candidates, c)
 			}
 			c.cover = append(c.cover, i)
 		}
-	}
-	uncovered := make(map[int]bool, len(a.Constraints))
-	for i, con := range a.Constraints {
 		if len(con.Options) > 0 {
 			uncovered[i] = true
+			remaining++
 		}
 	}
+	// Deterministic tie-breaking: scan candidates in key order.
+	sort.Slice(candidates, func(i, j int) bool { return candidates[i].f.Key() < candidates[j].f.Key() })
 
 	var out []*FixPoint
-	for len(uncovered) > 0 {
+	for remaining > 0 {
 		var best *candidate
 		bestGain := 0
-		// Deterministic tie-breaking: iterate keys in sorted order.
-		keys := make([]string, 0, len(coverage))
-		for k := range coverage {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			c := coverage[k]
+		for _, c := range candidates {
 			gain := 0
 			for _, i := range c.cover {
 				if uncovered[i] {
@@ -306,7 +323,10 @@ func (a *Analysis) GreedyMinimalFix() []*FixPoint {
 		}
 		out = append(out, best.f)
 		for _, i := range best.cover {
-			delete(uncovered, i)
+			if uncovered[i] {
+				uncovered[i] = false
+				remaining--
+			}
 		}
 	}
 	return out
@@ -329,9 +349,9 @@ func (a *Analysis) ExactMinimalFix(maxPoints int) []*FixPoint {
 	}
 	sort.Strings(keys)
 	covers := make([][]int, len(keys))
-	keyIdx := make(map[string]int, len(keys))
+	keyIdx := make(map[*FixPoint]int, len(keys))
 	for i, k := range keys {
-		keyIdx[k] = i
+		keyIdx[a.fixPoints[k]] = i
 	}
 	var active []int
 	for ci, con := range a.Constraints {
@@ -340,7 +360,7 @@ func (a *Analysis) ExactMinimalFix(maxPoints int) []*FixPoint {
 		}
 		active = append(active, ci)
 		for _, f := range con.Options {
-			i := keyIdx[f.Key()]
+			i := keyIdx[f]
 			covers[i] = append(covers[i], ci)
 		}
 	}
@@ -374,7 +394,7 @@ func (a *Analysis) ExactMinimalFix(maxPoints int) []*FixPoint {
 		}
 		// Branch on each option covering the target constraint.
 		for _, f := range optionsOf(target) {
-			i := keyIdx[f.Key()]
+			i := keyIdx[f]
 			cur = append(cur, i)
 			for _, ci := range covers[i] {
 				conCovered[ci]++

@@ -4,7 +4,10 @@
 // superglobals, string interpolation, includes, and simple classes.
 package token
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Kind identifies the lexical class of a token.
 type Kind int
@@ -228,12 +231,24 @@ type Pos struct {
 	Offset int
 }
 
-// String renders the position as file:line:col.
+// String renders the position as file:line:col, or line:col when File is
+// empty.
 func (p Pos) String() string {
-	if p.File == "" {
-		return fmt.Sprintf("%d:%d", p.Line, p.Col)
+	var buf [64]byte
+	return string(p.Append(buf[:0]))
+}
+
+// Append appends the String rendering of the position to b and returns
+// the extended buffer. Every identity and report line that embeds a
+// position renders it through here, so the formats cannot drift apart.
+func (p Pos) Append(b []byte) []byte {
+	if p.File != "" {
+		b = append(b, p.File...)
+		b = append(b, ':')
 	}
-	return fmt.Sprintf("%s:%d:%d", p.File, p.Line, p.Col)
+	b = strconv.AppendInt(b, int64(p.Line), 10)
+	b = append(b, ':')
+	return strconv.AppendInt(b, int64(p.Col), 10)
 }
 
 // IsValid reports whether the position has been set (line numbers are

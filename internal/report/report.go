@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 
 	"webssari/internal/core"
@@ -71,31 +72,33 @@ func Build(res *core.Result, analysis *fixing.Analysis) *Report {
 		r.Warnings = append(r.Warnings, "parse: "+perr)
 	}
 
+	// Fix points are interned by the analysis, so a pointer identifies
+	// one as well as its key does.
 	fix := analysis.GreedyMinimalFix()
-	chosen := make(map[string]*Group, len(fix))
+	chosen := make(map[*fixing.FixPoint]*Group, len(fix))
 	for _, f := range fix {
-		g := &Group{Fix: f}
-		chosen[f.Key()] = g
+		chosen[f] = &Group{Fix: f}
 	}
-	seen := make(map[string]map[string]bool) // fix key → cex key set
+	type member struct {
+		fix *fixing.FixPoint
+		cex string
+	}
+	seen := make(map[member]bool)
 	for _, con := range analysis.Constraints {
 		for _, f := range con.Options {
-			g, ok := chosen[f.Key()]
+			g, ok := chosen[f]
 			if !ok {
 				continue
 			}
-			if seen[f.Key()] == nil {
-				seen[f.Key()] = make(map[string]bool)
-			}
-			if !seen[f.Key()][con.Cex.Key()] {
-				seen[f.Key()][con.Cex.Key()] = true
+			if m := (member{f, con.Cex.Key()}); !seen[m] {
+				seen[m] = true
 				g.Cexs = append(g.Cexs, con.Cex)
 			}
 			break // attribute each constraint to its first chosen cover
 		}
 	}
 	for _, f := range fix {
-		r.Groups = append(r.Groups, *chosen[f.Key()])
+		r.Groups = append(r.Groups, *chosen[f])
 	}
 	sort.SliceStable(r.Groups, func(i, j int) bool {
 		pi, _ := r.Groups[i].Fix.Span()
@@ -114,39 +117,56 @@ func (r *Report) GroupCount() int { return len(r.Groups) }
 
 // Write renders the report as human-readable text.
 func (r *Report) Write(w io.Writer) error {
-	var b strings.Builder
-	fmt.Fprintf(&b, "== WebSSARI report for %s ==\n", r.File)
+	_, err := w.Write(r.appendText(nil))
+	return err
+}
+
+// String renders the report to a string.
+func (r *Report) String() string { return string(r.appendText(nil)) }
+
+// appendText appends the text rendering to b. The lines for each trace
+// and trace step, which dominate on branchy files, are appended without
+// fmt.
+func (r *Report) appendText(b []byte) []byte {
+	b = fmt.Appendf(b, "== WebSSARI report for %s ==\n", r.File)
 	switch {
 	case r.Safe:
-		b.WriteString("VERIFIED: all sensitive calls provably receive trusted data.\n")
+		b = append(b, "VERIFIED: all sensitive calls provably receive trusted data.\n"...)
 	case len(r.Groups) == 0 && r.Incomplete:
-		fmt.Fprintf(&b, "INCOMPLETE: verification degraded (%s); no Safe claim is made.\n",
+		b = fmt.Appendf(b, "INCOMPLETE: verification degraded (%s); no Safe claim is made.\n",
 			strings.Join(r.Limits, ", "))
 	default:
-		fmt.Fprintf(&b, "UNSAFE: %d vulnerable statement(s) caused by %d error introduction(s).\n",
+		b = fmt.Appendf(b, "UNSAFE: %d vulnerable statement(s) caused by %d error introduction(s).\n",
 			r.SymptomCount(), r.GroupCount())
 		if r.Incomplete {
-			fmt.Fprintf(&b, "NOTE: analysis degraded (%s); further findings may exist.\n",
+			b = fmt.Appendf(b, "NOTE: analysis degraded (%s); further findings may exist.\n",
 				strings.Join(r.Limits, ", "))
 		}
 	}
 	for i, g := range r.Groups {
-		fmt.Fprintf(&b, "\nGroup %d: %s\n", i+1, g.Fix.Describe())
-		fmt.Fprintf(&b, "  repairs %d error trace(s):\n", len(g.Cexs))
+		b = fmt.Appendf(b, "\nGroup %d: %s\n", i+1, g.Fix.Describe())
+		b = fmt.Appendf(b, "  repairs %d error trace(s):\n", len(g.Cexs))
 		for _, cex := range g.Cexs {
 			// Policy-declared classes and output contexts win over the
 			// classic name-based table; both degrade to the seed's exact
 			// output when absent.
-			class := cex.Assert.Origin.Class
+			origin := cex.Assert.Origin
+			class := origin.Class
 			if class == "" {
-				class = VulnClass(cex.Assert.Origin.Fn)
+				class = VulnClass(origin.Fn)
 			}
-			sink := cex.Assert.Origin.Fn
-			if ctx := cex.Assert.Origin.Context; ctx != "" {
-				sink += " [" + ctx + "]"
+			b = append(b, "  * "...)
+			b = append(b, class...)
+			b = append(b, " via "...)
+			b = append(b, origin.Fn...)
+			if origin.Context != "" {
+				b = append(b, " ["...)
+				b = append(b, origin.Context...)
+				b = append(b, ']')
 			}
-			fmt.Fprintf(&b, "  * %s via %s at %s\n",
-				class, sink, cex.Assert.Origin.Site.Pos)
+			b = append(b, " at "...)
+			b = origin.Site.Pos.Append(b)
+			b = append(b, '\n')
 			for _, step := range cex.Steps {
 				// Keep the trace readable: print only the tainted flow,
 				// i.e. steps whose value breaches the assertion bound.
@@ -157,48 +177,51 @@ func (r *Report) Write(w io.Writer) error {
 				if name == "" {
 					name = step.Set.V.Name
 				}
-				fmt.Fprintf(&b, "      %s: $%s becomes %s\n",
-					step.Set.Origin.Site.Pos, name, r.Lat.Name(step.Value))
+				b = append(b, "      "...)
+				b = step.Set.Origin.Site.Pos.Append(b)
+				b = append(b, ": $"...)
+				b = append(b, name...)
+				b = append(b, " becomes "...)
+				b = append(b, r.Lat.Name(step.Value)...)
+				b = append(b, '\n')
 			}
 			if len(cex.Branches) > 0 {
-				fmt.Fprintf(&b, "      path: %s\n", branchString(cex))
+				b = append(b, "      path: "...)
+				b = appendBranches(b, cex)
+				b = append(b, '\n')
 			}
 		}
 	}
 	if len(r.Warnings) > 0 {
-		b.WriteString("\nApproximations:\n")
+		b = append(b, "\nApproximations:\n"...)
 		for _, warn := range r.Warnings {
-			fmt.Fprintf(&b, "  ! %s\n", warn)
+			b = fmt.Appendf(b, "  ! %s\n", warn)
 		}
 	}
-	_, err := io.WriteString(w, b.String())
-	return err
+	return b
 }
 
-// String renders the report to a string.
-func (r *Report) String() string {
-	var b strings.Builder
-	if err := r.Write(&b); err != nil {
-		return err.Error()
-	}
-	return b.String()
-}
-
-func branchString(cex *core.Counterexample) string {
-	ids := make([]int, 0, len(cex.Branches))
+// appendBranches appends the counterexample's branch decisions in
+// ascending branch-ID order: "b3" for a taken branch, "¬b3" for one not
+// taken, joined by " ∧ ".
+func appendBranches(b []byte, cex *core.Counterexample) []byte {
+	var idBuf [32]int
+	ids := idBuf[:0]
 	for id := range cex.Branches {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
-	parts := make([]string, len(ids))
 	for i, id := range ids {
-		if cex.Branches[id] {
-			parts[i] = fmt.Sprintf("b%d", id)
-		} else {
-			parts[i] = fmt.Sprintf("¬b%d", id)
+		if i > 0 {
+			b = append(b, " ∧ "...)
 		}
+		if !cex.Branches[id] {
+			b = append(b, "¬"...)
+		}
+		b = append(b, 'b')
+		b = strconv.AppendInt(b, int64(id), 10)
 	}
-	return strings.Join(parts, " ∧ ")
+	return b
 }
 
 // VulnClass names the vulnerability class by sink, as the reports in the

@@ -792,7 +792,7 @@ func VerifyContext(ctx context.Context, src []byte, name string, opts ...Option)
 	if err != nil {
 		return nil, err
 	}
-	rep := buildReport(res, analysis, prof)
+	rep := buildReport(res, report.Build(res, analysis), prof)
 	if cfg.resultStore != nil {
 		storePut(telemetry.WithTelemetry(ctx, cfg.telemetry), cfg, name, key, rep, res)
 	}
@@ -827,7 +827,7 @@ func PatchContext(ctx context.Context, src []byte, name string, opts ...Option) 
 	if err != nil {
 		return nil, nil, err
 	}
-	rep := buildReport(res, analysis, prof)
+	rep := buildReport(res, report.Build(res, analysis), prof)
 	if res.Safe() {
 		return src, rep, nil
 	}
@@ -896,7 +896,7 @@ func VerifyToHTML(src []byte, name string, w io.Writer, opts ...Option) (*Report
 	if err := rep.WriteHTML(w, map[string][]byte{name: src}); err != nil {
 		return nil, &EngineError{Stage: "report", File: name, Err: err}
 	}
-	return buildReport(res, analysis, prof), nil
+	return buildReport(res, rep, prof), nil
 }
 
 // SymptomCount runs only the fast TS baseline and returns its error count.
@@ -915,8 +915,9 @@ func SymptomCount(src []byte, name string, opts ...Option) (int, error) {
 	return typestate.CountUnit(unit, cfg.engineOptions(context.Background()).Flow)
 }
 
-func buildReport(res *core.Result, analysis *fixing.Analysis, prof *RunProfile) *Report {
-	rep := report.Build(res, analysis)
+// buildReport derives the public report from the internal one that
+// report.Build assembled from res.
+func buildReport(res *core.Result, rep *report.Report, prof *RunProfile) *Report {
 	out := &Report{
 		Profile:    prof,
 		File:       rep.File,

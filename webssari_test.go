@@ -1,10 +1,12 @@
 package webssari_test
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -345,6 +347,38 @@ func TestVerifyToHTML(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), "SQL injection") {
 		t.Fatalf("HTML missing findings")
+	}
+}
+
+// TestVerifyToHTMLReportMatchesVerify checks that the report
+// VerifyToHTML returns is the one VerifyContext returns for the same
+// file, profile aside.
+func TestVerifyToHTMLReportMatchesVerify(t *testing.T) {
+	paths, err := filepath.Glob("examples/php/*.php")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no examples: %v", err)
+	}
+	for _, path := range paths {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := webssari.VerifyContext(context.Background(), src, path, webssari.WithDir("examples/php"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		got, err := webssari.VerifyToHTML(src, path, &b, webssari.WithDir("examples/php"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Profile == nil || want.Profile == nil {
+			t.Fatalf("%s: missing profile", path)
+		}
+		got.Profile, want.Profile = nil, nil
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: VerifyToHTML report differs from VerifyContext's:\n got %+v\nwant %+v", path, got, want)
+		}
 	}
 }
 
