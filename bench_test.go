@@ -490,7 +490,7 @@ func BenchmarkSharedSolver(b *testing.B) {
 	b.Run("shared-incremental", func(b *testing.B) {
 		var cexs int
 		for i := 0; i < b.N; i++ {
-			res, err := core.VerifyAIShared(prog, core.Options{})
+			res, err := core.VerifyAI(prog, core.Options{Mode: core.ModeShared})
 			if err != nil {
 				b.Fatal(err)
 			}

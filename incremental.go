@@ -153,20 +153,6 @@ func verifyDirIncremental(ctx context.Context, dir string, snap incremental.Snap
 	}
 	sort.Strings(plan.Verify)
 
-	// Offer each dirty-but-known file its prior function fingerprints and
-	// safe-assertion set: the worker compares a fresh lowering against
-	// the fingerprints and, when the edit left at least one function
-	// untouched, skips the SAT search for every assertion whose
-	// constraint slice still hashes the same.
-	hints := make(map[string]priorHint)
-	if g != nil {
-		for _, path := range plan.Verify {
-			if node := g.Files[path]; node != nil && len(node.Funcs) > 0 && len(node.SafeAsserts) > 0 {
-				hints[path] = priorHint{Funcs: node.Funcs, SafeAsserts: node.SafeAsserts}
-			}
-		}
-	}
-
 	// Collect each verified file's include resolution and store key from
 	// the workers; reused files keep their carried-over graph nodes.
 	var recMu sync.Mutex
@@ -175,7 +161,7 @@ func verifyDirIncremental(ctx context.Context, dir string, snap incremental.Snap
 		recMu.Lock()
 		records[r.Name] = r
 		recMu.Unlock()
-	}), withPriorHints(hints)}, opts...)
+	})}, opts...)
 
 	pr, err := verifyDirFiles(ctx, dir, snap, walkFails, served, recOpts)
 	if err != nil {
@@ -189,7 +175,6 @@ func verifyDirIncremental(ctx context.Context, dir string, snap incremental.Snap
 		Full:        plan.Full,
 	}
 	if pr.Profile != nil {
-		inc.ReusedAsserts = pr.Profile.ReusedAsserts
 		pr.Profile.Incremental = inc
 	}
 
@@ -240,14 +225,12 @@ func rebuildGraph(dir, configFP string, snap incremental.Snapshot, old *incremen
 	for _, fm := range snap.Files {
 		if rec, ok := records[fm.Path]; ok {
 			node := &incremental.FileNode{
-				Size:        fm.Size,
-				MTimeNS:     fm.MTimeNS,
-				Hash:        rec.SourceHash,
-				ResultKey:   rec.ResultKey,
-				Deps:        addDeps(rec.Includes),
-				Misses:      append([]string(nil), rec.Misses...),
-				Funcs:       rec.Funcs,
-				SafeAsserts: append([]string(nil), rec.SafeAsserts...),
+				Size:      fm.Size,
+				MTimeNS:   fm.MTimeNS,
+				Hash:      rec.SourceHash,
+				ResultKey: rec.ResultKey,
+				Deps:      addDeps(rec.Includes),
+				Misses:    append([]string(nil), rec.Misses...),
 			}
 			g.Files[fm.Path] = node
 			continue
@@ -261,7 +244,6 @@ func rebuildGraph(dir, configFP string, snap incremental.Snapshot, old *incremen
 				node.Size, node.MTimeNS = fm.Size, fm.MTimeNS
 				node.Deps = append([]string(nil), prev.Deps...)
 				node.Misses = append([]string(nil), prev.Misses...)
-				node.SafeAsserts = append([]string(nil), prev.SafeAsserts...)
 				g.Files[fm.Path] = &node
 				for _, dep := range prev.Deps {
 					if g.Deps[dep] == nil {
@@ -276,11 +258,9 @@ func rebuildGraph(dir, configFP string, snap incremental.Snapshot, old *incremen
 				// happen; defensive): rebuild it from the envelope.
 				node := &incremental.FileNode{
 					Size: fm.Size, MTimeNS: fm.MTimeNS,
-					ResultKey:   plan.Reuse[fm.Path],
-					Deps:        addDeps(env.IncludeHashes),
-					Misses:      append([]string(nil), env.IncludeMisses...),
-					Funcs:       env.Funcs,
-					SafeAsserts: append([]string(nil), env.SafeAsserts...),
+					ResultKey: plan.Reuse[fm.Path],
+					Deps:      addDeps(env.IncludeHashes),
+					Misses:    append([]string(nil), env.IncludeMisses...),
 				}
 				if h, ok := fsEnv.Hash(fm.Path); ok {
 					node.Hash = h

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"webssari"
@@ -101,7 +102,12 @@ func marshalProjectStripped(t *testing.T, pr *webssari.ProjectReport) []byte {
 // assertions-checked counter does not move.
 func TestIncrementalUnchangedRunDoesZeroWork(t *testing.T) {
 	dir := writeCorpus(t)
-	opts, tel := incrementalOpts(t)
+	st, err := webssari.OpenStore(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tel := webssari.NewTelemetry()
+	opts := []webssari.Option{webssari.WithStore(st), webssari.WithIncremental(), webssari.WithTelemetry(tel)}
 
 	pr1, err := webssari.VerifyDir(dir, opts...)
 	if err != nil {
@@ -138,6 +144,30 @@ func TestIncrementalUnchangedRunDoesZeroWork(t *testing.T) {
 	}
 	if !bytes.Equal(marshalProjectStripped(t, pr1), marshalProjectStripped(t, pr2)) {
 		t.Fatal("graph-served report diverged from the computed one")
+	}
+
+	// A store written by an older build carries per-assertion reuse keys
+	// in every envelope and graph node. It must still plan and serve the
+	// same zero-work run, with no schema bump turning it cold.
+	if envelopes, graphs := addParentKeys(t, st); envelopes != 4 || graphs != 1 {
+		t.Fatalf("rewrote %d envelopes and %d graphs, want 4 and 1", envelopes, graphs)
+	}
+	pr3, err := webssari.VerifyDir(dir, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inc3 := incProfile(t, pr3); inc3.Planned != 0 || inc3.Skipped != 4 || inc3.Full {
+		t.Fatalf("parent-written store: incremental profile = %+v, want 0 planned / 4 skipped", inc3)
+	}
+	if pr3.StoreHits != 4 {
+		t.Fatalf("parent-written store: store hits = %d, want 4", pr3.StoreHits)
+	}
+	if got := tel.Metrics.Counter(telemetry.MetricAssertionsChecked).Value(); got != checkedAfterCold {
+		t.Fatalf("parent-written store: assertions checked went %d → %d, want no movement",
+			checkedAfterCold, got)
+	}
+	if !bytes.Equal(marshalProjectStripped(t, pr1), marshalProjectStripped(t, pr3)) {
+		t.Fatal("report served from a parent-written store diverged from the computed one")
 	}
 }
 
@@ -289,5 +319,90 @@ func TestIncrementalWithoutStoreIsPlainRun(t *testing.T) {
 	}
 	if pr.VulnerableFiles != 1 {
 		t.Fatalf("vulnerable files = %d, want 1", pr.VulnerableFiles)
+	}
+}
+
+// TestIncrementalFunctionEditMatchesColdRun edits the body of one
+// function in a file that defines two, re-verifies incrementally, and
+// checks the report is byte-identical (run-relative fields stripped) to
+// a cold run over the edited tree. CI runs this by name.
+func TestIncrementalFunctionEditMatchesColdRun(t *testing.T) {
+	dir := t.TempDir()
+	writeFile(t, dir, "page.php", `<?php
+function head($x) { echo htmlspecialchars($x); }
+head($_GET['a']);
+function tail($y) { echo htmlspecialchars($y); }
+tail($_GET['b']);
+`)
+	opts, _ := incrementalOpts(t)
+	pr1, err := webssari.VerifyDir(dir, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pr1.Files) != 1 || !pr1.Files[0].Safe {
+		t.Fatalf("cold run: %+v, want one safe file", pr1.Files)
+	}
+
+	// Routing tail's sanitized value through a local changes its
+	// equations, not just its source text.
+	writeFile(t, dir, "page.php", `<?php
+function head($x) { echo htmlspecialchars($x); }
+head($_GET['a']);
+function tail($y) { $t = htmlspecialchars($y); echo $t; }
+tail($_GET['b']);
+`)
+	pr2, err := webssari.VerifyDir(dir, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inc := incProfile(t, pr2); inc.Planned != 1 || inc.Invalidated != 1 || inc.Full {
+		t.Fatalf("edited run = %+v, want 1 planned / 1 invalidated", inc)
+	}
+
+	coldOpts, _ := incrementalOpts(t)
+	prCold, err := webssari.VerifyDir(dir, coldOpts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := marshalProjectStripped(t, pr2), marshalProjectStripped(t, prCold); !bytes.Equal(got, want) {
+		t.Fatalf("incremental run diverged from cold run:\n%s\nvs\n%s", got, want)
+	}
+}
+
+// TestIncrementalTouchedViolationKeepsFindings re-verifies a vulnerable
+// file after a whitespace-only touch: the violation and its findings
+// must come back from the re-verification.
+func TestIncrementalTouchedViolationKeepsFindings(t *testing.T) {
+	dir := t.TempDir()
+	const src = `<?php
+function render($x) { echo $x; }
+render($_GET['a']);
+function safe($y) { echo htmlspecialchars($y); }
+safe($_GET['b']);
+`
+	writeFile(t, dir, "bad.php", src)
+	opts, _ := incrementalOpts(t)
+	pr1, err := webssari.VerifyDir(dir, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pr1.Files[0].Safe || len(pr1.Files[0].Findings) == 0 {
+		t.Fatal("corpus is broken: expected a violation with findings")
+	}
+
+	// A blank line changes the content hash and shifts every position.
+	writeFile(t, dir, "bad.php", strings.Replace(src, "<?php\n", "<?php\n\n", 1))
+	pr2, err := webssari.VerifyDir(dir, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inc := incProfile(t, pr2); inc.Planned != 1 {
+		t.Fatalf("planned %d, want 1", inc.Planned)
+	}
+	if pr2.Files[0].Safe {
+		t.Fatal("violation disappeared after the touch")
+	}
+	if got, want := len(pr2.Files[0].Findings), len(pr1.Files[0].Findings); got != want {
+		t.Fatalf("re-verified file has %d findings, want %d", got, want)
 	}
 }

@@ -9,7 +9,6 @@ package core
 
 import (
 	"context"
-	"sync"
 	"time"
 
 	"webssari/internal/ai"
@@ -34,7 +33,7 @@ import (
 type Program struct {
 	// Unit is the typed flow IR the entry file lowered to (before include
 	// splicing); nil when the Program was compiled from a bare AI (e.g.
-	// CompileAI). The incremental planner reads its function fingerprints.
+	// CompileAI).
 	Unit *ir.Unit
 	// AI is the abstract interpretation AI(F(p)).
 	AI *ai.Program
@@ -48,10 +47,6 @@ type Program struct {
 	ParseErrors []string
 	// Stats is the front end's per-stage wall-time breakdown.
 	Stats CompileStats
-
-	// fpOnce/fps memoize CheckFingerprints; see fingerprint.go.
-	fpOnce sync.Once
-	fps    []string
 }
 
 // CompileStats records the front end's per-stage wall time. It is always

@@ -22,7 +22,6 @@ import (
 	"webssari/internal/cnf"
 	"webssari/internal/constraint"
 	"webssari/internal/flow"
-	"webssari/internal/ir"
 	"webssari/internal/lattice"
 	"webssari/internal/php/ast"
 	"webssari/internal/rename"
@@ -86,15 +85,6 @@ type Options struct {
 	// always works inline on the caller's slot, so the sharing cannot
 	// deadlock. Workers takes precedence over Parallelism.
 	Workers *Pool
-	// KnownSafeChecks holds check fingerprints (see CheckFingerprint)
-	// proved safe by a previous run under the same configuration. An
-	// assertion whose fingerprint is in the set is not re-solved: its
-	// constraint slice is unchanged, so the prior UNSAT verdict still
-	// holds, and Solve returns a Reused result for it. Only SAFE verdicts
-	// may be seeded here — a fingerprint covers the formula B_i, and
-	// reusing anything weaker (Unknown, violated) would skip work whose
-	// outcome callers expect re-derived (counterexample traces, causes).
-	KnownSafeChecks map[string]bool
 }
 
 // SolveMode selects the back-end solving strategy (Options.Mode).
@@ -285,17 +275,12 @@ type AssertResult struct {
 	SolverStats sat.Stats
 	// EncodeTime and SearchTime split this assertion's wall time between
 	// CNF encoding and the SAT enumeration loop. Each is zero when its
-	// step never ran: no encode for an assertion skipped at the deadline,
-	// reused, or faulted; no search for one the encoder decided. In
+	// step never ran: no encode for an assertion skipped at the deadline
+	// or faulted; no search for one the encoder decided. In
 	// shared mode the single whole-program encoding is charged to
 	// assertion 0.
 	EncodeTime time.Duration
 	SearchTime time.Duration
-	// Reused is set when the assertion was not solved at all: its check
-	// fingerprint matched Options.KnownSafeChecks, so the prior SAFE
-	// verdict was carried over. A Reused result has no counterexamples,
-	// no encoding sizes, and no solver stats.
-	Reused bool
 }
 
 // Result is a whole-program verification outcome.
@@ -303,10 +288,6 @@ type Result struct {
 	AI      *ai.Program
 	Renamed *rename.Program
 	System  *constraint.System
-	// Unit is the entry file's lowered flow IR (nil when the run started
-	// from a bare AI or was reconstructed from a stored report). The
-	// incremental planner persists its function fingerprints.
-	Unit *ir.Unit
 	// PerAssert holds one entry per assertion, in textual order.
 	PerAssert []*AssertResult
 	// Warnings carries filter approximation notes.

@@ -290,11 +290,12 @@ func TestSharedSolverExpiredContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	opts.Ctx = ctx
+	opts.Mode = ModeShared
 	prog, errs := flow.BuildSource("t.php", []byte(`<?php echo $_GET['x'];`), opts.Flow)
 	if prog == nil {
 		t.Fatalf("build: %v", errs)
 	}
-	res, err := VerifyAIShared(prog, opts)
+	res, err := VerifyAI(prog, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"time"
 
-	"webssari/internal/ai"
 	"webssari/internal/cnf"
 	"webssari/internal/constraint"
 	"webssari/internal/sat"
@@ -22,19 +21,6 @@ import (
 // its assertion's selector (cnf.EncodedAll.BlockingClause), so it is
 // satisfied — and inert — whenever another assertion is being checked.
 
-// VerifyAIShared verifies every assertion with a single incremental
-// solver: CompileAI followed by SolveShared. It produces the same
-// counterexample sets as VerifyAI in its default configuration, and —
-// unlike earlier revisions — also supports AssumePriorAsserts, realized
-// as hold-selector assumptions rather than re-encoded constraints.
-func VerifyAIShared(prog *ai.Program, opts Options) (*Result, error) {
-	p, err := CompileAI(prog)
-	if err != nil {
-		return nil, err
-	}
-	return SolveShared(opts.context(), p, opts)
-}
-
 // SolveShared is the shared-solver back end over a compiled Program.
 // Unlike Solve it is inherently sequential — the incremental solver's
 // learnt-clause state is serial — but like Solve it never writes into the
@@ -46,7 +32,7 @@ func VerifyAIShared(prog *ai.Program, opts Options) (*Result, error) {
 // alongside i's own negation selector — the paper's C(c,g) ∧
 // C(assert_j, g) restriction without mutating the clause database
 // between checks.
-func SolveShared(ctx context.Context, p *Program, opts Options) (*Result, error) {
+func SolveShared(ctx context.Context, p *Program, opts Options) *Result {
 	if ctx == nil {
 		ctx = opts.context()
 	}
@@ -59,7 +45,6 @@ func SolveShared(ctx context.Context, p *Program, opts Options) (*Result, error)
 		AI:      p.AI,
 		Renamed: p.Renamed,
 		System:  sys,
-		Unit:    p.Unit,
 		// Copied, not aliased: the Program may be shared across solves.
 		Warnings:    append([]string(nil), p.AI.Warnings...),
 		ParseErrors: append([]string(nil), p.ParseErrors...),
@@ -81,21 +66,7 @@ func SolveShared(ctx context.Context, p *Program, opts Options) (*Result, error)
 	solver := sat.NewWith(sopts)
 	loaded := encoded.F.LoadInto(solver)
 
-	// When the caller seeded prior SAFE verdicts, fingerprint every
-	// check once up front, exactly as Solve does.
-	var fps []string
-	if len(opts.KnownSafeChecks) > 0 {
-		fps = p.CheckFingerprints()
-	}
-
 	for i := range sys.Checks {
-		if fps != nil && opts.KnownSafeChecks[fps[i]] {
-			res.PerAssert = append(res.PerAssert, &AssertResult{
-				Assert: sys.Checks[i].Origin,
-				Reused: true,
-			})
-			continue
-		}
 		ar := &AssertResult{
 			Assert:         sys.Checks[i].Origin,
 			EncodedVars:    encoded.F.NumVars,
@@ -112,18 +83,15 @@ func SolveShared(ctx context.Context, p *Program, opts Options) (*Result, error)
 		}
 		searchStart := time.Now()
 		_, srsp := telemetry.StartSpan(ctx, "search", "index", i)
-		err := enumerateShared(sys, encoded, solver, i, opts, ar)
+		enumerateShared(sys, encoded, solver, i, opts, ar)
 		srsp.End()
 		ar.SearchTime = time.Since(searchStart)
-		if err != nil {
-			return res, err
-		}
 		sortCounterexamples(ar)
 	}
 	if len(res.PerAssert) > 0 {
 		res.PerAssert[0].EncodeTime = encodeTime
 	}
-	return res, nil
+	return res
 }
 
 func ctxErr(opts Options) error { return opts.context().Err() }
@@ -135,7 +103,7 @@ func enumerateShared(
 	idx int,
 	opts Options,
 	ar *AssertResult,
-) error {
+) {
 	target := sys.Checks[idx].Origin
 	assumptions := encoded.PriorAssumptions(idx)
 	seen := make(map[string]bool)
@@ -143,7 +111,7 @@ func enumerateShared(
 		verdict := solver.SolveAssuming(assumptions)
 		ar.SolverStats = solver.Stats()
 		if verdict == sat.Unsat {
-			return nil
+			return
 		}
 		if verdict != sat.Sat {
 			// Budget exhausted or interrupted: undecided, never "safe".
@@ -153,7 +121,7 @@ func enumerateShared(
 			} else {
 				ar.Cause = CauseConflictBudget
 			}
-			return nil
+			return
 		}
 		model := solver.Model()
 		branches := encoded.DecodeBranches(idx, model)
@@ -164,7 +132,7 @@ func enumerateShared(
 			ar.Counterexamples = append(ar.Counterexamples, cex)
 			if len(ar.Counterexamples) >= opts.MaxCounterexamples {
 				ar.Truncated = true
-				return nil
+				return
 			}
 		}
 
@@ -175,10 +143,10 @@ func enumerateShared(
 			blocking = encoded.BlockingClause(idx, model, cex.Branches)
 		}
 		if blocking == nil {
-			return nil // single trace class exhausted
+			return // single trace class exhausted
 		}
 		if !solver.AddClause(blocking...) {
-			return nil
+			return
 		}
 	}
 }

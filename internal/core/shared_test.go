@@ -15,7 +15,7 @@ func verifyShared(t *testing.T, src string) *Result {
 	if len(errs) != 0 {
 		t.Fatalf("build: %v", errs)
 	}
-	res, err := VerifyAIShared(prog, Options{})
+	res, err := VerifyAI(prog, Options{Mode: ModeShared})
 	if err != nil {
 		t.Fatalf("shared verify: %v", err)
 	}
@@ -62,7 +62,7 @@ func TestSharedSolverMatchesOnRandomPrograms(t *testing.T) {
 		if prog.Branches > 12 {
 			continue
 		}
-		shared, err := VerifyAIShared(prog, Options{})
+		shared, err := VerifyAI(prog, Options{Mode: ModeShared})
 		if err != nil {
 			t.Fatalf("iter %d: %v", i, err)
 		}
@@ -103,7 +103,7 @@ mysql_query($x);`,
 		if len(errs) != 0 {
 			t.Fatalf("source %d: %v", i, errs)
 		}
-		shared, err := VerifyAIShared(prog, Options{AssumePriorAsserts: true})
+		shared, err := VerifyAI(prog, Options{Mode: ModeShared, AssumePriorAsserts: true})
 		if err != nil {
 			t.Fatalf("source %d: shared verify: %v", i, err)
 		}

@@ -47,8 +47,7 @@ func Solve(ctx context.Context, p *Program, opts Options) *Result {
 		// The shared incremental solver has its own (sequential) loop;
 		// verdicts and counterexample order are identical by the
 		// canonical-ordering argument (see sortCounterexamples).
-		res, _ := SolveShared(ctx, p, opts)
-		return res
+		return SolveShared(ctx, p, opts)
 	}
 	if opts.MaxCounterexamples <= 0 {
 		opts.MaxCounterexamples = DefaultMaxCEX
@@ -58,7 +57,6 @@ func Solve(ctx context.Context, p *Program, opts Options) *Result {
 		AI:      p.AI,
 		Renamed: p.Renamed,
 		System:  sys,
-		Unit:    p.Unit,
 		// Copy, never alias: the Program (and its AI) may be shared by
 		// concurrent solves, so per-solve appends must not write into the
 		// shared slices' backing arrays.
@@ -75,13 +73,6 @@ func Solve(ctx context.Context, p *Program, opts Options) *Result {
 	results := make([]*AssertResult, n)
 	degraded := make([]string, n)
 	skipped := make([]bool, n)
-
-	// When the caller seeded prior SAFE verdicts, fingerprint every check
-	// once up front; matching assertions skip the SAT search entirely.
-	var fps []string
-	if len(opts.KnownSafeChecks) > 0 {
-		fps = p.CheckFingerprints()
-	}
 
 	// Work is handed out through an atomic counter, so indices are claimed
 	// in assertion order even under concurrency. Context errors are sticky,
@@ -104,15 +95,6 @@ func Solve(ctx context.Context, p *Program, opts Options) *Result {
 					Cause:   CauseDeadline,
 				}
 				skipped[idx] = true
-				continue
-			}
-			if fps != nil && opts.KnownSafeChecks[fps[idx]] {
-				// The assertion's constraint slice is unchanged since a
-				// prior run proved it safe: carry the verdict over.
-				results[idx] = &AssertResult{
-					Assert: sys.Checks[idx].Origin,
-					Reused: true,
-				}
 				continue
 			}
 			ar, err := checkAssertion(ctx, sys, idx, opts)

@@ -57,17 +57,6 @@ type FileNode struct {
 	// Misses lists include candidates probed but absent during the build;
 	// one appearing invalidates the file (the model would change).
 	Misses []string `json:"misses,omitempty"`
-	// Funcs maps function key → IR fingerprint of the file's lowered
-	// unit as of its last verification (see ir.Unit.Fingerprints).
-	// When the file later changes, a fresh lowering is compared against
-	// these: any surviving fingerprint proves the edit was local, and
-	// the prior SafeAsserts may be offered to the engine for reuse.
-	Funcs map[string]string `json:"funcs,omitempty"`
-	// SafeAsserts lists the check fingerprints (position-independent
-	// hashes of each assertion's constraint slice) the last complete run
-	// proved safe. Absent for files whose last run was incomplete —
-	// such files always re-verify in full.
-	SafeAsserts []string `json:"safe_asserts,omitempty"`
 }
 
 // Graph is the persistent include-dependency graph of one project

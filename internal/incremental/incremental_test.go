@@ -215,26 +215,39 @@ func TestPlanDeltaConservativeFallbacks(t *testing.T) {
 
 func TestDecodeRejectsForeignGraphs(t *testing.T) {
 	g := New("/proj", "cfg")
-	g.Files["a.php"] = &FileNode{Hash: "h", ResultKey: "k"}
-	payload, err := g.Encode()
+	g.Files["a.php"] = &FileNode{Size: 10, MTimeNS: 1, Hash: "h", ResultKey: "k"}
+	current, err := g.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Older builds also wrote function and check fingerprints into every
+	// node, under the same schema; such graphs must keep planning.
+	parent := []byte(`{"schema":1,"dir":"/proj","config":"cfg","files":{"a.php":{` +
+		`"size":10,"mtime_ns":1,"hash":"h","result_key":"k",` +
+		`"funcs":{"<main>":"9c1185a5c5e9fc54"},"safe_asserts":["6b86b273ff34fce19d6b804e"]}}}`)
 
-	if _, err := Decode(payload, "/proj", "cfg"); err != nil {
-		t.Fatalf("round trip: %v", err)
-	}
-	if _, err := Decode(payload, "/other", "cfg"); err == nil {
-		t.Fatal("foreign dir accepted")
-	}
-	if _, err := Decode(payload, "/proj", "cfg2"); err == nil {
-		t.Fatal("foreign config accepted")
+	for name, payload := range map[string][]byte{"current": current, "parent-written": parent} {
+		decoded, err := Decode(payload, "/proj", "cfg")
+		if err != nil {
+			t.Fatalf("%s: round trip: %v", name, err)
+		}
+		f := newFakeFS()
+		f.set("a.php", "h", 10, 1)
+		if p := PlanDelta(decoded, f.snapshot("a.php"), f.env()); len(p.Verify) != 0 || p.Reuse["a.php"] != "k" {
+			t.Fatalf("%s: unchanged plan = %+v", name, p)
+		}
+		if _, err := Decode(payload, "/other", "cfg"); err == nil {
+			t.Fatalf("%s: foreign dir accepted", name)
+		}
+		if _, err := Decode(payload, "/proj", "cfg2"); err == nil {
+			t.Fatalf("%s: foreign config accepted", name)
+		}
+		bad := strings.Replace(string(payload), `"schema":1`, `"schema":99`, 1)
+		if _, err := Decode([]byte(bad), "/proj", "cfg"); err == nil {
+			t.Fatalf("%s: foreign schema accepted", name)
+		}
 	}
 	if _, err := Decode([]byte("{"), "/proj", "cfg"); err == nil {
 		t.Fatal("truncated payload accepted")
-	}
-	bad := strings.Replace(string(payload), `"schema":1`, `"schema":99`, 1)
-	if _, err := Decode([]byte(bad), "/proj", "cfg"); err == nil {
-		t.Fatal("foreign schema accepted")
 	}
 }

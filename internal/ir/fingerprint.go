@@ -5,24 +5,16 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash"
-
-	"webssari/internal/php/ast"
 )
 
 // Fingerprints are stable, position-independent SHA-256 digests of IR
-// structure: two instructions (or functions) fingerprint equally exactly
-// when their names, operators, literals, and shapes match, regardless of
-// where they sit in the file. The incremental planner persists function
-// fingerprints beside the include graph so an edit inside one function
-// invalidates only results whose constraint slice touched it.
+// instructions: two instructions fingerprint equally exactly when their
+// names, operators, literals, and shapes match, regardless of where they
+// sit in the file. The textual IR (Unit.String, -dump-ir) prints one per
+// instruction.
 
-// fingerprintLen is the hex length of rendered fingerprints (64 bits is
-// plenty for per-file function sets; collisions only cost a sound
-// fallback to whole-file invalidation).
+// fingerprintLen is the hex length of rendered fingerprints.
 const fingerprintLen = 16
-
-// MainKey is the Fingerprints map key for the top-level statement stream.
-const MainKey = "<main>"
 
 func hashHex(h hash.Hash) string {
 	return hex.EncodeToString(h.Sum(nil))[:fingerprintLen]
@@ -45,42 +37,6 @@ func instrFP(in Instr) string {
 	w := newCanon()
 	w.instr(in)
 	return hashHex(w.h)
-}
-
-// Fingerprint returns the function's position-independent digest, covering
-// its name, kind flags, parameters, captures, and whole body.
-func (f *Func) Fingerprint() string {
-	w := newCanon()
-	w.fn(f)
-	return hashHex(w.h)
-}
-
-// Fingerprints returns the unit's function-level fingerprint map: MainKey
-// for the top-level stream, the lower-cased function name for plain
-// functions, "class::method" for methods, and the synthesized closure name
-// for anonymous functions. When two functions collide on a key (duplicate
-// declarations), their digests chain, so the key still changes whenever
-// either body changes.
-func (u *Unit) Fingerprints() map[string]string {
-	out := make(map[string]string, len(u.Funcs)+1)
-	mw := newCanon()
-	mw.block(u.Main)
-	out[MainKey] = hashHex(mw.h)
-	for _, f := range u.Funcs {
-		key := ast.LowerName(f.Name)
-		if f.Method {
-			key = ast.LowerName(f.Class) + "::" + key
-		}
-		fp := f.Fingerprint()
-		if prev, dup := out[key]; dup {
-			cw := newCanon()
-			cw.str(prev)
-			cw.str(fp)
-			fp = hashHex(cw.h)
-		}
-		out[key] = fp
-	}
-	return out
 }
 
 // canon serializes IR structure into a hash, excluding all positions. The

@@ -9,8 +9,8 @@
 // loop structures, includes, and returns — as explicit instructions over
 // expression trees, each carrying its source Site (span) and a stable,
 // position-independent fingerprint. Everything downstream (flow.BuildUnit,
-// the typestate ablation, the incremental planner's function-level deltas,
-// and the -dump-ir CLI mode) consumes this form instead of the AST.
+// the typestate ablation, and the -dump-ir CLI mode) consumes this form
+// instead of the AST.
 //
 // Units are immutable after Lower returns: builders may share them freely
 // across goroutines.

@@ -102,65 +102,7 @@ func TestLowerRecoveredErrorsTotal(t *testing.T) {
 			t.Fatalf("nil unit for %q", src)
 		}
 		_ = unit.String()
-		_ = unit.Fingerprints()
 	}
-}
-
-func TestFingerprintsPositionIndependent(t *testing.T) {
-	a := lower(t, `<?php
-function f($a) { return htmlspecialchars($a); }
-function g($b) { echo $b; }`)
-	b := lower(t, `<?php
-
-// a comment shifts everything down
-
-
-function f($a) { return htmlspecialchars($a); }
-
-function g($b) { echo $b; }`)
-	fa, fb := a.Fingerprints(), b.Fingerprints()
-	for _, key := range []string{"f", "g"} {
-		if fa[key] == "" || fa[key] != fb[key] {
-			t.Errorf("fingerprint %q changed with position: %q vs %q", key, fa[key], fb[key])
-		}
-	}
-	// <main> is empty in both, so it matches too.
-	if fa[MainKey] != fb[MainKey] {
-		t.Errorf("main fingerprint changed with position only")
-	}
-}
-
-func TestFingerprintsSensitiveToBodyEdits(t *testing.T) {
-	a := lower(t, `<?php function f($a) { return $a; } function g($b) { echo $b; }`)
-	b := lower(t, `<?php function f($a) { return htmlspecialchars($a); } function g($b) { echo $b; }`)
-	fa, fb := a.Fingerprints(), b.Fingerprints()
-	if fa["f"] == fb["f"] {
-		t.Error("editing f's body did not change its fingerprint")
-	}
-	if fa["g"] != fb["g"] {
-		t.Error("editing f changed g's fingerprint")
-	}
-}
-
-func TestFingerprintsKeying(t *testing.T) {
-	unit := lower(t, `<?php
-function plain() {}
-class Shop { function buy() {} }
-$c = function () {};`)
-	fps := unit.Fingerprints()
-	for _, key := range []string{MainKey, "plain", "shop::buy"} {
-		if fps[key] == "" {
-			t.Errorf("missing fingerprint for %q (have %v)", key, keys(fps))
-		}
-	}
-}
-
-func keys(m map[string]string) []string {
-	var out []string
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
 }
 
 // TestDumpExamplesGolden locks the textual IR of the example corpus — the

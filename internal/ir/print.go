@@ -5,6 +5,10 @@ import (
 	"strings"
 )
 
+// MainKey is the name the textual form gives the top-level statement
+// stream.
+const MainKey = "<main>"
+
 // String renders the unit's deterministic textual form, the shape pinned
 // by -dump-ir golden tests: one line per instruction, each suffixed with
 // its source line:col site and short fingerprint; nested blocks indent.

@@ -57,9 +57,6 @@ const (
 	MetricIncrementalSkipped     = "webssari_incremental_skipped_total"
 	MetricIncrementalInvalidated = "webssari_incremental_invalidated_total"
 	MetricIncrementalFullRuns    = "webssari_incremental_full_runs_total"
-	// MetricIncrementalReusedAsserts counts assertions served by check-
-	// fingerprint match instead of a SAT search during incremental runs.
-	MetricIncrementalReusedAsserts = "webssari_incremental_reused_asserts_total"
 
 	// Verification-service (webssarid) series.
 	MetricServiceQueueDepth   = "webssari_service_queue_depth"

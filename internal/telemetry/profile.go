@@ -44,20 +44,17 @@ func (s SolverProfile) String() string {
 // size, stage wall time, and the solver's search effort — the
 // observability counterpart of the per-assertion lines in the xbmc CLI.
 type AssertProfile struct {
-	Index           int    `json:"index"`
-	Sink            string `json:"sink,omitempty"`
-	Site            string `json:"site,omitempty"`
-	Vars            int    `json:"vars"`
-	Clauses         int    `json:"clauses"`
-	Counterexamples int    `json:"counterexamples"`
-	Unknown         bool   `json:"unknown,omitempty"`
-	// Reused is set when the assertion's check fingerprint matched a
-	// prior SAFE verdict and the SAT search was skipped entirely.
-	Reused   bool          `json:"reused,omitempty"`
-	Cause    string        `json:"cause,omitempty"`
-	EncodeNS int64         `json:"encode_ns"`
-	SearchNS int64         `json:"search_ns"`
-	Solver   SolverProfile `json:"solver"`
+	Index           int           `json:"index"`
+	Sink            string        `json:"sink,omitempty"`
+	Site            string        `json:"site,omitempty"`
+	Vars            int           `json:"vars"`
+	Clauses         int           `json:"clauses"`
+	Counterexamples int           `json:"counterexamples"`
+	Unknown         bool          `json:"unknown,omitempty"`
+	Cause           string        `json:"cause,omitempty"`
+	EncodeNS        int64         `json:"encode_ns"`
+	SearchNS        int64         `json:"search_ns"`
+	Solver          SolverProfile `json:"solver"`
 }
 
 // StageProfile is the summed wall time of one pipeline stage.
@@ -115,10 +112,6 @@ type IncrementalProfile struct {
 	// Full is set when no usable dependency graph existed (first run,
 	// corruption, config change) and the whole project was verified.
 	Full bool `json:"full,omitempty"`
-	// ReusedAsserts counts assertions inside re-verified files that were
-	// served by check-fingerprint match instead of a SAT search —
-	// the function-level delta within the file-level delta.
-	ReusedAsserts int `json:"reused_asserts,omitempty"`
 }
 
 // ClusterProfile summarizes how a clustered project run placed its
@@ -176,9 +169,6 @@ type RunProfile struct {
 	// Degraded counts degradation causes (deadline, conflict budget, CNF
 	// ceiling, …) across the run.
 	Degraded map[string]int64 `json:"degraded,omitempty"`
-	// ReusedAsserts counts assertions whose SAFE verdict was carried over
-	// by check-fingerprint match (no SAT search ran).
-	ReusedAsserts int `json:"reused_asserts,omitempty"`
 	// Files counts aggregated per-file profiles (project profiles only).
 	Files int `json:"files,omitempty"`
 	// Cache and Pool are populated on project profiles.
@@ -274,7 +264,6 @@ func (p *RunProfile) Merge(o *RunProfile) {
 		p.addStage(st.Name, st.WallNS, st.Count)
 	}
 	p.Solver.Add(o.Solver)
-	p.ReusedAsserts += o.ReusedAsserts
 	for cause, n := range o.Degraded {
 		if p.Degraded == nil {
 			p.Degraded = make(map[string]int64)
@@ -305,7 +294,6 @@ func (r *Registry) Record(p *RunProfile) {
 			r.Counter(MetricIncrementalPlanned).Add(int64(inc.Planned))
 			r.Counter(MetricIncrementalSkipped).Add(int64(inc.Skipped))
 			r.Counter(MetricIncrementalInvalidated).Add(int64(inc.Invalidated))
-			r.Counter(MetricIncrementalReusedAsserts).Add(int64(inc.ReusedAsserts))
 			if inc.Full {
 				r.Counter(MetricIncrementalFullRuns).Inc()
 			}
@@ -382,9 +370,6 @@ func (p *RunProfile) String() string {
 	if inc := p.Incremental; inc != nil {
 		fmt.Fprintf(&b, "; incremental: planned %d, skipped %d, invalidated %d",
 			inc.Planned, inc.Skipped, inc.Invalidated)
-		if inc.ReusedAsserts > 0 {
-			fmt.Fprintf(&b, ", %d assert(s) reused", inc.ReusedAsserts)
-		}
 		if inc.Full {
 			b.WriteString(" (full run)")
 		}

@@ -320,7 +320,7 @@ func TestRecordRollsUpProfile(t *testing.T) {
 			{EncodeNS: 10, SearchNS: 20, Counterexamples: 2},
 			{EncodeNS: 10},  // decided by the encoder: no search
 			{Unknown: true}, // skipped at the deadline: no encode
-			{Reused: true},  // reused: neither
+			{},              // shared mode, decided by the encoder: neither
 			{EncodeNS: 10, SearchNS: 5, Counterexamples: 1},
 		},
 		Degraded: map[string]int64{"deadline": 1},
@@ -331,7 +331,7 @@ func TestRecordRollsUpProfile(t *testing.T) {
 		Files:       2,
 		Stages:      []StageProfile{{Name: "parse", WallNS: 1, Count: 2}},
 		Cache:       &CacheProfile{Hits: 1, Misses: 2, Evictions: 3, Stale: 4, Entries: 5},
-		Incremental: &IncrementalProfile{Planned: 2, Skipped: 3, Invalidated: 1, Full: true, ReusedAsserts: 4},
+		Incremental: &IncrementalProfile{Planned: 2, Skipped: 3, Invalidated: 1, Full: true},
 	})
 	snap := reg.Snapshot()
 	for name, want := range map[string]float64{
@@ -357,7 +357,6 @@ func TestRecordRollsUpProfile(t *testing.T) {
 		MetricIncrementalPlanned:                             2,
 		MetricIncrementalSkipped:                             3,
 		MetricIncrementalInvalidated:                         1,
-		MetricIncrementalReusedAsserts:                       4,
 		MetricIncrementalFullRuns:                            1,
 	} {
 		if snap[name] != want {

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -37,6 +38,12 @@ func TestResultStoreSecondTier(t *testing.T) {
 	}
 	if st := s1.Stats(); st.Puts != 1 {
 		t.Fatalf("first verification did not persist: %+v", st)
+	}
+
+	// Stores written before per-assertion reuse was removed carry its
+	// keys in every envelope; they must still be served.
+	if envelopes, _ := addParentKeys(t, s1); envelopes != 1 {
+		t.Fatalf("rewrote %d envelopes, want 1", envelopes)
 	}
 
 	// "Restart": new store handle over the same root, cold compile cache.
@@ -82,6 +89,66 @@ func marshalStripped(t *testing.T, rep *webssari.Report) []byte {
 		t.Fatal(err)
 	}
 	return data
+}
+
+// parentKeys are the per-assertion reuse fields that older builds wrote
+// into every result envelope and dependency-graph node: function
+// fingerprints and the check fingerprints of safe assertions.
+var parentKeys = map[string]any{
+	"funcs":        map[string]any{"<main>": "9c1185a5c5e9fc54", "render": "2c624232cdd221e6"},
+	"safe_asserts": []any{"6b86b273ff34fce19d6b804e", "d4735e3a265e16eee03f5971"},
+}
+
+// addParentKeys rewrites every blob in st as an older build wrote it:
+// result envelopes and the nodes of dependency graphs gain parentKeys,
+// under the schema version 1 that build wrote, so a schema bump that
+// would turn primed stores cold fails the callers. It returns how many
+// envelopes and graphs it rewrote.
+func addParentKeys(t *testing.T, st *webssari.ResultStore) (envelopes, graphs int) {
+	t.Helper()
+	blobs, err := filepath.Glob(filepath.Join(st.Root(), "objects", "*", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, blob := range blobs {
+		key := filepath.Base(blob)
+		if strings.HasPrefix(key, ".tmp-") {
+			continue
+		}
+		payload, ok := st.Get(key)
+		if !ok {
+			t.Fatalf("blob %s unreadable", key)
+		}
+		var doc map[string]any
+		if err := json.Unmarshal(payload, &doc); err != nil {
+			t.Fatalf("blob %s: %v", key, err)
+		}
+		switch files, _ := doc["files"].(map[string]any); {
+		case doc["report"] != nil:
+			for k, v := range parentKeys {
+				doc[k] = v
+			}
+			envelopes++
+		case files != nil:
+			for _, node := range files {
+				for k, v := range parentKeys {
+					node.(map[string]any)[k] = v
+				}
+			}
+			graphs++
+		default:
+			continue
+		}
+		doc["schema"] = 1
+		out, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Put(key, out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return envelopes, graphs
 }
 
 // TestResultStoreKeyedByConfig ensures a configuration change misses:

@@ -130,12 +130,6 @@ type storedEnvelope struct {
 	// the model was built under (see core.CompileCache revalidation).
 	IncludeHashes map[string]string `json:"include_hashes,omitempty"`
 	IncludeMisses []string          `json:"include_misses,omitempty"`
-	// Funcs maps function key → IR fingerprint of the entry file's
-	// lowered unit (see ir.Unit.Fingerprints); SafeAsserts lists the
-	// check fingerprints proved safe by this result. Both feed the
-	// incremental planner's function-level delta.
-	Funcs       map[string]string `json:"funcs,omitempty"`
-	SafeAsserts []string          `json:"safe_asserts,omitempty"`
 	// Text is the rendered human-readable report, persisted separately
 	// because Report excludes it from JSON.
 	Text   string  `json:"text"`
@@ -257,79 +251,6 @@ type depRecord struct {
 	// lists probed-but-absent candidates (sorted).
 	Includes map[string]string
 	Misses   []string
-	// Funcs maps function key → IR fingerprint of the entry's lowered
-	// unit; SafeAsserts lists check fingerprints this run proved safe.
-	// Together they let a later run skip the SAT search for assertions
-	// whose constraint slice an edit did not touch.
-	Funcs       map[string]string
-	SafeAsserts []string
-}
-
-// priorHint is what the incremental planner knows about a dirty file
-// from its previous verification: the function fingerprints of its old
-// IR and the check fingerprints proved safe then. runAnalysis seeds
-// Options.KnownSafeChecks from it when at least one function fingerprint
-// still matches (absent or fully changed fingerprints fall back to
-// whole-file re-verification).
-type priorHint struct {
-	Funcs       map[string]string
-	SafeAsserts []string
-}
-
-// knownSafeChecks decides whether the hint applies to the freshly
-// compiled Program and, if so, returns the prior safe set for
-// Options.KnownSafeChecks. The gate is the IR's function fingerprints:
-// at least one function must hash identically to the prior unit —
-// otherwise (fingerprints absent, or every function changed) the edit's
-// blast radius is unknown and the file re-verifies in full. The check
-// fingerprints themselves remain the per-assertion soundness test; the
-// gate only avoids hashing constraint slices that cannot match.
-func (h priorHint) knownSafeChecks(prog *core.Program) map[string]bool {
-	if len(h.SafeAsserts) == 0 || len(h.Funcs) == 0 || prog.Unit == nil {
-		return nil
-	}
-	cur := prog.Unit.Fingerprints()
-	shared := false
-	for key, fp := range h.Funcs {
-		if cur[key] == fp {
-			shared = true
-			break
-		}
-	}
-	if !shared {
-		return nil
-	}
-	known := make(map[string]bool, len(h.SafeAsserts))
-	for _, fp := range h.SafeAsserts {
-		known[fp] = true
-	}
-	return known
-}
-
-// withPriorHints registers per-file prior verification hints for a
-// project run (set internally by incremental VerifyDir).
-func withPriorHints(hints map[string]priorHint) Option {
-	return func(c *config) error {
-		c.priorHints = hints
-		return nil
-	}
-}
-
-// safeAssertFPs extracts the check fingerprints of every assertion the
-// result proved safe. Incomplete results yield nothing: their formulas
-// may reflect a truncated model, and the incremental reuse path must
-// only ever carry over verdicts a complete run stood behind.
-func safeAssertFPs(res *core.Result) []string {
-	if res == nil || res.System == nil || res.Incomplete() {
-		return nil
-	}
-	var out []string
-	for i, ar := range res.PerAssert {
-		if !ar.Unknown && len(ar.Counterexamples) == 0 {
-			out = append(out, core.CheckFingerprint(res.System, i))
-		}
-	}
-	return out
 }
 
 // recordDeps reports one finished file to the configured dependency
@@ -354,10 +275,6 @@ func (c *config) recordDeps(name string, src []byte, key string, res *core.Resul
 			r.Misses = append(r.Misses, cand)
 		}
 		sort.Strings(r.Misses)
-		if res.Unit != nil {
-			r.Funcs = res.Unit.Fingerprints()
-		}
-		r.SafeAsserts = safeAssertFPs(res)
 	case env != nil:
 		if len(env.IncludeHashes) > 0 {
 			r.Includes = make(map[string]string, len(env.IncludeHashes))
@@ -366,8 +283,6 @@ func (c *config) recordDeps(name string, src []byte, key string, res *core.Resul
 			}
 		}
 		r.Misses = append([]string(nil), env.IncludeMisses...)
-		r.Funcs = env.Funcs
-		r.SafeAsserts = append([]string(nil), env.SafeAsserts...)
 	}
 	c.depRecorder(r)
 }
@@ -409,12 +324,6 @@ func storePut(ctx context.Context, cfg *config, name, key string, rep *Report, r
 			env.IncludeMisses = append(env.IncludeMisses, cand)
 		}
 		sort.Strings(env.IncludeMisses)
-	}
-	if res != nil {
-		if res.Unit != nil {
-			env.Funcs = res.Unit.Fingerprints()
-		}
-		env.SafeAsserts = safeAssertFPs(res)
 	}
 	// The profile is per-run, not per-content: strip it from the blob so
 	// identical verdicts persist identically (and blobs stay small).

@@ -214,7 +214,6 @@ type config struct {
 	fileVerifier FileVerifier
 	incremental  bool
 	depRecorder  func(depRecord)
-	priorHints   map[string]priorHint
 	// The prelude-shaping options also record their textual form so the
 	// resolved configuration round-trips through the exported Config
 	// (ExportConfig / WithConfig) — the prelude itself holds only the
@@ -702,9 +701,6 @@ func runAnalysis(ctx context.Context, src []byte, name string, cfg *config) (res
 		cfg.metrics().Record(prof)
 		return nil, nil, nil, engineErr(name, errs)
 	}
-	if hint, ok := cfg.priorHints[name]; ok {
-		eopts.KnownSafeChecks = hint.knownSafeChecks(prog)
-	}
 	start = time.Now()
 	res = core.Solve(ctx, prog, eopts)
 	prof.SolveWallNS = time.Since(start).Nanoseconds()
@@ -732,7 +728,6 @@ func runAnalysis(ctx context.Context, src []byte, name string, cfg *config) (res
 			Clauses:         ar.EncodedClauses,
 			Counterexamples: len(ar.Counterexamples),
 			Unknown:         ar.Unknown,
-			Reused:          ar.Reused,
 			Cause:           ar.Cause,
 			EncodeNS:        ar.EncodeTime.Nanoseconds(),
 			SearchNS:        ar.SearchTime.Nanoseconds(),
@@ -744,9 +739,6 @@ func runAnalysis(ctx context.Context, src []byte, name string, cfg *config) (res
 			ap.Site = fmt.Sprintf("%s:%d:%d", pos.File, pos.Line, pos.Col)
 		}
 		prof.Assertions = append(prof.Assertions, ap)
-		if ar.Reused {
-			prof.ReusedAsserts++
-		}
 		if ar.Unknown {
 			prof.AddDegraded(telemetry.CauseLabel(ar.Cause))
 		}
