@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -147,8 +148,11 @@ func TestIncrementalUnchangedRunDoesZeroWork(t *testing.T) {
 	}
 
 	// A store written by an older build carries per-assertion reuse keys
-	// in every envelope and graph node. It must still plan and serve the
-	// same zero-work run, with no schema bump turning it cold.
+	// in every envelope and graph node, under schema 1. Its graph (still
+	// schema 1) decodes and plans the same zero-work run, but every
+	// schema-1 envelope reads as a miss: the four files are invalidated,
+	// re-verified and persisted again under the current schema, and the
+	// next run is served whole.
 	if envelopes, graphs := addParentKeys(t, st); envelopes != 4 || graphs != 1 {
 		t.Fatalf("rewrote %d envelopes and %d graphs, want 4 and 1", envelopes, graphs)
 	}
@@ -156,19 +160,32 @@ func TestIncrementalUnchangedRunDoesZeroWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inc3 := incProfile(t, pr3); inc3.Planned != 0 || inc3.Skipped != 4 || inc3.Full {
-		t.Fatalf("parent-written store: incremental profile = %+v, want 0 planned / 4 skipped", inc3)
+	if inc3 := incProfile(t, pr3); inc3.Planned != 4 || inc3.Skipped != 0 || inc3.Invalidated != 4 || inc3.Full {
+		t.Fatalf("parent-written store: incremental profile = %+v, want the graph's plan with 4 envelopes invalidated", inc3)
 	}
-	if pr3.StoreHits != 4 {
-		t.Fatalf("parent-written store: store hits = %d, want 4", pr3.StoreHits)
+	if pr3.StoreHits != 0 {
+		t.Fatalf("parent-written store: store hits = %d, want 0", pr3.StoreHits)
 	}
-	if got := tel.Metrics.Counter(telemetry.MetricAssertionsChecked).Value(); got != checkedAfterCold {
-		t.Fatalf("parent-written store: assertions checked went %d → %d, want no movement",
-			checkedAfterCold, got)
+	if got := envelopeSchemas(t, st); !reflect.DeepEqual(got, []int{2, 2, 2, 2}) {
+		t.Fatalf("parent-written store: envelope schemas after the run = %v, want four at 2", got)
 	}
-	if !bytes.Equal(marshalProjectStripped(t, pr1), marshalProjectStripped(t, pr3)) {
-		t.Fatal("report served from a parent-written store diverged from the computed one")
+	assertSameProject(t, pr1, pr3)
+	checkedAfterUpgrade := tel.Metrics.Counter(telemetry.MetricAssertionsChecked).Value()
+	pr4, err := webssari.VerifyDir(dir, opts...)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if inc4 := incProfile(t, pr4); inc4.Planned != 0 || inc4.Skipped != 4 || inc4.Full {
+		t.Fatalf("run after the upgrade: incremental profile = %+v, want 0 planned / 4 skipped", inc4)
+	}
+	if pr4.StoreHits != 4 {
+		t.Fatalf("run after the upgrade: store hits = %d, want 4", pr4.StoreHits)
+	}
+	if got := tel.Metrics.Counter(telemetry.MetricAssertionsChecked).Value(); got != checkedAfterUpgrade {
+		t.Fatalf("run after the upgrade solved: assertions checked went %d → %d, want no movement",
+			checkedAfterUpgrade, got)
+	}
+	assertSameProject(t, pr1, pr4)
 }
 
 // TestIncrementalSharedEditReverifiesExactlyDependents edits the shared

@@ -16,6 +16,7 @@ import (
 	"webssari/internal/core"
 	"webssari/internal/fixing"
 	"webssari/internal/lattice"
+	"webssari/internal/php/token"
 	"webssari/internal/telemetry"
 	"webssari/internal/typestate"
 )
@@ -128,24 +129,10 @@ func (r *Report) String() string { return string(r.appendText(nil)) }
 // and trace step, which dominate on branchy files, are appended without
 // fmt.
 func (r *Report) appendText(b []byte) []byte {
-	b = fmt.Appendf(b, "== WebSSARI report for %s ==\n", r.File)
-	switch {
-	case r.Safe:
-		b = append(b, "VERIFIED: all sensitive calls provably receive trusted data.\n"...)
-	case len(r.Groups) == 0 && r.Incomplete:
-		b = fmt.Appendf(b, "INCOMPLETE: verification degraded (%s); no Safe claim is made.\n",
-			strings.Join(r.Limits, ", "))
-	default:
-		b = fmt.Appendf(b, "UNSAFE: %d vulnerable statement(s) caused by %d error introduction(s).\n",
-			r.SymptomCount(), r.GroupCount())
-		if r.Incomplete {
-			b = fmt.Appendf(b, "NOTE: analysis degraded (%s); further findings may exist.\n",
-				strings.Join(r.Limits, ", "))
-		}
-	}
+	b = AppendHeader(b, r.File, r.Safe, r.Incomplete, r.Limits, r.SymptomCount(), r.GroupCount())
+	var path []byte
 	for i, g := range r.Groups {
-		b = fmt.Appendf(b, "\nGroup %d: %s\n", i+1, g.Fix.Describe())
-		b = fmt.Appendf(b, "  repairs %d error trace(s):\n", len(g.Cexs))
+		b = AppendGroup(b, i, g.Fix.Describe(), len(g.Cexs))
 		for _, cex := range g.Cexs {
 			// Policy-declared classes and output contexts win over the
 			// classic name-based table; both degrade to the seed's exact
@@ -155,18 +142,7 @@ func (r *Report) appendText(b []byte) []byte {
 			if class == "" {
 				class = VulnClass(origin.Fn)
 			}
-			b = append(b, "  * "...)
-			b = append(b, class...)
-			b = append(b, " via "...)
-			b = append(b, origin.Fn...)
-			if origin.Context != "" {
-				b = append(b, " ["...)
-				b = append(b, origin.Context...)
-				b = append(b, ']')
-			}
-			b = append(b, " at "...)
-			b = origin.Site.Pos.Append(b)
-			b = append(b, '\n')
+			b = AppendTrace(b, class, origin.Fn, origin.Context, origin.Site.Pos)
 			for _, step := range cex.Steps {
 				// Keep the trace readable: print only the tainted flow,
 				// i.e. steps whose value breaches the assertion bound.
@@ -177,37 +153,107 @@ func (r *Report) appendText(b []byte) []byte {
 				if name == "" {
 					name = step.Set.V.Name
 				}
-				b = append(b, "      "...)
-				b = step.Set.Origin.Site.Pos.Append(b)
-				b = append(b, ": $"...)
-				b = append(b, name...)
-				b = append(b, " becomes "...)
-				b = append(b, r.Lat.Name(step.Value)...)
-				b = append(b, '\n')
+				b = AppendStep(b, step.Set.Origin.Site.Pos, name, r.Lat.Name(step.Value))
 			}
 			if len(cex.Branches) > 0 {
-				b = append(b, "      path: "...)
-				b = appendBranches(b, cex)
-				b = append(b, '\n')
+				path = AppendBranches(path[:0], cex.Branches)
+				b = AppendPath(b, path)
 			}
 		}
 	}
-	if len(r.Warnings) > 0 {
-		b = append(b, "\nApproximations:\n"...)
-		for _, warn := range r.Warnings {
-			b = fmt.Appendf(b, "  ! %s\n", warn)
+	return AppendWarnings(b, r.Warnings)
+}
+
+// The Append* functions below emit the lines of the text report, one
+// kind of line each. Report.String composes them from a verification
+// result; the result store composes the same lines from a persisted
+// report, so the text format lives here alone.
+
+// AppendHeader appends the report's title and verdict lines.
+func AppendHeader(b []byte, file string, safe, incomplete bool, limits []string, symptoms, groups int) []byte {
+	b = fmt.Appendf(b, "== WebSSARI report for %s ==\n", file)
+	switch {
+	case safe:
+		b = append(b, "VERIFIED: all sensitive calls provably receive trusted data.\n"...)
+	case groups == 0 && incomplete:
+		b = fmt.Appendf(b, "INCOMPLETE: verification degraded (%s); no Safe claim is made.\n",
+			strings.Join(limits, ", "))
+	default:
+		b = fmt.Appendf(b, "UNSAFE: %d vulnerable statement(s) caused by %d error introduction(s).\n",
+			symptoms, groups)
+		if incomplete {
+			b = fmt.Appendf(b, "NOTE: analysis degraded (%s); further findings may exist.\n",
+				strings.Join(limits, ", "))
 		}
 	}
 	return b
 }
 
-// appendBranches appends the counterexample's branch decisions in
+// AppendGroup appends the lines opening the i-th (0-based) error group:
+// its fix point's description and how many traces it repairs.
+func AppendGroup(b []byte, i int, fix string, traces int) []byte {
+	return fmt.Appendf(b, "\nGroup %d: %s\n  repairs %d error trace(s):\n", i+1, fix, traces)
+}
+
+// AppendTrace appends the line naming one error trace: its class, its
+// sink, the sink's output context when the policy declares one, and the
+// sink's position.
+func AppendTrace(b []byte, class, sink, context string, at token.Pos) []byte {
+	b = append(b, "  * "...)
+	b = append(b, class...)
+	b = append(b, " via "...)
+	b = append(b, sink...)
+	if context != "" {
+		b = append(b, " ["...)
+		b = append(b, context...)
+		b = append(b, ']')
+	}
+	b = append(b, " at "...)
+	b = at.Append(b)
+	return append(b, '\n')
+}
+
+// AppendStep appends the line of one trace step: the assignment's
+// position, the assigned variable and the safety type it received.
+func AppendStep(b []byte, at token.Pos, name, value string) []byte {
+	b = append(b, "      "...)
+	b = at.Append(b)
+	b = append(b, ": $"...)
+	b = append(b, name...)
+	b = append(b, " becomes "...)
+	b = append(b, value...)
+	return append(b, '\n')
+}
+
+// AppendPath appends a trace's path line; path is its branch decisions
+// as AppendBranches renders them.
+func AppendPath[S string | []byte](b []byte, path S) []byte {
+	b = append(b, "      path: "...)
+	b = append(b, path...)
+	return append(b, '\n')
+}
+
+// AppendWarnings appends the approximations section, if any.
+func AppendWarnings(b []byte, warnings []string) []byte {
+	if len(warnings) == 0 {
+		return b
+	}
+	b = append(b, "\nApproximations:\n"...)
+	for _, warn := range warnings {
+		b = append(b, "  ! "...)
+		b = append(b, warn...)
+		b = append(b, '\n')
+	}
+	return b
+}
+
+// AppendBranches appends a counterexample's branch decisions in
 // ascending branch-ID order: "b3" for a taken branch, "¬b3" for one not
 // taken, joined by " ∧ ".
-func appendBranches(b []byte, cex *core.Counterexample) []byte {
+func AppendBranches(b []byte, branches map[int]bool) []byte {
 	var idBuf [32]int
 	ids := idBuf[:0]
-	for id := range cex.Branches {
+	for id := range branches {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
@@ -215,7 +261,7 @@ func appendBranches(b []byte, cex *core.Counterexample) []byte {
 		if i > 0 {
 			b = append(b, " ∧ "...)
 		}
-		if !cex.Branches[id] {
+		if !branches[id] {
 			b = append(b, "¬"...)
 		}
 		b = append(b, 'b')

@@ -20,7 +20,9 @@ package webssari
 //     edited or newly appeared include invalidates the entry.
 //   - Corruption, truncation, and schema-version changes degrade to a
 //     miss inside internal/store — a damaged store is a cold cache,
-//     never a wrong answer.
+//     never a wrong answer. So does an envelope of another schema, or
+//     one whose step indices or trace listing do not add up
+//     (storeDecode): a report is served whole or not at all.
 
 import (
 	"context"
@@ -30,6 +32,8 @@ import (
 	"sort"
 
 	"webssari/internal/core"
+	"webssari/internal/php/token"
+	"webssari/internal/report"
 	"webssari/internal/store"
 	"webssari/internal/telemetry"
 )
@@ -118,11 +122,16 @@ func WithFileObserver(fn func(*Report)) Option {
 
 // resultSchema versions the envelope layout inside store blobs,
 // independent of the store's own framing version. Bump it when the
-// Report JSON shape changes incompatibly.
-const resultSchema = 1
+// envelope or the Report JSON shape changes incompatibly; blobs of any
+// other schema read as a miss.
+const resultSchema = 2
 
 // storedEnvelope is the persisted form of one verification result: the
-// report plus what is needed to revalidate and re-render it.
+// report plus what is needed to revalidate and re-render it. The traces
+// of one file pass through the same assignments, so each distinct trace
+// step is stored once, in Steps, and findings name their steps by index.
+// The text report is not stored: serving renders it again from the
+// report and Traces.
 type storedEnvelope struct {
 	Schema int    `json:"schema"`
 	Name   string `json:"name"`
@@ -130,10 +139,34 @@ type storedEnvelope struct {
 	// the model was built under (see core.CompileCache revalidation).
 	IncludeHashes map[string]string `json:"include_hashes,omitempty"`
 	IncludeMisses []string          `json:"include_misses,omitempty"`
-	// Text is the rendered human-readable report, persisted separately
-	// because Report excludes it from JSON.
-	Text   string  `json:"text"`
-	Report *Report `json:"report"`
+	// Steps is the file's table of distinct trace steps.
+	Steps []TraceStep `json:"steps,omitempty"`
+	// Traces lists one entry per finding in the text report's order:
+	// group by group, each group's traces in repair order.
+	Traces []storedTrace `json:"traces,omitempty"`
+	Report storedReport  `json:"report"`
+}
+
+// storedReport is the Report JSON with each finding's trace replaced by
+// indices into storedEnvelope.Steps.
+type storedReport struct {
+	*Report
+	Findings []storedFinding `json:"findings,omitempty"`
+}
+
+// storedFinding is a Finding whose trace is a list of step indices.
+type storedFinding struct {
+	Finding
+	Trace []int `json:"trace"`
+}
+
+// storedTrace carries what a finding's lines of the text report need
+// and the Report lacks: which finding it is, the sink's output context
+// and the branch path.
+type storedTrace struct {
+	Finding int    `json:"finding"`
+	Context string `json:"context,omitempty"`
+	Path    string `json:"path,omitempty"`
 }
 
 // resultKey fingerprints one verification request: every input that can
@@ -187,28 +220,126 @@ func storeGetTrusted(ctx context.Context, cfg *config, name, key string) (*Repor
 	return serveStored(env), env, true
 }
 
-// storeDecode fetches and decodes one envelope; undecodable or
-// foreign-schema blobs are invalidated and read as a miss.
+// storeDecode fetches and decodes one envelope; undecodable,
+// foreign-schema or inconsistent blobs are invalidated and read as a
+// miss.
 func storeDecode(cfg *config, key string) (*storedEnvelope, bool) {
 	payload, ok := cfg.resultStore.Get(key)
 	if !ok {
 		return nil, false
 	}
 	var env storedEnvelope
-	if err := json.Unmarshal(payload, &env); err != nil || env.Schema != resultSchema || env.Report == nil {
+	if err := json.Unmarshal(payload, &env); err != nil || env.Schema != resultSchema || !env.consistent() {
 		cfg.resultStore.Invalidate(key)
 		return nil, false
 	}
 	return &env, true
 }
 
-// serveStored prepares a decoded envelope's report for return: rendered
-// text restored and a minimal fresh profile marking the store hit.
+// consistent reports whether a decoded envelope can be served whole:
+// every step index names a table entry, and Traces lists each finding
+// exactly once, group by group, in the counts the patches declare.
+func (env *storedEnvelope) consistent() bool {
+	if env.Report.Report == nil {
+		return false
+	}
+	findings := env.Report.Findings
+	for _, f := range findings {
+		for _, s := range f.Trace {
+			if s < 0 || s >= len(env.Steps) {
+				return false
+			}
+		}
+	}
+	if len(env.Traces) != len(findings) {
+		return false
+	}
+	listed := make([]bool, len(findings))
+	next := 0
+	for g, p := range env.Report.Patches {
+		if p.Findings < 0 || p.Findings > len(env.Traces)-next {
+			return false
+		}
+		for _, t := range env.Traces[next : next+p.Findings] {
+			if t.Finding < 0 || t.Finding >= len(findings) || listed[t.Finding] || findings[t.Finding].Group != g {
+				return false
+			}
+			listed[t.Finding] = true
+		}
+		next += p.Findings
+	}
+	return next == len(env.Traces)
+}
+
+// serveStored prepares a consistent envelope's report for return: each
+// finding's trace rebuilt from the step table, the text rendered again,
+// and a minimal fresh profile marking the store hit.
 func serveStored(env *storedEnvelope) *Report {
-	rep := env.Report
-	rep.Text = env.Text
+	rep := env.Report.Report
+	total := 0
+	for _, f := range env.Report.Findings {
+		total += len(f.Trace)
+	}
+	// One backing array for every trace; each finding's slice is capped
+	// so an append to it cannot overwrite the next finding's steps.
+	steps := make([]TraceStep, 0, total)
+	if len(env.Report.Findings) > 0 {
+		rep.Findings = make([]Finding, len(env.Report.Findings))
+	}
+	for i, sf := range env.Report.Findings {
+		f := sf.Finding
+		if len(sf.Trace) > 0 {
+			start := len(steps)
+			for _, s := range sf.Trace {
+				steps = append(steps, env.Steps[s])
+			}
+			f.Trace = steps[start:len(steps):len(steps)]
+		}
+		rep.Findings[i] = f
+	}
+	rep.Text = storedText(rep, env.Traces)
 	rep.Profile = &RunProfile{StoreHit: true}
 	return rep
+}
+
+// storedText renders a served report's text with the same line emitters
+// Report.String uses, into one buffer sized up front.
+func storedText(rep *Report, traces []storedTrace) string {
+	size := 160 + len(rep.File)
+	for _, l := range rep.Limits {
+		size += 2 + len(l)
+	}
+	for _, p := range rep.Patches {
+		size += 64 + len(p.Description)
+	}
+	for _, t := range traces {
+		f := &rep.Findings[t.Finding]
+		size += 48 + len(f.Class) + len(f.Sink) + len(t.Context) + len(f.Location.File) + len(t.Path)
+		for _, s := range f.Trace {
+			size += 40 + len(s.Location.File) + len(s.Var) + len(s.Value)
+		}
+	}
+	for _, w := range rep.Warnings {
+		size += 8 + len(w)
+	}
+	b := make([]byte, 0, size)
+	b = report.AppendHeader(b, rep.File, rep.Safe, rep.Incomplete, rep.Limits, rep.Symptoms, rep.Groups)
+	next := 0
+	for g, p := range rep.Patches {
+		b = report.AppendGroup(b, g, p.Description, p.Findings)
+		for _, t := range traces[next : next+p.Findings] {
+			f := &rep.Findings[t.Finding]
+			b = report.AppendTrace(b, f.Class, f.Sink, t.Context, f.Location.pos())
+			for _, s := range f.Trace {
+				b = report.AppendStep(b, s.Location.pos(), s.Var, s.Value)
+			}
+			if t.Path != "" {
+				b = report.AppendPath(b, t.Path)
+			}
+		}
+		next += p.Findings
+	}
+	return string(report.AppendWarnings(b, rep.Warnings))
 }
 
 // storedIncludesCurrent revalidates a persisted report's include
@@ -300,8 +431,9 @@ func withDepRecorder(fn func(depRecord)) Option {
 // storePut persists a finished report. Incomplete reports are skipped
 // (their shape depends on transient pressure); store write failures are
 // deliberately swallowed — a full or read-only disk degrades the cache,
-// not the verification.
-func storePut(ctx context.Context, cfg *config, name, key string, rep *Report, res *core.Result) {
+// not the verification. irep is the internal report rep was derived
+// from; it supplies the output contexts and branch paths the text needs.
+func storePut(ctx context.Context, cfg *config, name, key string, rep *Report, irep *report.Report, res *core.Result) {
 	if rep.Incomplete {
 		return
 	}
@@ -310,8 +442,29 @@ func storePut(ctx context.Context, cfg *config, name, key string, rep *Report, r
 	env := storedEnvelope{
 		Schema: resultSchema,
 		Name:   name,
-		Text:   rep.Text,
-		Report: rep,
+		Traces: storedTraces(rep, irep),
+	}
+	// The profile is per-run, not per-content: strip it from the blob so
+	// identical verdicts persist identically (and blobs stay small).
+	body := *rep
+	body.Profile = nil
+	env.Report.Report = &body
+	if len(rep.Findings) > 0 {
+		index := make(map[TraceStep]int)
+		env.Report.Findings = make([]storedFinding, len(rep.Findings))
+		for i, f := range rep.Findings {
+			sf := storedFinding{Finding: f}
+			for _, step := range f.Trace {
+				id, ok := index[step]
+				if !ok {
+					id = len(env.Steps)
+					index[step] = id
+					env.Steps = append(env.Steps, step)
+				}
+				sf.Trace = append(sf.Trace, id)
+			}
+			env.Report.Findings[i] = sf
+		}
 	}
 	if res != nil && res.AI != nil {
 		if len(res.AI.IncludeHashes) > 0 {
@@ -325,14 +478,51 @@ func storePut(ctx context.Context, cfg *config, name, key string, rep *Report, r
 		}
 		sort.Strings(env.IncludeMisses)
 	}
-	// The profile is per-run, not per-content: strip it from the blob so
-	// identical verdicts persist identically (and blobs stay small).
-	saved := rep.Profile
-	rep.Profile = nil
 	payload, err := json.Marshal(&env)
-	rep.Profile = saved
 	if err != nil {
 		return
 	}
 	_ = cfg.resultStore.Put(key, payload)
 }
+
+// storedTraces lists, in the text report's group-major order, which of
+// rep.Findings each of irep's counterexamples became, with its output
+// context and branch path. buildReport appends findings in that order
+// and then stable-sorts them by sink position; sorting the same keys the
+// same way recovers where each one went.
+func storedTraces(rep *Report, irep *report.Report) []storedTrace {
+	if len(rep.Findings) == 0 {
+		return nil
+	}
+	traces := make([]storedTrace, 0, len(rep.Findings))
+	locs := make([]token.Pos, 0, len(rep.Findings))
+	for _, g := range irep.Groups {
+		for _, cex := range g.Cexs {
+			locs = append(locs, cex.Assert.Origin.Site.Pos)
+			t := storedTrace{Context: cex.Assert.Origin.Context}
+			if len(cex.Branches) > 0 {
+				t.Path = string(report.AppendBranches(nil, cex.Branches))
+			}
+			traces = append(traces, t)
+		}
+	}
+	order := make([]int, len(traces))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(i, j int) bool {
+		a, b := locs[order[i]], locs[order[j]]
+		if a.Line != b.Line {
+			return a.Line < b.Line
+		}
+		return a.Col < b.Col
+	})
+	for k, i := range order {
+		traces[i].Finding = k
+	}
+	return traces
+}
+
+// pos converts a Location to the token position the text report's line
+// emitters print.
+func (l Location) pos() token.Pos { return token.Pos{File: l.File, Line: l.Line, Col: l.Col} }

@@ -784,9 +784,10 @@ func VerifyContext(ctx context.Context, src []byte, name string, opts ...Option)
 	if err != nil {
 		return nil, err
 	}
-	rep := buildReport(res, report.Build(res, analysis), prof)
+	irep := report.Build(res, analysis)
+	rep := buildReport(res, irep, prof)
 	if cfg.resultStore != nil {
-		storePut(telemetry.WithTelemetry(ctx, cfg.telemetry), cfg, name, key, rep, res)
+		storePut(telemetry.WithTelemetry(ctx, cfg.telemetry), cfg, name, key, rep, irep, res)
 	}
 	if rep.Incomplete {
 		// Incomplete reports are never persisted; an empty key makes the
