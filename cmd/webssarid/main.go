@@ -207,10 +207,10 @@ func run(args []string, ready chan<- string) int {
 	// registration can reject a worker whose options differ from the
 	// coordinator's (mismatched options would break verdict identity).
 	// The policy is part of it: a worker running a different default
-	// policy must not join. Fingerprint itself erases the verdict-neutral
-	// solver mode, so passing the full solver config here is safe:
-	// workers may solve in shared mode while the coordinator runs
-	// per-assert and still fingerprint identically.
+	// policy must not join. Fingerprint leaves out the options that
+	// change only cost (-j, -incremental, -solver-mode), so passing the
+	// full config here is safe: such workers still fingerprint
+	// identically to the coordinator.
 	fingerprint := cluster.Fingerprint(webssari.WithConfig(sh.Config()))
 
 	pol := sh.ResolvedPolicy()

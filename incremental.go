@@ -41,11 +41,25 @@ func graphKey(dir, configFP string) string {
 // include-dependency graph — exposed for tests and tooling that need to
 // locate or invalidate the blob.
 func GraphKey(dir string, opts ...Option) (string, error) {
-	fcfg, err := buildConfig(append([]Option{WithDir(dir)}, opts...))
+	fp, err := ConfigFingerprint(append([]Option{WithDir(dir)}, opts...)...)
 	if err != nil {
 		return "", err
 	}
-	return store.NamespacedKey(GraphNamespace, graphKey(dir, fcfg.configFingerprint())), nil
+	return store.NamespacedKey(GraphNamespace, graphKey(dir, fp)), nil
+}
+
+// ConfigFingerprint returns the fingerprint of every verdict-shaping
+// option in opts: the non-content part of each result-store and
+// dependency-graph key. Options that change only cost — parallelism,
+// incremental mode, the solver dispatch mode, store and telemetry
+// handles — and the deadline (only complete reports are stored) do not
+// participate.
+func ConfigFingerprint(opts ...Option) (string, error) {
+	c, err := buildConfig(opts)
+	if err != nil {
+		return "", err
+	}
+	return c.configFingerprint(), nil
 }
 
 // configFingerprint summarizes every verdict-shaping option — exactly
@@ -141,11 +155,9 @@ func verifyDirIncremental(ctx context.Context, dir string, snap incremental.Snap
 	// snapshot needs no revalidation; a missing blob (GC eviction) just
 	// moves the file back into the verify set.
 	served := make(map[string]*Report, len(plan.Reuse))
-	envelopes := make(map[string]*storedEnvelope, len(plan.Reuse))
 	for path, key := range plan.Reuse {
-		if rep, env, ok := storeGetTrusted(tctx, cfg, path, key); ok {
+		if rep, ok := storeGetTrusted(tctx, cfg, path, key); ok {
 			served[path] = rep
-			envelopes[path] = env
 		} else {
 			plan.Verify = append(plan.Verify, path)
 			plan.Invalidated++
@@ -180,7 +192,7 @@ func verifyDirIncremental(ctx context.Context, dir string, snap incremental.Snap
 
 	// Persist the rebuilt graph. Failures are swallowed like result-store
 	// writes: a read-only disk degrades the next plan, not this verdict.
-	ng := rebuildGraph(filepath.Clean(dir), configFP, snap, g, plan, served, envelopes, records)
+	ng := rebuildGraph(filepath.Clean(dir), configFP, snap, g, plan, served, records)
 	if payload, err := ng.Encode(); err == nil {
 		_ = ns.Put(gkey, payload)
 	}
@@ -193,7 +205,7 @@ func verifyDirIncremental(ctx context.Context, dir string, snap incremental.Snap
 // this snapshot, dependency fingerprints from the planner's validated
 // metas overlaid with freshly observed include hashes. Files that
 // failed outright get no node and are re-planned next run.
-func rebuildGraph(dir, configFP string, snap incremental.Snapshot, old *incremental.Graph, plan *incremental.Plan, served map[string]*Report, envelopes map[string]*storedEnvelope, records map[string]depRecord) *incremental.Graph {
+func rebuildGraph(dir, configFP string, snap incremental.Snapshot, old *incremental.Graph, plan *incremental.Plan, served map[string]*Report, records map[string]depRecord) *incremental.Graph {
 	g := incremental.New(dir, configFP)
 	for path, dm := range plan.Deps {
 		meta := *dm
@@ -229,43 +241,28 @@ func rebuildGraph(dir, configFP string, snap incremental.Snapshot, old *incremen
 				MTimeNS:   fm.MTimeNS,
 				Hash:      rec.SourceHash,
 				ResultKey: rec.ResultKey,
-				Deps:      addDeps(rec.Includes),
-				Misses:    append([]string(nil), rec.Misses...),
+				Deps:      addDeps(rec.Includes.Hashes),
+				Misses:    rec.Includes.Misses,
 			}
 			g.Files[fm.Path] = node
 			continue
 		}
-		if _, ok := served[fm.Path]; ok && old != nil {
-			if prev := old.Files[fm.Path]; prev != nil {
-				node := *prev
-				// The plan proved content unchanged (fast path or re-hash),
-				// so refreshing the stat fingerprint is sound and keeps a
-				// touched-but-identical file on the fast path next run.
-				node.Size, node.MTimeNS = fm.Size, fm.MTimeNS
-				node.Deps = append([]string(nil), prev.Deps...)
-				node.Misses = append([]string(nil), prev.Misses...)
-				g.Files[fm.Path] = &node
-				for _, dep := range prev.Deps {
-					if g.Deps[dep] == nil {
-						if dm := old.Deps[dep]; dm != nil {
-							meta := *dm
-							g.Deps[dep] = &meta
-						}
+		if _, ok := served[fm.Path]; ok {
+			// PlanDelta reuses only files old has a node for.
+			prev := old.Files[fm.Path]
+			node := *prev
+			// The plan proved content unchanged (fast path or re-hash),
+			// so refreshing the stat fingerprint is sound and keeps a
+			// touched-but-identical file on the fast path next run.
+			node.Size, node.MTimeNS = fm.Size, fm.MTimeNS
+			g.Files[fm.Path] = &node
+			for _, dep := range prev.Deps {
+				if g.Deps[dep] == nil {
+					if dm := old.Deps[dep]; dm != nil {
+						meta := *dm
+						g.Deps[dep] = &meta
 					}
 				}
-			} else if env := envelopes[fm.Path]; env != nil {
-				// Served but the old graph lost the node (should not
-				// happen; defensive): rebuild it from the envelope.
-				node := &incremental.FileNode{
-					Size: fm.Size, MTimeNS: fm.MTimeNS,
-					ResultKey: plan.Reuse[fm.Path],
-					Deps:      addDeps(env.IncludeHashes),
-					Misses:    append([]string(nil), env.IncludeMisses...),
-				}
-				if h, ok := fsEnv.Hash(fm.Path); ok {
-					node.Hash = h
-				}
-				g.Files[fm.Path] = node
 			}
 		}
 	}

@@ -222,16 +222,9 @@ type Program struct {
 	// read: the included code is missing from the model, so — like
 	// Truncated — a Safe verdict must degrade to Unknown.
 	UnresolvedIncludes []string
-	// IncludeHashes records the provenance of every statically resolved
-	// include spliced into this model: resolved path → hex SHA-256 of the
-	// content that was read. A compile cache revalidates these before
-	// reusing the model, so an edited include can never be served stale.
-	IncludeHashes map[string]string
-	// IncludeMisses records include candidate paths that were probed and
-	// not readable while building this model. If one of them becomes
-	// readable later, include resolution would pick a different file, so
-	// a cached model keyed on this program must be recompiled.
-	IncludeMisses map[string]bool
+	// Includes snapshots the include resolution this model was built
+	// under; a model is reused only while it is Current.
+	Includes Includes
 }
 
 // InitialType returns the initial type of a variable (⊥ when unlisted).

@@ -157,25 +157,22 @@ func (c *Config) fill() {
 
 // Fingerprint summarizes a verdict-shaping option list for registration
 // matching: two daemons with equal fingerprints produce byte-identical
-// verdicts for the same inputs. Derived from the declarative
-// ExportConfig form, so it covers exactly what the options cover.
+// verdicts for the same inputs. It is the result store's definition,
+// webssari.ConfigFingerprint, plus the deadline: the store can leave the
+// deadline out because it keeps only complete reports, but every worker
+// applies its own deadline, and that decides completeness. Options that
+// change only cost (-j, -incremental, the solver mode) never split a
+// cluster.
 func Fingerprint(opts ...webssari.Option) string {
+	fp, err := webssari.ConfigFingerprint(opts...)
+	if err != nil {
+		return ""
+	}
 	cc, err := webssari.ExportConfig(opts...)
 	if err != nil {
 		return ""
 	}
-	// The verdict-neutral dispatch mode is erased before hashing: a
-	// shared-mode worker and a per-assert coordinator produce
-	// byte-identical verdicts, and gating registration on it would split
-	// clusters for no reason.
-	cc.Solver.Mode = ""
-	// Config is a plain struct (no maps), so its JSON field order is
-	// fixed and the encoding canonical.
-	payload, err := json.Marshal(cc)
-	if err != nil {
-		return ""
-	}
-	return store.Key("webssari-cluster-config-v1", string(payload))
+	return store.Key("webssari-cluster-config-v2", fp, "deadline="+cc.Deadline.String())
 }
 
 // worker is one registered cluster member.

@@ -23,10 +23,10 @@ import (
 // serves every Solve configuration.
 //
 // Because includes are spliced in at compile time, a hit is revalidated
-// against the Program's include snapshot (ai.Program.IncludeHashes /
-// IncludeMisses) through the current loader before being served: an
-// edited include, or a previously missing candidate that has appeared,
-// forces a recompile instead of a stale answer.
+// against the Program's include snapshot (ai.Program.Includes) through
+// the current loader before being served: an edited include, or a
+// previously missing candidate that has appeared, forces a recompile
+// instead of a stale answer.
 //
 // Concurrent compiles of the same key are coalesced (single-flight): the
 // first caller compiles, the rest wait and count as hits, so hit/miss
@@ -84,7 +84,7 @@ func (c *CompileCache) Compile(name string, src []byte, opts Options) (*Program,
 		c.lru.MoveToFront(e.elem)
 		c.mu.Unlock()
 		<-e.ready
-		if e.prog != nil && !includesCurrent(e.prog, opts) {
+		if e.prog != nil && !e.prog.AI.Includes.Current(opts.Flow.Loader) {
 			// Stale include snapshot: drop the entry and recompile. The
 			// recompile goes through the cache again so concurrent callers
 			// still coalesce on the fresh entry.
@@ -167,37 +167,6 @@ func (c *CompileCache) Reset() {
 	c.lru.Init()
 	c.hits, c.misses = 0, 0
 	c.evictions, c.stale = 0, 0
-}
-
-// includesCurrent revalidates a cached Program's include snapshot against
-// the current loader: every spliced include must still hash the same, and
-// every probed-but-missing candidate must still be missing.
-func includesCurrent(p *Program, opts Options) bool {
-	if len(p.AI.IncludeHashes) == 0 && len(p.AI.IncludeMisses) == 0 {
-		return true
-	}
-	load := opts.Flow.Loader
-	if load == nil {
-		// No loader: includes cannot resolve at all now, so any snapshot
-		// that resolved or probed files is out of date.
-		return false
-	}
-	for path, want := range p.AI.IncludeHashes {
-		data, err := load(path)
-		if err != nil {
-			return false
-		}
-		sum := sha256.Sum256(data)
-		if hex.EncodeToString(sum[:]) != want {
-			return false
-		}
-	}
-	for cand := range p.AI.IncludeMisses {
-		if _, err := load(cand); err == nil {
-			return false
-		}
-	}
-	return true
 }
 
 // cacheKey derives the content key for one compile request.

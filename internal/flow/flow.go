@@ -22,8 +22,6 @@
 package flow
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"sort"
 	"strings"
@@ -155,8 +153,7 @@ func BuildAST(file *ast.File, opts Options) (*ai.Program, error) {
 		Truncated:    b.truncated,
 
 		UnresolvedIncludes: b.unresolvedIncludes,
-		IncludeHashes:      b.includeHashes,
-		IncludeMisses:      b.includeMisses,
+		Includes:           b.includes,
 	}
 	return prog, nil
 }
@@ -208,35 +205,14 @@ type builder struct {
 	// unresolvedIncludes records static include paths the loader could
 	// not read (surfaced on ai.Program.UnresolvedIncludes).
 	unresolvedIncludes []string
-	// includeHashes and includeMisses snapshot include resolution for the
-	// compile cache (see ai.Program.IncludeHashes / IncludeMisses).
-	includeHashes map[string]string
-	includeMisses map[string]bool
-	preVars       map[string]bool
+	// includes snapshots include resolution (ai.Program.Includes).
+	includes ai.Includes
+	preVars  map[string]bool
 
 	// extractTargets are variable names that are read somewhere in the
 	// program but never assigned: the candidates an extract() call may
 	// define (see handleExtract).
 	extractTargets []string
-}
-
-// recordIncludeHit snapshots a resolved include's content hash for cache
-// revalidation (ai.Program.IncludeHashes).
-func (b *builder) recordIncludeHit(resolved string, src []byte) {
-	if b.includeHashes == nil {
-		b.includeHashes = make(map[string]string)
-	}
-	sum := sha256.Sum256(src)
-	b.includeHashes[resolved] = hex.EncodeToString(sum[:])
-}
-
-// recordIncludeMiss snapshots a probed-but-unreadable include candidate
-// (ai.Program.IncludeMisses).
-func (b *builder) recordIncludeMiss(cand string) {
-	if b.includeMisses == nil {
-		b.includeMisses = make(map[string]bool)
-	}
-	b.includeMisses[cand] = true
 }
 
 func (b *builder) warnf(pos token.Pos, format string, args ...any) {

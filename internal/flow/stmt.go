@@ -326,14 +326,14 @@ func (b *builder) handleInclude(e *ast.IncludeExpr) ai.Expr {
 			src, resolved = data, cand
 			break
 		}
-		b.recordIncludeMiss(cand)
+		b.includes.Miss(cand)
 	}
 	if resolved == "" {
 		b.warnf(e.Pos(), "cannot load include %q", lit)
 		b.unresolvedIncludes = append(b.unresolvedIncludes, lit)
 		return bottom
 	}
-	b.recordIncludeHit(resolved, src)
+	b.includes.Hit(resolved, src)
 
 	once := e.Kind.String() == "include_once" || e.Kind.String() == "require_once"
 	if once && b.included[resolved] {

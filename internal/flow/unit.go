@@ -1,8 +1,6 @@
 package flow
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"sort"
 	"strings"
@@ -62,8 +60,7 @@ func BuildUnit(unit *ir.Unit, opts Options) (*ai.Program, error) {
 		Truncated:    b.truncated,
 
 		UnresolvedIncludes: b.unresolvedIncludes,
-		IncludeHashes:      b.includeHashes,
-		IncludeMisses:      b.includeMisses,
+		Includes:           b.includes,
 	}
 	if opts.Policy != nil {
 		prog.Policy = opts.Policy.Name()
@@ -106,8 +103,7 @@ type ubuilder struct {
 	truncated    bool
 
 	unresolvedIncludes []string
-	includeHashes      map[string]string
-	includeMisses      map[string]bool
+	includes           ai.Includes
 	preVars            map[string]bool
 
 	extractTargets []string
@@ -117,21 +113,6 @@ type ubuilder struct {
 	// $f(...) calls unfold the closure body. Any other write to the
 	// variable drops the binding (conservative).
 	closureBind map[string]*ir.Func
-}
-
-func (b *ubuilder) recordIncludeHit(resolved string, src []byte) {
-	if b.includeHashes == nil {
-		b.includeHashes = make(map[string]string)
-	}
-	sum := sha256.Sum256(src)
-	b.includeHashes[resolved] = hex.EncodeToString(sum[:])
-}
-
-func (b *ubuilder) recordIncludeMiss(cand string) {
-	if b.includeMisses == nil {
-		b.includeMisses = make(map[string]bool)
-	}
-	b.includeMisses[cand] = true
 }
 
 func (b *ubuilder) warnf(pos token.Pos, format string, args ...any) {

@@ -417,14 +417,14 @@ func (b *ubuilder) handleInclude(e *ir.Include) ai.Expr {
 			src, resolved = data, cand
 			break
 		}
-		b.recordIncludeMiss(cand)
+		b.includes.Miss(cand)
 	}
 	if resolved == "" {
 		b.warnf(e.Pos(), "cannot load include %q", lit)
 		b.unresolvedIncludes = append(b.unresolvedIncludes, lit)
 		return bottom
 	}
-	b.recordIncludeHit(resolved, src)
+	b.includes.Hit(resolved, src)
 
 	once := e.Kind == "include_once" || e.Kind == "require_once"
 	if once && b.included[resolved] {

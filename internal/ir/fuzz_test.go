@@ -4,6 +4,7 @@
 package ir_test
 
 import (
+	"reflect"
 	"testing"
 
 	"webssari/internal/flow"
@@ -13,9 +14,9 @@ import (
 )
 
 // FuzzLower drives the lowering on arbitrary bytes. Invariants: no
-// panic; a non-nil unit for every parse result; printing and
-// fingerprinting total; lowering deterministic (two lowerings of one
-// AST fingerprint identically); and on the legacy subset the IR path's
+// panic; a non-nil unit for every parse result; printing total; lowering
+// deterministic (two lowerings of one AST are deeply equal, spans and
+// inline HTML text included); and on the legacy subset the IR path's
 // abstract interpretation byte-identical to the legacy AST builder's.
 // The seed corpus is FuzzVerify's plus the new-subset constructs.
 func FuzzLower(f *testing.F) {
@@ -55,8 +56,7 @@ func FuzzLower(f *testing.F) {
 		if err != nil {
 			t.Fatalf("second Lower error: %v", err)
 		}
-		// The textual form prints every instruction's fingerprint.
-		if again.String() != text {
+		if !reflect.DeepEqual(unit, again) {
 			t.Fatalf("nondeterministic lowering:\n%s\nvs\n%s", text, again.String())
 		}
 

@@ -7,8 +7,8 @@
 // The IR preserves exactly the information the filter F(p) consumes —
 // assignments, concatenations, calls, sinks, sanitizing casts, branches,
 // loop structures, includes, and returns — as explicit instructions over
-// expression trees, each carrying its source Site (span) and a stable,
-// position-independent fingerprint. Everything downstream (flow.BuildUnit,
+// expression trees, each carrying its source Site (span). Everything
+// downstream (flow.BuildUnit,
 // the typestate ablation, and the -dump-ir CLI mode) consumes this form
 // instead of the AST.
 //
@@ -48,9 +48,6 @@ type Expr interface {
 type Instr interface {
 	Node
 	instrNode()
-	// Fingerprint returns a stable, position-independent hash of the
-	// instruction (see fingerprint.go).
-	Fingerprint() string
 }
 
 // Block is a sequence of instructions. Structured instructions (Branch,

@@ -84,7 +84,7 @@ func TestLowerForeachByRef(t *testing.T) {
 
 // TestLowerRecoveredErrorsTotal asserts lowering is total over ASTs the
 // parser recovered from errors: every statement still yields at least
-// one instruction, printing works, fingerprints compute.
+// one instruction and printing works.
 func TestLowerRecoveredErrorsTotal(t *testing.T) {
 	broken := []string{
 		`<?php $x = ; } } if (`,

@@ -11,7 +11,7 @@ const MainKey = "<main>"
 
 // String renders the unit's deterministic textual form, the shape pinned
 // by -dump-ir golden tests: one line per instruction, each suffixed with
-// its source line:col site and short fingerprint; nested blocks indent.
+// its source line:col site; nested blocks indent.
 func (u *Unit) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "unit %s\n", u.File)
@@ -83,10 +83,10 @@ func indent(sb *strings.Builder, depth int) {
 	}
 }
 
-// siteSuffix renders the instruction's source site and short fingerprint.
+// siteSuffix renders the instruction's source site.
 func siteSuffix(in Instr) string {
 	p := in.Pos()
-	return fmt.Sprintf("  @%d:%d #%s", p.Line, p.Col, in.Fingerprint())
+	return fmt.Sprintf("  @%d:%d", p.Line, p.Col)
 }
 
 func printInstr(sb *strings.Builder, in Instr, depth int) {

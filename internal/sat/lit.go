@@ -103,17 +103,17 @@ func (b lbool) String() string {
 // Stats collects solver counters for benchmarks, ablations, and the
 // telemetry layer's per-assertion profiles.
 type Stats struct {
-	Decisions      uint64
-	Propagations   uint64
-	Conflicts      uint64
-	Restarts       uint64
-	LearntClauses  uint64
-	DeletedClauses uint64
+	Decisions      uint64 `json:"decisions"`
+	Propagations   uint64 `json:"propagations"`
+	Conflicts      uint64 `json:"conflicts"`
+	Restarts       uint64 `json:"restarts"`
+	LearntClauses  uint64 `json:"learnt_clauses"`
+	DeletedClauses uint64 `json:"deleted_clauses"`
 	// MinimizedLits counts literals dropped from learned clauses by
 	// conflict-clause minimization — a direct measure of how much the
 	// minimization pass shrinks the learned database.
-	MinimizedLits uint64
-	MaxDepth      int
+	MinimizedLits uint64 `json:"minimized_lits"`
+	MaxDepth      int    `json:"max_depth"`
 }
 
 // Add accumulates o into s; MaxDepth takes the maximum. It is how

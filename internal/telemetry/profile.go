@@ -5,40 +5,13 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"webssari/internal/sat"
 )
 
-// SolverProfile aggregates CDCL search-effort counters (the fields of
-// sat.Stats, duplicated here so the telemetry layer stays standalone).
-type SolverProfile struct {
-	Decisions      uint64 `json:"decisions"`
-	Propagations   uint64 `json:"propagations"`
-	Conflicts      uint64 `json:"conflicts"`
-	Restarts       uint64 `json:"restarts"`
-	LearntClauses  uint64 `json:"learnt_clauses"`
-	DeletedClauses uint64 `json:"deleted_clauses"`
-	MinimizedLits  uint64 `json:"minimized_lits"`
-	MaxDepth       int    `json:"max_depth"`
-}
-
-// Add accumulates o into s (MaxDepth takes the maximum).
-func (s *SolverProfile) Add(o SolverProfile) {
-	s.Decisions += o.Decisions
-	s.Propagations += o.Propagations
-	s.Conflicts += o.Conflicts
-	s.Restarts += o.Restarts
-	s.LearntClauses += o.LearntClauses
-	s.DeletedClauses += o.DeletedClauses
-	s.MinimizedLits += o.MinimizedLits
-	if o.MaxDepth > s.MaxDepth {
-		s.MaxDepth = o.MaxDepth
-	}
-}
-
-// String renders the effort in the format of sat.Stats.String.
-func (s SolverProfile) String() string {
-	return fmt.Sprintf("decisions=%d propagations=%d conflicts=%d restarts=%d learnt=%d deleted=%d minimized=%d",
-		s.Decisions, s.Propagations, s.Conflicts, s.Restarts, s.LearntClauses, s.DeletedClauses, s.MinimizedLits)
-}
+// SolverProfile is the CDCL search effort of one assertion or, summed
+// with Add, of a whole run.
+type SolverProfile = sat.Stats
 
 // AssertProfile is the per-assertion slice of a RunProfile: encoding
 // size, stage wall time, and the solver's search effort — the

@@ -31,7 +31,7 @@ import (
 	"encoding/json"
 	"sort"
 
-	"webssari/internal/core"
+	"webssari/internal/ai"
 	"webssari/internal/php/token"
 	"webssari/internal/report"
 	"webssari/internal/store"
@@ -135,10 +135,9 @@ const resultSchema = 2
 type storedEnvelope struct {
 	Schema int    `json:"schema"`
 	Name   string `json:"name"`
-	// IncludeHashes and IncludeMisses snapshot the include resolution
-	// the model was built under (see core.CompileCache revalidation).
-	IncludeHashes map[string]string `json:"include_hashes,omitempty"`
-	IncludeMisses []string          `json:"include_misses,omitempty"`
+	// Includes is the include resolution the model was built under; a
+	// hit is served only while it is Current.
+	ai.Includes
 	// Steps is the file's table of distinct trace steps.
 	Steps []TraceStep `json:"steps,omitempty"`
 	// Traces lists one entry per finding in the text report's order:
@@ -188,20 +187,20 @@ func resultKey(name string, src []byte, cfg *config) string {
 // revalidated (envelope schema, include snapshot); any failure reads as
 // a miss. The returned report is marked StoreHit with a minimal fresh
 // profile — the persisted run's timings belong to the run that paid
-// them. The decoded envelope rides along so callers can record the
-// persisted include resolution into the dependency graph.
-func storeGet(ctx context.Context, cfg *config, name, key string) (*Report, *storedEnvelope, bool) {
+// them. The persisted include resolution rides along so callers can
+// record it into the dependency graph.
+func storeGet(ctx context.Context, cfg *config, name, key string) (*Report, ai.Includes, bool) {
 	_, sp := telemetry.StartSpan(ctx, "store_get", "file", name)
 	defer sp.End()
 	env, ok := storeDecode(cfg, key)
 	if !ok {
-		return nil, nil, false
+		return nil, ai.Includes{}, false
 	}
-	if !storedIncludesCurrent(env, cfg) {
+	if !env.Includes.Current(cfg.loader) {
 		cfg.resultStore.Invalidate(key)
-		return nil, nil, false
+		return nil, ai.Includes{}, false
 	}
-	return serveStored(env), env, true
+	return serveStored(env), env.Includes, true
 }
 
 // storeGetTrusted serves a persisted report by key without revalidating
@@ -210,14 +209,14 @@ func storeGet(ctx context.Context, cfg *config, name, key string) (*Report, *sto
 // that neither the entry file nor any spliced include changed. This is
 // what makes an unchanged subtree cost one disk read per file instead of
 // one read per include edge.
-func storeGetTrusted(ctx context.Context, cfg *config, name, key string) (*Report, *storedEnvelope, bool) {
+func storeGetTrusted(ctx context.Context, cfg *config, name, key string) (*Report, bool) {
 	_, sp := telemetry.StartSpan(ctx, "store_get", "file", name)
 	defer sp.End()
 	env, ok := storeDecode(cfg, key)
 	if !ok {
-		return nil, nil, false
+		return nil, false
 	}
-	return serveStored(env), env, true
+	return serveStored(env), true
 }
 
 // storeDecode fetches and decodes one envelope; undecodable,
@@ -342,35 +341,6 @@ func storedText(rep *Report, traces []storedTrace) string {
 	return string(report.AppendWarnings(b, rep.Warnings))
 }
 
-// storedIncludesCurrent revalidates a persisted report's include
-// snapshot against the current loader, mirroring the compile cache's
-// includesCurrent: every spliced include must still hash the same and
-// every probed-but-missing candidate must still be missing.
-func storedIncludesCurrent(env *storedEnvelope, cfg *config) bool {
-	if len(env.IncludeHashes) == 0 && len(env.IncludeMisses) == 0 {
-		return true
-	}
-	if cfg.loader == nil {
-		return false
-	}
-	for path, want := range env.IncludeHashes {
-		data, err := cfg.loader(path)
-		if err != nil {
-			return false
-		}
-		sum := sha256.Sum256(data)
-		if hex.EncodeToString(sum[:]) != want {
-			return false
-		}
-	}
-	for _, cand := range env.IncludeMisses {
-		if _, err := cfg.loader(cand); err == nil {
-			return false
-		}
-	}
-	return true
-}
-
 // depRecord is what one file's verification teaches the dependency
 // graph: the entry's content hash, the store key its report lives
 // under, and the include resolution its model was built from.
@@ -378,44 +348,18 @@ type depRecord struct {
 	Name       string
 	SourceHash string
 	ResultKey  string
-	// Includes maps resolved include path → hex content hash; Misses
-	// lists probed-but-absent candidates (sorted).
-	Includes map[string]string
-	Misses   []string
+	Includes   ai.Includes
 }
 
-// recordDeps reports one finished file to the configured dependency
-// recorder (set internally by incremental VerifyDir). Exactly one of
-// res (fresh verification) and env (store hit) carries the include
-// resolution. No-op without a recorder.
-func (c *config) recordDeps(name string, src []byte, key string, res *core.Result, env *storedEnvelope) {
+// recordDeps reports one finished file, with the include resolution of
+// its model (fresh or persisted), to the configured dependency recorder
+// (set internally by incremental VerifyDir). No-op without a recorder.
+func (c *config) recordDeps(name string, src []byte, key string, inc ai.Includes) {
 	if c.depRecorder == nil {
 		return
 	}
 	sum := sha256.Sum256(src)
-	r := depRecord{Name: name, SourceHash: hex.EncodeToString(sum[:]), ResultKey: key}
-	switch {
-	case res != nil && res.AI != nil:
-		if len(res.AI.IncludeHashes) > 0 {
-			r.Includes = make(map[string]string, len(res.AI.IncludeHashes))
-			for path, h := range res.AI.IncludeHashes {
-				r.Includes[path] = h
-			}
-		}
-		for cand := range res.AI.IncludeMisses {
-			r.Misses = append(r.Misses, cand)
-		}
-		sort.Strings(r.Misses)
-	case env != nil:
-		if len(env.IncludeHashes) > 0 {
-			r.Includes = make(map[string]string, len(env.IncludeHashes))
-			for path, h := range env.IncludeHashes {
-				r.Includes[path] = h
-			}
-		}
-		r.Misses = append([]string(nil), env.IncludeMisses...)
-	}
-	c.depRecorder(r)
+	c.depRecorder(depRecord{Name: name, SourceHash: hex.EncodeToString(sum[:]), ResultKey: key, Includes: inc})
 }
 
 // withDepRecorder registers the internal callback incremental VerifyDir
@@ -433,16 +377,19 @@ func withDepRecorder(fn func(depRecord)) Option {
 // deliberately swallowed — a full or read-only disk degrades the cache,
 // not the verification. irep is the internal report rep was derived
 // from; it supplies the output contexts and branch paths the text needs.
-func storePut(ctx context.Context, cfg *config, name, key string, rep *Report, irep *report.Report, res *core.Result) {
+// inc is the model's include resolution, shared, not copied: a built
+// Program never changes it.
+func storePut(ctx context.Context, cfg *config, name, key string, rep *Report, irep *report.Report, inc ai.Includes) {
 	if rep.Incomplete {
 		return
 	}
 	_, sp := telemetry.StartSpan(ctx, "store_put", "file", name)
 	defer sp.End()
 	env := storedEnvelope{
-		Schema: resultSchema,
-		Name:   name,
-		Traces: storedTraces(rep, irep),
+		Schema:   resultSchema,
+		Name:     name,
+		Includes: inc,
+		Traces:   storedTraces(rep, irep),
 	}
 	// The profile is per-run, not per-content: strip it from the blob so
 	// identical verdicts persist identically (and blobs stay small).
@@ -465,18 +412,6 @@ func storePut(ctx context.Context, cfg *config, name, key string, rep *Report, i
 			}
 			env.Report.Findings[i] = sf
 		}
-	}
-	if res != nil && res.AI != nil {
-		if len(res.AI.IncludeHashes) > 0 {
-			env.IncludeHashes = make(map[string]string, len(res.AI.IncludeHashes))
-			for path, sum := range res.AI.IncludeHashes {
-				env.IncludeHashes[path] = sum
-			}
-		}
-		for cand := range res.AI.IncludeMisses {
-			env.IncludeMisses = append(env.IncludeMisses, cand)
-		}
-		sort.Strings(env.IncludeMisses)
 	}
 	payload, err := json.Marshal(&env)
 	if err != nil {

@@ -711,17 +711,7 @@ func runAnalysis(ctx context.Context, src []byte, name string, cfg *config) (res
 	for i, ar := range res.PerAssert {
 		prof.AddStage("encode", ar.EncodeTime)
 		prof.AddStage("search", ar.SearchTime)
-		sp := telemetry.SolverProfile{
-			Decisions:      ar.SolverStats.Decisions,
-			Propagations:   ar.SolverStats.Propagations,
-			Conflicts:      ar.SolverStats.Conflicts,
-			Restarts:       ar.SolverStats.Restarts,
-			LearntClauses:  ar.SolverStats.LearntClauses,
-			DeletedClauses: ar.SolverStats.DeletedClauses,
-			MinimizedLits:  ar.SolverStats.MinimizedLits,
-			MaxDepth:       ar.SolverStats.MaxDepth,
-		}
-		prof.Solver.Add(sp)
+		prof.Solver.Add(ar.SolverStats)
 		ap := telemetry.AssertProfile{
 			Index:           i,
 			Vars:            ar.EncodedVars,
@@ -731,7 +721,7 @@ func runAnalysis(ctx context.Context, src []byte, name string, cfg *config) (res
 			Cause:           ar.Cause,
 			EncodeNS:        ar.EncodeTime.Nanoseconds(),
 			SearchNS:        ar.SearchTime.Nanoseconds(),
-			Solver:          sp,
+			Solver:          ar.SolverStats,
 		}
 		if ar.Assert != nil {
 			ap.Sink = ar.Assert.Origin.Fn
@@ -773,8 +763,8 @@ func VerifyContext(ctx context.Context, src []byte, name string, opts ...Option)
 	if cfg.resultStore != nil {
 		tctx := telemetry.WithTelemetry(ctx, cfg.telemetry)
 		key = resultKey(name, src, cfg)
-		if rep, env, ok := storeGet(tctx, cfg, name, key); ok {
-			cfg.recordDeps(name, src, key, nil, env)
+		if rep, inc, ok := storeGet(tctx, cfg, name, key); ok {
+			cfg.recordDeps(name, src, key, inc)
 			return rep, nil
 		}
 	}
@@ -787,14 +777,14 @@ func VerifyContext(ctx context.Context, src []byte, name string, opts ...Option)
 	irep := report.Build(res, analysis)
 	rep := buildReport(res, irep, prof)
 	if cfg.resultStore != nil {
-		storePut(telemetry.WithTelemetry(ctx, cfg.telemetry), cfg, name, key, rep, irep, res)
+		storePut(telemetry.WithTelemetry(ctx, cfg.telemetry), cfg, name, key, rep, irep, res.AI.Includes)
 	}
 	if rep.Incomplete {
 		// Incomplete reports are never persisted; an empty key makes the
 		// dependency graph re-plan the file instead of trusting a miss.
 		key = ""
 	}
-	cfg.recordDeps(name, src, key, res, nil)
+	cfg.recordDeps(name, src, key, res.AI.Includes)
 	return rep, nil
 }
 
