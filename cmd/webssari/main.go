@@ -274,7 +274,7 @@ func printReport(rep *webssari.Report, asJSON bool) {
 		}
 		return
 	}
-	fmt.Print(rep.Text)
+	fmt.Print(rep)
 }
 
 // runFigure10 regenerates the paper's Figure 10: per-project TS- and

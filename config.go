@@ -25,7 +25,11 @@ type SinkSpec struct {
 // one verification unit. The zero value ("" — equivalent to
 // SolverPerAssert) is the classic behavior: every assertion gets a
 // fresh solver over its own encoding. Both modes produce byte-identical
-// reports (profiles aside); they differ only in cost.
+// reports (profiles aside) while no CNF ceiling (ResourceLimits) trips;
+// they differ only in cost. Both enforce the ceilings, but shared mode
+// enforces them on one whole-program formula, which can trip a ceiling
+// that no per-assertion formula reaches: every assertion is then
+// Unknown and the report incomplete.
 type SolverMode string
 
 const (
@@ -52,8 +56,9 @@ func SolverModes() []string {
 // carried verbatim by Config.Solver, by the v1 wire schema's "solver"
 // job field, and by the typed client.
 //
-// Mode is verdict-neutral: it changes cost, never report content, and is
-// therefore excluded from result-store keys. MaxConflicts and
+// Mode is verdict-neutral while no CNF ceiling trips (see SolverMode):
+// it changes cost, not report content, and is therefore excluded from
+// result-store keys; an incomplete report is never stored. MaxConflicts and
 // MaxRestarts are verdict-shaping (an exhausted budget degrades
 // assertions to Unknown) and participate in keys.
 type SolverConfig struct {

@@ -59,7 +59,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("verify: %v", err)
 	}
-	fmt.Println(rep.Text)
+	fmt.Println(rep)
 	fmt.Printf("findings: %d (expected 2: the raw publish and the joined intranet write)\n",
 		len(rep.Findings))
 

@@ -24,7 +24,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("verify: %v", err)
 	}
-	fmt.Println(rep.Text)
+	fmt.Println(rep)
 
 	// Demonstrate the paper's exploit: a crafted referrer drops a table.
 	payload := `');DROP TABLE ('users`

@@ -28,7 +28,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("verify: %v", err)
 	}
-	fmt.Println(rep.Text)
+	fmt.Println(rep)
 	fmt.Printf("TS would insert %d guards (one per symptom); BMC needs %d (one per cause).\n\n",
 		rep.Symptoms, rep.Groups)
 

@@ -206,8 +206,8 @@ func TestClusterVerifyFileMatchesLocal(t *testing.T) {
 	if li, gi := reportIdentity(t, local), reportIdentity(t, got); li != gi {
 		t.Fatalf("clustered report diverges from local run:\nlocal:\n%s\nclustered:\n%s", li, gi)
 	}
-	if got.Text == "" {
-		t.Fatal("remote single-file report lost its rendered text")
+	if got.String() != local.String() {
+		t.Fatalf("remote single-file text diverges from the local run's:\nlocal:\n%s\nclustered:\n%s", local, got)
 	}
 	if cl := got.Profile.Cluster; cl == nil || cl.Remote != 1 || cl.Degraded {
 		t.Fatalf("cluster profile = %+v; want one remote file, not degraded", got.Profile.Cluster)
@@ -381,8 +381,8 @@ func TestClusterZeroWorkersDegradesToLocal(t *testing.T) {
 	if cl == nil || !cl.Degraded || cl.Local != 1 || cl.Workers != 0 {
 		t.Fatalf("cluster profile = %+v; want degraded, 1 local file, 0 workers", cl)
 	}
-	if got.Text == "" {
-		t.Fatal("degraded local report lost its rendered text")
+	if got.String() != local.String() {
+		t.Fatalf("degraded text diverges from the local run's:\nlocal:\n%s\ndegraded:\n%s", local, got)
 	}
 	if n := counterValue(c, telemetry.MetricClusterDegradedRuns); n != 1 {
 		t.Fatalf("degraded-run counter = %d; want 1", n)

@@ -50,6 +50,7 @@ import (
 
 	"webssari"
 	"webssari/client"
+	"webssari/internal/report"
 	"webssari/internal/service/api"
 	"webssari/internal/store"
 	"webssari/internal/telemetry"
@@ -674,10 +675,10 @@ func (c *Coordinator) remoteVerify(ctx context.Context, w *worker, sreq api.Subm
 		return nil, err
 	}
 	if wantText {
-		// The rendered text is excluded from Report JSON; single-file
-		// callers (the daemon's ?text=1 view) want it back.
+		// A report decoded from JSON renders no text; single-file
+		// callers (the daemon's ?text=1 view) want the worker's.
 		if text, terr := w.client.FileResultText(dctx, sub.Job); terr == nil {
-			rep.Text = text
+			report.AttachText(rep, text)
 		}
 	}
 	c.ingestWorkerTrace(ctx, dctx, w, sub.Job)

@@ -61,7 +61,7 @@ func TestClusterPolicyRoundTrip(t *testing.T) {
 				t.Fatalf("file was not verified remotely: %+v", got.Profile.Cluster)
 			}
 			if got.Safe {
-				t.Fatalf("remote run under %s missed the finding:\n%s", tc.policy, got.Text)
+				t.Fatalf("remote run under %s missed the finding:\n%s", tc.policy, got.String())
 			}
 			if len(got.Findings) == 0 || got.Findings[0].Class != tc.class {
 				t.Fatalf("findings = %+v, want class %q", got.Findings, tc.class)

@@ -1,6 +1,7 @@
 package cnf
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -363,5 +364,46 @@ echo $x;`, nil)
 	restricted := enc.BlockingClause(model, map[int]bool{1: true})
 	if len(restricted) != 1 {
 		t.Fatalf("restricted blocking = %d lits, want 1", len(restricted))
+	}
+}
+
+// TestSharedEncodingCeilings holds the whole-program encoding to the
+// same ceilings as EncodeCheck: a cap at the formula's exact size
+// passes, and one variable or clause less trips it. The last variable
+// and clause belong to the gated check encodings, so the check after
+// them is exercised too, not only the one between equations.
+func TestSharedEncodingCeilings(t *testing.T) {
+	sys := buildSys(t, `<?php
+$a = $_GET['a'];
+if ($m) { $a = htmlspecialchars($a); } else { $a = $a . 'x'; }
+echo $a;
+$b = $a . $_POST['b'];
+if ($n) { echo $b; }
+mysql_query($b);`, nil)
+	for _, prior := range []bool{false, true} {
+		full, err := EncodeAllChecks(sys, Options{AssumePriorAsserts: prior})
+		if err != nil {
+			t.Fatal(err)
+		}
+		vars, clauses := full.F.NumVars, len(full.F.Clauses)
+		for _, tc := range []struct {
+			opts Options
+			trip string
+		}{
+			{Options{MaxVars: vars, MaxClauses: clauses}, ""},
+			{Options{MaxVars: vars - 1}, "variables"},
+			{Options{MaxClauses: clauses - 1}, "clauses"},
+		} {
+			tc.opts.AssumePriorAsserts = prior
+			enc, err := EncodeAllChecks(sys, tc.opts)
+			var lim *LimitError
+			errors.As(err, &lim)
+			switch {
+			case tc.trip == "" && (err != nil || enc.F.NumVars != vars):
+				t.Errorf("prior %v, %+v: %v; want the full %d-variable encoding", prior, tc.opts, err, vars)
+			case tc.trip != "" && (lim == nil || lim.What != tc.trip || enc != nil):
+				t.Errorf("prior %v, %+v: err %v; want the %s ceiling", prior, tc.opts, err, tc.trip)
+			}
+		}
 	}
 }

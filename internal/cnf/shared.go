@@ -42,26 +42,32 @@ type EncodedAll struct {
 }
 
 // EncodeAllChecks builds the shared encoding for every check of the
-// system. Only opts.AssumePriorAsserts is consulted (resource ceilings
-// are enforced by the per-assertion encoder; the shared encoding is
-// built once and is no larger than the largest single check's CNF plus
-// the gated negations).
-func EncodeAllChecks(sys *constraint.System, opts Options) *EncodedAll {
+// system. opts.MaxVars and opts.MaxClauses cap the whole-program
+// formula as EncodeCheck caps one check's: when a ceiling trips,
+// encoding stops and a *LimitError is returned. The shared formula
+// holds every equation once plus every check's gated negation, so it
+// can trip a ceiling that no single check's encoding reaches.
+func EncodeAllChecks(sys *constraint.System, opts Options) (*EncodedAll, error) {
 	e := &encoder{
 		sys:        sys,
 		lat:        sys.Renamed.AI.Lat,
 		f:          &sat.CNF{},
+		opts:       opts,
 		vals:       make(map[rename.SSAVar]vec),
 		branch:     make(map[int]int),
 		guardCache: make(map[string]glit),
 	}
 
-	// Allocate every branch variable and encode every equation once.
+	// Allocate every branch variable and encode every equation once,
+	// bailing out as soon as a resource ceiling trips.
 	for _, m := range sys.Marks {
 		e.branchVar(m.ID)
 	}
 	for _, eq := range sys.Equations {
 		e.encodeEquation(eq)
+		if e.limit != nil {
+			return nil, e.limit
+		}
 	}
 
 	out := &EncodedAll{
@@ -73,7 +79,7 @@ func EncodeAllChecks(sys *constraint.System, opts Options) *EncodedAll {
 
 	for i, ch := range sys.Checks {
 		out.prefixBranches[i] = sys.PrefixBranches(ch)
-		sel := sat.Lit(e.f.NewVar())
+		sel := sat.Lit(e.newVar())
 		out.Selectors[i] = sel
 		if !e.encodeGatedNegation(ch, sel) {
 			out.TrivialUnsat[i] = true
@@ -82,13 +88,16 @@ func EncodeAllChecks(sys *constraint.System, opts Options) *EncodedAll {
 	if opts.AssumePriorAsserts {
 		out.HoldSelectors = make([]sat.Lit, len(sys.Checks))
 		for j, ch := range sys.Checks {
-			hold := sat.Lit(e.f.NewVar())
+			hold := sat.Lit(e.newVar())
 			out.HoldSelectors[j] = hold
 			e.encodeGatedHold(ch, hold)
 		}
 	}
+	if e.limit != nil {
+		return nil, e.limit
+	}
 	out.F = e.f
-	return out
+	return out, nil
 }
 
 // PriorAssumptions returns the assumption set for checking assertion i

@@ -37,9 +37,10 @@ type Options struct {
 	// run: assertions not yet decided degrade to Unknown and the result
 	// is reported Incomplete.
 	Ctx context.Context
-	// MaxVars and MaxClauses cap each assertion's CNF encoding; an
-	// encoding that trips a cap degrades that assertion to Unknown
-	// instead of exhausting memory. Zero means DefaultMaxVars /
+	// MaxVars and MaxClauses cap each assertion's CNF encoding (under
+	// ModeShared, the one whole-program encoding); an encoding that
+	// trips a cap degrades its assertions to Unknown instead of
+	// exhausting memory. Zero means DefaultMaxVars /
 	// DefaultMaxClauses; negative disables the cap.
 	MaxVars    int
 	MaxClauses int

@@ -58,9 +58,21 @@ func SolveShared(ctx context.Context, p *Program, opts Options) *Result {
 	// encode and one search per searched assertion.
 	encStart := time.Now()
 	_, esp := telemetry.StartSpan(ctx, "encode")
-	encoded := cnf.EncodeAllChecks(sys, opts.cnfOptions())
+	encoded, err := cnf.EncodeAllChecks(sys, opts.cnfOptions())
 	esp.End()
 	encodeTime := time.Since(encStart)
+	if err != nil {
+		// The whole-program formula tripped a ceiling: no assertion can
+		// be decided on it.
+		cause := ceilingCause(err)
+		for _, ch := range sys.Checks {
+			res.PerAssert = append(res.PerAssert, &AssertResult{Assert: ch.Origin, Unknown: true, Cause: cause})
+		}
+		if len(res.PerAssert) > 0 {
+			res.PerAssert[0].EncodeTime = encodeTime
+		}
+		return res
+	}
 	sopts := opts.Solver
 	sopts.Interrupt = interruptFor(ctx, opts.Solver.Interrupt)
 	solver := sat.NewWith(sopts)

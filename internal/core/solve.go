@@ -213,7 +213,7 @@ func checkAssertion(ctx context.Context, sys *constraint.System, idx int, opts O
 	var lim *cnf.LimitError
 	if errors.As(err, &lim) {
 		ar.Unknown = true
-		ar.Cause = fmt.Sprintf("%s (%s)", CauseCNFCeiling, lim.Error())
+		ar.Cause = ceilingCause(lim)
 		return ar, nil
 	}
 	if err != nil {
@@ -229,6 +229,12 @@ func checkAssertion(ctx context.Context, sys *constraint.System, idx int, opts O
 
 	enumerateAssert(ctx, sys, idx, encoded, opts, ar)
 	return ar, nil
+}
+
+// ceilingCause is the degradation cause of an assertion whose encoding
+// tripped a resource ceiling.
+func ceilingCause(err error) string {
+	return fmt.Sprintf("%s (%s)", CauseCNFCeiling, err)
 }
 
 // enumerateAssert runs the counterexample enumeration loop of §3.3.2

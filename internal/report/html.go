@@ -16,9 +16,11 @@ import (
 // the paper's authors built to make manual validation tractable (§5):
 // every finding links to the highlighted source lines of its trace, and
 // every trace line links back to the error groups it participates in.
-// src maps file names to their source text; files not present are still
-// reported, just without excerpts.
-func (r *Report) WriteHTML(w io.Writer, src map[string][]byte) error {
+// It shows what the text report shows, in the same order; r must carry
+// its render records (Build or Attach). src maps file names to their
+// source text; files not present are still reported, just without
+// excerpts.
+func WriteHTML(w io.Writer, r *Report, src map[string][]byte) error {
 	var b strings.Builder
 	b.WriteString(`<!DOCTYPE html>
 <html><head><meta charset="utf-8"><title>WebSSARI report</title>
@@ -40,68 +42,64 @@ a { color: #036; }
 </style></head><body>
 `)
 	fmt.Fprintf(&b, "<h1>WebSSARI report for %s</h1>\n", html.EscapeString(r.File))
+	class := "unsafe"
 	if r.Safe {
-		b.WriteString(`<p class="safe"><b>VERIFIED</b>: all sensitive calls provably receive trusted data.</p>` + "\n")
-	} else {
-		fmt.Fprintf(&b,
-			`<p class="unsafe"><b>UNSAFE</b>: %d vulnerable statement(s) caused by %d error introduction(s).</p>`+"\n",
-			r.SymptomCount(), r.GroupCount())
+		class = "safe"
+	}
+	for _, line := range strings.Split(string(r.appendVerdict(nil)), "\n") {
+		if word, rest, ok := strings.Cut(line, ": "); ok {
+			fmt.Fprintf(&b, `<p class="%s"><b>%s</b>: %s</p>`+"\n", class, word, html.EscapeString(rest))
+		}
 	}
 
 	// Index of groups.
-	if len(r.Groups) > 0 {
+	if len(r.Patches) > 0 {
 		b.WriteString("<h2>Error groups</h2>\n<ol>\n")
-		for i, g := range r.Groups {
+		for i, p := range r.Patches {
 			fmt.Fprintf(&b, `<li><a href="#group%d">%s</a> — repairs %d trace(s)</li>`+"\n",
-				i+1, html.EscapeString(g.Fix.Describe()), len(g.Cexs))
+				i+1, html.EscapeString(p.Description), p.Findings)
 		}
 		b.WriteString("</ol>\n")
 	}
 
 	// Per-group details with highlighted excerpts.
-	for i, g := range r.Groups {
+	next := 0
+	for i, p := range r.Patches {
 		fmt.Fprintf(&b, `<div class="group" id="group%d">`+"\n", i+1)
-		fmt.Fprintf(&b, "<h2>Group %d: %s</h2>\n", i+1, html.EscapeString(g.Fix.Describe()))
+		fmt.Fprintf(&b, "<h2>Group %d: %s</h2>\n", i+1, html.EscapeString(p.Description))
 
 		// Collect the highlighted lines per file for this group.
 		lines := map[string]map[int]bool{}
-		mark := func(file string, line int) {
-			if lines[file] == nil {
-				lines[file] = map[int]bool{}
+		mark := func(l Location) {
+			if lines[l.File] == nil {
+				lines[l.File] = map[int]bool{}
 			}
-			lines[file][line] = true
+			lines[l.File][l.Line] = true
 		}
-		pos, _ := g.Fix.Span()
-		if pos.IsValid() {
-			mark(pos.File, pos.Line)
+		if p.Location.Line > 0 {
+			mark(p.Location)
 		}
-		for _, cex := range g.Cexs {
-			site := cex.Assert.Origin.Site.Pos
-			fmt.Fprintf(&b, `<p>%s via <code>%s</code> at <a href="#L-%s-%d">%s</a></p>`+"\n",
-				html.EscapeString(VulnClass(cex.Assert.Origin.Fn)),
-				html.EscapeString(cex.Assert.Origin.Fn),
-				html.EscapeString(site.File), site.Line,
-				html.EscapeString(site.String()))
-			mark(site.File, site.Line)
+		for _, t := range r.traces[next : next+p.Findings] {
+			f := &r.Findings[t.Finding]
+			context := ""
+			if t.Context != "" {
+				context = " [" + html.EscapeString(t.Context) + "]"
+			}
+			fmt.Fprintf(&b, `<p>%s via <code>%s</code>%s at %s</p>`+"\n",
+				html.EscapeString(f.Class), html.EscapeString(f.Sink), context, linkHTML(f.Location))
+			mark(f.Location)
 			b.WriteString(`<div class="trace">`)
-			for _, step := range cex.Steps {
-				if r.Lat.Lt(step.Value, cex.Assert.Bound) {
-					continue
-				}
-				name := step.Set.Origin.SrcVar
-				if name == "" {
-					name = step.Set.V.Name
-				}
-				p := step.Set.Origin.Site.Pos
-				fmt.Fprintf(&b, `<a href="#L-%s-%d">%s</a>: $%s becomes %s<br>`+"\n",
-					html.EscapeString(p.File), p.Line,
-					html.EscapeString(p.String()),
-					html.EscapeString(name),
-					html.EscapeString(r.Lat.Name(step.Value)))
-				mark(p.File, p.Line)
+			for _, s := range f.Trace {
+				fmt.Fprintf(&b, "%s: $%s becomes %s<br>\n",
+					linkHTML(s.Location), html.EscapeString(s.Var), html.EscapeString(s.Value))
+				mark(s.Location)
+			}
+			if t.Path != "" {
+				fmt.Fprintf(&b, "path: %s<br>\n", html.EscapeString(t.Path))
 			}
 			b.WriteString("</div>\n")
 		}
+		next += p.Findings
 
 		// Source excerpts with highlights.
 		files := make([]string, 0, len(lines))
@@ -130,6 +128,12 @@ a { color: #036; }
 	b.WriteString("</body></html>\n")
 	_, err := io.WriteString(w, b.String())
 	return err
+}
+
+// linkHTML renders a location as a link to its highlighted source line.
+func linkHTML(l Location) string {
+	return fmt.Sprintf(`<a href="#L-%s-%d">%s</a>`,
+		html.EscapeString(l.File), l.Line, html.EscapeString(l.pos().String()))
 }
 
 // writeProfileHTML renders the run-profile section: stage wall times,

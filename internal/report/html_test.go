@@ -26,7 +26,7 @@ echo $sid;
 	rep := report.Build(res, fixing.Analyze(res))
 
 	var b strings.Builder
-	if err := rep.WriteHTML(&b, map[string][]byte{"app.php": []byte(src)}); err != nil {
+	if err := report.WriteHTML(&b, rep, map[string][]byte{"app.php": []byte(src)}); err != nil {
 		t.Fatalf("WriteHTML: %v", err)
 	}
 	out := b.String()
@@ -59,7 +59,7 @@ func TestHTMLReportSafe(t *testing.T) {
 	}
 	rep := report.Build(res, fixing.Analyze(res))
 	var b strings.Builder
-	if err := rep.WriteHTML(&b, nil); err != nil {
+	if err := report.WriteHTML(&b, rep, nil); err != nil {
 		t.Fatalf("WriteHTML: %v", err)
 	}
 	if !strings.Contains(b.String(), "VERIFIED") {
@@ -77,7 +77,7 @@ func TestHTMLReportWithoutSources(t *testing.T) {
 	rep := report.Build(res, fixing.Analyze(res))
 	var b strings.Builder
 	// Absent sources: no excerpts, no crash.
-	if err := rep.WriteHTML(&b, map[string][]byte{}); err != nil {
+	if err := report.WriteHTML(&b, rep, map[string][]byte{}); err != nil {
 		t.Fatalf("WriteHTML: %v", err)
 	}
 	if strings.Contains(b.String(), `class="src"`) {
@@ -96,10 +96,42 @@ func TestHTMLEscapesAttackPayloads(t *testing.T) {
 	}
 	rep := report.Build(res, fixing.Analyze(res))
 	var b strings.Builder
-	if err := rep.WriteHTML(&b, map[string][]byte{"xss.php": []byte(src)}); err != nil {
+	if err := report.WriteHTML(&b, rep, map[string][]byte{"xss.php": []byte(src)}); err != nil {
 		t.Fatalf("WriteHTML: %v", err)
 	}
 	if strings.Contains(b.String(), "<script>alert(1)</script>") {
 		t.Fatalf("unescaped payload in HTML report")
+	}
+}
+
+// TestHTMLVerdictLines checks that the page carries the text report's
+// verdict lines: the degradation NOTE of an unsafe run cut short, and
+// the INCOMPLETE header of a run that found nothing before it was.
+func TestHTMLVerdictLines(t *testing.T) {
+	unsafe := verify(t, `<?php echo $_GET['x'];`)
+	unsafe.PerAssert[0].Unknown, unsafe.PerAssert[0].Cause = true, "deadline"
+	incomplete := verify(t, `<?php echo htmlspecialchars($_GET['x']);`)
+	incomplete.PerAssert[0].Unknown, incomplete.PerAssert[0].Cause = true, "deadline"
+	for name, tc := range map[string]struct {
+		res  *core.Result
+		want []string
+	}{
+		"unsafe": {unsafe, []string{
+			`<p class="unsafe"><b>UNSAFE</b>: 1 vulnerable statement(s) caused by 1 error introduction(s).</p>`,
+			`<p class="unsafe"><b>NOTE</b>: analysis degraded (deadline); further findings may exist.</p>`,
+		}},
+		"incomplete": {incomplete, []string{
+			`<p class="unsafe"><b>INCOMPLETE</b>: verification degraded (deadline); no Safe claim is made.</p>`,
+		}},
+	} {
+		var b strings.Builder
+		if err := report.WriteHTML(&b, report.Build(tc.res, fixing.Analyze(tc.res)), nil); err != nil {
+			t.Fatal(err)
+		}
+		for _, frag := range tc.want {
+			if !strings.Contains(b.String(), frag) {
+				t.Errorf("%s: HTML lacks %q", name, frag)
+			}
+		}
 	}
 }

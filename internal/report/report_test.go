@@ -1,6 +1,7 @@
 package report_test
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 	"webssari/internal/report"
 )
 
-func buildReport(t *testing.T, src string) *report.Report {
+func verify(t *testing.T, src string) *core.Result {
 	t.Helper()
 	pre := prelude.Default()
 	pre.AddSink("DoSQL", pre.Lattice().Top(), 1)
@@ -19,13 +20,19 @@ func buildReport(t *testing.T, src string) *report.Report {
 	for _, err := range errs {
 		t.Fatalf("verify: %v", err)
 	}
+	return res
+}
+
+func buildReport(t *testing.T, src string) *report.Report {
+	t.Helper()
+	res := verify(t, src)
 	return report.Build(res, fixing.Analyze(res))
 }
 
 func TestSafeReport(t *testing.T) {
 	r := buildReport(t, `<?php echo htmlspecialchars($_GET['x']);`)
-	if !r.Safe || r.GroupCount() != 0 || r.SymptomCount() != 0 {
-		t.Fatalf("safe program misreported: %+v", r)
+	if !r.Safe || r.Verdict != report.VerdictSafe || r.GroupCount() != 0 || r.SymptomCount() != 0 {
+		t.Fatalf("safe program misreported: %+v", *r)
 	}
 	if !strings.Contains(r.String(), "VERIFIED") {
 		t.Fatalf("report missing VERIFIED:\n%s", r)
@@ -40,13 +47,13 @@ DoSQL($q1);
 $q2 = "SELECT 2 WHERE sid=$sid";
 DoSQL($q2);
 echo $sid;`)
-	if r.Safe {
-		t.Fatalf("vulnerable program reported safe")
+	if r.Safe || r.Verdict != report.VerdictUnsafe {
+		t.Fatalf("vulnerable program reported %s", r.Verdict)
 	}
 	if r.SymptomCount() != 3 {
 		t.Fatalf("symptoms = %d, want 3", r.SymptomCount())
 	}
-	if r.GroupCount() != 1 {
+	if r.GroupCount() != 1 || len(r.Patches) != 1 {
 		t.Fatalf("groups = %d, want 1 (single root $sid)\n%s", r.GroupCount(), r)
 	}
 	text := r.String()
@@ -62,8 +69,16 @@ echo $sid;`)
 		}
 	}
 	// The single group must cover all three traces.
-	if len(r.Groups[0].Cexs) != 3 {
-		t.Fatalf("group covers %d traces, want 3", len(r.Groups[0].Cexs))
+	if p := r.Patches[0]; p.Findings != 3 || p.Var != "sid" {
+		t.Fatalf("patch = %+v, want 3 traces repaired at $sid", p)
+	}
+	for i, f := range r.Findings {
+		if f.Group != 0 {
+			t.Errorf("finding %d in group %d, want 0", i, f.Group)
+		}
+		if i > 0 && f.Location.Line < r.Findings[i-1].Location.Line {
+			t.Errorf("findings not in sink order: line %d after %d", f.Location.Line, r.Findings[i-1].Location.Line)
+		}
 	}
 }
 
@@ -97,9 +112,54 @@ echo $b;`)
 	if r.GroupCount() != 2 {
 		t.Fatalf("groups = %d, want 2", r.GroupCount())
 	}
-	p0, _ := r.Groups[0].Fix.Span()
-	p1, _ := r.Groups[1].Fix.Span()
-	if p0.Offset > p1.Offset {
-		t.Fatalf("groups not in source order: %v, %v", p0, p1)
+	if l0, l1 := r.Patches[0].Location.Line, r.Patches[1].Location.Line; l0 > l1 {
+		t.Fatalf("groups not in source order: lines %d, %d", l0, l1)
+	}
+}
+
+// TestRenderRecords checks that Build lists one render record per
+// finding, group by group, and that a report decoded from JSON renders
+// nothing until its records or its text are attached.
+func TestRenderRecords(t *testing.T) {
+	r := buildReport(t, `<?php
+$b = $_POST['b'];
+if ($m) { $a = $_GET['a']; } else { $a = $b; }
+echo $b;
+echo $a;
+DoSQL($a);`)
+	traces := report.Traces(r)
+	if len(traces) != len(r.Findings) || len(traces) < 3 {
+		t.Fatalf("%d render records for %d findings", len(traces), len(r.Findings))
+	}
+	listed := make([]bool, len(r.Findings))
+	next := 0
+	for g, p := range r.Patches {
+		for _, tr := range traces[next : next+p.Findings] {
+			if listed[tr.Finding] || r.Findings[tr.Finding].Group != g {
+				t.Fatalf("record %+v misplaced in group %d", tr, g)
+			}
+			listed[tr.Finding] = true
+		}
+		next += p.Findings
+	}
+
+	data, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded report.Report
+	if err := json.Unmarshal(data, &decoded); err != nil {
+		t.Fatal(err)
+	}
+	if s := decoded.String(); s != "" {
+		t.Fatalf("decoded report rendered %q without records", s)
+	}
+	report.AttachText(&decoded, "attached")
+	if s := decoded.String(); s != "attached" {
+		t.Fatalf("String() = %q, want the attached text", s)
+	}
+	report.Attach(&decoded, traces)
+	if got, want := decoded.String(), r.String(); got != want {
+		t.Fatalf("decoded report with records renders\n%s\nwant\n%s", got, want)
 	}
 }

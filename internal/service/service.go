@@ -1176,7 +1176,7 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	}
 	if r.URL.Query().Get("text") == "1" && fileRep != nil {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_, _ = io.WriteString(w, fileRep.Text)
+		_, _ = io.WriteString(w, fileRep.String())
 		return
 	}
 	var report any

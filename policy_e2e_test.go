@@ -62,11 +62,11 @@ func TestPolicyExamplesGolden(t *testing.T) {
 			}
 			if rep.Safe != tc.safe || rep.Symptoms != tc.symptoms {
 				t.Fatalf("safe=%v symptoms=%d, want safe=%v symptoms=%d\n%s",
-					rep.Safe, rep.Symptoms, tc.safe, tc.symptoms, rep.Text)
+					rep.Safe, rep.Symptoms, tc.safe, tc.symptoms, rep.String())
 			}
 			for _, line := range tc.lines {
-				if !strings.Contains(rep.Text, line) {
-					t.Errorf("report lacks %q\n%s", line, rep.Text)
+				if !strings.Contains(rep.String(), line) {
+					t.Errorf("report lacks %q\n%s", line, rep.String())
 				}
 			}
 		})
@@ -114,7 +114,7 @@ func TestSanitizerAdequacyMatrix(t *testing.T) {
 				}
 				if want := san.safe[ctx.name]; rep.Safe != want {
 					t.Errorf("safe=%v, want %v\nsource:\n%s\n%s",
-						rep.Safe, want, src, rep.Text)
+						rep.Safe, want, src, rep.String())
 				}
 			})
 		}
@@ -157,7 +157,7 @@ func TestPolicyPatchGolden(t *testing.T) {
 				t.Fatalf("re-verify: %v", err)
 			}
 			if !rerep.Safe {
-				t.Fatalf("patched source still unsafe:\n%s", rerep.Text)
+				t.Fatalf("patched source still unsafe:\n%s", rerep.String())
 			}
 		})
 	}
@@ -184,8 +184,8 @@ func TestPolicyJSONLoading(t *testing.T) {
 	if rep.Safe {
 		t.Fatal("custom policy missed the SSRF positive")
 	}
-	if !strings.Contains(rep.Text, "server-side request forgery (SSRF) via file_get_contents") {
-		t.Errorf("report lacks the declared class:\n%s", rep.Text)
+	if !strings.Contains(rep.String(), "server-side request forgery (SSRF) via file_get_contents") {
+		t.Errorf("report lacks the declared class:\n%s", rep.String())
 	}
 	rep, err = webssari.Verify(readExample(t, "fetch_safe.php"), "fetch_safe.php",
 		webssari.WithPolicyJSON("my-ssrf", decl))
@@ -193,7 +193,7 @@ func TestPolicyJSONLoading(t *testing.T) {
 		t.Fatalf("Verify: %v", err)
 	}
 	if !rep.Safe {
-		t.Fatalf("custom policy flagged the sanitized sibling:\n%s", rep.Text)
+		t.Fatalf("custom policy flagged the sanitized sibling:\n%s", rep.String())
 	}
 
 	if _, err := webssari.Verify([]byte("<?php ?>"), "x.php",
@@ -272,9 +272,9 @@ func TestDefaultPolicyReportByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Verify with default policy: %v", err)
 			}
-			if bare.Text != pol.Text {
+			if bare.String() != pol.String() {
 				t.Errorf("report text diverged under default policy:\n--- bare ---\n%s\n--- policy ---\n%s",
-					bare.Text, pol.Text)
+					bare.String(), pol.String())
 			}
 			if bare.Verdict != pol.Verdict || bare.Symptoms != pol.Symptoms || bare.Groups != pol.Groups {
 				t.Errorf("verdict diverged: bare %s/%d/%d vs policy %s/%d/%d",

@@ -25,7 +25,7 @@ func renderIdentity(t *testing.T, pr *webssari.ProjectReport) []byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fmt.Fprintf(&b, "--- text %s\n%s--- json %s\n%s\n", f.File, f.Text, f.File, data)
+		fmt.Fprintf(&b, "--- text %s\n%s--- json %s\n%s\n", f.File, f.String(), f.File, data)
 	}
 	for _, fail := range pr.Failures {
 		fmt.Fprintf(&b, "--- failure %s: %s: %s\n", fail.File, fail.Stage, fail.Cause)

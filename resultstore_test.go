@@ -109,8 +109,8 @@ func TestResultStoreSecondTier(t *testing.T) {
 // stripped, the same JSON as want.
 func assertSameReport(t *testing.T, want, got *webssari.Report) {
 	t.Helper()
-	if got.Text != want.Text {
-		t.Fatalf("rendered text diverged:\n%s\nvs\n%s", got.Text, want.Text)
+	if got.String() != want.String() {
+		t.Fatalf("rendered text diverged:\n%s\nvs\n%s", got.String(), want.String())
 	}
 	if jw, jg := marshalStripped(t, want), marshalStripped(t, got); string(jw) != string(jg) {
 		t.Fatalf("report JSON diverged:\n%s\nvs\n%s", jg, jw)
@@ -443,8 +443,8 @@ func assertSameProject(t *testing.T, want, got *webssari.ProjectReport) {
 		t.Fatalf("project report JSON diverged from the cold run's")
 	}
 	for i, f := range got.Files {
-		if f.Text != want.Files[i].Text {
-			t.Fatalf("%s: text diverged from the cold run's:\n%s\nvs\n%s", f.File, f.Text, want.Files[i].Text)
+		if f.String() != want.Files[i].String() {
+			t.Fatalf("%s: text diverged from the cold run's:\n%s\nvs\n%s", f.File, f.String(), want.Files[i].String())
 		}
 	}
 }

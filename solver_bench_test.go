@@ -51,7 +51,7 @@ func BenchmarkSolverModes(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if rep.Text != baseline.Text {
+				if rep.String() != baseline.String() {
 					b.Fatalf("mode %s changed the report", m.name)
 				}
 				p = rep.Profile

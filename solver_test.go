@@ -27,7 +27,7 @@ func stripped(t *testing.T, rep *webssari.Report) (string, string) {
 	if err != nil {
 		t.Fatalf("marshal report: %v", err)
 	}
-	return string(data), rep.Text
+	return string(data), rep.String()
 }
 
 // examplePHPFiles lists the bundled corpus.
@@ -99,5 +99,32 @@ func TestSolverConfigOptionValidation(t *testing.T) {
 	if _, err := webssari.Verify(src, "t.php",
 		webssari.WithSolverConfig(webssari.SolverConfig{})); err != nil {
 		t.Fatalf("zero SolverConfig should be accepted: %v", err)
+	}
+}
+
+// TestSharedModeCNFCeilings checks that both solver modes enforce the CNF
+// resource ceilings. Under a 2-variable or a 2-clause cap no encoding of
+// b2_two_roots.php fits, so each mode degrades every assertion to
+// Unknown: the report is incomplete, names the ceiling and has no
+// findings. The shared whole-program encoding is held to the same caps
+// as each per-assert encoding.
+func TestSharedModeCNFCeilings(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("testdata", "branchy", "b2_two_roots.php"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, lim := range []webssari.ResourceLimits{{MaxCNFVars: 2}, {MaxCNFClauses: 2}} {
+		for _, mode := range []webssari.SolverMode{webssari.SolverPerAssert, webssari.SolverShared} {
+			rep, err := webssari.Verify(src, "b2_two_roots.php", webssari.WithResourceLimits(lim),
+				webssari.WithSolverConfig(webssari.SolverConfig{Mode: mode}))
+			if err != nil {
+				t.Fatalf("%s %+v: %v", mode, lim, err)
+			}
+			if rep.Verdict != webssari.VerdictIncomplete || len(rep.Findings) != 0 ||
+				len(rep.Limits) != 1 || !strings.HasPrefix(rep.Limits[0], "CNF ceiling (cnf: formula exceeds the 2-") {
+				t.Errorf("%s %+v: verdict %s, %d findings, limits %q; want incomplete on the CNF ceiling, no findings",
+					mode, lim, rep.Verdict, len(rep.Findings), rep.Limits)
+			}
+		}
 	}
 }

@@ -29,10 +29,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"sort"
 
 	"webssari/internal/ai"
-	"webssari/internal/php/token"
 	"webssari/internal/report"
 	"webssari/internal/store"
 	"webssari/internal/telemetry"
@@ -127,11 +125,11 @@ func WithFileObserver(fn func(*Report)) Option {
 const resultSchema = 2
 
 // storedEnvelope is the persisted form of one verification result: the
-// report plus what is needed to revalidate and re-render it. The traces
-// of one file pass through the same assignments, so each distinct trace
+// report plus what is needed to revalidate and render it. The traces of
+// one file pass through the same assignments, so each distinct trace
 // step is stored once, in Steps, and findings name their steps by index.
-// The text report is not stored: serving renders it again from the
-// report and Traces.
+// The text report is not stored: serving attaches Traces to the report,
+// and its String renders the text when something reads it.
 type storedEnvelope struct {
 	Schema int    `json:"schema"`
 	Name   string `json:"name"`
@@ -140,10 +138,10 @@ type storedEnvelope struct {
 	ai.Includes
 	// Steps is the file's table of distinct trace steps.
 	Steps []TraceStep `json:"steps,omitempty"`
-	// Traces lists one entry per finding in the text report's order:
-	// group by group, each group's traces in repair order.
-	Traces []storedTrace `json:"traces,omitempty"`
-	Report storedReport  `json:"report"`
+	// Traces are the report's render records (report.Traces): one per
+	// finding, group by group, each group's traces in repair order.
+	Traces []report.Trace `json:"traces,omitempty"`
+	Report storedReport   `json:"report"`
 }
 
 // storedReport is the Report JSON with each finding's trace replaced by
@@ -157,15 +155,6 @@ type storedReport struct {
 type storedFinding struct {
 	Finding
 	Trace []int `json:"trace"`
-}
-
-// storedTrace carries what a finding's lines of the text report need
-// and the Report lacks: which finding it is, the sink's output context
-// and the branch path.
-type storedTrace struct {
-	Finding int    `json:"finding"`
-	Context string `json:"context,omitempty"`
-	Path    string `json:"path,omitempty"`
 }
 
 // resultKey fingerprints one verification request: every input that can
@@ -271,8 +260,9 @@ func (env *storedEnvelope) consistent() bool {
 }
 
 // serveStored prepares a consistent envelope's report for return: each
-// finding's trace rebuilt from the step table, the text rendered again,
-// and a minimal fresh profile marking the store hit.
+// finding's trace rebuilt from the step table, the render records
+// attached, and a minimal fresh profile marking the store hit. Nothing
+// is rendered here.
 func serveStored(env *storedEnvelope) *Report {
 	rep := env.Report.Report
 	total := 0
@@ -296,49 +286,9 @@ func serveStored(env *storedEnvelope) *Report {
 		}
 		rep.Findings[i] = f
 	}
-	rep.Text = storedText(rep, env.Traces)
+	report.Attach(rep, env.Traces)
 	rep.Profile = &RunProfile{StoreHit: true}
 	return rep
-}
-
-// storedText renders a served report's text with the same line emitters
-// Report.String uses, into one buffer sized up front.
-func storedText(rep *Report, traces []storedTrace) string {
-	size := 160 + len(rep.File)
-	for _, l := range rep.Limits {
-		size += 2 + len(l)
-	}
-	for _, p := range rep.Patches {
-		size += 64 + len(p.Description)
-	}
-	for _, t := range traces {
-		f := &rep.Findings[t.Finding]
-		size += 48 + len(f.Class) + len(f.Sink) + len(t.Context) + len(f.Location.File) + len(t.Path)
-		for _, s := range f.Trace {
-			size += 40 + len(s.Location.File) + len(s.Var) + len(s.Value)
-		}
-	}
-	for _, w := range rep.Warnings {
-		size += 8 + len(w)
-	}
-	b := make([]byte, 0, size)
-	b = report.AppendHeader(b, rep.File, rep.Safe, rep.Incomplete, rep.Limits, rep.Symptoms, rep.Groups)
-	next := 0
-	for g, p := range rep.Patches {
-		b = report.AppendGroup(b, g, p.Description, p.Findings)
-		for _, t := range traces[next : next+p.Findings] {
-			f := &rep.Findings[t.Finding]
-			b = report.AppendTrace(b, f.Class, f.Sink, t.Context, f.Location.pos())
-			for _, s := range f.Trace {
-				b = report.AppendStep(b, s.Location.pos(), s.Var, s.Value)
-			}
-			if t.Path != "" {
-				b = report.AppendPath(b, t.Path)
-			}
-		}
-		next += p.Findings
-	}
-	return string(report.AppendWarnings(b, rep.Warnings))
 }
 
 // depRecord is what one file's verification teaches the dependency
@@ -375,11 +325,10 @@ func withDepRecorder(fn func(depRecord)) Option {
 // storePut persists a finished report. Incomplete reports are skipped
 // (their shape depends on transient pressure); store write failures are
 // deliberately swallowed — a full or read-only disk degrades the cache,
-// not the verification. irep is the internal report rep was derived
-// from; it supplies the output contexts and branch paths the text needs.
-// inc is the model's include resolution, shared, not copied: a built
-// Program never changes it.
-func storePut(ctx context.Context, cfg *config, name, key string, rep *Report, irep *report.Report, inc ai.Includes) {
+// not the verification. The envelope keeps rep's render records, so a
+// served report renders the same text. inc is the model's include
+// resolution, shared, not copied: a built Program never changes it.
+func storePut(ctx context.Context, cfg *config, name, key string, rep *Report, inc ai.Includes) {
 	if rep.Incomplete {
 		return
 	}
@@ -389,7 +338,7 @@ func storePut(ctx context.Context, cfg *config, name, key string, rep *Report, i
 		Schema:   resultSchema,
 		Name:     name,
 		Includes: inc,
-		Traces:   storedTraces(rep, irep),
+		Traces:   report.Traces(rep),
 	}
 	// The profile is per-run, not per-content: strip it from the blob so
 	// identical verdicts persist identically (and blobs stay small).
@@ -419,45 +368,3 @@ func storePut(ctx context.Context, cfg *config, name, key string, rep *Report, i
 	}
 	_ = cfg.resultStore.Put(key, payload)
 }
-
-// storedTraces lists, in the text report's group-major order, which of
-// rep.Findings each of irep's counterexamples became, with its output
-// context and branch path. buildReport appends findings in that order
-// and then stable-sorts them by sink position; sorting the same keys the
-// same way recovers where each one went.
-func storedTraces(rep *Report, irep *report.Report) []storedTrace {
-	if len(rep.Findings) == 0 {
-		return nil
-	}
-	traces := make([]storedTrace, 0, len(rep.Findings))
-	locs := make([]token.Pos, 0, len(rep.Findings))
-	for _, g := range irep.Groups {
-		for _, cex := range g.Cexs {
-			locs = append(locs, cex.Assert.Origin.Site.Pos)
-			t := storedTrace{Context: cex.Assert.Origin.Context}
-			if len(cex.Branches) > 0 {
-				t.Path = string(report.AppendBranches(nil, cex.Branches))
-			}
-			traces = append(traces, t)
-		}
-	}
-	order := make([]int, len(traces))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(i, j int) bool {
-		a, b := locs[order[i]], locs[order[j]]
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		return a.Col < b.Col
-	})
-	for k, i := range order {
-		traces[i].Finding = k
-	}
-	return traces
-}
-
-// pos converts a Location to the token position the text report's line
-// emitters print.
-func (l Location) pos() token.Pos { return token.Pos{File: l.File, Line: l.Line, Col: l.Col} }

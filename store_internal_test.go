@@ -76,8 +76,8 @@ func FuzzStoredEnvelope(f *testing.F) {
 		if rep.Profile == nil || !rep.Profile.StoreHit {
 			t.Fatal("served report not marked as a store hit")
 		}
-		if !strings.HasPrefix(rep.Text, "== WebSSARI report for ") {
-			t.Fatalf("served text lacks its header: %q", rep.Text)
+		if !strings.HasPrefix(rep.String(), "== WebSSARI report for ") {
+			t.Fatalf("served text lacks its header: %q", rep.String())
 		}
 		if _, err := json.Marshal(rep); err != nil {
 			t.Fatalf("served report does not marshal: %v", err)
@@ -119,10 +119,10 @@ func TestStoredEnvelopeStoresStepsOnce(t *testing.T) {
 		t.Fatalf("%s: step table has %d entries, want %d (the distinct steps of %d findings' %d)",
 			rep.File, len(env.Steps), len(distinct), len(rep.Findings), steps)
 	}
-	if len(payload) >= len(rep.Text) {
+	if len(payload) >= len(rep.String()) {
 		t.Fatalf("%s: envelope is %d bytes, not smaller than the %d-byte text it no longer stores",
-			rep.File, len(payload), len(rep.Text))
+			rep.File, len(payload), len(rep.String()))
 	}
 	t.Logf("%s: %d findings, %d steps (%d distinct); envelope %d bytes, text %d bytes",
-		rep.File, len(rep.Findings), steps, len(distinct), len(payload), len(rep.Text))
+		rep.File, len(rep.Findings), steps, len(distinct), len(payload), len(rep.String()))
 }

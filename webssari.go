@@ -24,7 +24,7 @@
 //	rep, err := webssari.Verify([]byte(src), "page.php")
 //	if err != nil { ... }
 //	if !rep.Safe {
-//	    fmt.Print(rep.Text)                       // grouped error report
+//	    fmt.Print(rep)                            // grouped error report
 //	    patched, _, _ := webssari.Patch([]byte(src), "page.php")
 //	    os.WriteFile("page.php", patched, 0o644)  // secured PHP
 //	}
@@ -38,10 +38,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"time"
 
-	"webssari/internal/ai"
 	"webssari/internal/core"
 	"webssari/internal/fixing"
 	"webssari/internal/flow"
@@ -57,63 +55,22 @@ import (
 	"webssari/internal/typestate"
 )
 
-// Location is a source position.
-type Location struct {
-	File string `json:"file"`
-	Line int    `json:"line"`
-	Col  int    `json:"col"`
-}
+// The report types are defined in internal/report, which builds them
+// and renders them on demand: Report's String method renders the grouped
+// text report, so fmt.Print(rep) prints it.
+type (
+	Report     = report.Report
+	Finding    = report.Finding
+	TraceStep  = report.TraceStep
+	PatchPoint = report.PatchPoint
+	Location   = report.Location
+)
 
-// String renders the location as file:line:col.
-func (l Location) String() string { return fmt.Sprintf("%s:%d:%d", l.File, l.Line, l.Col) }
-
-// TraceStep is one single assignment on an error trace.
-type TraceStep struct {
-	Location Location `json:"location"`
-	// Var is the assigned variable's source name.
-	Var string `json:"var"`
-	// Value is the safety level the assignment produced ("tainted").
-	Value string `json:"value"`
-}
-
-// Finding is one error trace: a path along which untrusted data reaches a
-// sensitive output channel.
-type Finding struct {
-	// Sink is the sensitive function (echo, mysql_query, …).
-	Sink string `json:"sink"`
-	// Class is the vulnerability class (e.g. "SQL injection").
-	Class string `json:"class"`
-	// Location is the sink call site.
-	Location Location `json:"location"`
-	// Trace is the tainted single-assignment sequence leading to the sink.
-	Trace []TraceStep `json:"trace"`
-	// Group indexes the Patches entry whose guard repairs this finding.
-	Group int `json:"group"`
-}
-
-// PatchPoint is one entry of the minimal fixing set: a source expression to
-// wrap in a sanitization runtime guard.
-type PatchPoint struct {
-	// Location is where the guard is inserted.
-	Location Location `json:"location"`
-	// Var is the variable being sanitized ("" for sink-argument guards).
-	Var string `json:"var,omitempty"`
-	// Description is a human-readable summary.
-	Description string `json:"description"`
-	// Findings counts the error traces this single guard repairs.
-	Findings int `json:"findings"`
-}
-
-// Verdict values classifying a verification outcome: VerdictSafe means
-// every assertion was proved over the whole model; VerdictUnsafe means at
-// least one counterexample trace was found; VerdictIncomplete means no
-// vulnerability was found but resource limits, deadlines, parse errors,
-// or recovered faults left part of the model unverified — no Safe claim
-// is made.
+// The values of Report.Verdict (see internal/report).
 const (
-	VerdictSafe       = "safe"
-	VerdictUnsafe     = "unsafe"
-	VerdictIncomplete = "incomplete"
+	VerdictSafe       = report.VerdictSafe
+	VerdictUnsafe     = report.VerdictUnsafe
+	VerdictIncomplete = report.VerdictIncomplete
 )
 
 // EngineError is a structured analysis failure: the pipeline stage that
@@ -137,50 +94,6 @@ func (e *EngineError) Error() string {
 
 // Unwrap returns the underlying cause.
 func (e *EngineError) Unwrap() error { return e.Err }
-
-// Report is the result of verifying one PHP entry file (plus its static
-// includes).
-type Report struct {
-	// File is the entry file name.
-	File string `json:"file"`
-	// Safe is true when bounded model checking proved every sensitive call
-	// receives only trusted data (sound and complete for the model). It is
-	// withheld whenever Incomplete is set: a proof over a partial model is
-	// no proof at all.
-	Safe bool `json:"safe"`
-	// Verdict is the three-valued outcome: VerdictSafe, VerdictUnsafe, or
-	// VerdictIncomplete.
-	Verdict string `json:"verdict"`
-	// Incomplete is set when part of the model escaped verification
-	// (deadline expiry, conflict-budget exhaustion, resource ceilings,
-	// parse errors, recovered faults). An incomplete report never claims
-	// Safe, but any Findings it carries are real.
-	Incomplete bool `json:"incomplete,omitempty"`
-	// Limits names the degradation causes of an Incomplete report.
-	Limits []string `json:"limits,omitempty"`
-	// Symptoms is the TS baseline's error count: one per vulnerable
-	// statement.
-	Symptoms int `json:"symptoms"`
-	// Groups is the BMC error-introduction count: the minimal number of
-	// runtime guards needed.
-	Groups int `json:"groups"`
-	// Findings lists every error trace.
-	Findings []Finding `json:"findings,omitempty"`
-	// Patches is the minimal fixing set.
-	Patches []PatchPoint `json:"patches,omitempty"`
-	// Warnings lists analysis approximations (dynamic includes, variable
-	// variables, recursion cutoffs).
-	Warnings []string `json:"warnings,omitempty"`
-	// Text is the rendered human-readable report.
-	Text string `json:"-"`
-	// Profile is the run's telemetry summary: stage wall times, solver
-	// effort, per-assertion breakdown, degradation counts. It is always
-	// populated (profiling costs a few clock reads, no sink required) and
-	// is serialized under the stable "profile" key. Its wall-clock fields
-	// are the one intentionally nondeterministic part of a report: strip
-	// Profile before comparing reports byte-for-byte across runs.
-	Profile *RunProfile `json:"profile,omitempty"`
-}
 
 // Option configures Verify and Patch.
 type Option func(*config) error
@@ -483,8 +396,9 @@ type ResourceLimits struct {
 	// MaxStatements caps the AI command count after loop deconstruction
 	// and call unfolding (default flow.DefaultMaxCmds).
 	MaxStatements int
-	// MaxCNFVars and MaxCNFClauses cap each assertion's encoded formula
-	// (defaults core.DefaultMaxVars / core.DefaultMaxClauses).
+	// MaxCNFVars and MaxCNFClauses cap each encoded formula: one per
+	// assertion, or the whole program's in SolverShared mode (defaults
+	// core.DefaultMaxVars / core.DefaultMaxClauses).
 	MaxCNFVars    int
 	MaxCNFClauses int
 }
@@ -774,10 +688,10 @@ func VerifyContext(ctx context.Context, src []byte, name string, opts ...Option)
 	if err != nil {
 		return nil, err
 	}
-	irep := report.Build(res, analysis)
-	rep := buildReport(res, irep, prof)
+	rep := report.Build(res, analysis)
+	rep.Profile = prof
 	if cfg.resultStore != nil {
-		storePut(telemetry.WithTelemetry(ctx, cfg.telemetry), cfg, name, key, rep, irep, res.AI.Includes)
+		storePut(telemetry.WithTelemetry(ctx, cfg.telemetry), cfg, name, key, rep, res.AI.Includes)
 	}
 	if rep.Incomplete {
 		// Incomplete reports are never persisted; an empty key makes the
@@ -810,7 +724,8 @@ func PatchContext(ctx context.Context, src []byte, name string, opts ...Option) 
 	if err != nil {
 		return nil, nil, err
 	}
-	rep := buildReport(res, report.Build(res, analysis), prof)
+	rep := report.Build(res, analysis)
+	rep.Profile = prof
 	if res.Safe() {
 		return src, rep, nil
 	}
@@ -876,10 +791,10 @@ func VerifyToHTML(src []byte, name string, w io.Writer, opts ...Option) (*Report
 	}
 	rep := report.Build(res, analysis)
 	rep.Profile = prof
-	if err := rep.WriteHTML(w, map[string][]byte{name: src}); err != nil {
+	if err := report.WriteHTML(w, rep, map[string][]byte{name: src}); err != nil {
 		return nil, &EngineError{Stage: "report", File: name, Err: err}
 	}
-	return buildReport(res, rep, prof), nil
+	return rep, nil
 }
 
 // SymptomCount runs only the fast TS baseline and returns its error count.
@@ -898,94 +813,8 @@ func SymptomCount(src []byte, name string, opts ...Option) (int, error) {
 	return typestate.CountUnit(unit, cfg.engineOptions(context.Background()).Flow)
 }
 
-// buildReport derives the public report from the internal one that
-// report.Build assembled from res.
-func buildReport(res *core.Result, rep *report.Report, prof *RunProfile) *Report {
-	out := &Report{
-		Profile:    prof,
-		File:       rep.File,
-		Safe:       rep.Safe,
-		Incomplete: rep.Incomplete,
-		Limits:     rep.Limits,
-		Symptoms:   rep.SymptomCount(),
-		Groups:     rep.GroupCount(),
-		Warnings:   rep.Warnings,
-		Text:       rep.String(),
-	}
-	switch {
-	case !res.Safe():
-		// Counterexamples exist — even ones the fixing analysis could not
-		// group into patch points (e.g. variable variables).
-		out.Verdict = VerdictUnsafe
-	case rep.Incomplete:
-		out.Verdict = VerdictIncomplete
-	default:
-		out.Verdict = VerdictSafe
-	}
-	for gi, g := range rep.Groups {
-		pos, _ := g.Fix.Span()
-		varName := ""
-		if g.Fix.Set != nil {
-			varName = g.Fix.Set.Origin.SrcVar
-		}
-		out.Patches = append(out.Patches, PatchPoint{
-			Location:    Location{File: pos.File, Line: pos.Line, Col: pos.Col},
-			Var:         varName,
-			Description: g.Fix.Describe(),
-			Findings:    len(g.Cexs),
-		})
-		for _, cex := range g.Cexs {
-			f := Finding{
-				Sink:  cex.Assert.Origin.Fn,
-				Class: findingClass(cex.Assert.Origin),
-				Location: Location{
-					File: cex.Assert.Origin.Site.Pos.File,
-					Line: cex.Assert.Origin.Site.Pos.Line,
-					Col:  cex.Assert.Origin.Site.Pos.Col,
-				},
-				Group: gi,
-			}
-			for _, step := range cex.Steps {
-				if res.AI.Lat.Lt(step.Value, cex.Assert.Bound) {
-					continue
-				}
-				name := step.Set.Origin.SrcVar
-				if name == "" {
-					name = step.Set.V.Name
-				}
-				f.Trace = append(f.Trace, TraceStep{
-					Location: Location{
-						File: step.Set.Origin.Site.Pos.File,
-						Line: step.Set.Origin.Site.Pos.Line,
-						Col:  step.Set.Origin.Site.Pos.Col,
-					},
-					Var:   name,
-					Value: res.AI.Lat.Name(step.Value),
-				})
-			}
-			out.Findings = append(out.Findings, f)
-		}
-	}
-	sort.SliceStable(out.Findings, func(i, j int) bool {
-		if out.Findings[i].Location.Line != out.Findings[j].Location.Line {
-			return out.Findings[i].Location.Line < out.Findings[j].Location.Line
-		}
-		return out.Findings[i].Location.Col < out.Findings[j].Location.Col
-	})
-	return out
-}
-
 // ClassOf names the vulnerability class a sink belongs to (e.g. "SQL
 // injection" for mysql_query).
 func ClassOf(sink string) string {
 	return report.VulnClass(sink)
-}
-
-// findingClass prefers the class the active policy declared on the sink;
-// the classic name-based table covers asserts from plain preludes.
-func findingClass(origin *ai.Assert) string {
-	if origin.Class != "" {
-		return origin.Class
-	}
-	return ClassOf(origin.Fn)
 }

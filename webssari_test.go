@@ -4,11 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"html"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"webssari"
 	"webssari/internal/runtime"
@@ -48,7 +50,7 @@ func TestVerifyVulnerableGrouping(t *testing.T) {
 	}
 	// Root cause is $sid, assigned twice (GET and POST fallback).
 	if rep.Groups != 2 {
-		t.Fatalf("groups = %d, want 2 (the two $sid introductions)\n%s", rep.Groups, rep.Text)
+		t.Fatalf("groups = %d, want 2 (the two $sid introductions)\n%s", rep.Groups, rep.String())
 	}
 	if len(rep.Findings) == 0 {
 		t.Fatalf("no findings")
@@ -105,7 +107,7 @@ func TestPatchProducesVerifiedSafeOutput(t *testing.T) {
 		t.Fatalf("re-verify: %v", err)
 	}
 	if !rep2.Safe {
-		t.Fatalf("patched source still unsafe:\n%s\n%s", patched, rep2.Text)
+		t.Fatalf("patched source still unsafe:\n%s\n%s", patched, rep2.String())
 	}
 }
 
@@ -210,7 +212,7 @@ DoSQL(super_escape($LEGACY_INPUT));`)
 		t.Fatalf("Verify: %v", err)
 	}
 	if rep.Symptoms != 1 {
-		t.Fatalf("symptoms = %d, want 1 (only the unescaped call)\n%s", rep.Symptoms, rep.Text)
+		t.Fatalf("symptoms = %d, want 1 (only the unescaped call)\n%s", rep.Symptoms, rep.String())
 	}
 }
 
@@ -382,6 +384,85 @@ func TestVerifyToHTMLReportMatchesVerify(t *testing.T) {
 	}
 }
 
+// htmlAgreesWithText checks that an HTML page shows what the text report
+// shows: each verdict line, with its leading word in bold (and no verdict
+// word the text lacks), and for every trace its class, sink, output
+// context and branch path.
+func htmlAgreesWithText(t *testing.T, page, text string) {
+	t.Helper()
+	for _, word := range []string{"VERIFIED", "UNSAFE", "INCOMPLETE", "NOTE"} {
+		if inText, inPage := strings.Contains(text, "\n"+word+": "), strings.Contains(page, "<b>"+word+"</b>"); inText != inPage {
+			t.Errorf("verdict word %s: in text %v, in HTML %v", word, inText, inPage)
+		}
+	}
+	for _, line := range strings.Split(text, "\n") {
+		var want string
+		switch {
+		case strings.HasPrefix(line, "  * "):
+			class, rest, _ := strings.Cut(line[len("  * "):], " via ")
+			sink, context, _ := strings.Cut(rest[:strings.LastIndex(rest, " at ")], " [")
+			want = html.EscapeString(class) + " via <code>" + html.EscapeString(sink) + "</code>"
+			if context != "" {
+				want += " [" + html.EscapeString(context)
+			}
+		case strings.HasPrefix(line, "      path: "):
+			want = "path: " + html.EscapeString(strings.TrimPrefix(line, "      path: "))
+		default:
+			word, rest, ok := strings.Cut(line, ": ")
+			if !ok || strings.ContainsAny(word, " $") {
+				continue
+			}
+			want = "<b>" + word + "</b>: " + html.EscapeString(rest)
+		}
+		if !strings.Contains(page, want) {
+			t.Errorf("HTML lacks %q (text line %q)", want, line)
+		}
+	}
+}
+
+// TestVerifyToHTMLAgreesWithText renders the example corpus under every
+// built-in policy, plus a run cut short by its deadline, and checks that
+// each page agrees with the text report: the policy's vulnerability
+// class (SSRF on fetch.php), the three-way verdict with its degradation
+// note, and each trace's output context and path.
+func TestVerifyToHTMLAgreesWithText(t *testing.T) {
+	type run struct {
+		path string
+		opts []webssari.Option
+	}
+	var runs []run
+	for _, pol := range []string{"default", "ssrf", "xss-context"} {
+		for _, file := range examplePHPFiles(t) {
+			runs = append(runs, run{filepath.Join("examples", "php", file), []webssari.Option{webssari.WithDir("examples/php"), webssari.WithPolicy(pol)}})
+		}
+	}
+	deadline := filepath.Join("testdata", "branchy", "b2_two_roots.php")
+	runs = append(runs, run{deadline, []webssari.Option{webssari.WithDeadline(time.Nanosecond)}})
+	var sawSSRF, sawContext, sawPath bool
+	for _, r := range runs {
+		src, err := os.ReadFile(r.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		rep, err := webssari.VerifyToHTML(src, r.path, &b, r.opts...)
+		if err != nil {
+			t.Fatalf("%s: %v", r.path, err)
+		}
+		page, text := b.String(), rep.String()
+		t.Run(r.path, func(t *testing.T) { htmlAgreesWithText(t, page, text) })
+		sawSSRF = sawSSRF || strings.Contains(page, "server-side request forgery (SSRF) via <code>file_get_contents</code>")
+		sawContext = sawContext || strings.Contains(page, "</code> [html] at ")
+		sawPath = sawPath || strings.Contains(page, "path: b0")
+		if r.path == deadline && (rep.Verdict != webssari.VerdictIncomplete || !strings.Contains(page, "<b>INCOMPLETE</b>: verification degraded (deadline)")) {
+			t.Errorf("%s under a 1ns deadline: verdict %s, page lacks the INCOMPLETE header", r.path, rep.Verdict)
+		}
+	}
+	if !sawSSRF || !sawContext || !sawPath {
+		t.Errorf("corpus did not exercise the policy class (%v), output context (%v) and path (%v)", sawSSRF, sawContext, sawPath)
+	}
+}
+
 func TestWithPreludeReplacesLattice(t *testing.T) {
 	custom := `
 lattice chain public internal secret
@@ -395,7 +476,7 @@ sanitizer declassify public
 		t.Fatalf("Verify: %v", err)
 	}
 	if rep.Symptoms != 1 {
-		t.Fatalf("symptoms = %d, want 1 (three-level lattice)\n%s", rep.Symptoms, rep.Text)
+		t.Fatalf("symptoms = %d, want 1 (three-level lattice)\n%s", rep.Symptoms, rep.String())
 	}
 	if _, err := webssari.Verify(src, "t.php", webssari.WithPrelude("lattice diamond x")); err == nil {
 		t.Fatalf("malformed prelude accepted")
