@@ -557,7 +557,7 @@ func BenchmarkParallelVerifyDir(b *testing.B) {
 // 1-worker cluster (pure dispatch overhead), and a 3-worker cluster.
 // Workers are real service daemons behind httptest servers in this
 // process, so on a single-CPU host the cluster cannot be faster than
-// local — the numbers bound the HTTP dispatch and polling tax per file.
+// local — the numbers bound the HTTP dispatch tax per file.
 // The compile cache is reset each iteration (it is process-global, so
 // in-process workers would otherwise share warmth with the baseline).
 func BenchmarkClusterVerifyDir(b *testing.B) {
@@ -583,7 +583,6 @@ func BenchmarkClusterVerifyDir(b *testing.B) {
 				// No agents heartbeat in this benchmark; a huge interval
 				// keeps the eviction loop out of the measurement.
 				HeartbeatInterval: time.Hour,
-				PollInterval:      2 * time.Millisecond,
 			})
 			defer c.Close()
 			coordTS := httptest.NewServer(c.Handler())

@@ -1,5 +1,5 @@
 // Package client is the typed Go client for the webssarid verification
-// daemon: submit files and directories, poll job status, fetch results,
+// daemon: submit files and directories, wait for jobs, fetch results,
 // and follow the per-file NDJSON stream — over the versioned v1 wire
 // format (internal/service/api). The xbmc CLI's -remote mode and the
 // daemon's own integration tests are built on it; hand-rolled HTTP
@@ -55,9 +55,6 @@ const (
 
 // Schema is the wire-format version this client speaks.
 const Schema = api.Schema
-
-// DefaultPollInterval paces Wait's status polling.
-const DefaultPollInterval = 200 * time.Millisecond
 
 // APIError is a non-2xx daemon answer: the HTTP status plus the error
 // message from the response body.
@@ -146,7 +143,6 @@ func (p RetryPolicy) delay(attempt int, hint time.Duration) time.Duration {
 type Client struct {
 	base  string
 	hc    *http.Client
-	poll  time.Duration
 	retry RetryPolicy
 }
 
@@ -157,11 +153,6 @@ type ClientOption func(*Client)
 // transports, test doubles). The default is http.DefaultClient.
 func WithHTTPClient(hc *http.Client) ClientOption {
 	return func(c *Client) { c.hc = hc }
-}
-
-// WithPollInterval sets Wait's status-poll cadence.
-func WithPollInterval(d time.Duration) ClientOption {
-	return func(c *Client) { c.poll = d }
 }
 
 // WithRetryPolicy enables transparent retries of transient rejections
@@ -176,7 +167,6 @@ func New(base string, opts ...ClientOption) *Client {
 	c := &Client{
 		base: strings.TrimRight(base, "/"),
 		hc:   http.DefaultClient,
-		poll: DefaultPollInterval,
 	}
 	for _, opt := range opts {
 		opt(c)
@@ -316,29 +306,23 @@ func (c *Client) Cancel(ctx context.Context, id string) (JobStatus, error) {
 	return st, err
 }
 
-// Wait polls until the job reaches a terminal state and returns its
-// final status. A failed job returns *JobFailedError alongside the
-// status; ctx bounds the wait.
+// Wait blocks until the job reaches a terminal state and returns its
+// final status, in one request (GET /v1/jobs/{id}/wait). A failed job
+// returns *JobFailedError alongside the status; ctx bounds the wait and
+// its end returns ctx.Err(). A Timeout on the WithHTTPClient client
+// bounds it too.
 func (c *Client) Wait(ctx context.Context, id string) (JobStatus, error) {
-	ticker := time.NewTicker(c.poll)
-	defer ticker.Stop()
-	for {
-		st, err := c.Job(ctx, id)
-		if err != nil {
-			return st, err
-		}
-		if st.State.Terminal() {
-			if st.State == StateFailed {
-				return st, &JobFailedError{Job: id, Message: st.Error}
-			}
-			return st, nil
-		}
-		select {
-		case <-ctx.Done():
+	var st JobStatus
+	if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/wait", nil, &st); err != nil {
+		if ctx.Err() != nil {
 			return st, ctx.Err()
-		case <-ticker.C:
 		}
+		return st, err
 	}
+	if st.State == StateFailed {
+		return st, &JobFailedError{Job: id, Message: st.Error}
+	}
+	return st, nil
 }
 
 // result fetches a finished job's raw report payload.

@@ -30,7 +30,7 @@ func startDaemon(t *testing.T, extra ...string) (*client.Client, string, <-chan 
 	select {
 	case addr := <-ready:
 		base := "http://" + addr
-		return client.New(base, client.WithPollInterval(20*time.Millisecond)), base, exit
+		return client.New(base), base, exit
 	case code := <-exit:
 		t.Fatalf("daemon exited before binding: %d", code)
 	case <-time.After(10 * time.Second):

@@ -58,8 +58,8 @@ func openStore(t *testing.T) *store.Store {
 	return st
 }
 
-// newTestCoordinator builds a coordinator with test-speed backoffs and
-// polling, serves its HTTP surface, and wires cleanup.
+// newTestCoordinator builds a coordinator with test-speed backoffs,
+// serves its HTTP surface, and wires cleanup.
 func newTestCoordinator(t *testing.T, cfg Config) (*Coordinator, *httptest.Server) {
 	t.Helper()
 	if cfg.Telemetry == nil {
@@ -70,9 +70,6 @@ func newTestCoordinator(t *testing.T, cfg Config) (*Coordinator, *httptest.Serve
 	}
 	if cfg.MaxBackoff == 0 {
 		cfg.MaxBackoff = 10 * time.Millisecond
-	}
-	if cfg.PollInterval == 0 {
-		cfg.PollInterval = 5 * time.Millisecond
 	}
 	c := New(cfg)
 	t.Cleanup(c.Close)
@@ -211,6 +208,41 @@ func TestClusterVerifyFileMatchesLocal(t *testing.T) {
 	}
 	if cl := got.Profile.Cluster; cl == nil || cl.Remote != 1 || cl.Degraded {
 		t.Fatalf("cluster profile = %+v; want one remote file, not degraded", got.Profile.Cluster)
+	}
+}
+
+// TestClusterVerifyFileTextFetchFailureIsNotEmpty: a worker whose
+// ?text=1 view fails must not yield a report whose text is silently
+// empty. The failed fetch fails the attempt, and the coordinator's
+// retries end in local execution, which renders the local run's text.
+func TestClusterVerifyFileTextFetchFailureIsNotEmpty(t *testing.T) {
+	c, _ := newTestCoordinator(t, Config{})
+	inner := service.New(service.Config{}).Handler()
+	w1 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Query().Get("text") == "1" {
+			http.Error(w, "text view unavailable", http.StatusInternalServerError)
+			return
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	t.Cleanup(w1.Close)
+	mustRegister(t, c, w1.URL, "worker-1")
+
+	ctx := context.Background()
+	src := []byte(testCorpus["guestbook.php"])
+	local, err := webssari.VerifyContext(ctx, src, "guestbook.php")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.VerifyFile(ctx, src, "guestbook.php")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != local.String() {
+		t.Fatalf("coordinator text diverges from the local run's:\nlocal:\n%s\nclustered:\n%q", local, got.String())
+	}
+	if cl := got.Profile.Cluster; cl == nil || !cl.Degraded {
+		t.Fatalf("cluster profile = %+v; want the file degraded to local execution", got.Profile.Cluster)
 	}
 }
 
@@ -644,7 +676,7 @@ func TestServiceRoutesJobsThroughCoordinator(t *testing.T) {
 
 	front := httptest.NewServer(service.New(service.Config{Runner: c}).Handler())
 	t.Cleanup(front.Close)
-	cl := client.New(front.URL, client.WithPollInterval(5*time.Millisecond))
+	cl := client.New(front.URL)
 
 	sub, err := cl.SubmitDir(ctx, client.SubmitDirRequest{Dir: dir})
 	if err != nil {

@@ -66,7 +66,6 @@ const (
 	DefaultBreakerThreshold  = 3
 	DefaultBreakerCooldown   = 5 * time.Second
 	DefaultDispatchTimeout   = 2 * time.Minute
-	DefaultPollInterval      = 50 * time.Millisecond
 )
 
 // Config assembles a Coordinator.
@@ -91,8 +90,6 @@ type Config struct {
 	Replicas int
 	// DispatchTimeout bounds one remote dispatch attempt end to end.
 	DispatchTimeout time.Duration
-	// PollInterval paces remote job-status polling during a dispatch.
-	PollInterval time.Duration
 	// Fingerprint, when non-empty, is the coordinator's verdict-shaping
 	// configuration fingerprint; registrations carrying a different
 	// non-empty fingerprint are rejected (they would break verdict
@@ -147,9 +144,6 @@ func (c *Config) fill() {
 	}
 	if c.DispatchTimeout <= 0 {
 		c.DispatchTimeout = DefaultDispatchTimeout
-	}
-	if c.PollInterval <= 0 {
-		c.PollInterval = DefaultPollInterval
 	}
 	if c.HTTPClient == nil {
 		c.HTTPClient = http.DefaultClient
@@ -307,7 +301,6 @@ func (c *Coordinator) register(addr, name, fingerprint string) (string, error) {
 		addr: addr,
 		client: client.New(addr,
 			client.WithHTTPClient(c.cfg.HTTPClient),
-			client.WithPollInterval(c.cfg.PollInterval),
 			// A brief client-level retry rides out a healthy-but-busy
 			// worker's 429 without charging its breaker.
 			client.WithRetryPolicy(client.RetryPolicy{
@@ -676,10 +669,14 @@ func (c *Coordinator) remoteVerify(ctx context.Context, w *worker, sreq api.Subm
 	}
 	if wantText {
 		// A report decoded from JSON renders no text; single-file
-		// callers (the daemon's ?text=1 view) want the worker's.
-		if text, terr := w.client.FileResultText(dctx, sub.Job); terr == nil {
-			report.AttachText(rep, text)
+		// callers (the daemon's ?text=1 view) want the worker's. Without
+		// it the attempt fails, so a retry or the local fallback renders
+		// the text.
+		text, err := w.client.FileResultText(dctx, sub.Job)
+		if err != nil {
+			return nil, err
 		}
+		report.AttachText(rep, text)
 	}
 	c.ingestWorkerTrace(ctx, dctx, w, sub.Job)
 	return rep, nil

@@ -199,3 +199,32 @@ func TestJobTraceServed(t *testing.T) {
 		t.Fatalf("no job span stamped with trace %s in %d events", traceID, len(events))
 	}
 }
+
+// TestWaitIsNotAnSLORequest: the wait route blocks for as long as the
+// job runs, so a 100 ms wait under a 1 ms objective must count no
+// breach on any route.
+func TestWaitIsNotAnSLORequest(t *testing.T) {
+	tel := telemetry.New()
+	s := New(Config{Telemetry: tel, LatencyObjective: time.Millisecond})
+	defer s.Drain(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	j := s.newJob("file", "page.php", []byte(safeSrc), "")
+	go func() {
+		time.Sleep(100 * time.Millisecond)
+		s.finishJob(j, stateDone)
+	}()
+	start := time.Now()
+	if st := waitDone(t, ts, j.ID); st["state"] != string(stateDone) {
+		t.Fatalf("wait answered state %v, want done", st["state"])
+	}
+	if elapsed := time.Since(start); elapsed < 100*time.Millisecond {
+		t.Fatalf("wait answered after %s, before the job finished", elapsed)
+	}
+	for _, line := range strings.Split(metricsPage(t, ts), "\n") {
+		if strings.HasPrefix(line, telemetry.MetricSLOBreaches+"{") && !strings.HasSuffix(line, " 0") {
+			t.Fatalf("a wait counted as an SLO breach: %s", line)
+		}
+	}
+}

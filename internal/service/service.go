@@ -47,6 +47,7 @@
 //	GET    /v1/jobs             api.JobList (newest first)
 //	GET    /v1/jobs/{id}        api.JobStatus
 //	DELETE /v1/jobs/{id}        cancel: stop a watch job / abort a running job
+//	GET    /v1/jobs/{id}/wait   api.JobStatus once the job is done or failed (blocks)
 //	GET    /v1/jobs/{id}/result api.ResultResponse (409 while running)
 //	GET    /v1/jobs/{id}/stream NDJSON: per-file reports as they complete
 //	GET    /v1/jobs/{id}/trace  Chrome/Perfetto trace of the job (with a Telemetry)
@@ -252,10 +253,12 @@ type job struct {
 	canceled  bool               // cancel requested (possibly pre-start)
 	tracer    *telemetry.Tracer  // the job's private span sink (nil without telemetry)
 
-	// stream is the job's NDJSON line log: per-file reports appended as
-	// they complete, broadcast to live followers. Guarded by mu.
+	// lines is the job's NDJSON line log: per-file reports appended as
+	// they complete. Each stream follower keeps its own cursor into it
+	// and waits on grown, which is closed and replaced on every append
+	// and at finish. Guarded by mu.
 	lines [][]byte
-	subs  []chan []byte
+	grown chan struct{}
 	done  chan struct{} // closed on completion
 }
 
@@ -285,36 +288,32 @@ func (j *job) status() api.JobStatus {
 	return st
 }
 
-// appendLine records one NDJSON line and fans it out to followers. It
+// Write records one NDJSON line and wakes the stream followers. It
 // implements io.Writer so the shared NDJSON encoder can drive it; each
-// Write is exactly one line by the encoder's contract.
+// Write is exactly one line by the encoder's contract. It never waits
+// on a follower: each one reads the log at its own pace.
 func (j *job) Write(line []byte) (int, error) {
 	cp := append([]byte(nil), line...)
 	j.mu.Lock()
 	j.lines = append(j.lines, cp)
-	subs := append([]chan []byte(nil), j.subs...)
+	j.wakeLocked()
 	j.mu.Unlock()
-	for _, ch := range subs {
-		select {
-		case ch <- cp:
-		default: // a stalled follower drops lines rather than stalling the job
-		}
-	}
 	return len(line), nil
 }
 
-// follow returns the lines recorded so far and, when the job is still
-// running, a channel receiving subsequent lines.
-func (j *job) follow() (replay [][]byte, live <-chan []byte, running bool) {
+// wakeLocked releases every follower waiting on grown. Call with mu held.
+func (j *job) wakeLocked() {
+	close(j.grown)
+	j.grown = make(chan struct{})
+}
+
+// linesFrom returns the lines recorded at or after cursor, whether the
+// job has finished (no line follows those), and a channel that is
+// closed when either changes.
+func (j *job) linesFrom(cursor int) (lines [][]byte, finished bool, grown <-chan struct{}) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	replay = append([][]byte(nil), j.lines...)
-	if j.state == stateQueued || j.state == stateRunning {
-		ch := make(chan []byte, 64)
-		j.subs = append(j.subs, ch)
-		return replay, ch, true
-	}
-	return replay, nil, false
+	return j.lines[cursor:], j.state.Terminal(), j.grown
 }
 
 // Server is the verification service.
@@ -428,8 +427,10 @@ func (s *Server) routes() {
 	s.handle("GET /v1/jobs/{id}/result", "/v1/jobs/{id}/result", s.handleJobResult)
 	s.handle("GET /v1/jobs/{id}/trace", "/v1/jobs/{id}/trace", s.handleJobTrace)
 	s.handle("GET /v1/version", "/v1/version", s.handleVersion)
-	// The stream endpoint stays open for a job's lifetime; its duration
-	// is not a request latency, so it gets no SLO instrumentation.
+	// The wait and stream endpoints stay open until the job ends; their
+	// duration is not a request latency, so they get no SLO
+	// instrumentation.
+	s.mux.HandleFunc("GET /v1/jobs/{id}/wait", s.handleJobWait)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/stream", s.handleJobStream)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	if s.cfg.Telemetry != nil && s.cfg.Telemetry.Metrics != nil {
@@ -545,6 +546,7 @@ func (s *Server) newJob(kind, target string, source []byte, dir string) *job {
 		dir:       dir,
 		state:     stateQueued,
 		submitted: time.Now(),
+		grown:     make(chan struct{}),
 		done:      make(chan struct{}),
 	}
 	s.jobsMu.Lock()
@@ -812,7 +814,7 @@ func (s *Server) runJob(j *job) {
 	elapsed := time.Since(start)
 	s.hJobSecs.Observe(elapsed.Seconds())
 	// End the root span before publishing the terminal state: a client
-	// that polls state=done and immediately downloads the trace must see
+	// that sees state=done and immediately downloads the trace must see
 	// the complete document.
 	sp.End()
 	if err != nil {
@@ -915,17 +917,13 @@ func (s *Server) failJob(j *job, err error) {
 }
 
 // finishJob transitions a job to a terminal state and releases stream
-// followers.
+// followers and waiters.
 func (s *Server) finishJob(j *job, state jobState) {
 	j.mu.Lock()
 	j.state = state
 	j.finished = time.Now()
-	subs := j.subs
-	j.subs = nil
+	j.wakeLocked()
 	j.mu.Unlock()
-	for _, ch := range subs {
-		close(ch)
-	}
 	close(j.done)
 }
 
@@ -1127,8 +1125,8 @@ func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 // done, last round's report retained), a running one-shot job winds
 // down through context cancellation into a failed state, and a queued
 // job is failed before it starts. Cancellation is asynchronous — the
-// response reports the state at request time; poll or follow the stream
-// for the terminal state.
+// response reports the state at request time; GET /v1/jobs/{id}/wait or
+// the stream gives the terminal state.
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	j := s.lookup(r.PathValue("id"))
 	if j == nil {
@@ -1168,7 +1166,7 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	j.mu.Unlock()
 	switch state {
 	case stateQueued, stateRunning:
-		writeError(w, http.StatusConflict, fmt.Sprintf("job is %s; poll status or follow the stream", state))
+		writeError(w, http.StatusConflict, fmt.Sprintf("job is %s; wait for it or follow the stream", state))
 		return
 	case stateFailed:
 		writeJSON(w, api.ResultResponse{SchemaV: api.Schema, ID: j.ID, Kind: j.Kind, Error: errMsg})
@@ -1220,6 +1218,28 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	_ = tr.WriteDoc(w)
 }
 
+// handleJobWait answers the job's status once it is done or failed, in
+// one blocking request. It returns without an answer when the caller
+// goes away first, so an abandoned wait holds no goroutine.
+func (s *Server) handleJobWait(w http.ResponseWriter, r *http.Request) {
+	j := s.lookup(r.PathValue("id"))
+	if j == nil {
+		writeError(w, http.StatusNotFound, "no such job")
+		return
+	}
+	select {
+	case <-j.done:
+	case <-r.Context().Done():
+		return
+	}
+	st := j.status()
+	st.SchemaV = api.Schema
+	writeJSON(w, st)
+}
+
+// handleJobStream replays the job's lines, then follows them live until
+// the job ends. A slow reader falls behind on its own cursor; it never
+// loses a line and never holds up the job.
 func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 	j := s.lookup(r.PathValue("id"))
 	if j == nil {
@@ -1228,31 +1248,23 @@ func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", NDJSONContentType)
 	w.WriteHeader(http.StatusOK)
-	flush := func() {
-		if f, ok := w.(http.Flusher); ok {
-			f.Flush()
-		}
-	}
-	replay, live, running := j.follow()
-	for _, line := range replay {
-		if _, err := w.Write(line); err != nil {
-			return
-		}
-	}
-	flush()
-	if !running {
-		return
-	}
-	for {
-		select {
-		case line, ok := <-live:
-			if !ok {
-				return
-			}
+	flusher, _ := w.(http.Flusher)
+	for cursor := 0; ; {
+		lines, finished, grown := j.linesFrom(cursor)
+		for _, line := range lines {
 			if _, err := w.Write(line); err != nil {
 				return
 			}
-			flush()
+		}
+		cursor += len(lines)
+		if flusher != nil {
+			flusher.Flush()
+		}
+		if finished {
+			return
+		}
+		select {
+		case <-grown:
 		case <-r.Context().Done():
 			return
 		}

@@ -60,27 +60,33 @@ func getJSON(t *testing.T, ts *httptest.Server, path string) (int, map[string]an
 	return resp.StatusCode, out
 }
 
-// waitDone polls a job's status until it reaches a terminal state.
+// waitDone waits for a job to reach a terminal state, in one request
+// to the wait route, and returns its status.
 func waitDone(t *testing.T, ts *httptest.Server, id string) map[string]any {
 	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		code, st := getJSON(t, ts, "/v1/jobs/"+id)
-		if code != http.StatusOK {
-			t.Fatalf("status %s: HTTP %d", id, code)
-		}
-		switch st["state"] {
-		case string(stateDone), string(stateFailed):
-			return st
-		}
-		time.Sleep(10 * time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/jobs/"+id+"/wait", nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatalf("job %s did not finish", id)
-	return nil
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("job %s did not finish: %v", id, err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("wait %s: HTTP %d", id, resp.StatusCode)
+	}
+	var st map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatalf("decoding wait response: %v", err)
+	}
+	return st
 }
 
 // TestSubmitFileLifecycle walks the whole happy path over HTTP: submit,
-// poll, result, stream replay.
+// wait, result, stream replay.
 func TestSubmitFileLifecycle(t *testing.T) {
 	s := New(Config{Workers: 2})
 	defer s.Drain(context.Background())
@@ -328,24 +334,25 @@ func TestDirJobStreamsPerFile(t *testing.T) {
 	}
 }
 
-// TestStreamFollowsLiveJob subscribes to a job's stream while it is
-// still running and sees lines arrive, then the stream end.
+// TestStreamFollowsLiveJob follows a job's stream while it is still
+// running and sees lines arrive, then the stream end.
 func TestStreamFollowsLiveJob(t *testing.T) {
-	j := &job{ID: "j1", Kind: "dir", state: stateRunning, done: make(chan struct{})}
+	s := New(Config{})
+	defer s.Drain(context.Background())
+	j := s.newJob("dir", "d", nil, "")
 	enc := NewNDJSON(j)
 
-	replay, live, running := j.follow()
-	if len(replay) != 0 || !running {
-		t.Fatalf("fresh job follow: %d lines, running %v", len(replay), running)
+	lines, finished, _ := j.linesFrom(0)
+	if len(lines) != 0 || finished {
+		t.Fatalf("fresh job: %d lines, finished %v", len(lines), finished)
 	}
-	var got []string
-	var wg sync.WaitGroup
-	wg.Add(1)
+	rec := httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodGet, "/v1/jobs/"+j.ID+"/stream", nil)
+	req.SetPathValue("id", j.ID)
+	served := make(chan struct{})
 	go func() {
-		defer wg.Done()
-		for line := range live {
-			got = append(got, strings.TrimSpace(string(line)))
-		}
+		defer close(served)
+		s.handleJobStream(rec, req)
 	}()
 	if err := enc.Encode(map[string]string{"file": "a.php"}); err != nil {
 		t.Fatal(err)
@@ -353,15 +360,74 @@ func TestStreamFollowsLiveJob(t *testing.T) {
 	if err := enc.Encode(map[string]string{"file": "b.php"}); err != nil {
 		t.Fatal(err)
 	}
-	(&Server{}).finishJob(j, stateDone)
-	wg.Wait()
-	if len(got) != 2 {
-		t.Fatalf("live follower saw %d lines, want 2: %v", len(got), got)
+	s.finishJob(j, stateDone)
+	<-served
+	if got := strings.Count(rec.Body.String(), "\n"); got != 2 {
+		t.Fatalf("live follower saw %d lines, want 2: %q", got, rec.Body.String())
 	}
-	// After completion, follow() replays without a live channel.
-	replay, _, running = j.follow()
-	if len(replay) != 2 || running {
-		t.Fatalf("post-completion follow: %d lines, running %v", len(replay), running)
+	// After completion the log replays in full and reports the end.
+	lines, finished, _ = j.linesFrom(0)
+	if len(lines) != 2 || !finished {
+		t.Fatalf("post-completion: %d lines, finished %v", len(lines), finished)
+	}
+}
+
+// stallingWriter is a stream follower's ResponseWriter whose writes
+// block until release is closed, as a client that stops reading does.
+// The first Flush (the handler's, after its replay) closes following.
+type stallingWriter struct {
+	header    http.Header
+	following chan struct{}
+	flushed   sync.Once
+	release   chan struct{}
+	body      bytes.Buffer
+}
+
+func (w *stallingWriter) Header() http.Header { return w.header }
+func (w *stallingWriter) WriteHeader(int)     {}
+func (w *stallingWriter) Flush()              { w.flushed.Do(func() { close(w.following) }) }
+func (w *stallingWriter) Write(p []byte) (int, error) {
+	<-w.release
+	return w.body.Write(p)
+}
+
+// TestStreamStalledFollowerKeepsEveryLine stalls a follower while the
+// job writes 200 lines: the job must not block on it, and once the
+// follower drains it must have every line, in order.
+func TestStreamStalledFollowerKeepsEveryLine(t *testing.T) {
+	s := New(Config{})
+	defer s.Drain(context.Background())
+	j := s.newJob("dir", "d", nil, "")
+	w := &stallingWriter{header: http.Header{}, following: make(chan struct{}), release: make(chan struct{})}
+	req := httptest.NewRequest(http.MethodGet, "/v1/jobs/"+j.ID+"/stream", nil)
+	req.SetPathValue("id", j.ID)
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		s.handleJobStream(w, req)
+	}()
+	<-w.following
+
+	const n = 200
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(j, "{\"line\":%d}\n", i)
+	}
+	close(w.release)
+	s.finishJob(j, stateDone)
+	select {
+	case <-served:
+	case <-time.After(10 * time.Second):
+		t.Fatal("stream handler did not return after the job finished")
+	}
+
+	got := strings.Split(strings.TrimSuffix(w.body.String(), "\n"), "\n")
+	if len(got) != n {
+		t.Fatalf("stalled follower received %d lines, want %d", len(got), n)
+	}
+	for i, line := range got {
+		if want := fmt.Sprintf("{\"line\":%d}", i); line != want {
+			t.Fatalf("line %d = %q, want %q", i, line, want)
+		}
 	}
 }
 
