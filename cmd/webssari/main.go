@@ -24,8 +24,8 @@
 //	-solver-mode M    solver dispatch mode: per-assert (default) or shared
 //	                  (one incremental solver per file, learnt clauses
 //	                  accumulate across assertions)
-//	-j N              verification workers (0 = sequential for one file,
-//	                  GOMAXPROCS across a directory's files)
+//	-j N              files verified at once in a directory (0 =
+//	                  GOMAXPROCS); a single file ignores it
 //	-v                print the run profile (stage wall times, solver
 //	                  effort, cache and pool stats) to stderr
 //	-trace FILE       write Chrome trace-event JSON of every pipeline span

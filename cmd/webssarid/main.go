@@ -16,8 +16,8 @@
 //	                   256 MiB, negative = unbounded)
 //	-queue N           submission queue depth; a full queue answers 429
 //	-workers N         concurrently running jobs (0 = GOMAXPROCS)
-//	-j N               verification workers per job (0 = sequential for a
-//	                   file job, GOMAXPROCS across a directory job's files)
+//	-j N               files a directory job verifies at once (0 =
+//	                   GOMAXPROCS); file jobs ignore it
 //	-timeout D         wall-clock deadline per verification unit
 //	-max-conflicts N   SAT conflict budget per solver call (0 = unlimited)
 //	-solver-mode M     default solver dispatch mode for jobs:

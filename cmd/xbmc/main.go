@@ -17,9 +17,9 @@
 //
 // The -timeout and -max-conflicts flags bound the search; an assertion
 // left undecided prints UNKNOWN with its cause and the command exits 3
-// (incomplete) instead of claiming the program safe. The -j flag sets
-// the verification workers (0 = sequential for one file, GOMAXPROCS
-// across a directory's files), and -v prints the run profile (per-stage
+// (incomplete) instead of claiming the program safe. The -j flag bounds
+// how many of a directory's files are verified at once (0 = GOMAXPROCS;
+// a single file ignores it), and -v prints the run profile (per-stage
 // wall time and solver effort; for one file, each assertion's encode
 // and search time) to stderr.
 //
@@ -295,8 +295,8 @@ func runStage(target, stage string, naive bool, outDir string, sh *cli.Flags) in
 }
 
 // verifyDir checks every PHP file under dir through the public engine —
-// the whole-project path exercises the compile cache and both fan-out
-// levels, so it is where traces and metrics are most interesting. With
+// the whole-project path exercises the compile cache and the file pool,
+// so it is where traces and metrics are most interesting. With
 // ndjson set, per-file reports stream to stdout as they complete (the
 // daemon's wire format) followed by one project-summary line, instead
 // of the plain text lines.

@@ -34,8 +34,7 @@ type SolverMode string
 
 const (
 	// SolverPerAssert solves each assertion on a fresh solver instance
-	// over a per-assertion encoding — the paper's loop, the default, and
-	// the mode with the best per-assertion parallelism.
+	// over a per-assertion encoding — the paper's loop and the default.
 	SolverPerAssert SolverMode = "per-assert"
 	// SolverShared solves every assertion under selector assumptions on
 	// ONE incremental CDCL instance, so learnt clauses accumulate across
@@ -103,7 +102,7 @@ func WithSolverConfig(sc SolverConfig) Option {
 // unambiguous description where an option list is order-sensitive.
 //
 // Function-valued configuration (WithLoader, WithFileObserver,
-// withWorkers) is deliberately not representable: Config must survive
+// WithFileVerifier) is deliberately not representable: Config must survive
 // JSON round-trips for the daemon. Dir implies the standard filesystem
 // loader, which covers every file- and directory-based entry point.
 type Config struct {
@@ -144,7 +143,8 @@ type Config struct {
 	Solver SolverConfig `json:"solver,omitempty"`
 	// Limits caps model and formula sizes (WithResourceLimits).
 	Limits ResourceLimits `json:"limits,omitempty"`
-	// Parallelism bounds the worker pool (WithParallelism).
+	// Parallelism bounds the file pool of project runs; single-file
+	// entry points ignore it (WithParallelism).
 	Parallelism int `json:"parallelism,omitempty"`
 	// Incremental enables delta re-verification under VerifyDir
 	// (WithIncremental); it requires Store to do anything.

@@ -100,7 +100,7 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.StringVar(&f.MetricsAddr, "metrics-addr", "", "serve /metrics, /debug/vars, /debug/pprof on this address (\":0\" picks a free port)")
 	fs.StringVar(&f.LogLevel, "log-level", "info", "structured log level: debug|info|warn|error")
 	fs.StringVar(&f.LogFormat, "log-format", "text", "structured log encoding: text|json")
-	fs.IntVar(&f.Jobs, "j", 0, "verification workers per run (0 = sequential for one file, GOMAXPROCS across a directory's files)")
+	fs.IntVar(&f.Jobs, "j", 0, "files of a directory verified at once (0 = GOMAXPROCS; a single file ignores it)")
 	fs.BoolVar(&f.Incremental, "incremental", false, "directory runs: delta re-verification via the persistent dependency graph (requires -store)")
 	return f
 }

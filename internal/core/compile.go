@@ -15,7 +15,6 @@ import (
 	"webssari/internal/constraint"
 	"webssari/internal/flow"
 	"webssari/internal/ir"
-	"webssari/internal/php/ast"
 	"webssari/internal/php/parser"
 	"webssari/internal/rename"
 	"webssari/internal/telemetry"
@@ -135,34 +134,6 @@ func compile(name string, src []byte, opts Options) (*Program, CompileStats, []e
 		p.ParseErrors = append(p.ParseErrors, perr.Error())
 	}
 	return p, stats, errs
-}
-
-// CompileFile compiles an already-parsed file.
-func CompileFile(file *ast.File, opts Options) (*Program, error) {
-	ctx := opts.context()
-	start := time.Now()
-	_, sp := telemetry.StartSpan(ctx, "lower")
-	unit, err := ir.Lower(file)
-	sp.End()
-	var stats CompileStats
-	stats.LowerNS = time.Since(start).Nanoseconds()
-	if err != nil {
-		return nil, err
-	}
-	start = time.Now()
-	_, sp = telemetry.StartSpan(ctx, "flow")
-	prog, err := flow.BuildUnit(unit, opts.Flow)
-	sp.End()
-	stats.FlowNS = time.Since(start).Nanoseconds()
-	if err != nil {
-		return nil, err
-	}
-	p, err := compileAI(ctx, prog, &stats)
-	if err != nil {
-		return nil, err
-	}
-	p.Unit = unit
-	return p, nil
 }
 
 // CompileAI runs the back half of the front end — renaming and constraint

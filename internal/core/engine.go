@@ -23,7 +23,6 @@ import (
 	"webssari/internal/constraint"
 	"webssari/internal/flow"
 	"webssari/internal/lattice"
-	"webssari/internal/php/ast"
 	"webssari/internal/rename"
 	"webssari/internal/sat"
 )
@@ -73,19 +72,10 @@ type Options struct {
 	// counterexamples are canonically ordered by trace key in each — so
 	// Mode is verdict-neutral.
 	Mode SolveMode
-	// Parallelism bounds how many assertions one Solve checks
-	// concurrently. Zero or one means sequential (the default, which
-	// reproduces the paper's loop exactly); results are identical either
-	// way because each assertion's check is deterministic and results are
-	// assembled in assertion order.
+	// Parallelism is ignored: Solve checks a file's assertions one after
+	// another, and project runs bound their file pool themselves. The
+	// field remains only for callers that still set it.
 	Parallelism int
-	// Workers, when set, is a slot pool shared with the caller (project
-	// verification shares one pool between its file-level fan-out and each
-	// file's assertion-level fan-out). The caller is assumed to already
-	// hold one slot; Solve takes extra slots with TryAcquire only and
-	// always works inline on the caller's slot, so the sharing cannot
-	// deadlock. Workers takes precedence over Parallelism.
-	Workers *Pool
 }
 
 // SolveMode selects the back-end solving strategy (Options.Mode).
@@ -378,15 +368,6 @@ func VerifySource(name string, src []byte, opts Options) (*Result, []error) {
 		return nil, errs
 	}
 	return Solve(opts.context(), p, opts), errs
-}
-
-// VerifyFile verifies an already-parsed file.
-func VerifyFile(file *ast.File, opts Options) (*Result, error) {
-	p, err := CompileFile(file, opts)
-	if err != nil {
-		return nil, err
-	}
-	return Solve(opts.context(), p, opts), nil
 }
 
 // VerifyAI runs the model checker over an abstract interpretation: it is

@@ -8,27 +8,19 @@ import (
 	"webssari/internal/telemetry"
 )
 
-// Pool is a bounded worker-slot semaphore shared between the file-level
-// fan-out of a project run and the assertion-level fan-out inside each
-// file's Solve. Its discipline is what makes the sharing deadlock-free:
+// Pool is a bounded worker-slot semaphore: a dispatcher takes one slot
+// per unit of work with the blocking Acquire — a file of a project run,
+// or a daemon job. A file's Solve runs on its worker's slot and takes no
+// further slots.
 //
-//   - file-level workers use the blocking Acquire, and
-//   - assertion-level workers inside a Solve use only TryAcquire, with the
-//     calling goroutine always working inline on its own slot,
-//
-// so a goroutine holding a slot never blocks waiting for another slot and
-// no circular wait can form.
-//
-// The pool self-observes: acquire counts, the in-use and waiting
-// high-water marks, and TryAcquire outcomes are tracked with atomics and
-// read back through Snapshot (the report's pool profile) or mirrored
-// live into a metrics registry via Instrument.
+// The pool self-observes: acquire counts and the in-use and waiting
+// high-water marks are tracked with atomics and read back through
+// Snapshot (the report's pool profile) or mirrored live into a metrics
+// registry via Instrument.
 type Pool struct {
 	sem chan struct{}
 
 	acquires   atomic.Int64
-	tryHits    atomic.Int64
-	tryMisses  atomic.Int64
 	inUse      atomic.Int64
 	maxInUse   atomic.Int64
 	waiting    atomic.Int64
@@ -59,60 +51,42 @@ func (p *Pool) Instrument(reg *telemetry.Registry) {
 	p.cAcquires = reg.Counter(telemetry.MetricPoolAcquires)
 }
 
-// acquired records one slot take (by either acquire path).
-func (p *Pool) acquired() {
-	in := p.inUse.Add(1)
+// raiseMax lifts the high-water mark m to at least v.
+func raiseMax(m *atomic.Int64, v int64) {
 	for {
-		max := p.maxInUse.Load()
-		if in <= max || p.maxInUse.CompareAndSwap(max, in) {
-			break
+		cur := m.Load()
+		if v <= cur || m.CompareAndSwap(cur, v) {
+			return
 		}
 	}
-	p.acquires.Add(1)
-	p.cAcquires.Inc()
-	p.gInUse.Set(in)
-	p.gInUseMax.SetMax(in)
 }
 
 // Acquire blocks until a slot is free or ctx is done, returning ctx's
 // error in the latter case.
 func (p *Pool) Acquire(ctx context.Context) error {
 	w := p.waiting.Add(1)
-	for {
-		max := p.maxWaiting.Load()
-		if w <= max || p.maxWaiting.CompareAndSwap(max, w) {
-			break
-		}
-	}
+	raiseMax(&p.maxWaiting, w)
 	p.gWaiting.Set(w)
 	defer func() {
 		p.gWaiting.Set(p.waiting.Add(-1))
 	}()
 	select {
 	case p.sem <- struct{}{}:
-		p.acquired()
-		return nil
 	case <-ctx.Done():
 		return ctx.Err()
 	}
+	in := p.inUse.Add(1)
+	raiseMax(&p.maxInUse, in)
+	p.acquires.Add(1)
+	p.cAcquires.Inc()
+	p.gInUse.Set(in)
+	p.gInUseMax.SetMax(in)
+	return nil
 }
 
-// TryAcquire takes a slot only if one is free right now.
-func (p *Pool) TryAcquire() bool {
-	select {
-	case p.sem <- struct{}{}:
-		p.tryHits.Add(1)
-		p.acquired()
-		return true
-	default:
-		p.tryMisses.Add(1)
-		return false
-	}
-}
-
-// Release returns a slot taken by Acquire or TryAcquire. The slot leaves
-// the in-use count before it is freed, so the next acquire can never
-// count it twice and MaxInUse stays within Cap.
+// Release returns a slot taken by Acquire. The slot leaves the in-use
+// count before it is freed, so the next acquire can never count it twice
+// and MaxInUse stays within Cap.
 func (p *Pool) Release() {
 	p.gInUse.Set(p.inUse.Add(-1))
 	<-p.sem
@@ -124,11 +98,9 @@ func (p *Pool) Cap() int { return cap(p.sem) }
 // Snapshot returns the pool's cumulative usage profile.
 func (p *Pool) Snapshot() *telemetry.PoolProfile {
 	return &telemetry.PoolProfile{
-		Capacity:         p.Cap(),
-		Acquires:         p.acquires.Load(),
-		TryAcquireHits:   p.tryHits.Load(),
-		TryAcquireMisses: p.tryMisses.Load(),
-		MaxInUse:         p.maxInUse.Load(),
-		MaxWaiting:       p.maxWaiting.Load(),
+		Capacity:   p.Cap(),
+		Acquires:   p.acquires.Load(),
+		MaxInUse:   p.maxInUse.Load(),
+		MaxWaiting: p.maxWaiting.Load(),
 	}
 }

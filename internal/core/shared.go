@@ -22,8 +22,7 @@ import (
 // satisfied — and inert — whenever another assertion is being checked.
 
 // SolveShared is the shared-solver back end over a compiled Program.
-// Unlike Solve it is inherently sequential — the incremental solver's
-// learnt-clause state is serial — but like Solve it never writes into the
+// Like Solve it checks the assertions in order and never writes into the
 // Program, so it can run beside concurrent Solves of the same artifact.
 //
 // AssumePriorAsserts is honored through prior-check hold selectors: the
@@ -78,6 +77,10 @@ func SolveShared(ctx context.Context, p *Program, opts Options) *Result {
 	solver := sat.NewWith(sopts)
 	loaded := encoded.F.LoadInto(solver)
 
+	// The one solver's counters are cumulative, so each assertion records
+	// only what its enumeration added; the per-assertion stats then sum to
+	// the solver's final stats instead of re-counting earlier searches.
+	var charged sat.Stats
 	for i := range sys.Checks {
 		ar := &AssertResult{
 			Assert:         sys.Checks[i].Origin,
@@ -96,6 +99,9 @@ func SolveShared(ctx context.Context, p *Program, opts Options) *Result {
 		searchStart := time.Now()
 		_, srsp := telemetry.StartSpan(ctx, "search", "index", i)
 		enumerateShared(sys, encoded, solver, i, opts, ar)
+		now := solver.Stats()
+		ar.SolverStats = now.Sub(charged)
+		charged = now
 		srsp.End()
 		ar.SearchTime = time.Since(searchStart)
 		sortCounterexamples(ar)
@@ -121,7 +127,6 @@ func enumerateShared(
 	seen := make(map[string]bool)
 	for {
 		verdict := solver.SolveAssuming(assumptions)
-		ar.SolverStats = solver.Stats()
 		if verdict == sat.Unsat {
 			return
 		}

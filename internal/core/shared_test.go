@@ -1,12 +1,16 @@
 package core
 
 import (
+	"context"
 	"math/rand"
+	"os"
 	"strings"
 	"testing"
 
+	"webssari/internal/cnf"
 	"webssari/internal/flow"
 	"webssari/internal/prelude"
+	"webssari/internal/sat"
 )
 
 func verifyShared(t *testing.T, src string) *Result {
@@ -134,5 +138,54 @@ mysql_query($x);`)
 			t.Fatalf("assert %d: %d counterexamples, want 2 (selector gating broken)",
 				i, len(ar.Counterexamples))
 		}
+	}
+}
+
+// TestSharedSolverStatsSumToFinal: in shared mode every assertion
+// searches on one solver whose counters are cumulative, so each must
+// record only the work its own enumeration added. Summed the way a run
+// profile sums them, the per-assertion stats must equal the shared
+// solver's final stats — not count earlier assertions' searches again.
+func TestSharedSolverStatsSumToFinal(t *testing.T) {
+	src, err := os.ReadFile("../../testdata/branchy/b2_two_roots.php")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := compileSrc(t, string(src))
+	opts := NewOptions(flow.Options{Prelude: prelude.Default()})
+	opts.Mode = ModeShared
+	opts.MaxCounterexamples = DefaultMaxCEX
+	res := Solve(context.Background(), prog, opts)
+	var got sat.Stats
+	for _, ar := range res.PerAssert {
+		got.Add(ar.SolverStats)
+	}
+
+	// Run the same assertion loop on a solver the test owns and read its
+	// final stats.
+	encoded, err := cnf.EncodeAllChecks(prog.System, opts.cnfOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	solver := sat.NewWith(opts.Solver)
+	if !encoded.F.LoadInto(solver) {
+		t.Fatal("shared encoding trivially unsat")
+	}
+	searched := 0
+	for i := range prog.System.Checks {
+		if !encoded.TrivialUnsat[i] {
+			enumerateShared(prog.System, encoded, solver, i, opts, &AssertResult{})
+			searched++
+		}
+	}
+	if searched < 2 {
+		t.Fatalf("%d assertions searched; the test needs several to share the solver", searched)
+	}
+	want := solver.Stats()
+	if want.Decisions == 0 {
+		t.Fatal("shared solver made no decisions; the test has nothing to sum")
+	}
+	if got != want {
+		t.Fatalf("per-assertion stats sum to %+v, shared solver's final stats are %+v", got, want)
 	}
 }

@@ -3,17 +3,15 @@ package core
 // This file is the engine's back end: per-assertion CNF encoding and the
 // CDCL all-counterexample enumeration loop of §3.3.2, run over the
 // immutable Program artifact the front end (compile.go) produced. Because
-// a Program is never written after compilation, independent assertions of
-// one Solve — and independent Solves over one shared Program — can run
-// concurrently; every piece of per-solve state (solver instance, seen-set,
-// result slices, warning lists) lives on this side of the split.
+// a Program is never written after compilation, independent Solves over
+// one shared Program can run concurrently; every piece of per-solve state
+// (solver instance, seen-set, result slices, warning lists) lives on this
+// side of the split.
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"webssari/internal/ai"
@@ -25,17 +23,14 @@ import (
 	"webssari/internal/telemetry"
 )
 
-// Solve runs the model checker over a compiled Program.
+// Solve runs the model checker over a compiled Program: the §3.3.2 loop,
+// checking the assertions one after another in order.
 //
 // Faults are isolated per assertion: a tripped resource ceiling, an
 // exhausted budget, an expired deadline, or a recovered panic degrades
 // that assertion to Unknown (with its cause) and the run moves on, so one
 // pathological assertion can neither hang nor blank the rest of the
-// result. When opts allows parallelism (Options.Parallelism > 1 or a
-// shared Options.Workers pool with free slots), independent assertions
-// are checked concurrently; the Result is identical to a sequential run
-// because each assertion's check is deterministic and results are
-// assembled in assertion order.
+// result.
 //
 // ctx carries cancellation and the wall-clock deadline; nil means
 // opts.Ctx, then context.Background().
@@ -44,9 +39,9 @@ func Solve(ctx context.Context, p *Program, opts Options) *Result {
 		ctx = opts.context()
 	}
 	if opts.Mode == ModeShared {
-		// The shared incremental solver has its own (sequential) loop;
-		// verdicts and counterexample order are identical by the
-		// canonical-ordering argument (see sortCounterexamples).
+		// The shared incremental solver has its own loop; verdicts and
+		// counterexample order are identical by the canonical-ordering
+		// argument (see sortCounterexamples).
 		return SolveShared(ctx, p, opts)
 	}
 	if opts.MaxCounterexamples <= 0 {
@@ -70,123 +65,43 @@ func Solve(ctx context.Context, p *Program, opts Options) *Result {
 	}
 	ctx, ssp := telemetry.StartSpan(ctx, "solve", "asserts", n)
 	defer ssp.End()
-	results := make([]*AssertResult, n)
-	degraded := make([]string, n)
-	skipped := make([]bool, n)
-
-	// Work is handed out through an atomic counter, so indices are claimed
-	// in assertion order even under concurrency. Context errors are sticky,
-	// which makes the skipped set a suffix of the index range exactly as in
-	// a sequential run.
-	var next int64 = -1
-	work := func() {
-		for {
-			idx := int(atomic.AddInt64(&next, 1))
-			if idx >= n {
-				return
-			}
-			if ctx.Err() != nil {
-				// Deadline expired: degrade instead of aborting, so the
-				// report still has one entry per assertion and callers can
-				// see exactly what went unchecked.
-				results[idx] = &AssertResult{
-					Assert:  sys.Checks[idx].Origin,
+	for idx := range sys.Checks {
+		if ctx.Err() != nil {
+			// Deadline expired: degrade instead of aborting, so the report
+			// still has one entry per assertion and callers can see exactly
+			// what went unchecked.
+			res.Warnings = append(res.Warnings, fmt.Sprintf(
+				"deadline expired before assert_%d: %d assertion(s) unchecked", idx, n-idx))
+			for _, check := range sys.Checks[idx:] {
+				res.PerAssert = append(res.PerAssert, &AssertResult{
+					Assert:  check.Origin,
 					Unknown: true,
 					Cause:   CauseDeadline,
-				}
-				skipped[idx] = true
-				continue
+				})
 			}
-			ar, err := checkAssertion(ctx, sys, idx, opts)
-			if err != nil {
-				// Fault isolation: a panic or internal error in one
-				// assertion's encode/solve degrades it to Unknown.
-				ar = &AssertResult{
-					Assert:  sys.Checks[idx].Origin,
-					Unknown: true,
-					Cause:   CauseInternal,
-				}
-				degraded[idx] = fmt.Sprintf("assert_%d degraded: %v", idx, err)
+			break
+		}
+		ar, err := checkAssertion(ctx, sys, idx, opts)
+		if err != nil {
+			// Fault isolation: a panic or internal error in one
+			// assertion's encode/solve degrades it to Unknown.
+			ar = &AssertResult{
+				Assert:  sys.Checks[idx].Origin,
+				Unknown: true,
+				Cause:   CauseInternal,
 			}
-			results[idx] = ar
+			res.Warnings = append(res.Warnings, fmt.Sprintf("assert_%d degraded: %v", idx, err))
 		}
-	}
-
-	extra := opts.extraWorkers(n)
-	if len(extra) > 0 {
-		var wg sync.WaitGroup
-		for _, release := range extra {
-			wg.Add(1)
-			go func(release func()) {
-				defer wg.Done()
-				if release != nil {
-					defer release()
-				}
-				work()
-			}(release)
-		}
-		work()
-		wg.Wait()
-	} else {
-		work()
-	}
-
-	// Deterministic assembly: results and warnings in assertion order.
-	firstSkipped, skippedCount := -1, 0
-	for idx := 0; idx < n; idx++ {
-		res.PerAssert = append(res.PerAssert, results[idx])
-		if degraded[idx] != "" {
-			res.Warnings = append(res.Warnings, degraded[idx])
-		}
-		if skipped[idx] {
-			if firstSkipped < 0 {
-				firstSkipped = idx
-			}
-			skippedCount++
-		}
-	}
-	if firstSkipped >= 0 {
-		res.Warnings = append(res.Warnings, fmt.Sprintf(
-			"deadline expired before assert_%d: %d assertion(s) unchecked", firstSkipped, skippedCount))
+		res.PerAssert = append(res.PerAssert, ar)
 	}
 	return res
-}
-
-// extraWorkers decides how many goroutines to add beside the calling one
-// for a fan-out over n work items, returning one release func per extra
-// worker (nil when the slot is private rather than pool-backed).
-//
-// When Workers is set the caller is assumed to already hold a slot of
-// that shared pool, so extras are taken with TryAcquire only — never
-// blocking — which keeps file-level and assertion-level sharing of one
-// pool free of circular waits.
-func (o *Options) extraWorkers(n int) []func() {
-	var extra []func()
-	if o.Workers != nil {
-		for i := 1; i < n; i++ {
-			if !o.Workers.TryAcquire() {
-				break
-			}
-			extra = append(extra, o.Workers.Release)
-		}
-		return extra
-	}
-	p := o.Parallelism
-	if p <= 1 {
-		return nil
-	}
-	for i := 1; i < p && i < n; i++ {
-		extra = append(extra, nil)
-	}
-	return extra
 }
 
 // checkAssertion runs the per-assertion enumeration loop of §3.3.2. A
 // panic anywhere in encode/solve/replay is recovered into a *StageError
 // so the caller can degrade just this assertion. All state is local: the
 // constraint system is only read, the solver is freshly constructed, and
-// opts is a value copy, so any number of checkAssertion calls can run
-// concurrently over one System.
+// opts is a value copy, so concurrent Solves can share one System.
 func checkAssertion(ctx context.Context, sys *constraint.System, idx int, opts Options) (ar *AssertResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -199,10 +114,9 @@ func checkAssertion(ctx context.Context, sys *constraint.System, idx int, opts O
 	check := sys.Checks[idx]
 	ar = &AssertResult{Assert: check.Origin}
 
-	// Concurrent assertion checks each get a fresh trace lane so their
-	// intervals never interleave on one timeline row; encode/search spans
-	// inherit the assertion's lane and nest under it.
-	ctx, asp := telemetry.StartRootSpan(ctx, "assert", "index", idx)
+	// A file's assertions run one after another, so each assert span
+	// nests on the file's lane; encode/search spans nest under it.
+	ctx, asp := telemetry.StartSpan(ctx, "assert", "index", idx)
 	defer asp.End()
 
 	encStart := time.Now()

@@ -9,7 +9,7 @@
 // bound (meet, ⊓) and a least upper bound (join, ⊔).
 //
 // A Lattice is constructed either from a Hasse diagram via Builder, or with
-// the convenience constructors Chain, Product, and TaintLattice. Elements
+// the convenience constructors Chain, Product, and Taint. Elements
 // are identified by dense integer handles (Elem) so that meet/join/leq are
 // table lookups, which keeps the SAT encoding of lattice operations cheap.
 package lattice

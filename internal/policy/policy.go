@@ -335,12 +335,6 @@ func (c *Compiled) ContextBound(name string) (lattice.Elem, bool) {
 	return ctx.bound, ok
 }
 
-// ContextGuard returns the preferred repair routine of an output
-// context ("" when the context declares none).
-func (c *Compiled) ContextGuard(name string) string {
-	return c.contexts[name].guard
-}
-
 // Guards returns the policy's repair routines in preference order.
 func (c *Compiled) Guards() []CompiledGuard {
 	return append([]CompiledGuard(nil), c.guards...)

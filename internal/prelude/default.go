@@ -1,9 +1,5 @@
 package prelude
 
-import (
-	"webssari/internal/lattice"
-)
-
 // defaultPreludeText is the built-in PHP trust environment, written in the
 // prelude file format so that it exercises the same loader users see. It
 // mirrors the channels the paper's WebSSARI prelude covered: HTTP request
@@ -121,13 +117,4 @@ func Default() *Prelude {
 		panic(err)
 	}
 	return p
-}
-
-// TaintLattice returns the lattice used by the default prelude together
-// with its two elements, for callers that need to name them.
-func TaintLattice() (lat *lattice.Lattice, untainted, tainted lattice.Elem) {
-	lat = lattice.Taint()
-	untainted = lat.Bottom()
-	tainted = lat.Top()
-	return lat, untainted, tainted
 }

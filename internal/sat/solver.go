@@ -42,7 +42,7 @@ type Options struct {
 	// context cancellation into the search loop without a watchdog
 	// goroutine; the solver remains usable afterwards. One callback may
 	// be shared by solver instances running on concurrent goroutines
-	// (core.Solve's parallel assertion fan-out does exactly that), so it
+	// (a project run's concurrent files share one), so it
 	// must be safe to call concurrently — a ctx.Err() check qualifies.
 	Interrupt func() bool
 }
@@ -119,9 +119,6 @@ func (s *Solver) NewVar() int {
 
 // NumVars returns the number of allocated variables.
 func (s *Solver) NumVars() int { return s.numVars }
-
-// NumClauses returns the number of problem clauses currently held.
-func (s *Solver) NumClauses() int { return len(s.clauses) }
 
 // Stats returns the solver's counters.
 func (s *Solver) Stats() Stats { return s.stats }
@@ -663,10 +660,6 @@ func (s *Solver) Model() []bool {
 	}
 	return m
 }
-
-// Okay reports whether the instance is still possibly satisfiable (false
-// once an empty clause has been derived).
-func (s *Solver) Okay() bool { return s.ok }
 
 // ---------------------------------------------------------------- var heap
 

@@ -140,8 +140,9 @@ type Config struct {
 	Telemetry *telemetry.Telemetry
 	// Workers bounds concurrently running jobs (<= 0: GOMAXPROCS).
 	Workers int
-	// JobParallelism is each job's internal fan-out (WithParallelism);
-	// 0 keeps the engine default.
+	// JobParallelism bounds how many files of a directory job are
+	// verified at once (WithParallelism); file jobs ignore it, and 0
+	// keeps the engine default.
 	JobParallelism int
 	// QueueSize bounds queued-but-unstarted jobs (<= 0: DefaultQueueSize).
 	QueueSize int

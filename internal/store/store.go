@@ -444,10 +444,6 @@ func (n Namespace) Put(key string, payload []byte) error {
 // Invalidate removes the entry stored under key within the namespace.
 func (n Namespace) Invalidate(key string) { n.s.Invalidate(NamespacedKey(n.label, key)) }
 
-// KeyOf returns the final store key of a namespaced entry — the address
-// Path-style tooling would look up (see Store.path sharding).
-func (n Namespace) KeyOf(key string) string { return NamespacedKey(n.label, key) }
-
 // encodeBlob frames a payload under the given schema version.
 func encodeBlob(version uint32, payload []byte) []byte {
 	out := make([]byte, headerSize+len(payload))

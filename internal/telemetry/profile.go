@@ -37,12 +37,10 @@ type StageProfile struct {
 	Count  int64  `json:"count"`
 }
 
-// PoolProfile snapshots the shared worker pool at the end of a run.
+// PoolProfile snapshots a project run's file pool at the end of the run.
 type PoolProfile struct {
-	Capacity         int   `json:"capacity"`
-	Acquires         int64 `json:"acquires"`
-	TryAcquireHits   int64 `json:"try_acquire_hits"`
-	TryAcquireMisses int64 `json:"try_acquire_misses"`
+	Capacity int   `json:"capacity"`
+	Acquires int64 `json:"acquires"`
 	// MaxInUse is the in-use high-water mark; MaxInUse/Capacity is the
 	// peak utilization.
 	MaxInUse int64 `json:"max_in_use"`

@@ -163,10 +163,10 @@ func TestParallelVerifyDirCancelledBeforeDispatch(t *testing.T) {
 	}
 }
 
-// TestVerifyParallelAssertionsMatchesSequential covers the single-file
-// fan-out: one file with many independent assertions verified at -j 8
-// must produce the identical report to the sequential run.
-func TestVerifyParallelAssertionsMatchesSequential(t *testing.T) {
+// TestParallelismIgnoredForSingleFile: a single file's assertions are
+// checked in order whatever WithParallelism says, so a file with many
+// independent assertions yields the identical report at -j 8.
+func TestParallelismIgnoredForSingleFile(t *testing.T) {
 	src := "<?php\n"
 	for i := 0; i < 10; i++ {
 		src += fmt.Sprintf("$v%d = $_GET['k%d'];\nif ($c%d) { $v%d = htmlspecialchars($v%d); }\necho $v%d;\n",
@@ -188,6 +188,6 @@ func TestVerifyParallelAssertionsMatchesSequential(t *testing.T) {
 	seqJSON, _ := json.Marshal(seq)
 	parJSON, _ := json.Marshal(par)
 	if string(seqJSON) != string(parJSON) {
-		t.Fatalf("parallel single-file report differs:\n%s\nvs\n%s", seqJSON, parJSON)
+		t.Fatalf("WithParallelism(8) changed a single-file report:\n%s\nvs\n%s", seqJSON, parJSON)
 	}
 }

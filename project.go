@@ -107,10 +107,10 @@ func VerifyDir(dir string, opts ...Option) (*ProjectReport, error) {
 //
 // Files are verified concurrently on a bounded worker pool
 // (WithParallelism, default GOMAXPROCS); each file's front end comes from
-// the process-wide compile cache and its assertions fan out across the
-// same pool. The report is identical at any parallelism: every file's
-// analysis is deterministic and results are assembled in sorted file
-// order.
+// the process-wide compile cache and its assertions are checked in order
+// on the file's worker. The report is identical at any parallelism: every
+// file's analysis is deterministic and results are assembled in sorted
+// file order.
 func VerifyDirContext(ctx context.Context, dir string, opts ...Option) (*ProjectReport, error) {
 	snap, walkFails, err := snapshotDir(dir)
 	if err != nil {
@@ -267,9 +267,7 @@ func verifyDirFiles(ctx context.Context, dir string, snap incremental.Snapshot, 
 				fails[i] = &FileFailure{File: file, Stage: "read", Cause: err.Error()}
 				return
 			}
-			// This worker holds one pool slot; withWorkers lets the file's
-			// assertion fan-out borrow further free slots (non-blocking).
-			fileOpts := append([]Option{WithDir(dir), withWorkers(pool)}, opts...)
+			fileOpts := append([]Option{WithDir(dir)}, opts...)
 			rep, err := verify(ctx, src, file, fileOpts...)
 			if err != nil {
 				stage := "analysis"

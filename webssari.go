@@ -120,7 +120,6 @@ type config struct {
 	deadline     time.Duration
 	limits       ResourceLimits
 	parallelism  int
-	workers      *core.Pool
 	telemetry    *telemetry.Telemetry
 	resultStore  store.Backend
 	observer     func(*Report)
@@ -411,28 +410,18 @@ func WithResourceLimits(l ResourceLimits) Option {
 	}
 }
 
-// WithParallelism bounds the worker pool used by project verification
-// (VerifyDir) and by the per-assertion fan-out inside each file. The
-// default (unset) is GOMAXPROCS for VerifyDir and sequential for
-// single-file Verify/Patch; 1 forces a fully sequential run. Reports are
+// WithParallelism bounds the file pool of project verification
+// (VerifyDir); the default (unset) is GOMAXPROCS and 1 verifies one file
+// at a time. Each file's assertions are checked in order, so single-file
+// entry points (Verify, Patch, VerifyToHTML) ignore it. Reports are
 // identical at every parallelism level — every stage is deterministic and
-// results are assembled in file/assertion order.
+// results are assembled in file order.
 func WithParallelism(n int) Option {
 	return func(c *config) error {
 		if n < 1 {
 			return fmt.Errorf("webssari: parallelism must be ≥ 1, got %d", n)
 		}
 		c.parallelism = n
-		return nil
-	}
-}
-
-// withWorkers hands a file-level worker's shared pool down to its
-// assertion-level fan-out (see core.Options.Workers for the non-blocking
-// discipline that makes the sharing deadlock-free).
-func withWorkers(p *core.Pool) Option {
-	return func(c *config) error {
-		c.workers = p
 		return nil
 	}
 }
@@ -527,8 +516,6 @@ func (c *config) engineOptions(ctx context.Context) core.Options {
 		MaxCounterexamples: c.maxCEX,
 		Solver:             c.solver,
 		Mode:               c.coreMode(),
-		Parallelism:        c.parallelism,
-		Workers:            c.workers,
 	}
 }
 
