@@ -1,0 +1,454 @@
+package webssari
+
+// This file is the result envelope's codec: the payload of one
+// result-store blob, a finished report plus what serving it needs. It is
+// a compact binary encoding, decoded in one pass straight into the
+// served *Report; DESIGN.md §10 describes the layout.
+
+import (
+	"encoding/binary"
+	"math"
+	"slices"
+
+	"webssari/internal/ai"
+	"webssari/internal/report"
+)
+
+// resultSchema versions the envelope layout inside store blobs,
+// independent of the store's own framing version. It is the payload's
+// first varint; bump it when the layout or the Report shape changes
+// incompatibly. Blobs of any other schema, including the JSON envelopes
+// of schemas 1 and 2, read as a miss.
+const resultSchema = 3
+
+// maxEnvelopeSteps bounds the trace steps one envelope may expand to.
+// Runs make the encoding compress: a few bytes can name a long stretch
+// of the step table, so the decoder caps what a payload may ask it to
+// allocate, and storePut does not persist a report it could not serve.
+const maxEnvelopeSteps = 1 << 20
+
+// Verdict codes. A stored report is complete, so its verdict is one of
+// two; Safe, Incomplete, Limits and Groups are derived, not stored.
+const (
+	envelopeSafe   = 0
+	envelopeUnsafe = 1
+)
+
+// encodeEnvelope returns the envelope of a complete report, or nil if
+// the report cannot be stored (an incomplete verdict, or more trace
+// steps than the decoder accepts). The layout, every integer a varint:
+//
+//	schema
+//	string table: count, total bytes, the bytes, each string's length
+//	name
+//	include snapshot: hashes (path, hash; sorted by path), misses
+//	step table: location, var, value
+//	render records: finding, context, path
+//	report: file, verdict code, symptoms, total trace steps
+//	findings: sink, class, location, group, trace as (start, length)
+//	  runs of the step table
+//	patches: location, var, description, findings
+//	warnings
+//
+// Strings are references into the table, each distinct string stored
+// once. Each distinct trace step is stored once, in the step table.
+func encodeEnvelope(name string, rep *Report, inc ai.Includes) []byte {
+	var verdict int
+	switch rep.Verdict {
+	case VerdictSafe:
+		verdict = envelopeSafe
+	case VerdictUnsafe:
+		verdict = envelopeUnsafe
+	default:
+		return nil
+	}
+	e := envelopeEncoder{strs: make(map[string]int)}
+	e.str(name)
+	paths := make([]string, 0, len(inc.Hashes))
+	for p := range inc.Hashes {
+		paths = append(paths, p)
+	}
+	slices.Sort(paths)
+	e.uint(len(paths))
+	for _, p := range paths {
+		e.str(p)
+		e.str(inc.Hashes[p])
+	}
+	e.uint(len(inc.Misses))
+	for _, m := range inc.Misses {
+		e.str(m)
+	}
+
+	// Intern the steps: ids holds every finding's trace as step table
+	// indices, finding after finding.
+	index := make(map[TraceStep]int)
+	var steps []TraceStep
+	var ids []int
+	for _, f := range rep.Findings {
+		for _, step := range f.Trace {
+			id, ok := index[step]
+			if !ok {
+				id = len(steps)
+				index[step] = id
+				steps = append(steps, step)
+			}
+			ids = append(ids, id)
+		}
+	}
+	if len(ids) > maxEnvelopeSteps {
+		return nil
+	}
+	e.uint(len(steps))
+	for _, s := range steps {
+		e.loc(s.Location)
+		e.str(s.Var)
+		e.str(s.Value)
+	}
+	traces := report.Traces(rep)
+	e.uint(len(traces))
+	for _, t := range traces {
+		e.uint(t.Finding)
+		e.str(t.Context)
+		e.str(t.Path)
+	}
+
+	e.str(rep.File)
+	e.uint(verdict)
+	e.int(rep.Symptoms)
+	e.uint(len(ids))
+	e.uint(len(rep.Findings))
+	for _, f := range rep.Findings {
+		e.str(f.Sink)
+		e.str(f.Class)
+		e.loc(f.Location)
+		e.int(f.Group)
+		e.runs(ids[:len(f.Trace)])
+		ids = ids[len(f.Trace):]
+	}
+	e.uint(len(rep.Patches))
+	for _, p := range rep.Patches {
+		e.loc(p.Location)
+		e.str(p.Var)
+		e.str(p.Description)
+		e.int(p.Findings)
+	}
+	e.uint(len(rep.Warnings))
+	for _, w := range rep.Warnings {
+		e.str(w)
+	}
+
+	size := 0
+	for _, s := range e.table {
+		size += len(s)
+	}
+	out := binary.AppendUvarint(nil, resultSchema)
+	out = binary.AppendUvarint(out, uint64(len(e.table)))
+	out = binary.AppendUvarint(out, uint64(size))
+	for _, s := range e.table {
+		out = append(out, s...)
+	}
+	for _, s := range e.table {
+		out = binary.AppendUvarint(out, uint64(len(s)))
+	}
+	return append(out, e.body...)
+}
+
+// envelopeEncoder appends an envelope's body, interning its strings.
+type envelopeEncoder struct {
+	body  []byte
+	strs  map[string]int
+	table []string
+}
+
+func (e *envelopeEncoder) uint(n int) { e.body = binary.AppendUvarint(e.body, uint64(n)) }
+
+func (e *envelopeEncoder) int(n int) { e.body = binary.AppendVarint(e.body, int64(n)) }
+
+func (e *envelopeEncoder) str(s string) {
+	id, ok := e.strs[s]
+	if !ok {
+		id = len(e.table)
+		e.strs[s] = id
+		e.table = append(e.table, s)
+	}
+	e.uint(id)
+}
+
+func (e *envelopeEncoder) loc(l Location) {
+	e.str(l.File)
+	e.int(l.Line)
+	e.int(l.Col)
+}
+
+// runs writes a trace's step ids as a count of runs, then each run of
+// consecutive ids as (start, length).
+func (e *envelopeEncoder) runs(ids []int) {
+	n := 0
+	for i, id := range ids {
+		if i == 0 || id != ids[i-1]+1 {
+			n++
+		}
+	}
+	e.uint(n)
+	for i := 0; i < len(ids); {
+		j := i + 1
+		for j < len(ids) && ids[j] == ids[j-1]+1 {
+			j++
+		}
+		e.uint(ids[i])
+		e.uint(j - i)
+		i = j
+	}
+}
+
+// decodeEnvelope decodes an envelope into the report it serves, marked
+// as a store hit, and the include snapshot it was built under. It
+// rejects a payload of another schema, a truncated one, a count larger
+// than the bytes left, a string or run outside its table, trailing
+// bytes, and a report no complete run produces: a verdict other than
+// safe or unsafe, a safe report with findings or patches, or render
+// records that do not list each finding once, group by group, in the
+// counts the patches declare. A report is served whole or not at all.
+func decodeEnvelope(payload []byte) (*Report, ai.Includes, bool) {
+	d := envelopeDecoder{buf: payload}
+	d.header()
+	inc := d.includes()
+	steps := d.steps()
+	traces := d.traces()
+	rep := d.report(steps)
+	if d.bad || len(d.buf) > 0 || !listed(rep, traces) {
+		return nil, ai.Includes{}, false
+	}
+	report.Attach(rep, traces)
+	rep.Profile = &RunProfile{StoreHit: true}
+	return rep, inc, true
+}
+
+// envelopeDecoder reads an envelope front to back. The first malformed
+// read sets bad; every later read returns a zero value.
+type envelopeDecoder struct {
+	buf  []byte
+	strs []string
+	bad  bool
+}
+
+// uint reads an unsigned varint no larger than math.MaxInt32, which no
+// count, reference or index of a servable envelope exceeds.
+func (d *envelopeDecoder) uint() int {
+	if d.bad {
+		return 0
+	}
+	v, n := binary.Uvarint(d.buf)
+	if n <= 0 || v > math.MaxInt32 {
+		d.bad = true
+		return 0
+	}
+	d.buf = d.buf[n:]
+	return int(v)
+}
+
+// int reads a signed varint.
+func (d *envelopeDecoder) int() int {
+	if d.bad {
+		return 0
+	}
+	v, n := binary.Varint(d.buf)
+	if n <= 0 {
+		d.bad = true
+		return 0
+	}
+	d.buf = d.buf[n:]
+	return int(v)
+}
+
+// count reads the length of a list whose every entry takes at least one
+// byte, so it can be no larger than the bytes left.
+func (d *envelopeDecoder) count() int {
+	n := d.uint()
+	if n > len(d.buf) {
+		d.bad = true
+		return 0
+	}
+	return n
+}
+
+// str reads a reference into the string table.
+func (d *envelopeDecoder) str() string {
+	i := d.uint()
+	if i >= len(d.strs) {
+		d.bad = true
+		return ""
+	}
+	return d.strs[i]
+}
+
+func (d *envelopeDecoder) loc() Location {
+	return Location{File: d.str(), Line: d.int(), Col: d.int()}
+}
+
+// header reads the schema, the string table (its bytes become one
+// string, which every table entry slices) and the name.
+func (d *envelopeDecoder) header() {
+	if d.uint() != resultSchema {
+		d.bad = true
+		return
+	}
+	n := d.count()
+	size := d.count()
+	if d.bad {
+		return
+	}
+	all := string(d.buf[:size])
+	d.buf = d.buf[size:]
+	if n > len(d.buf) {
+		d.bad = true
+		return
+	}
+	d.strs = make([]string, n)
+	off := 0
+	for i := range d.strs {
+		l := d.uint()
+		if l > size-off {
+			d.bad = true
+			return
+		}
+		d.strs[i] = all[off : off+l]
+		off += l
+	}
+	if off != size {
+		d.bad = true
+	}
+	d.str() // the name: the key already covers it
+}
+
+func (d *envelopeDecoder) includes() ai.Includes {
+	var inc ai.Includes
+	if n := d.count(); n > 0 {
+		inc.Hashes = make(map[string]string, n)
+		for range n {
+			p := d.str()
+			inc.Hashes[p] = d.str()
+		}
+	}
+	if n := d.count(); n > 0 {
+		inc.Misses = make([]string, n)
+		for i := range inc.Misses {
+			inc.Misses[i] = d.str()
+		}
+	}
+	return inc
+}
+
+func (d *envelopeDecoder) steps() []TraceStep {
+	n := d.count()
+	if n == 0 {
+		return nil
+	}
+	steps := make([]TraceStep, n)
+	for i := range steps {
+		steps[i] = TraceStep{Location: d.loc(), Var: d.str(), Value: d.str()}
+	}
+	return steps
+}
+
+func (d *envelopeDecoder) traces() []report.Trace {
+	n := d.count()
+	if n == 0 {
+		return nil
+	}
+	traces := make([]report.Trace, n)
+	for i := range traces {
+		traces[i] = report.Trace{Finding: d.uint(), Context: d.str(), Path: d.str()}
+	}
+	return traces
+}
+
+// report reads the report's fields, its findings with their traces
+// expanded from the step table into one backing array (each finding's
+// slice capped, so an append to it cannot overwrite the next finding's
+// steps), its patches and its warnings.
+func (d *envelopeDecoder) report(steps []TraceStep) *Report {
+	rep := &Report{File: d.str()}
+	switch d.uint() {
+	case envelopeSafe:
+		rep.Verdict, rep.Safe = VerdictSafe, true
+	case envelopeUnsafe:
+		rep.Verdict = VerdictUnsafe
+	default:
+		d.bad = true
+	}
+	rep.Symptoms = d.int()
+	total := d.uint()
+	// Each run takes at least two bytes and names at most the whole
+	// step table.
+	if total > maxEnvelopeSteps || total > len(steps)*(len(d.buf)/2) {
+		d.bad = true
+	}
+	n := d.count()
+	if d.bad {
+		return nil
+	}
+	if n > 0 {
+		rep.Findings = make([]Finding, n)
+	}
+	all := make([]TraceStep, 0, total)
+	for i := range rep.Findings {
+		f := &rep.Findings[i]
+		f.Sink, f.Class, f.Location, f.Group = d.str(), d.str(), d.loc(), d.int()
+		start := len(all)
+		for range d.count() {
+			at, l := d.uint(), d.uint()
+			if at > len(steps) || l > len(steps)-at || l > total-len(all) {
+				d.bad = true
+				return nil
+			}
+			all = append(all, steps[at:at+l]...)
+		}
+		if len(all) > start {
+			f.Trace = all[start:len(all):len(all)]
+		}
+	}
+	if len(all) != total {
+		d.bad = true
+	}
+	if n := d.count(); n > 0 {
+		rep.Patches = make([]PatchPoint, n)
+		for i := range rep.Patches {
+			rep.Patches[i] = PatchPoint{Location: d.loc(), Var: d.str(), Description: d.str(), Findings: d.int()}
+		}
+	}
+	rep.Groups = len(rep.Patches)
+	if n := d.count(); n > 0 {
+		rep.Warnings = make([]string, n)
+		for i := range rep.Warnings {
+			rep.Warnings[i] = d.str()
+		}
+	}
+	if rep.Safe && (len(rep.Findings) > 0 || len(rep.Patches) > 0) {
+		d.bad = true
+	}
+	return rep
+}
+
+// listed reports whether traces list each of rep's findings exactly
+// once, group by group, in the counts the patches declare.
+func listed(rep *Report, traces []report.Trace) bool {
+	if len(traces) != len(rep.Findings) {
+		return false
+	}
+	seen := make([]bool, len(traces))
+	next := 0
+	for g, p := range rep.Patches {
+		if p.Findings < 0 || p.Findings > len(traces)-next {
+			return false
+		}
+		for _, t := range traces[next : next+p.Findings] {
+			if t.Finding < 0 || t.Finding >= len(seen) || seen[t.Finding] || rep.Findings[t.Finding].Group != g {
+				return false
+			}
+			seen[t.Finding] = true
+		}
+		next += p.Findings
+	}
+	return next == len(traces)
+}

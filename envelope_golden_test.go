@@ -33,9 +33,9 @@ func (r *recordingBackend) Invalidate(string) {}
 
 // TestStoreEnvelopeGolden pins, byte for byte, every result-store key
 // and envelope a cold VerifyDir over examples/php writes under three
-// policies. A store primed by an earlier build stays warm only while
-// this holds: a changed key is a miss, a changed envelope a different
-// blob. Regenerate with `go test -run TestStoreEnvelopeGolden -update .`
+// policies, one line per key with the envelope in hex. A store primed by
+// an earlier build stays warm only while this holds: a changed key is a
+// miss, a changed envelope a different blob. Regenerate with `go test -run TestStoreEnvelopeGolden -update .`
 // only for an intended change, together with a resultSchema bump.
 func TestStoreEnvelopeGolden(t *testing.T) {
 	var got bytes.Buffer
@@ -51,7 +51,7 @@ func TestStoreEnvelopeGolden(t *testing.T) {
 		sort.Strings(keys)
 		fmt.Fprintf(&got, "=== policy=%s\n", pol)
 		for _, k := range keys {
-			fmt.Fprintf(&got, "%s %s\n", k, rec.puts[k])
+			fmt.Fprintf(&got, "%s %x\n", k, rec.puts[k])
 		}
 	}
 	if *updateGolden {

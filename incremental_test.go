@@ -147,13 +147,13 @@ func TestIncrementalUnchangedRunDoesZeroWork(t *testing.T) {
 		t.Fatal("graph-served report diverged from the computed one")
 	}
 
-	// A store written by an older build carries per-assertion reuse keys
-	// in every envelope and graph node, under schema 1. Its graph (still
-	// schema 1) decodes and plans the same zero-work run, but every
-	// schema-1 envelope reads as a miss: the four files are invalidated,
+	// A store written by older builds holds schema-2 JSON envelopes and
+	// a graph whose nodes carry per-assertion reuse keys, under schema 1.
+	// The graph decodes and plans the same zero-work run, but every
+	// schema-2 envelope reads as a miss: the four files are invalidated,
 	// re-verified and persisted again under the current schema, and the
 	// next run is served whole.
-	if envelopes, graphs := addParentKeys(t, st); envelopes != 4 || graphs != 1 {
+	if envelopes, graphs := downgradeStore(t, st); envelopes != 4 || graphs != 1 {
 		t.Fatalf("rewrote %d envelopes and %d graphs, want 4 and 1", envelopes, graphs)
 	}
 	pr3, err := webssari.VerifyDir(dir, opts...)
@@ -166,8 +166,8 @@ func TestIncrementalUnchangedRunDoesZeroWork(t *testing.T) {
 	if pr3.StoreHits != 0 {
 		t.Fatalf("parent-written store: store hits = %d, want 0", pr3.StoreHits)
 	}
-	if got := envelopeSchemas(t, st); !reflect.DeepEqual(got, []int{2, 2, 2, 2}) {
-		t.Fatalf("parent-written store: envelope schemas after the run = %v, want four at 2", got)
+	if got := envelopeSchemas(t, st); !reflect.DeepEqual(got, []int{3, 3, 3, 3}) {
+		t.Fatalf("parent-written store: envelope schemas after the run = %v, want four at 3", got)
 	}
 	assertSameProject(t, pr1, pr3)
 	checkedAfterUpgrade := tel.Metrics.Counter(telemetry.MetricAssertionsChecked).Value()

@@ -13,7 +13,9 @@ import (
 	"time"
 
 	"webssari"
+	"webssari/internal/ai"
 	"webssari/internal/corpus"
+	"webssari/internal/report"
 )
 
 const vulnerableSrc = `<?php
@@ -73,7 +75,7 @@ func TestResultStoreSecondTier(t *testing.T) {
 
 	// An envelope of the previous schema is a miss: invalidated,
 	// re-verified, and persisted again under the current schema.
-	if envelopes, _ := addParentKeys(t, s2); envelopes != 1 {
+	if envelopes, _ := downgradeStore(t, s2); envelopes != 1 {
 		t.Fatalf("rewrote %d envelopes, want 1", envelopes)
 	}
 	webssari.ResetCompileCache()
@@ -86,14 +88,14 @@ func TestResultStoreSecondTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rep3.Profile.StoreHit {
-		t.Fatal("a schema-1 envelope was served")
+		t.Fatal("a schema-2 envelope was served")
 	}
 	if st := s3.Stats(); st.Stale != 1 || st.Puts != 1 {
-		t.Fatalf("schema-1 envelope not invalidated and re-persisted: %+v", st)
+		t.Fatalf("schema-2 envelope not invalidated and re-persisted: %+v", st)
 	}
 	assertSameReport(t, rep1, rep3)
-	if got := envelopeSchemas(t, s3); !reflect.DeepEqual(got, []int{2}) {
-		t.Fatalf("envelope schemas after re-verification = %v, want [2]", got)
+	if got := envelopeSchemas(t, s3); !reflect.DeepEqual(got, []int{3}) {
+		t.Fatalf("envelope schemas after re-verification = %v, want [3]", got)
 	}
 	rep4, err := webssari.Verify([]byte(vulnerableSrc), "page.php", webssari.WithStore(s3))
 	if err != nil {
@@ -131,52 +133,98 @@ func marshalStripped(t *testing.T, rep *webssari.Report) []byte {
 }
 
 // parentKeys are the per-assertion reuse fields that older builds wrote
-// into every result envelope and dependency-graph node: function
-// fingerprints and the check fingerprints of safe assertions.
+// into every dependency-graph node: function fingerprints and the check
+// fingerprints of safe assertions.
 var parentKeys = map[string]any{
 	"funcs":        map[string]any{"<main>": "9c1185a5c5e9fc54", "render": "2c624232cdd221e6"},
 	"safe_asserts": []any{"6b86b273ff34fce19d6b804e", "d4735e3a265e16eee03f5971"},
 }
 
-// addParentKeys rewrites every blob in st as an older build wrote it:
-// result envelopes and the nodes of dependency graphs gain parentKeys,
-// under the schema version 1 that build wrote. Graphs are still at
-// schema 1 and must keep planning; result envelopes are at schema 2, so
-// callers see them read as misses. It returns how many envelopes and
-// graphs it rewrote.
-func addParentKeys(t *testing.T, st *webssari.ResultStore) (envelopes, graphs int) {
+// downgradeStore rewrites every blob in st as older builds wrote it:
+// each result envelope as the schema-2 JSON envelope of the build before
+// schema 3 (schema2Envelope), and each dependency graph with parentKeys
+// in its nodes, under the schema version 1 those builds wrote. Graphs
+// are still at schema 1 and must keep planning; result envelopes are at
+// schema 3, so callers see the schema-2 ones read as misses. It returns
+// how many envelopes and graphs it rewrote.
+func downgradeStore(t *testing.T, st *webssari.ResultStore) (envelopes, graphs int) {
 	t.Helper()
 	for key, payload := range storeBlobs(t, st) {
-		var doc map[string]any
-		if err := json.Unmarshal(payload, &doc); err != nil {
-			t.Fatalf("blob %s: %v", key, err)
-		}
-		switch files, _ := doc["files"].(map[string]any); {
-		case doc["report"] != nil:
-			for k, v := range parentKeys {
-				doc[k] = v
-			}
+		var out []byte
+		if rep, inc, ok := webssari.DecodeEnvelope(payload); ok {
+			out = schema2Envelope(t, rep, inc)
 			envelopes++
-		case files != nil:
+		} else {
+			var doc map[string]any
+			if err := json.Unmarshal(payload, &doc); err != nil {
+				t.Fatalf("blob %s: %v", key, err)
+			}
+			files, _ := doc["files"].(map[string]any)
+			if files == nil {
+				continue
+			}
 			for _, node := range files {
 				for k, v := range parentKeys {
 					node.(map[string]any)[k] = v
 				}
 			}
+			doc["schema"] = 1
 			graphs++
-		default:
-			continue
-		}
-		doc["schema"] = 1
-		out, err := json.Marshal(doc)
-		if err != nil {
-			t.Fatal(err)
+			var err error
+			if out, err = json.Marshal(doc); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if err := st.Put(key, out); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return envelopes, graphs
+}
+
+// schema2Envelope is the JSON envelope the build before schema 3 wrote
+// for rep: each distinct trace step once, in steps, and each finding's
+// trace as indices into it.
+func schema2Envelope(t *testing.T, rep *webssari.Report, inc ai.Includes) []byte {
+	t.Helper()
+	type finding struct {
+		webssari.Finding
+		Trace []int `json:"trace"`
+	}
+	var env struct {
+		Schema int    `json:"schema"`
+		Name   string `json:"name"`
+		ai.Includes
+		Steps  []webssari.TraceStep `json:"steps,omitempty"`
+		Traces []report.Trace       `json:"traces,omitempty"`
+		Report struct {
+			*webssari.Report
+			Findings []finding `json:"findings,omitempty"`
+		} `json:"report"`
+	}
+	env.Schema, env.Name, env.Includes, env.Traces = 2, rep.File, inc, report.Traces(rep)
+	body := *rep
+	body.Profile = nil
+	env.Report.Report = &body
+	index := make(map[webssari.TraceStep]int)
+	for _, f := range rep.Findings {
+		sf := finding{Finding: f}
+		for _, step := range f.Trace {
+			id, ok := index[step]
+			if !ok {
+				id = len(env.Steps)
+				index[step] = id
+				env.Steps = append(env.Steps, step)
+			}
+			sf.Trace = append(sf.Trace, id)
+		}
+		env.Report.Findings = append(env.Report.Findings, sf)
+	}
+	out, err := json.Marshal(&env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // storeBlobs reads every blob in st, keyed by store key.
@@ -202,11 +250,16 @@ func storeBlobs(t *testing.T, st *webssari.ResultStore) map[string][]byte {
 }
 
 // envelopeSchemas returns the schema version of every result envelope
-// in st, sorted.
+// in st, sorted: the current one for each blob the codec decodes, and
+// the declared one for each JSON envelope of an older build.
 func envelopeSchemas(t *testing.T, st *webssari.ResultStore) []int {
 	t.Helper()
 	var schemas []int
 	for key, payload := range storeBlobs(t, st) {
+		if _, _, ok := webssari.DecodeEnvelope(payload); ok {
+			schemas = append(schemas, webssari.ResultSchema)
+			continue
+		}
 		var doc struct {
 			Schema int             `json:"schema"`
 			Report json.RawMessage `json:"report"`

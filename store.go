@@ -21,17 +21,15 @@ package webssari
 //   - Corruption, truncation, and schema-version changes degrade to a
 //     miss inside internal/store — a damaged store is a cold cache,
 //     never a wrong answer. So does an envelope of another schema, or
-//     one whose step indices or trace listing do not add up
-//     (storeDecode): a report is served whole or not at all.
+//     one that does not decode whole (decodeEnvelope, envelope.go): a
+//     report is served whole or not at all.
 
 import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 
 	"webssari/internal/ai"
-	"webssari/internal/report"
 	"webssari/internal/store"
 	"webssari/internal/telemetry"
 )
@@ -118,45 +116,6 @@ func WithFileObserver(fn func(*Report)) Option {
 	}
 }
 
-// resultSchema versions the envelope layout inside store blobs,
-// independent of the store's own framing version. Bump it when the
-// envelope or the Report JSON shape changes incompatibly; blobs of any
-// other schema read as a miss.
-const resultSchema = 2
-
-// storedEnvelope is the persisted form of one verification result: the
-// report plus what is needed to revalidate and render it. The traces of
-// one file pass through the same assignments, so each distinct trace
-// step is stored once, in Steps, and findings name their steps by index.
-// The text report is not stored: serving attaches Traces to the report,
-// and its String renders the text when something reads it.
-type storedEnvelope struct {
-	Schema int    `json:"schema"`
-	Name   string `json:"name"`
-	// Includes is the include resolution the model was built under; a
-	// hit is served only while it is Current.
-	ai.Includes
-	// Steps is the file's table of distinct trace steps.
-	Steps []TraceStep `json:"steps,omitempty"`
-	// Traces are the report's render records (report.Traces): one per
-	// finding, group by group, each group's traces in repair order.
-	Traces []report.Trace `json:"traces,omitempty"`
-	Report storedReport   `json:"report"`
-}
-
-// storedReport is the Report JSON with each finding's trace replaced by
-// indices into storedEnvelope.Steps.
-type storedReport struct {
-	*Report
-	Findings []storedFinding `json:"findings,omitempty"`
-}
-
-// storedFinding is a Finding whose trace is a list of step indices.
-type storedFinding struct {
-	Finding
-	Trace []int `json:"trace"`
-}
-
 // resultKey fingerprints one verification request: every input that can
 // change the produced Report — the entry name, the source bytes, and
 // the verdict-shaping configuration (configFingerprint, shared with the
@@ -181,15 +140,15 @@ func resultKey(name string, src []byte, cfg *config) string {
 func storeGet(ctx context.Context, cfg *config, name, key string) (*Report, ai.Includes, bool) {
 	_, sp := telemetry.StartSpan(ctx, "store_get", "file", name)
 	defer sp.End()
-	env, ok := storeDecode(cfg, key)
+	rep, inc, ok := storeDecode(cfg, key)
 	if !ok {
 		return nil, ai.Includes{}, false
 	}
-	if !env.Includes.Current(cfg.loader) {
+	if !inc.Current(cfg.loader) {
 		cfg.resultStore.Invalidate(key)
 		return nil, ai.Includes{}, false
 	}
-	return serveStored(env), env.Includes, true
+	return rep, inc, true
 }
 
 // storeGetTrusted serves a persisted report by key without revalidating
@@ -201,94 +160,22 @@ func storeGet(ctx context.Context, cfg *config, name, key string) (*Report, ai.I
 func storeGetTrusted(ctx context.Context, cfg *config, name, key string) (*Report, bool) {
 	_, sp := telemetry.StartSpan(ctx, "store_get", "file", name)
 	defer sp.End()
-	env, ok := storeDecode(cfg, key)
-	if !ok {
-		return nil, false
-	}
-	return serveStored(env), true
+	rep, _, ok := storeDecode(cfg, key)
+	return rep, ok
 }
 
-// storeDecode fetches and decodes one envelope; undecodable,
-// foreign-schema or inconsistent blobs are invalidated and read as a
-// miss.
-func storeDecode(cfg *config, key string) (*storedEnvelope, bool) {
+// storeDecode fetches and decodes one envelope (decodeEnvelope); a blob
+// that does not decode is invalidated and reads as a miss.
+func storeDecode(cfg *config, key string) (*Report, ai.Includes, bool) {
 	payload, ok := cfg.resultStore.Get(key)
 	if !ok {
-		return nil, false
+		return nil, ai.Includes{}, false
 	}
-	var env storedEnvelope
-	if err := json.Unmarshal(payload, &env); err != nil || env.Schema != resultSchema || !env.consistent() {
+	rep, inc, ok := decodeEnvelope(payload)
+	if !ok {
 		cfg.resultStore.Invalidate(key)
-		return nil, false
 	}
-	return &env, true
-}
-
-// consistent reports whether a decoded envelope can be served whole:
-// every step index names a table entry, and Traces lists each finding
-// exactly once, group by group, in the counts the patches declare.
-func (env *storedEnvelope) consistent() bool {
-	if env.Report.Report == nil {
-		return false
-	}
-	findings := env.Report.Findings
-	for _, f := range findings {
-		for _, s := range f.Trace {
-			if s < 0 || s >= len(env.Steps) {
-				return false
-			}
-		}
-	}
-	if len(env.Traces) != len(findings) {
-		return false
-	}
-	listed := make([]bool, len(findings))
-	next := 0
-	for g, p := range env.Report.Patches {
-		if p.Findings < 0 || p.Findings > len(env.Traces)-next {
-			return false
-		}
-		for _, t := range env.Traces[next : next+p.Findings] {
-			if t.Finding < 0 || t.Finding >= len(findings) || listed[t.Finding] || findings[t.Finding].Group != g {
-				return false
-			}
-			listed[t.Finding] = true
-		}
-		next += p.Findings
-	}
-	return next == len(env.Traces)
-}
-
-// serveStored prepares a consistent envelope's report for return: each
-// finding's trace rebuilt from the step table, the render records
-// attached, and a minimal fresh profile marking the store hit. Nothing
-// is rendered here.
-func serveStored(env *storedEnvelope) *Report {
-	rep := env.Report.Report
-	total := 0
-	for _, f := range env.Report.Findings {
-		total += len(f.Trace)
-	}
-	// One backing array for every trace; each finding's slice is capped
-	// so an append to it cannot overwrite the next finding's steps.
-	steps := make([]TraceStep, 0, total)
-	if len(env.Report.Findings) > 0 {
-		rep.Findings = make([]Finding, len(env.Report.Findings))
-	}
-	for i, sf := range env.Report.Findings {
-		f := sf.Finding
-		if len(sf.Trace) > 0 {
-			start := len(steps)
-			for _, s := range sf.Trace {
-				steps = append(steps, env.Steps[s])
-			}
-			f.Trace = steps[start:len(steps):len(steps)]
-		}
-		rep.Findings[i] = f
-	}
-	report.Attach(rep, env.Traces)
-	rep.Profile = &RunProfile{StoreHit: true}
-	return rep
+	return rep, inc, ok
 }
 
 // depRecord is what one file's verification teaches the dependency
@@ -326,45 +213,16 @@ func withDepRecorder(fn func(depRecord)) Option {
 // (their shape depends on transient pressure); store write failures are
 // deliberately swallowed — a full or read-only disk degrades the cache,
 // not the verification. The envelope keeps rep's render records, so a
-// served report renders the same text. inc is the model's include
-// resolution, shared, not copied: a built Program never changes it.
+// served report renders the same text, and leaves out the profile,
+// which is per run, not per content, so identical verdicts persist
+// identically.
 func storePut(ctx context.Context, cfg *config, name, key string, rep *Report, inc ai.Includes) {
 	if rep.Incomplete {
 		return
 	}
 	_, sp := telemetry.StartSpan(ctx, "store_put", "file", name)
 	defer sp.End()
-	env := storedEnvelope{
-		Schema:   resultSchema,
-		Name:     name,
-		Includes: inc,
-		Traces:   report.Traces(rep),
+	if payload := encodeEnvelope(name, rep, inc); payload != nil {
+		_ = cfg.resultStore.Put(key, payload)
 	}
-	// The profile is per-run, not per-content: strip it from the blob so
-	// identical verdicts persist identically (and blobs stay small).
-	body := *rep
-	body.Profile = nil
-	env.Report.Report = &body
-	if len(rep.Findings) > 0 {
-		index := make(map[TraceStep]int)
-		env.Report.Findings = make([]storedFinding, len(rep.Findings))
-		for i, f := range rep.Findings {
-			sf := storedFinding{Finding: f}
-			for _, step := range f.Trace {
-				id, ok := index[step]
-				if !ok {
-					id = len(env.Steps)
-					index[step] = id
-					env.Steps = append(env.Steps, step)
-				}
-				sf.Trace = append(sf.Trace, id)
-			}
-			env.Report.Findings[i] = sf
-		}
-	}
-	payload, err := json.Marshal(&env)
-	if err != nil {
-		return
-	}
-	_ = cfg.resultStore.Put(key, payload)
 }

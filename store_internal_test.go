@@ -1,15 +1,20 @@
 package webssari
 
-// Internal tests of the persisted result envelope: they decode and serve
-// blobs through the unexported storeDecode and serveStored, so they live
+// Internal tests of the persisted result envelope: they encode and
+// decode blobs through the unexported codec (envelope.go), so they live
 // inside the package.
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"webssari/internal/ai"
+	"webssari/internal/report"
 )
 
 // memStore is an in-memory StoreBackend holding the blobs one test
@@ -46,35 +51,59 @@ func persist(t testing.TB, path string, opts ...Option) (*Report, []byte) {
 	return rep, payload
 }
 
+// decodeOrMiss decodes payload through the store path and fails unless
+// it is served, or reads as a miss and is invalidated.
+func decodeOrMiss(t *testing.T, payload []byte) (*Report, bool) {
+	t.Helper()
+	mem := memStore{"k": payload}
+	rep, _, ok := storeDecode(&config{resultStore: mem}, "k")
+	if _, kept := mem["k"]; !ok && kept {
+		t.Fatal("rejected envelope was not invalidated")
+	}
+	return rep, ok
+}
+
 // FuzzStoredEnvelope feeds arbitrary payloads through the envelope
-// decoder and the serve path, the boundary where bytes from disk (or a
-// remote store) become a report. A payload must either read as a miss,
-// and be invalidated, or serve a whole report; it must never panic.
+// decoder, the boundary where bytes from disk (or a remote store)
+// become a report. A payload must either read as a miss, and be
+// invalidated, or serve a whole report of a state a complete run
+// produces; it must never panic.
 func FuzzStoredEnvelope(f *testing.F) {
 	_, safe := persist(f, "examples/php/static.php")
 	_, branchy := persist(f, "testdata/branchy/b8_three_roots.php")
 	_, attr := persist(f, "examples/php/widget.php", WithPolicy("xss-context"))
-	if !strings.Contains(string(attr), `"context":"attr"`) {
-		f.Fatalf("xss-context seed lacks an [attr] trace: %s", attr)
+	rep, _, ok := decodeEnvelope(attr)
+	if !ok || !strings.Contains(rep.String(), "[attr]") {
+		f.Fatalf("xss-context seed lacks an [attr] trace")
 	}
 	for _, seed := range [][]byte{safe, branchy, attr} {
 		f.Add(seed)
 	}
-	f.Add([]byte(`{"schema":2,"report":{"file":"x.php","findings":[{"trace":[0]}]}}`))
-	f.Add([]byte(`{"schema":2,"report":{"patches":[{"findings":-1}]},"traces":[{"finding":0}]}`))
+	for _, seed := range handBuiltEnvelopes() {
+		f.Add(seed.payload)
+	}
+	f.Add(branchy[:len(branchy)/2])
+	f.Add(append(append([]byte(nil), safe...), 0))
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		mem := memStore{"k": payload}
-		env, ok := storeDecode(&config{resultStore: mem}, "k")
+		rep, ok := decodeOrMiss(t, payload)
 		if !ok {
-			if _, kept := mem["k"]; kept {
-				t.Fatal("rejected envelope was not invalidated")
-			}
 			return
 		}
-		rep := serveStored(env)
 		if rep.Profile == nil || !rep.Profile.StoreHit {
 			t.Fatal("served report not marked as a store hit")
+		}
+		if rep.Incomplete || rep.Limits != nil {
+			t.Fatalf("served an incomplete report: %+v", rep)
+		}
+		if rep.Verdict != VerdictSafe && rep.Verdict != VerdictUnsafe {
+			t.Fatalf("served verdict %q", rep.Verdict)
+		}
+		if rep.Safe != (rep.Verdict == VerdictSafe) {
+			t.Fatalf("served Safe=%v with verdict %q", rep.Safe, rep.Verdict)
+		}
+		if rep.Groups != len(rep.Patches) {
+			t.Fatalf("served %d groups for %d patches", rep.Groups, len(rep.Patches))
 		}
 		if !strings.HasPrefix(rep.String(), "== WebSSARI report for ") {
 			t.Fatalf("served text lacks its header: %q", rep.String())
@@ -83,6 +112,206 @@ func FuzzStoredEnvelope(f *testing.F) {
 			t.Fatalf("served report does not marshal: %v", err)
 		}
 	})
+}
+
+// handBuilt is a payload written byte by byte, and whether the decoder
+// serves it.
+type handBuilt struct {
+	name    string
+	payload []byte
+	served  bool
+}
+
+// handBuiltEnvelopes are two small servable envelopes and, for each
+// rule of the decoder, a payload that breaks only that rule. Every one
+// has a string table of one string, "x.php", which every reference
+// names; a signed varint v is written as 2v.
+func handBuiltEnvelopes() []handBuilt {
+	envelope := func(body ...byte) []byte {
+		return append([]byte{3, 1, 5, 'x', '.', 'p', 'h', 'p', 5}, body...)
+	}
+	// unsafe is the body of an unsafe report: no includes, one step, one
+	// render record, one finding whose trace is the run (0, 1), one
+	// patch repairing it, no warnings. Each with* changes one byte.
+	unsafe := func(at int, b byte) []byte {
+		body := []byte{
+			0,    // name
+			0, 0, // no include hashes or misses
+			1,       // one step:
+			0, 0, 0, //   location x.php:0:0
+			0, 0, //   var, value
+			1, 0, 0, 0, // one record: finding 0, context, path
+			0, 1, 0, 1, // file, unsafe, 0 symptoms, 1 trace step
+			1,    // one finding:
+			0, 0, //   sink, class
+			0, 0, 0, //   location
+			0,       //   group 0
+			1, 0, 1, //   one run: (0, 1)
+			1,       // one patch:
+			0, 0, 0, //   location
+			0, 0, 2, //   var, description, 1 finding
+			0, // no warnings
+		}
+		if at >= 0 {
+			body[at] = b
+		}
+		return envelope(body...)
+	}
+	return []handBuilt{
+		{"safe", envelope(0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0), true},
+		{"unsafe", unsafe(-1, 0), true},
+		{"other schema", append([]byte{2}, unsafe(-1, 0)[1:]...), false},
+		{"table longer than the payload", []byte{3, 1, 9, 'x', '.', 'p', 'h', 'p', 5}, false},
+		{"string lengths short of the table", append([]byte{3, 1, 5, 'x', '.', 'p', 'h', 'p', 4}, unsafe(-1, 0)[9:]...), false},
+		{"name outside the table", unsafe(0, 1), false},
+		{"count larger than the bytes left", unsafe(3, 100), false},
+		{"verdict code 2", unsafe(14, 2), false},
+		{"safe report with a finding", unsafe(14, 0), false},
+		{"more steps than the runs name", unsafe(16, 2), false},
+		{"run outside the step table", unsafe(25, 1), false},
+		{"run longer than the step table", unsafe(26, 2), false},
+		{"record of a finding that does not exist", unsafe(10, 1), false},
+		{"finding listed under another patch", unsafe(23, 2), false},
+		{"patch repairing more findings than listed", unsafe(33, 4), false},
+		{"trailing byte", append(unsafe(-1, 0), 0), false},
+		{"truncated", unsafe(-1, 0)[:20], false},
+		// Schema-2 JSON envelopes, which the build before schema 3
+		// served: a safe report claiming five groups, and an incomplete
+		// one.
+		{"schema-2 groups without patches", []byte(`{"schema":2,"report":{"file":"x.php","groups":5}}`), false},
+		{"schema-2 incomplete", []byte(`{"schema":2,"report":{"file":"x.php","verdict":"incomplete","incomplete":true,"limits":["deadline"]}}`), false},
+	}
+}
+
+// TestEnvelopeDecoderRules decodes each hand-built envelope through the
+// store path: the servable ones are served, and every other one reads
+// as a miss and is invalidated.
+func TestEnvelopeDecoderRules(t *testing.T) {
+	for _, tc := range handBuiltEnvelopes() {
+		if _, ok := decodeOrMiss(t, tc.payload); ok != tc.served {
+			t.Errorf("%s: served %v, want %v", tc.name, ok, tc.served)
+		}
+	}
+}
+
+// TestEnvelopeRoundTripCoversEveryField fills every exported field of a
+// report, its findings, trace steps, patches, locations and render
+// records, and of an include snapshot, with non-zero values by
+// reflection, and requires the decoded envelope to give them back. A
+// field added later and not encoded fails here. The fields a stored
+// report derives (Safe, Verdict, Incomplete, Limits, Groups) and the
+// indices that tie findings, patches and records together are set to a
+// state a complete run produces; the profile is never stored.
+func TestEnvelopeRoundTripCoversEveryField(t *testing.T) {
+	n := 0
+	var rep Report
+	fill(t, reflect.ValueOf(&rep).Elem(), &n)
+	var traces []report.Trace
+	fill(t, reflect.ValueOf(&traces).Elem(), &n)
+	var inc ai.Includes
+	fill(t, reflect.ValueOf(&inc).Elem(), &n)
+
+	rep.Safe, rep.Verdict, rep.Incomplete, rep.Limits = false, VerdictUnsafe, false, nil
+	rep.Groups = len(rep.Patches)
+	// Patch 0 repairs finding 1, patch 1 finding 0; the records list
+	// them group by group.
+	rep.Findings[0].Group, rep.Findings[1].Group = 1, 0
+	rep.Patches[0].Findings, rep.Patches[1].Findings = 1, 1
+	traces[0].Finding, traces[1].Finding = 1, 0
+	// A step shared by two traces, out of table order: two runs.
+	rep.Findings[1].Trace[1] = rep.Findings[0].Trace[0]
+	report.Attach(&rep, traces)
+
+	payload := encodeEnvelope("name.php", &rep, inc)
+	got, gotInc, ok := decodeEnvelope(payload)
+	if !ok {
+		t.Fatal("a complete report's envelope did not decode")
+	}
+	if !got.Profile.StoreHit {
+		t.Fatal("decoded report not marked as a store hit")
+	}
+	want := rep
+	want.Profile = nil
+	served := *got
+	served.Profile = nil
+	jw, err := json.Marshal(&want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jg, err := json.Marshal(&served)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(jg) != string(jw) {
+		t.Fatalf("report JSON changed over the envelope:\n%s\nvs\n%s", jg, jw)
+	}
+	if !reflect.DeepEqual(report.Traces(got), traces) {
+		t.Fatalf("render records changed over the envelope: %+v vs %+v", report.Traces(got), traces)
+	}
+	if got.String() != rep.String() {
+		t.Fatalf("text changed over the envelope:\n%s\nvs\n%s", got.String(), rep.String())
+	}
+	if !reflect.DeepEqual(gotInc, inc) {
+		t.Fatalf("include snapshot changed over the envelope: %+v vs %+v", gotInc, inc)
+	}
+}
+
+// fill sets every exported field reachable from v, except a report's
+// profile, to a non-zero value: strings to distinct texts, ints to
+// distinct positive numbers, bools to true, slices to two elements and
+// maps to two entries.
+func fill(t *testing.T, v reflect.Value, n *int) {
+	t.Helper()
+	*n++
+	switch v.Kind() {
+	case reflect.String:
+		v.SetString(fmt.Sprintf("s%d", *n))
+	case reflect.Int:
+		v.SetInt(int64(*n))
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Struct:
+		for i := range v.NumField() {
+			if f := v.Type().Field(i); f.IsExported() && f.Type != reflect.TypeFor[*RunProfile]() {
+				fill(t, v.Field(i), n)
+			}
+		}
+	case reflect.Slice:
+		s := reflect.MakeSlice(v.Type(), 2, 2)
+		for i := range 2 {
+			fill(t, s.Index(i), n)
+		}
+		v.Set(s)
+	case reflect.Map:
+		m := reflect.MakeMap(v.Type())
+		for range 2 {
+			k, e := reflect.New(v.Type().Key()).Elem(), reflect.New(v.Type().Elem()).Elem()
+			fill(t, k, n)
+			fill(t, e, n)
+			m.SetMapIndex(k, e)
+		}
+		v.Set(m)
+	default:
+		t.Fatalf("fill: no rule for a %s (%s); extend the envelope and this test", v.Kind(), v.Type())
+	}
+}
+
+// TestEnvelopeTruncationReadsAsMiss cuts a real branchy envelope at
+// every length below its own, and extends it by one byte: each cut and
+// the extension read as a miss and are invalidated.
+func TestEnvelopeTruncationReadsAsMiss(t *testing.T) {
+	_, payload := persist(t, "testdata/branchy/b8_three_roots.php")
+	if _, ok := decodeOrMiss(t, payload); !ok {
+		t.Fatal("the whole envelope did not decode")
+	}
+	for cut := range len(payload) {
+		if _, ok := decodeOrMiss(t, payload[:cut]); ok {
+			t.Fatalf("envelope cut to %d of %d bytes was served", cut, len(payload))
+		}
+	}
+	if _, ok := decodeOrMiss(t, append(append([]byte(nil), payload...), 0)); ok {
+		t.Fatal("envelope with a trailing byte was served")
+	}
 }
 
 // TestStoredEnvelopeStoresStepsOnce persists the report of the branchy
@@ -111,13 +340,16 @@ func TestStoredEnvelopeStoresStepsOnce(t *testing.T) {
 			steps++
 		}
 	}
-	var env storedEnvelope
-	if err := json.Unmarshal(payload, &env); err != nil {
-		t.Fatal(err)
+	d := envelopeDecoder{buf: payload}
+	d.header()
+	d.includes()
+	table := d.steps()
+	if d.bad {
+		t.Fatal("envelope header did not decode")
 	}
-	if len(env.Steps) != len(distinct) {
+	if len(table) != len(distinct) {
 		t.Fatalf("%s: step table has %d entries, want %d (the distinct steps of %d findings' %d)",
-			rep.File, len(env.Steps), len(distinct), len(rep.Findings), steps)
+			rep.File, len(table), len(distinct), len(rep.Findings), steps)
 	}
 	if len(payload) >= len(rep.String()) {
 		t.Fatalf("%s: envelope is %d bytes, not smaller than the %d-byte text it no longer stores",
