@@ -113,10 +113,10 @@ type RetryPolicy struct {
 // a draining server.
 var DefaultRetryPolicy = RetryPolicy{MaxRetries: 4, BaseDelay: 100 * time.Millisecond, MaxDelay: 5 * time.Second}
 
-// delay computes the backoff before retry attempt n (1-based), blending
+// Delay computes the backoff before retry attempt n (1-based), blending
 // the exponential schedule with the server hint and adding jitter in
 // [d/2, d] so synchronized clients do not retry in lockstep.
-func (p RetryPolicy) delay(attempt int, hint time.Duration) time.Duration {
+func (p RetryPolicy) Delay(attempt int, hint time.Duration) time.Duration {
 	base := p.BaseDelay
 	if base <= 0 {
 		base = 100 * time.Millisecond
@@ -185,7 +185,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		if !ok || !apiErr.Temporary() || attempt >= c.retry.MaxRetries {
 			return err
 		}
-		timer := time.NewTimer(c.retry.delay(attempt+1, apiErr.RetryAfter))
+		timer := time.NewTimer(c.retry.Delay(attempt+1, apiErr.RetryAfter))
 		select {
 		case <-ctx.Done():
 			timer.Stop()

@@ -134,20 +134,20 @@ func TestRetryPolicyDelaySchedule(t *testing.T) {
 	p := RetryPolicy{MaxRetries: 4, BaseDelay: 100 * time.Millisecond, MaxDelay: 5 * time.Second}
 	for i := 0; i < 20; i++ {
 		// No hint: attempt 1 jitters within [base/2, base].
-		if d := p.delay(1, 0); d < 50*time.Millisecond || d > 100*time.Millisecond {
-			t.Fatalf("delay(1, 0) = %v; want within [50ms, 100ms]", d)
+		if d := p.Delay(1, 0); d < 50*time.Millisecond || d > 100*time.Millisecond {
+			t.Fatalf("Delay(1, 0) = %v; want within [50ms, 100ms]", d)
 		}
 		// A longer server hint raises the wait.
-		if d := p.delay(1, 2*time.Second); d < time.Second || d > 2*time.Second {
-			t.Fatalf("delay(1, 2s) = %v; want within [1s, 2s]", d)
+		if d := p.Delay(1, 2*time.Second); d < time.Second || d > 2*time.Second {
+			t.Fatalf("Delay(1, 2s) = %v; want within [1s, 2s]", d)
 		}
 		// An outsized hint is capped at MaxDelay.
-		if d := p.delay(1, time.Minute); d > 5*time.Second {
-			t.Fatalf("delay(1, 1m) = %v; want capped at 5s", d)
+		if d := p.Delay(1, time.Minute); d > 5*time.Second {
+			t.Fatalf("Delay(1, 1m) = %v; want capped at 5s", d)
 		}
 		// Deep attempts cap at MaxDelay too.
-		if d := p.delay(30, 0); d > 5*time.Second {
-			t.Fatalf("delay(30, 0) = %v; want capped at 5s", d)
+		if d := p.Delay(30, 0); d > 5*time.Second {
+			t.Fatalf("Delay(30, 0) = %v; want capped at 5s", d)
 		}
 	}
 }

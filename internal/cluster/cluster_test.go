@@ -593,6 +593,27 @@ func TestFingerprintGate(t *testing.T) {
 	}
 }
 
+// TestFingerprintGateAnyLength: the mismatch message abbreviates both
+// fingerprints, and the worker's comes straight from the request body,
+// so a fingerprint shorter than the abbreviation on either side must
+// still be answered 409, not crash the handler.
+func TestFingerprintGateAnyLength(t *testing.T) {
+	long := Fingerprint(webssari.WithConfig(webssari.Config{Deadline: 5 * time.Second}))
+	ctx := context.Background()
+	for _, tc := range []struct{ coord, worker string }{
+		{coord: long, worker: "abc"},
+		{coord: "abc", worker: long},
+	} {
+		_, ts := newTestCoordinator(t, Config{Fingerprint: tc.coord})
+		_, err := client.New(ts.URL).RegisterWorker(ctx, client.RegisterWorkerRequest{
+			Addr: "http://127.0.0.1:1", Fingerprint: tc.worker,
+		})
+		if apiErr, ok := err.(*client.APIError); !ok || apiErr.StatusCode != http.StatusConflict {
+			t.Fatalf("coordinator %q, worker %q: got %v; want HTTP 409", tc.coord, tc.worker, err)
+		}
+	}
+}
+
 // TestRemoteStoreRoundTrip exercises the shared-store wire path both
 // ways, its degrade-to-miss failure semantics, and the key validation
 // that keeps path-like strings away from the store's filesystem.

@@ -40,7 +40,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand/v2"
 	"net/http"
 	"net/url"
 	"sort"
@@ -285,7 +284,7 @@ func (c *Coordinator) register(addr, name, fingerprint string) (string, error) {
 	if c.cfg.Fingerprint != "" && fingerprint != "" && fingerprint != c.cfg.Fingerprint {
 		return "", fmt.Errorf("configuration fingerprint mismatch: worker %s, coordinator %s — "+
 			"workers must run with the same analysis options as the coordinator",
-			fingerprint[:12], c.cfg.Fingerprint[:12])
+			fingerprint[:min(len(fingerprint), 12)], c.cfg.Fingerprint[:min(len(c.cfg.Fingerprint), 12)])
 	}
 	c.mu.Lock()
 	if old := c.byAddr[addr]; old != nil {
@@ -475,22 +474,12 @@ func (c *Coordinator) pick(key string, attempt int) *worker {
 	return nil
 }
 
-// backoff sleeps before the next attempt: exponential with full range
-// capped, raised to the server's Retry-After hint, jittered to the
-// upper half. Returns early (false) when ctx ends.
+// backoff sleeps before the next attempt, for the client's retry delay
+// (client.RetryPolicy.Delay) over BaseBackoff and MaxBackoff. Returns
+// early (false) when ctx ends.
 func (c *Coordinator) backoff(ctx context.Context, attempt int, hint time.Duration) bool {
-	d := c.cfg.BaseBackoff << (attempt - 1)
-	if d <= 0 || d > c.cfg.MaxBackoff {
-		d = c.cfg.MaxBackoff
-	}
-	if hint > d {
-		d = hint
-	}
-	if d > c.cfg.MaxBackoff {
-		d = c.cfg.MaxBackoff
-	}
-	d = d/2 + time.Duration(rand.Int64N(int64(d/2)+1))
-	timer := time.NewTimer(d)
+	p := client.RetryPolicy{BaseDelay: c.cfg.BaseBackoff, MaxDelay: c.cfg.MaxBackoff}
+	timer := time.NewTimer(p.Delay(attempt, hint))
 	defer timer.Stop()
 	select {
 	case <-ctx.Done():

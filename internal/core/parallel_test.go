@@ -138,46 +138,3 @@ func TestSolveDeadlineDegradesSuffix(t *testing.T) {
 		t.Fatal("cancelled solve not marked Incomplete")
 	}
 }
-
-// TestPoolAcquireRespectsContext: Acquire on a full pool returns the
-// context error instead of blocking forever.
-func TestPoolAcquireRespectsContext(t *testing.T) {
-	pool := NewPool(1)
-	if err := pool.Acquire(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := pool.Acquire(ctx); err == nil {
-		t.Fatal("Acquire on a full pool with a cancelled context returned nil")
-	}
-	pool.Release()
-	if err := pool.Acquire(context.Background()); err != nil {
-		t.Fatalf("Acquire on a free pool failed: %v", err)
-	}
-}
-
-// TestPoolPeakNeverExceedsCapacity: a slot is counted in use only while
-// it is held, so the in-use high-water mark stays within capacity when
-// a release and the next acquire race.
-func TestPoolPeakNeverExceedsCapacity(t *testing.T) {
-	pool := NewPool(1)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 2000; i++ {
-				if err := pool.Acquire(context.Background()); err != nil {
-					t.Error(err)
-					return
-				}
-				pool.Release()
-			}
-		}()
-	}
-	wg.Wait()
-	if got := pool.Snapshot().MaxInUse; got > 1 {
-		t.Errorf("peak in use = %d on a 1-slot pool", got)
-	}
-}

@@ -157,8 +157,8 @@ func writeProfileHTML(b *strings.Builder, p *telemetry.RunProfile) {
 			p.Cache.Hits, p.Cache.Misses, p.Cache.Evictions, p.Cache.Stale, p.Cache.Entries)
 	}
 	if p.Pool != nil {
-		fmt.Fprintf(b, "<p>worker pool: %d/%d peak workers (%.0f%% utilization), %d peak waiters</p>\n",
-			p.Pool.MaxInUse, p.Pool.Capacity, 100*p.Pool.Utilization(), p.Pool.MaxWaiting)
+		fmt.Fprintf(b, "<p>worker pool: %d/%d peak workers (%.0f%% utilization)</p>\n",
+			p.Pool.MaxInUse, p.Pool.Capacity, 100*p.Pool.Utilization())
 	}
 	if len(p.Stages) > 0 {
 		b.WriteString(`<table class="profile"><tr><th>stage</th><th>wall</th><th>count</th></tr>` + "\n")

@@ -7,11 +7,11 @@
 //   - Submissions (one PHP source, or a server-local directory) are
 //     admission-controlled into a bounded queue; a full queue answers
 //     429 immediately — callers get backpressure, not latency.
-//   - A dispatcher drains the queue onto a bounded core.Pool of job
-//     slots, so heavy traffic saturates the hardware without
-//     oversubscribing it. Each job runs under the engine's PR-1
-//     discipline: per-unit deadlines (WithDeadline), SAT conflict
-//     budgets (WithSolverConfig), fault isolation per file.
+//   - A fixed set of worker goroutines (Config.Workers) drains the
+//     queue, each running one job at a time, so heavy traffic saturates
+//     the hardware without oversubscribing it. Each job runs under the
+//     engine's robustness discipline: per-unit deadlines (WithDeadline),
+//     SAT conflict budgets (WithSolverConfig), fault isolation per file.
 //   - Results stream: every job records one NDJSON line per finished
 //     file the moment it completes, and GET /v1/jobs/{id}/stream replays
 //     then follows that stream live. The same encoder serves xbmc's
@@ -77,6 +77,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -84,7 +85,6 @@ import (
 
 	"webssari"
 	"webssari/internal/buildinfo"
-	"webssari/internal/core"
 	"webssari/internal/service/api"
 	"webssari/internal/store"
 	"webssari/internal/telemetry"
@@ -322,7 +322,6 @@ type Server struct {
 	cfg      Config
 	runner   Runner
 	mux      *http.ServeMux
-	pool     *core.Pool
 	queue    chan *job
 	maxSrc   int64
 	deadline time.Duration
@@ -342,8 +341,7 @@ type Server struct {
 	policyMu     sync.Mutex
 	jobsByPolicy map[string]int64
 
-	wg             sync.WaitGroup // running jobs
-	dispatcherDone chan struct{}
+	wg sync.WaitGroup // worker goroutines
 	// stopWatch ends every watch job's poll loop; closed when Drain
 	// begins so long-running watch jobs cannot stall a graceful stop.
 	stopWatch chan struct{}
@@ -362,7 +360,7 @@ type Server struct {
 	hQueueWait *telemetry.HistogramMetric
 }
 
-// New assembles a Server and starts its dispatcher. Call Drain to stop.
+// New assembles a Server and starts its workers. Call Drain to stop.
 func New(cfg Config) *Server {
 	qs := cfg.QueueSize
 	if qs <= 0 {
@@ -377,19 +375,17 @@ func New(cfg Config) *Server {
 		runner = localRunner{}
 	}
 	s := &Server{
-		cfg:            cfg,
-		runner:         runner,
-		mux:            http.NewServeMux(),
-		pool:           core.NewPool(cfg.Workers),
-		queue:          make(chan *job, qs),
-		maxSrc:         maxSrc,
-		deadline:       cfg.JobDeadline,
-		jobs:           make(map[string]*job),
-		jobsByPolicy:   make(map[string]int64),
-		dispatcherDone: make(chan struct{}),
-		stopWatch:      make(chan struct{}),
-		log:            cfg.Logger,
-		started:        time.Now(),
+		cfg:          cfg,
+		runner:       runner,
+		mux:          http.NewServeMux(),
+		queue:        make(chan *job, qs),
+		maxSrc:       maxSrc,
+		deadline:     cfg.JobDeadline,
+		jobs:         make(map[string]*job),
+		jobsByPolicy: make(map[string]int64),
+		stopWatch:    make(chan struct{}),
+		log:          cfg.Logger,
+		started:      time.Now(),
 	}
 	if cfg.Telemetry != nil && cfg.Telemetry.Metrics != nil {
 		reg := cfg.Telemetry.Metrics
@@ -402,13 +398,19 @@ func New(cfg Config) *Server {
 		s.cSlowFiles = reg.Counter(telemetry.MetricServiceSlowFiles)
 		s.hJobSecs = reg.Histogram(telemetry.MetricServiceJobSeconds, nil)
 		s.hQueueWait = reg.Histogram(telemetry.MetricServiceQueueWait, nil)
-		s.pool.Instrument(reg)
 		if cfg.Store != nil {
 			cfg.Store.Instrument(reg)
 		}
 	}
 	s.routes()
-	go s.dispatch()
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	s.wg.Add(workers)
+	for range workers {
+		go s.work()
+	}
 	return s
 }
 
@@ -483,30 +485,20 @@ func (s *Server) handle(pattern, route string, h http.HandlerFunc) {
 	s.mux.HandleFunc(pattern, h)
 }
 
-// dispatch moves jobs from the queue onto pool slots until the queue is
-// closed (Drain) and empty.
-func (s *Server) dispatch() {
-	defer close(s.dispatcherDone)
+// work runs queued jobs one at a time until the queue is closed (Drain)
+// and empty. An accepted job is run even during drain — that is the
+// drain guarantee.
+func (s *Server) work() {
+	defer s.wg.Done()
 	for j := range s.queue {
 		s.gQueue.Set(int64(len(s.queue)))
-		// Background context: an accepted job is run even during drain —
-		// that is the drain guarantee.
-		if err := s.pool.Acquire(context.Background()); err != nil {
-			s.failJob(j, fmt.Errorf("acquiring worker: %w", err))
-			continue
-		}
-		s.wg.Add(1)
-		go func(j *job) {
-			defer s.wg.Done()
-			defer s.pool.Release()
-			s.runJob(j)
-		}(j)
+		s.runJob(j)
 	}
 }
 
 // Drain gracefully stops the server: new submissions are rejected with
 // 503, already-accepted jobs (queued and in-flight) run to completion,
-// then the dispatcher exits. It returns ctx.Err() if the context
+// then the workers exit. It returns ctx.Err() if the context
 // expires first — jobs still running at that point keep their goroutines
 // until process exit. Status/result endpoints keep answering throughout;
 // Drain is idempotent.
@@ -521,7 +513,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 	done := make(chan struct{})
 	go func() {
-		<-s.dispatcherDone
 		s.wg.Wait()
 		close(done)
 	}()
@@ -726,7 +717,7 @@ func (s *Server) JobsByPolicy() map[string]int64 {
 	return out
 }
 
-// runJob executes one job on a worker slot.
+// runJob executes one job on the calling worker.
 func (s *Server) runJob(j *job) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -824,9 +815,11 @@ func (s *Server) runJob(j *job) {
 		return
 	}
 	jlog.Info("job done", "elapsed_ms", elapsed.Milliseconds())
-	s.finishJob(j, stateDone)
+	// Count before publishing: a waiter woken by finishJob must find the
+	// job in /metrics and JobsByPolicy.
 	s.cDone.Inc()
 	s.notePolicyJob(j)
+	s.finishJob(j, stateDone)
 }
 
 // noteSlowFile logs (and counts) a file whose verification wall time —
@@ -913,8 +906,8 @@ func (s *Server) failJob(j *job, err error) {
 	j.mu.Lock()
 	j.errMsg = err.Error()
 	j.mu.Unlock()
-	s.finishJob(j, stateFailed)
 	s.cFailed.Inc()
+	s.finishJob(j, stateFailed)
 }
 
 // finishJob transitions a job to a terminal state and releases stream

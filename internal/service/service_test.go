@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"webssari"
 	"webssari/internal/service/api"
 	"webssari/internal/store"
 	"webssari/internal/telemetry"
@@ -195,16 +196,15 @@ func TestDisableDirs(t *testing.T) {
 	}
 }
 
-// TestQueueBackpressure fills the admission queue with no dispatcher
+// TestQueueBackpressure fills the admission queue with no worker
 // draining it (white-box: the Server is assembled by hand) and checks
 // the 429 path, then the 503-on-drain path.
 func TestQueueBackpressure(t *testing.T) {
 	s := &Server{
-		mux:            http.NewServeMux(),
-		queue:          make(chan *job, 1),
-		maxSrc:         DefaultMaxSourceBytes,
-		jobs:           make(map[string]*job),
-		dispatcherDone: make(chan struct{}),
+		mux:    http.NewServeMux(),
+		queue:  make(chan *job, 1),
+		maxSrc: DefaultMaxSourceBytes,
+		jobs:   make(map[string]*job),
 	}
 	s.routes()
 	ts := httptest.NewServer(s.Handler())
@@ -228,12 +228,13 @@ func TestQueueBackpressure(t *testing.T) {
 		t.Fatalf("%d jobs retained after rejection, want 1", n)
 	}
 
-	// Start a sink dispatcher so Drain can complete, then drain: further
+	// Start a sink worker for Drain to wait on, then drain: further
 	// submissions answer 503.
+	s.wg.Add(1)
 	go func() {
+		defer s.wg.Done()
 		for range s.queue {
 		}
-		close(s.dispatcherDone)
 	}()
 	if err := s.Drain(context.Background()); err != nil {
 		t.Fatalf("drain: %v", err)
@@ -465,6 +466,70 @@ func TestDrainCompletesInFlight(t *testing.T) {
 	// Drain is idempotent.
 	if err := s.Drain(ctx); err != nil {
 		t.Fatalf("second drain: %v", err)
+	}
+}
+
+// blockingRunner holds every file job until release is closed,
+// announcing each start on started.
+type blockingRunner struct {
+	localRunner
+	started chan struct{}
+	release chan struct{}
+}
+
+func (r blockingRunner) VerifyFile(ctx context.Context, src []byte, name string, opts ...webssari.Option) (*webssari.Report, error) {
+	r.started <- struct{}{}
+	<-r.release
+	return r.localRunner.VerifyFile(ctx, src, name, opts...)
+}
+
+// TestConcurrentJobsBoundedByWorkers: with 2 workers and 4 submissions
+// held by the runner, exactly 2 jobs run and 2 wait in the queue; once
+// released, all 4 finish.
+func TestConcurrentJobsBoundedByWorkers(t *testing.T) {
+	r := blockingRunner{started: make(chan struct{}, 4), release: make(chan struct{})}
+	s := New(Config{Workers: 2, Runner: r})
+	defer s.Drain(context.Background())
+	var once sync.Once
+	releaseAll := func() { once.Do(func() { close(r.release) }) }
+	defer releaseAll() // before Drain, which waits on the held jobs
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	ids := make([]string, 4)
+	for i := range ids {
+		code, sub := postJSON(t, ts, "/v1/files", map[string]string{"source": safeSrc})
+		if code != http.StatusAccepted {
+			t.Fatalf("submission %d: HTTP %d (%v)", i, code, sub)
+		}
+		ids[i] = sub["job"].(string)
+	}
+	for i := 0; i < 2; i++ {
+		select {
+		case <-r.started:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("only %d of 2 workers started a job", i)
+		}
+	}
+	select {
+	case <-r.started:
+		t.Fatal("a third job started on 2 workers")
+	case <-time.After(50 * time.Millisecond):
+	}
+	states := make(map[string]int)
+	for _, id := range ids {
+		_, st := getJSON(t, ts, "/v1/jobs/"+id)
+		states[st["state"].(string)]++
+	}
+	if states[string(stateRunning)] != 2 || states[string(stateQueued)] != 2 {
+		t.Fatalf("job states %v, want 2 running and 2 queued", states)
+	}
+
+	releaseAll()
+	for _, id := range ids {
+		if st := waitDone(t, ts, id); st["state"] != string(stateDone) {
+			t.Fatalf("job %s: %v", id, st)
+		}
 	}
 }
 

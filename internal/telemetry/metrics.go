@@ -30,10 +30,6 @@ const (
 	MetricCacheEvictions     = "webssari_compile_cache_evictions_total"
 	MetricCacheStale         = "webssari_compile_cache_stale_total"
 	MetricCacheEntries       = "webssari_compile_cache_entries"
-	MetricPoolInUse          = "webssari_pool_in_use"
-	MetricPoolInUseMax       = "webssari_pool_in_use_max"
-	MetricPoolWaiting        = "webssari_pool_waiting"
-	MetricPoolAcquires       = "webssari_pool_acquires_total"
 	MetricStageSeconds       = "webssari_stage_seconds"  // histogram, label stage
 	MetricDegraded           = "webssari_degraded_total" // counter, label cause
 

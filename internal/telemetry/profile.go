@@ -37,15 +37,18 @@ type StageProfile struct {
 	Count  int64  `json:"count"`
 }
 
-// PoolProfile snapshots a project run's file pool at the end of the run.
+// PoolProfile describes a project run's file fan-out.
 type PoolProfile struct {
-	Capacity int   `json:"capacity"`
+	// Capacity is the parallelism the run was given.
+	Capacity int `json:"capacity"`
+	// Acquires counts the files a worker started.
 	Acquires int64 `json:"acquires"`
-	// MaxInUse is the in-use high-water mark; MaxInUse/Capacity is the
-	// peak utilization.
+	// MaxInUse is the number of workers started: Capacity, or fewer when
+	// fewer files needed verifying. MaxInUse/Capacity is the peak
+	// utilization.
 	MaxInUse int64 `json:"max_in_use"`
-	// MaxWaiting is the queue-depth high-water mark: the most goroutines
-	// ever blocked in Acquire at once.
+	// MaxWaiting is always 0: workers drain one channel of files and
+	// nothing waits for a slot. It stays for readers of the JSON shape.
 	MaxWaiting int64 `json:"max_waiting"`
 }
 
@@ -335,8 +338,7 @@ func (p *RunProfile) String() string {
 			p.Cache.Hits, p.Cache.Misses, p.Cache.Evictions, p.Cache.Stale)
 	}
 	if p.Pool != nil {
-		fmt.Fprintf(&b, "; pool: %d/%d peak workers, %d peak waiters",
-			p.Pool.MaxInUse, p.Pool.Capacity, p.Pool.MaxWaiting)
+		fmt.Fprintf(&b, "; pool: %d/%d peak workers", p.Pool.MaxInUse, p.Pool.Capacity)
 	}
 	if inc := p.Incremental; inc != nil {
 		fmt.Fprintf(&b, "; incremental: planned %d, skipped %d, invalidated %d",

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -160,6 +161,55 @@ func TestParallelVerifyDirCancelledBeforeDispatch(t *testing.T) {
 	}
 	if got := pr.Verdict(); got != webssari.VerdictIncomplete {
 		t.Fatalf("verdict = %q, want %q", got, webssari.VerdictIncomplete)
+	}
+}
+
+// TestParallelVerifyDirBoundsWorkers: at WithParallelism(2) exactly two
+// files are ever verified at once over examples/php. Each stubbed
+// verification holds its worker until a second one is running (or a
+// timeout passes), so a run that never reaches two fails as surely as
+// one that exceeds it; the profile's fan-out section agrees.
+func TestParallelVerifyDirBoundsWorkers(t *testing.T) {
+	var mu sync.Mutex
+	inFlight, peak := 0, 0
+	reached := make(chan struct{})
+	gaveUp, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	verify := func(ctx context.Context, src []byte, name string, opts ...webssari.Option) (*webssari.Report, error) {
+		mu.Lock()
+		inFlight++
+		if inFlight > peak {
+			peak = inFlight
+			if peak == 2 {
+				close(reached)
+			}
+		}
+		mu.Unlock()
+		select {
+		case <-reached:
+		case <-gaveUp.Done():
+		}
+		time.Sleep(2 * time.Millisecond) // widen the window for a third worker
+		defer func() {
+			mu.Lock()
+			inFlight--
+			mu.Unlock()
+		}()
+		return webssari.VerifyContext(ctx, src, name, opts...)
+	}
+	pr, err := webssari.VerifyDir("examples/php",
+		webssari.WithParallelism(2), webssari.WithFileVerifier(verify))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if peak != 2 {
+		t.Fatalf("peak concurrent verifications = %d at -j 2, want 2", peak)
+	}
+	if len(pr.Files) != 9 {
+		t.Fatalf("%d file reports, want 9 (failures %v)", len(pr.Files), pr.Failures)
+	}
+	if p := pr.Profile.Pool; p == nil || p.Capacity != 2 || p.Acquires != 9 || p.MaxInUse != 2 || p.MaxWaiting != 0 {
+		t.Fatalf("pool profile = %+v, want capacity 2, 9 acquires, 2 in use, 0 waiting", p)
 	}
 }
 

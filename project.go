@@ -7,11 +7,12 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
-	"webssari/internal/core"
 	"webssari/internal/incremental"
 	"webssari/internal/store"
 	"webssari/internal/telemetry"
@@ -185,11 +186,11 @@ func SnapshotFingerprint(dir string) (string, error) {
 	return store.Key(append([]string{"webssari-snapshot-v1"}, parts...)...), nil
 }
 
-// verifyDirFiles verifies a snapshot's files on the worker pool and
-// assembles the project report. Files present in served were already
-// resolved by the caller (the incremental reuse path) and are stamped
-// into the report — and delivered to the observer — without consuming a
-// worker or being subject to the dispatch deadline.
+// verifyDirFiles verifies a snapshot's files on a fixed set of worker
+// goroutines and assembles the project report. Files present in served
+// were already resolved by the caller (the incremental reuse path) and
+// are stamped into the report — and delivered to the observer — without
+// occupying a worker or being subject to the deadline.
 func verifyDirFiles(ctx context.Context, dir string, snap incremental.Snapshot, walkFails []FileFailure, served map[string]*Report, opts []Option) (*ProjectReport, error) {
 	pr := &ProjectReport{Dir: dir}
 	pr.Failures = append(pr.Failures, walkFails...)
@@ -198,7 +199,7 @@ func verifyDirFiles(ctx context.Context, dir string, snap incremental.Snapshot, 
 		phpFiles[i] = fm.Path
 	}
 
-	parallelism := 0 // NewPool treats <= 0 as GOMAXPROCS
+	parallelism := runtime.GOMAXPROCS(0)
 	var tel *telemetry.Telemetry
 	hasStore := false
 	var observer func(*Report)
@@ -217,11 +218,7 @@ func verifyDirFiles(ctx context.Context, dir string, snap incremental.Snapshot, 
 			verify = cfg.fileVerifier
 		}
 	}
-	pool := core.NewPool(parallelism)
 	ctx = telemetry.WithTelemetry(ctx, tel)
-	if tel != nil {
-		pool.Instrument(tel.Metrics)
-	}
 	_, dsp := telemetry.StartSpan(ctx, "verify_dir", "dir", dir)
 	defer dsp.End()
 	cacheBefore := defaultCompileCache.StatsDetail()
@@ -230,62 +227,64 @@ func verifyDirFiles(ctx context.Context, dir string, snap incremental.Snapshot, 
 	// sorted file order so the report is independent of scheduling.
 	reps := make([]*Report, len(phpFiles))
 	fails := make([]*FileFailure, len(phpFiles))
+	pending := make(chan int, len(phpFiles))
 	for i, file := range phpFiles {
 		if rep, ok := served[file]; ok {
 			reps[i] = rep
 			if observer != nil {
 				observer(rep)
 			}
+			continue
+		}
+		pending <- i
+	}
+	close(pending)
+
+	verifyOne := func(i int) {
+		file := phpFiles[i]
+		src, err := os.ReadFile(file)
+		if err != nil {
+			fails[i] = &FileFailure{File: file, Stage: "read", Cause: err.Error()}
+			return
+		}
+		fileOpts := append([]Option{WithDir(dir)}, opts...)
+		rep, err := verify(ctx, src, file, fileOpts...)
+		if err != nil {
+			stage := "analysis"
+			var ee *EngineError
+			if errors.As(err, &ee) {
+				stage = ee.Stage
+			}
+			fails[i] = &FileFailure{File: file, Stage: stage, Cause: err.Error()}
+			return
+		}
+		reps[i] = rep
+		if observer != nil {
+			// Streaming hook: deliver the report the moment it exists,
+			// in completion (not sorted) order, from the worker's own
+			// goroutine — the observer must be concurrency-safe.
+			observer(rep)
 		}
 	}
+	workers := min(parallelism, len(pending))
+	var started atomic.Int64
 	var wg sync.WaitGroup
-	for i, file := range phpFiles {
-		if reps[i] != nil {
-			continue // served from the incremental plan
-		}
-		if ctx.Err() != nil || pool.Acquire(ctx) != nil {
-			// Deadline expired before this file was dispatched: everything
-			// not yet started degrades to a recorded failure, and workers
-			// already running wind down through their own ctx checks — the
-			// pool can never deadlock on an expired context.
-			for j := i; j < len(phpFiles); j++ {
-				if reps[j] != nil {
+	wg.Add(workers)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			for i := range pending {
+				if err := ctx.Err(); err != nil {
+					// Deadline expired before this file was started: it
+					// degrades to a recorded failure, and files already
+					// running wind down through their own ctx checks.
+					fails[i] = &FileFailure{File: phpFiles[i], Stage: "deadline", Cause: err.Error()}
 					continue
 				}
-				fails[j] = &FileFailure{
-					File: phpFiles[j], Stage: "deadline", Cause: ctx.Err().Error(),
-				}
+				started.Add(1)
+				verifyOne(i)
 			}
-			break
-		}
-		wg.Add(1)
-		go func(i int, file string) {
-			defer wg.Done()
-			defer pool.Release()
-			src, err := os.ReadFile(file)
-			if err != nil {
-				fails[i] = &FileFailure{File: file, Stage: "read", Cause: err.Error()}
-				return
-			}
-			fileOpts := append([]Option{WithDir(dir)}, opts...)
-			rep, err := verify(ctx, src, file, fileOpts...)
-			if err != nil {
-				stage := "analysis"
-				var ee *EngineError
-				if errors.As(err, &ee) {
-					stage = ee.Stage
-				}
-				fails[i] = &FileFailure{File: file, Stage: stage, Cause: err.Error()}
-				return
-			}
-			reps[i] = rep
-			if observer != nil {
-				// Streaming hook: deliver the report the moment it exists,
-				// in completion (not sorted) order, from the worker's own
-				// goroutine — the observer must be concurrency-safe.
-				observer(rep)
-			}
-		}(i, file)
+		}()
 	}
 	wg.Wait()
 
@@ -325,7 +324,7 @@ func verifyDirFiles(ctx context.Context, dir string, snap incremental.Snapshot, 
 
 	// Project-level sections: the run's slice of the process-wide compile
 	// cache (deltas over this call; other concurrent runs in the same
-	// process bleed into the eviction/stale counts) and the pool's usage.
+	// process bleed into the eviction/stale counts) and the file fan-out.
 	cacheAfter := defaultCompileCache.StatsDetail()
 	prof.Cache = &telemetry.CacheProfile{
 		Hits:      cacheAfter.Hits - cacheBefore.Hits,
@@ -334,7 +333,11 @@ func verifyDirFiles(ctx context.Context, dir string, snap incremental.Snapshot, 
 		Stale:     cacheAfter.Stale - cacheBefore.Stale,
 		Entries:   cacheAfter.Entries,
 	}
-	prof.Pool = pool.Snapshot()
+	prof.Pool = &telemetry.PoolProfile{
+		Capacity: parallelism,
+		Acquires: started.Load(),
+		MaxInUse: int64(workers),
+	}
 	pr.Profile = prof
 	return pr, nil
 }
