@@ -175,7 +175,8 @@ func New(base string, opts ...ClientOption) *Client {
 }
 
 // do runs one JSON exchange: method+path, optional request body,
-// optional decoded response. Non-2xx answers decode into *APIError.
+// optional decoded response (an *envelopeAnswer takes a result envelope
+// as it is). Non-2xx answers decode into *APIError.
 // With a retry policy configured, transient rejections (429/503) are
 // retried with backoff before surfacing.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
@@ -235,6 +236,10 @@ func (c *Client) doOnce(ctx context.Context, method, path string, in, out any) e
 		return apiErr
 	}
 	if out == nil {
+		return nil
+	}
+	if env, ok := out.(*envelopeAnswer); ok && resp.Header.Get("Content-Type") == api.EnvelopeContentType {
+		env.payload = data
 		return nil
 	}
 	if err := json.Unmarshal(data, out); err != nil {
@@ -337,40 +342,35 @@ func (c *Client) result(ctx context.Context, id string) (api.ResultResponse, err
 	return res, nil
 }
 
-// FileResult fetches a finished file job's report.
-func (c *Client) FileResult(ctx context.Context, id string) (*webssari.Report, error) {
-	res, err := c.result(ctx, id)
-	if err != nil {
-		return nil, err
-	}
-	var rep webssari.Report
-	if err := json.Unmarshal(res.Report, &rep); err != nil {
-		return nil, fmt.Errorf("client: decoding report: %w", err)
-	}
-	return &rep, nil
+// envelopeAnswer is a result request's answer: the result envelope,
+// or, when the daemon answers JSON instead (a failed job, or a report
+// the envelope cannot hold), the ResultResponse.
+type envelopeAnswer struct {
+	payload []byte
+	api.ResultResponse
 }
 
-// FileResultText fetches a finished file job's rendered human-readable
-// report (the ?text=1 view).
-func (c *Client) FileResultText(ctx context.Context, id string) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/jobs/"+id+"/result?text=1", nil)
+// FileResult fetches a finished file job's report as its result
+// envelope (webssari.DecodeResult), in one request: the report renders
+// its own text (String) and carries the worker's profile and include
+// snapshot.
+func (c *Client) FileResult(ctx context.Context, id string) (*webssari.Report, error) {
+	var res envelopeAnswer
+	if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/result?envelope=1", nil, &res); err != nil {
+		return nil, err
+	}
+	if res.payload == nil {
+		msg := res.Error
+		if msg == "" {
+			msg = "the daemon answered no result envelope"
+		}
+		return nil, &JobFailedError{Job: id, Message: msg}
+	}
+	rep, err := webssari.DecodeResult(res.payload)
 	if err != nil {
-		return "", err
+		return nil, fmt.Errorf("client: decoding report: %w", err)
 	}
-	setTraceparent(ctx, req)
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return "", &APIError{StatusCode: resp.StatusCode, Message: strings.TrimSpace(string(data))}
-	}
-	return string(data), nil
+	return rep, nil
 }
 
 // JobTrace downloads a job's Chrome/Perfetto trace document — the

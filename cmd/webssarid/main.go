@@ -51,10 +51,11 @@
 // coordinator, -join makes it a worker:
 //
 //	-coord             coordinator mode: accept worker registrations at
-//	                   /v1/cluster, shard each job's files across live
-//	                   workers (consistent hashing over store content
-//	                   keys), and serve -store to the cluster at
-//	                   /v1/store. With zero live workers jobs degrade to
+//	                   /v1/cluster and shard each job's files across live
+//	                   workers (consistent hashing over file content).
+//	                   The coordinator's -store serves repeat files
+//	                   without asking a worker and keeps what workers
+//	                   answer. With zero live workers jobs degrade to
 //	                   local execution — they never fail for lack of a
 //	                   cluster.
 //	-join URL          worker mode: register with the coordinator at URL,
@@ -66,9 +67,6 @@
 //	-worker-name S     optional worker label in /v1/cluster status
 //	-heartbeat D       heartbeat interval a coordinator expects (default 2s)
 //	-heartbeat-misses N missed heartbeats before eviction (default 3)
-//	-store-remote URL  use the coordinator's shared result store at URL
-//	                   instead of a local -store (workers; typically the
-//	                   -join URL)
 //
 // Workers must run with the same analysis options as the coordinator —
 // registration carries a configuration fingerprint and mismatches are
@@ -83,7 +81,8 @@
 //	GET  /v1/jobs/{id}        one job's status
 //	DELETE /v1/jobs/{id}      cancel a queued, running, or watch job
 //	GET  /v1/jobs/{id}/result finished report (409 while running; ?text=1
-//	                          for the human rendering of a file job)
+//	                          for the human rendering of a file job,
+//	                          ?envelope=1 for its binary result envelope)
 //	GET  /v1/jobs/{id}/stream NDJSON, one report per file as it completes
 //	                          (watch jobs add one summary line per round)
 //	GET  /v1/jobs/{id}/trace  Chrome/Perfetto trace of the job (clustered
@@ -148,13 +147,12 @@ func run(args []string, ready chan<- string) int {
 		slo       = fs.Duration("slo", time.Second, "latency objective for /v1 requests (0 disables breach counting)")
 		slowFile  = fs.Duration("slow-file", 10*time.Second, "warn about files slower than this (0 disables)")
 
-		coord       = fs.Bool("coord", false, "coordinator mode: accept worker registrations and shard jobs across them")
-		joinURL     = fs.String("join", "", "worker mode: register with the coordinator at this URL")
-		advertise   = fs.String("advertise", "", "base URL the coordinator dispatches to (default: the bound address)")
-		workerName  = fs.String("worker-name", "", "worker label shown in cluster status")
-		heartbeat   = fs.Duration("heartbeat", cluster.DefaultHeartbeatInterval, "cluster heartbeat interval")
-		hbMisses    = fs.Int("heartbeat-misses", cluster.DefaultHeartbeatMisses, "missed heartbeats before a worker is evicted")
-		storeRemote = fs.String("store-remote", "", "use the shared result store served by the coordinator at this URL")
+		coord      = fs.Bool("coord", false, "coordinator mode: accept worker registrations and shard jobs across them")
+		joinURL    = fs.String("join", "", "worker mode: register with the coordinator at this URL")
+		advertise  = fs.String("advertise", "", "base URL the coordinator dispatches to (default: the bound address)")
+		workerName = fs.String("worker-name", "", "worker label shown in cluster status")
+		heartbeat  = fs.Duration("heartbeat", cluster.DefaultHeartbeatInterval, "cluster heartbeat interval")
+		hbMisses   = fs.Int("heartbeat-misses", cluster.DefaultHeartbeatMisses, "missed heartbeats before a worker is evicted")
 	)
 	if err := fs.Parse(args); err != nil {
 		return cli.ExitError
@@ -169,15 +167,11 @@ func run(args []string, ready chan<- string) int {
 	}
 	// Per-job policy and solver fields override the daemon defaults
 	// validated here, so a bad default fails startup, not the first job.
-	if err := sh.Validate(*storeRemote != ""); err != nil {
+	if err := sh.Validate(false); err != nil {
 		return sh.Fail(err)
 	}
 	if *coord && *joinURL != "" {
 		fmt.Fprintln(os.Stderr, "webssarid: -coord and -join are mutually exclusive (a daemon is a coordinator or a worker, not both)")
-		return cli.ExitError
-	}
-	if *storeRemote != "" && sh.Store != "" {
-		fmt.Fprintln(os.Stderr, "webssarid: -store and -store-remote are mutually exclusive")
 		return cli.ExitError
 	}
 
@@ -190,11 +184,6 @@ func run(args []string, ready chan<- string) int {
 		}
 		fmt.Fprintf(os.Stderr, "webssarid: result store at %s (%d entr(ies) resident)\n",
 			sh.Store, st.Stats().Entries)
-	}
-	var remoteStore *cluster.RemoteStore
-	if *storeRemote != "" {
-		remoteStore = cluster.NewRemoteStore(*storeRemote, nil)
-		fmt.Fprintf(os.Stderr, "webssarid: shared result store via %s\n", *storeRemote)
 	}
 	obs, err := sh.Start()
 	if err != nil {
@@ -231,9 +220,6 @@ func run(args []string, ready chan<- string) int {
 		Incremental:      sh.Incremental,
 		WatchInterval:    *watchIvl,
 	}
-	if remoteStore != nil {
-		svcCfg.StoreBackend = remoteStore
-	}
 
 	var coordinator *cluster.Coordinator
 	var svc *service.Server
@@ -253,9 +239,6 @@ func run(args []string, ready chan<- string) int {
 				return svc.JobsByPolicy()
 			},
 		}
-		if st != nil {
-			ccfg.Store = st
-		}
 		coordinator = cluster.New(ccfg)
 		defer coordinator.Close()
 		svcCfg.Runner = coordinator
@@ -272,12 +255,11 @@ func run(args []string, ready chan<- string) int {
 	}
 	handler := svc.Handler()
 	if coordinator != nil {
-		// Cluster and shared-store endpoints ride beside the service API.
+		// Cluster endpoints ride beside the service API.
 		outer := http.NewServeMux()
 		ch := coordinator.Handler()
 		outer.Handle("/v1/cluster", ch)
 		outer.Handle("/v1/cluster/", ch)
-		outer.Handle("/v1/store/", ch)
 		outer.Handle("/", handler)
 		handler = outer
 	}

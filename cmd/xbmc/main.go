@@ -386,17 +386,12 @@ func runRemote(target, base string, sh *cli.Flags, watch, ndjson bool) int {
 		fmt.Fprintf(os.Stderr, "xbmc: %v\n", err)
 		return cli.ExitError
 	}
-	text, err := c.FileResultText(ctx, sub.Job)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "xbmc: %v\n", err)
-		return cli.ExitError
-	}
-	fmt.Print(text)
 	rep, err := c.FileResult(ctx, sub.Job)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "xbmc: %v\n", err)
 		return cli.ExitError
 	}
+	fmt.Print(rep)
 	return cli.VerdictExit(rep.Verdict)
 }
 

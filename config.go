@@ -155,9 +155,8 @@ type Config struct {
 	// beyond pointer identity.
 	Store     *ResultStore `json:"-"`
 	Telemetry *Telemetry   `json:"-"`
-	// StoreBackend attaches a non-local result-store backend
-	// (WithStoreBackend) — e.g. a cluster worker's remote view of the
-	// coordinator's store. Ignored when Store is also set (the concrete
+	// StoreBackend attaches any other result-store backend
+	// (WithStoreBackend). Ignored when Store is also set (the concrete
 	// local store wins). Live handle, excluded from JSON like Store.
 	StoreBackend StoreBackend `json:"-"`
 }

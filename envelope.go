@@ -1,12 +1,15 @@
 package webssari
 
 // This file is the result envelope's codec: the payload of one
-// result-store blob, a finished report plus what serving it needs. It is
-// a compact binary encoding, decoded in one pass straight into the
-// served *Report; DESIGN.md §10 describes the layout.
+// result-store blob, a finished report plus what serving it needs, and
+// the answer a cluster worker gives for a file. It is a compact binary
+// encoding, decoded in one pass straight into the served *Report;
+// DESIGN.md §10 describes the layout.
 
 import (
 	"encoding/binary"
+	"encoding/json"
+	"errors"
 	"math"
 	"slices"
 
@@ -28,15 +31,21 @@ const resultSchema = 3
 const maxEnvelopeSteps = 1 << 20
 
 // Verdict codes. A stored report is complete, so its verdict is one of
-// two; Safe, Incomplete, Limits and Groups are derived, not stored.
+// the first two. A report answered on the wire may also be incomplete,
+// without findings or with them, and then its limits follow the code.
+// Safe, Incomplete and Groups are derived, not encoded.
 const (
-	envelopeSafe   = 0
-	envelopeUnsafe = 1
+	envelopeSafe = iota
+	envelopeUnsafe
+	envelopeIncomplete
+	envelopeUnsafeIncomplete
 )
 
-// encodeEnvelope returns the envelope of a complete report, or nil if
-// the report cannot be stored (an incomplete verdict, or more trace
-// steps than the decoder accepts). The layout, every integer a varint:
+// encodeEnvelope returns the envelope of a report, or nil if the
+// envelope cannot hold it (more trace steps than the decoder accepts).
+// The store's envelope (wire false) holds only complete reports and no
+// profile; the wire's also holds an incomplete verdict and a trailing
+// profile section. The layout, every integer a varint:
 //
 //	schema
 //	string table: count, total bytes, the bytes, each string's length
@@ -44,24 +53,33 @@ const (
 //	include snapshot: hashes (path, hash; sorted by path), misses
 //	step table: location, var, value
 //	render records: finding, context, path
-//	report: file, verdict code, symptoms, total trace steps
+//	report: file, verdict code, limits (incomplete codes only),
+//	  symptoms, total trace steps
 //	findings: sink, class, location, group, trace as (start, length)
 //	  runs of the step table
 //	patches: location, var, description, findings
 //	warnings
+//	profile (wire only, optional): length, the profile's JSON
 //
 // Strings are references into the table, each distinct string stored
 // once. Each distinct trace step is stored once, in the step table.
-func encodeEnvelope(name string, rep *Report, inc ai.Includes) []byte {
+func encodeEnvelope(name string, rep *Report, wire bool) []byte {
 	var verdict int
-	switch rep.Verdict {
-	case VerdictSafe:
+	switch {
+	case rep.Verdict == VerdictSafe && !rep.Incomplete:
 		verdict = envelopeSafe
-	case VerdictUnsafe:
+	case rep.Verdict == VerdictUnsafe && !rep.Incomplete:
 		verdict = envelopeUnsafe
+	case !wire || !rep.Incomplete:
+		return nil
+	case rep.Verdict == VerdictIncomplete:
+		verdict = envelopeIncomplete
+	case rep.Verdict == VerdictUnsafe:
+		verdict = envelopeUnsafeIncomplete
 	default:
 		return nil
 	}
+	inc := report.Includes(rep)
 	e := envelopeEncoder{strs: make(map[string]int)}
 	e.str(name)
 	paths := make([]string, 0, len(inc.Hashes))
@@ -114,6 +132,12 @@ func encodeEnvelope(name string, rep *Report, inc ai.Includes) []byte {
 
 	e.str(rep.File)
 	e.uint(verdict)
+	if verdict >= envelopeIncomplete {
+		e.uint(len(rep.Limits))
+		for _, l := range rep.Limits {
+			e.str(l)
+		}
+	}
 	e.int(rep.Symptoms)
 	e.uint(len(ids))
 	e.uint(len(rep.Findings))
@@ -135,6 +159,14 @@ func encodeEnvelope(name string, rep *Report, inc ai.Includes) []byte {
 	e.uint(len(rep.Warnings))
 	for _, w := range rep.Warnings {
 		e.str(w)
+	}
+	if wire && rep.Profile != nil {
+		js, err := json.Marshal(rep.Profile)
+		if err != nil {
+			return nil
+		}
+		e.uint(len(js))
+		e.body = append(e.body, js...)
 	}
 
 	size := 0
@@ -201,27 +233,60 @@ func (e *envelopeEncoder) runs(ids []int) {
 	}
 }
 
-// decodeEnvelope decodes an envelope into the report it serves, marked
-// as a store hit, and the include snapshot it was built under. It
-// rejects a payload of another schema, a truncated one, a count larger
-// than the bytes left, a string or run outside its table, trailing
-// bytes, and a report no complete run produces: a verdict other than
-// safe or unsafe, a safe report with findings or patches, or render
-// records that do not list each finding once, group by group, in the
-// counts the patches declare. A report is served whole or not at all.
-func decodeEnvelope(payload []byte) (*Report, ai.Includes, bool) {
-	d := envelopeDecoder{buf: payload}
+// decodeEnvelope decodes an envelope into the report it serves, with
+// the include snapshot it was built under attached. A stored report
+// (wire false) is marked as a store hit; a wire report carries the
+// profile of its trailing section, if any. It rejects a payload of
+// another schema, a truncated one, a count larger than the bytes left,
+// a string or run outside its table, trailing bytes, and a report no
+// run produces: an unknown verdict code, an incomplete one without
+// limits, a report that is not unsafe with findings or patches, or
+// render records that do not list each finding once, group by group, in
+// the counts the patches declare. The store's decoder also rejects what
+// only the wire holds: an incomplete verdict and a profile section. A
+// report is served whole or not at all.
+func decodeEnvelope(payload []byte, wire bool) (*Report, bool) {
+	d := envelopeDecoder{buf: payload, wire: wire}
 	d.header()
 	inc := d.includes()
 	steps := d.steps()
 	traces := d.traces()
 	rep := d.report(steps)
-	if d.bad || len(d.buf) > 0 || !listed(rep, traces) {
-		return nil, ai.Includes{}, false
+	prof := &RunProfile{StoreHit: true}
+	if wire {
+		prof = d.profile()
 	}
-	report.Attach(rep, traces)
-	rep.Profile = &RunProfile{StoreHit: true}
-	return rep, inc, true
+	if d.bad || len(d.buf) > 0 || !listed(rep, traces) {
+		return nil, false
+	}
+	report.Attach(rep, traces, inc)
+	rep.Profile = prof
+	return rep, true
+}
+
+// EncodeResult returns rep's result envelope as a daemon answers a file
+// job on the wire: the store's layout, which here may also hold an
+// incomplete verdict with its limits, followed by rep's profile. It
+// fails on a report the envelope cannot hold: one with more trace steps
+// than the decoder accepts.
+func EncodeResult(rep *Report) ([]byte, error) {
+	payload := encodeEnvelope(rep.File, rep, true)
+	if payload == nil {
+		return nil, errors.New("webssari: the report does not fit a result envelope")
+	}
+	return payload, nil
+}
+
+// DecodeResult decodes a result envelope written by EncodeResult into
+// the report it carries. The report renders its own text, carries its
+// include snapshot for VerifyRemote, and has the profile of the run
+// that produced it.
+func DecodeResult(payload []byte) (*Report, error) {
+	rep, ok := decodeEnvelope(payload, true)
+	if !ok {
+		return nil, errors.New("webssari: malformed result envelope")
+	}
+	return rep, nil
 }
 
 // envelopeDecoder reads an envelope front to back. The first malformed
@@ -229,6 +294,7 @@ func decodeEnvelope(payload []byte) (*Report, ai.Includes, bool) {
 type envelopeDecoder struct {
 	buf  []byte
 	strs []string
+	wire bool
 	bad  bool
 }
 
@@ -369,11 +435,23 @@ func (d *envelopeDecoder) traces() []report.Trace {
 // steps), its patches and its warnings.
 func (d *envelopeDecoder) report(steps []TraceStep) *Report {
 	rep := &Report{File: d.str()}
-	switch d.uint() {
+	switch code := d.uint(); code {
 	case envelopeSafe:
 		rep.Verdict, rep.Safe = VerdictSafe, true
 	case envelopeUnsafe:
 		rep.Verdict = VerdictUnsafe
+	case envelopeIncomplete, envelopeUnsafeIncomplete:
+		rep.Verdict, rep.Incomplete = VerdictIncomplete, true
+		if code == envelopeUnsafeIncomplete {
+			rep.Verdict = VerdictUnsafe
+		}
+		rep.Limits = make([]string, d.count())
+		if !d.wire || len(rep.Limits) == 0 {
+			d.bad = true
+		}
+		for i := range rep.Limits {
+			rep.Limits[i] = d.str()
+		}
 	default:
 		d.bad = true
 	}
@@ -424,10 +502,27 @@ func (d *envelopeDecoder) report(steps []TraceStep) *Report {
 			rep.Warnings[i] = d.str()
 		}
 	}
-	if rep.Safe && (len(rep.Findings) > 0 || len(rep.Patches) > 0) {
+	if rep.Verdict != VerdictUnsafe && (len(rep.Findings) > 0 || len(rep.Patches) > 0) {
 		d.bad = true
 	}
 	return rep
+}
+
+// profile reads a wire envelope's trailing profile section, if there is
+// one: its length, then that many bytes of the profile's JSON, which
+// end the payload.
+func (d *envelopeDecoder) profile() *RunProfile {
+	if d.bad || len(d.buf) == 0 {
+		return nil
+	}
+	n := d.count()
+	var p RunProfile
+	if d.bad || n != len(d.buf) || json.Unmarshal(d.buf, &p) != nil {
+		d.bad = true
+		return nil
+	}
+	d.buf = nil
+	return &p
 }
 
 // listed reports whether traces list each of rep's findings exactly

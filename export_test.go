@@ -2,6 +2,6 @@ package webssari
 
 // The result-envelope codec, for the external tests that rewrite a
 // store as older builds wrote it and read back the schemas it holds.
-var DecodeEnvelope = decodeEnvelope
+func DecodeEnvelope(payload []byte) (*Report, bool) { return decodeEnvelope(payload, false) }
 
 const ResultSchema = resultSchema

@@ -124,8 +124,8 @@ func (f *Flags) Fail(err error) int {
 
 // Validate checks and resolves the shared flags. Call it once, before
 // any listener starts or any input is read. storeElsewhere reports that
-// a result store reaches the run by other means (a daemon's
-// -store-remote, xbmc's -remote daemon), which satisfies -incremental.
+// a result store reaches the run by other means (xbmc's -remote
+// daemon), which satisfies -incremental.
 func (f *Flags) Validate(storeElsewhere bool) error {
 	if f.Jobs < 0 {
 		return fmt.Errorf("-j must be ≥ 0, got %d", f.Jobs)

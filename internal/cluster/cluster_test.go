@@ -8,7 +8,6 @@ package cluster
 // (profiles and placement counters aside) to a local run's.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -146,15 +145,14 @@ func waitFor(t *testing.T, timeout time.Duration, what string, cond func() bool)
 }
 
 // TestClusterVerifyDirMatchesLocal is the invariant in its healthy-path
-// form: two workers sharing the coordinator's store over RemoteStore,
-// every file dispatched remotely, report byte-identical to a local run.
+// form: two workers, a coordinator that owns the result store, every
+// file dispatched remotely, report byte-identical to a local run.
 func TestClusterVerifyDirMatchesLocal(t *testing.T) {
 	dir := writeCorpus(t)
 	st := openStore(t)
-	c, coordTS := newTestCoordinator(t, Config{Store: st})
-	remote := NewRemoteStore(coordTS.URL, nil)
-	w1 := newWorkerServer(t, service.Config{StoreBackend: remote})
-	w2 := newWorkerServer(t, service.Config{StoreBackend: remote})
+	c, _ := newTestCoordinator(t, Config{})
+	w1 := newWorkerServer(t, service.Config{})
+	w2 := newWorkerServer(t, service.Config{})
 	mustRegister(t, c, w1.URL, "worker-1")
 	mustRegister(t, c, w2.URL, "worker-2")
 
@@ -163,7 +161,7 @@ func TestClusterVerifyDirMatchesLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.VerifyDir(ctx, dir)
+	got, err := c.VerifyDir(ctx, dir, webssari.WithStore(st))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,13 +176,14 @@ func TestClusterVerifyDirMatchesLocal(t *testing.T) {
 	if cl.Workers != 2 || cl.Remote != len(testCorpus) || cl.Local != 0 || cl.Degraded {
 		t.Fatalf("cluster profile = %+v; want 2 workers, all %d files remote, not degraded", cl, len(testCorpus))
 	}
-	if st.Len() == 0 {
-		t.Fatal("workers wrote nothing through the shared remote store")
+	if st.Len() != len(testCorpus) {
+		t.Fatalf("coordinator store holds %d entries; want the %d reports the workers answered", st.Len(), len(testCorpus))
 	}
 }
 
-// TestClusterVerifyFileMatchesLocal covers the single-file surface,
-// including the rendered-text fetch that only single-file callers need.
+// TestClusterVerifyFileMatchesLocal covers the single-file surface: the
+// report decoded from the worker's result envelope renders the local
+// run's text.
 func TestClusterVerifyFileMatchesLocal(t *testing.T) {
 	c, _ := newTestCoordinator(t, Config{})
 	w1 := newWorkerServer(t, service.Config{})
@@ -212,15 +211,16 @@ func TestClusterVerifyFileMatchesLocal(t *testing.T) {
 }
 
 // TestClusterVerifyFileTextFetchFailureIsNotEmpty: a worker whose
-// ?text=1 view fails must not yield a report whose text is silently
-// empty. The failed fetch fails the attempt, and the coordinator's
-// retries end in local execution, which renders the local run's text.
+// result-envelope fetch fails must not yield a report whose text is
+// silently empty. The failed fetch fails the attempt, and the
+// coordinator's retries end in local execution, which renders the local
+// run's text.
 func TestClusterVerifyFileTextFetchFailureIsNotEmpty(t *testing.T) {
 	c, _ := newTestCoordinator(t, Config{})
 	inner := service.New(service.Config{}).Handler()
 	w1 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Query().Get("text") == "1" {
-			http.Error(w, "text view unavailable", http.StatusInternalServerError)
+		if r.URL.Query().Get("envelope") == "1" {
+			http.Error(w, "envelope view unavailable", http.StatusInternalServerError)
 			return
 		}
 		inner.ServeHTTP(w, r)
@@ -241,8 +241,8 @@ func TestClusterVerifyFileTextFetchFailureIsNotEmpty(t *testing.T) {
 	if got.String() != local.String() {
 		t.Fatalf("coordinator text diverges from the local run's:\nlocal:\n%s\nclustered:\n%q", local, got.String())
 	}
-	if cl := got.Profile.Cluster; cl == nil || !cl.Degraded {
-		t.Fatalf("cluster profile = %+v; want the file degraded to local execution", got.Profile.Cluster)
+	if cl := got.Profile.Cluster; cl == nil || !cl.Degraded || cl.Remote != 0 || cl.Redispatches != DefaultRetryBudget-1 {
+		t.Fatalf("cluster profile = %+v; want every attempt retried, then the file degraded to local execution", got.Profile.Cluster)
 	}
 }
 
@@ -339,9 +339,10 @@ func TestClusterFailover(t *testing.T) {
 		}
 	})
 
-	// The worker dies after its results are persisted in the shared
-	// store: a replacement worker serves the same verdicts from the
-	// store — nothing the dead worker computed is lost.
+	// The worker dies after its results are persisted in the
+	// coordinator's store: the replacement run serves the same verdicts
+	// from the store without dispatching a file — nothing the dead
+	// worker computed is lost.
 	t.Run("worker-killed-after-results-persisted", func(t *testing.T) {
 		dir := writeCorpus(t)
 		local, err := webssari.VerifyDirContext(ctx, dir)
@@ -349,28 +350,27 @@ func TestClusterFailover(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := openStore(t)
-		c, coordTS := newTestCoordinator(t, Config{Store: st})
-		remote := NewRemoteStore(coordTS.URL, nil)
+		c, _ := newTestCoordinator(t, Config{})
 
-		w1 := newWorkerServer(t, service.Config{StoreBackend: remote})
+		w1 := newWorkerServer(t, service.Config{})
 		id1 := mustRegister(t, c, w1.URL, "first")
-		first, err := c.VerifyDir(ctx, dir)
+		first, err := c.VerifyDir(ctx, dir, webssari.WithStore(st))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if st.Len() == 0 {
-			t.Fatal("first worker persisted nothing before dying")
+			t.Fatal("the coordinator persisted nothing before the worker died")
 		}
-		hitsBefore := st.Stats().Hits
 
 		if !c.deregister(id1) {
 			t.Fatal("deregistering the first worker failed")
 		}
 		w1.Close()
 
-		w2 := newWorkerServer(t, service.Config{StoreBackend: remote})
+		w2 := newWorkerServer(t, service.Config{})
 		mustRegister(t, c, w2.URL, "second")
-		second, err := c.VerifyDir(ctx, dir)
+		dispatches := counterValue(c, telemetry.MetricClusterDispatches)
+		second, err := c.VerifyDir(ctx, dir, webssari.WithStore(st))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -380,13 +380,16 @@ func TestClusterFailover(t *testing.T) {
 			t.Fatalf("first clustered run diverges from local:\nlocal:\n%s\nclustered:\n%s", li, fi)
 		}
 		if si := projectIdentity(t, second); si != li {
-			t.Fatalf("replacement worker's run diverges:\nlocal:\n%s\nclustered:\n%s", li, si)
+			t.Fatalf("replacement run diverges:\nlocal:\n%s\nclustered:\n%s", li, si)
 		}
-		if hits := st.Stats().Hits; hits <= hitsBefore {
-			t.Fatalf("store hits %d -> %d; the replacement worker should have served the dead worker's verdicts from the store", hitsBefore, hits)
+		if second.StoreHits != len(testCorpus) {
+			t.Fatalf("replacement run served %d files from the store; want all %d", second.StoreHits, len(testCorpus))
 		}
-		if second.Profile.Cluster.Degraded {
-			t.Fatal("second run degraded although the replacement worker was live")
+		if n := counterValue(c, telemetry.MetricClusterDispatches) - dispatches; n != 0 {
+			t.Fatalf("replacement run dispatched %d files; want 0", n)
+		}
+		if cl := second.Profile.Cluster; cl.Remote != 0 || cl.Local != 0 || cl.Degraded {
+			t.Fatalf("cluster profile = %+v; want no file placed anywhere", cl)
 		}
 	})
 }
@@ -611,71 +614,6 @@ func TestFingerprintGateAnyLength(t *testing.T) {
 		if apiErr, ok := err.(*client.APIError); !ok || apiErr.StatusCode != http.StatusConflict {
 			t.Fatalf("coordinator %q, worker %q: got %v; want HTTP 409", tc.coord, tc.worker, err)
 		}
-	}
-}
-
-// TestRemoteStoreRoundTrip exercises the shared-store wire path both
-// ways, its degrade-to-miss failure semantics, and the key validation
-// that keeps path-like strings away from the store's filesystem.
-func TestRemoteStoreRoundTrip(t *testing.T) {
-	st := openStore(t)
-	mux := http.NewServeMux()
-	(&storeServer{backend: st}).register(mux)
-	ts := httptest.NewServer(mux)
-	t.Cleanup(ts.Close)
-
-	rs := NewRemoteStore(ts.URL+"/", nil) // trailing slash is tolerated
-	key := store.Key("cluster-remote-store-test", "payload")
-	if _, ok := rs.Get(key); ok {
-		t.Fatal("got a hit from an empty store")
-	}
-	payload := []byte("verdict envelope bytes")
-	if err := rs.Put(key, payload); err != nil {
-		t.Fatalf("put: %v", err)
-	}
-	got, ok := rs.Get(key)
-	if !ok || !bytes.Equal(got, payload) {
-		t.Fatalf("get after put = %q, %v; want the payload back", got, ok)
-	}
-
-	// Namespaced keys are 64-hex too and must round-trip the same way.
-	nk := store.NamespacedKey("depgraph", key)
-	if err := rs.Put(nk, []byte("graph blob")); err != nil {
-		t.Fatalf("namespaced put: %v", err)
-	}
-	if _, ok := rs.Get(nk); !ok {
-		t.Fatal("namespaced key did not round-trip")
-	}
-
-	rs.Invalidate(key)
-	if _, ok := rs.Get(key); ok {
-		t.Fatal("got a hit after invalidation")
-	}
-
-	// Malformed keys must be refused on both sides of the wire.
-	if err := rs.Put("../../etc/passwd", payload); err == nil {
-		t.Fatal("path-like key accepted by the client side")
-	}
-	if _, ok := rs.Get("ABCDEF"); ok {
-		t.Fatal("non-hex key produced a hit")
-	}
-	resp, err := http.Get(ts.URL + "/v1/store/zz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("server answered %d for a malformed key; want 400", resp.StatusCode)
-	}
-
-	// An unreachable coordinator degrades reads to misses and surfaces
-	// write errors, per the store contract.
-	down := NewRemoteStore("http://127.0.0.1:1", nil)
-	if _, ok := down.Get(key); ok {
-		t.Fatal("unreachable store produced a hit")
-	}
-	if err := down.Put(key, payload); err == nil {
-		t.Fatal("unreachable store accepted a put")
 	}
 }
 

@@ -2,10 +2,15 @@
 // fault-tolerant verification cluster. A coordinator accepts worker
 // registrations over the v1 wire schema, tracks liveness by heartbeat,
 // and shards the files of each verification job across live workers by
-// consistent hashing over store content keys — so a file's cached
-// verdict, its dependency graph entry, and its dispatch target all
-// derive from the same fingerprint, and any worker can serve any cached
-// verdict through the shared result store (RemoteStore).
+// consistent hashing over the file's content.
+//
+// The coordinator owns the result store. Each file goes through the
+// engine's own entry point, webssari.VerifyRemote, with dispatch as its
+// analysis step: the coordinator's store is consulted first, and a hit
+// costs no request to any worker. On a miss the file is dispatched, the
+// worker answers with the result envelope (webssari.EncodeResult), and
+// the engine writes it to the store and the dependency graph as it
+// does a local report, so incremental mode reuses clustered verdicts.
 //
 // Robustness is the point, and the invariant it protects is the
 // engine's: a clustered run's verdicts are byte-identical (profiles and
@@ -28,9 +33,10 @@
 //     down; it never fails a job it could have answered.
 //
 // Deterministic remote failures (the job itself failed — parse errors,
-// pathological files) are replayed locally to reproduce the exact
-// engine error a local run would record; they are not worker faults and
-// do not trip breakers.
+// pathological files, a report the envelope cannot hold) are replayed
+// locally to reproduce the exact engine error a local run would record;
+// they are not worker faults and do not trip breakers. Both fallbacks
+// are webssari.ErrRunHere: the engine then runs the file here.
 package cluster
 
 import (
@@ -49,7 +55,6 @@ import (
 
 	"webssari"
 	"webssari/client"
-	"webssari/internal/report"
 	"webssari/internal/service/api"
 	"webssari/internal/store"
 	"webssari/internal/telemetry"
@@ -94,9 +99,6 @@ type Config struct {
 	// non-empty fingerprint are rejected (they would break verdict
 	// identity). See Fingerprint().
 	Fingerprint string
-	// Store, when non-nil, is served to workers at /v1/store so the
-	// whole cluster shares one content-addressed result store.
-	Store store.Backend
 	// Telemetry receives the cluster metric series; nil runs
 	// uninstrumented.
 	Telemetry *telemetry.Telemetry
@@ -489,13 +491,22 @@ func (c *Coordinator) backoff(ctx context.Context, attempt int, hint time.Durati
 	}
 }
 
-// dispatchFile verifies one file through the cluster: consistent-hash
-// placement, retries with backoff across the ring sequence, local
-// replay of deterministic failures, local degraded execution when no
-// worker can take it. localOpts are the exact per-file options a local
-// run would use — both fallbacks call the engine with them untouched,
-// which is what keeps fallback verdicts byte-identical.
-func (c *Coordinator) dispatchFile(ctx context.Context, src []byte, name string, localOpts []webssari.Option, stats *runStats, wantText bool) (*webssari.Report, error) {
+// verify is one file's verification through the cluster: the engine's
+// VerifyRemote with dispatchFile as its analysis step.
+func (c *Coordinator) verify(ctx context.Context, src []byte, name string, opts []webssari.Option, stats *runStats) (*webssari.Report, error) {
+	return webssari.VerifyRemote(ctx, src, name, func(ctx context.Context) (*webssari.Report, error) {
+		return c.dispatchFile(ctx, src, name, opts, stats)
+	}, opts...)
+}
+
+// dispatchFile is the analysis step of one file the coordinator's store
+// does not hold: consistent-hash placement, retries with backoff across
+// the ring sequence, local replay of deterministic failures, local
+// degraded execution when no worker can take it. Both fallbacks return
+// webssari.ErrRunHere, so the engine runs the file with localOpts, the
+// exact per-file options a local run would use — which is what keeps
+// fallback verdicts byte-identical.
+func (c *Coordinator) dispatchFile(ctx context.Context, src []byte, name string, localOpts []webssari.Option, stats *runStats) (*webssari.Report, error) {
 	key := store.Key("webssari-cluster-dispatch-v1", name, string(src))
 	// The wire request carries every verdict-shaping per-job field the
 	// local options resolve to — include root and security policy — so a
@@ -552,7 +563,7 @@ func (c *Coordinator) dispatchFile(ctx context.Context, src []byte, name string,
 		}
 		actx, dsp := telemetry.StartSpan(ctx, "dispatch",
 			"file", name, "worker", w.id, "attempt", attempt)
-		rep, err := c.remoteVerify(actx, w, sreq, wantText)
+		rep, err := c.remoteVerify(actx, w, sreq)
 		dsp.End()
 		if err == nil {
 			w.breaker.Success()
@@ -580,7 +591,7 @@ func (c *Coordinator) dispatchFile(ctx context.Context, src []byte, name string,
 			stats.replayed++
 			stats.mu.Unlock()
 			log.Info("replaying deterministic failure locally", "worker", w.id)
-			return webssari.VerifyContext(ctx, src, name, localOpts...)
+			return nil, webssari.ErrRunHere
 		}
 		c.dispatchFailed(w)
 		log.Warn("dispatch failed", "worker", w.id, "attempt", attempt, "error", err.Error())
@@ -604,7 +615,7 @@ func (c *Coordinator) dispatchFile(ctx context.Context, src []byte, name string,
 	c.cLocal.Inc()
 	telemetry.Instant(ctx, "degraded", "file", name)
 	log.Warn("degrading to local execution: no worker available")
-	return webssari.VerifyContext(ctx, src, name, localOpts...)
+	return nil, webssari.ErrRunHere
 }
 
 // dispatchFailed charges one transient dispatch failure to a worker.
@@ -617,11 +628,11 @@ func (c *Coordinator) dispatchFailed(w *worker) {
 }
 
 // remoteVerify runs one dispatch attempt end to end on a worker:
-// submit, wait, fetch. The attempt is bounded by DispatchTimeout and
-// cancelled immediately if the worker is evicted mid-job — that
-// cancellation is what turns a silent worker death into a prompt
-// re-dispatch instead of a full timeout wait.
-func (c *Coordinator) remoteVerify(ctx context.Context, w *worker, sreq api.SubmitFileRequest, wantText bool) (*webssari.Report, error) {
+// submit, wait, fetch the result envelope. The attempt is bounded by
+// DispatchTimeout and cancelled immediately if the worker is evicted
+// mid-job — that cancellation is what turns a silent worker death into
+// a prompt re-dispatch instead of a full timeout wait.
+func (c *Coordinator) remoteVerify(ctx context.Context, w *worker, sreq api.SubmitFileRequest) (*webssari.Report, error) {
 	dctx, cancel := context.WithTimeout(ctx, c.cfg.DispatchTimeout)
 	defer cancel()
 	// Each dispatch is one causal hop: re-derive the trace context so the
@@ -656,17 +667,6 @@ func (c *Coordinator) remoteVerify(ctx context.Context, w *worker, sreq api.Subm
 	if err != nil {
 		return nil, err
 	}
-	if wantText {
-		// A report decoded from JSON renders no text; single-file
-		// callers (the daemon's ?text=1 view) want the worker's. Without
-		// it the attempt fails, so a retry or the local fallback renders
-		// the text.
-		text, err := w.client.FileResultText(dctx, sub.Job)
-		if err != nil {
-			return nil, err
-		}
-		report.AttachText(rep, text)
-	}
 	c.ingestWorkerTrace(ctx, dctx, w, sub.Job)
 	return rep, nil
 }
@@ -697,7 +697,7 @@ func (c *Coordinator) ingestWorkerTrace(ctx, dctx context.Context, w *worker, re
 // VerifyFile verifies one source through the cluster.
 func (c *Coordinator) VerifyFile(ctx context.Context, src []byte, name string, opts ...webssari.Option) (*webssari.Report, error) {
 	stats := &runStats{workers: c.liveWorkers()}
-	rep, err := c.dispatchFile(ctx, src, name, opts, stats, true)
+	rep, err := c.verify(ctx, src, name, opts, stats)
 	if err != nil {
 		return nil, err
 	}
@@ -717,7 +717,7 @@ func (c *Coordinator) VerifyDir(ctx context.Context, dir string, opts ...webssar
 	stats := &runStats{workers: c.liveWorkers()}
 	dopts := append(append([]webssari.Option(nil), opts...),
 		webssari.WithFileVerifier(func(fctx context.Context, src []byte, name string, fopts ...webssari.Option) (*webssari.Report, error) {
-			return c.dispatchFile(fctx, src, name, fopts, stats, false)
+			return c.verify(fctx, src, name, fopts, stats)
 		}))
 	pr, err := webssari.VerifyDirContext(ctx, dir, dopts...)
 	if err != nil {
@@ -744,24 +744,19 @@ func (c *Coordinator) noteDegraded(stats *runStats) {
 
 // --- HTTP surface ---
 
-// Handler returns the coordinator's HTTP handler: the cluster
-// membership endpoints and, with a Store configured, the shared store
-// endpoints. Mount it beside the service handler:
+// Handler returns the coordinator's HTTP handler, the cluster
+// membership endpoints. Mount it beside the service handler:
 //
 //	POST   /v1/cluster/workers                register (api.RegisterWorkerRequest)
 //	POST   /v1/cluster/workers/{id}/heartbeat liveness refresh
 //	DELETE /v1/cluster/workers/{id}           graceful leave
 //	GET    /v1/cluster                        api.ClusterStatus
-//	GET/PUT/DELETE /v1/store/{key}            shared result store
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/cluster/workers", c.handleRegister)
 	mux.HandleFunc("POST /v1/cluster/workers/{id}/heartbeat", c.handleHeartbeat)
 	mux.HandleFunc("DELETE /v1/cluster/workers/{id}", c.handleDeregister)
 	mux.HandleFunc("GET /v1/cluster", c.handleStatus)
-	if c.cfg.Store != nil {
-		(&storeServer{backend: c.cfg.Store}).register(mux)
-	}
 	return mux
 }
 

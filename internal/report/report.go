@@ -131,11 +131,12 @@ type Report struct {
 	Profile *telemetry.RunProfile `json:"profile,omitempty"`
 
 	// traces are the render records, one per finding in the text's
-	// group-major order. Build and Attach set them, and set rendered; a
-	// report decoded from JSON has neither and renders only attached text.
+	// group-major order, and includes is the include snapshot the model
+	// was built from. Build and Attach set them, and set rendered; a
+	// report decoded from JSON has none of them and renders no text.
 	traces   []Trace
+	includes ai.Includes
 	rendered bool
-	text     string
 }
 
 // Trace is one render record: what a finding's lines of the text need
@@ -165,6 +166,7 @@ func Build(res *core.Result, analysis *fixing.Analysis) *Report {
 		// Copy rather than alias: results may be shared across
 		// goroutines, and a report must never write into one.
 		Warnings: append([]string(nil), res.Warnings...),
+		includes: res.AI.Includes,
 		rendered: true,
 	}
 	switch {
@@ -291,17 +293,17 @@ func findingClass(origin *ai.Assert) string {
 // from JSON), for persisting beside it.
 func Traces(r *Report) []Trace { return r.traces }
 
-// Attach gives a decoded report the render records persisted with it,
-// so String renders it as Build's report would. The records must list
-// each finding once, group by group, in the counts Patches declares.
-func Attach(r *Report, traces []Trace) {
-	r.traces, r.rendered = traces, true
-}
+// Includes returns the include snapshot the report's model was built
+// from (empty for a report decoded from JSON), for persisting beside it
+// and for the dependency graph.
+func Includes(r *Report) ai.Includes { return r.includes }
 
-// AttachText gives a decoded report the text rendered where it was
-// built, for String to return.
-func AttachText(r *Report, text string) {
-	r.traces, r.rendered, r.text = nil, false, text
+// Attach gives a decoded report the render records and include snapshot
+// persisted with it, so String renders it as Build's report would. The
+// records must list each finding once, group by group, in the counts
+// Patches declares.
+func Attach(r *Report, traces []Trace, inc ai.Includes) {
+	r.traces, r.includes, r.rendered = traces, inc, true
 }
 
 // SymptomCount returns the TS-style error count (Figure 10's "TS" column).
@@ -315,10 +317,10 @@ func (r *Report) GroupCount() int { return r.Groups }
 // of the text report's lines, into a buffer sized up front. The lines
 // for each trace and trace step, which dominate on branchy files, are
 // appended without fmt. A report decoded from JSON, without Attach,
-// returns the text attached to it, if any.
+// renders as "".
 func (r *Report) String() string {
 	if !r.rendered {
-		return r.text
+		return ""
 	}
 	size := 160 + len(r.File)
 	for _, l := range r.Limits {

@@ -119,7 +119,7 @@ echo $b;`)
 
 // TestRenderRecords checks that Build lists one render record per
 // finding, group by group, and that a report decoded from JSON renders
-// nothing until its records or its text are attached.
+// nothing until its records are attached.
 func TestRenderRecords(t *testing.T) {
 	r := buildReport(t, `<?php
 $b = $_POST['b'];
@@ -154,11 +154,7 @@ DoSQL($a);`)
 	if s := decoded.String(); s != "" {
 		t.Fatalf("decoded report rendered %q without records", s)
 	}
-	report.AttachText(&decoded, "attached")
-	if s := decoded.String(); s != "attached" {
-		t.Fatalf("String() = %q, want the attached text", s)
-	}
-	report.Attach(&decoded, traces)
+	report.Attach(&decoded, traces, report.Includes(r))
 	if got, want := decoded.String(), r.String(); got != want {
 		t.Fatalf("decoded report with records renders\n%s\nwant\n%s", got, want)
 	}

@@ -146,6 +146,12 @@ type ResultResponse struct {
 	Report  json.RawMessage `json:"report,omitempty"`
 }
 
+// EnvelopeContentType labels a file job's result envelope
+// (webssari.EncodeResult), the GET /v1/jobs/{id}/result?envelope=1
+// answer. A report the envelope cannot hold is answered as a failed
+// job's ResultResponse instead.
+const EnvelopeContentType = "application/vnd.webssari.envelope"
+
 // VersionResponse is the GET /v1/version response.
 type VersionResponse struct {
 	SchemaV string `json:"schema"`

@@ -48,7 +48,9 @@
 //	GET    /v1/jobs/{id}        api.JobStatus
 //	DELETE /v1/jobs/{id}        cancel: stop a watch job / abort a running job
 //	GET    /v1/jobs/{id}/wait   api.JobStatus once the job is done or failed (blocks)
-//	GET    /v1/jobs/{id}/result api.ResultResponse (409 while running)
+//	GET    /v1/jobs/{id}/result api.ResultResponse (409 while running); a
+//	                            file job's ?text=1 is its text, ?envelope=1
+//	                            its result envelope (webssari.EncodeResult)
 //	GET    /v1/jobs/{id}/stream NDJSON: per-file reports as they complete
 //	GET    /v1/jobs/{id}/trace  Chrome/Perfetto trace of the job (with a Telemetry)
 //	GET    /v1/version          api.VersionResponse (buildinfo + schema)
@@ -130,10 +132,6 @@ func (localRunner) VerifyDir(ctx context.Context, dir string, opts ...webssari.O
 type Config struct {
 	// Store is the persistent result store (tier 2); nil disables it.
 	Store *store.Store
-	// StoreBackend is an alternative result-store backend used when
-	// Store is nil — a cluster worker's remote view of the
-	// coordinator's store. Ignored when Store is set.
-	StoreBackend store.Backend
 	// Runner executes verification jobs (nil: in-process engine).
 	Runner Runner
 	// Telemetry receives metrics and spans; nil runs uninstrumented.
@@ -591,13 +589,12 @@ func (s *Server) admit(j *job) (ok bool, draining bool) {
 // Config.Options appended after it (later options win).
 func (s *Server) jobOptions(tel *telemetry.Telemetry, j *job) []webssari.Option {
 	base := webssari.Config{
-		Policy:       j.policy,
-		PolicyJSON:   j.policyJSON,
-		Store:        s.cfg.Store,
-		StoreBackend: s.cfg.StoreBackend,
-		Telemetry:    tel,
-		Deadline:     s.deadline,
-		Parallelism:  s.cfg.JobParallelism,
+		Policy:      j.policy,
+		PolicyJSON:  j.policyJSON,
+		Store:       s.cfg.Store,
+		Telemetry:   tel,
+		Deadline:    s.deadline,
+		Parallelism: s.cfg.JobParallelism,
 	}
 	if base.Policy == "" && base.PolicyJSON == "" {
 		// No per-job selection: fall back to the daemon default.
@@ -785,7 +782,7 @@ func (s *Server) runJob(j *job) {
 		if j.incremental != nil {
 			incremental = *j.incremental
 		}
-		if incremental && (s.cfg.Store != nil || s.cfg.StoreBackend != nil) {
+		if incremental && s.cfg.Store != nil {
 			opts = append(opts, webssari.WithIncremental())
 		}
 		if j.watch {
@@ -1169,6 +1166,18 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("text") == "1" && fileRep != nil {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		_, _ = io.WriteString(w, fileRep.String())
+		return
+	}
+	if r.URL.Query().Get("envelope") == "1" && fileRep != nil {
+		payload, err := webssari.EncodeResult(fileRep)
+		if err != nil {
+			// Answered as the job's failure: a coordinator replays the
+			// file locally, as it does any failed job.
+			writeJSON(w, api.ResultResponse{SchemaV: api.Schema, ID: j.ID, Kind: j.Kind, Error: err.Error()})
+			return
+		}
+		w.Header().Set("Content-Type", api.EnvelopeContentType)
+		_, _ = w.Write(payload)
 		return
 	}
 	var report any

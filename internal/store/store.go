@@ -65,11 +65,11 @@ const headerSize = 4 + 4 + 8 + sha256.Size
 // Backend is the interface the engine's result-store plumbing runs
 // against: the content-addressed Get/Put/Invalidate surface of a Store,
 // without tying callers to the on-disk implementation. *Store is the
-// canonical local backend; a cluster can substitute a shared or remote
-// backend (e.g. internal/cluster.RemoteStore) so any worker can serve
-// any cached verdict. Implementations must be safe for concurrent use
-// and must degrade, never error, on damaged or unreachable storage:
-// Get answers false, Put's error is advisory, Invalidate is best-effort.
+// canonical local backend; callers can substitute another (an
+// in-memory one, or one that times each call). Implementations must be
+// safe for concurrent use and must degrade, never error, on damaged or
+// unreachable storage: Get answers false, Put's error is advisory,
+// Invalidate is best-effort.
 type Backend interface {
 	// Get returns the payload stored under key; false on any miss.
 	Get(key string) ([]byte, bool)

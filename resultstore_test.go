@@ -151,8 +151,8 @@ func downgradeStore(t *testing.T, st *webssari.ResultStore) (envelopes, graphs i
 	t.Helper()
 	for key, payload := range storeBlobs(t, st) {
 		var out []byte
-		if rep, inc, ok := webssari.DecodeEnvelope(payload); ok {
-			out = schema2Envelope(t, rep, inc)
+		if rep, ok := webssari.DecodeEnvelope(payload); ok {
+			out = schema2Envelope(t, rep, report.Includes(rep))
 			envelopes++
 		} else {
 			var doc map[string]any
@@ -256,7 +256,7 @@ func envelopeSchemas(t *testing.T, st *webssari.ResultStore) []int {
 	t.Helper()
 	var schemas []int
 	for key, payload := range storeBlobs(t, st) {
-		if _, _, ok := webssari.DecodeEnvelope(payload); ok {
+		if _, ok := webssari.DecodeEnvelope(payload); ok {
 			schemas = append(schemas, webssari.ResultSchema)
 			continue
 		}

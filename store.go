@@ -30,6 +30,7 @@ import (
 	"encoding/hex"
 
 	"webssari/internal/ai"
+	"webssari/internal/report"
 	"webssari/internal/store"
 	"webssari/internal/telemetry"
 )
@@ -62,9 +63,8 @@ func WithStore(s *ResultStore) Option {
 }
 
 // StoreBackend is the abstract result-store surface (tier 2): the local
-// on-disk *ResultStore implements it, and so can a shared or remote
-// backend — the cluster's workers attach one pointing at the
-// coordinator's store so any worker can serve any cached verdict.
+// on-disk *ResultStore implements it, and so can any other backend
+// (an in-memory one, or one that times each call).
 type StoreBackend = store.Backend
 
 // WithStoreBackend attaches an arbitrary result-store backend. It is
@@ -82,12 +82,12 @@ func WithStoreBackend(b StoreBackend) Option {
 }
 
 // FileVerifier replaces the engine invocation for each entry file of a
-// project run (VerifyDir/VerifyDirContext): instead of verifying src in
-// process, the project walker calls fn with exactly the per-file options
-// a local worker would use. It is the cluster dispatch seam — the
-// coordinator's implementation ships the source to a worker daemon and
-// decodes the returned report — and the contract is strict: fn must
-// return a report identical to what VerifyContext(ctx, src, name,
+// project run (VerifyDir/VerifyDirContext): instead of calling
+// VerifyContext, the project walker calls fn with exactly the per-file
+// options a local worker would use. The cluster coordinator's fn calls
+// VerifyRemote with those options, so the result store, the dependency
+// graph and the fallbacks stay the engine's. The contract is strict: fn
+// must return a report identical to what VerifyContext(ctx, src, name,
 // opts...) would produce, or an equivalent error, so project verdicts
 // stay byte-identical (profiles aside) however files are placed. fn is
 // invoked from multiple worker goroutines concurrently.
@@ -135,20 +135,17 @@ func resultKey(name string, src []byte, cfg *config) string {
 // revalidated (envelope schema, include snapshot); any failure reads as
 // a miss. The returned report is marked StoreHit with a minimal fresh
 // profile — the persisted run's timings belong to the run that paid
-// them. The persisted include resolution rides along so callers can
-// record it into the dependency graph.
-func storeGet(ctx context.Context, cfg *config, name, key string) (*Report, ai.Includes, bool) {
+// them. The persisted include resolution rides along on the report
+// (report.Includes) so callers can record it into the dependency graph.
+func storeGet(ctx context.Context, cfg *config, name, key string) (*Report, bool) {
 	_, sp := telemetry.StartSpan(ctx, "store_get", "file", name)
 	defer sp.End()
-	rep, inc, ok := storeDecode(cfg, key)
-	if !ok {
-		return nil, ai.Includes{}, false
-	}
-	if !inc.Current(cfg.loader) {
+	rep, ok := storeDecode(cfg, key)
+	if ok && !report.Includes(rep).Current(cfg.loader) {
 		cfg.resultStore.Invalidate(key)
-		return nil, ai.Includes{}, false
+		return nil, false
 	}
-	return rep, inc, true
+	return rep, ok
 }
 
 // storeGetTrusted serves a persisted report by key without revalidating
@@ -160,22 +157,21 @@ func storeGet(ctx context.Context, cfg *config, name, key string) (*Report, ai.I
 func storeGetTrusted(ctx context.Context, cfg *config, name, key string) (*Report, bool) {
 	_, sp := telemetry.StartSpan(ctx, "store_get", "file", name)
 	defer sp.End()
-	rep, _, ok := storeDecode(cfg, key)
-	return rep, ok
+	return storeDecode(cfg, key)
 }
 
 // storeDecode fetches and decodes one envelope (decodeEnvelope); a blob
 // that does not decode is invalidated and reads as a miss.
-func storeDecode(cfg *config, key string) (*Report, ai.Includes, bool) {
+func storeDecode(cfg *config, key string) (*Report, bool) {
 	payload, ok := cfg.resultStore.Get(key)
 	if !ok {
-		return nil, ai.Includes{}, false
+		return nil, false
 	}
-	rep, inc, ok := decodeEnvelope(payload)
+	rep, ok := decodeEnvelope(payload, false)
 	if !ok {
 		cfg.resultStore.Invalidate(key)
 	}
-	return rep, inc, ok
+	return rep, ok
 }
 
 // depRecord is what one file's verification teaches the dependency
@@ -209,20 +205,21 @@ func withDepRecorder(fn func(depRecord)) Option {
 	}
 }
 
-// storePut persists a finished report. Incomplete reports are skipped
-// (their shape depends on transient pressure); store write failures are
-// deliberately swallowed — a full or read-only disk degrades the cache,
-// not the verification. The envelope keeps rep's render records, so a
-// served report renders the same text, and leaves out the profile,
-// which is per run, not per content, so identical verdicts persist
-// identically.
-func storePut(ctx context.Context, cfg *config, name, key string, rep *Report, inc ai.Includes) {
+// storePut persists a finished report, wherever it was analyzed.
+// Incomplete reports are skipped (their shape depends on transient
+// pressure); store write failures are deliberately swallowed — a full
+// or read-only disk degrades the cache, not the verification. The
+// envelope keeps rep's render records and include snapshot, so a served
+// report renders the same text and is revalidated the same way, and
+// leaves out the profile, which is per run, not per content, so
+// identical verdicts persist identically.
+func storePut(ctx context.Context, cfg *config, name, key string, rep *Report) {
 	if rep.Incomplete {
 		return
 	}
 	_, sp := telemetry.StartSpan(ctx, "store_put", "file", name)
 	defer sp.End()
-	if payload := encodeEnvelope(name, rep, inc); payload != nil {
+	if payload := encodeEnvelope(name, rep, false); payload != nil {
 		_ = cfg.resultStore.Put(key, payload)
 	}
 }

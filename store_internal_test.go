@@ -5,6 +5,7 @@ package webssari
 // inside the package.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -56,7 +57,7 @@ func persist(t testing.TB, path string, opts ...Option) (*Report, []byte) {
 func decodeOrMiss(t *testing.T, payload []byte) (*Report, bool) {
 	t.Helper()
 	mem := memStore{"k": payload}
-	rep, _, ok := storeDecode(&config{resultStore: mem}, "k")
+	rep, ok := storeDecode(&config{resultStore: mem}, "k")
 	if _, kept := mem["k"]; !ok && kept {
 		t.Fatal("rejected envelope was not invalidated")
 	}
@@ -72,7 +73,7 @@ func FuzzStoredEnvelope(f *testing.F) {
 	_, safe := persist(f, "examples/php/static.php")
 	_, branchy := persist(f, "testdata/branchy/b8_three_roots.php")
 	_, attr := persist(f, "examples/php/widget.php", WithPolicy("xss-context"))
-	rep, _, ok := decodeEnvelope(attr)
+	rep, ok := decodeEnvelope(attr, false)
 	if !ok || !strings.Contains(rep.String(), "[attr]") {
 		f.Fatalf("xss-context seed lacks an [attr] trace")
 	}
@@ -166,6 +167,7 @@ func handBuiltEnvelopes() []handBuilt {
 		{"name outside the table", unsafe(0, 1), false},
 		{"count larger than the bytes left", unsafe(3, 100), false},
 		{"verdict code 2", unsafe(14, 2), false},
+		{"verdict code 3", unsafe(14, 3), false},
 		{"safe report with a finding", unsafe(14, 0), false},
 		{"more steps than the runs name", unsafe(16, 2), false},
 		{"run outside the step table", unsafe(25, 1), false},
@@ -180,6 +182,169 @@ func handBuiltEnvelopes() []handBuilt {
 		// one.
 		{"schema-2 groups without patches", []byte(`{"schema":2,"report":{"file":"x.php","groups":5}}`), false},
 		{"schema-2 incomplete", []byte(`{"schema":2,"report":{"file":"x.php","verdict":"incomplete","incomplete":true,"limits":["deadline"]}}`), false},
+		// What only the wire holds: an incomplete verdict with its limits
+		// (the table's one string), and a profile section.
+		{"wire incomplete", envelope(0, 0, 0, 0, 0, 0, 2, 1, 0, 0, 0, 0, 0, 0), false},
+		{"wire profile", append(envelope(0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0), 2, '{', '}'), false},
+	}
+}
+
+// wireEnvelope verifies the file at path and returns its report and the
+// result envelope a daemon answers for it.
+func wireEnvelope(t testing.TB, path string, opts ...Option) (*Report, []byte) {
+	t.Helper()
+	src, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Verify(src, path, append([]Option{WithDir(filepath.Dir(path))}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := EncodeResult(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep, payload
+}
+
+// FuzzWireEnvelope feeds arbitrary payloads through the wire decoder,
+// the boundary where a worker's answer becomes a report on the
+// coordinator. A payload must either be rejected or decode to a report
+// of a state some run produces, which encodes and decodes again to the
+// same report; the store's decoder must serve it exactly when it is
+// complete and carries no profile. It must never panic.
+func FuzzWireEnvelope(f *testing.F) {
+	budget := WithSolverConfig(SolverConfig{MaxConflicts: 1})
+	for _, seed := range []struct {
+		path string
+		opts []Option
+	}{
+		{"examples/php/static.php", nil},
+		{"testdata/branchy/b8_three_roots.php", nil},
+		{"testdata/branchy/b5_four_conds.php", []Option{budget}},
+		{"testdata/branchy/b8_three_roots.php", []Option{budget}},
+	} {
+		_, payload := wireEnvelope(f, seed.path, seed.opts...)
+		f.Add(payload)
+	}
+	for _, seed := range handBuiltEnvelopes() {
+		f.Add(seed.payload)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		rep, err := DecodeResult(payload)
+		if err != nil {
+			return
+		}
+		switch rep.Verdict {
+		case VerdictSafe, VerdictUnsafe:
+		case VerdictIncomplete:
+			if !rep.Incomplete {
+				t.Fatal("incomplete verdict without Incomplete")
+			}
+		default:
+			t.Fatalf("decoded verdict %q", rep.Verdict)
+		}
+		if rep.Safe != (rep.Verdict == VerdictSafe) || rep.Incomplete == (len(rep.Limits) == 0) {
+			t.Fatalf("decoded Safe=%v Incomplete=%v Limits=%q with verdict %q", rep.Safe, rep.Incomplete, rep.Limits, rep.Verdict)
+		}
+		if rep.Groups != len(rep.Patches) {
+			t.Fatalf("decoded %d groups for %d patches", rep.Groups, len(rep.Patches))
+		}
+		if !strings.HasPrefix(rep.String(), "== WebSSARI report for ") {
+			t.Fatalf("decoded text lacks its header: %q", rep.String())
+		}
+		if _, stored := decodeEnvelope(payload, false); stored != (!rep.Incomplete && rep.Profile == nil) {
+			t.Fatalf("store decoder served=%v a wire report with Incomplete=%v, profile %v", stored, rep.Incomplete, rep.Profile != nil)
+		}
+		again, err := EncodeResult(rep)
+		if err != nil {
+			t.Fatalf("decoded report does not encode: %v", err)
+		}
+		back, err := DecodeResult(again)
+		if err != nil {
+			t.Fatalf("re-encoded report does not decode: %v", err)
+		}
+		j1, err1 := json.Marshal(rep)
+		j2, err2 := json.Marshal(back)
+		if err1 != nil || err2 != nil || string(j1) != string(j2) || rep.String() != back.String() {
+			t.Fatalf("report changed over a second round trip:\n%s\nvs\n%s", j1, j2)
+		}
+	})
+}
+
+// TestWireEnvelopeCarriesWhatTheStoreLeavesOut: an incomplete report,
+// with findings or without, and a report's profile cross the wire
+// intact — JSON, text and include snapshot — while the store's decoder
+// rejects both. A complete report's wire envelope is its store envelope
+// followed by the profile section.
+func TestWireEnvelopeCarriesWhatTheStoreLeavesOut(t *testing.T) {
+	budget := WithSolverConfig(SolverConfig{MaxConflicts: 1})
+	for _, path := range []string{"testdata/branchy/b5_four_conds.php", "testdata/branchy/b8_three_roots.php"} {
+		rep, payload := wireEnvelope(t, path, budget)
+		if !rep.Incomplete {
+			t.Fatalf("%s: not incomplete under a conflict budget of 1", path)
+		}
+		got, err := DecodeResult(payload)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		jw, _ := json.Marshal(rep)
+		jg, _ := json.Marshal(got)
+		if string(jg) != string(jw) || got.String() != rep.String() {
+			t.Fatalf("%s: report changed over the wire:\n%s\nvs\n%s", path, jg, jw)
+		}
+		if !reflect.DeepEqual(report.Includes(got), report.Includes(rep)) {
+			t.Fatalf("%s: include snapshot changed over the wire", path)
+		}
+		if _, ok := decodeEnvelope(payload, false); ok {
+			t.Fatalf("%s: the store's decoder served an incomplete report", path)
+		}
+	}
+
+	for _, tc := range handBuiltEnvelopes() {
+		if strings.HasPrefix(tc.name, "wire ") {
+			if _, err := DecodeResult(tc.payload); err != nil {
+				t.Fatalf("%s: the wire decoder rejected it: %v", tc.name, err)
+			}
+		}
+	}
+
+	rep, stored := persist(t, "testdata/branchy/b8_three_roots.php")
+	payload, err := EncodeResult(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Profile == nil || !bytes.HasPrefix(payload, stored) || len(payload) == len(stored) {
+		t.Fatal("a complete report's wire envelope is not its store envelope plus a profile section")
+	}
+	if _, ok := decodeEnvelope(payload, false); ok {
+		t.Fatal("the store's decoder served a profile section")
+	}
+	got, err := DecodeResult(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Profile, rep.Profile) {
+		t.Fatalf("profile changed over the wire: %+v vs %+v", got.Profile, rep.Profile)
+	}
+}
+
+// TestEncodeResultRejectsOversizeReport: a report with more trace steps
+// than the decoder accepts has no result envelope, so a daemon answers
+// it as a job failure rather than a payload no coordinator could read.
+func TestEncodeResultRejectsOversizeReport(t *testing.T) {
+	trace := make([]TraceStep, 1024)
+	for i := range trace {
+		trace[i].Location.Line = i
+	}
+	findings := make([]Finding, maxEnvelopeSteps/len(trace)+1)
+	for i := range findings {
+		findings[i] = Finding{Sink: "echo", Trace: trace}
+	}
+	rep := &Report{File: "big.php", Verdict: VerdictUnsafe, Findings: findings}
+	if _, err := EncodeResult(rep); err == nil {
+		t.Fatal("an envelope was encoded for more trace steps than the decoder accepts")
 	}
 }
 
@@ -220,10 +385,10 @@ func TestEnvelopeRoundTripCoversEveryField(t *testing.T) {
 	traces[0].Finding, traces[1].Finding = 1, 0
 	// A step shared by two traces, out of table order: two runs.
 	rep.Findings[1].Trace[1] = rep.Findings[0].Trace[0]
-	report.Attach(&rep, traces)
+	report.Attach(&rep, traces, inc)
 
-	payload := encodeEnvelope("name.php", &rep, inc)
-	got, gotInc, ok := decodeEnvelope(payload)
+	payload := encodeEnvelope("name.php", &rep, false)
+	got, ok := decodeEnvelope(payload, false)
 	if !ok {
 		t.Fatal("a complete report's envelope did not decode")
 	}
@@ -251,8 +416,8 @@ func TestEnvelopeRoundTripCoversEveryField(t *testing.T) {
 	if got.String() != rep.String() {
 		t.Fatalf("text changed over the envelope:\n%s\nvs\n%s", got.String(), rep.String())
 	}
-	if !reflect.DeepEqual(gotInc, inc) {
-		t.Fatalf("include snapshot changed over the envelope: %+v vs %+v", gotInc, inc)
+	if !reflect.DeepEqual(report.Includes(got), inc) {
+		t.Fatalf("include snapshot changed over the envelope: %+v vs %+v", report.Includes(got), inc)
 	}
 }
 

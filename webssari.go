@@ -656,19 +656,61 @@ func Verify(src []byte, name string, opts ...Option) (*Report, error) {
 // fresh reports are written back for future runs — including runs in
 // future processes.
 func VerifyContext(ctx context.Context, src []byte, name string, opts ...Option) (*Report, error) {
+	return VerifyRemote(ctx, src, name, nil, opts...)
+}
+
+// ErrRunHere is what an analysis step handed to VerifyRemote returns to
+// have the file analyzed in this process instead.
+var ErrRunHere = errors.New("webssari: analyze the file in this process")
+
+// VerifyRemote is VerifyContext with the analysis step handed in: the
+// result store is consulted first, and on a miss analyze runs in place
+// of the engine. It returns the report of a run elsewhere, decoded from
+// its result envelope (DecodeResult), or ErrRunHere to run the engine
+// here under opts; any other error is the verification's. Either way
+// the report is written to the store and recorded in the dependency
+// graph, from the include snapshot it carries, as a local one is. A nil
+// analyze always runs here. This is the cluster coordinator's entry
+// point: the step dispatches the file to a worker.
+func VerifyRemote(ctx context.Context, src []byte, name string, analyze func(context.Context) (*Report, error), opts ...Option) (*Report, error) {
 	cfg, err := buildConfig(opts)
 	if err != nil {
 		return nil, err
 	}
 	var key string
 	if cfg.resultStore != nil {
-		tctx := telemetry.WithTelemetry(ctx, cfg.telemetry)
 		key = resultKey(name, src, cfg)
-		if rep, inc, ok := storeGet(tctx, cfg, name, key); ok {
-			cfg.recordDeps(name, src, key, inc)
+		if rep, ok := storeGet(telemetry.WithTelemetry(ctx, cfg.telemetry), cfg, name, key); ok {
+			cfg.recordDeps(name, src, key, report.Includes(rep))
 			return rep, nil
 		}
 	}
+	err = ErrRunHere
+	var rep *Report
+	if analyze != nil {
+		rep, err = analyze(ctx)
+	}
+	if errors.Is(err, ErrRunHere) {
+		rep, err = analyzeHere(ctx, src, name, cfg)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if cfg.resultStore != nil {
+		storePut(telemetry.WithTelemetry(ctx, cfg.telemetry), cfg, name, key, rep)
+	}
+	if rep.Incomplete {
+		// Incomplete reports are never persisted; an empty key makes the
+		// dependency graph re-plan the file instead of trusting a miss.
+		key = ""
+	}
+	cfg.recordDeps(name, src, key, report.Includes(rep))
+	return rep, nil
+}
+
+// analyzeHere runs the engine on one file under its configured deadline
+// and builds the report.
+func analyzeHere(ctx context.Context, src []byte, name string, cfg *config) (*Report, error) {
 	ctx, cancel := cfg.applyDeadline(ctx)
 	defer cancel()
 	res, analysis, prof, err := runAnalysis(ctx, src, name, cfg)
@@ -677,15 +719,6 @@ func VerifyContext(ctx context.Context, src []byte, name string, opts ...Option)
 	}
 	rep := report.Build(res, analysis)
 	rep.Profile = prof
-	if cfg.resultStore != nil {
-		storePut(telemetry.WithTelemetry(ctx, cfg.telemetry), cfg, name, key, rep, res.AI.Includes)
-	}
-	if rep.Incomplete {
-		// Incomplete reports are never persisted; an empty key makes the
-		// dependency graph re-plan the file instead of trusting a miss.
-		key = ""
-	}
-	cfg.recordDeps(name, src, key, res.AI.Includes)
 	return rep, nil
 }
 
@@ -770,14 +803,10 @@ func VerifyToHTML(src []byte, name string, w io.Writer, opts ...Option) (*Report
 	if err != nil {
 		return nil, err
 	}
-	ctx, cancel := cfg.applyDeadline(context.Background())
-	defer cancel()
-	res, analysis, prof, err := runAnalysis(ctx, src, name, cfg)
+	rep, err := analyzeHere(context.Background(), src, name, cfg)
 	if err != nil {
 		return nil, err
 	}
-	rep := report.Build(res, analysis)
-	rep.Profile = prof
 	if err := report.WriteHTML(w, rep, map[string][]byte{name: src}); err != nil {
 		return nil, &EngineError{Stage: "report", File: name, Err: err}
 	}
