@@ -222,7 +222,6 @@ func run(args []string, ready chan<- string) int {
 	}
 
 	var coordinator *cluster.Coordinator
-	var svc *service.Server
 	if *coord {
 		ccfg := cluster.Config{
 			HeartbeatInterval: *heartbeat,
@@ -230,14 +229,6 @@ func run(args []string, ready chan<- string) int {
 			Fingerprint:       fingerprint,
 			Telemetry:         tel,
 			Logger:            logger,
-			// The service is assembled just below; by the time any
-			// /v1/cluster request arrives it is non-nil.
-			JobCounts: func() map[string]int64 {
-				if svc == nil {
-					return nil
-				}
-				return svc.JobsByPolicy()
-			},
 		}
 		coordinator = cluster.New(ccfg)
 		defer coordinator.Close()
@@ -246,7 +237,7 @@ func run(args []string, ready chan<- string) int {
 			*heartbeat, *hbMisses)
 	}
 
-	svc = service.New(svcCfg)
+	svc := service.New(svcCfg)
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

@@ -15,6 +15,7 @@ import (
 
 	"webssari"
 	"webssari/internal/service"
+	"webssari/internal/telemetry"
 )
 
 const ssrfSrc = `<?php
@@ -97,16 +98,17 @@ func TestClusterPolicyFingerprintGate(t *testing.T) {
 	}
 }
 
-// TestClusterStatusJobsByPolicy wires a daemon's per-policy counters
-// into the coordinator (as cmd/webssarid does) and reads them back from
-// GET /v1/cluster.
+// TestClusterStatusJobsByPolicy shares one Telemetry between a daemon's
+// service and the coordinator (as cmd/webssarid does) and reads the
+// service's per-policy counters back from GET /v1/cluster.
 func TestClusterStatusJobsByPolicy(t *testing.T) {
-	svc := service.New(service.Config{Workers: 1})
+	tel := telemetry.New()
+	svc := service.New(service.Config{Workers: 1, Telemetry: tel})
 	defer svc.Drain(context.Background())
 	wts := httptest.NewServer(svc.Handler())
 	defer wts.Close()
 
-	c, cts := newTestCoordinator(t, Config{JobCounts: svc.JobsByPolicy})
+	c, cts := newTestCoordinator(t, Config{Telemetry: tel})
 	mustRegister(t, c, wts.URL, "worker-1")
 	ctx := context.Background()
 

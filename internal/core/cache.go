@@ -7,8 +7,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sync"
-
-	"webssari/internal/telemetry"
 )
 
 // CompileCache memoizes the front end: repeated compilation of unchanged
@@ -32,14 +30,12 @@ import (
 // first caller compiles, the rest wait and count as hits, so hit/miss
 // totals for a fixed workload are the same at any parallelism.
 type CompileCache struct {
-	mu        sync.Mutex
-	entries   map[string]*cacheEntry
-	lru       *list.List // front = most recently used; values are *cacheEntry
-	max       int
-	hits      int64
-	misses    int64
-	evictions int64
-	stale     int64
+	mu      sync.Mutex
+	entries map[string]*cacheEntry
+	lru     *list.List // front = most recently used; values are *cacheEntry
+	max     int
+	hits    int64
+	misses  int64
 }
 
 type cacheEntry struct {
@@ -73,7 +69,8 @@ func NewCompileCache(max int) *CompileCache {
 // Compile is the caching equivalent of the package-level Compile. The
 // last result reports whether the Program came from cache (coalesced
 // waiters count as hits). The CompileStats are the stage timings of the
-// compile this call ran — also of a failed one — and zero on a hit.
+// compile this call ran — also of a failed one — and zero on a hit, plus
+// the entries the call evicted or found stale.
 // Failed compiles (nil Program) are returned to every coalesced waiter
 // but not retained.
 func (c *CompileCache) Compile(name string, src []byte, opts Options) (*Program, []error, CompileStats, bool) {
@@ -88,11 +85,10 @@ func (c *CompileCache) Compile(name string, src []byte, opts Options) (*Program,
 			// Stale include snapshot: drop the entry and recompile. The
 			// recompile goes through the cache again so concurrent callers
 			// still coalesce on the fresh entry.
-			c.mu.Lock()
-			c.stale++
-			c.mu.Unlock()
 			c.remove(key, e)
-			return c.Compile(name, src, opts)
+			prog, errs, stats, hit := c.Compile(name, src, opts)
+			stats.Stale++
+			return prog, errs, stats, hit
 		}
 		c.mu.Lock()
 		c.hits++
@@ -103,17 +99,19 @@ func (c *CompileCache) Compile(name string, src []byte, opts Options) (*Program,
 	e.elem = c.lru.PushFront(e)
 	c.entries[key] = e
 	c.misses++
+	var evicted int64
 	for c.lru.Len() > c.max {
 		oldest := c.lru.Back()
 		victim := oldest.Value.(*cacheEntry)
 		c.lru.Remove(oldest)
 		delete(c.entries, victim.key)
-		c.evictions++
+		evicted++
 	}
 	c.mu.Unlock()
 
 	var stats CompileStats
 	e.prog, stats, e.errs = compile(name, src, opts)
+	stats.Evicted = evicted
 	close(e.ready)
 	if e.prog == nil {
 		c.remove(key, e)
@@ -138,20 +136,6 @@ func (c *CompileCache) Stats() (hits, misses int64) {
 	return c.hits, c.misses
 }
 
-// StatsDetail returns the full cache profile: hits, misses, LRU
-// evictions, stale-include recompiles, and the current entry count.
-func (c *CompileCache) StatsDetail() telemetry.CacheProfile {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return telemetry.CacheProfile{
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Evictions: c.evictions,
-		Stale:     c.stale,
-		Entries:   c.lru.Len(),
-	}
-}
-
 // Len returns the number of retained Programs.
 func (c *CompileCache) Len() int {
 	c.mu.Lock()
@@ -166,7 +150,6 @@ func (c *CompileCache) Reset() {
 	c.entries = make(map[string]*cacheEntry)
 	c.lru.Init()
 	c.hits, c.misses = 0, 0
-	c.evictions, c.stale = 0, 0
 }
 
 // cacheKey derives the content key for one compile request.

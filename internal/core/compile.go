@@ -58,6 +58,11 @@ type CompileStats struct {
 	FlowNS        int64
 	RenameNS      int64
 	ConstraintsNS int64
+	// Evicted and Stale count what a CompileCache call did to the cache:
+	// entries its insertion evicted, and entries it dropped for a stale
+	// include snapshot before compiling afresh.
+	Evicted int64
+	Stale   int64
 }
 
 // Compile parses, filters, and compiles one PHP source text into a

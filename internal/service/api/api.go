@@ -248,12 +248,13 @@ type ClusterStatus struct {
 	Workers []WorkerStatus `json:"workers"`
 	// Live counts currently registered workers.
 	Live int `json:"live"`
-	// Evictions, Redispatches, and DegradedRuns mirror the cluster
-	// telemetry counters over the coordinator's lifetime.
+	// Evictions, Redispatches, and DegradedRuns count over the
+	// coordinator's lifetime; /metrics reads the same counters.
 	Evictions    int64 `json:"evictions"`
 	Redispatches int64 `json:"redispatches"`
 	DegradedRuns int64 `json:"degraded_runs"`
 	// JobsByPolicy counts completed jobs per security policy over the
-	// daemon's lifetime ("default" = no policy selected).
+	// daemon's lifetime ("default" = no policy selected), read from the
+	// webssari_jobs_total series; absent without telemetry.
 	JobsByPolicy map[string]int64 `json:"jobs_by_policy,omitempty"`
 }

@@ -20,21 +20,14 @@ func (r *Registry) writePrometheus(b *strings.Builder) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
-	counts := make(map[string]int64, len(r.counts))
-	for name, c := range r.counts {
-		counts[name] = c.Value()
-	}
-	gauges := make(map[string]int64, len(r.gauges))
-	for name, g := range r.gauges {
-		gauges[name] = g.Value()
-	}
+	counts, gauges := r.scalars()
 	type histSnap struct {
 		bounds []float64
 		cumul  []int64
 		sum    float64
 		count  int64
 	}
+	r.mu.Lock()
 	hists := make(map[string]histSnap, len(r.hists))
 	for name, h := range r.hists {
 		snap := histSnap{bounds: h.bounds, sum: h.Sum(), count: h.Count()}

@@ -126,6 +126,10 @@ type RunProfile struct {
 	SolveWallNS   int64 `json:"solve_wall_ns"`
 	// CacheHit is set on per-file profiles served from the compile cache.
 	CacheHit bool `json:"cache_hit,omitempty"`
+	// CacheEvictions and CacheStale count the compile-cache entries a
+	// file's compile evicted and dropped as stale.
+	CacheEvictions int64 `json:"-"`
+	CacheStale     int64 `json:"-"`
 	// StoreHit is set on per-file profiles served whole from the on-disk
 	// result store (tier 2): nothing was compiled or solved, so such a
 	// profile has no stage or solver data.
@@ -248,10 +252,11 @@ func (p *RunProfile) Merge(o *RunProfile) {
 
 // Record rolls a finished profile into r's series; it is the only writer
 // of the engine's verification metrics. A per-file profile adds the file,
-// assertion, counterexample, solver and degradation counters and its
-// stage samples: one per front-end stage, and one encode and one search
-// sample per assertion whose encoder and search ran. A project profile
-// (one with a Cache section) adds only the compile-cache and incremental
+// assertion, counterexample, solver, degradation and compile-cache
+// counters (one hit or miss per file) and its stage samples: one per
+// front-end stage, and one encode and one search sample per assertion
+// whose encoder and search ran. A project profile (one with a Cache
+// section) sets only the cache-entries gauge and adds the incremental
 // series, since its files were recorded as each one finished. A nil
 // registry or profile records nothing and allocates nothing.
 func (r *Registry) Record(p *RunProfile) {
@@ -259,10 +264,9 @@ func (r *Registry) Record(p *RunProfile) {
 		return
 	}
 	if c := p.Cache; c != nil {
-		r.Counter(MetricCacheHits).Add(c.Hits)
-		r.Counter(MetricCacheMisses).Add(c.Misses)
-		r.Counter(MetricCacheEvictions).Add(c.Evictions)
-		r.Counter(MetricCacheStale).Add(c.Stale)
+		for _, name := range []string{MetricCacheHits, MetricCacheMisses, MetricCacheEvictions, MetricCacheStale} {
+			r.Counter(name) // shown from a project's first run on, even if nothing compiled
+		}
 		r.Gauge(MetricCacheEntries).Set(int64(c.Entries))
 		if inc := p.Incremental; inc != nil {
 			r.Counter(MetricIncrementalPlanned).Add(int64(inc.Planned))
@@ -274,6 +278,13 @@ func (r *Registry) Record(p *RunProfile) {
 		}
 		return
 	}
+	if p.CacheHit {
+		r.Counter(MetricCacheHits).Inc()
+	} else {
+		r.Counter(MetricCacheMisses).Inc()
+	}
+	r.Counter(MetricCacheEvictions).Add(p.CacheEvictions)
+	r.Counter(MetricCacheStale).Add(p.CacheStale)
 	stage := func(name string, ns int64) {
 		r.Histogram(Name(MetricStageSeconds, "stage", name), nil).Observe(float64(ns) / 1e9)
 	}

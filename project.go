@@ -221,7 +221,6 @@ func verifyDirFiles(ctx context.Context, dir string, snap incremental.Snapshot, 
 	ctx = telemetry.WithTelemetry(ctx, tel)
 	_, dsp := telemetry.StartSpan(ctx, "verify_dir", "dir", dir)
 	defer dsp.End()
-	cacheBefore := defaultCompileCache.StatsDetail()
 
 	// Workers write only their own index; pr is assembled afterwards in
 	// sorted file order so the report is independent of scheduling.
@@ -288,7 +287,7 @@ func verifyDirFiles(ctx context.Context, dir string, snap incremental.Snapshot, 
 	}
 	wg.Wait()
 
-	prof := &RunProfile{}
+	prof := &RunProfile{Cache: &telemetry.CacheProfile{}}
 	for i := range phpFiles {
 		if fail := fails[i]; fail != nil {
 			pr.Failures = append(pr.Failures, *fail)
@@ -314,6 +313,10 @@ func verifyDirFiles(ctx context.Context, dir string, snap incremental.Snapshot, 
 			} else {
 				pr.CacheMisses++
 			}
+			if rep.Profile != nil {
+				prof.Cache.Evictions += rep.Profile.CacheEvictions
+				prof.Cache.Stale += rep.Profile.CacheStale
+			}
 		}
 		if rep.Verdict == VerdictUnsafe {
 			pr.VulnerableFiles++
@@ -322,17 +325,11 @@ func verifyDirFiles(ctx context.Context, dir string, snap incremental.Snapshot, 
 		}
 	}
 
-	// Project-level sections: the run's slice of the process-wide compile
-	// cache (deltas over this call; other concurrent runs in the same
-	// process bleed into the eviction/stale counts) and the file fan-out.
-	cacheAfter := defaultCompileCache.StatsDetail()
-	prof.Cache = &telemetry.CacheProfile{
-		Hits:      cacheAfter.Hits - cacheBefore.Hits,
-		Misses:    cacheAfter.Misses - cacheBefore.Misses,
-		Evictions: cacheAfter.Evictions - cacheBefore.Evictions,
-		Stale:     cacheAfter.Stale - cacheBefore.Stale,
-		Entries:   cacheAfter.Entries,
-	}
+	// Project-level sections: this run's own files' compile-cache
+	// outcomes, whatever else the process compiles meanwhile, and the
+	// file fan-out.
+	prof.Cache.Hits, prof.Cache.Misses = int64(pr.CacheHits), int64(pr.CacheMisses)
+	prof.Cache.Entries = defaultCompileCache.Len()
 	prof.Pool = &telemetry.PoolProfile{
 		Capacity: parallelism,
 		Acquires: started.Load(),

@@ -70,8 +70,7 @@ type StoreBackend = store.Backend
 // WithStoreBackend attaches an arbitrary result-store backend. It is
 // WithStore generalized: everything said there — soundness rules,
 // include revalidation, degrade-to-miss on damage — holds for any
-// backend, which must additionally tolerate an unreachable remote by
-// degrading to a cold cache.
+// backend.
 func WithStoreBackend(b StoreBackend) Option {
 	return func(c *config) error {
 		if b != nil {

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -329,5 +330,90 @@ func TestFileVerifierReportWithoutProfile(t *testing.T) {
 	if len(pr.Files) != n || pr.CacheMisses != n || pr.CacheHits != 0 {
 		t.Errorf("files %d, cache hits/misses %d/%d; want %d files, all misses",
 			len(pr.Files), pr.CacheHits, pr.CacheMisses, n)
+	}
+}
+
+// cacheSeries reads the compile-cache hit and miss series of a registry.
+func cacheSeries(tel *webssari.Telemetry) (hits, misses int64) {
+	snap := tel.Metrics.Snapshot()
+	return int64(snap[telemetry.MetricCacheHits]), int64(snap[telemetry.MetricCacheMisses])
+}
+
+// TestCompileCacheSeriesCountSingleFiles: a file verified three times
+// under one Telemetry is one compile-cache miss and two hits on
+// /metrics, counted from each file's own profile, not only by project
+// runs.
+func TestCompileCacheSeriesCountSingleFiles(t *testing.T) {
+	tel := webssari.NewTelemetry()
+	// A name under a fresh directory is a cache key no other test uses.
+	name := filepath.Join(t.TempDir(), "xss.php")
+	for range 3 {
+		if _, err := webssari.Verify([]byte(telemetryPages["xss.php"]), name, webssari.WithTelemetry(tel)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if hits, misses := cacheSeries(tel); hits != 2 || misses != 1 {
+		t.Fatalf("compile-cache series: hits %d, misses %d; want 2 and 1", hits, misses)
+	}
+}
+
+// TestCompileCacheSeriesPerRun runs two project runs at once: a
+// FileVerifier holds run A's first file until run B, over a warm cache,
+// has finished. Each run's registry and profile count its own files'
+// hits and misses, and nothing of the other run's.
+func TestCompileCacheSeriesPerRun(t *testing.T) {
+	dirA, dirB := writeTelemetryProject(t), writeTelemetryProject(t)
+	if _, err := webssari.VerifyDir(dirB); err != nil { // warm: run B is all hits
+		t.Fatal(err)
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	var held atomic.Bool
+	hold := func(ctx context.Context, src []byte, name string, opts ...webssari.Option) (*webssari.Report, error) {
+		if held.CompareAndSwap(false, true) {
+			close(entered)
+			<-release
+		}
+		return webssari.VerifyContext(ctx, src, name, opts...)
+	}
+	telA, telB := webssari.NewTelemetry(), webssari.NewTelemetry()
+	type result struct {
+		pr  *webssari.ProjectReport
+		err error
+	}
+	doneA := make(chan result, 1)
+	go func() {
+		pr, err := webssari.VerifyDir(dirA, webssari.WithParallelism(1),
+			webssari.WithTelemetry(telA), webssari.WithFileVerifier(hold))
+		doneA <- result{pr, err}
+	}()
+	<-entered
+	prB, err := webssari.VerifyDir(dirB, webssari.WithTelemetry(telB))
+	close(release)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := <-doneA
+	if a.err != nil {
+		t.Fatal(a.err)
+	}
+	n := len(telemetryPages)
+	for _, run := range []struct {
+		name         string
+		pr           *webssari.ProjectReport
+		tel          *webssari.Telemetry
+		hits, misses int
+	}{{"A", a.pr, telA, 0, n}, {"B", prB, telB, n, 0}} {
+		if run.pr.CacheHits != run.hits || run.pr.CacheMisses != run.misses {
+			t.Errorf("run %s: report hits %d, misses %d; want %d and %d",
+				run.name, run.pr.CacheHits, run.pr.CacheMisses, run.hits, run.misses)
+		}
+		if c := run.pr.Profile.Cache; c.Hits != int64(run.hits) || c.Misses != int64(run.misses) {
+			t.Errorf("run %s: profile hits %d, misses %d; want %d and %d",
+				run.name, c.Hits, c.Misses, run.hits, run.misses)
+		}
+		if hits, misses := cacheSeries(run.tel); hits != int64(run.hits) || misses != int64(run.misses) {
+			t.Errorf("run %s: /metrics hits %d, misses %d; want %d and %d",
+				run.name, hits, misses, run.hits, run.misses)
+		}
 	}
 }

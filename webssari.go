@@ -588,7 +588,8 @@ func runAnalysis(ctx context.Context, src []byte, name string, cfg *config) (res
 	eopts := cfg.engineOptions(ctx)
 	start := time.Now()
 	prog, errs, cs, hit := defaultCompileCache.Compile(name, src, eopts)
-	prof = &RunProfile{CompileWallNS: time.Since(start).Nanoseconds(), CacheHit: hit}
+	prof = &RunProfile{CompileWallNS: time.Since(start).Nanoseconds(), CacheHit: hit,
+		CacheEvictions: cs.Evicted, CacheStale: cs.Stale}
 	// Only the stages this call ran count: a cache hit has zero stats, as
 	// counting another compile's work again would double-book it in
 	// project aggregates, and a failed compile stops at the failing stage.
