@@ -152,8 +152,8 @@ func TestClusterIncompleteReportsOverTheWire(t *testing.T) {
 	if incomplete == 0 || unsafeIncomplete == 0 {
 		t.Fatalf("%d incomplete and %d unsafe-and-incomplete reports; the budget should produce both", incomplete, unsafeIncomplete)
 	}
-	if st.Len() != complete {
-		t.Fatalf("coordinator store holds %d entries; want only the %d complete reports", st.Len(), complete)
+	if st.Stats().Entries != complete {
+		t.Fatalf("coordinator store holds %d entries; want only the %d complete reports", st.Stats().Entries, complete)
 	}
 }
 
