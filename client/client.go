@@ -374,8 +374,8 @@ func (c *Client) FileResult(ctx context.Context, id string) (*webssari.Report, e
 }
 
 // JobTrace downloads a job's Chrome/Perfetto trace document — the
-// job's spans, and (for coordinator-run jobs) the stitched span exports
-// of every worker that verified files for it. Available while the job
+// job's spans, and (for coordinator-run jobs) the engine spans of every
+// file a worker verified for it, drawn from the worker's profile. Available while the job
 // runs (partial) and after it finishes; 404s when the daemon runs
 // without telemetry.
 func (c *Client) JobTrace(ctx context.Context, id string) (telemetry.TraceDoc, error) {

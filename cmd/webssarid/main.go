@@ -86,7 +86,7 @@
 //	GET  /v1/jobs/{id}/stream NDJSON, one report per file as it completes
 //	                          (watch jobs add one summary line per round)
 //	GET  /v1/jobs/{id}/trace  Chrome/Perfetto trace of the job (clustered
-//	                          jobs include stitched worker spans)
+//	                          jobs include each worker's engine spans)
 //	GET  /v1/version          build and schema version
 //	GET  /healthz             liveness, queue occupancy, version, uptime
 //	GET  /metrics             Prometheus exposition

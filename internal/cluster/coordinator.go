@@ -426,29 +426,12 @@ func (c *Coordinator) liveWorkers() int {
 
 // --- dispatch ---
 
-// runStats accumulates one run's placement outcomes (hit concurrently
-// by the per-file dispatchers).
+// runStats accumulates one run's placement outcomes into the profile
+// section the run reports; the per-file dispatchers write it
+// concurrently under mu.
 type runStats struct {
-	mu           sync.Mutex
-	workers      int
-	remote       int
-	local        int
-	redispatches int
-	replayed     int
-	degraded     bool
-}
-
-func (s *runStats) profile() *telemetry.ClusterProfile {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return &telemetry.ClusterProfile{
-		Workers:      s.workers,
-		Remote:       s.remote,
-		Local:        s.local,
-		Redispatches: s.redispatches,
-		Replayed:     s.replayed,
-		Degraded:     s.degraded,
-	}
+	mu   sync.Mutex
+	prof telemetry.ClusterProfile
 }
 
 // pick chooses the dispatch target for a key's attempt: the ring
@@ -547,7 +530,7 @@ func (c *Coordinator) dispatchFile(ctx context.Context, src []byte, name string,
 		if attempt > 1 {
 			c.redispatches.Inc()
 			stats.mu.Lock()
-			stats.redispatches++
+			stats.prof.Redispatches++
 			stats.mu.Unlock()
 			telemetry.Instant(ctx, "redispatch", "file", name, "worker", w.id, "attempt", attempt)
 			log.Info("redispatching", "worker", w.id, "attempt", attempt)
@@ -569,7 +552,7 @@ func (c *Coordinator) dispatchFile(ctx context.Context, src []byte, name string,
 			w.breaker.Success()
 			c.cRemote.Inc()
 			stats.mu.Lock()
-			stats.remote++
+			stats.prof.Remote++
 			stats.mu.Unlock()
 			log.Debug("file verified remotely", "worker", w.id, "attempt", attempt)
 			return rep, nil
@@ -587,8 +570,8 @@ func (c *Coordinator) dispatchFile(ctx context.Context, src []byte, name string,
 			w.breaker.Success()
 			c.cLocal.Inc()
 			stats.mu.Lock()
-			stats.local++
-			stats.replayed++
+			stats.prof.Local++
+			stats.prof.Replayed++
 			stats.mu.Unlock()
 			log.Info("replaying deterministic failure locally", "worker", w.id)
 			return nil, webssari.ErrRunHere
@@ -609,8 +592,8 @@ func (c *Coordinator) dispatchFile(ctx context.Context, src []byte, name string,
 	// so run it here rather than fail it. Same options, same verdict —
 	// only the profile's cluster section records that we degraded.
 	stats.mu.Lock()
-	stats.local++
-	stats.degraded = true
+	stats.prof.Local++
+	stats.prof.Degraded = true
 	stats.mu.Unlock()
 	c.cLocal.Inc()
 	telemetry.Instant(ctx, "degraded", "file", name)
@@ -663,40 +646,29 @@ func (c *Coordinator) remoteVerify(ctx context.Context, w *worker, sreq api.Subm
 	if _, err := w.client.Wait(dctx, sub.Job); err != nil {
 		return nil, err
 	}
+	waited := time.Now()
 	rep, err := w.client.FileResult(dctx, sub.Job)
 	if err != nil {
 		return nil, err
 	}
-	c.ingestWorkerTrace(ctx, dctx, w, sub.Job)
+	// The worker's engine spans come from the profile its result carries,
+	// drawn to end when Wait returned, on a track labeled with the worker.
+	if p := rep.Profile; p != nil {
+		label := w.name
+		if label == "" {
+			label = w.id
+		}
+		telemetry.DrawProfile(ctx, waited.Add(-p.CompileWall()-p.SolveWall()), sreq.Name, p,
+			fmt.Sprintf("worker %s (%s)", label, w.addr))
+	}
 	return rep, nil
-}
-
-// ingestWorkerTrace stitches the worker's span export for one dispatched
-// job into the coordinator-side job tracer, labeled with the worker's
-// identity — this is what makes GET /v1/jobs/{id}/trace on the
-// coordinator a single artifact covering the whole distributed run. A
-// fetch failure only costs trace completeness, never the dispatch.
-func (c *Coordinator) ingestWorkerTrace(ctx, dctx context.Context, w *worker, remoteJob string) {
-	tel := telemetry.From(ctx)
-	if tel == nil || tel.Tracer == nil {
-		return
-	}
-	doc, err := w.client.JobTrace(dctx, remoteJob)
-	if err != nil {
-		return
-	}
-	label := w.name
-	if label == "" {
-		label = w.id
-	}
-	tel.Tracer.Ingest(doc, fmt.Sprintf("worker %s (%s)", label, w.addr))
 }
 
 // --- Runner surface (what webssarid routes jobs through) ---
 
 // VerifyFile verifies one source through the cluster.
 func (c *Coordinator) VerifyFile(ctx context.Context, src []byte, name string, opts ...webssari.Option) (*webssari.Report, error) {
-	stats := &runStats{workers: c.liveWorkers()}
+	stats := &runStats{prof: telemetry.ClusterProfile{Workers: c.liveWorkers()}}
 	rep, err := c.verify(ctx, src, name, opts, stats)
 	if err != nil {
 		return nil, err
@@ -704,8 +676,7 @@ func (c *Coordinator) VerifyFile(ctx context.Context, src []byte, name string, o
 	if rep.Profile == nil {
 		rep.Profile = &webssari.RunProfile{}
 	}
-	rep.Profile.Cluster = stats.profile()
-	c.noteDegraded(stats)
+	rep.Profile.Cluster = c.finishRun(stats)
 	return rep, nil
 }
 
@@ -714,7 +685,7 @@ func (c *Coordinator) VerifyFile(ctx context.Context, src []byte, name string, o
 // walk, result assembly, and report shape are the engine's own, which
 // is why clustered project reports are byte-identical to local ones.
 func (c *Coordinator) VerifyDir(ctx context.Context, dir string, opts ...webssari.Option) (*webssari.ProjectReport, error) {
-	stats := &runStats{workers: c.liveWorkers()}
+	stats := &runStats{prof: telemetry.ClusterProfile{Workers: c.liveWorkers()}}
 	dopts := append(append([]webssari.Option(nil), opts...),
 		webssari.WithFileVerifier(func(fctx context.Context, src []byte, name string, fopts ...webssari.Option) (*webssari.Report, error) {
 			return c.verify(fctx, src, name, fopts, stats)
@@ -726,19 +697,19 @@ func (c *Coordinator) VerifyDir(ctx context.Context, dir string, opts ...webssar
 	if pr.Profile == nil {
 		pr.Profile = &webssari.RunProfile{}
 	}
-	pr.Profile.Cluster = stats.profile()
-	c.noteDegraded(stats)
+	pr.Profile.Cluster = c.finishRun(stats)
 	return pr, nil
 }
 
-// noteDegraded counts a degraded run once per run.
-func (c *Coordinator) noteDegraded(stats *runStats) {
+// finishRun counts a degraded run once per run and returns the run's
+// cluster profile section.
+func (c *Coordinator) finishRun(stats *runStats) *telemetry.ClusterProfile {
 	stats.mu.Lock()
-	degraded := stats.degraded
-	stats.mu.Unlock()
-	if degraded {
+	defer stats.mu.Unlock()
+	if stats.prof.Degraded {
 		c.degradedRuns.Inc()
 	}
+	return &stats.prof
 }
 
 // --- HTTP surface ---

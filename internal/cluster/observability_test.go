@@ -15,6 +15,7 @@ import (
 	"sync"
 	"testing"
 
+	"webssari"
 	"webssari/client"
 	"webssari/internal/service"
 	"webssari/internal/telemetry"
@@ -164,6 +165,70 @@ func TestTraceparentPropagation(t *testing.T) {
 	}
 	if !strings.Contains(workerLog.String(), tc.TraceID) {
 		t.Fatalf("worker logs never mention trace %s:\n%s", tc.TraceID, workerLog.String())
+	}
+}
+
+// TestClusteredFileRequests counts the requests a worker receives for
+// one clustered file job: the submission, the wait and the result
+// envelope, and no trace fetch — the worker's engine spans in the job's
+// trace are drawn from the profile its result carries.
+func TestClusteredFileRequests(t *testing.T) {
+	webssari.ResetCompileCache() // a cold compile, so the worker's profile has every stage
+	var mu sync.Mutex
+	var routes []string
+	wh := service.New(service.Config{Telemetry: telemetry.New()}).Handler()
+	wts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		parts := strings.Split(r.URL.Path, "/")
+		if len(parts) > 3 && parts[2] == "jobs" {
+			parts[3] = "{id}"
+		}
+		mu.Lock()
+		routes = append(routes, r.Method+" "+strings.Join(parts, "/"))
+		mu.Unlock()
+		wh.ServeHTTP(w, r)
+	}))
+	t.Cleanup(wts.Close)
+
+	c, _ := newTestCoordinator(t, Config{})
+	mustRegister(t, c, wts.URL, "w-1")
+	front := httptest.NewServer(service.New(service.Config{Runner: c, Telemetry: telemetry.New()}).Handler())
+	t.Cleanup(front.Close)
+	cl := client.New(front.URL)
+	ctx := context.Background()
+	sub, err := cl.SubmitFile(ctx, client.SubmitFileRequest{Name: "guestbook.php", Source: testCorpus["guestbook.php"]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Wait(ctx, sub.Job); err != nil {
+		t.Fatal(err)
+	}
+
+	mu.Lock()
+	got := strings.Join(routes, ", ")
+	mu.Unlock()
+	if want := "POST /v1/files, GET /v1/jobs/{id}/wait, GET /v1/jobs/{id}/result"; got != want {
+		t.Fatalf("worker requests: %s; want %s", got, want)
+	}
+
+	// The job's trace still shows the worker's engine spans.
+	doc, err := cl.JobTrace(ctx, sub.Job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var workerPID int64
+	stages := map[string]bool{}
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "M" && ev.Name == "process_name" && strings.HasPrefix(ev.Args["name"].(string), "worker w-1 (") {
+			workerPID = ev.PID
+		}
+		if workerPID != 0 && ev.PID == workerPID {
+			stages[ev.Name] = true
+		}
+	}
+	for _, want := range []string{"parse", "lower", "flow", "rename", "constraints", "solve", "assert", "encode"} {
+		if !stages[want] {
+			t.Errorf("worker track has no %s span: %v", want, stages)
+		}
 	}
 }
 

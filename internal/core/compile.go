@@ -8,7 +8,6 @@ package core
 // consume any number of times, concurrently.
 
 import (
-	"context"
 	"time"
 
 	"webssari/internal/ai"
@@ -17,7 +16,6 @@ import (
 	"webssari/internal/ir"
 	"webssari/internal/php/parser"
 	"webssari/internal/rename"
-	"webssari/internal/telemetry"
 )
 
 // Program is the compiled form of one verification unit: the abstract
@@ -48,10 +46,10 @@ type Program struct {
 	Stats CompileStats
 }
 
-// CompileStats records the front end's per-stage wall time. It is always
-// populated — the cost is two clock reads per stage — so run profiles
-// have a stage breakdown even when no telemetry sink is attached. (A
-// cached Program carries the stats of its original compile.)
+// CompileStats records the front end's per-stage wall time — two clock
+// reads per stage — from which the run profile's stage table and a
+// traced run's stage spans are drawn. (A cached Program carries the
+// stats of its original compile.)
 type CompileStats struct {
 	ParseNS       int64
 	LowerNS       int64
@@ -71,8 +69,7 @@ type CompileStats struct {
 // (making its results Incomplete) and also returned for callers that want
 // them as errors. On a nil Program the error list explains why.
 //
-// Each stage is timed into the Program's CompileStats and, when opts.Ctx
-// carries a Telemetry, emitted as a trace span.
+// Each stage is timed into the Program's CompileStats.
 func Compile(name string, src []byte, opts Options) (*Program, []error) {
 	p, _, errs := compile(name, src, opts)
 	return p, errs
@@ -81,17 +78,13 @@ func Compile(name string, src []byte, opts Options) (*Program, []error) {
 // compile is Compile that also returns the stage timings on failure:
 // the stages that ran before the failing one keep their wall times.
 func compile(name string, src []byte, opts Options) (*Program, CompileStats, []error) {
-	ctx := opts.context()
-
 	var (
 		parsed *parser.Result
 		errs   []error
 		stats  CompileStats
 	)
 	start := time.Now()
-	_, sp := telemetry.StartSpan(ctx, "parse", "file", name)
 	err := guard("parse", func() { parsed = parser.Parse(name, src) })
-	sp.End()
 	stats.ParseNS = time.Since(start).Nanoseconds()
 	if err != nil {
 		return nil, stats, []error{err}
@@ -103,9 +96,7 @@ func compile(name string, src []byte, opts Options) (*Program, CompileStats, []e
 		lowerErr error
 	)
 	start = time.Now()
-	_, sp = telemetry.StartSpan(ctx, "lower", "file", name)
 	err = guard("lower", func() { unit, lowerErr = ir.Lower(parsed.File) })
-	sp.End()
 	stats.LowerNS = time.Since(start).Nanoseconds()
 	if err != nil {
 		return nil, stats, append([]error{err}, errs...)
@@ -119,9 +110,7 @@ func compile(name string, src []byte, opts Options) (*Program, CompileStats, []e
 		buildErr error
 	)
 	start = time.Now()
-	_, sp = telemetry.StartSpan(ctx, "flow", "file", name)
 	err = guard("flow", func() { prog, buildErr = flow.BuildUnit(unit, opts.Flow) })
-	sp.End()
 	stats.FlowNS = time.Since(start).Nanoseconds()
 	if err != nil {
 		return nil, stats, append([]error{err}, errs...)
@@ -130,7 +119,7 @@ func compile(name string, src []byte, opts Options) (*Program, CompileStats, []e
 		return nil, stats, append([]error{buildErr}, errs...)
 	}
 
-	p, cerr := compileAI(ctx, prog, &stats)
+	p, cerr := compileAI(prog, &stats)
 	if cerr != nil {
 		return nil, stats, append(errs, cerr)
 	}
@@ -145,27 +134,23 @@ func compile(name string, src []byte, opts Options) (*Program, CompileStats, []e
 // generation — over an existing abstract interpretation. A panic is
 // recovered into a *StageError.
 func CompileAI(prog *ai.Program) (*Program, error) {
-	return compileAI(context.Background(), prog, &CompileStats{})
+	return compileAI(prog, &CompileStats{})
 }
 
 // compileAI records the rename and constraints stages into stats, which
 // becomes the returned Program's Stats.
-func compileAI(ctx context.Context, prog *ai.Program, stats *CompileStats) (*Program, error) {
+func compileAI(prog *ai.Program, stats *CompileStats) (*Program, error) {
 	var (
 		ren *rename.Program
 		sys *constraint.System
 	)
 	if err := guard("constraint", func() {
 		start := time.Now()
-		_, sp := telemetry.StartSpan(ctx, "rename")
 		ren = rename.Rename(prog)
-		sp.End()
 		stats.RenameNS = time.Since(start).Nanoseconds()
 
 		start = time.Now()
-		_, sp = telemetry.StartSpan(ctx, "constraints")
 		sys = constraint.Build(ren)
-		sp.End()
 		stats.ConstraintsNS = time.Since(start).Nanoseconds()
 	}); err != nil {
 		return nil, err

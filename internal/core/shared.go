@@ -7,7 +7,6 @@ import (
 	"webssari/internal/cnf"
 	"webssari/internal/constraint"
 	"webssari/internal/sat"
-	"webssari/internal/telemetry"
 )
 
 // This file implements the shared-solver verification mode: one
@@ -49,16 +48,11 @@ func SolveShared(ctx context.Context, p *Program, opts Options) *Result {
 		ParseErrors: append([]string(nil), p.ParseErrors...),
 	}
 
-	ctx, ssp := telemetry.StartSpan(ctx, "solve_shared", "asserts", len(sys.Checks))
-	defer ssp.End()
-
 	// The one whole-program encoding is charged to assertion 0, and each
 	// assertion's enumeration is its search, so the profile counts one
 	// encode and one search per searched assertion.
 	encStart := time.Now()
-	_, esp := telemetry.StartSpan(ctx, "encode")
 	encoded, err := cnf.EncodeAllChecks(sys, opts.cnfOptions())
-	esp.End()
 	encodeTime := time.Since(encStart)
 	if err != nil {
 		// The whole-program formula tripped a ceiling: no assertion can
@@ -97,12 +91,10 @@ func SolveShared(ctx context.Context, p *Program, opts Options) *Result {
 			continue
 		}
 		searchStart := time.Now()
-		_, srsp := telemetry.StartSpan(ctx, "search", "index", i)
 		enumerateShared(sys, encoded, solver, i, opts, ar)
 		now := solver.Stats()
 		ar.SolverStats = now.Sub(charged)
 		charged = now
-		srsp.End()
 		ar.SearchTime = time.Since(searchStart)
 		sortCounterexamples(ar)
 	}

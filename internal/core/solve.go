@@ -20,7 +20,6 @@ import (
 	"webssari/internal/lattice"
 	"webssari/internal/rename"
 	"webssari/internal/sat"
-	"webssari/internal/telemetry"
 )
 
 // Solve runs the model checker over a compiled Program: the §3.3.2 loop,
@@ -63,8 +62,6 @@ func Solve(ctx context.Context, p *Program, opts Options) *Result {
 	if n == 0 {
 		return res
 	}
-	ctx, ssp := telemetry.StartSpan(ctx, "solve", "asserts", n)
-	defer ssp.End()
 	for idx := range sys.Checks {
 		if ctx.Err() != nil {
 			// Deadline expired: degrade instead of aborting, so the report
@@ -114,15 +111,8 @@ func checkAssertion(ctx context.Context, sys *constraint.System, idx int, opts O
 	check := sys.Checks[idx]
 	ar = &AssertResult{Assert: check.Origin}
 
-	// A file's assertions run one after another, so each assert span
-	// nests on the file's lane; encode/search spans nest under it.
-	ctx, asp := telemetry.StartSpan(ctx, "assert", "index", idx)
-	defer asp.End()
-
 	encStart := time.Now()
-	_, esp := telemetry.StartSpan(ctx, "encode")
 	encoded, err := cnf.EncodeCheck(sys, idx, opts.cnfOptions())
-	esp.End()
 	ar.EncodeTime = time.Since(encStart)
 	var lim *cnf.LimitError
 	if errors.As(err, &lim) {
@@ -135,8 +125,6 @@ func checkAssertion(ctx context.Context, sys *constraint.System, idx int, opts O
 	}
 	ar.EncodedVars = encoded.F.NumVars
 	ar.EncodedClauses = len(encoded.F.Clauses)
-	asp.SetArg("vars", ar.EncodedVars)
-	asp.SetArg("clauses", ar.EncodedClauses)
 	if encoded.Trivial == cnf.TrivialUnsat {
 		return ar, nil
 	}
@@ -164,12 +152,10 @@ func enumerateAssert(ctx context.Context, sys *constraint.System, idx int, encod
 
 	// The search below has several exit paths (including clause loading
 	// detecting trivial unsatisfiability); a deferred close stamps the
-	// search span and duration on every one of them, keeping the trace
-	// consistent with the profile's per-assertion search count.
+	// search duration on every one of them, so the profile counts one
+	// search per assertion that reached the solver.
 	searchStart := time.Now()
-	_, srsp := telemetry.StartSpan(ctx, "search")
 	defer func() {
-		srsp.End()
 		ar.SearchTime = time.Since(searchStart)
 		sortCounterexamples(ar)
 	}()

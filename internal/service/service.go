@@ -64,8 +64,8 @@
 // downstream (the cluster coordinator forwards it per dispatch, workers
 // extract it again). Each job records its spans into a private tracer,
 // so GET /v1/jobs/{id}/trace serves one Perfetto-loadable document per
-// job; in coordinator mode the document also contains the workers'
-// stitched span exports. Request latency per /v1 route, queue wait,
+// job; in coordinator mode the document also holds the engine spans of
+// every file a worker verified, drawn from the profile its result carries. Request latency per /v1 route, queue wait,
 // and latency-objective breaches (`webssari_slo_breaches_total`) are on
 // /metrics; files slower than Config.SlowFile produce a warn-level log
 // entry with the trace ID.
@@ -714,7 +714,7 @@ func (s *Server) runJob(j *job) {
 
 	// Each job records spans into a private tracer (shared metrics, own
 	// trace) so GET /v1/jobs/{id}/trace can serve a per-job document; the
-	// coordinator also stitches worker exports into it.
+	// coordinator also draws its workers' engine spans into it.
 	jobTel := s.cfg.Telemetry
 	if jobTel != nil {
 		tr := telemetry.NewTracer()
@@ -1179,9 +1179,9 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 
 // handleJobTrace serves the job's span recording as a Chrome/Perfetto
 // trace-event document. For a job run by the cluster coordinator the
-// document also contains the stitched span exports of every worker that
-// verified files for it — one downloadable artifact explains the whole
-// distributed run. Available as soon as the job starts (a running job
+// document also holds, on one track per dispatched file, the engine
+// spans drawn from each worker's returned profile — one downloadable
+// artifact explains the whole distributed run. Available as soon as the job starts (a running job
 // serves a partial trace) and retained with the job history.
 func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	j := s.lookup(r.PathValue("id"))
@@ -1197,7 +1197,7 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	_ = tr.WriteDoc(w)
+	_ = tr.WriteJSON(w)
 }
 
 // handleJobWait answers the job's status once it is done or failed, in

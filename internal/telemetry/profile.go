@@ -256,18 +256,18 @@ func (p *RunProfile) Merge(o *RunProfile) {
 // counters (one hit or miss per file) and its stage samples: one per
 // front-end stage, and one encode and one search sample per assertion
 // whose encoder and search ran. A project profile (one with a Cache
-// section) sets only the cache-entries gauge and adds the incremental
-// series, since its files were recorded as each one finished. A nil
+// section) only shows the cache counters and adds the incremental
+// series, since its files were recorded as each one finished; the
+// cache-entries gauge is read from the cache itself. A nil
 // registry or profile records nothing and allocates nothing.
 func (r *Registry) Record(p *RunProfile) {
 	if r == nil || p == nil {
 		return
 	}
-	if c := p.Cache; c != nil {
+	if p.Cache != nil {
 		for _, name := range []string{MetricCacheHits, MetricCacheMisses, MetricCacheEvictions, MetricCacheStale} {
 			r.Counter(name) // shown from a project's first run on, even if nothing compiled
 		}
-		r.Gauge(MetricCacheEntries).Set(int64(c.Entries))
 		if inc := p.Incremental; inc != nil {
 			r.Counter(MetricIncrementalPlanned).Add(int64(inc.Planned))
 			r.Counter(MetricIncrementalSkipped).Add(int64(inc.Skipped))

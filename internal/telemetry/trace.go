@@ -25,16 +25,12 @@ type Event struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// TraceDoc is the wire form of a tracer's output: the Chrome trace-event
-// document plus the tracer's epoch as a Unix-microsecond timestamp so a
-// receiving process can rebase the (relative) event timestamps onto its
-// own epoch when stitching (Tracer.Ingest). This is what
-// GET /v1/jobs/{id}/trace serves.
+// TraceDoc is the document Tracer.WriteJSON writes and
+// GET /v1/jobs/{id}/trace serves: the Chrome trace-event list, plus the
+// count of events the tracer's cap discarded when there were any.
 type TraceDoc struct {
 	TraceEvents     []Event `json:"traceEvents"`
 	DisplayTimeUnit string  `json:"displayTimeUnit,omitempty"`
-	// BaseUnixMicro is the producing tracer's epoch (Unix µs).
-	BaseUnixMicro int64 `json:"baseUnixMicro,omitempty"`
 	// DroppedEvents counts events discarded by the tracer's event cap.
 	DroppedEvents int64 `json:"droppedEvents,omitempty"`
 }
@@ -49,7 +45,7 @@ type Tracer struct {
 	events  []Event
 	dropped int64
 	limit   int   // max retained events; 0 = unbounded
-	procs   int64 // extra pids handed out by Ingest (local events use pid 1)
+	procs   int64 // extra pids handed out by DrawProfile (local events use pid 1)
 	base    time.Time
 	now     func() time.Time
 	lanes   atomic.Int64
@@ -113,75 +109,101 @@ func (t *Tracer) Events() []Event {
 }
 
 // WriteJSON writes the collected events as a Chrome trace-event JSON
-// object: {"traceEvents": [...], "displayTimeUnit": "ms"}.
+// object (TraceDoc): {"traceEvents": [...], "displayTimeUnit": "ms"},
+// with "droppedEvents" when the event cap discarded any.
 func (t *Tracer) WriteJSON(w io.Writer) error {
-	events := t.Events()
-	if events == nil {
-		events = []Event{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(struct {
-		TraceEvents     []Event `json:"traceEvents"`
-		DisplayTimeUnit string  `json:"displayTimeUnit"`
-	}{events, "ms"})
-}
-
-// Doc snapshots the tracer as a TraceDoc suitable for shipping across
-// a process boundary and re-ingesting.
-func (t *Tracer) Doc() TraceDoc {
 	doc := TraceDoc{TraceEvents: []Event{}, DisplayTimeUnit: "ms"}
-	if t == nil {
-		return doc
+	if t != nil {
+		t.mu.Lock()
+		doc.TraceEvents = append(doc.TraceEvents, t.events...)
+		doc.DroppedEvents = t.dropped
+		t.mu.Unlock()
 	}
-	t.mu.Lock()
-	doc.TraceEvents = append(doc.TraceEvents, t.events...)
-	doc.DroppedEvents = t.dropped
-	doc.BaseUnixMicro = t.base.UnixMicro()
-	t.mu.Unlock()
-	return doc
-}
-
-// WriteDoc writes the TraceDoc snapshot as indented JSON. The document
-// is a superset of WriteJSON's output and still loads directly into
-// Perfetto / chrome://tracing (extra top-level keys are ignored there).
-func (t *Tracer) WriteDoc(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
-	return enc.Encode(t.Doc())
+	return enc.Encode(doc)
 }
 
-// Ingest stitches another process's trace into this tracer: the
-// document's events are assigned a fresh trace pid (local spans live on
-// pid 1), labeled with a process_name metadata event so trace viewers
-// title the lane group, and rebased from the remote tracer's epoch onto
-// this tracer's. Lanes (tids) within the ingested document are
-// preserved, so the remote flame graph structure survives stitching.
-// The coordinator uses this to assemble one job-wide trace from worker
-// span exports.
-func (t *Tracer) Ingest(doc TraceDoc, process string) {
-	if t == nil {
+// DrawProfile records a verified file's engine spans, drawn from its
+// profile rather than timed a second time. The compile stages that ran
+// go back to back from start (parse, lower and flow carry the file
+// name); from start plus the compile wall time a solve span holds, back
+// to back, one assert span per assertion whose encoder or search ran,
+// each holding its encode and then its search. The spans land on the
+// lane of ctx's current span; with a non-empty process they land
+// instead on a fresh pid that a process_name event labels process,
+// which is how a coordinator shows the work a worker did for it. No-op
+// without a tracer.
+func DrawProfile(ctx context.Context, start time.Time, file string, p *RunProfile, process string) {
+	tel := From(ctx)
+	if tel == nil || tel.Tracer == nil || p == nil {
 		return
+	}
+	t := tel.Tracer
+	var traceID string
+	if tc := TraceContextFrom(ctx); tc.Valid() {
+		traceID = tc.TraceID
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.procs++
-	pid := 1 + t.procs
-	offset := doc.BaseUnixMicro - t.base.UnixMicro()
-	t.appendLocked(Event{
-		Name: "process_name",
-		Ph:   "M",
-		PID:  pid,
-		Args: map[string]any{"name": process},
-	})
-	for _, ev := range doc.TraceEvents {
-		ev.PID = pid
-		if ev.Ph != "M" { // metadata events carry no timestamp
-			ev.TS += offset
-		}
-		t.appendLocked(ev)
+	pid, lane := int64(1), int64(0)
+	if process != "" {
+		t.procs++
+		pid = 1 + t.procs
+		t.appendLocked(Event{Name: "process_name", Ph: "M", PID: pid, Args: map[string]any{"name": process}})
+	} else if parent, _ := ctx.Value(spanKey).(*Span); parent != nil {
+		lane = parent.lane
 	}
-	t.dropped += doc.DroppedEvents
+	at := start.Sub(t.base)
+	span := func(name string, ns int64, kv ...any) {
+		var args map[string]any
+		if len(kv) > 0 || traceID != "" {
+			args = make(map[string]any, len(kv)/2+1)
+			for i := 0; i+1 < len(kv); i += 2 {
+				args[kv[i].(string)] = kv[i+1]
+			}
+			if traceID != "" {
+				args["trace_id"] = traceID
+			}
+		}
+		t.appendLocked(Event{Name: name, Cat: "pipeline", Ph: "X",
+			TS: at.Microseconds(), Dur: time.Duration(ns).Microseconds(), PID: pid, TID: lane, Args: args})
+	}
+	wall := make(map[string]int64, len(p.Stages))
+	for _, st := range p.Stages {
+		wall[st.Name] = st.WallNS
+	}
+	for _, name := range [...]string{"parse", "lower", "flow", "rename", "constraints"} {
+		ns := wall[name]
+		if ns == 0 {
+			continue
+		}
+		if name == "rename" || name == "constraints" {
+			span(name, ns)
+		} else {
+			span(name, ns, "file", file)
+		}
+		at += time.Duration(ns)
+	}
+	if len(p.Assertions) == 0 {
+		return
+	}
+	at = start.Sub(t.base) + time.Duration(p.CompileWallNS)
+	span("solve", p.SolveWallNS, "asserts", len(p.Assertions))
+	for _, a := range p.Assertions {
+		if a.EncodeNS == 0 && a.SearchNS == 0 {
+			continue
+		}
+		span("assert", a.EncodeNS+a.SearchNS, "index", a.Index, "vars", a.Vars, "clauses", a.Clauses)
+		if a.EncodeNS > 0 {
+			span("encode", a.EncodeNS)
+			at += time.Duration(a.EncodeNS)
+		}
+		if a.SearchNS > 0 {
+			span("search", a.SearchNS)
+			at += time.Duration(a.SearchNS)
+		}
+	}
 }
 
 // Instant records a zero-duration annotation (trace-event phase "i") on
@@ -325,13 +347,4 @@ func (s *Span) End() {
 		TID:  s.lane,
 		Args: args,
 	})
-}
-
-// Duration returns the span's elapsed time so far (0 on nil) — used by
-// call sites that both trace and record a histogram sample.
-func (s *Span) Duration() time.Duration {
-	if s == nil {
-		return 0
-	}
-	return s.tr.now().Sub(s.start)
 }

@@ -10,8 +10,9 @@ package telemetry
 // extracts it (or mints a fresh ID), and the cluster coordinator
 // re-derives a child context per dispatch hop — so a clustered job's
 // spans and log lines carry one trace ID from the submitting client
-// through the coordinator down to every worker, and the stitched trace
-// (Tracer.Ingest) is navigable as a single artifact.
+// through the coordinator down to every worker, and the coordinator's
+// job trace, holding each worker's engine spans (DrawProfile), is
+// navigable as a single artifact.
 //
 // The model is deliberately smaller than full OpenTelemetry: span IDs
 // are minted per *hop* (Child), not per span — parenthood inside one

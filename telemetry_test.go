@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -310,6 +311,57 @@ func TestSharedModeProfilesEncodeAndSearch(t *testing.T) {
 	}
 }
 
+// TestTraceSpansMatchProfile: a traced Verify's engine spans carry its
+// profile's figures, in both solver modes: each compile stage's span
+// lasts the stage's wall time in µs, one solve span counts the
+// assertions, and each assertion whose encoder or search ran has one
+// encode or search span of that length.
+func TestTraceSpansMatchProfile(t *testing.T) {
+	src, err := os.ReadFile("examples/php/guestbook.php")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []webssari.SolverMode{webssari.SolverPerAssert, webssari.SolverShared} {
+		webssari.ResetCompileCache() // a cold compile: every front-end stage runs
+		tel := webssari.NewTelemetry()
+		rep, err := webssari.Verify(src, "examples/php/guestbook.php", webssari.WithTelemetry(tel),
+			webssari.WithSolverConfig(webssari.SolverConfig{Mode: mode}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		durs := map[string][]int64{}
+		var solveAsserts []any
+		for _, ev := range tel.Tracer.Events() {
+			durs[ev.Name] = append(durs[ev.Name], ev.Dur)
+			if ev.Name == "solve" {
+				solveAsserts = append(solveAsserts, ev.Args["asserts"])
+			}
+		}
+		for _, stage := range []string{"parse", "lower", "flow", "rename", "constraints"} {
+			st, _ := stageOf(rep.Profile, stage)
+			if want := time.Duration(st.WallNS).Microseconds(); len(durs[stage]) != 1 || durs[stage][0] != want {
+				t.Errorf("%s: %s spans last %v µs, want one of %d µs", mode, stage, durs[stage], want)
+			}
+		}
+		if len(solveAsserts) != 1 || solveAsserts[0] != len(rep.Profile.Assertions) {
+			t.Errorf("%s: solve spans with asserts %v, want one with %d", mode, solveAsserts, len(rep.Profile.Assertions))
+		}
+		var encodes, searches []int64
+		for _, a := range rep.Profile.Assertions {
+			if a.EncodeNS > 0 {
+				encodes = append(encodes, time.Duration(a.EncodeNS).Microseconds())
+			}
+			if a.SearchNS > 0 {
+				searches = append(searches, time.Duration(a.SearchNS).Microseconds())
+			}
+		}
+		if fmt.Sprint(durs["encode"]) != fmt.Sprint(encodes) || fmt.Sprint(durs["search"]) != fmt.Sprint(searches) {
+			t.Errorf("%s: encode spans %v µs, search spans %v µs; the profile's assertions say %v and %v",
+				mode, durs["encode"], durs["search"], encodes, searches)
+		}
+	}
+}
+
 // TestFileVerifierReportWithoutProfile: a FileVerifier may return
 // reports that carry no profile; the project run counts them as
 // compile-cache misses instead of failing.
@@ -354,6 +406,24 @@ func TestCompileCacheSeriesCountSingleFiles(t *testing.T) {
 	}
 	if hits, misses := cacheSeries(tel); hits != 2 || misses != 1 {
 		t.Fatalf("compile-cache series: hits %d, misses %d; want 2 and 1", hits, misses)
+	}
+}
+
+// TestCompileCacheEntriesFromFileJobs: a Telemetry that only ever
+// verifies single files shows the compile cache's entry count, and the
+// series follows the cache as later files are compiled into it.
+func TestCompileCacheEntriesFromFileJobs(t *testing.T) {
+	tel := webssari.NewTelemetry()
+	dir := t.TempDir() // fresh names are cache keys no other test uses
+	for _, page := range []string{"inject.php", "xss.php"} {
+		if _, err := webssari.Verify([]byte(telemetryPages[page]), filepath.Join(dir, page), webssari.WithTelemetry(tel)); err != nil {
+			t.Fatal(err)
+		}
+		got, ok := tel.Metrics.Snapshot()[telemetry.MetricCacheEntries]
+		if want := webssari.CompileCacheLen(); !ok || got != float64(want) {
+			t.Fatalf("after %s: %s = %v (present %v), want the cache's %d entries",
+				page, telemetry.MetricCacheEntries, got, ok, want)
+		}
 	}
 }
 

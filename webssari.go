@@ -574,7 +574,8 @@ func ResetCompileCache() { defaultCompileCache.Reset() }
 // When cfg carries a Telemetry it is attached to ctx here — the single
 // point all entry paths (Verify, Patch, VerifyToHTML, VerifyDir workers)
 // funnel through — and the whole file gets a root span on a fresh trace
-// lane, under which the engine's stage spans nest.
+// lane, under which the engine's stage spans are drawn from the profile.
+// Its registry reads the compile cache's size at every scrape.
 func runAnalysis(ctx context.Context, src []byte, name string, cfg *config) (res *core.Result, analysis *fixing.Analysis, prof *RunProfile, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -588,6 +589,7 @@ func runAnalysis(ctx context.Context, src []byte, name string, cfg *config) (res
 	eopts := cfg.engineOptions(ctx)
 	start := time.Now()
 	prog, errs, cs, hit := defaultCompileCache.Compile(name, src, eopts)
+	cfg.metrics().GaugesOf(defaultCompileCache, compileCacheEntries)
 	prof = &RunProfile{CompileWallNS: time.Since(start).Nanoseconds(), CacheHit: hit,
 		CacheEvictions: cs.Evicted, CacheStale: cs.Stale}
 	// Only the stages this call ran count: a cache hit has zero stats, as
@@ -601,11 +603,12 @@ func runAnalysis(ctx context.Context, src []byte, name string, cfg *config) (res
 	if prog == nil {
 		prof.Failed = true
 		cfg.metrics().Record(prof)
+		telemetry.DrawProfile(ctx, start, name, prof, "")
 		return nil, nil, nil, engineErr(name, errs)
 	}
-	start = time.Now()
+	solveStart := time.Now()
 	res = core.Solve(ctx, prog, eopts)
-	prof.SolveWallNS = time.Since(start).Nanoseconds()
+	prof.SolveWallNS = time.Since(solveStart).Nanoseconds()
 	analysis = fixing.Analyze(res)
 	if cfg.solverMode != "" && cfg.solverMode != SolverPerAssert {
 		prof.SolverMode = string(cfg.solverMode)
@@ -636,7 +639,13 @@ func runAnalysis(ctx context.Context, src []byte, name string, cfg *config) (res
 		}
 	}
 	cfg.metrics().Record(prof)
+	telemetry.DrawProfile(ctx, start, name, prof, "")
 	return res, analysis, prof, nil
+}
+
+// compileCacheEntries is the process-wide compile cache's gauge reader.
+func compileCacheEntries(emit func(string, int64)) {
+	emit(telemetry.MetricCacheEntries, int64(defaultCompileCache.Len()))
 }
 
 // Verify analyzes one PHP source text and returns its report. A non-nil
