@@ -502,9 +502,9 @@ func BenchmarkSharedSolver(b *testing.B) {
 
 // BenchmarkParallelVerifyDir compares whole-project verification at
 // parallelism 1 against a saturated worker pool over the same on-disk
-// corpus. The compile cache is reset before every run so both sides pay
-// the full front-end cost; the speedup is bounded by GOMAXPROCS
-// (reported as a metric so single-CPU CI baselines read correctly).
+// corpus. Every run pays the full front-end cost; the speedup is bounded
+// by GOMAXPROCS (reported as a metric so single-CPU CI baselines read
+// correctly).
 func BenchmarkParallelVerifyDir(b *testing.B) {
 	dir := b.TempDir()
 	proj := corpus.Generate(corpus.Profile{
@@ -523,7 +523,6 @@ func BenchmarkParallelVerifyDir(b *testing.B) {
 		b.Run(fmt.Sprintf("j=%d", jobs), func(b *testing.B) {
 			var vuln int
 			for i := 0; i < b.N; i++ {
-				webssari.ResetCompileCache()
 				pr, err := webssari.VerifyDir(dir, webssari.WithParallelism(jobs))
 				if err != nil {
 					b.Fatal(err)
@@ -539,7 +538,6 @@ func BenchmarkParallelVerifyDir(b *testing.B) {
 	b.Run("j=8+telemetry", func(b *testing.B) {
 		var vuln int
 		for i := 0; i < b.N; i++ {
-			webssari.ResetCompileCache()
 			pr, err := webssari.VerifyDir(dir,
 				webssari.WithParallelism(8), webssari.WithTelemetry(webssari.NewTelemetry()))
 			if err != nil {
@@ -558,8 +556,6 @@ func BenchmarkParallelVerifyDir(b *testing.B) {
 // Workers are real service daemons behind httptest servers in this
 // process, so on a single-CPU host the cluster cannot be faster than
 // local — the numbers bound the HTTP dispatch tax per file.
-// The compile cache is reset each iteration (it is process-global, so
-// in-process workers would otherwise share warmth with the baseline).
 func BenchmarkClusterVerifyDir(b *testing.B) {
 	dir := filepath.Join("examples", "php")
 	ctx := context.Background()
@@ -567,7 +563,6 @@ func BenchmarkClusterVerifyDir(b *testing.B) {
 	b.Run("local", func(b *testing.B) {
 		var vuln int
 		for i := 0; i < b.N; i++ {
-			webssari.ResetCompileCache()
 			pr, err := webssari.VerifyDir(dir)
 			if err != nil {
 				b.Fatal(err)
@@ -600,7 +595,6 @@ func BenchmarkClusterVerifyDir(b *testing.B) {
 			b.ResetTimer()
 			var remote int
 			for i := 0; i < b.N; i++ {
-				webssari.ResetCompileCache()
 				pr, err := c.VerifyDir(ctx, dir)
 				if err != nil {
 					b.Fatal(err)
@@ -685,15 +679,15 @@ func BenchmarkCompileStages(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			stats = core.CompileStats{}
 			for _, f := range files {
-				prog, errs := core.Compile(f.name, f.src, core.Options{Flow: fopts})
+				prog, cs, errs := core.Compile(f.name, f.src, core.Options{Flow: fopts})
 				if prog == nil {
 					b.Fatalf("compile %s: %v", f.name, errs)
 				}
-				stats.ParseNS += prog.Stats.ParseNS
-				stats.LowerNS += prog.Stats.LowerNS
-				stats.FlowNS += prog.Stats.FlowNS
-				stats.RenameNS += prog.Stats.RenameNS
-				stats.ConstraintsNS += prog.Stats.ConstraintsNS
+				stats.ParseNS += cs.ParseNS
+				stats.LowerNS += cs.LowerNS
+				stats.FlowNS += cs.FlowNS
+				stats.RenameNS += cs.RenameNS
+				stats.ConstraintsNS += cs.ConstraintsNS
 			}
 		}
 		b.ReportMetric(float64(stats.ParseNS), "parse-ns")

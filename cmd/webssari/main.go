@@ -27,7 +27,7 @@
 //	-j N              files verified at once in a directory (0 =
 //	                  GOMAXPROCS); a single file ignores it
 //	-v                print the run profile (stage wall times, solver
-//	                  effort, cache and pool stats) to stderr
+//	                  effort, pool stats) to stderr
 //	-trace FILE       write Chrome trace-event JSON of every pipeline span
 //	                  (written even when the run exits early on an error)
 //	-metrics-addr A   serve Prometheus /metrics (plus /debug/vars,
@@ -251,7 +251,7 @@ func run(args []string) int {
 }
 
 // printStats writes one file's run profile — stage wall times, solver
-// effort, cache provenance — to stderr (the -v summary).
+// effort, store provenance — to stderr (the -v summary).
 func printStats(file string, rep *webssari.Report) {
 	if rep.Profile == nil {
 		return

@@ -80,14 +80,13 @@ func projectJSON(t *testing.T, c *client.Client, id string) map[string]any {
 }
 
 // stripProfiles removes every nondeterministic "profile" object (and the
-// run-relative store/cache counters) from a decoded report tree.
+// run-relative store and compile counters) from a decoded report tree.
 func stripProfiles(v any) any {
 	switch node := v.(type) {
 	case map[string]any:
 		delete(node, "profile")
 		delete(node, "store_hits")
 		delete(node, "store_misses")
-		delete(node, "cache_hits")
 		delete(node, "cache_misses")
 		for k, child := range node {
 			node[k] = stripProfiles(child)

@@ -295,8 +295,8 @@ func runStage(target, stage string, naive bool, outDir string, sh *cli.Flags) in
 }
 
 // verifyDir checks every PHP file under dir through the public engine —
-// the whole-project path exercises the compile cache and the file pool,
-// so it is where traces and metrics are most interesting. With
+// the whole-project path exercises the file pool, so it is where traces
+// and metrics are most interesting. With
 // ndjson set, per-file reports stream to stdout as they complete (the
 // daemon's wire format) followed by one project-summary line, instead
 // of the plain text lines.

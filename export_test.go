@@ -5,6 +5,3 @@ package webssari
 func DecodeEnvelope(payload []byte) (*Report, bool) { return decodeEnvelope(payload, false) }
 
 const ResultSchema = resultSchema
-
-// CompileCacheLen is the process-wide compile cache's entry count.
-func CompileCacheLen() int { return defaultCompileCache.Len() }

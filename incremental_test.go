@@ -60,7 +60,7 @@ func incProfile(t *testing.T, pr *webssari.ProjectReport) *telemetry.Incremental
 }
 
 // marshalStripped renders a project report with every run-relative field
-// (profiles, cache and store counters) removed, for byte comparison.
+// (profiles, compile and store counters) removed, for byte comparison.
 func marshalProjectStripped(t *testing.T, pr *webssari.ProjectReport) []byte {
 	t.Helper()
 	raw, err := json.Marshal(pr)
@@ -78,7 +78,6 @@ func marshalProjectStripped(t *testing.T, pr *webssari.ProjectReport) []byte {
 			delete(node, "profile")
 			delete(node, "store_hits")
 			delete(node, "store_misses")
-			delete(node, "cache_hits")
 			delete(node, "cache_misses")
 			for k, child := range node {
 				node[k] = strip(child)

@@ -8,9 +8,9 @@ import (
 
 // Includes snapshots the include resolution a model was built under.
 // Includes are spliced in at build time, so whoever reuses the model
-// or a result derived from it (the compile cache, the result store)
-// first checks that the snapshot is still Current: an edited include,
-// or a previously missing candidate that has appeared, makes it stale.
+// or a result derived from it (the result store) first checks that the
+// snapshot is still Current: an edited include, or a previously missing
+// candidate that has appeared, makes it stale.
 // A snapshot is immutable once its Program is built; holders share it.
 type Includes struct {
 	// Hashes maps each statically resolved include spliced into the

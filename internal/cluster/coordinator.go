@@ -60,7 +60,8 @@ import (
 	"webssari/internal/telemetry"
 )
 
-// Defaults for Config's zero values.
+// Defaults for Config's zero values. DefaultBreakerCooldown is the
+// cooldown of every worker's breaker.
 const (
 	DefaultHeartbeatInterval = 2 * time.Second
 	DefaultHeartbeatMisses   = 3
@@ -86,12 +87,9 @@ type Config struct {
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
 	// BreakerThreshold consecutive failures trip a worker's circuit
-	// breaker open for BreakerCooldown, after which one probe is
+	// breaker open for DefaultBreakerCooldown, after which one probe is
 	// admitted.
 	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	// Replicas is the consistent-hash virtual-node count per worker.
-	Replicas int
 	// DispatchTimeout bounds one remote dispatch attempt end to end.
 	DispatchTimeout time.Duration
 	// Fingerprint, when non-empty, is the coordinator's verdict-shaping
@@ -134,12 +132,6 @@ func (c *Config) fill() {
 	}
 	if c.BreakerThreshold <= 0 {
 		c.BreakerThreshold = DefaultBreakerThreshold
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = DefaultBreakerCooldown
-	}
-	if c.Replicas <= 0 {
-		c.Replicas = defaultReplicas
 	}
 	if c.DispatchTimeout <= 0 {
 		c.DispatchTimeout = DefaultDispatchTimeout
@@ -231,7 +223,7 @@ func New(cfg Config) *Coordinator {
 		cfg:     cfg,
 		workers: make(map[string]*worker),
 		byAddr:  make(map[string]*worker),
-		ring:    newRing(cfg.Replicas),
+		ring:    newRing(defaultReplicas),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 		log:     cfg.Logger,
@@ -297,7 +289,7 @@ func (c *Coordinator) register(addr, name, fingerprint string) (string, error) {
 			client.WithRetryPolicy(client.RetryPolicy{
 				MaxRetries: 2, BaseDelay: c.cfg.BaseBackoff, MaxDelay: c.cfg.MaxBackoff,
 			})),
-		breaker:  newBreaker(c.cfg.BreakerThreshold, c.cfg.BreakerCooldown),
+		breaker:  newBreaker(c.cfg.BreakerThreshold, DefaultBreakerCooldown),
 		evicted:  make(chan struct{}),
 		lastSeen: time.Now(),
 	}

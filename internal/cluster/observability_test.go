@@ -15,7 +15,6 @@ import (
 	"sync"
 	"testing"
 
-	"webssari"
 	"webssari/client"
 	"webssari/internal/service"
 	"webssari/internal/telemetry"
@@ -173,7 +172,6 @@ func TestTraceparentPropagation(t *testing.T) {
 // envelope, and no trace fetch — the worker's engine spans in the job's
 // trace are drawn from the profile its result carries.
 func TestClusteredFileRequests(t *testing.T) {
-	webssari.ResetCompileCache() // a cold compile, so the worker's profile has every stage
 	var mu sync.Mutex
 	var routes []string
 	wh := service.New(service.Config{Telemetry: telemetry.New()}).Handler()

@@ -21,7 +21,6 @@ import (
 	"testing"
 	"time"
 
-	"webssari"
 	"webssari/client"
 	"webssari/internal/buildinfo"
 	"webssari/internal/service"
@@ -33,18 +32,10 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden under testdata
 const daemonGolden = "testdata/daemon_parity.golden.json"
 
 // paritySeries drops the series the golden does not pin: histogram
-// buckets and sums are wall-clock, and the compile-cache hit and miss
-// counts depend on which process compiled a file (their exact values
-// have tests of their own in the root package).
+// buckets and sums are wall-clock.
 func paritySeries(name string) bool {
 	base, _, _ := strings.Cut(name, "{")
-	switch {
-	case strings.HasSuffix(base, "_bucket"), strings.HasSuffix(base, "_sum"):
-		return false
-	case base == telemetry.MetricCacheHits, base == telemetry.MetricCacheMisses:
-		return false
-	}
-	return true
+	return !strings.HasSuffix(base, "_bucket") && !strings.HasSuffix(base, "_sum")
 }
 
 // scrapeCounts reads a /metrics page into name → value, keeping every
@@ -117,7 +108,6 @@ func clusterView(t *testing.T, url string) map[string]any {
 // TestDaemonParityGolden -update ./internal/cluster` only for an
 // intended change.
 func TestDaemonParityGolden(t *testing.T) {
-	webssari.ResetCompileCache()
 	tel := telemetry.New()
 	st := openStore(t)
 

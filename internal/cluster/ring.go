@@ -5,7 +5,8 @@ package cluster
 // (store.Key), so a file's verdict and its dispatch target derive from
 // one fingerprint. Each worker projects onto the ring at `replicas`
 // virtual points; membership changes therefore move only ~1/N of the
-// keyspace, which keeps worker-local caches warm across failovers.
+// keyspace, so when the coordinator has no store a repeated file reaches
+// the worker whose own store holds it.
 //
 // The ring is not self-locking — the coordinator guards it with its own
 // mutex alongside the membership map it mirrors.

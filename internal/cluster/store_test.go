@@ -219,7 +219,6 @@ func TestClusterRemoteProfileCarriesWorkerFigures(t *testing.T) {
 	c, _ := newTestCoordinator(t, Config{})
 	w1 := newWorkerServer(t, service.Config{})
 	mustRegister(t, c, w1.URL, "worker-1")
-	webssari.ResetCompileCache()
 	got, err := c.VerifyDir(ctx, dir)
 	if err != nil {
 		t.Fatal(err)

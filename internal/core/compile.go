@@ -24,9 +24,8 @@ import (
 //
 // Invariants: a Program is immutable after Compile returns — no stage of
 // Solve writes into AI, Renamed, or System — so one Program may be solved
-// by any number of goroutines concurrently and may be cached and reused
-// across Verify/Patch calls. Solve copies the slices it extends
-// (warnings, parse errors) rather than appending to the Program's.
+// by any number of goroutines concurrently. Solve copies the slices it
+// extends (warnings, parse errors) rather than appending to the Program's.
 type Program struct {
 	// Unit is the typed flow IR the entry file lowered to (before include
 	// splicing); nil when the Program was compiled from a bare AI (e.g.
@@ -42,25 +41,17 @@ type Program struct {
 	// non-empty list makes every Result solved from this Program
 	// Incomplete.
 	ParseErrors []string
-	// Stats is the front end's per-stage wall-time breakdown.
-	Stats CompileStats
 }
 
 // CompileStats records the front end's per-stage wall time — two clock
 // reads per stage — from which the run profile's stage table and a
-// traced run's stage spans are drawn. (A cached Program carries the
-// stats of its original compile.)
+// traced run's stage spans are drawn. A stage that never ran reads 0.
 type CompileStats struct {
 	ParseNS       int64
 	LowerNS       int64
 	FlowNS        int64
 	RenameNS      int64
 	ConstraintsNS int64
-	// Evicted and Stale count what a CompileCache call did to the cache:
-	// entries its insertion evicted, and entries it dropped for a stale
-	// include snapshot before compiling afresh.
-	Evicted int64
-	Stale   int64
 }
 
 // Compile parses, filters, and compiles one PHP source text into a
@@ -69,15 +60,9 @@ type CompileStats struct {
 // (making its results Incomplete) and also returned for callers that want
 // them as errors. On a nil Program the error list explains why.
 //
-// Each stage is timed into the Program's CompileStats.
-func Compile(name string, src []byte, opts Options) (*Program, []error) {
-	p, _, errs := compile(name, src, opts)
-	return p, errs
-}
-
-// compile is Compile that also returns the stage timings on failure:
+// Each stage is timed into the returned CompileStats, also on failure:
 // the stages that ran before the failing one keep their wall times.
-func compile(name string, src []byte, opts Options) (*Program, CompileStats, []error) {
+func Compile(name string, src []byte, opts Options) (*Program, CompileStats, []error) {
 	var (
 		parsed *parser.Result
 		errs   []error
@@ -137,8 +122,7 @@ func CompileAI(prog *ai.Program) (*Program, error) {
 	return compileAI(prog, &CompileStats{})
 }
 
-// compileAI records the rename and constraints stages into stats, which
-// becomes the returned Program's Stats.
+// compileAI records the rename and constraints stages into stats.
 func compileAI(prog *ai.Program, stats *CompileStats) (*Program, error) {
 	var (
 		ren *rename.Program
@@ -155,5 +139,5 @@ func compileAI(prog *ai.Program, stats *CompileStats) (*Program, error) {
 	}); err != nil {
 		return nil, err
 	}
-	return &Program{AI: prog, Renamed: ren, System: sys, Stats: *stats}, nil
+	return &Program{AI: prog, Renamed: ren, System: sys}, nil
 }

@@ -363,7 +363,7 @@ func (r *Result) IncompleteCauses() []string {
 // the Result (making it Incomplete) and also returned for callers that
 // want them as errors.
 func VerifySource(name string, src []byte, opts Options) (*Result, []error) {
-	p, errs := Compile(name, src, opts)
+	p, _, errs := Compile(name, src, opts)
 	if p == nil {
 		return nil, errs
 	}

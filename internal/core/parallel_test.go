@@ -29,7 +29,7 @@ func multiAssert(n int) string {
 func compileSrc(t *testing.T, src string) *Program {
 	t.Helper()
 	opts := NewOptions(flow.Options{Prelude: prelude.Default()})
-	p, errs := Compile("test.php", []byte(src), opts)
+	p, _, errs := Compile("test.php", []byte(src), opts)
 	if p == nil {
 		t.Fatalf("Compile failed: %v", errs)
 	}
@@ -75,9 +75,9 @@ func assertResultsEqual(t *testing.T, label string, a, b *Result) {
 }
 
 // TestConcurrentSolvesOnSharedProgram proves the Program immutability
-// contract: many goroutines solving one shared Program concurrently (as
-// the compile cache hands one Program to concurrent files) all produce
-// the same result, and the race detector sees no shared-state writes.
+// contract: many goroutines solving one shared Program concurrently all
+// produce the same result, and the race detector sees no shared-state
+// writes.
 func TestConcurrentSolvesOnSharedProgram(t *testing.T) {
 	prog := compileSrc(t, multiAssert(6))
 	opts := NewOptions(flow.Options{Prelude: prelude.Default()})

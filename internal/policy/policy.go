@@ -421,7 +421,7 @@ type Violation struct {
 // verdicts under this policy: its name, the full prelude fingerprint,
 // and the context/variant/class/guard tables. Two compiled policies
 // with equal fingerprints produce identical analyses for the same
-// source; compile caches and result stores key on it.
+// source; result stores key on it.
 func (c *Compiled) Fingerprint() string { return c.fingerprint }
 
 func (c *Compiled) computeFingerprint() string {

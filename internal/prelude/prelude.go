@@ -174,7 +174,7 @@ func (p *Prelude) Sanitizers() []Sanitizer {
 // Fingerprint returns a deterministic rendering of the whole trust
 // environment — lattice structure, sources, sinks (with checked argument
 // positions), sanitizers, and initial variable types — suitable as a
-// compile-cache key component: two preludes with the same fingerprint
+// cache key component: two preludes with the same fingerprint
 // produce identical abstract interpretations for the same source.
 func (p *Prelude) Fingerprint() string {
 	var b strings.Builder

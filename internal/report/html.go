@@ -137,7 +137,7 @@ func linkHTML(l Location) string {
 }
 
 // writeProfileHTML renders the run-profile section: stage wall times,
-// solver totals, cache/pool sections when present, and the per-assertion
+// solver totals, the pool section when present, and the per-assertion
 // breakdown with the solver's search-effort counters.
 func writeProfileHTML(b *strings.Builder, p *telemetry.RunProfile) {
 	if p == nil {
@@ -146,16 +146,9 @@ func writeProfileHTML(b *strings.Builder, p *telemetry.RunProfile) {
 	b.WriteString("<h2>Run profile</h2>\n")
 	fmt.Fprintf(b, "<p>compile %v, solve %v",
 		p.CompileWall().Round(time.Microsecond), p.SolveWall().Round(time.Microsecond))
-	if p.CacheHit {
-		b.WriteString(" (compile cached)")
-	}
 	s := p.Solver
 	fmt.Fprintf(b, "; solver: %d decisions, %d propagations, %d conflicts, %d restarts, %d learnt clauses</p>\n",
 		s.Decisions, s.Propagations, s.Conflicts, s.Restarts, s.LearntClauses)
-	if p.Cache != nil {
-		fmt.Fprintf(b, "<p>compile cache: %d hit(s), %d miss(es), %d evicted, %d stale, %d retained</p>\n",
-			p.Cache.Hits, p.Cache.Misses, p.Cache.Evictions, p.Cache.Stale, p.Cache.Entries)
-	}
 	if p.Pool != nil {
 		fmt.Fprintf(b, "<p>worker pool: %d/%d peak workers (%.0f%% utilization)</p>\n",
 			p.Pool.MaxInUse, p.Pool.Capacity, 100*p.Pool.Utilization())

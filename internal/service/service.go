@@ -130,7 +130,7 @@ func (localRunner) VerifyDir(ctx context.Context, dir string, opts ...webssari.O
 
 // Config assembles a Server.
 type Config struct {
-	// Store is the persistent result store (tier 2); nil disables it.
+	// Store is the persistent result store; nil disables it.
 	Store *store.Store
 	// Runner executes verification jobs (nil: in-process engine).
 	Runner Runner

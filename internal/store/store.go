@@ -1,10 +1,8 @@
-// Package store is a crash-safe, content-addressed on-disk result store:
-// the second cache tier behind the engine's in-memory compile cache. The
-// first tier memoizes compiled Programs within one process; this tier
-// persists finished verification Reports across process restarts, keyed
-// by a content fingerprint (source bytes + prelude + model-shaping
-// options), so a service re-verifying an unchanged file answers from
-// disk without compiling or solving anything.
+// Package store is a crash-safe, content-addressed on-disk result store,
+// the engine's one cache tier: it persists finished verification Reports
+// across process restarts, keyed by a content fingerprint (source bytes +
+// prelude + model-shaping options), so a service re-verifying an
+// unchanged file answers from disk without compiling or solving anything.
 //
 // Durability discipline:
 //
@@ -180,9 +178,9 @@ func Open(dir string, opts Options) (*Store, error) {
 }
 
 // Instrument exposes the store's counts on reg, so a daemon's /metrics
-// page shows tier-2 effectiveness live: every scrape reads the counters
-// Stats reads, and the occupancy from the index. A nil registry is a
-// no-op.
+// page shows the store's effectiveness live: every scrape reads the
+// counters Stats reads, and the occupancy from the index. A nil registry
+// is a no-op.
 func (s *Store) Instrument(reg *telemetry.Registry) {
 	reg.CounterOf(telemetry.MetricStoreHits, &s.hits)
 	reg.CounterOf(telemetry.MetricStoreMisses, &s.misses)

@@ -26,16 +26,11 @@ const (
 	MetricSolverRestarts     = "webssari_solver_restarts_total"
 	MetricSolverLearnt       = "webssari_solver_learnt_clauses_total"
 	MetricSolverDeleted      = "webssari_solver_deleted_clauses_total"
-	MetricCacheHits          = "webssari_compile_cache_hits_total"
-	MetricCacheMisses        = "webssari_compile_cache_misses_total"
-	MetricCacheEvictions     = "webssari_compile_cache_evictions_total"
-	MetricCacheStale         = "webssari_compile_cache_stale_total"
-	MetricCacheEntries       = "webssari_compile_cache_entries"
 	MetricStageSeconds       = "webssari_stage_seconds"  // histogram, label stage
 	MetricDegraded           = "webssari_degraded_total" // counter, label cause
 
-	// Tier-2 (on-disk result store) series, read from the store's own
-	// counts and index (store.Store.Instrument).
+	// Result-store series, read from the store's own counts and index
+	// (store.Store.Instrument).
 	MetricStoreHits        = "webssari_store_hits_total"
 	MetricStoreMisses      = "webssari_store_misses_total"
 	MetricStorePuts        = "webssari_store_puts_total"
@@ -188,7 +183,8 @@ func (g *GaugeMetric) Value() int64 {
 
 // DefaultDurationBuckets are the histogram bounds (seconds) used when no
 // explicit buckets are given: 10µs … 10s, roughly ×4 per step, matched
-// to the spread between a cache-hit compile and a budget-bounded solve.
+// to the spread between a one-line file's compile and a budget-bounded
+// solve.
 var DefaultDurationBuckets = []float64{
 	1e-5, 4e-5, 1.6e-4, 6.4e-4, 2.56e-3, 1.024e-2, 4.096e-2, 0.164, 0.655, 2.62, 10.5,
 }

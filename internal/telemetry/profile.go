@@ -60,15 +60,6 @@ func (p *PoolProfile) Utilization() float64 {
 	return float64(p.MaxInUse) / float64(p.Capacity)
 }
 
-// CacheProfile reports compile-cache effectiveness over a run.
-type CacheProfile struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Evictions int64 `json:"evictions"`
-	Stale     int64 `json:"stale"`
-	Entries   int   `json:"entries"`
-}
-
 // IncrementalProfile summarizes one incremental VerifyDir plan: how the
 // delta planner partitioned the project snapshot. Planned + Skipped
 // equals the number of entry files the run reported on.
@@ -115,8 +106,8 @@ type ClusterProfile struct {
 
 // RunProfile is the exportable summary of one verification run — per
 // file (attached to Report) or per project (attached to ProjectReport,
-// where the per-file profiles are aggregated and the pool/cache sections
-// are populated). It marshals under the stable "profile" JSON key so
+// where the per-file profiles are aggregated and the pool section is
+// populated). It marshals under the stable "profile" JSON key so
 // corpus scripts can consume timings; note its wall-clock fields are the
 // one intentionally nondeterministic part of a report.
 type RunProfile struct {
@@ -124,15 +115,9 @@ type RunProfile struct {
 	// stages (front end / SAT back end) in nanoseconds.
 	CompileWallNS int64 `json:"compile_wall_ns"`
 	SolveWallNS   int64 `json:"solve_wall_ns"`
-	// CacheHit is set on per-file profiles served from the compile cache.
-	CacheHit bool `json:"cache_hit,omitempty"`
-	// CacheEvictions and CacheStale count the compile-cache entries a
-	// file's compile evicted and dropped as stale.
-	CacheEvictions int64 `json:"-"`
-	CacheStale     int64 `json:"-"`
 	// StoreHit is set on per-file profiles served whole from the on-disk
-	// result store (tier 2): nothing was compiled or solved, so such a
-	// profile has no stage or solver data.
+	// result store: nothing was compiled or solved, so such a profile has
+	// no stage or solver data.
 	StoreHit bool `json:"store_hit,omitempty"`
 	// Failed is set on the per-file profile of a file whose front end
 	// failed: no report carries it, only the metrics roll-up counts it.
@@ -149,9 +134,8 @@ type RunProfile struct {
 	Degraded map[string]int64 `json:"degraded,omitempty"`
 	// Files counts aggregated per-file profiles (project profiles only).
 	Files int `json:"files,omitempty"`
-	// Cache and Pool are populated on project profiles.
-	Cache *CacheProfile `json:"cache,omitempty"`
-	Pool  *PoolProfile  `json:"pool,omitempty"`
+	// Pool is populated on every project profile, and only there.
+	Pool *PoolProfile `json:"pool,omitempty"`
 	// Incremental is populated on project profiles of incremental runs
 	// (WithIncremental): the delta planner's partition of the snapshot.
 	// Like the rest of the profile it is stripped before byte-identical
@@ -183,9 +167,9 @@ func (p *RunProfile) SolveWall() time.Duration {
 }
 
 // AddStage accumulates d into the named stage. A zero d means the stage
-// never ran (a compile-cache hit, an assertion skipped at the deadline or
-// decided by the encoder) and is not counted, so the stage table agrees
-// with the trace's spans.
+// never ran (after a failed compile stage, an assertion skipped at the
+// deadline or decided by the encoder) and is not counted, so the stage
+// table agrees with the trace's spans.
 func (p *RunProfile) AddStage(name string, d time.Duration) {
 	if d > 0 {
 		p.addStage(name, d.Nanoseconds(), 1)
@@ -230,7 +214,7 @@ func (p *RunProfile) AddDegraded(cause string) {
 
 // Merge folds a per-file profile o into project profile p: wall times,
 // stages, solver effort, and degradation counts accumulate; per-file
-// fields (CacheHit, Assertions) are deliberately not carried over.
+// fields (StoreHit, Assertions) are deliberately not carried over.
 func (p *RunProfile) Merge(o *RunProfile) {
 	if o == nil {
 		return
@@ -252,22 +236,18 @@ func (p *RunProfile) Merge(o *RunProfile) {
 
 // Record rolls a finished profile into r's series; it is the only writer
 // of the engine's verification metrics. A per-file profile adds the file,
-// assertion, counterexample, solver, degradation and compile-cache
-// counters (one hit or miss per file) and its stage samples: one per
-// front-end stage, and one encode and one search sample per assertion
-// whose encoder and search ran. A project profile (one with a Cache
-// section) only shows the cache counters and adds the incremental
-// series, since its files were recorded as each one finished; the
-// cache-entries gauge is read from the cache itself. A nil
-// registry or profile records nothing and allocates nothing.
+// assertion, counterexample, solver and degradation counters and its
+// stage samples: one per front-end stage, and one encode and one search
+// sample per assertion whose encoder and search ran. A project profile
+// (one with a Pool section, which every project run carries, also over
+// no files) only adds the incremental series, since its files were
+// recorded as each one finished. A nil registry or profile records
+// nothing and allocates nothing.
 func (r *Registry) Record(p *RunProfile) {
 	if r == nil || p == nil {
 		return
 	}
-	if p.Cache != nil {
-		for _, name := range []string{MetricCacheHits, MetricCacheMisses, MetricCacheEvictions, MetricCacheStale} {
-			r.Counter(name) // shown from a project's first run on, even if nothing compiled
-		}
+	if p.Pool != nil {
 		if inc := p.Incremental; inc != nil {
 			r.Counter(MetricIncrementalPlanned).Add(int64(inc.Planned))
 			r.Counter(MetricIncrementalSkipped).Add(int64(inc.Skipped))
@@ -278,13 +258,6 @@ func (r *Registry) Record(p *RunProfile) {
 		}
 		return
 	}
-	if p.CacheHit {
-		r.Counter(MetricCacheHits).Inc()
-	} else {
-		r.Counter(MetricCacheMisses).Inc()
-	}
-	r.Counter(MetricCacheEvictions).Add(p.CacheEvictions)
-	r.Counter(MetricCacheStale).Add(p.CacheStale)
 	stage := func(name string, ns int64) {
 		r.Histogram(Name(MetricStageSeconds, "stage", name), nil).Observe(float64(ns) / 1e9)
 	}
@@ -332,9 +305,6 @@ func (p *RunProfile) String() string {
 	if p.Files > 0 {
 		fmt.Fprintf(&b, " over %d file(s)", p.Files)
 	}
-	if p.CacheHit {
-		b.WriteString(" (compile cached)")
-	}
 	if p.StoreHit {
 		b.WriteString(" (served from result store)")
 	}
@@ -343,10 +313,6 @@ func (p *RunProfile) String() string {
 		s.Decisions, s.Propagations, s.Conflicts, s.Restarts, s.LearntClauses)
 	if p.SolverMode != "" {
 		fmt.Fprintf(&b, " (%s mode)", p.SolverMode)
-	}
-	if p.Cache != nil {
-		fmt.Fprintf(&b, "; cache: %d hit(s) / %d miss(es), %d evicted, %d stale",
-			p.Cache.Hits, p.Cache.Misses, p.Cache.Evictions, p.Cache.Stale)
 	}
 	if p.Pool != nil {
 		fmt.Fprintf(&b, "; pool: %d/%d peak workers", p.Pool.MaxInUse, p.Pool.Capacity)

@@ -233,15 +233,15 @@ func TestPrometheusText(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter(MetricFilesVerified).Add(3)
 	reg.Counter(Name(MetricDegraded, "cause", "deadline")).Inc()
-	reg.Gauge(MetricCacheEntries).Set(7)
+	reg.Gauge(MetricStoreEntries).Set(7)
 	reg.Histogram(Name(MetricStageSeconds, "stage", "parse"), nil).Observe(0.002)
 	text := reg.PrometheusText()
 	for _, want := range []string{
 		"# TYPE webssari_files_verified_total counter",
 		"webssari_files_verified_total 3",
 		`webssari_degraded_total{cause="deadline"} 1`,
-		"# TYPE webssari_compile_cache_entries gauge",
-		"webssari_compile_cache_entries 7",
+		"# TYPE webssari_store_entries gauge",
+		"webssari_store_entries 7",
 		"# TYPE webssari_stage_seconds histogram",
 		`webssari_stage_seconds_bucket{stage="parse",le="+Inf"} 1`,
 		`webssari_stage_seconds_sum{stage="parse"} 0.002`,
@@ -315,15 +315,12 @@ func TestNameRoundTrip(t *testing.T) {
 
 // TestRecordRollsUpProfile maps a per-file and a project profile onto
 // the engine's series: every counter, each stage sample, and the split
-// between the per-file and the project sections. The project's cache
-// counts are its files' own and are not added a second time, and its
-// entry count sets no gauge.
+// between the per-file and the project sections. A project profile,
+// marked by its pool section, adds only the incremental series, also
+// when it covers no file.
 func TestRecordRollsUpProfile(t *testing.T) {
 	reg := NewRegistry()
 	file := &RunProfile{
-		CacheHit:       true,
-		CacheEvictions: 3,
-		CacheStale:     4,
 		Stages: []StageProfile{
 			{Name: "encode", WallNS: 99, Count: 3},
 			{Name: "parse", WallNS: 2e6, Count: 1},
@@ -344,9 +341,10 @@ func TestRecordRollsUpProfile(t *testing.T) {
 	reg.Record(&RunProfile{
 		Files:       2,
 		Stages:      []StageProfile{{Name: "parse", WallNS: 1, Count: 2}},
-		Cache:       &CacheProfile{Hits: 7, Misses: 7, Evictions: 7, Stale: 7, Entries: 5},
+		Pool:        &PoolProfile{Capacity: 2},
 		Incremental: &IncrementalProfile{Planned: 2, Skipped: 3, Invalidated: 1, Full: true},
 	})
+	reg.Record(&RunProfile{Pool: &PoolProfile{Capacity: 2}}) // a project over no files
 	snap := reg.Snapshot()
 	for name, want := range map[string]float64{
 		MetricFilesVerified:                                  1,
@@ -363,10 +361,6 @@ func TestRecordRollsUpProfile(t *testing.T) {
 		Name(MetricStageSeconds+"_count", "stage", "parse"):  2,
 		Name(MetricStageSeconds+"_count", "stage", "encode"): 3,
 		Name(MetricStageSeconds+"_count", "stage", "search"): 2,
-		MetricCacheHits:                                      1, // the file
-		MetricCacheMisses:                                    1, // the failed file
-		MetricCacheEvictions:                                 3,
-		MetricCacheStale:                                     4,
 		MetricIncrementalPlanned:                             2,
 		MetricIncrementalSkipped:                             3,
 		MetricIncrementalInvalidated:                         1,
@@ -375,9 +369,6 @@ func TestRecordRollsUpProfile(t *testing.T) {
 		if snap[name] != want {
 			t.Errorf("%s = %v, want %v", name, snap[name], want)
 		}
-	}
-	if v, ok := snap[MetricCacheEntries]; ok {
-		t.Errorf("%s = %v from a project profile; the gauge is read from the cache itself", MetricCacheEntries, v)
 	}
 	if got, want := snap[Name(MetricStageSeconds+"_sum", "stage", "search")], 25e-9; got != want {
 		t.Errorf("search seconds = %v, want %v (per-assertion samples, not the stage row)", got, want)

@@ -58,13 +58,12 @@ func checkStageCounts(t *testing.T, pass string, reg *telemetry.Registry, prof *
 }
 
 // TestMetricsParityGolden pins the engine's /metrics series over
-// examples/php: a cold-cache project run, then an incremental run over
+// examples/php: a project run, then an incremental run over
 // an empty result store. The golden was recorded before the series were
 // derived from RunProfile, so a roll-up that drifts from the old
 // per-site counters fails here. Regenerate with `go test -run
 // TestMetricsParityGolden -update .` only for an intended change.
 func TestMetricsParityGolden(t *testing.T) {
-	webssari.ResetCompileCache()
 	coldTel := webssari.NewTelemetry()
 	cold, err := webssari.VerifyDir("examples/php",
 		webssari.WithParallelism(1), webssari.WithTelemetry(coldTel))

@@ -58,10 +58,8 @@ func stripProfiles(pr *webssari.ProjectReport) {
 
 // TestParallelVerifyDirDeterminism is the PR's central acceptance test:
 // VerifyDir with 8 workers over a corpus project produces byte-identical
-// ProjectReport JSON to the fully sequential run — including the cache
-// hit/miss counters, which stay deterministic because concurrent compiles
-// of identical content coalesce. The cache is reset before each run so
-// both start cold.
+// ProjectReport JSON to the fully sequential run, including the counts
+// of compiled files.
 func TestParallelVerifyDirDeterminism(t *testing.T) {
 	dir := writeProject(t, corpus.Profile{
 		Name: "determinism", TS: 14, BMC: 5, Files: 8, Statements: 400,
@@ -71,14 +69,12 @@ func TestParallelVerifyDirDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	webssari.ResetCompileCache()
 	seq, err := webssari.VerifyDir(dir, webssari.WithParallelism(1))
 	if err != nil {
 		t.Fatalf("sequential VerifyDir: %v", err)
 	}
 	seqJSON := projectJSON(t, seq)
 
-	webssari.ResetCompileCache()
 	par, err := webssari.VerifyDir(dir, webssari.WithParallelism(8))
 	if err != nil {
 		t.Fatalf("parallel VerifyDir: %v", err)
@@ -92,9 +88,6 @@ func TestParallelVerifyDirDeterminism(t *testing.T) {
 	if len(seq.Files) == 0 || seq.VulnerableFiles == 0 {
 		t.Fatalf("degenerate corpus: %d files, %d vulnerable — determinism check proved nothing",
 			len(seq.Files), seq.VulnerableFiles)
-	}
-	if par.CacheMisses == 0 {
-		t.Fatal("cold parallel run recorded zero cache misses")
 	}
 }
 
@@ -222,12 +215,10 @@ func TestParallelismIgnoredForSingleFile(t *testing.T) {
 		src += fmt.Sprintf("$v%d = $_GET['k%d'];\nif ($c%d) { $v%d = htmlspecialchars($v%d); }\necho $v%d;\n",
 			i, i, i, i, i, i)
 	}
-	webssari.ResetCompileCache()
 	seq, err := webssari.Verify([]byte(src), "many.php")
 	if err != nil {
 		t.Fatal(err)
 	}
-	webssari.ResetCompileCache()
 	par, err := webssari.Verify([]byte(src), "many.php", webssari.WithParallelism(8))
 	if err != nil {
 		t.Fatal(err)

@@ -51,23 +51,26 @@ type ProjectReport struct {
 	// Failures records files whose analysis failed outright; the
 	// remaining files are still verified and reported.
 	Failures []FileFailure `json:"failures,omitempty"`
-	// CacheHits and CacheMisses count how many files' front ends were
-	// served from the compile cache vs compiled fresh during this run.
-	// With a cold cache the counts are deterministic at any parallelism
-	// (concurrent compiles of identical content coalesce). Files served
-	// whole from the result store never reach the compile cache and are
-	// counted in neither.
-	CacheHits   int `json:"cache_hits"`
+	// CacheHits is always 0.
+	//
+	// Deprecated: there is no compile cache; every file verified is
+	// compiled.
+	CacheHits int `json:"cache_hits"`
+	// CacheMisses counts the files this run compiled: the reports not
+	// served from the result store.
+	//
+	// Deprecated: there is no compile cache; the count is the files
+	// verified less StoreHits.
 	CacheMisses int `json:"cache_misses"`
 	// StoreHits and StoreMisses count files served from / written
-	// through the persistent result store (tier 2); both stay zero when
-	// no store is attached (WithStore).
+	// through the persistent result store; both stay zero when no store
+	// is attached (WithStore).
 	StoreHits   int `json:"store_hits,omitempty"`
 	StoreMisses int `json:"store_misses,omitempty"`
 	// Profile aggregates the per-file run profiles (wall times, stages,
-	// solver effort, degradations) and adds the project-level cache and
-	// worker-pool sections. Like the per-file profiles, its wall-clock
-	// fields are the one nondeterministic part of the report.
+	// solver effort, degradations) and adds the project-level worker-pool
+	// section. Like the per-file profiles, its wall-clock fields are the
+	// one nondeterministic part of the report.
 	Profile *RunProfile `json:"profile,omitempty"`
 }
 
@@ -107,11 +110,10 @@ func VerifyDir(dir string, opts ...Option) (*ProjectReport, error) {
 // stops the dispatch and records the unstarted files as failures.
 //
 // Files are verified concurrently on a bounded worker pool
-// (WithParallelism, default GOMAXPROCS); each file's front end comes from
-// the process-wide compile cache and its assertions are checked in order
-// on the file's worker. The report is identical at any parallelism: every
-// file's analysis is deterministic and results are assembled in sorted
-// file order.
+// (WithParallelism, default GOMAXPROCS); each file is compiled and its
+// assertions are checked in order on the file's worker. The report is
+// identical at any parallelism: every file's analysis is deterministic
+// and results are assembled in sorted file order.
 func VerifyDirContext(ctx context.Context, dir string, opts ...Option) (*ProjectReport, error) {
 	snap, walkFails, err := snapshotDir(dir)
 	if err != nil {
@@ -287,7 +289,7 @@ func verifyDirFiles(ctx context.Context, dir string, snap incremental.Snapshot, 
 	}
 	wg.Wait()
 
-	prof := &RunProfile{Cache: &telemetry.CacheProfile{}}
+	prof := &RunProfile{}
 	for i := range phpFiles {
 		if fail := fails[i]; fail != nil {
 			pr.Failures = append(pr.Failures, *fail)
@@ -308,15 +310,7 @@ func verifyDirFiles(ctx context.Context, dir string, snap incremental.Snapshot, 
 			if hasStore {
 				pr.StoreMisses++
 			}
-			if rep.Profile != nil && rep.Profile.CacheHit {
-				pr.CacheHits++
-			} else {
-				pr.CacheMisses++
-			}
-			if rep.Profile != nil {
-				prof.Cache.Evictions += rep.Profile.CacheEvictions
-				prof.Cache.Stale += rep.Profile.CacheStale
-			}
+			pr.CacheMisses++
 		}
 		if rep.Verdict == VerdictUnsafe {
 			pr.VulnerableFiles++
@@ -325,11 +319,9 @@ func verifyDirFiles(ctx context.Context, dir string, snap incremental.Snapshot, 
 		}
 	}
 
-	// Project-level sections: this run's own files' compile-cache
-	// outcomes, whatever else the process compiles meanwhile, and the
-	// file fan-out.
-	prof.Cache.Hits, prof.Cache.Misses = int64(pr.CacheHits), int64(pr.CacheMisses)
-	prof.Cache.Entries = defaultCompileCache.Len()
+	// The project-level section: the file fan-out. Every project profile
+	// carries it, also over no files, which is what tells Record a
+	// project profile from a file's.
 	prof.Pool = &telemetry.PoolProfile{
 		Capacity: parallelism,
 		Acquires: started.Load(),

@@ -26,11 +26,11 @@ mysql_query("SELECT * FROM t WHERE who = '$name'");
 
 // TestResultStoreSecondTier drives the WithStore tier end to end: a
 // fresh verification populates the store, a second process (modeled by
-// a second OpenStore over the same directory plus a compile-cache
-// reset) is served from disk, and the served report is byte-identical
-// to the computed one once profiles are stripped. A store written under
-// the previous envelope schema reads as a miss once: the entry is
-// invalidated, re-verified and persisted again under the current schema.
+// a second OpenStore over the same directory) is served from disk, and
+// the served report is byte-identical to the computed one once profiles
+// are stripped. A store written under the previous envelope schema reads
+// as a miss once: the entry is invalidated, re-verified and persisted
+// again under the current schema.
 func TestResultStoreSecondTier(t *testing.T) {
 	dir := t.TempDir()
 	s1, err := webssari.OpenStore(dir, 0)
@@ -48,8 +48,7 @@ func TestResultStoreSecondTier(t *testing.T) {
 		t.Fatalf("first verification did not persist: %+v", st)
 	}
 
-	// "Restart": new store handle over the same root, cold compile cache.
-	webssari.ResetCompileCache()
+	// "Restart": new store handle over the same root.
 	s2, err := webssari.OpenStore(dir, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -60,9 +59,6 @@ func TestResultStoreSecondTier(t *testing.T) {
 	}
 	if !rep2.Profile.StoreHit {
 		t.Fatal("second verification missed the store")
-	}
-	if rep2.Profile.CacheHit {
-		t.Fatal("store hit also claimed a compile-cache hit")
 	}
 	if st := s2.Stats(); st.Hits != 1 {
 		t.Fatalf("store counters after hit: %+v", st)
@@ -78,7 +74,6 @@ func TestResultStoreSecondTier(t *testing.T) {
 	if envelopes, _ := downgradeStore(t, s2); envelopes != 1 {
 		t.Fatalf("rewrote %d envelopes, want 1", envelopes)
 	}
-	webssari.ResetCompileCache()
 	s3, err := webssari.OpenStore(dir, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -361,7 +356,6 @@ func TestResultStoreIncludeInvalidation(t *testing.T) {
 	if err := os.WriteFile(inc, []byte("<?php $greet = $_GET['g']; ?>"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	webssari.ResetCompileCache()
 	rep3, err := webssari.Verify(mainSrc, main, opts...)
 	if err != nil {
 		t.Fatal(err)
@@ -416,9 +410,6 @@ func TestVerifyDirStoreCounts(t *testing.T) {
 	}
 	if streamed != 2 {
 		t.Fatalf("observer saw %d reports, want 2", streamed)
-	}
-	if pr2.CacheHits != 0 || pr2.CacheMisses != 0 {
-		t.Fatalf("store-served files counted against the compile cache: %+v", pr2)
 	}
 }
 

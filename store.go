@@ -1,9 +1,8 @@
 package webssari
 
 // This file wires the on-disk result store (internal/store) into the
-// verification entry points as a second cache tier. Tier 1 is the
-// in-process compile cache (compiled Programs, gone at exit); tier 2
-// persists finished Reports across process restarts, keyed by a content
+// verification entry points. It is the one cache tier: it persists
+// finished Reports across process restarts, keyed by a content
 // fingerprint of everything that shapes a verdict: the source bytes,
 // the trust environment (prelude fingerprint), and every model- or
 // solver-shaping option. Re-verifying an unchanged file under an
@@ -35,8 +34,7 @@ import (
 	"webssari/internal/telemetry"
 )
 
-// ResultStore is the persistent, content-addressed result store
-// (tier 2). Open one with OpenStore and attach it with WithStore; one
+// ResultStore is the persistent, content-addressed result store. Open one with OpenStore and attach it with WithStore; one
 // ResultStore is safe for concurrent use across a whole daemon.
 type ResultStore = store.Store
 
@@ -51,8 +49,8 @@ func OpenStore(dir string, maxBytes int64) (*ResultStore, error) {
 // which funnels through it) first consults the store and, on a valid
 // hit, returns the persisted report without compiling or solving;
 // complete fresh reports are written back. Patch and VerifyToHTML
-// bypass tier 2 — they need the compiled artifacts, not just the
-// verdict — but still benefit from the tier-1 compile cache.
+// bypass the store: they need the compiled artifacts, not just the
+// verdict.
 func WithStore(s *ResultStore) Option {
 	return func(c *config) error {
 		if s != nil {
@@ -62,7 +60,7 @@ func WithStore(s *ResultStore) Option {
 	}
 }
 
-// StoreBackend is the abstract result-store surface (tier 2): the local
+// StoreBackend is the abstract result-store surface: the local
 // on-disk *ResultStore implements it, and so can any other backend
 // (an in-memory one, or one that times each call).
 type StoreBackend = store.Backend
@@ -130,7 +128,7 @@ func resultKey(name string, src []byte, cfg *config) string {
 	)
 }
 
-// storeGet consults tier 2 for a finished report. A hit is decoded and
+// storeGet consults the result store for a finished report. A hit is decoded and
 // revalidated (envelope schema, include snapshot); any failure reads as
 // a miss. The returned report is marked StoreHit with a minimal fresh
 // profile — the persisted run's timings belong to the run that paid

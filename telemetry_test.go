@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,8 +16,7 @@ import (
 	"webssari/internal/telemetry"
 )
 
-// telemetryPages are distinct sources (no content-cache coalescing), two
-// vulnerable and one safe, so a project run exercises both verdicts.
+// telemetryPages are distinct sources, two vulnerable and one safe, so a project run exercises both verdicts.
 var telemetryPages = map[string]string{
 	"inject.php": `<?php
 $id = $_GET['id'];
@@ -53,7 +51,6 @@ func writeTelemetryProject(t testing.TB) string {
 // concurrent counter/span paths.
 func TestVerifyDirTelemetry(t *testing.T) {
 	dir := writeTelemetryProject(t)
-	webssari.ResetCompileCache()
 	tel := webssari.NewTelemetry()
 	pr, err := webssari.VerifyDir(dir,
 		webssari.WithParallelism(4), webssari.WithTelemetry(tel))
@@ -89,16 +86,13 @@ func TestVerifyDirTelemetry(t *testing.T) {
 		t.Errorf("parse spans tag %d distinct files, want %d", len(parseFiles), n)
 	}
 
-	// Counters: every file verified, assertions checked, cold cache misses.
+	// Counters: every file verified, assertions checked.
 	m := tel.Metrics
 	if got := m.Counter(telemetry.MetricFilesVerified).Value(); got != int64(n) {
 		t.Errorf("files_verified = %d, want %d", got, n)
 	}
 	if got := m.Counter(telemetry.MetricAssertionsChecked).Value(); got == 0 {
 		t.Error("assertions_checked = 0")
-	}
-	if got := m.Counter(telemetry.MetricCacheMisses).Value(); got != int64(n) {
-		t.Errorf("cache_misses = %d, want %d (cold cache, distinct contents)", got, n)
 	}
 	if got := m.Counter(telemetry.MetricCounterexamples).Value(); got == 0 {
 		t.Error("counterexamples = 0, want > 0 (two vulnerable pages)")
@@ -108,15 +102,12 @@ func TestVerifyDirTelemetry(t *testing.T) {
 	}
 
 	// The profile travels under the stable "profile" key, project-wide
-	// and per file, with pool/cache sections at the project level.
+	// and per file, with the pool section at the project level.
 	if pr.Profile == nil || pr.Profile.Files != n {
 		t.Fatalf("project profile = %+v", pr.Profile)
 	}
-	if pr.Profile.Pool == nil || pr.Profile.Cache == nil {
-		t.Errorf("project profile missing pool/cache sections: %+v", pr.Profile)
-	}
-	if pr.Profile.Cache.Misses != int64(n) {
-		t.Errorf("profile cache misses = %d, want %d", pr.Profile.Cache.Misses, n)
+	if pr.Profile.Pool == nil {
+		t.Errorf("project profile missing its pool section: %+v", pr.Profile)
 	}
 	data, err := json.Marshal(pr)
 	if err != nil {
@@ -322,7 +313,6 @@ func TestTraceSpansMatchProfile(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mode := range []webssari.SolverMode{webssari.SolverPerAssert, webssari.SolverShared} {
-		webssari.ResetCompileCache() // a cold compile: every front-end stage runs
 		tel := webssari.NewTelemetry()
 		rep, err := webssari.Verify(src, "examples/php/guestbook.php", webssari.WithTelemetry(tel),
 			webssari.WithSolverConfig(webssari.SolverConfig{Mode: mode}))
@@ -363,8 +353,8 @@ func TestTraceSpansMatchProfile(t *testing.T) {
 }
 
 // TestFileVerifierReportWithoutProfile: a FileVerifier may return
-// reports that carry no profile; the project run counts them as
-// compile-cache misses instead of failing.
+// reports that carry no profile; the project run reports them instead
+// of failing.
 func TestFileVerifierReportWithoutProfile(t *testing.T) {
 	dir := writeTelemetryProject(t)
 	bare := func(ctx context.Context, src []byte, name string, opts ...webssari.Option) (*webssari.Report, error) {
@@ -379,111 +369,7 @@ func TestFileVerifierReportWithoutProfile(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := len(telemetryPages)
-	if len(pr.Files) != n || pr.CacheMisses != n || pr.CacheHits != 0 {
-		t.Errorf("files %d, cache hits/misses %d/%d; want %d files, all misses",
-			len(pr.Files), pr.CacheHits, pr.CacheMisses, n)
-	}
-}
-
-// cacheSeries reads the compile-cache hit and miss series of a registry.
-func cacheSeries(tel *webssari.Telemetry) (hits, misses int64) {
-	snap := tel.Metrics.Snapshot()
-	return int64(snap[telemetry.MetricCacheHits]), int64(snap[telemetry.MetricCacheMisses])
-}
-
-// TestCompileCacheSeriesCountSingleFiles: a file verified three times
-// under one Telemetry is one compile-cache miss and two hits on
-// /metrics, counted from each file's own profile, not only by project
-// runs.
-func TestCompileCacheSeriesCountSingleFiles(t *testing.T) {
-	tel := webssari.NewTelemetry()
-	// A name under a fresh directory is a cache key no other test uses.
-	name := filepath.Join(t.TempDir(), "xss.php")
-	for range 3 {
-		if _, err := webssari.Verify([]byte(telemetryPages["xss.php"]), name, webssari.WithTelemetry(tel)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if hits, misses := cacheSeries(tel); hits != 2 || misses != 1 {
-		t.Fatalf("compile-cache series: hits %d, misses %d; want 2 and 1", hits, misses)
-	}
-}
-
-// TestCompileCacheEntriesFromFileJobs: a Telemetry that only ever
-// verifies single files shows the compile cache's entry count, and the
-// series follows the cache as later files are compiled into it.
-func TestCompileCacheEntriesFromFileJobs(t *testing.T) {
-	tel := webssari.NewTelemetry()
-	dir := t.TempDir() // fresh names are cache keys no other test uses
-	for _, page := range []string{"inject.php", "xss.php"} {
-		if _, err := webssari.Verify([]byte(telemetryPages[page]), filepath.Join(dir, page), webssari.WithTelemetry(tel)); err != nil {
-			t.Fatal(err)
-		}
-		got, ok := tel.Metrics.Snapshot()[telemetry.MetricCacheEntries]
-		if want := webssari.CompileCacheLen(); !ok || got != float64(want) {
-			t.Fatalf("after %s: %s = %v (present %v), want the cache's %d entries",
-				page, telemetry.MetricCacheEntries, got, ok, want)
-		}
-	}
-}
-
-// TestCompileCacheSeriesPerRun runs two project runs at once: a
-// FileVerifier holds run A's first file until run B, over a warm cache,
-// has finished. Each run's registry and profile count its own files'
-// hits and misses, and nothing of the other run's.
-func TestCompileCacheSeriesPerRun(t *testing.T) {
-	dirA, dirB := writeTelemetryProject(t), writeTelemetryProject(t)
-	if _, err := webssari.VerifyDir(dirB); err != nil { // warm: run B is all hits
-		t.Fatal(err)
-	}
-	entered, release := make(chan struct{}), make(chan struct{})
-	var held atomic.Bool
-	hold := func(ctx context.Context, src []byte, name string, opts ...webssari.Option) (*webssari.Report, error) {
-		if held.CompareAndSwap(false, true) {
-			close(entered)
-			<-release
-		}
-		return webssari.VerifyContext(ctx, src, name, opts...)
-	}
-	telA, telB := webssari.NewTelemetry(), webssari.NewTelemetry()
-	type result struct {
-		pr  *webssari.ProjectReport
-		err error
-	}
-	doneA := make(chan result, 1)
-	go func() {
-		pr, err := webssari.VerifyDir(dirA, webssari.WithParallelism(1),
-			webssari.WithTelemetry(telA), webssari.WithFileVerifier(hold))
-		doneA <- result{pr, err}
-	}()
-	<-entered
-	prB, err := webssari.VerifyDir(dirB, webssari.WithTelemetry(telB))
-	close(release)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := <-doneA
-	if a.err != nil {
-		t.Fatal(a.err)
-	}
-	n := len(telemetryPages)
-	for _, run := range []struct {
-		name         string
-		pr           *webssari.ProjectReport
-		tel          *webssari.Telemetry
-		hits, misses int
-	}{{"A", a.pr, telA, 0, n}, {"B", prB, telB, n, 0}} {
-		if run.pr.CacheHits != run.hits || run.pr.CacheMisses != run.misses {
-			t.Errorf("run %s: report hits %d, misses %d; want %d and %d",
-				run.name, run.pr.CacheHits, run.pr.CacheMisses, run.hits, run.misses)
-		}
-		if c := run.pr.Profile.Cache; c.Hits != int64(run.hits) || c.Misses != int64(run.misses) {
-			t.Errorf("run %s: profile hits %d, misses %d; want %d and %d",
-				run.name, c.Hits, c.Misses, run.hits, run.misses)
-		}
-		if hits, misses := cacheSeries(run.tel); hits != int64(run.hits) || misses != int64(run.misses) {
-			t.Errorf("run %s: /metrics hits %d, misses %d; want %d and %d",
-				run.name, hits, misses, run.hits, run.misses)
-		}
+	if len(pr.Files) != n || len(pr.Failures) != 0 {
+		t.Errorf("%d files, failures %v; want %d files and none", len(pr.Files), pr.Failures, n)
 	}
 }

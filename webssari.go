@@ -38,6 +38,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sync/atomic"
 	"time"
 
 	"webssari/internal/core"
@@ -549,23 +550,24 @@ func engineErr(name string, errs []error) error {
 	return &EngineError{Stage: "analysis", File: name, Err: errs[0]}
 }
 
-// defaultCompileCache memoizes the engine front end across every
-// Verify/Patch/VerifyDir call in the process: repeated verification of
-// unchanged source (a Verify followed by a Patch, a project re-scan)
-// skips parse/filter/rename/constraint generation entirely.
-var defaultCompileCache = core.NewCompileCache(0)
+// compiles counts the front-end compiles this process ran since the last
+// ResetCompileCache.
+var compiles atomic.Int64
 
-// CompileCacheStats returns the process-wide compile cache's cumulative
-// hit and miss counts.
-func CompileCacheStats() (hits, misses int64) { return defaultCompileCache.Stats() }
+// CompileCacheStats returns 0 hits and the number of front-end compiles
+// since the last ResetCompileCache.
+//
+// Deprecated: there is no compile cache; every verified file is compiled
+// when it is verified, so hits is always 0.
+func CompileCacheStats() (hits, misses int64) { return 0, compiles.Load() }
 
-// ResetCompileCache empties the process-wide compile cache and zeroes its
-// counters. Verification results never depend on cache state; resetting
-// only affects performance and the Stats counters.
-func ResetCompileCache() { defaultCompileCache.Reset() }
+// ResetCompileCache zeroes the compile count CompileCacheStats reports.
+//
+// Deprecated: there is no compile cache to empty.
+func ResetCompileCache() { compiles.Store(0) }
 
-// runAnalysis drives the core pipeline — a cached Compile followed by
-// Solve — and the counterexample analysis under ctx, recovering any panic
+// runAnalysis drives the core pipeline — Compile followed by Solve —
+// and the counterexample analysis under ctx, recovering any panic
 // that escapes a stage boundary into a structured *EngineError so a
 // single pathological input can never crash a project-wide run. It
 // builds the file's RunProfile and rolls it into the metrics, also when
@@ -575,7 +577,6 @@ func ResetCompileCache() { defaultCompileCache.Reset() }
 // point all entry paths (Verify, Patch, VerifyToHTML, VerifyDir workers)
 // funnel through — and the whole file gets a root span on a fresh trace
 // lane, under which the engine's stage spans are drawn from the profile.
-// Its registry reads the compile cache's size at every scrape.
 func runAnalysis(ctx context.Context, src []byte, name string, cfg *config) (res *core.Result, analysis *fixing.Analysis, prof *RunProfile, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -588,13 +589,11 @@ func runAnalysis(ctx context.Context, src []byte, name string, cfg *config) (res
 	defer fsp.End()
 	eopts := cfg.engineOptions(ctx)
 	start := time.Now()
-	prog, errs, cs, hit := defaultCompileCache.Compile(name, src, eopts)
-	cfg.metrics().GaugesOf(defaultCompileCache, compileCacheEntries)
-	prof = &RunProfile{CompileWallNS: time.Since(start).Nanoseconds(), CacheHit: hit,
-		CacheEvictions: cs.Evicted, CacheStale: cs.Stale}
-	// Only the stages this call ran count: a cache hit has zero stats, as
-	// counting another compile's work again would double-book it in
-	// project aggregates, and a failed compile stops at the failing stage.
+	prog, cs, errs := core.Compile(name, src, eopts)
+	compiles.Add(1)
+	prof = &RunProfile{CompileWallNS: time.Since(start).Nanoseconds()}
+	// A failed compile stops at the failing stage: the stages after it
+	// never ran and are not counted.
 	prof.AddStage("parse", time.Duration(cs.ParseNS))
 	prof.AddStage("lower", time.Duration(cs.LowerNS))
 	prof.AddStage("flow", time.Duration(cs.FlowNS))
@@ -641,11 +640,6 @@ func runAnalysis(ctx context.Context, src []byte, name string, cfg *config) (res
 	cfg.metrics().Record(prof)
 	telemetry.DrawProfile(ctx, start, name, prof, "")
 	return res, analysis, prof, nil
-}
-
-// compileCacheEntries is the process-wide compile cache's gauge reader.
-func compileCacheEntries(emit func(string, int64)) {
-	emit(telemetry.MetricCacheEntries, int64(defaultCompileCache.Len()))
 }
 
 // Verify analyzes one PHP source text and returns its report. A non-nil
@@ -747,9 +741,6 @@ func PatchContext(ctx context.Context, src []byte, name string, opts ...Option) 
 	}
 	ctx, cancel := cfg.applyDeadline(ctx)
 	defer cancel()
-	// The front end comes from the compile cache, so a Patch directly
-	// after a Verify of the same source re-uses the compiled Program and
-	// only re-runs the solver and fixing analysis.
 	res, analysis, prof, err := runAnalysis(ctx, src, name, cfg)
 	if err != nil {
 		return nil, nil, err
