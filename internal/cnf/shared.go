@@ -58,17 +58,19 @@ func EncodeAllChecks(sys *constraint.System, opts Options) (*EncodedAll, error) 
 		guardCache: make(map[string]glit),
 	}
 
-	// Allocate every branch variable and encode every equation once,
-	// bailing out as soon as a resource ceiling trips.
+	// Allocate every branch variable and encode every dynamic equation
+	// once, bailing out as soon as a resource ceiling trips.
 	for _, m := range sys.Marks {
 		e.branchVar(m.ID)
 	}
-	for _, eq := range sys.Equations {
-		e.encodeEquation(eq)
+	for _, i := range sys.Dynamic {
+		e.pos = i
+		e.encodeEquation(sys.Equations[i])
 		if e.limit != nil {
 			return nil, e.limit
 		}
 	}
+	e.pos = len(sys.Equations)
 
 	out := &EncodedAll{
 		BranchVars:     e.branch,

@@ -19,12 +19,18 @@
 // where c is the concatenation of all commands preceding assert_i, and —
 // following the paper's iteration — every already-checked assertion is
 // added positively before moving to the next one.
+//
+// Build also records which equations fold to a constant safety type in
+// every encoding of every B_i (see System.Folded), so the encoder visits
+// only the equations that can need SAT variables.
 package constraint
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
+	"webssari/internal/lattice"
 	"webssari/internal/rename"
 )
 
@@ -252,8 +258,27 @@ type System struct {
 	Renamed   *rename.Program
 	Equations []Equation
 	Checks    []Check
-	// Marks lists every branch with its command-order position.
+	// Marks lists every branch with its command-order position, in
+	// command order.
 	Marks []BranchMark
+	// Folded maps each SSA variable whose equation the encoder folds to
+	// a constant, allocating no SAT variable and no clause, to that
+	// constant and its equation's index. The constant is the same in
+	// every check whose prefix holds the equation.
+	Folded map[rename.SSAVar]Folded
+	// Dynamic lists, in ascending order, the indices of the equations
+	// that are not folded: the only ones an encoding has to visit.
+	Dynamic []int
+
+	// markIDs holds Marks' branch IDs in the same order.
+	markIDs []int
+}
+
+// Folded is the constant type of a folded equation's variable.
+type Folded struct {
+	Type lattice.Elem
+	// Eq is the index of the defining equation in System.Equations.
+	Eq int
 }
 
 // Build runs the constraint construction procedure over the whole renamed
@@ -262,19 +287,96 @@ func Build(p *rename.Program) *System {
 	s := &System{Renamed: p}
 	tick := 0
 	s.walk(p.Cmds, True{}, &tick)
+	s.fold()
 	return s
 }
 
 // PrefixBranches returns the IDs of every branch preceding the check in
-// command order — the BN variables of the formula B_i.
+// command order — the BN variables of the formula B_i. Callers must not
+// modify the returned slice.
 func (s *System) PrefixBranches(c Check) []int {
-	var out []int
-	for _, m := range s.Marks {
-		if m.Tick < c.Tick {
-			out = append(out, m.ID)
+	n := sort.Search(len(s.Marks), func(i int) bool { return s.Marks[i].Tick >= c.Tick })
+	return s.markIDs[:n]
+}
+
+// fold splits the equations into folded and dynamic ones. An equation
+// folds when the encoder, encoding the equations in order, would give
+// its variable a constant without allocating a variable or a clause:
+//
+//   - its guard is True, False or a single Branch, whose variable the
+//     encoder allocates before any equation. A conjunction or
+//     disjunction may take a Tseitin variable, and its number depends on
+//     the encoding order, so it stays dynamic;
+//   - every leaf of its RHS is constant, also under a False guard (the
+//     encoder still encodes that RHS, and a join with a non-constant part
+//     may allocate a one-hot group);
+//   - under a Branch guard, RHS and previous value are the same constant.
+//
+// A leaf reading a variable is constant when that variable is folded or
+// not yet defined (the encoder reads its initial type), and not when a
+// dynamic equation defines it.
+func (s *System) fold() {
+	s.Folded = make(map[rename.SSAVar]Folded)
+	dynamic := make(map[rename.SSAVar]bool)
+	ai := s.Renamed.AI
+	constOf := func(v rename.SSAVar) (lattice.Elem, bool) {
+		if f, ok := s.Folded[v]; ok {
+			return f.Type, true
+		}
+		if dynamic[v] {
+			return 0, false
+		}
+		return ai.InitialType(v.Name), true
+	}
+	var constExpr func(rename.Expr) (lattice.Elem, bool)
+	constExpr = func(x rename.Expr) (lattice.Elem, bool) {
+		switch x := x.(type) {
+		case rename.Const:
+			return x.Type, true
+		case rename.Ref:
+			return constOf(x.V)
+		case rename.Join:
+			if len(x.Parts) == 0 {
+				return ai.Lat.Bottom(), true
+			}
+			var acc lattice.Elem
+			for i, part := range x.Parts {
+				t, ok := constExpr(part)
+				if !ok {
+					return 0, false
+				}
+				if i == 0 {
+					acc = t
+				} else {
+					acc = ai.Lat.Join(acc, t)
+				}
+			}
+			return acc, true
+		default:
+			return ai.Lat.Top(), true
 		}
 	}
-	return out
+	for i, eq := range s.Equations {
+		t, ok := constExpr(eq.RHS)
+		if ok {
+			switch eq.Guard.(type) {
+			case True:
+			case False:
+				t, ok = constOf(eq.Prev)
+			case Branch:
+				prev, pok := constOf(eq.Prev)
+				ok = pok && prev == t
+			default:
+				ok = false
+			}
+		}
+		if ok {
+			s.Folded[eq.V] = Folded{Type: t, Eq: i}
+		} else {
+			dynamic[eq.V] = true
+			s.Dynamic = append(s.Dynamic, i)
+		}
+	}
 }
 
 // walk processes a command sequence under guard g and returns the
@@ -302,6 +404,7 @@ func (s *System) walk(cmds []rename.Cmd, g Bool, tick *int) Bool {
 			})
 		case *rename.If:
 			s.Marks = append(s.Marks, BranchMark{ID: c.ID, Tick: *tick})
+			s.markIDs = append(s.markIDs, c.ID)
 			bPos := Branch{ID: c.ID}
 			bNeg := Branch{ID: c.ID, Neg: true}
 			gThen := s.walk(c.Then, MkAnd(g, bPos), tick)
