@@ -207,6 +207,17 @@ mysql_query($x);
 	}
 }
 
+// verifySource compiles and solves one PHP source text: core.Compile
+// followed by core.Solve. Recoverable parse errors are returned beside
+// the result.
+func verifySource(name string, src []byte, opts core.Options) (*core.Result, []error) {
+	p, _, errs := core.Compile(name, src, opts)
+	if p == nil {
+		return nil, errs
+	}
+	return core.Solve(context.Background(), p, opts), errs
+}
+
 // BenchmarkFixingSetStrategies compares the three fixing-set strategies of
 // §3.3.3–3.3.4 — naive (one guard per violating variable, the TS-era
 // behaviour), Chvátal greedy, and exact branch-and-bound — on the
@@ -215,8 +226,8 @@ func BenchmarkFixingSetStrategies(b *testing.B) {
 	pre := prelude.Default()
 	pre.AddSink("DoSQL", pre.Lattice().Top(), 1)
 	src := surveyorSrc(10, 4) // 10 roots × 4 sinks = 40 symptoms
-	opts := core.NewOptions(flow.Options{Prelude: pre})
-	res, errs := core.VerifySource("fix.php", []byte(src), opts)
+	opts := core.Options{Flow: flow.Options{Prelude: pre}}
+	res, errs := verifySource("fix.php", []byte(src), opts)
 	if len(errs) != 0 {
 		b.Fatalf("verify: %v", errs)
 	}
@@ -327,7 +338,7 @@ mysql_query($acc);
 			var size, cexs int
 			for i := 0; i < b.N; i++ {
 				opts := core.Options{Flow: flow.Options{Prelude: pre, LoopUnroll: unroll}}
-				res, errs := core.VerifySource("loop.php", []byte(src), opts)
+				res, errs := verifySource("loop.php", []byte(src), opts)
 				if len(errs) != 0 {
 					b.Fatalf("verify: %v", errs)
 				}
@@ -454,50 +465,6 @@ func maxInt(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// BenchmarkSharedSolver compares the paper's per-assertion rebuild loop
-// (a fresh CNF and solver per assertion) against the incremental
-// shared-solver extension (one solver, selector assumptions) on a file
-// with many assertions over a common data-flow core.
-func BenchmarkSharedSolver(b *testing.B) {
-	var sb []byte
-	{
-		src := "<?php\n$base = $_GET['seed'];\n"
-		for i := 0; i < 8; i++ {
-			src += fmt.Sprintf("if ($c%d) { $v%d = $base; } else { $v%d = 'ok'; }\n", i, i, i)
-			src += fmt.Sprintf("echo $v%d;\nmysql_query($v%d);\n", i, i)
-		}
-		sb = []byte(src)
-	}
-	pre := prelude.Default()
-	prog, errs := flow.BuildSource("many.php", sb, flow.Options{Prelude: pre})
-	if len(errs) != 0 {
-		b.Fatalf("build: %v", errs)
-	}
-
-	b.Run("per-assert-rebuild", func(b *testing.B) {
-		var cexs int
-		for i := 0; i < b.N; i++ {
-			res, err := core.VerifyAI(prog, core.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			cexs = len(res.Counterexamples())
-		}
-		b.ReportMetric(float64(cexs), "counterexamples")
-	})
-	b.Run("shared-incremental", func(b *testing.B) {
-		var cexs int
-		for i := 0; i < b.N; i++ {
-			res, err := core.VerifyAI(prog, core.Options{Mode: core.ModeShared})
-			if err != nil {
-				b.Fatal(err)
-			}
-			cexs = len(res.Counterexamples())
-		}
-		b.ReportMetric(float64(cexs), "counterexamples")
-	})
 }
 
 // BenchmarkParallelVerifyDir compares whole-project verification at

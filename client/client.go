@@ -39,8 +39,8 @@ type (
 	JobState          = api.JobState
 	VersionResponse   = api.VersionResponse
 	Health            = api.Health
-	// SolverSpec is the per-job solver configuration (dispatch mode and
-	// budgets) attachable to both submit requests; see
+	// SolverSpec is the per-job solver configuration (search budgets)
+	// attachable to both submit requests; see
 	// webssari.SolverConfig for the semantics.
 	SolverSpec = api.SolverSpec
 )

@@ -21,9 +21,6 @@
 //	-paper            use the paper's exact enumeration (§3.3.2)
 //	-timeout D        wall-clock deadline per verification unit (e.g. 30s)
 //	-max-conflicts N  SAT conflict budget per solver call (0 = unlimited)
-//	-solver-mode M    solver dispatch mode: per-assert (default) or shared
-//	                  (one incremental solver per file, learnt clauses
-//	                  accumulate across assertions)
 //	-j N              files verified at once in a directory (0 =
 //	                  GOMAXPROCS); a single file ignores it
 //	-v                print the run profile (stage wall times, solver

@@ -115,7 +115,6 @@ func TestRejectsBadSharedFlags(t *testing.T) {
 	a := writeTemp(t, "a.php", `<?php echo $_GET['x'];`)
 	b := writeTemp(t, "b.php", `<?php echo 'ok';`)
 	for _, bad := range [][]string{
-		{"-solver-mode", "bogus"},
 		{"-policy", "bogus"},
 		{"-j", "-1"},
 		{"-unroll", "0"},
@@ -131,6 +130,17 @@ func TestRejectsBadSharedFlags(t *testing.T) {
 		if lines := strings.Split(strings.TrimSpace(stderr), "\n"); len(lines) != 1 {
 			t.Errorf("%v: want one error line, got:\n%s", bad, stderr)
 		}
+	}
+}
+
+// TestRejectsSolverModeFlag: the solver has one dispatch loop, so
+// -solver-mode is an undefined flag, a usage error.
+func TestRejectsSolverModeFlag(t *testing.T) {
+	a := writeTemp(t, "a.php", `<?php echo 'ok';`)
+	var code int
+	stderr := captureStderr(t, func() { code = run([]string{"-solver-mode", "shared", a}) })
+	if code != 2 || !strings.Contains(stderr, "flag provided but not defined: -solver-mode") {
+		t.Fatalf("-solver-mode shared exited %d, stderr:\n%s\nwant 2 on an undefined flag", code, stderr)
 	}
 }
 

@@ -20,9 +20,6 @@
 //	                   GOMAXPROCS); file jobs ignore it
 //	-timeout D         wall-clock deadline per verification unit
 //	-max-conflicts N   SAT conflict budget per solver call (0 = unlimited)
-//	-solver-mode M     default solver dispatch mode for jobs:
-//	                   per-assert|shared (per-job "solver" fields
-//	                   override it)
 //	-no-dirs           reject directory submissions (clients may then only
 //	                   POST source text)
 //	-incremental       default directory jobs to delta re-verification via
@@ -197,7 +194,7 @@ func run(args []string, ready chan<- string) int {
 	// coordinator's (mismatched options would break verdict identity).
 	// The policy is part of it: a worker running a different default
 	// policy must not join. Fingerprint leaves out the options that
-	// change only cost (-j, -incremental, -solver-mode), so passing the
+	// change only cost (-j, -incremental), so passing the
 	// full config here is safe: such workers still fingerprint
 	// identically to the coordinator.
 	fingerprint := cluster.Fingerprint(webssari.WithConfig(sh.Config()))

@@ -369,7 +369,6 @@ func TestIncrementalNeedsStore(t *testing.T) {
 func TestRejectsBadSharedFlags(t *testing.T) {
 	for _, bad := range [][]string{
 		{"-j", "-1"},
-		{"-solver-mode", "bogus"},
 		{"-policy", "bogus"},
 		{"-log-level", "bogus"},
 	} {
@@ -391,6 +390,19 @@ func TestRejectsBadSharedFlags(t *testing.T) {
 		if lines := strings.Split(strings.TrimSpace(stderr), "\n"); len(lines) != 1 {
 			t.Errorf("%v: want one error line, got:\n%s", bad, stderr)
 		}
+	}
+}
+
+// TestRejectsSolverModeFlag: the solver has one dispatch loop, so
+// -solver-mode is an undefined flag, a usage error raised before any
+// listener starts.
+func TestRejectsSolverModeFlag(t *testing.T) {
+	var code int
+	stderr := captureStderr(t, func() {
+		code = run([]string{"-addr", "127.0.0.1:0", "-solver-mode", "shared"}, nil)
+	})
+	if code != 2 || !strings.Contains(stderr, "flag provided but not defined: -solver-mode") {
+		t.Fatalf("-solver-mode shared exited %d, stderr:\n%s\nwant 2 on an undefined flag", code, stderr)
 	}
 }
 

@@ -17,16 +17,12 @@
 //
 // The -timeout and -max-conflicts flags bound the search; an assertion
 // left undecided prints UNKNOWN with its cause and the command exits 3
-// (incomplete) instead of claiming the program safe. The -j flag bounds
+// (incomplete) instead of claiming the program safe. The -max-conflicts
+// budget travels with -remote submissions as the job's solver spec. The -j flag bounds
 // how many of a directory's files are verified at once (0 = GOMAXPROCS;
 // a single file ignores it), and -v prints the run profile (per-stage
 // wall time and solver effort; for one file, each assertion's encode
 // and search time) to stderr.
-//
-// The -solver-mode flag selects the solver dispatch mode — per-assert
-// (default) or shared (one incremental solver per file, learnt clauses
-// carried across assertions) — in every local mode, and the selection
-// travels with -remote submissions as the job's solver spec.
 //
 // Observability: -trace FILE writes a Chrome trace-event JSON of every
 // pipeline span (load it in chrome://tracing or Perfetto) — the file is
@@ -354,7 +350,7 @@ func runRemote(target, base string, sh *cli.Flags, watch, ndjson bool) int {
 	pol := sh.ResolvedPolicy()
 	var solver *client.SolverSpec
 	if sc := sh.Solver(); sc != (webssari.SolverConfig{}) {
-		solver = &client.SolverSpec{Mode: string(sc.Mode), MaxConflicts: sc.MaxConflicts}
+		solver = &client.SolverSpec{MaxConflicts: sc.MaxConflicts}
 	}
 	// A transient 429 (queue full) or 503 (draining) rejection retries
 	// with backoff, honoring the daemon's Retry-After hint.

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -363,5 +364,30 @@ func TestRemoteSendsSolverSpec(t *testing.T) {
 		if !strings.Contains(bodies[path], `"solver":{"max_conflicts":7}`) {
 			t.Errorf("%s body lacks the solver spec: %s", path, bodies[path])
 		}
+	}
+}
+
+// TestRejectsSolverModeFlag: the solver has one dispatch loop, so
+// -solver-mode is an undefined flag, a usage error (exit 2) raised
+// before any file is read or any daemon is contacted.
+func TestRejectsSolverModeFlag(t *testing.T) {
+	var requests atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		http.Error(w, `{"schema":"v1","error":"recorded"}`, http.StatusBadRequest)
+	}))
+	defer srv.Close()
+
+	target := writePHP(t, vulnSrc)
+	for _, args := range [][]string{
+		{"-solver-mode", "shared", target},
+		{"-remote", srv.URL, "-solver-mode", "shared", target},
+	} {
+		if code := run(args); code != 2 {
+			t.Errorf("%v: exit = %d, want 2", args, code)
+		}
+	}
+	if n := requests.Load(); n != 0 {
+		t.Fatalf("the daemon got %d request(s); the flag must be rejected first", n)
 	}
 }

@@ -21,48 +21,16 @@ type SinkSpec struct {
 	Args []int  `json:"args,omitempty"`
 }
 
-// SolverMode selects how the SAT back end dispatches the assertions of
-// one verification unit. The zero value ("" — equivalent to
-// SolverPerAssert) is the classic behavior: every assertion gets a
-// fresh solver over its own encoding. Both modes produce byte-identical
-// reports (profiles aside) while no CNF ceiling (ResourceLimits) trips;
-// they differ only in cost. Both enforce the ceilings, but shared mode
-// enforces them on one whole-program formula, which can trip a ceiling
-// that no per-assertion formula reaches: every assertion is then
-// Unknown and the report incomplete.
-type SolverMode string
-
-const (
-	// SolverPerAssert solves each assertion on a fresh solver instance
-	// over a per-assertion encoding — the paper's loop and the default.
-	SolverPerAssert SolverMode = "per-assert"
-	// SolverShared solves every assertion under selector assumptions on
-	// ONE incremental CDCL instance, so learnt clauses accumulate across
-	// assertions. Best for files with many assertions over shared
-	// program structure.
-	SolverShared SolverMode = "shared"
-)
-
-// SolverModes lists the valid SolverMode values, in preference order —
-// also the capability list the daemon advertises on /v1/version.
-func SolverModes() []string {
-	return []string{string(SolverPerAssert), string(SolverShared)}
-}
-
-// SolverConfig is the unified solver configuration: dispatch mode and
-// search budgets, applied together with WithSolverConfig. The zero value
-// means "all defaults" (per-assert mode, unlimited budgets). It is
-// carried verbatim by Config.Solver, by the v1 wire schema's "solver"
-// job field, and by the typed client.
+// SolverConfig is the solver's search budgets, applied together with
+// WithSolverConfig. The zero value means "all defaults" (unlimited
+// budgets). It is carried verbatim by Config.Solver, by the v1 wire
+// schema's "solver" job field, and by the typed client.
 //
-// Mode is verdict-neutral while no CNF ceiling trips (see SolverMode):
-// it changes cost, not report content, and is therefore excluded from
-// result-store keys; an incomplete report is never stored. MaxConflicts and
-// MaxRestarts are verdict-shaping (an exhausted budget degrades
-// assertions to Unknown) and participate in keys.
+// Every assertion is checked on a fresh solver over its own encoding,
+// the paper's §3.3.2 loop. The budgets are verdict-shaping (an exhausted
+// budget degrades assertions to Unknown) and participate in result-store
+// keys.
 type SolverConfig struct {
-	// Mode selects the dispatch strategy ("" = per-assert).
-	Mode SolverMode `json:"mode,omitempty"`
 	// MaxConflicts caps SAT effort per solver call in conflicts
 	// (0 = unlimited).
 	MaxConflicts uint64 `json:"max_conflicts,omitempty"`
@@ -76,14 +44,6 @@ type SolverConfig struct {
 // WithSolverConfig applications (later options win).
 func WithSolverConfig(sc SolverConfig) Option {
 	return func(c *config) error {
-		if sc.Mode != "" {
-			switch sc.Mode {
-			case SolverPerAssert, SolverShared:
-				c.solverMode = sc.Mode
-			default:
-				return fmt.Errorf("webssari: unknown solver mode %q (valid: %v)", sc.Mode, SolverModes())
-			}
-		}
 		if sc.MaxConflicts != 0 {
 			c.solver.MaxConflicts = sc.MaxConflicts
 		}
@@ -138,8 +98,7 @@ type Config struct {
 	MaxCounterexamples int `json:"max_counterexamples,omitempty"`
 	// Deadline bounds each verification unit's wall time (WithDeadline).
 	Deadline time.Duration `json:"deadline,omitempty"`
-	// Solver is the unified solver configuration (WithSolverConfig):
-	// dispatch mode and search budgets.
+	// Solver is the solver's search budgets (WithSolverConfig).
 	Solver SolverConfig `json:"solver,omitempty"`
 	// Limits caps model and formula sizes (WithResourceLimits).
 	Limits ResourceLimits `json:"limits,omitempty"`
@@ -268,7 +227,6 @@ func (c *config) export() Config {
 		MaxCounterexamples: c.maxCEX,
 		Deadline:           c.deadline,
 		Solver: SolverConfig{
-			Mode:         c.solverMode,
 			MaxConflicts: c.solver.MaxConflicts,
 			MaxRestarts:  c.solver.MaxRestarts,
 		},

@@ -34,11 +34,7 @@ func TestConfigRoundTrip(t *testing.T) {
 	cc.PaperEnumeration = true
 	cc.MaxCounterexamples = 7
 	cc.Deadline = 42 * time.Second
-	cc.Solver = webssari.SolverConfig{
-		Mode:         webssari.SolverShared,
-		MaxConflicts: 9999,
-		MaxRestarts:  11,
-	}
+	cc.Solver = webssari.SolverConfig{MaxConflicts: 9999, MaxRestarts: 11}
 	cc.Parallelism = 2
 	cc.Incremental = true
 	cc.Store = st

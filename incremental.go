@@ -51,9 +51,8 @@ func GraphKey(dir string, opts ...Option) (string, error) {
 // ConfigFingerprint returns the fingerprint of every verdict-shaping
 // option in opts: the non-content part of each result-store and
 // dependency-graph key. Options that change only cost — parallelism,
-// incremental mode, the solver dispatch mode, store and telemetry
-// handles — and the deadline (only complete reports are stored) do not
-// participate.
+// incremental mode, store and telemetry handles — and the deadline (only
+// complete reports are stored) do not participate.
 func ConfigFingerprint(opts ...Option) (string, error) {
 	c, err := buildConfig(opts)
 	if err != nil {
@@ -85,10 +84,7 @@ func (c *config) configFingerprint() string {
 		// Solver settings are enumerated explicitly rather than %+v'd:
 		// only the verdict-shaping fields participate (budgets, which
 		// decide whether assertions degrade to Unknown, and the search
-		// feature switches). The dispatch mode is deliberately ABSENT — it
-		// is verdict-neutral (reports are byte-identical across modes,
-		// profiles aside), and keying on it would make a shared-mode run
-		// blind to the cache a per-assert run populated.
+		// feature switches).
 		// Options.Interrupt is a live func (never set at config time) and
 		// must never be formatted into a persistent key.
 		fmt.Sprintf("solver=conflicts:%d,restarts:%d,novsids:%t,nolearn:%t,norestart:%t",

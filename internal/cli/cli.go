@@ -49,13 +49,12 @@ func Worse(cur, next int) int {
 }
 
 // Flags holds the shared flags of one binary. Register defines the
-// eleven every binary has; RegisterBatch adds the four the batch CLIs
+// ten every binary has; RegisterBatch adds the four the batch CLIs
 // (webssari and xbmc) share.
 type Flags struct {
 	Version      bool
 	Timeout      time.Duration
 	Store        string
-	SolverMode   string
 	MaxConflicts uint64
 	Policy       string
 	MetricsAddr  string
@@ -94,7 +93,6 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.BoolVar(&f.Version, "version", false, "print version and exit")
 	fs.DurationVar(&f.Timeout, "timeout", 0, "wall-clock deadline per verification unit (0 = none)")
 	fs.StringVar(&f.Store, "store", "", "persistent result store directory (\"\" disables)")
-	fs.StringVar(&f.SolverMode, "solver-mode", "", "solver dispatch mode: per-assert|shared")
 	fs.Uint64Var(&f.MaxConflicts, "max-conflicts", 0, "SAT conflict budget per solver call (0 = unlimited)")
 	fs.StringVar(&f.Policy, "policy", "", "security policy: a built-in name or a policy JSON file")
 	fs.StringVar(&f.MetricsAddr, "metrics-addr", "", "serve /metrics, /debug/vars, /debug/pprof on this address (\":0\" picks a free port)")
@@ -136,11 +134,6 @@ func (f *Flags) Validate(storeElsewhere bool) error {
 	if f.Incremental && f.Store == "" && !storeElsewhere {
 		return errors.New("-incremental requires -store (the dependency graph lives in the result store)")
 	}
-	switch webssari.SolverMode(f.SolverMode) {
-	case "", webssari.SolverPerAssert, webssari.SolverShared:
-	default:
-		return fmt.Errorf("unknown -solver-mode %q (valid: %v)", f.SolverMode, webssari.SolverModes())
-	}
 	if err := f.resolvePolicy(); err != nil {
 		return fmt.Errorf("-policy %s: %w", f.Policy, err)
 	}
@@ -175,10 +168,9 @@ func (f *Flags) resolvePolicy() error {
 // ResolvedPolicy is the policy Validate resolved.
 func (f *Flags) ResolvedPolicy() Policy { return f.resolved }
 
-// Solver is the solver configuration -solver-mode and -max-conflicts
-// select.
+// Solver is the solver configuration -max-conflicts selects.
 func (f *Flags) Solver() webssari.SolverConfig {
-	return webssari.SolverConfig{Mode: webssari.SolverMode(f.SolverMode), MaxConflicts: f.MaxConflicts}
+	return webssari.SolverConfig{MaxConflicts: f.MaxConflicts}
 }
 
 // Config is the engine configuration the shared flags select, without

@@ -27,7 +27,7 @@ func parse(t *testing.T, batch bool, args ...string) *Flags {
 }
 
 func TestRegisterDefinesSharedFlags(t *testing.T) {
-	shared := []string{"version", "timeout", "store", "solver-mode", "max-conflicts", "policy",
+	shared := []string{"version", "timeout", "store", "max-conflicts", "policy",
 		"metrics-addr", "log-level", "log-format", "j", "incremental"}
 	batch := []string{"v", "trace", "unroll", "dump-ir"}
 
@@ -39,6 +39,9 @@ func TestRegisterDefinesSharedFlags(t *testing.T) {
 		if daemon.Lookup(name) == nil || cli.Lookup(name) == nil {
 			t.Errorf("-%s not registered on both flag sets", name)
 		}
+	}
+	if daemon.Lookup("solver-mode") != nil || cli.Lookup("solver-mode") != nil {
+		t.Error("-solver-mode is registered; the solver has one dispatch loop")
 	}
 	for _, name := range batch {
 		if cli.Lookup(name) == nil {
@@ -62,7 +65,6 @@ func TestValidateRejects(t *testing.T) {
 		{[]string{"-j", "-1"}, "-j must be ≥ 0"},
 		{[]string{"-unroll", "0"}, "-unroll must be ≥ 1"},
 		{[]string{"-incremental"}, "-incremental requires -store"},
-		{[]string{"-solver-mode", "bogus"}, `unknown -solver-mode "bogus"`},
 		{[]string{"-policy", "bogus"}, "-policy bogus"},
 		{[]string{"-log-level", "bogus"}, "unknown log level"},
 		{[]string{"-log-format", "bogus"}, "unknown log format"},

@@ -147,8 +147,7 @@ func (c *Config) fill() {
 // webssari.ConfigFingerprint, plus the deadline: the store can leave the
 // deadline out because it keeps only complete reports, but every worker
 // applies its own deadline, and that decides completeness. Options that
-// change only cost (-j, -incremental, the solver mode) never split a
-// cluster.
+// change only cost (-j, -incremental) never split a cluster.
 func Fingerprint(opts ...webssari.Option) string {
 	fp, err := webssari.ConfigFingerprint(opts...)
 	if err != nil {
@@ -493,12 +492,9 @@ func (c *Coordinator) dispatchFile(ctx context.Context, src []byte, name string,
 		sreq.Policy = cc.Policy
 		sreq.PolicyJSON = cc.PolicyJSON
 		// The solver spec rides along so a worker solves under the
-		// coordinator's exact configuration — budgets are verdict-shaping
-		// (they decide whether assertions degrade to Unknown), and the
-		// verdict-neutral mode keeps cost behavior consistent across
-		// placements.
+		// coordinator's budgets, which are verdict-shaping: they decide
+		// whether assertions degrade to Unknown.
 		spec := api.SolverSpec{
-			Mode:         string(cc.Solver.Mode),
 			MaxConflicts: cc.Solver.MaxConflicts,
 			MaxRestarts:  cc.Solver.MaxRestarts,
 		}

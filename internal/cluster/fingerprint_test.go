@@ -18,9 +18,6 @@ func TestFingerprintIgnoresVerdictNeutralOptions(t *testing.T) {
 	}{
 		{"parallelism", []webssari.Option{webssari.WithParallelism(1)}, []webssari.Option{webssari.WithParallelism(8)}},
 		{"incremental", []webssari.Option{webssari.WithIncremental()}, nil},
-		{"solver mode",
-			[]webssari.Option{webssari.WithSolverConfig(webssari.SolverConfig{Mode: webssari.SolverPerAssert})},
-			[]webssari.Option{webssari.WithSolverConfig(webssari.SolverConfig{Mode: webssari.SolverShared})}},
 	}
 	for _, tc := range same {
 		a, b := Fingerprint(tc.a...), Fingerprint(tc.b...)

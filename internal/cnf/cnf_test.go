@@ -367,12 +367,10 @@ echo $x;`, nil)
 	}
 }
 
-// TestSharedEncodingCeilings holds the whole-program encoding to the
-// same ceilings as EncodeCheck: a cap at the formula's exact size
-// passes, and one variable or clause less trips it. The last variable
-// and clause belong to the gated check encodings, so the check after
-// them is exercised too, not only the one between equations.
-func TestSharedEncodingCeilings(t *testing.T) {
+// TestEncodeCheckCeilings holds each check's encoding to its ceilings
+// exactly: a cap at the formula's size passes, and one variable or
+// clause less trips it.
+func TestEncodeCheckCeilings(t *testing.T) {
 	sys := buildSys(t, `<?php
 $a = $_GET['a'];
 if ($m) { $a = htmlspecialchars($a); } else { $a = $a . 'x'; }
@@ -381,28 +379,36 @@ $b = $a . $_POST['b'];
 if ($n) { echo $b; }
 mysql_query($b);`, nil)
 	for _, prior := range []bool{false, true} {
-		full, err := EncodeAllChecks(sys, Options{AssumePriorAsserts: prior})
-		if err != nil {
-			t.Fatal(err)
-		}
-		vars, clauses := full.F.NumVars, len(full.F.Clauses)
-		for _, tc := range []struct {
-			opts Options
-			trip string
-		}{
-			{Options{MaxVars: vars, MaxClauses: clauses}, ""},
-			{Options{MaxVars: vars - 1}, "variables"},
-			{Options{MaxClauses: clauses - 1}, "clauses"},
-		} {
-			tc.opts.AssumePriorAsserts = prior
-			enc, err := EncodeAllChecks(sys, tc.opts)
-			var lim *LimitError
-			errors.As(err, &lim)
-			switch {
-			case tc.trip == "" && (err != nil || enc.F.NumVars != vars):
-				t.Errorf("prior %v, %+v: %v; want the full %d-variable encoding", prior, tc.opts, err, vars)
-			case tc.trip != "" && (lim == nil || lim.What != tc.trip || enc != nil):
-				t.Errorf("prior %v, %+v: err %v; want the %s ceiling", prior, tc.opts, err, tc.trip)
+		for i := range sys.Checks {
+			full, err := EncodeCheck(sys, i, Options{AssumePriorAsserts: prior})
+			if err != nil {
+				t.Fatal(err)
+			}
+			vars, clauses := full.F.NumVars, len(full.F.Clauses)
+			type ceiling struct {
+				opts Options
+				trip string
+			}
+			cases := []ceiling{{Options{MaxVars: vars, MaxClauses: clauses}, ""}}
+			// A cap of zero means no cap, so a one-element formula has
+			// no smaller cap to trip.
+			if vars > 1 {
+				cases = append(cases, ceiling{Options{MaxVars: vars - 1}, "variables"})
+			}
+			if clauses > 1 {
+				cases = append(cases, ceiling{Options{MaxClauses: clauses - 1}, "clauses"})
+			}
+			for _, tc := range cases {
+				tc.opts.AssumePriorAsserts = prior
+				enc, err := EncodeCheck(sys, i, tc.opts)
+				var lim *LimitError
+				errors.As(err, &lim)
+				switch {
+				case tc.trip == "" && (err != nil || enc.F.NumVars != vars):
+					t.Errorf("check %d prior %v, %+v: %v; want the full %d-variable encoding", i, prior, tc.opts, err, vars)
+				case tc.trip != "" && (lim == nil || lim.What != tc.trip || enc != nil):
+					t.Errorf("check %d prior %v, %+v: err %v; want the %s ceiling", i, prior, tc.opts, err, tc.trip)
+				}
 			}
 		}
 	}

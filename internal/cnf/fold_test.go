@@ -39,9 +39,9 @@ var foldOptions = []Options{
 	{AssumePriorAsserts: true, MaxVars: 12, MaxClauses: 40},
 }
 
-// requireFoldMatches fails unless every check of sys, and the shared
-// encoding, encode exactly as they do with the fold emptied: the same
-// DIMACS text, branch map, Trivial and ceiling error.
+// requireFoldMatches fails unless every check of sys encodes exactly as
+// it does with the fold emptied: the same DIMACS text, branch map,
+// Trivial and ceiling error.
 func requireFoldMatches(t *testing.T, sys *constraint.System, src string) {
 	t.Helper()
 	oracle := unfolded(sys)
@@ -59,21 +59,6 @@ func requireFoldMatches(t *testing.T, sys *constraint.System, src string) {
 				!reflect.DeepEqual(got.BranchVars, want.BranchVars) {
 				t.Fatalf("check %d %+v: encoding differs from the unfolded one\nsrc:\n%s", i, opts, src)
 			}
-		}
-		got, gerr := EncodeAllChecks(sys, opts)
-		want, werr := EncodeAllChecks(oracle, opts)
-		if !sameLimit(gerr, werr) {
-			t.Fatalf("shared %+v: error %v, unfolded %v\nsrc:\n%s", opts, gerr, werr, src)
-		}
-		if gerr != nil {
-			continue
-		}
-		if !bytes.Equal(dimacs(t, got.F), dimacs(t, want.F)) ||
-			!reflect.DeepEqual(got.BranchVars, want.BranchVars) ||
-			!slices.Equal(got.Selectors, want.Selectors) ||
-			!slices.Equal(got.HoldSelectors, want.HoldSelectors) ||
-			!slices.Equal(got.TrivialUnsat, want.TrivialUnsat) {
-			t.Fatalf("shared %+v: encoding differs from the unfolded one\nsrc:\n%s", opts, src)
 		}
 	}
 }

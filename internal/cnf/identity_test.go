@@ -34,10 +34,7 @@ var identityCaps = cnf.Options{MaxVars: 64, MaxClauses: 256}
 // over examples/php and testdata/branchy under every built-in policy and
 // over FullCorpus(0.02) at seed 2004. For each file it hashes, per check,
 // EncodeCheck's DIMACS text, branch map and Trivial with
-// AssumePriorAsserts off, on, and under small ceilings; and
-// EncodeAllChecks' formula, branch map, selectors, hold selectors,
-// TrivialUnsat and per-check prefix branches with AssumePriorAsserts off
-// and on. Variable numbering decides the SAT search, so any change to
+// AssumePriorAsserts off, on, and under small ceilings. Variable numbering decides the SAT search, so any change to
 // the encoder's output shows here. Regenerate with `go test -run
 // TestEncodingIdentityGolden -update ./internal/cnf` only for an
 // intended change.
@@ -102,10 +99,10 @@ func identitySystem(t *testing.T, name string, src []byte, opts flow.Options) *c
 }
 
 // identityLine writes one golden line for a file: its check count and
-// the hashes of its per-assert and shared encodings.
+// the hash of its per-assert encodings.
 func identityLine(t *testing.T, w *bytes.Buffer, label string, sys *constraint.System) {
 	t.Helper()
-	per, shared := sha256.New(), sha256.New()
+	per := sha256.New()
 	for i := range sys.Checks {
 		for _, opts := range []cnf.Options{{}, {AssumePriorAsserts: true}, identityCaps} {
 			enc, err := cnf.EncodeCheck(sys, i, opts)
@@ -113,12 +110,7 @@ func identityLine(t *testing.T, w *bytes.Buffer, label string, sys *constraint.S
 			writeEncoded(t, per, enc, err)
 		}
 	}
-	for _, opts := range []cnf.Options{{}, {AssumePriorAsserts: true}} {
-		ea, err := cnf.EncodeAllChecks(sys, opts)
-		fmt.Fprintf(shared, "all %+v\n", opts)
-		writeEncodedAll(t, shared, ea, err)
-	}
-	fmt.Fprintf(w, "%s checks=%d per-assert=%x shared=%x\n", label, len(sys.Checks), per.Sum(nil)[:8], shared.Sum(nil)[:8])
+	fmt.Fprintf(w, "%s checks=%d per-assert=%x\n", label, len(sys.Checks), per.Sum(nil)[:8])
 }
 
 func writeEncoded(t *testing.T, w io.Writer, enc *cnf.Encoded, err error) {
@@ -135,26 +127,6 @@ func writeEncoded(t *testing.T, w io.Writer, enc *cnf.Encoded, err error) {
 		t.Fatal(err)
 	}
 	fmt.Fprintf(w, "id %d trivial %d branches %v\n", enc.CheckID, enc.Trivial, sortedBranches(enc.BranchVars))
-}
-
-func writeEncodedAll(t *testing.T, w io.Writer, ea *cnf.EncodedAll, err error) {
-	t.Helper()
-	if err != nil {
-		var lim *cnf.LimitError
-		if !errors.As(err, &lim) {
-			t.Fatalf("encode all: %v", err)
-		}
-		fmt.Fprintf(w, "limit %s %d\n", lim.What, lim.Limit)
-		return
-	}
-	if err := ea.F.WriteDIMACS(w); err != nil {
-		t.Fatal(err)
-	}
-	fmt.Fprintf(w, "branches %v selectors %v holds %v trivial %v\n",
-		sortedBranches(ea.BranchVars), ea.Selectors, ea.HoldSelectors, ea.TrivialUnsat)
-	for i := range ea.Selectors {
-		fmt.Fprintf(w, "prefix %d %v\n", i, cnf.PrefixBranchesOf(ea, i))
-	}
 }
 
 // sortedBranches renders a branch map as id:var pairs in ID order.

@@ -36,10 +36,9 @@ type Options struct {
 	// run: assertions not yet decided degrade to Unknown and the result
 	// is reported Incomplete.
 	Ctx context.Context
-	// MaxVars and MaxClauses cap each assertion's CNF encoding (under
-	// ModeShared, the one whole-program encoding); an encoding that
-	// trips a cap degrades its assertions to Unknown instead of
-	// exhausting memory. Zero means DefaultMaxVars /
+	// MaxVars and MaxClauses cap each assertion's CNF encoding; an
+	// encoding that trips a cap degrades its assertion to Unknown instead
+	// of exhausting memory. Zero means DefaultMaxVars /
 	// DefaultMaxClauses; negative disables the cap.
 	MaxVars    int
 	MaxClauses int
@@ -52,8 +51,8 @@ type Options struct {
 	// C(assert_i, g)"). It suppresses downstream duplicates of the same
 	// propagation, but an assertion that fails on *every* path then blanks
 	// all later assertions, which can hide independent roots from the
-	// fixing-set analysis — so NewOptions leaves it off; it is measured as
-	// an ablation in bench_test.go.
+	// fixing-set analysis — so it is off by default; it is measured as an
+	// ablation in bench_test.go.
 	AssumePriorAsserts bool
 	// BlockAllBN blocks counterexamples on the full BN assignment, exactly
 	// as §3.3.2 describes. The default (false) blocks only the branch
@@ -66,39 +65,10 @@ type Options struct {
 	MaxCounterexamples int
 	// Solver tunes the SAT solver (ablations).
 	Solver sat.Options
-	// Mode selects the back-end strategy: per-assertion solvers (the
-	// paper's loop, the default) or one shared incremental solver. Both
-	// modes produce identical verdicts and counterexample sets —
-	// counterexamples are canonically ordered by trace key in each — so
-	// Mode is verdict-neutral.
-	Mode SolveMode
 	// Parallelism is ignored: Solve checks a file's assertions one after
 	// another, and project runs bound their file pool themselves. The
 	// field remains only for callers that still set it.
 	Parallelism int
-}
-
-// SolveMode selects the back-end solving strategy (Options.Mode).
-type SolveMode int
-
-const (
-	// ModePerAssert builds one fresh CNF and solver per assertion — the
-	// paper's loop, and the reference every other mode must match.
-	ModePerAssert SolveMode = iota
-	// ModeShared encodes the whole program once and checks each
-	// assertion under a selector assumption on one incremental solver,
-	// retaining learnt clauses across assertions.
-	ModeShared
-)
-
-// String returns the mode's wire spelling.
-func (m SolveMode) String() string {
-	switch m {
-	case ModeShared:
-		return "shared"
-	default:
-		return "per-assert"
-	}
 }
 
 // DefaultMaxCEX bounds counterexample enumeration per assertion.
@@ -162,12 +132,6 @@ func guard(stage string, fn func()) (err error) {
 	}()
 	fn()
 	return nil
-}
-
-// NewOptions returns the default engine configuration for the given flow
-// options.
-func NewOptions(f flow.Options) Options {
-	return Options{Flow: f}
 }
 
 // context returns the run's context, defaulting to Background.
@@ -267,9 +231,7 @@ type AssertResult struct {
 	// EncodeTime and SearchTime split this assertion's wall time between
 	// CNF encoding and the SAT enumeration loop. Each is zero when its
 	// step never ran: no encode for an assertion skipped at the deadline
-	// or faulted; no search for one the encoder decided. In
-	// shared mode the single whole-program encoding is charged to
-	// assertion 0.
+	// or faulted; no search for one the encoder decided.
 	EncodeTime time.Duration
 	SearchTime time.Duration
 }
@@ -289,12 +251,12 @@ type Result struct {
 }
 
 // sortCounterexamples puts one assertion's counterexamples into
-// canonical trace-key order. Every solve mode applies it, which is what
-// makes reports byte-identical across per-assertion and shared
-// solving: a complete enumeration always discovers the same *set* of
-// trace classes, only the discovery order is heuristic-dependent. The
+// canonical trace-key order. A complete enumeration always discovers the
+// same *set* of trace classes, but the order it discovers them in
+// depends on the solver's heuristics (decision order, learning,
+// restarts); sorting makes the order a function of the set alone. The
 // order is lexicographic over the key bytes ("+10" sorts before "+9"),
-// and reports depend on it byte for byte.
+// and reports depend on it byte for byte (testdata/report_identity.golden).
 func sortCounterexamples(ar *AssertResult) {
 	sort.SliceStable(ar.Counterexamples, func(i, j int) bool {
 		return ar.Counterexamples[i].Key() < ar.Counterexamples[j].Key()
@@ -355,19 +317,6 @@ func (r *Result) IncompleteCauses() []string {
 		}
 	}
 	return out
-}
-
-// VerifySource parses, filters, and verifies one PHP source text: it is
-// Compile followed by Solve. A panic in the parser or the filter is
-// recovered into a *StageError; recoverable syntax errors are recorded on
-// the Result (making it Incomplete) and also returned for callers that
-// want them as errors.
-func VerifySource(name string, src []byte, opts Options) (*Result, []error) {
-	p, _, errs := Compile(name, src, opts)
-	if p == nil {
-		return nil, errs
-	}
-	return Solve(opts.context(), p, opts), errs
 }
 
 // VerifyAI runs the model checker over an abstract interpretation: it is

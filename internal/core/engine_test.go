@@ -14,15 +14,15 @@ import (
 
 func verify(t *testing.T, src string, mutate ...func(*Options)) *Result {
 	t.Helper()
-	opts := NewOptions(flow.Options{Prelude: prelude.Default()})
+	opts := Options{Flow: flow.Options{Prelude: prelude.Default()}}
 	for _, fn := range mutate {
 		fn(&opts)
 	}
-	res, errs := VerifySource("test.php", []byte(src), opts)
+	p, _, errs := Compile("test.php", []byte(src), opts)
 	for _, err := range errs {
 		t.Fatalf("verify: %v", err)
 	}
-	return res
+	return Solve(opts.context(), p, opts)
 }
 
 func cexKeys(res *Result) []string {

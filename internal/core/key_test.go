@@ -90,16 +90,13 @@ func TestCounterexampleKeyEquivalence(t *testing.T) {
 			t.Errorf("literal Key() = %q, fmt formula %q", got, want)
 		}
 	}
-	for _, mode := range []SolveMode{ModePerAssert, ModeShared} {
-		res := verify(t, branchySource, func(o *Options) { o.Mode = mode })
-		cexs := res.Counterexamples()
-		if len(cexs) < 20 {
-			t.Fatalf("%s: %d counterexamples, want the switch's paths through branch 10", mode, len(cexs))
-		}
-		for _, c := range cexs {
-			if got, want := c.Key(), fmtCounterexampleKey(c); got != want {
-				t.Errorf("%s: solved Key() = %q, fmt formula %q", mode, got, want)
-			}
+	cexs := verify(t, branchySource).Counterexamples()
+	if len(cexs) < 20 {
+		t.Fatalf("%d counterexamples, want the switch's paths through branch 10", len(cexs))
+	}
+	for _, c := range cexs {
+		if got, want := c.Key(), fmtCounterexampleKey(c); got != want {
+			t.Errorf("solved Key() = %q, fmt formula %q", got, want)
 		}
 	}
 }

@@ -28,7 +28,7 @@ func multiAssert(n int) string {
 
 func compileSrc(t *testing.T, src string) *Program {
 	t.Helper()
-	opts := NewOptions(flow.Options{Prelude: prelude.Default()})
+	opts := Options{Flow: flow.Options{Prelude: prelude.Default()}}
 	p, _, errs := Compile("test.php", []byte(src), opts)
 	if p == nil {
 		t.Fatalf("Compile failed: %v", errs)
@@ -80,7 +80,7 @@ func assertResultsEqual(t *testing.T, label string, a, b *Result) {
 // writes.
 func TestConcurrentSolvesOnSharedProgram(t *testing.T) {
 	prog := compileSrc(t, multiAssert(6))
-	opts := NewOptions(flow.Options{Prelude: prelude.Default()})
+	opts := Options{Flow: flow.Options{Prelude: prelude.Default()}}
 	want := Solve(context.Background(), prog, opts)
 
 	const goroutines = 8
@@ -105,7 +105,7 @@ func TestConcurrentSolvesOnSharedProgram(t *testing.T) {
 // names the first assertion that went unchecked.
 func TestSolveDeadlineDegradesSuffix(t *testing.T) {
 	prog := compileSrc(t, multiAssert(8))
-	opts := NewOptions(flow.Options{Prelude: prelude.Default()})
+	opts := Options{Flow: flow.Options{Prelude: prelude.Default()}}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	opts.Hooks.BeforeAssert = func(idx int) {

@@ -232,30 +232,6 @@ func TestUnresolvedIncludeIncomplete(t *testing.T) {
 	}
 }
 
-// TestSharedSolverExpiredContext covers the shared-solver mode's
-// degradation path under an expired context.
-func TestSharedSolverExpiredContext(t *testing.T) {
-	opts := NewOptions(*buildAI(t, ""))
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	opts.Ctx = ctx
-	opts.Mode = ModeShared
-	prog, errs := flow.BuildSource("t.php", []byte(`<?php echo $_GET['x'];`), opts.Flow)
-	if prog == nil {
-		t.Fatalf("build: %v", errs)
-	}
-	res, err := VerifyAI(prog, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.PerAssert) != 1 {
-		t.Fatalf("asserts = %d, want 1", len(res.PerAssert))
-	}
-	if ar := res.PerAssert[0]; !ar.Unknown || ar.Cause != CauseDeadline {
-		t.Fatalf("Unknown=%v Cause=%q, want Unknown/deadline", ar.Unknown, ar.Cause)
-	}
-}
-
 // TestStageErrorUnwrap checks the structured error chain produced by
 // panic recovery at stage boundaries.
 func TestStageErrorUnwrap(t *testing.T) {

@@ -37,12 +37,6 @@ func Solve(ctx context.Context, p *Program, opts Options) *Result {
 	if ctx == nil {
 		ctx = opts.context()
 	}
-	if opts.Mode == ModeShared {
-		// The shared incremental solver has its own loop; verdicts and
-		// counterexample order are identical by the canonical-ordering
-		// argument (see sortCounterexamples).
-		return SolveShared(ctx, p, opts)
-	}
 	if opts.MaxCounterexamples <= 0 {
 		opts.MaxCounterexamples = DefaultMaxCEX
 	}

@@ -1,6 +1,7 @@
 package fixing_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -12,14 +13,25 @@ import (
 	"webssari/internal/telemetry/patch"
 )
 
+// verifySource compiles and solves one PHP source text: core.Compile
+// followed by core.Solve. Recoverable parse errors are returned beside
+// the result.
+func verifySource(name string, src []byte, opts core.Options) (*core.Result, []error) {
+	p, _, errs := core.Compile(name, src, opts)
+	if p == nil {
+		return nil, errs
+	}
+	return core.Solve(context.Background(), p, opts), errs
+}
+
 // setup verifies src (with DoSQL registered as a sink, as Figure 7 needs)
 // and returns the analysis.
 func setup(t *testing.T, src string) (*core.Result, *fixing.Analysis) {
 	t.Helper()
 	pre := prelude.Default()
 	pre.AddSink("DoSQL", pre.Lattice().Top(), 1)
-	opts := core.NewOptions(flow.Options{Prelude: pre})
-	res, errs := core.VerifySource("test.php", []byte(src), opts)
+	opts := core.Options{Flow: flow.Options{Prelude: pre}}
+	res, errs := verifySource("test.php", []byte(src), opts)
 	for _, err := range errs {
 		t.Fatalf("verify: %v", err)
 	}
@@ -285,10 +297,10 @@ render($_POST['d']);`,
 	}
 	pre := prelude.Default()
 	pre.AddSink("DoSQL", pre.Lattice().Top(), 1)
-	opts := core.NewOptions(flow.Options{Prelude: pre})
+	opts := core.Options{Flow: flow.Options{Prelude: pre}}
 
 	for i, src := range sources {
-		res, errs := core.VerifySource("t.php", []byte(src), opts)
+		res, errs := verifySource("t.php", []byte(src), opts)
 		for _, err := range errs {
 			t.Fatalf("source %d: %v", i, err)
 		}
@@ -302,7 +314,7 @@ render($_POST['d']);`,
 			t.Fatalf("source %d patch: %v", i, err)
 		}
 
-		res2, errs2 := core.VerifySource("t.php", patched, opts)
+		res2, errs2 := verifySource("t.php", patched, opts)
 		for _, err := range errs2 {
 			t.Fatalf("source %d reparse: %v\npatched:\n%s", i, err, patched)
 		}

@@ -18,8 +18,8 @@ $q = "SELECT * FROM t WHERE sid=$sid";
 mysql_query($q);
 echo $sid;
 ?>`
-	res, errs := core.VerifySource("app.php", []byte(src),
-		core.NewOptions(flow.Options{Prelude: prelude.Default()}))
+	res, errs := verifySource("app.php", []byte(src),
+		core.Options{Flow: flow.Options{Prelude: prelude.Default()}})
 	for _, err := range errs {
 		t.Fatalf("verify: %v", err)
 	}
@@ -52,8 +52,8 @@ echo $sid;
 
 func TestHTMLReportSafe(t *testing.T) {
 	src := `<?php echo 'static';`
-	res, errs := core.VerifySource("safe.php", []byte(src),
-		core.NewOptions(flow.Options{Prelude: prelude.Default()}))
+	res, errs := verifySource("safe.php", []byte(src),
+		core.Options{Flow: flow.Options{Prelude: prelude.Default()}})
 	for _, err := range errs {
 		t.Fatalf("verify: %v", err)
 	}
@@ -69,8 +69,8 @@ func TestHTMLReportSafe(t *testing.T) {
 
 func TestHTMLReportWithoutSources(t *testing.T) {
 	src := `<?php echo $_GET['x'];`
-	res, errs := core.VerifySource("gone.php", []byte(src),
-		core.NewOptions(flow.Options{Prelude: prelude.Default()}))
+	res, errs := verifySource("gone.php", []byte(src),
+		core.Options{Flow: flow.Options{Prelude: prelude.Default()}})
 	for _, err := range errs {
 		t.Fatalf("verify: %v", err)
 	}
@@ -89,8 +89,8 @@ func TestHTMLEscapesAttackPayloads(t *testing.T) {
 	// The report must never re-embed unescaped markup from the analyzed
 	// source (a report viewer XSS would be ironic).
 	src := `<?php echo $_GET['x']; // <script>alert(1)</script>`
-	res, errs := core.VerifySource("xss.php", []byte(src),
-		core.NewOptions(flow.Options{Prelude: prelude.Default()}))
+	res, errs := verifySource("xss.php", []byte(src),
+		core.Options{Flow: flow.Options{Prelude: prelude.Default()}})
 	for _, err := range errs {
 		t.Fatalf("verify: %v", err)
 	}

@@ -1,6 +1,7 @@
 package report_test
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -12,11 +13,22 @@ import (
 	"webssari/internal/report"
 )
 
+// verifySource compiles and solves one PHP source text: core.Compile
+// followed by core.Solve. Recoverable parse errors are returned beside
+// the result.
+func verifySource(name string, src []byte, opts core.Options) (*core.Result, []error) {
+	p, _, errs := core.Compile(name, src, opts)
+	if p == nil {
+		return nil, errs
+	}
+	return core.Solve(context.Background(), p, opts), errs
+}
+
 func verify(t *testing.T, src string) *core.Result {
 	t.Helper()
 	pre := prelude.Default()
 	pre.AddSink("DoSQL", pre.Lattice().Top(), 1)
-	res, errs := core.VerifySource("app.php", []byte(src), core.NewOptions(flow.Options{Prelude: pre}))
+	res, errs := verifySource("app.php", []byte(src), core.Options{Flow: flow.Options{Prelude: pre}})
 	for _, err := range errs {
 		t.Fatalf("verify: %v", err)
 	}

@@ -31,15 +31,10 @@ func (s JobState) Terminal() bool { return s == StateDone || s == StateFailed }
 
 // SolverSpec is a job's solver configuration — the wire form of
 // webssari.SolverConfig, carried under the "solver" key of both submit
-// bodies. Zero fields keep the daemon's defaults; an unknown mode is
-// rejected at admission (400), and so is any field outside this struct:
-// job bodies are decoded with unknown fields disallowed. Mode is
-// verdict-neutral (it changes cost, never report content), so two jobs
-// differing only in it still share cached results.
+// bodies. Zero fields keep the daemon's defaults. Any field outside this
+// struct is rejected at admission (400): job bodies are decoded with
+// unknown fields disallowed.
 type SolverSpec struct {
-	// Mode is the dispatch mode: "per-assert" (default) or "shared" (see
-	// VersionResponse.SolverModes).
-	Mode string `json:"mode,omitempty"`
 	// MaxConflicts / MaxRestarts cap SAT effort per solver call
 	// (0 = daemon default).
 	MaxConflicts uint64 `json:"max_conflicts,omitempty"`
@@ -159,9 +154,6 @@ type VersionResponse struct {
 	Version string `json:"version"`
 	// Policies lists the built-in security policies jobs may select.
 	Policies []string `json:"policies,omitempty"`
-	// SolverModes lists the solver dispatch modes jobs may request via
-	// SolverSpec.Mode — the daemon's capability advertisement.
-	SolverModes []string `json:"solver_modes,omitempty"`
 }
 
 // Health is the GET /healthz response.

@@ -148,7 +148,7 @@ type Config struct {
 	// (WithDeadline: per file under directory jobs); 0 means none.
 	JobDeadline time.Duration
 	// Solver is the daemon's default solver configuration
-	// (webssari.WithSolverConfig): dispatch mode and search budgets.
+	// (webssari.WithSolverConfig): the search budgets.
 	// Per-job SolverSpec fields in api.SubmitFileRequest /
 	// SubmitDirRequest override it field-wise.
 	Solver webssari.SolverConfig
@@ -604,9 +604,6 @@ func (s *Server) jobOptions(tel *telemetry.Telemetry, j *job) []webssari.Option 
 
 // mergeSolver overlays the non-zero fields of over onto base.
 func mergeSolver(base, over webssari.SolverConfig) webssari.SolverConfig {
-	if over.Mode != "" {
-		base.Mode = over.Mode
-	}
 	if over.MaxConflicts != 0 {
 		base.MaxConflicts = over.MaxConflicts
 	}
@@ -616,31 +613,15 @@ func mergeSolver(base, over webssari.SolverConfig) webssari.SolverConfig {
 	return base
 }
 
-// solverConfigOf converts a wire SolverSpec into the engine's form.
-func solverConfigOf(sp *api.SolverSpec) webssari.SolverConfig {
-	if sp == nil {
-		return webssari.SolverConfig{}
-	}
-	return webssari.SolverConfig{
-		Mode:         webssari.SolverMode(sp.Mode),
-		MaxConflicts: sp.MaxConflicts,
-		MaxRestarts:  sp.MaxRestarts,
-	}
-}
-
-// setSolver validates and records a job's solver override. A non-nil
-// error is an admission failure (400) — unknown modes are rejected
-// before the job ever queues.
-func (s *Server) setSolver(j *job, sp *api.SolverSpec) error {
+// solverConfigOf converts a job's wire SolverSpec into the engine's
+// form; nil keeps the daemon default. A spec with a field outside
+// SolverSpec never gets here: job bodies disallow unknown fields, so it
+// is rejected (400) before the job exists.
+func solverConfigOf(sp *api.SolverSpec) *webssari.SolverConfig {
 	if sp == nil {
 		return nil
 	}
-	sc := solverConfigOf(sp)
-	if _, err := webssari.ExportConfig(webssari.WithSolverConfig(sc)); err != nil {
-		return err
-	}
-	j.solver = &sc
-	return nil
+	return &webssari.SolverConfig{MaxConflicts: sp.MaxConflicts, MaxRestarts: sp.MaxRestarts}
 }
 
 // policyLabelOf derives the canonical counter label of a policy
@@ -947,11 +928,7 @@ func (s *Server) handleSubmitFile(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid policy: "+err.Error())
 		return
 	}
-	if err := s.setSolver(j, req.Solver); err != nil {
-		s.dropJob(j)
-		writeError(w, http.StatusBadRequest, "invalid solver spec: "+err.Error())
-		return
-	}
+	j.solver = solverConfigOf(req.Solver)
 	j.trace = traceFromRequest(r)
 	s.enqueue(w, j)
 }
@@ -996,11 +973,7 @@ func (s *Server) handleSubmitDir(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid policy: "+err.Error())
 		return
 	}
-	if err := s.setSolver(j, req.Solver); err != nil {
-		s.dropJob(j)
-		writeError(w, http.StatusBadRequest, "invalid solver spec: "+err.Error())
-		return
-	}
+	j.solver = solverConfigOf(req.Solver)
 	j.incremental = req.Incremental
 	j.watch = req.Watch
 	j.trace = traceFromRequest(r)
@@ -1117,10 +1090,9 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, api.VersionResponse{
-		SchemaV:     api.Schema,
-		Version:     buildinfo.Version("webssarid"),
-		Policies:    webssari.Policies(),
-		SolverModes: webssari.SolverModes(),
+		SchemaV:  api.Schema,
+		Version:  buildinfo.Version("webssarid"),
+		Policies: webssari.Policies(),
 	})
 }
 

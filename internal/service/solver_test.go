@@ -1,25 +1,22 @@
 package service
 
 // Tests of the per-job solver spec: admission validation, the version
-// capability advertisement, daemon-default merging, and the wire
-// round-trip's verdict neutrality (a solver-spec'd job must answer
-// exactly like a default one).
+// response, daemon-default merging, and the wire round-trip (a job whose
+// budgets never trip must answer exactly like a default one).
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"testing"
 
 	"webssari"
-	"webssari/internal/service/api"
 )
 
 // TestSubmitSolverSpec drives one vulnerable file through the daemon
-// twice — default solver and shared-mode spec — and requires identical
-// report JSON (profiles are nil on wire reports already).
+// with the default solver and with budgets that never trip, and requires
+// identical report JSON (profiles are nil on wire reports already).
 func TestSubmitSolverSpec(t *testing.T) {
 	s := New(Config{Workers: 2})
 	defer s.Drain(context.Background())
@@ -51,8 +48,8 @@ func TestSubmitSolverSpec(t *testing.T) {
 
 	ref := submit(map[string]any{"name": "page.php", "source": vulnerableSrc})
 	for _, spec := range []map[string]any{
-		{"mode": "shared"},
-		{"mode": "per-assert"},
+		{"max_conflicts": 1 << 20},
+		{"max_restarts": 1 << 20},
 	} {
 		got := submit(map[string]any{"name": "page.php", "source": vulnerableSrc, "solver": spec})
 		if !reflect.DeepEqual(got, ref) {
@@ -61,10 +58,9 @@ func TestSubmitSolverSpec(t *testing.T) {
 	}
 }
 
-// TestSubmitSolverSpecValidation covers rejection at admission,
-// including the solver fields and mode the v1 schema no longer has:
-// job bodies disallow unknown fields, so they fail with 400 rather than
-// being silently ignored.
+// TestSubmitSolverSpecValidation covers rejection at admission of the
+// solver fields the v1 schema no longer has: job bodies disallow unknown
+// fields, so they fail with 400 rather than being silently ignored.
 func TestSubmitSolverSpecValidation(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Drain(context.Background())
@@ -95,9 +91,35 @@ func TestSubmitSolverSpecValidation(t *testing.T) {
 	}
 }
 
-// TestVersionAdvertisesSolverModes pins the capability advertisement:
-// clients discover the dispatch modes from /v1/version.
-func TestVersionAdvertisesSolverModes(t *testing.T) {
+// TestSubmitSolverModeRejected pins the removal of the solver mode: a
+// file or directory job that still names one is refused with 400, and
+// no job is created or queued.
+func TestSubmitSolverModeRejected(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Drain(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for path, body := range map[string]map[string]any{
+		"/v1/files": {"name": "p.php", "source": safeSrc, "solver": map[string]any{"mode": "shared"}},
+		"/v1/dirs":  {"dir": t.TempDir(), "solver": map[string]any{"mode": "shared"}},
+	} {
+		code, resp := postJSON(t, ts, path, body)
+		if code != http.StatusBadRequest {
+			t.Errorf("%s with a solver mode: HTTP %d (%v), want 400", path, code, resp)
+		}
+	}
+	s.jobsMu.Lock()
+	jobs := len(s.jobs)
+	s.jobsMu.Unlock()
+	if jobs != 0 || len(s.queue) != 0 {
+		t.Fatalf("%d job(s) created, %d queued; want none", jobs, len(s.queue))
+	}
+}
+
+// TestVersionHasNoSolverModes: the version response no longer advertises
+// solver dispatch modes.
+func TestVersionHasNoSolverModes(t *testing.T) {
 	s := New(Config{})
 	defer s.Drain(context.Background())
 	ts := httptest.NewServer(s.Handler())
@@ -107,31 +129,21 @@ func TestVersionAdvertisesSolverModes(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("version: HTTP %d", code)
 	}
-	raw, err := json.Marshal(body)
-	if err != nil {
-		t.Fatal(err)
+	if _, ok := body["solver_modes"]; ok {
+		t.Fatalf("version response carries solver_modes: %v", body)
 	}
-	var v api.VersionResponse
-	if err := json.Unmarshal(raw, &v); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"per-assert", "shared"}
-	if !reflect.DeepEqual(v.SolverModes, want) {
-		t.Fatalf("solver_modes = %v, want %v", v.SolverModes, want)
+	if _, ok := body["policies"]; !ok {
+		t.Fatalf("version response lacks policies: %v", body)
 	}
 }
 
 // TestMergeSolver pins the field-wise overlay of per-job specs onto the
 // daemon default.
 func TestMergeSolver(t *testing.T) {
-	base := webssari.SolverConfig{Mode: webssari.SolverShared, MaxConflicts: 100}
-	over := webssari.SolverConfig{Mode: webssari.SolverPerAssert, MaxRestarts: 4}
+	base := webssari.SolverConfig{MaxConflicts: 100, MaxRestarts: 2}
+	over := webssari.SolverConfig{MaxRestarts: 4}
 	got := mergeSolver(base, over)
-	want := webssari.SolverConfig{
-		Mode:         webssari.SolverPerAssert,
-		MaxConflicts: 100,
-		MaxRestarts:  4,
-	}
+	want := webssari.SolverConfig{MaxConflicts: 100, MaxRestarts: 4}
 	if got != want {
 		t.Fatalf("mergeSolver = %+v, want %+v", got, want)
 	}

@@ -1,6 +1,7 @@
 package patch_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -12,12 +13,23 @@ import (
 	"webssari/internal/telemetry/patch"
 )
 
+// verifySource compiles and solves one PHP source text: core.Compile
+// followed by core.Solve. Recoverable parse errors are returned beside
+// the result.
+func verifySource(name string, src []byte, opts core.Options) (*core.Result, []error) {
+	p, _, errs := core.Compile(name, src, opts)
+	if p == nil {
+		return nil, errs
+	}
+	return core.Solve(context.Background(), p, opts), errs
+}
+
 // analyzeFixes verifies src and returns the minimal fixing set.
 func analyzeFixes(t *testing.T, name, src string) []*fixing.FixPoint {
 	t.Helper()
 	pre := prelude.Default()
 	pre.AddSink("DoSQL", pre.Lattice().Top(), 1)
-	res, errs := core.VerifySource(name, []byte(src), core.NewOptions(flow.Options{Prelude: pre}))
+	res, errs := verifySource(name, []byte(src), core.Options{Flow: flow.Options{Prelude: pre}})
 	for _, err := range errs {
 		t.Fatalf("verify: %v", err)
 	}
@@ -134,7 +146,7 @@ while ($row = mysql_fetch_array($res)) {
 	}
 	// The patched file must still parse and verify safe.
 	pre := prelude.Default()
-	res, errs2 := core.VerifySource("t.php", out, core.NewOptions(flow.Options{Prelude: pre}))
+	res, errs2 := verifySource("t.php", out, core.Options{Flow: flow.Options{Prelude: pre}})
 	if len(errs2) != 0 {
 		t.Fatalf("patched reparse: %v", errs2)
 	}
@@ -180,7 +192,7 @@ f($_GET['x'] . $_POST['y']);
 		t.Fatalf("unbalanced parentheses:\n%s", out)
 	}
 	pre := prelude.Default()
-	res, errs2 := core.VerifySource("t.php", out, core.NewOptions(flow.Options{Prelude: pre}))
+	res, errs2 := verifySource("t.php", out, core.Options{Flow: flow.Options{Prelude: pre}})
 	if len(errs2) != 0 {
 		t.Fatalf("patched reparse: %v", errs2)
 	}

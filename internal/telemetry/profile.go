@@ -144,10 +144,6 @@ type RunProfile struct {
 	// Cluster is populated on project profiles of clustered runs: how
 	// the coordinator placed the files across workers.
 	Cluster *ClusterProfile `json:"cluster,omitempty"`
-	// SolverMode names the solver dispatch mode the run used
-	// ("per-assert", "shared"); omitted for the default per-assert mode
-	// so existing profile consumers see no change.
-	SolverMode string `json:"solver_mode,omitempty"`
 }
 
 // CompileWall returns the front-end wall time as a Duration.
@@ -311,9 +307,6 @@ func (p *RunProfile) String() string {
 	s := p.Solver
 	fmt.Fprintf(&b, "; solver: %d decisions, %d propagations, %d conflicts, %d restarts, %d learnt",
 		s.Decisions, s.Propagations, s.Conflicts, s.Restarts, s.LearntClauses)
-	if p.SolverMode != "" {
-		fmt.Fprintf(&b, " (%s mode)", p.SolverMode)
-	}
 	if p.Pool != nil {
 		fmt.Fprintf(&b, "; pool: %d/%d peak workers", p.Pool.MaxInUse, p.Pool.Capacity)
 	}

@@ -331,7 +331,7 @@ func TestRecordRollsUpProfile(t *testing.T) {
 			{EncodeNS: 10, SearchNS: 20, Counterexamples: 2},
 			{EncodeNS: 10},  // decided by the encoder: no search
 			{Unknown: true}, // skipped at the deadline: no encode
-			{},              // shared mode, decided by the encoder: neither
+			{},              // faulted before its encoder ran: neither
 			{EncodeNS: 10, SearchNS: 5, Counterexamples: 1},
 		},
 		Degraded: map[string]int64{"deadline": 1},

@@ -35,9 +35,9 @@ func renderIdentity(t *testing.T, pr *webssari.ProjectReport) []byte {
 
 // TestReportIdentityGolden pins the text and JSON reports, byte for byte,
 // over the branchy fixtures under testdata/branchy and examples/php, for
-// every built-in policy. Each (directory, policy) pair is verified in
-// both solver modes at parallelism 1 and 2; all four runs must render
-// identically, and that rendering must match the golden. The fixtures
+// every built-in policy. Each (directory, policy) pair is verified at
+// parallelism 1 and 2; both runs must render identically, and that
+// rendering must match the golden. The fixtures
 // are shaped like the taint-dense benchmark (conditionals with
 // sanitizing else arms ahead of several sinks, many traces per sink).
 // Three of them have paths through branch IDs of 10 and above, and one
@@ -52,24 +52,18 @@ func TestReportIdentityGolden(t *testing.T) {
 	for _, dir := range []string{"testdata/branchy", "examples/php"} {
 		for _, pol := range webssari.Policies() {
 			var first []byte
-			for _, mode := range webssari.SolverModes() {
-				for _, par := range []int{1, 2} {
-					pr, err := webssari.VerifyDir(dir,
-						webssari.WithPolicy(pol),
-						webssari.WithSolverConfig(webssari.SolverConfig{Mode: webssari.SolverMode(mode)}),
-						webssari.WithParallelism(par))
-					if err != nil {
-						t.Fatal(err)
-					}
-					out := renderIdentity(t, pr)
-					if first == nil {
-						first = out
-						continue
-					}
-					if !bytes.Equal(out, first) {
-						t.Errorf("%s policy %s: mode %s at parallelism %d renders differently from per-assert at parallelism 1",
-							dir, pol, mode, par)
-					}
+			for _, par := range []int{1, 2} {
+				pr, err := webssari.VerifyDir(dir, webssari.WithPolicy(pol), webssari.WithParallelism(par))
+				if err != nil {
+					t.Fatal(err)
+				}
+				out := renderIdentity(t, pr)
+				if first == nil {
+					first = out
+					continue
+				}
+				if !bytes.Equal(out, first) {
+					t.Errorf("%s policy %s: parallelism %d renders differently from parallelism 1", dir, pol, par)
 				}
 			}
 			fmt.Fprintf(&got, "=== %s policy=%s\n", dir, pol)

@@ -418,40 +418,36 @@ func TestVerifyDirStoreCounts(t *testing.T) {
 // stripped, and every file's text, which the store does not persist but
 // renders again on serve. It covers a slice of the §5 corpus, the bundled
 // examples and the branchy fixtures, with no policy and under every
-// built-in one, in both solver modes.
+// built-in one.
 func TestStoreServedMatchesCold(t *testing.T) {
 	dirs := []string{writeCorpusSlice(t), "examples/php", "testdata/branchy"}
 	for _, dir := range dirs {
 		for _, pol := range append([]string{""}, webssari.Policies()...) {
-			for _, mode := range webssari.SolverModes() {
-				opts := []webssari.Option{
-					webssari.WithSolverConfig(webssari.SolverConfig{Mode: webssari.SolverMode(mode)}),
-				}
-				if pol != "" {
-					opts = append(opts, webssari.WithPolicy(pol))
-				}
-				cold, err := webssari.VerifyDir(dir, opts...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				st, err := webssari.OpenStore(t.TempDir(), 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				incOpts := append([]webssari.Option{webssari.WithStore(st), webssari.WithIncremental()}, opts...)
-				if _, err := webssari.VerifyDir(dir, incOpts...); err != nil {
-					t.Fatal(err)
-				}
-				served, err := webssari.VerifyDir(dir, incOpts...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if served.StoreHits != len(served.Files) || len(served.Files) == 0 {
-					t.Fatalf("%s policy %q mode %s: %d of %d files served from the store",
-						dir, pol, mode, served.StoreHits, len(served.Files))
-				}
-				assertSameProject(t, cold, served)
+			var opts []webssari.Option
+			if pol != "" {
+				opts = append(opts, webssari.WithPolicy(pol))
 			}
+			cold, err := webssari.VerifyDir(dir, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := webssari.OpenStore(t.TempDir(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			incOpts := append([]webssari.Option{webssari.WithStore(st), webssari.WithIncremental()}, opts...)
+			if _, err := webssari.VerifyDir(dir, incOpts...); err != nil {
+				t.Fatal(err)
+			}
+			served, err := webssari.VerifyDir(dir, incOpts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if served.StoreHits != len(served.Files) || len(served.Files) == 0 {
+				t.Fatalf("%s policy %q: %d of %d files served from the store",
+					dir, pol, served.StoreHits, len(served.Files))
+			}
+			assertSameProject(t, cold, served)
 		}
 	}
 }

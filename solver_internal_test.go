@@ -1,15 +1,12 @@
 package webssari
 
 // Internal test of result-store key derivation: it needs resultKey and
-// the unexported config, so it lives inside the package (every other
-// solver-mode test is external, see solver_test.go).
+// the unexported config, so it lives inside the package.
 
 import "testing"
 
 // TestResultKeyDiscriminates pins what addresses a stored result: the
-// entry name, the source bytes, and the verdict-shaping configuration —
-// and, just as deliberately, what does NOT (the verdict-neutral solver
-// mode, which must never fragment the cache).
+// entry name, the source bytes, and the verdict-shaping configuration.
 func TestResultKeyDiscriminates(t *testing.T) {
 	mk := func(opts ...Option) string {
 		t.Helper()
@@ -38,9 +35,5 @@ func TestResultKeyDiscriminates(t *testing.T) {
 	}
 	if mk(WithSolverConfig(SolverConfig{MaxConflicts: 7})) == base {
 		t.Fatal("conflict budget does not discriminate")
-	}
-	// The verdict-neutral solver mode shares the address.
-	if mk(WithSolverConfig(SolverConfig{Mode: SolverShared})) != base {
-		t.Fatal("verdict-neutral solver mode fragmented the result key")
 	}
 }

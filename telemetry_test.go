@@ -262,93 +262,53 @@ func TestDeadlineSkippedAssertionsAreNotEncoded(t *testing.T) {
 	}
 }
 
-// TestSharedModeProfilesEncodeAndSearch: shared mode encodes the program
-// once and searches each assertion the encoder left open, and its
-// profile and /metrics say so.
-func TestSharedModeProfilesEncodeAndSearch(t *testing.T) {
-	src, err := os.ReadFile("examples/php/guestbook.php")
-	if err != nil {
-		t.Fatal(err)
-	}
-	perAssert, err := webssari.Verify(src, "guestbook.php")
-	if err != nil {
-		t.Fatal(err)
-	}
-	searched, ok := stageOf(perAssert.Profile, "search")
-	if !ok {
-		t.Fatal("per-assert run searched nothing; the fixture is broken")
-	}
-
-	tel := webssari.NewTelemetry()
-	rep, err := webssari.Verify(src, "guestbook.php", webssari.WithTelemetry(tel),
-		webssari.WithSolverConfig(webssari.SolverConfig{Mode: webssari.SolverShared}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc, ok := stageOf(rep.Profile, "encode")
-	if !ok || enc.Count != 1 || enc.WallNS <= 0 {
-		t.Errorf("shared encode stage = %+v (present %v), want ×1 with a nonzero wall", enc, ok)
-	}
-	search, _ := stageOf(rep.Profile, "search")
-	if search.Count != searched.Count {
-		t.Errorf("shared search ×%d, want ×%d (the non-trivial assertions)", search.Count, searched.Count)
-	}
-	snap := tel.Metrics.Snapshot()
-	for stage, want := range map[string]int64{"encode": 1, "search": searched.Count} {
-		name := telemetry.Name(telemetry.MetricStageSeconds+"_count", "stage", stage)
-		if got := snap[name]; got != float64(want) {
-			t.Errorf("%s = %v, want %d", name, got, want)
-		}
-	}
-}
-
 // TestTraceSpansMatchProfile: a traced Verify's engine spans carry its
-// profile's figures, in both solver modes: each compile stage's span
-// lasts the stage's wall time in µs, one solve span counts the
-// assertions, and each assertion whose encoder or search ran has one
-// encode or search span of that length.
+// profile's figures: each compile stage's span lasts the stage's wall
+// time in µs, one solve span counts the assertions, and each assertion
+// whose encoder or search ran has one encode or search span of that
+// length.
 func TestTraceSpansMatchProfile(t *testing.T) {
 	src, err := os.ReadFile("examples/php/guestbook.php")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []webssari.SolverMode{webssari.SolverPerAssert, webssari.SolverShared} {
-		tel := webssari.NewTelemetry()
-		rep, err := webssari.Verify(src, "examples/php/guestbook.php", webssari.WithTelemetry(tel),
-			webssari.WithSolverConfig(webssari.SolverConfig{Mode: mode}))
-		if err != nil {
-			t.Fatal(err)
+	tel := webssari.NewTelemetry()
+	rep, err := webssari.Verify(src, "examples/php/guestbook.php", webssari.WithTelemetry(tel))
+	if err != nil {
+		t.Fatal(err)
+	}
+	durs := map[string][]int64{}
+	var solveAsserts []any
+	for _, ev := range tel.Tracer.Events() {
+		durs[ev.Name] = append(durs[ev.Name], ev.Dur)
+		if ev.Name == "solve" {
+			solveAsserts = append(solveAsserts, ev.Args["asserts"])
 		}
-		durs := map[string][]int64{}
-		var solveAsserts []any
-		for _, ev := range tel.Tracer.Events() {
-			durs[ev.Name] = append(durs[ev.Name], ev.Dur)
-			if ev.Name == "solve" {
-				solveAsserts = append(solveAsserts, ev.Args["asserts"])
-			}
+	}
+	for _, stage := range []string{"parse", "lower", "flow", "rename", "constraints"} {
+		st, _ := stageOf(rep.Profile, stage)
+		if want := time.Duration(st.WallNS).Microseconds(); len(durs[stage]) != 1 || durs[stage][0] != want {
+			t.Errorf("%s spans last %v µs, want one of %d µs", stage, durs[stage], want)
 		}
-		for _, stage := range []string{"parse", "lower", "flow", "rename", "constraints"} {
-			st, _ := stageOf(rep.Profile, stage)
-			if want := time.Duration(st.WallNS).Microseconds(); len(durs[stage]) != 1 || durs[stage][0] != want {
-				t.Errorf("%s: %s spans last %v µs, want one of %d µs", mode, stage, durs[stage], want)
-			}
+	}
+	if len(solveAsserts) != 1 || solveAsserts[0] != len(rep.Profile.Assertions) {
+		t.Errorf("solve spans with asserts %v, want one with %d", solveAsserts, len(rep.Profile.Assertions))
+	}
+	var encodes, searches []int64
+	for _, a := range rep.Profile.Assertions {
+		if a.EncodeNS > 0 {
+			encodes = append(encodes, time.Duration(a.EncodeNS).Microseconds())
 		}
-		if len(solveAsserts) != 1 || solveAsserts[0] != len(rep.Profile.Assertions) {
-			t.Errorf("%s: solve spans with asserts %v, want one with %d", mode, solveAsserts, len(rep.Profile.Assertions))
+		if a.SearchNS > 0 {
+			searches = append(searches, time.Duration(a.SearchNS).Microseconds())
 		}
-		var encodes, searches []int64
-		for _, a := range rep.Profile.Assertions {
-			if a.EncodeNS > 0 {
-				encodes = append(encodes, time.Duration(a.EncodeNS).Microseconds())
-			}
-			if a.SearchNS > 0 {
-				searches = append(searches, time.Duration(a.SearchNS).Microseconds())
-			}
-		}
-		if fmt.Sprint(durs["encode"]) != fmt.Sprint(encodes) || fmt.Sprint(durs["search"]) != fmt.Sprint(searches) {
-			t.Errorf("%s: encode spans %v µs, search spans %v µs; the profile's assertions say %v and %v",
-				mode, durs["encode"], durs["search"], encodes, searches)
-		}
+	}
+	if len(searches) == 0 {
+		t.Fatal("no assertion reached the solver; the fixture is broken")
+	}
+	if fmt.Sprint(durs["encode"]) != fmt.Sprint(encodes) || fmt.Sprint(durs["search"]) != fmt.Sprint(searches) {
+		t.Errorf("encode spans %v µs, search spans %v µs; the profile's assertions say %v and %v",
+			durs["encode"], durs["search"], encodes, searches)
 	}
 }
 

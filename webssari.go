@@ -105,18 +105,16 @@ type config struct {
 	// the seed behavior); policyName/policyJSON record how it was
 	// selected so the choice round-trips through ExportConfig and the
 	// cluster wire format.
-	policy     *policy.Compiled
-	policyName string
-	policyJSON string
-	loader     func(string) ([]byte, error)
-	dir        string
-	unroll     int
-	paperMode  bool
-	blockAll   bool
-	routine    string
-	solver     sat.Options
-	// solverMode is the verdict-neutral half of the SolverConfig surface.
-	solverMode   SolverMode
+	policy       *policy.Compiled
+	policyName   string
+	policyJSON   string
+	loader       func(string) ([]byte, error)
+	dir          string
+	unroll       int
+	paperMode    bool
+	blockAll     bool
+	routine      string
+	solver       sat.Options
 	maxCEX       int
 	deadline     time.Duration
 	limits       ResourceLimits
@@ -396,9 +394,8 @@ type ResourceLimits struct {
 	// MaxStatements caps the AI command count after loop deconstruction
 	// and call unfolding (default flow.DefaultMaxCmds).
 	MaxStatements int
-	// MaxCNFVars and MaxCNFClauses cap each encoded formula: one per
-	// assertion, or the whole program's in SolverShared mode (defaults
-	// core.DefaultMaxVars / core.DefaultMaxClauses).
+	// MaxCNFVars and MaxCNFClauses cap each assertion's encoded formula
+	// (defaults core.DefaultMaxVars / core.DefaultMaxClauses).
 	MaxCNFVars    int
 	MaxCNFClauses int
 }
@@ -516,17 +513,6 @@ func (c *config) engineOptions(ctx context.Context) core.Options {
 		BlockAllBN:         c.blockAll,
 		MaxCounterexamples: c.maxCEX,
 		Solver:             c.solver,
-		Mode:               c.coreMode(),
-	}
-}
-
-// coreMode maps the public SolverMode onto the engine's dispatch enum.
-func (c *config) coreMode() core.SolveMode {
-	switch c.solverMode {
-	case SolverShared:
-		return core.ModeShared
-	default:
-		return core.ModePerAssert
 	}
 }
 
@@ -609,9 +595,6 @@ func runAnalysis(ctx context.Context, src []byte, name string, cfg *config) (res
 	res = core.Solve(ctx, prog, eopts)
 	prof.SolveWallNS = time.Since(solveStart).Nanoseconds()
 	analysis = fixing.Analyze(res)
-	if cfg.solverMode != "" && cfg.solverMode != SolverPerAssert {
-		prof.SolverMode = string(cfg.solverMode)
-	}
 	for i, ar := range res.PerAssert {
 		prof.AddStage("encode", ar.EncodeTime)
 		prof.AddStage("search", ar.SearchTime)
