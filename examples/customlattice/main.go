@@ -1,4 +1,4 @@
-// customlattice demonstrates that the verifier implements Denning's full
+// customlattice demonstrates that the verifier types data over Denning's
 // lattice model (§3.1), not just the two-point taint lattice: a
 // three-level confidentiality chain public < internal < secret, where
 //
@@ -7,8 +7,8 @@
 //   - declassify() lowers data to public    (a sanitizer in lattice terms).
 //
 // The same xBMC pipeline — one-hot lattice encoding and all — verifies
-// information-flow policies over any finite complete lattice the prelude
-// declares.
+// information-flow policies over any chain the prelude declares; chains
+// are the only lattices the prelude and policy formats accept.
 //
 //	go run ./examples/customlattice
 package main

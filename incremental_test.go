@@ -102,7 +102,8 @@ func marshalProjectStripped(t *testing.T, pr *webssari.ProjectReport) []byte {
 // assertions-checked counter does not move.
 func TestIncrementalUnchangedRunDoesZeroWork(t *testing.T) {
 	dir := writeCorpus(t)
-	st, err := webssari.OpenStore(t.TempDir(), 0)
+	storeRoot := t.TempDir()
+	st, err := webssari.OpenStore(storeRoot, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func TestIncrementalUnchangedRunDoesZeroWork(t *testing.T) {
 	// schema-2 envelope reads as a miss: the four files are invalidated,
 	// re-verified and persisted again under the current schema, and the
 	// next run is served whole.
-	if envelopes, graphs := downgradeStore(t, st); envelopes != 4 || graphs != 1 {
+	if envelopes, graphs := downgradeStore(t, st, storeRoot); envelopes != 4 || graphs != 1 {
 		t.Fatalf("rewrote %d envelopes and %d graphs, want 4 and 1", envelopes, graphs)
 	}
 	pr3, err := webssari.VerifyDir(dir, opts...)
@@ -165,7 +166,7 @@ func TestIncrementalUnchangedRunDoesZeroWork(t *testing.T) {
 	if pr3.StoreHits != 0 {
 		t.Fatalf("parent-written store: store hits = %d, want 0", pr3.StoreHits)
 	}
-	if got := envelopeSchemas(t, st); !reflect.DeepEqual(got, []int{3, 3, 3, 3}) {
+	if got := envelopeSchemas(t, st, storeRoot); !reflect.DeepEqual(got, []int{3, 3, 3, 3}) {
 		t.Fatalf("parent-written store: envelope schemas after the run = %v, want four at 3", got)
 	}
 	assertSameProject(t, pr1, pr3)

@@ -325,24 +325,6 @@ func Walk(cmds []Cmd, fn func(Cmd)) {
 	}
 }
 
-// ExprVars returns the variable names read by a type expression.
-func ExprVars(e Expr) []string {
-	var out []string
-	var walk func(Expr)
-	walk = func(e Expr) {
-		switch e := e.(type) {
-		case Var:
-			out = append(out, e.Name)
-		case Join:
-			for _, p := range e.Parts {
-				walk(p)
-			}
-		}
-	}
-	walk(e)
-	return out
-}
-
 // String renders the program in the AI notation of the paper's Figure 6.
 func (p *Program) String() string {
 	var b strings.Builder

@@ -153,17 +153,6 @@ func TestInitialTypeDefaultsToBottom(t *testing.T) {
 	}
 }
 
-func TestExprVars(t *testing.T) {
-	e := NewJoin(Var{Name: "a"}, Const{}, NewJoin(Var{Name: "b"}, Var{Name: "a"}))
-	vars := ExprVars(e)
-	if len(vars) != 3 || vars[0] != "a" || vars[1] != "b" || vars[2] != "a" {
-		t.Fatalf("vars = %v", vars)
-	}
-	if got := ExprVars(Const{}); len(got) != 0 {
-		t.Fatalf("const vars = %v", got)
-	}
-}
-
 func TestExprStrings(t *testing.T) {
 	lat := lattice.Taint()
 	c := Const{Type: lat.Top(), Label: "mysql_fetch_array", Lat: lat}

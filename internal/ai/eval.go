@@ -149,7 +149,8 @@ func (p *Program) evalExpr(e Expr, env map[string]lattice.Elem) lattice.Elem {
 // ExhaustiveViolations enumerates every distinct counterexample trace by
 // brute force over all 2^Branches branch resolutions, deduplicating by
 // trace identity (assertion site + encountered branch decisions). It is the
-// reference oracle the bounded model checker is tested against; it is
+// reference oracle the bounded model checker is tested against (the flow
+// tests' violations helper, TestExhaustiveViolationsDedup); it is
 // exponential and must only be used on small programs.
 func (p *Program) ExhaustiveViolations() []Violation {
 	seen := make(map[string]Violation)

@@ -103,12 +103,3 @@ func (r *ring) sequence(key string) []string {
 	}
 	return seq
 }
-
-// owner returns the key's primary worker ("" on an empty ring).
-func (r *ring) owner(key string) string {
-	seq := r.sequence(key)
-	if len(seq) == 0 {
-		return ""
-	}
-	return seq[0]
-}

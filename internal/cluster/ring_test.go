@@ -71,7 +71,7 @@ func TestRingFailoverOrder(t *testing.T) {
 
 	r.remove(victim)
 	for key, was := range before {
-		now := r.owner(key)
+		now := r.sequence(key)[0]
 		switch {
 		case was.owner != victim && now != was.owner:
 			t.Fatalf("key %q moved from %s to %s although %s was removed", key, was.owner, now, victim)
@@ -89,7 +89,7 @@ func TestRingDistribution(t *testing.T) {
 	}
 	const total = 3000
 	for i := 0; i < total; i++ {
-		counts[r.owner(keyN(i))]++
+		counts[r.sequence(keyN(i))[0]]++
 	}
 	for id, n := range counts {
 		if n < total/10 {
@@ -113,7 +113,7 @@ func TestRingAddIdempotentAndRemove(t *testing.T) {
 	if len(r.points) != 8 {
 		t.Fatalf("remove left %d points; want %d", len(r.points), 8)
 	}
-	if owner := r.owner(keyN(1)); owner != "w2" {
+	if owner := r.sequence(keyN(1))[0]; owner != "w2" {
 		t.Fatalf("owner = %q after removing the only other worker; want w2", owner)
 	}
 }
@@ -122,8 +122,5 @@ func TestRingEmpty(t *testing.T) {
 	r := newRing(8)
 	if seq := r.sequence(keyN(1)); seq != nil {
 		t.Fatalf("empty ring sequence = %v; want nil", seq)
-	}
-	if owner := r.owner(keyN(1)); owner != "" {
-		t.Fatalf("empty ring owner = %q; want empty", owner)
 	}
 }

@@ -175,32 +175,6 @@ func EvalBool(b Bool, branches map[int]bool) bool {
 	}
 }
 
-// BoolBranches returns the branch IDs a guard mentions.
-func BoolBranches(b Bool) []int {
-	seen := make(map[int]bool)
-	var order []int
-	var walk func(Bool)
-	walk = func(b Bool) {
-		switch b := b.(type) {
-		case Branch:
-			if !seen[b.ID] {
-				seen[b.ID] = true
-				order = append(order, b.ID)
-			}
-		case And:
-			for _, p := range b.Parts {
-				walk(p)
-			}
-		case Or:
-			for _, p := range b.Parts {
-				walk(p)
-			}
-		}
-	}
-	walk(b)
-	return order
-}
-
 // Equation is the Figure 5 constraint for one single assignment:
 // t(V) = Guard ? RHS : t(Prev), where Prev is V with index α−1.
 type Equation struct {

@@ -79,14 +79,6 @@ func TestEvalBool(t *testing.T) {
 	}
 }
 
-func TestBoolBranches(t *testing.T) {
-	g := MkOr(MkAnd(Branch{ID: 2}, Branch{ID: 0}), Branch{ID: 2, Neg: true})
-	ids := BoolBranches(g)
-	if len(ids) != 2 || ids[0] != 2 || ids[1] != 0 {
-		t.Fatalf("branches = %v, want [2 0] (first-appearance order, deduped)", ids)
-	}
-}
-
 func TestStraightLineGuardsAreTrue(t *testing.T) {
 	sys := buildSys(t, `<?php $x = $_GET['a']; $y = $x; echo $y;`)
 	if len(sys.Equations) != 2 || len(sys.Checks) != 1 {

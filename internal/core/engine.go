@@ -286,13 +286,10 @@ func (r *Result) Safe() bool {
 	return true
 }
 
-// Incomplete reports whether any part of the model escaped verification:
-// an Unknown assertion, a truncated AI, or recovered parse errors. An
-// incomplete result must never be presented as Safe.
-func (r *Result) Incomplete() bool { return len(r.IncompleteCauses()) > 0 }
-
 // IncompleteCauses lists the distinct degradation causes, in first-hit
-// order (empty for a fully decided run).
+// order (empty for a fully decided run): an Unknown assertion, a
+// truncated AI, or recovered parse errors. An incomplete result must
+// never be presented as Safe.
 func (r *Result) IncompleteCauses() []string {
 	var out []string
 	seen := make(map[string]bool)

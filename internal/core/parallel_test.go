@@ -134,7 +134,7 @@ func TestSolveDeadlineDegradesSuffix(t *testing.T) {
 	if !reflect.DeepEqual(res.Warnings, want) {
 		t.Fatalf("warnings = %q, want %q", res.Warnings, want)
 	}
-	if !res.Incomplete() {
+	if len(res.IncompleteCauses()) == 0 {
 		t.Fatal("cancelled solve not marked Incomplete")
 	}
 }

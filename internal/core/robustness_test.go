@@ -60,7 +60,7 @@ func TestExpiredContextDegradesAll(t *testing.T) {
 			t.Fatalf("assert %d: Unknown=%v Cause=%q, want Unknown/deadline", i, ar.Unknown, ar.Cause)
 		}
 	}
-	if !res.Incomplete() {
+	if len(res.IncompleteCauses()) == 0 {
 		t.Fatal("expired-context result not marked Incomplete")
 	}
 	// Safe() sees no counterexamples, which is exactly why callers must
@@ -121,7 +121,7 @@ func TestHookPanicDegradesAssertion(t *testing.T) {
 		t.Fatalf("neighbouring assertions lost their verdicts: %d / %d counterexamples",
 			len(res.PerAssert[0].Counterexamples), len(res.PerAssert[2].Counterexamples))
 	}
-	if !res.Incomplete() {
+	if len(res.IncompleteCauses()) == 0 {
 		t.Fatal("result with an internal fault not marked Incomplete")
 	}
 }
@@ -185,7 +185,7 @@ func TestStatementCeilingIncomplete(t *testing.T) {
 	if !res.AI.Truncated {
 		t.Fatal("AI not marked Truncated at MaxCmds")
 	}
-	if !res.Incomplete() {
+	if len(res.IncompleteCauses()) == 0 {
 		t.Fatal("truncated model not marked Incomplete")
 	}
 	found := false
@@ -215,7 +215,7 @@ func TestUnresolvedIncludeIncomplete(t *testing.T) {
 	if !res.Safe() {
 		t.Fatalf("unexpected counterexamples: %v", cexKeys(res))
 	}
-	if !res.Incomplete() {
+	if len(res.IncompleteCauses()) == 0 {
 		t.Fatal("unresolved nested include not marked Incomplete")
 	}
 	found := false

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"strings"
 
 	"webssari/internal/core"
 	"webssari/internal/php/token"
@@ -336,6 +335,8 @@ func (a *Analysis) GreedyMinimalFix() []*FixPoint {
 // bound, pruning with the greedy solution as the initial upper bound. It
 // refuses instances with more than maxPoints candidate fix points
 // (returning the greedy solution), since the problem is NP-complete.
+// Only tests call it, as the optimum the greedy fix is checked against
+// (TestFigure7MinimalFix, TestExactBeatsGreedyOnAdversarialInstance).
 func (a *Analysis) ExactMinimalFix(maxPoints int) []*FixPoint {
 	greedy := a.GreedyMinimalFix()
 	if len(a.fixPoints) > maxPoints {
@@ -416,16 +417,4 @@ func (a *Analysis) ExactMinimalFix(maxPoints int) []*FixPoint {
 		out = append(out, a.fixPoints[keys[i]])
 	}
 	return out
-}
-
-// Summary renders the analysis: error groups and their fix points.
-func (a *Analysis) Summary() string {
-	var b strings.Builder
-	fix := a.GreedyMinimalFix()
-	fmt.Fprintf(&b, "%d error trace constraint(s), minimal fixing set of %d patch(es):\n",
-		len(a.Constraints), len(fix))
-	for _, f := range fix {
-		fmt.Fprintf(&b, "  - %s\n", f.Describe())
-	}
-	return b.String()
 }

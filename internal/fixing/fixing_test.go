@@ -9,8 +9,8 @@ import (
 	"webssari/internal/core"
 	"webssari/internal/fixing"
 	"webssari/internal/flow"
+	"webssari/internal/patch"
 	"webssari/internal/prelude"
-	"webssari/internal/telemetry/patch"
 )
 
 // verifySource compiles and solves one PHP source text: core.Compile
@@ -64,7 +64,7 @@ func TestFigure7MinimalFix(t *testing.T) {
 	// variable once; both introductions must be guarded to be effective).
 	greedy := a.GreedyMinimalFix()
 	if len(greedy) > 2 {
-		t.Fatalf("greedy fixing set = %d, want ≤ 2 (root-cause $sid)\n%s", len(greedy), a.Summary())
+		t.Fatalf("greedy fixing set = %d, want ≤ 2 (root-cause $sid)\n%s", len(greedy), describe(greedy))
 	}
 	for _, f := range greedy {
 		if f.Set == nil || f.Set.Origin.SrcVar != "sid" {
@@ -178,7 +178,7 @@ DoSQL($q2);`)
 		t.Fatalf("naive = %d, want 2", len(naive))
 	}
 	if len(greedy) != 1 {
-		t.Fatalf("greedy = %d, want 1\n%s", len(greedy), a.Summary())
+		t.Fatalf("greedy = %d, want 1\n%s", len(greedy), describe(greedy))
 	}
 	if len(exact) != 1 {
 		t.Fatalf("exact = %d, want 1", len(exact))
@@ -203,7 +203,7 @@ $q3 = $a . $b;
 DoSQL($q3);`)
 	exact := a.ExactMinimalFix(64)
 	if len(exact) != 3 {
-		t.Fatalf("exact = %d, want 3\n%s", len(exact), a.Summary())
+		t.Fatalf("exact = %d, want 3\n%s", len(exact), describe(exact))
 	}
 }
 
@@ -229,7 +229,7 @@ DoSQL($u2);`)
 	}
 	// Constraints: m→{m}, u1→{u1,r1}, u2→{u2,r2}; minimum is 3.
 	if len(exact) != 3 {
-		t.Fatalf("exact = %d, want 3\n%s", len(exact), a.Summary())
+		t.Fatalf("exact = %d, want 3\n%s", len(exact), describe(exact))
 	}
 }
 
@@ -309,7 +309,7 @@ render($_POST['d']);`,
 		}
 		a := fixing.Analyze(res)
 		fix := a.GreedyMinimalFix()
-		patched, perrs := patch.PatchSource("t.php", []byte(src), fix, "")
+		patched, perrs := patch.PatchSourceGuards("t.php", []byte(src), fix, "", func(*fixing.FixPoint) string { return "" })
 		for _, err := range perrs {
 			t.Fatalf("source %d patch: %v", i, err)
 		}
@@ -338,4 +338,13 @@ func TestPatchCountReduction(t *testing.T) {
 	if reduction < 0.5 {
 		t.Fatalf("reduction = %.1f%%, want large", reduction*100)
 	}
+}
+
+// describe renders a fix set one fix point a line, for failure messages.
+func describe(fix []*fixing.FixPoint) string {
+	var b strings.Builder
+	for _, f := range fix {
+		b.WriteString(f.Describe() + "\n")
+	}
+	return b.String()
 }

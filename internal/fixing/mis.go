@@ -177,12 +177,14 @@ func VertexCoverToMIS(g Graph) MIS {
 }
 
 // MinVertexCoverSize computes the minimum vertex cover size through the
-// MIS reduction (exponential; small graphs only).
+// MIS reduction (exponential; small graphs only). It is the oracle of
+// TestVertexCoverReduction.
 func MinVertexCoverSize(g Graph) int {
 	return len(ExactMIS(VertexCoverToMIS(g)))
 }
 
-// IsVertexCover reports whether the vertex set covers every edge.
+// IsVertexCover reports whether the vertex set covers every edge. It is
+// the oracle of TestVertexCoverReductionQuick.
 func IsVertexCover(g Graph, cover []int) bool {
 	in := make(map[int]bool, len(cover))
 	for _, v := range cover {

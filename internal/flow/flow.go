@@ -114,7 +114,8 @@ func Build(file *ast.File, opts Options) (*ai.Program, error) {
 
 // BuildAST is the pre-IR reference path: it filters the AST directly,
 // without lowering. It is kept behind this seam solely so differential
-// tests can assert that the IR path produces byte-identical programs; new
+// tests (TestDifferentialASTvsIR) can assert that the IR path produces
+// byte-identical programs; new
 // subset features (closures, foreach-by-reference) are deliberately NOT
 // supported here.
 func BuildAST(file *ast.File, opts Options) (*ai.Program, error) {

@@ -8,14 +8,15 @@ import (
 
 // Dump renders a node as a compact s-expression, independent of source
 // formatting. It is the canonical structural form used by parser tests
-// (two parses are structurally equal iff their dumps are equal).
+// (two parses are structurally equal iff their dumps are equal), such as
+// TestParseExprString and TestDumpAllNodes.
 func Dump(n Node) string {
 	var b strings.Builder
 	dumpNode(&b, n)
 	return b.String()
 }
 
-// DumpStmts dumps a statement list.
+// DumpStmts dumps a statement list, for TestFigure1Parses and FuzzParse.
 func DumpStmts(stmts []Stmt) string {
 	var b strings.Builder
 	dumpStmtList(&b, stmts)

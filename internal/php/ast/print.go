@@ -10,7 +10,7 @@ import (
 // PrintFile renders a parsed file back to PHP source. The output is
 // normalized (canonical spacing, braces everywhere) rather than
 // byte-identical to the input; reparsing the output yields a structurally
-// identical AST, a property the parser tests check.
+// identical AST, a property TestPrintParseFixpoint and FuzzParse check.
 func PrintFile(f *File) string {
 	p := &printer{}
 	p.stmts(f.Stmts, 0)
@@ -18,14 +18,16 @@ func PrintFile(f *File) string {
 	return p.b.String()
 }
 
-// PrintExpr renders a single expression as PHP source.
+// PrintExpr renders a single expression as PHP source, for
+// TestPrintExprForms.
 func PrintExpr(e Expr) string {
 	p := &printer{inPHP: true}
 	p.expr(e, precLowest)
 	return p.b.String()
 }
 
-// PrintStmt renders a single statement as PHP source.
+// PrintStmt renders a single statement as PHP source, for
+// TestPrintAllStatements.
 func PrintStmt(s Stmt) string {
 	p := &printer{inPHP: true}
 	p.stmt(s, 0)

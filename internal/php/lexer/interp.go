@@ -218,22 +218,3 @@ func hexVal(c byte) int {
 		return int(c-'A') + 10
 	}
 }
-
-// DecodeDoubleQuoted decodes the escape sequences of a raw double-quoted
-// string body without splitting interpolation. It is used for bodies that
-// SplitInterp classified as pure text.
-func DecodeDoubleQuoted(raw string) string {
-	var b strings.Builder
-	i := 0
-	for i < len(raw) {
-		if raw[i] == '\\' && i+1 < len(raw) {
-			d, n := decodeEscape(raw[i:])
-			b.WriteString(d)
-			i += n
-			continue
-		}
-		b.WriteByte(raw[i])
-		i++
-	}
-	return b.String()
-}

@@ -39,7 +39,7 @@ func FuzzPolicy(f *testing.F) {
 		if c.Prelude() == nil {
 			t.Fatal("accepted policy has nil prelude")
 		}
-		if c.Lattice() == nil || c.Lattice().Size() < 2 {
+		if c.Prelude().Lattice() == nil || c.Prelude().Lattice().Size() < 2 {
 			t.Fatal("accepted policy has degenerate lattice")
 		}
 		again, err := LoadJSON("fuzz", data)

@@ -302,16 +302,10 @@ func wrapPrelude(name, description string, pre *prelude.Prelude, guards []Guard)
 // Name returns the policy's name.
 func (c *Compiled) Name() string { return c.decl.Name }
 
-// Description returns the policy's one-line description.
-func (c *Compiled) Description() string { return c.decl.Description }
-
 // Prelude returns the trust environment the policy compiled to. The
 // prelude is owned by this Compiled; mutating it is allowed (the CLI's
 // -sink/-sanitizer flags layer on top of a policy).
 func (c *Compiled) Prelude() *prelude.Prelude { return c.pre }
-
-// Lattice returns the policy's safety-type lattice.
-func (c *Compiled) Lattice() *lattice.Lattice { return c.lat }
 
 // SinkClass returns the declared vulnerability class of a sink, or ""
 // when the policy declares none (callers then fall back to the classic
@@ -333,11 +327,6 @@ func (c *Compiled) HasContexts() bool { return len(c.contexts) > 0 }
 func (c *Compiled) ContextBound(name string) (lattice.Elem, bool) {
 	ctx, ok := c.contexts[name]
 	return ctx.bound, ok
-}
-
-// Guards returns the policy's repair routines in preference order.
-func (c *Compiled) Guards() []CompiledGuard {
-	return append([]CompiledGuard(nil), c.guards...)
 }
 
 // SanitizerType resolves a sanitizer call's result type given the

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -30,6 +31,8 @@ func TestNamesAndLookup(t *testing.T) {
 	}
 }
 
+// TestCompileValidation feeds each declaration through LoadJSON, so every
+// error is reached the way a policy file reaches it.
 func TestCompileValidation(t *testing.T) {
 	valid := func() Policy {
 		return Policy{
@@ -46,6 +49,7 @@ func TestCompileValidation(t *testing.T) {
 	}{
 		{"ok", func(p *Policy) {}, ""},
 		{"no name", func(p *Policy) { p.Name = "" }, "name is required"},
+		{"empty lattice", func(p *Policy) { p.Lattice = nil }, "at least two"},
 		{"short lattice", func(p *Policy) { p.Lattice = []string{"only"} }, "at least two"},
 		{"empty elem", func(p *Policy) { p.Lattice = []string{"", "tainted"} }, "empty lattice element"},
 		{"dup elem", func(p *Policy) { p.Lattice = []string{"a", "a"} }, "duplicate lattice element"},
@@ -80,15 +84,19 @@ func TestCompileValidation(t *testing.T) {
 		t.Run(tc.label, func(t *testing.T) {
 			p := valid()
 			tc.mutate(&p)
-			_, err := p.Compile()
+			data, err := json.Marshal(&p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = LoadJSON(tc.label, data)
 			if tc.wantErr == "" {
 				if err != nil {
-					t.Fatalf("Compile: %v", err)
+					t.Fatalf("LoadJSON: %v", err)
 				}
 				return
 			}
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("Compile error = %v, want substring %q", err, tc.wantErr)
+				t.Fatalf("LoadJSON error = %v, want substring %q", err, tc.wantErr)
 			}
 		})
 	}
@@ -101,7 +109,7 @@ func TestSanitizerVariants(t *testing.T) {
 		if !ok {
 			return "<none>"
 		}
-		return c.Lattice().Name(e)
+		return c.Prelude().Lattice().Name(e)
 	}
 	cases := []struct {
 		fn     string
@@ -158,7 +166,7 @@ func TestSelectGuard(t *testing.T) {
 
 	ssrf, def := SSRF(), Default()
 	top := func(c *Compiled) Violation {
-		return Violation{Bound: c.Lattice().Top()}
+		return Violation{Bound: c.Prelude().Lattice().Top()}
 	}
 	if got, ok := ssrf.SelectGuard([]Violation{top(ssrf)}); !ok || got != "websafe_url" {
 		t.Errorf("ssrf SelectGuard = (%q, %v), want websafe_url", got, ok)

@@ -105,6 +105,8 @@ func TestParseErrors(t *testing.T) {
 		{"bad sink arg", "sink f tainted nope", "bad argument position"},
 		{"zero sink arg", "sink f tainted 0", "bad argument position"},
 		{"bad lattice", "lattice diamond a b c d", "usage: lattice chain"},
+		{"empty lattice", "lattice chain", "usage: lattice chain"},
+		{"duplicate lattice element", "lattice chain a b a", "duplicate element \"a\""},
 		{"short var", "var _GET", "usage: var"},
 		{"short source", "source f", "usage: source"},
 		{"short sanitizer", "sanitizer f", "usage: sanitizer"},

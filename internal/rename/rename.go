@@ -219,16 +219,6 @@ func (r *renamer) cmds(cmds []ai.Cmd) []Cmd {
 	return out
 }
 
-// InitialConst returns the constant expression for a variable's initial
-// value v0.
-func (p *Program) InitialConst(name string) Const {
-	return Const{
-		Type:  p.AI.InitialType(name),
-		Label: "$" + name + "@0",
-		Lat:   p.AI.Lat,
-	}
-}
-
 // ExprRefs returns the SSA variables read by an expression.
 func ExprRefs(e Expr) []SSAVar {
 	var out []SSAVar

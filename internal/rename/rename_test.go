@@ -123,8 +123,7 @@ func TestInitialIndexZeroForSuperglobals(t *testing.T) {
 	if !ok || ref.V != (SSAVar{Name: "_GET", Idx: 0}) {
 		t.Fatalf("rhs = %v, want _GET@0", set.RHS)
 	}
-	c := r.InitialConst("_GET")
-	if c.Type != r.AI.Lat.Top() {
+	if r.AI.InitialType("_GET") != r.AI.Lat.Top() {
 		t.Fatalf("initial _GET type should be tainted")
 	}
 }
@@ -293,7 +292,7 @@ func TestExprStringForms(t *testing.T) {
 	if got := set.V.String(); got != "x@1" {
 		t.Fatalf("SSA var string = %q", got)
 	}
-	c := r.InitialConst("_GET")
+	c := Const{Type: r.AI.InitialType("_GET"), Label: "$_GET@0", Lat: r.AI.Lat}
 	if got := c.String(); got != "tainted<$_GET@0>" {
 		t.Fatalf("initial const string = %q", got)
 	}

@@ -75,13 +75,17 @@ func New() *Interp {
 	return in
 }
 
-// SetGet seeds a $_GET parameter with attacker-controlled (tainted) data.
+// SetGet seeds a $_GET parameter with attacker-controlled (tainted) data,
+// for TestTaintedGetReachesEcho. Only tests seed requests until the
+// runtime gets a production caller (ROADMAP item 4).
 func (in *Interp) SetGet(key, val string) { in.Globals["_GET"].Set(key, Tainted(val)) }
 
-// SetPost seeds a $_POST parameter with tainted data.
+// SetPost seeds a $_POST parameter with tainted data, for
+// TestTaintThroughStringFunctions.
 func (in *Interp) SetPost(key, val string) { in.Globals["_POST"].Set(key, Tainted(val)) }
 
-// SetCookie seeds a $_COOKIE value with tainted data.
+// SetCookie seeds a $_COOKIE value with tainted data, for
+// TestListAssignAndExplode.
 func (in *Interp) SetCookie(key, val string) { in.Globals["_COOKIE"].Set(key, Tainted(val)) }
 
 // SeedRow adds a row to the fake database (e.g. previously stored,

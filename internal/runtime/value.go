@@ -211,13 +211,6 @@ func (v *Value) Truthy() bool {
 	}
 }
 
-// withTaint returns a copy of the value with taint forced to t.
-func (v *Value) withTaint(t bool) *Value {
-	cp := *v
-	cp.Taint = t
-	return &cp
-}
-
 // Event is one sink invocation observed during execution.
 type Event struct {
 	// Sink is the channel name (echo, mysql_query, exec, include, …).

@@ -1,8 +1,9 @@
 package sat
 
 // BruteSolve decides satisfiability of a CNF by exhaustive enumeration.
-// It is the reference oracle for the CDCL solver's property tests and is
-// usable only for small variable counts (it refuses more than 25).
+// It is the reference oracle for the CDCL solver's property tests
+// (TestRandomAgainstBruteForce) and is usable only for small variable
+// counts (it refuses more than 25).
 func BruteSolve(f *CNF) (sat bool, model []bool) {
 	if f.NumVars > 25 {
 		panic("sat: BruteSolve limited to 25 variables")
@@ -21,7 +22,8 @@ func BruteSolve(f *CNF) (sat bool, model []bool) {
 }
 
 // BruteCountModels counts the satisfying assignments of a CNF over its
-// declared variables by exhaustive enumeration (≤ 25 variables).
+// declared variables by exhaustive enumeration (≤ 25 variables), the
+// oracle of TestEnumerationMatchesBruteCount.
 func BruteCountModels(f *CNF) int {
 	if f.NumVars > 25 {
 		panic("sat: BruteCountModels limited to 25 variables")

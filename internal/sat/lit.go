@@ -131,22 +131,6 @@ func (s *Stats) Add(o Stats) {
 	}
 }
 
-// Sub returns the counters s gained since base, an earlier reading of
-// the same solver. MaxDepth, a high-water mark, stays s's own: summing
-// successive Subs with Add then reproduces the solver's final Stats.
-func (s Stats) Sub(base Stats) Stats {
-	return Stats{
-		Decisions:      s.Decisions - base.Decisions,
-		Propagations:   s.Propagations - base.Propagations,
-		Conflicts:      s.Conflicts - base.Conflicts,
-		Restarts:       s.Restarts - base.Restarts,
-		LearntClauses:  s.LearntClauses - base.LearntClauses,
-		DeletedClauses: s.DeletedClauses - base.DeletedClauses,
-		MinimizedLits:  s.MinimizedLits - base.MinimizedLits,
-		MaxDepth:       s.MaxDepth,
-	}
-}
-
 // String summarizes the counters.
 func (s Stats) String() string {
 	return fmt.Sprintf("decisions=%d propagations=%d conflicts=%d restarts=%d learnt=%d deleted=%d minimized=%d",

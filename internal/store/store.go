@@ -366,9 +366,6 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// Root returns the store's root directory.
-func (s *Store) Root() string { return s.root }
-
 // A Namespace re-addresses keys under a label so one backend can hold
 // independent kinds of blobs (verification results, dependency graphs)
 // without key collisions: every operation maps key → NamespacedKey

@@ -17,10 +17,6 @@
 // One Telemetry value is safe for concurrent use by any number of
 // goroutines; the parallel project verifier shares a single instance
 // across its whole worker pool.
-//
-// This package is also the module's single instrumentation entry point:
-// the source-instrumentation half (runtime-guard patching of PHP code)
-// lives in the subpackage telemetry/patch.
 package telemetry
 
 import "context"

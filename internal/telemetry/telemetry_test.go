@@ -20,6 +20,8 @@ func TestCountersConcurrent(t *testing.T) {
 	reg := NewRegistry()
 	const workers, per = 8, 1000
 	var owned [workers]CounterMetric
+	var g GaugeMetric
+	reg.GaugesOf(&g, func(emit func(string, int64)) { emit("g", g.Value()) })
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -29,7 +31,6 @@ func TestCountersConcurrent(t *testing.T) {
 			_ = reg.PrometheusText()
 			owned[w].Add(per)
 			c := reg.Counter("c_total")
-			g := reg.Gauge("g")
 			h := reg.Histogram("h_seconds", nil)
 			for i := 0; i < per; i++ {
 				c.Inc()
@@ -45,12 +46,12 @@ func TestCountersConcurrent(t *testing.T) {
 	if got := reg.Snapshot()["owned_total"]; got != workers*per {
 		t.Errorf("owned counters sum to %v, want %d", got, workers*per)
 	}
-	if got := reg.Gauge("g").Value(); got != workers*per {
-		t.Errorf("gauge = %d, want %d", got, workers*per)
+	if got := reg.Snapshot()["g"]; got != workers*per {
+		t.Errorf("gauge = %v, want %d", got, workers*per)
 	}
-	reg.Gauge("g").Set(-1)
-	if got := reg.Gauge("g").Value(); got != -1 {
-		t.Errorf("gauge after Set(-1) = %d", got)
+	g.Add(-workers*per - 1)
+	if got := reg.Snapshot()["g"]; got != -1 {
+		t.Errorf("gauge after falling below zero = %v", got)
 	}
 	h := reg.Histogram("h_seconds", nil)
 	if got := h.Count(); got != workers*per {
@@ -75,7 +76,7 @@ func TestSpansConcurrent(t *testing.T) {
 			for i := 0; i < per; i++ {
 				c, root := StartRootSpan(ctx, "unit")
 				_, child := StartSpan(c, "stage")
-				child.SetArg("i", i)
+				child.setArg("i", i)
 				child.End()
 				root.End()
 			}
@@ -107,13 +108,13 @@ func TestTraceGolden(t *testing.T) {
 		ticks++
 		return base.Add(time.Duration(ticks) * 100 * time.Microsecond)
 	}
-	tel := &Telemetry{Tracer: NewTracerWithClock(base, now)}
+	tel := &Telemetry{Tracer: &Tracer{base: base, now: now}}
 	ctx := WithTelemetry(context.Background(), tel)
 
 	ctx, root := StartRootSpan(ctx, "verify_file", "file", "a.php") // t=100µs
 	_, parse := StartSpan(ctx, "parse")                             // t=200µs
 	parse.End()                                                     // t=300µs
-	root.SetArg("vars", 3)
+	root.setArg("vars", 3)
 	root.End() // t=400µs
 
 	var b strings.Builder
@@ -185,12 +186,11 @@ func TestNilSafety(t *testing.T) {
 	if got != ctx || sp != nil {
 		t.Errorf("StartSpan without telemetry: ctx changed or span non-nil")
 	}
-	sp.SetArg("k", 1)
 	sp.End()
 	var reg *Registry
 	reg.Record(&RunProfile{Stages: []StageProfile{{Name: "parse", WallNS: 1, Count: 1}}})
 	NewRegistry().Record(nil)
-	if reg.Counter("c") != nil || reg.Gauge("g") != nil || reg.Histogram("h", nil) != nil {
+	if reg.Counter("c") != nil || reg.Histogram("h", nil) != nil {
 		t.Errorf("nil registry returned a live metric")
 	}
 	if s := reg.PrometheusText(); s != "" {
@@ -233,7 +233,7 @@ func TestPrometheusText(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter(MetricFilesVerified).Add(3)
 	reg.Counter(Name(MetricDegraded, "cause", "deadline")).Inc()
-	reg.Gauge(MetricStoreEntries).Set(7)
+	reg.GaugesOf(t, func(emit func(string, int64)) { emit(MetricStoreEntries, 7) })
 	reg.Histogram(Name(MetricStageSeconds, "stage", "parse"), nil).Observe(0.002)
 	text := reg.PrometheusText()
 	for _, want := range []string{

@@ -56,12 +56,6 @@ func NewTracer() *Tracer {
 	return &Tracer{base: time.Now(), now: time.Now}
 }
 
-// NewTracerWithClock returns a tracer reading time from the given clock —
-// deterministic trace output for tests.
-func NewTracerWithClock(base time.Time, now func() time.Time) *Tracer {
-	return &Tracer{base: base, now: now}
-}
-
 // NextLane allocates a fresh lane (trace tid). Lane 0 is the root lane.
 func (t *Tracer) NextLane() int64 {
 	if t == nil {
@@ -304,15 +298,8 @@ func startSpan(ctx context.Context, name string, newLane bool, kv []any) (contex
 	return context.WithValue(ctx, spanKey, sp), sp
 }
 
-// SetArg attaches a key/value argument rendered in the trace viewer's
-// detail pane. Nil-safe and concurrency-safe.
-func (s *Span) SetArg(key string, value any) {
-	if s == nil {
-		return
-	}
-	s.setArg(key, value)
-}
-
+// setArg attaches a key/value argument rendered in the trace viewer's
+// detail pane. Concurrency-safe.
 func (s *Span) setArg(key string, value any) {
 	s.mu.Lock()
 	if s.args == nil {

@@ -16,7 +16,7 @@ import (
 func TestWriteJSONRoundTrips(t *testing.T) {
 	base := time.Unix(42, 0)
 	clock := base
-	tr := NewTracerWithClock(base, func() time.Time { return clock })
+	tr := &Tracer{base: base, now: func() time.Time { return clock }}
 	ctx := WithTelemetry(context.Background(), &Telemetry{Tracer: tr})
 	_, sp := StartRootSpan(ctx, "verify_file", "file", "a.php")
 	clock = clock.Add(time.Millisecond)
@@ -75,7 +75,7 @@ func drawnProfile() *RunProfile {
 // assertion that reached the encoder, holding its encode and search.
 func TestDrawProfile(t *testing.T) {
 	base := time.Unix(1000, 0)
-	tr := NewTracerWithClock(base, func() time.Time { return base })
+	tr := &Tracer{base: base, now: func() time.Time { return base }}
 	ctx := WithTelemetry(context.Background(), &Telemetry{Tracer: tr})
 	ctx, root := StartRootSpan(ctx, "verify_file")
 	DrawProfile(ctx, base.Add(100*time.Microsecond), "a.php", drawnProfile(), "")

@@ -21,7 +21,6 @@ package typestate
 
 import (
 	"fmt"
-	"strings"
 
 	"webssari/internal/ai"
 	"webssari/internal/flow"
@@ -189,17 +188,4 @@ func merge(lat *lattice.Lattice, dst, a, b *env) {
 		}
 	}
 	dst.types = out
-}
-
-// Summary renders the reports, one per line.
-func Summary(reports []Report) string {
-	if len(reports) == 0 {
-		return "no violations found\n"
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d violating statement(s):\n", len(reports))
-	for _, r := range reports {
-		fmt.Fprintf(&b, "  %s\n", r)
-	}
-	return b.String()
 }

@@ -71,7 +71,7 @@ func TestResultStoreSecondTier(t *testing.T) {
 
 	// An envelope of the previous schema is a miss: invalidated,
 	// re-verified, and persisted again under the current schema.
-	if envelopes, _ := downgradeStore(t, s2); envelopes != 1 {
+	if envelopes, _ := downgradeStore(t, s2, dir); envelopes != 1 {
 		t.Fatalf("rewrote %d envelopes, want 1", envelopes)
 	}
 	s3, err := webssari.OpenStore(dir, 0)
@@ -89,7 +89,7 @@ func TestResultStoreSecondTier(t *testing.T) {
 		t.Fatalf("schema-2 envelope not invalidated and re-persisted: %+v", st)
 	}
 	assertSameReport(t, rep1, rep3)
-	if got := envelopeSchemas(t, s3); !reflect.DeepEqual(got, []int{3}) {
+	if got := envelopeSchemas(t, s3, dir); !reflect.DeepEqual(got, []int{3}) {
 		t.Fatalf("envelope schemas after re-verification = %v, want [3]", got)
 	}
 	rep4, err := webssari.Verify([]byte(vulnerableSrc), "page.php", webssari.WithStore(s3))
@@ -135,16 +135,16 @@ var parentKeys = map[string]any{
 	"safe_asserts": []any{"6b86b273ff34fce19d6b804e", "d4735e3a265e16eee03f5971"},
 }
 
-// downgradeStore rewrites every blob in st as older builds wrote it:
-// each result envelope as the schema-2 JSON envelope of the build before
-// schema 3 (schema2Envelope), and each dependency graph with parentKeys
-// in its nodes, under the schema version 1 those builds wrote. Graphs
-// are still at schema 1 and must keep planning; result envelopes are at
-// schema 3, so callers see the schema-2 ones read as misses. It returns
-// how many envelopes and graphs it rewrote.
-func downgradeStore(t *testing.T, st *webssari.ResultStore) (envelopes, graphs int) {
+// downgradeStore rewrites every blob in st, opened on root, as older
+// builds wrote it: each result envelope as the schema-2 JSON envelope of
+// the build before schema 3 (schema2Envelope), and each dependency graph
+// with parentKeys in its nodes, under the schema version 1 those builds
+// wrote. Graphs are still at schema 1 and must keep planning; result
+// envelopes are at schema 3, so callers see the schema-2 ones read as
+// misses. It returns how many envelopes and graphs it rewrote.
+func downgradeStore(t *testing.T, st *webssari.ResultStore, root string) (envelopes, graphs int) {
 	t.Helper()
-	for key, payload := range storeBlobs(t, st) {
+	for key, payload := range storeBlobs(t, st, root) {
 		var out []byte
 		if rep, ok := webssari.DecodeEnvelope(payload); ok {
 			out = schema2Envelope(t, rep, report.Includes(rep))
@@ -222,10 +222,10 @@ func schema2Envelope(t *testing.T, rep *webssari.Report, inc ai.Includes) []byte
 	return out
 }
 
-// storeBlobs reads every blob in st, keyed by store key.
-func storeBlobs(t *testing.T, st *webssari.ResultStore) map[string][]byte {
+// storeBlobs reads every blob in st, opened on root, keyed by store key.
+func storeBlobs(t *testing.T, st *webssari.ResultStore, root string) map[string][]byte {
 	t.Helper()
-	paths, err := filepath.Glob(filepath.Join(st.Root(), "objects", "*", "*"))
+	paths, err := filepath.Glob(filepath.Join(root, "objects", "*", "*"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,10 +247,10 @@ func storeBlobs(t *testing.T, st *webssari.ResultStore) map[string][]byte {
 // envelopeSchemas returns the schema version of every result envelope
 // in st, sorted: the current one for each blob the codec decodes, and
 // the declared one for each JSON envelope of an older build.
-func envelopeSchemas(t *testing.T, st *webssari.ResultStore) []int {
+func envelopeSchemas(t *testing.T, st *webssari.ResultStore, root string) []int {
 	t.Helper()
 	var schemas []int
-	for key, payload := range storeBlobs(t, st) {
+	for key, payload := range storeBlobs(t, st, root) {
 		if _, ok := webssari.DecodeEnvelope(payload); ok {
 			schemas = append(schemas, webssari.ResultSchema)
 			continue

@@ -46,13 +46,13 @@ import (
 	"webssari/internal/flow"
 	"webssari/internal/ir"
 	"webssari/internal/lattice"
+	"webssari/internal/patch"
 	"webssari/internal/policy"
 	"webssari/internal/prelude"
 	"webssari/internal/report"
 	"webssari/internal/sat"
 	"webssari/internal/store"
 	"webssari/internal/telemetry"
-	"webssari/internal/telemetry/patch"
 	"webssari/internal/typestate"
 )
 
