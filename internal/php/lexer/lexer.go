@@ -30,9 +30,6 @@ type Lexer struct {
 	lineOff int // offset of start of current line
 	inPHP   bool
 	errs    []error
-	// pending holds a token that must be emitted before scanning resumes
-	// (used when an open tag is followed immediately by a token).
-	pending []token.Token
 }
 
 // New returns a lexer over src, reporting positions against the given file
@@ -83,30 +80,10 @@ func (l *Lexer) hasPrefix(s string) bool {
 
 // Next returns the next token. After EOF it keeps returning EOF.
 func (l *Lexer) Next() token.Token {
-	if len(l.pending) > 0 {
-		t := l.pending[0]
-		l.pending = l.pending[1:]
-		return t
-	}
 	if !l.inPHP {
 		return l.scanHTML()
 	}
 	return l.scanPHP()
-}
-
-// Tokenize lexes the whole of src and returns all tokens up to and
-// including the EOF token, along with any lexical errors.
-func Tokenize(file string, src []byte) ([]token.Token, []error) {
-	l := New(file, src)
-	var toks []token.Token
-	for {
-		t := l.Next()
-		toks = append(toks, t)
-		if t.Kind == token.EOF {
-			break
-		}
-	}
-	return toks, l.Errors()
 }
 
 func (l *Lexer) scanHTML() token.Token {
@@ -410,11 +387,13 @@ func (l *Lexer) scanHeredoc(start token.Pos) token.Token {
 	return token.Token{Kind: token.HeredocString, Text: l.src[begin:l.off], Pos: start, End: l.off}
 }
 
-// operator table ordered longest-first so maximal munch works.
-var operators = []struct {
+type operator struct {
 	text string
 	kind token.Kind
-}{
+}
+
+// operator table ordered longest-first so maximal munch works.
+var operators = []operator{
 	{"===", token.Identical},
 	{"!==", token.NotIdent},
 	{"<<=", token.Invalid}, // unsupported, reported below
@@ -466,8 +445,17 @@ var operators = []struct {
 	{"@", token.At},
 }
 
-func (l *Lexer) scanOperator(start token.Pos) token.Token {
+// opsByFirst holds the operators by first byte, in the table's
+// longest-first order.
+var opsByFirst = func() (t [256][]operator) {
 	for _, op := range operators {
+		t[op.text[0]] = append(t[op.text[0]], op)
+	}
+	return t
+}()
+
+func (l *Lexer) scanOperator(start token.Pos) token.Token {
+	for _, op := range opsByFirst[l.src[l.off]] {
 		if l.hasPrefix(op.text) {
 			l.advance(len(op.text))
 			if op.kind == token.Invalid {

@@ -7,10 +7,24 @@ import (
 	"webssari/internal/php/token"
 )
 
+// tokenize drains New(file, src).Next() and returns every token up to and
+// including EOF, along with the lexical errors.
+func tokenize(file string, src []byte) ([]token.Token, []error) {
+	l := New(file, src)
+	var toks []token.Token
+	for {
+		t := l.Next()
+		toks = append(toks, t)
+		if t.Kind == token.EOF {
+			return toks, l.Errors()
+		}
+	}
+}
+
 // kindsOf lexes src and returns the token kinds, excluding EOF.
 func kindsOf(t *testing.T, src string) []token.Kind {
 	t.Helper()
-	toks, errs := Tokenize("test.php", []byte(src))
+	toks, errs := tokenize("test.php", []byte(src))
 	for _, err := range errs {
 		t.Errorf("lex error: %v", err)
 	}
@@ -38,7 +52,7 @@ func wantKinds(t *testing.T, src string, want ...token.Kind) {
 }
 
 func TestHTMLOnly(t *testing.T) {
-	toks, errs := Tokenize("t", []byte("<html><body>hello</body></html>"))
+	toks, errs := tokenize("t", []byte("<html><body>hello</body></html>"))
 	if len(errs) != 0 {
 		t.Fatalf("errors: %v", errs)
 	}
@@ -66,7 +80,7 @@ func TestShortOpenTag(t *testing.T) {
 }
 
 func TestVariablesAndSuperglobals(t *testing.T) {
-	toks, _ := Tokenize("t", []byte(`<?php $_GET; $_POST; $HTTP_REFERER; $x1_y;`))
+	toks, _ := tokenize("t", []byte(`<?php $_GET; $_POST; $HTTP_REFERER; $x1_y;`))
 	var names []string
 	for _, tk := range toks {
 		if tk.Kind == token.Variable {
@@ -87,7 +101,7 @@ func TestKeywordsCaseInsensitive(t *testing.T) {
 }
 
 func TestNumbers(t *testing.T) {
-	toks, _ := Tokenize("t", []byte(`<?php 42 3.14 0xFF 1e3 2.5e-2 .5`))
+	toks, _ := tokenize("t", []byte(`<?php 42 3.14 0xFF 1e3 2.5e-2 .5`))
 	var got []string
 	for _, tk := range toks {
 		if tk.Kind == token.IntLit || tk.Kind == token.FloatLit {
@@ -101,7 +115,7 @@ func TestNumbers(t *testing.T) {
 }
 
 func TestSingleQuotedString(t *testing.T) {
-	toks, _ := Tokenize("t", []byte(`<?php 'it\'s a \\ test $x';`))
+	toks, _ := tokenize("t", []byte(`<?php 'it\'s a \\ test $x';`))
 	if toks[1].Kind != token.StringLit {
 		t.Fatalf("kind = %v", toks[1].Kind)
 	}
@@ -111,7 +125,7 @@ func TestSingleQuotedString(t *testing.T) {
 }
 
 func TestDoubleQuotedKeepsRaw(t *testing.T) {
-	toks, _ := Tokenize("t", []byte(`<?php "hello $name\n";`))
+	toks, _ := tokenize("t", []byte(`<?php "hello $name\n";`))
 	if toks[1].Kind != token.InterpString {
 		t.Fatalf("kind = %v", toks[1].Kind)
 	}
@@ -121,7 +135,7 @@ func TestDoubleQuotedKeepsRaw(t *testing.T) {
 }
 
 func TestEscapedQuoteInDouble(t *testing.T) {
-	toks, _ := Tokenize("t", []byte(`<?php "say \"hi\"";`))
+	toks, _ := tokenize("t", []byte(`<?php "say \"hi\"";`))
 	if toks[1].Text != `say \"hi\"` {
 		t.Fatalf("raw = %q", toks[1].Text)
 	}
@@ -129,7 +143,7 @@ func TestEscapedQuoteInDouble(t *testing.T) {
 
 func TestHeredoc(t *testing.T) {
 	src := "<?php $q = <<<EOT\nline1 $x\nline2\nEOT;\n"
-	toks, errs := Tokenize("t", []byte(src))
+	toks, errs := tokenize("t", []byte(src))
 	if len(errs) != 0 {
 		t.Fatalf("errors: %v", errs)
 	}
@@ -149,7 +163,7 @@ func TestHeredoc(t *testing.T) {
 
 func TestNowdoc(t *testing.T) {
 	src := "<?php $q = <<<'EOT'\nno $interp\nEOT;\n"
-	toks, _ := Tokenize("t", []byte(src))
+	toks, _ := tokenize("t", []byte(src))
 	var found *token.Token
 	for i := range toks {
 		if toks[i].Kind == token.StringLit {
@@ -191,7 +205,7 @@ func TestArrowAndDoubleArrow(t *testing.T) {
 
 func TestPositions(t *testing.T) {
 	src := "<?php\n$abc = 1;\n"
-	toks, _ := Tokenize("f.php", []byte(src))
+	toks, _ := tokenize("f.php", []byte(src))
 	v := toks[1]
 	if v.Kind != token.Variable {
 		t.Fatalf("token 1 = %v", v)
@@ -208,14 +222,14 @@ func TestPositions(t *testing.T) {
 }
 
 func TestUnterminatedStringReportsError(t *testing.T) {
-	_, errs := Tokenize("t", []byte(`<?php $x = "oops`))
+	_, errs := tokenize("t", []byte(`<?php $x = "oops`))
 	if len(errs) == 0 {
 		t.Fatalf("want error for unterminated string")
 	}
 }
 
 func TestUnexpectedCharRecovered(t *testing.T) {
-	toks, errs := Tokenize("t", []byte("<?php $x \x01 = 1;"))
+	toks, errs := tokenize("t", []byte("<?php $x \x01 = 1;"))
 	if len(errs) == 0 {
 		t.Fatalf("want error for unexpected char")
 	}

@@ -70,7 +70,7 @@ func (p *parser) parseAssignLevel() ast.Expr {
 		}
 	}
 	right := p.parseAssignLevel()
-	end := p.prevEnd()
+	end := p.prevEnd
 	if right != nil {
 		end = right.End()
 	}
@@ -81,13 +81,6 @@ func (p *parser) parseAssignLevel() ast.Expr {
 		RHS:   right,
 		ByRef: byRef,
 	}
-}
-
-func (p *parser) prevEnd() int {
-	if p.pos > 0 {
-		return p.toks[p.pos-1].End
-	}
-	return 0
 }
 
 func (p *parser) parseTernary() ast.Expr {
@@ -102,7 +95,7 @@ func (p *parser) parseTernary() ast.Expr {
 	}
 	p.expect(token.Colon)
 	els := p.parseExprNoAssignKw()
-	end := p.prevEnd()
+	end := p.prevEnd
 	if els != nil {
 		end = els.End()
 	}
@@ -153,7 +146,7 @@ func (p *parser) parseBinary(level int) ast.Expr {
 
 func (p *parser) binary(op token.Kind, l, r ast.Expr) ast.Expr {
 	start := p.cur().Pos
-	end := p.prevEnd()
+	end := p.prevEnd
 	if l != nil {
 		start = l.Pos()
 	}
@@ -169,7 +162,7 @@ func (p *parser) parseUnary() ast.Expr {
 	case token.Not, token.Minus, token.Plus, token.Tilde, token.At:
 		op := p.advance()
 		x := p.parseUnary()
-		end := p.prevEnd()
+		end := p.prevEnd
 		if x != nil {
 			end = x.End()
 		}
@@ -177,7 +170,7 @@ func (p *parser) parseUnary() ast.Expr {
 	case token.Inc, token.Dec:
 		op := p.advance()
 		x := p.parseUnary()
-		end := p.prevEnd()
+		end := p.prevEnd
 		if x != nil {
 			end = x.End()
 		}
@@ -191,7 +184,7 @@ func (p *parser) parseUnary() ast.Expr {
 			args = p.parseExprListUntil(token.RParen)
 			p.expect(token.RParen)
 		}
-		return &ast.New{Span: span(start, p.prevEnd()), Class: cls.Text, Args: args}
+		return &ast.New{Span: span(start, p.prevEnd), Class: cls.Text, Args: args}
 	case token.KwPrint:
 		p.advance()
 		arg := p.parseAssignLevel()
@@ -316,7 +309,7 @@ func (p *parser) parsePrimary() ast.Expr {
 			return &ast.VarVar{Span: span(t.Pos, rb.End), Inner: inner}
 		}
 		inner := p.parsePrimary()
-		end := p.prevEnd()
+		end := p.prevEnd
 		if inner != nil {
 			end = inner.End()
 		}
@@ -427,7 +420,7 @@ func (p *parser) parsePrimary() ast.Expr {
 			}
 			p.expect(token.RParen)
 		}
-		node.Span = span(t.Pos, p.prevEnd())
+		node.Span = span(t.Pos, p.prevEnd)
 		return node
 
 	case token.LParen:
@@ -437,7 +430,7 @@ func (p *parser) parsePrimary() ast.Expr {
 			ident := p.advance()
 			p.expect(token.RParen)
 			x := p.parseUnary()
-			end := p.prevEnd()
+			end := p.prevEnd
 			if x != nil {
 				end = x.End()
 			}
@@ -505,7 +498,7 @@ func (p *parser) parseClosure() ast.Expr {
 		p.expect(token.RParen)
 	}
 	node.Body = p.parseBody()
-	node.Span = span(t.Pos, p.prevEnd())
+	node.Span = span(t.Pos, p.prevEnd)
 	return node
 }
 
@@ -515,8 +508,8 @@ func castTarget(p *parser) (string, bool) {
 	if p.kind() != token.LParen {
 		return "", false
 	}
-	mid := p.toks[p.pos+1]
-	if p.pos+2 >= len(p.toks) || p.toks[p.pos+2].Kind != token.RParen {
+	mid := p.tok[1]
+	if p.tok[2].Kind != token.RParen {
 		return "", false
 	}
 	var name string
@@ -558,10 +551,10 @@ func (p *parser) buildInterp(t token.Token) ast.Expr {
 		}
 		e, errs := ParseExprString(t.Pos.File, seg.Text)
 		if len(errs) > 0 || e == nil {
-			p.errs = append(p.errs, &Error{
+			p.diags = append(p.diags, diag{err: &Error{
 				Pos: t.Pos,
 				Msg: "cannot parse interpolated expression " + strconv.Quote(seg.Text),
-			})
+			}})
 			node.Parts = append(node.Parts, &ast.StringLit{Span: sp, Value: seg.Text})
 			continue
 		}
