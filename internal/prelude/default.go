@@ -1,5 +1,10 @@
 package prelude
 
+import (
+	"maps"
+	"sync"
+)
+
 // defaultPreludeText is the built-in PHP trust environment, written in the
 // prelude file format so that it exercises the same loader users see. It
 // mirrors the channels the paper's WebSSARI prelude covered: HTTP request
@@ -108,13 +113,27 @@ sanitizer bin2hex untainted
 sanitizer websafe untainted
 `
 
-// Default returns the built-in PHP prelude over the two-point taint
-// lattice. Each call returns a fresh, independently mutable prelude.
-func Default() *Prelude {
+// builtin is the built-in prelude, parsed once; Default hands out copies.
+var builtin = sync.OnceValue(func() *Prelude {
 	p, err := Parse("builtin", []byte(defaultPreludeText))
 	if err != nil {
 		// Unreachable: the built-in text is covered by tests.
 		panic(err)
 	}
 	return p
+})
+
+// Default returns the built-in PHP prelude over the two-point taint
+// lattice. Each call returns a fresh, independently mutable prelude: a copy
+// of the maps of the text parsed once, sharing the immutable lattice and
+// each sink's Args slice, which nothing writes.
+func Default() *Prelude {
+	b := builtin()
+	return &Prelude{
+		lat:        b.lat,
+		sources:    maps.Clone(b.sources),
+		sinks:      maps.Clone(b.sinks),
+		sanitizers: maps.Clone(b.sanitizers),
+		varTypes:   maps.Clone(b.varTypes),
+	}
 }

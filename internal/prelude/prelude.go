@@ -220,27 +220,6 @@ func mapKeys[V any](m map[string]V) []string {
 	return out
 }
 
-// Merge copies every definition of other into p, overwriting on conflict.
-// Both preludes must share the same lattice.
-func (p *Prelude) Merge(other *Prelude) error {
-	if other.lat != p.lat {
-		return fmt.Errorf("prelude: cannot merge preludes over different lattices")
-	}
-	for k, v := range other.sources {
-		p.sources[k] = v
-	}
-	for k, v := range other.sinks {
-		p.sinks[k] = v
-	}
-	for k, v := range other.sanitizers {
-		p.sanitizers[k] = v
-	}
-	for k, v := range other.varTypes {
-		p.varTypes[k] = v
-	}
-	return nil
-}
-
 func lowerASCII(s string) string {
 	hasUpper := false
 	for i := 0; i < len(s); i++ {

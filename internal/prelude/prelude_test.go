@@ -1,10 +1,10 @@
 package prelude
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
-
-	"webssari/internal/lattice"
 )
 
 func TestDefaultPreludeLoads(t *testing.T) {
@@ -60,6 +60,48 @@ func TestDefaultReturnsIndependentCopies(t *testing.T) {
 	a.AddSink("dosql", a.Lattice().Top())
 	if _, ok := b.SinkFor("dosql"); ok {
 		t.Fatalf("Default() instances must be independent")
+	}
+
+	// Copies taken and mutated at the same time see only their own
+	// definitions, and a later copy sees none of them.
+	const n = 8
+	copies := make([]*Prelude, n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			p := Default()
+			name := fmt.Sprintf("sink%d", i)
+			p.AddSink(name, p.Lattice().Top())
+			p.AddSource(name, p.Lattice().Top())
+			p.SetVarType(name, p.Lattice().Top())
+			copies[i] = p
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	fresh := Default()
+	for i, p := range copies {
+		for j := 0; j < n; j++ {
+			name := fmt.Sprintf("sink%d", j)
+			if _, ok := p.SinkFor(name); ok != (i == j) {
+				t.Errorf("copy %d: SinkFor(%s) = %v", i, name, ok)
+			}
+			if _, ok := p.SourceFor(name); ok != (i == j) {
+				t.Errorf("copy %d: SourceFor(%s) = %v", i, name, ok)
+			}
+		}
+	}
+	for j := 0; j < n; j++ {
+		if _, ok := fresh.SinkFor(fmt.Sprintf("sink%d", j)); ok {
+			t.Errorf("a new Default() sees sink%d", j)
+		}
+	}
+	if fresh.Fingerprint() != b.Fingerprint() {
+		t.Errorf("a new Default() fingerprints differently after the copies were mutated")
 	}
 }
 
@@ -121,24 +163,6 @@ func TestParseErrors(t *testing.T) {
 				t.Fatalf("error %q does not contain %q", err, tc.frag)
 			}
 		})
-	}
-}
-
-func TestMerge(t *testing.T) {
-	base := Default()
-	extra := New(base.Lattice())
-	// Merging preludes over a *different* lattice instance must fail.
-	other := New(lattice.Taint())
-	if err := base.Merge(other); err == nil {
-		t.Fatalf("merge across lattices should fail")
-	}
-	extra.AddSink("dosql", base.Lattice().Top(), 1)
-	extra.SetVarType("trusted_cfg", base.Lattice().Bottom())
-	if err := base.Merge(extra); err != nil {
-		t.Fatalf("Merge: %v", err)
-	}
-	if _, ok := base.SinkFor("DoSQL"); !ok {
-		t.Errorf("merged sink missing")
 	}
 }
 
