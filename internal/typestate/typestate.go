@@ -21,6 +21,7 @@ package typestate
 
 import (
 	"fmt"
+	"slices"
 
 	"webssari/internal/ai"
 	"webssari/internal/flow"
@@ -45,28 +46,31 @@ func (r Report) String() string {
 	return fmt.Sprintf("%s: unsanitized data may reach %s", r.Assert.Site, r.Assert.Fn)
 }
 
-// env is the abstract state: variable → safety type, plus liveness (a
-// stopped path contributes nothing at merges).
+// env is the abstract state: the safety type of each variable, indexed by
+// the checker's slot numbers, plus liveness (a stopped path contributes
+// nothing at merges).
 type env struct {
-	types map[string]lattice.Elem
+	types []lattice.Elem
 	dead  bool
 }
 
 func (e *env) clone() *env {
-	cp := &env{types: make(map[string]lattice.Elem, len(e.types)), dead: e.dead}
-	for k, v := range e.types {
-		cp.types[k] = v
-	}
-	return cp
+	return &env{types: slices.Clone(e.types), dead: e.dead}
 }
 
 // Check runs the TS analysis over an abstract interpretation and returns
 // every violating statement, in textual order.
 func Check(p *ai.Program) []Report {
-	c := &checker{p: p, lat: p.Lat}
-	state := &env{types: make(map[string]lattice.Elem, len(p.InitialTypes))}
+	c := &checker{lat: p.Lat, slot: make(map[string]int, len(p.InitialTypes))}
+	for name := range p.InitialTypes {
+		c.number(name)
+	}
+	c.numberSets(p.Cmds)
+	// A variable nothing has set reads as ⊥, which is handle 0, the zero
+	// value of every slot.
+	state := &env{types: make([]lattice.Elem, len(c.slot))}
 	for name, t := range p.InitialTypes {
-		state.types[name] = t
+		state.types[c.slot[name]] = t
 	}
 	c.run(p.Cmds, state)
 	return c.reports
@@ -97,9 +101,28 @@ func CountUnit(unit *ir.Unit, opts flow.Options) (int, error) {
 }
 
 type checker struct {
-	p       *ai.Program
-	lat     *lattice.Lattice
+	lat *lattice.Lattice
+	// slot numbers every variable that has an initial type or is set.
+	slot    map[string]int
 	reports []Report
+}
+
+func (c *checker) number(name string) {
+	if _, ok := c.slot[name]; !ok {
+		c.slot[name] = len(c.slot)
+	}
+}
+
+func (c *checker) numberSets(cmds []ai.Cmd) {
+	for _, cmd := range cmds {
+		switch cmd := cmd.(type) {
+		case *ai.Set:
+			c.number(cmd.Var)
+		case *ai.If:
+			c.numberSets(cmd.Then)
+			c.numberSets(cmd.Else)
+		}
+	}
 }
 
 func (c *checker) typeOf(e ai.Expr, s *env) lattice.Elem {
@@ -109,8 +132,8 @@ func (c *checker) typeOf(e ai.Expr, s *env) lattice.Elem {
 	case ai.Const:
 		return e.Type
 	case ai.Var:
-		if t, ok := s.types[e.Name]; ok {
-			return t
+		if i, ok := c.slot[e.Name]; ok {
+			return s.types[i]
 		}
 		return c.lat.Bottom()
 	case ai.Join:
@@ -132,7 +155,7 @@ func (c *checker) run(cmds []ai.Cmd, state *env) {
 		}
 		switch cmd := cmd.(type) {
 		case *ai.Set:
-			state.types[cmd.Var] = c.typeOf(cmd.RHS, state)
+			state.types[c.slot[cmd.Var]] = c.typeOf(cmd.RHS, state)
 		case *ai.Assert:
 			var bad []int
 			var types []lattice.Elem
@@ -150,42 +173,25 @@ func (c *checker) run(cmds []ai.Cmd, state *env) {
 			}
 		case *ai.If:
 			thenState := state.clone()
-			elseState := state.clone()
 			c.run(cmd.Then, thenState)
-			c.run(cmd.Else, elseState)
-			merge(c.lat, state, thenState, elseState)
+			c.run(cmd.Else, state)
+			merge(c.lat, state, thenState)
 		case *ai.Stop:
 			state.dead = true
 		}
 	}
 }
 
-// merge joins two successor states into dst. A dead branch (ending in
-// stop) contributes nothing.
-func merge(lat *lattice.Lattice, dst, a, b *env) {
+// merge joins the then-arm's final state into dst, the else-arm's. A dead
+// arm (ending in stop) contributes nothing.
+func merge(lat *lattice.Lattice, dst, then *env) {
 	switch {
-	case a.dead && b.dead:
-		dst.dead = true
-		return
-	case a.dead:
-		dst.types = b.types
-		return
-	case b.dead:
-		dst.types = a.types
-		return
-	}
-	out := make(map[string]lattice.Elem, len(a.types))
-	for k, v := range a.types {
-		if w, ok := b.types[k]; ok {
-			out[k] = lat.Join(v, w)
-		} else {
-			out[k] = lat.Join(v, lat.Bottom())
+	case then.dead:
+	case dst.dead:
+		*dst = *then
+	default:
+		for i, t := range then.types {
+			dst.types[i] = lat.Join(dst.types[i], t)
 		}
 	}
-	for k, w := range b.types {
-		if _, ok := a.types[k]; !ok {
-			out[k] = lat.Join(lat.Bottom(), w)
-		}
-	}
-	dst.types = out
 }
