@@ -17,8 +17,12 @@
 //   - A schema-version bump invalidates every existing entry the same
 //     way: old blobs read as misses and are garbage collected.
 //   - The store is bounded by bytes, not entries: when Put pushes the
-//     total past MaxBytes, least-recently-used blobs (by access time —
-//     Get touches the file) are evicted until the total fits again.
+//     total past MaxBytes, least-recently-used blobs are evicted until
+//     the total fits again. Recency lives in the in-memory index, a
+//     logical clock that Get and Put advance; Open seeds it in blob
+//     mtime order. A key's first hit in a process refreshes its blob's
+//     mtime, so recency survives a restart without a metadata write per
+//     hit.
 //
 // The store is safe for concurrent use by any number of goroutines in
 // one process. Cross-process sharing of a root directory is tolerated —
@@ -28,6 +32,7 @@ package store
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -35,7 +40,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -123,18 +128,32 @@ type Store struct {
 	stale       telemetry.CounterMetric
 	gcEvictions telemetry.CounterMetric
 
-	// mu guards the size index (entries/bytes) and GC.
+	// mu guards the index, the clock, the byte total and GC.
 	mu      sync.Mutex
-	sizes   map[string]int64 // key → blob size on disk
+	index   map[string]*entry
+	clock   uint64 // the last recency stamp handed out
 	bytes   int64
 	gcBytes int64
 }
 
+// entry is one blob in the index. Entries are updated in place: a map
+// assignment would replace the stored key with the caller's, which may
+// be a substring of a much larger string (a decoded dependency graph)
+// that the index would then keep alive.
+type entry struct {
+	size int64 // on disk, header included
+	// stamp orders recency: GC evicts the smallest first.
+	stamp uint64
+	// touched is set once a Get in this process has refreshed the
+	// blob's mtime, which is what the next Open seeds recency from.
+	touched bool
+}
+
 // Open opens (creating if needed) a store rooted at dir, sweeps
 // leftover temp files from crashed writers, and indexes the existing
-// blobs. Blobs that fail the cheapest validity check (size smaller than
-// a header) are removed during indexing; deeper corruption is detected
-// lazily on Get.
+// blobs, stamping their recency in mtime order. Blobs that fail the
+// cheapest validity check (size smaller than a header) are removed
+// during indexing; deeper corruption is detected lazily on Get.
 func Open(dir string, opts Options) (*Store, error) {
 	objDir := filepath.Join(dir, "objects")
 	if err := os.MkdirAll(objDir, 0o755); err != nil {
@@ -143,11 +162,17 @@ func Open(dir string, opts Options) (*Store, error) {
 	s := &Store{
 		root:     dir,
 		maxBytes: opts.MaxBytes,
-		sizes:    make(map[string]int64),
+		index:    make(map[string]*entry),
 	}
 	if s.maxBytes == 0 {
 		s.maxBytes = DefaultMaxBytes
 	}
+	type found struct {
+		key   string
+		size  int64
+		mtime time.Time
+	}
+	var blobs []found
 	err := filepath.WalkDir(objDir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() {
 			return err
@@ -167,12 +192,22 @@ func Open(dir string, opts Options) (*Store, error) {
 			s.corrupt.Inc()
 			return nil
 		}
-		s.sizes[d.Name()] = info.Size()
-		s.bytes += info.Size()
+		blobs = append(blobs, found{d.Name(), info.Size(), info.ModTime()})
 		return nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("store: indexing %s: %w", dir, err)
+	}
+	slices.SortFunc(blobs, func(a, b found) int {
+		if c := a.mtime.Compare(b.mtime); c != 0 {
+			return c
+		}
+		return strings.Compare(a.key, b.key)
+	})
+	for _, b := range blobs {
+		s.clock++
+		s.index[b.key] = &entry{size: b.size, stamp: s.clock}
+		s.bytes += b.size
 	}
 	return s, nil
 }
@@ -227,8 +262,9 @@ func (s *Store) path(key string) string {
 // on any miss — absent, truncated, corrupted, or written under a
 // different schema version — and a bad blob is deleted so it cannot
 // fail again. Get never returns an error: a store that degrades is a
-// cold cache, not a broken verifier. A hit refreshes the blob's access
-// time, which is the LRU recency GC evicts by.
+// cold cache, not a broken verifier. A hit makes the key the most
+// recently used; the key's first hit in this process also refreshes its
+// blob's mtime, so the next Open orders it the same way.
 func (s *Store) Get(key string) ([]byte, bool) {
 	data, err := os.ReadFile(s.path(key))
 	if err != nil {
@@ -242,8 +278,18 @@ func (s *Store) Get(key string) ([]byte, bool) {
 		s.misses.Inc()
 		return nil, false
 	}
-	now := time.Now()
-	_ = os.Chtimes(s.path(key), now, now) // best-effort LRU touch
+	s.mu.Lock()
+	e := s.index[key]
+	first := e == nil || !e.touched
+	if e != nil {
+		s.clock++
+		e.stamp, e.touched = s.clock, true
+	}
+	s.mu.Unlock()
+	if first {
+		now := time.Now()
+		_ = os.Chtimes(s.path(key), now, now) // best-effort; recency across restarts
+	}
 	s.hits.Inc()
 	return payload, true
 }
@@ -277,10 +323,13 @@ func (s *Store) Put(key string, payload []byte) error {
 	s.puts.Inc()
 
 	s.mu.Lock()
-	if old, ok := s.sizes[key]; ok {
-		s.bytes -= old
+	s.clock++
+	if e := s.index[key]; e != nil {
+		s.bytes -= e.size
+		e.size, e.stamp = int64(len(blob)), s.clock
+	} else {
+		s.index[strings.Clone(key)] = &entry{size: int64(len(blob)), stamp: s.clock}
 	}
-	s.sizes[key] = int64(len(blob))
 	s.bytes += int64(len(blob))
 	s.gcLocked()
 	s.mu.Unlock()
@@ -299,9 +348,9 @@ func (s *Store) Invalidate(key string) {
 func (s *Store) drop(key string) {
 	_ = os.Remove(s.path(key))
 	s.mu.Lock()
-	if old, ok := s.sizes[key]; ok {
-		s.bytes -= old
-		delete(s.sizes, key)
+	if e := s.index[key]; e != nil {
+		s.bytes -= e.size
+		delete(s.index, key)
 	}
 	s.mu.Unlock()
 }
@@ -316,33 +365,27 @@ func (s *Store) GC() {
 	s.gcLocked()
 }
 
-// gcLocked is the LRU-by-size collector; the caller holds s.mu. Recency
-// is the blob file's modification time, which Get refreshes.
+// gcLocked is the LRU-by-size collector; the caller holds s.mu. It
+// evicts in recency-stamp order, oldest first.
 func (s *Store) gcLocked() {
 	if s.maxBytes < 0 || s.bytes <= s.maxBytes {
 		return
 	}
 	type aged struct {
-		key  string
-		size int64
-		at   time.Time
+		key string
+		*entry
 	}
-	entries := make([]aged, 0, len(s.sizes))
-	for key, size := range s.sizes {
-		info, err := os.Stat(s.path(key))
-		at := time.Time{} // unstattable sorts oldest, evicted first
-		if err == nil {
-			at = info.ModTime()
-		}
-		entries = append(entries, aged{key, size, at})
+	entries := make([]aged, 0, len(s.index))
+	for key, e := range s.index {
+		entries = append(entries, aged{key, e})
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].at.Before(entries[j].at) })
+	slices.SortFunc(entries, func(a, b aged) int { return cmp.Compare(a.stamp, b.stamp) })
 	for _, e := range entries {
 		if s.bytes <= s.maxBytes {
 			break
 		}
 		_ = os.Remove(s.path(e.key))
-		delete(s.sizes, e.key)
+		delete(s.index, e.key)
 		s.bytes -= e.size
 		s.gcEvictions.Inc()
 		s.gcBytes += e.size
@@ -361,7 +404,7 @@ func (s *Store) Stats() Stats {
 		Stale:       s.stale.Value(),
 		GCEvictions: s.gcEvictions.Value(),
 		GCBytes:     s.gcBytes,
-		Entries:     len(s.sizes),
+		Entries:     len(s.index),
 		Bytes:       s.bytes,
 	}
 }

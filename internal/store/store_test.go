@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"webssari/internal/telemetry"
 )
@@ -167,8 +168,9 @@ func TestInvalidate(t *testing.T) {
 }
 
 // TestGCRespectsBudget fills the store past its byte budget and checks
-// the LRU collector brings it back under, evicting oldest-touched
-// entries first.
+// the LRU collector brings it back under, evicting the oldest entries
+// first. Entries age by write order alone: each Put is more recent than
+// the one before it.
 func TestGCRespectsBudget(t *testing.T) {
 	payload := bytes.Repeat([]byte("x"), 1024)
 	blobSize := int64(headerSize + len(payload))
@@ -177,12 +179,6 @@ func TestGCRespectsBudget(t *testing.T) {
 	for i := range keys {
 		keys[i] = Key(fmt.Sprintf("entry-%d", i))
 		if err := s.Put(keys[i], payload); err != nil {
-			t.Fatal(err)
-		}
-		// Space the mtimes out so LRU order is unambiguous even on
-		// coarse-grained filesystems.
-		at := time.Now().Add(time.Duration(i-len(keys)) * time.Hour)
-		if err := os.Chtimes(s.path(keys[i]), at, at); err != nil && !os.IsNotExist(err) {
 			t.Fatal(err)
 		}
 	}
@@ -204,6 +200,84 @@ func TestGCRespectsBudget(t *testing.T) {
 	for _, key := range keys[:2] {
 		if _, err := os.Stat(s.path(key)); !os.IsNotExist(err) {
 			t.Fatalf("oldest entry %s survived GC", key)
+		}
+	}
+}
+
+// TestGCEvictsLeastRecentlyHit hits the oldest entry of a full store
+// and then writes two more: the hit entry survives, and the two entries
+// written after it but never read are evicted in its place.
+func TestGCEvictsLeastRecentlyHit(t *testing.T) {
+	payload := bytes.Repeat([]byte("x"), 1024)
+	blobSize := int64(headerSize + len(payload))
+	s := open(t, Options{MaxBytes: 4 * blobSize})
+	keys := make([]string, 6)
+	for i := range keys {
+		keys[i] = Key(fmt.Sprintf("entry-%d", i))
+	}
+	for _, key := range keys[:4] {
+		if err := s.Put(key, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok := s.Get(keys[0]); !ok {
+		t.Fatal("oldest entry missing before the budget was reached")
+	}
+	for _, key := range keys[4:] {
+		if err := s.Put(key, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, key := range keys {
+		_, err := os.Stat(s.path(key))
+		if evicted := i == 1 || i == 2; evicted != os.IsNotExist(err) {
+			t.Errorf("entry %d: on disk %v, want evicted %v", i, err == nil, evicted)
+		}
+	}
+	if st := s.Stats(); st.GCEvictions != 2 || st.Entries != 4 {
+		t.Fatalf("Stats = %+v; want 2 evictions, 4 entries", st)
+	}
+}
+
+// TestRecencySurvivesReopen checks that a hit in one process orders GC
+// in the next: the blobs are backdated as if written long ago, a second
+// Store hits the oldest, and a third Store, opened under a budget that
+// holds one entry fewer, evicts the oldest entry that was not hit.
+func TestRecencySurvivesReopen(t *testing.T) {
+	dir := t.TempDir()
+	payload := bytes.Repeat([]byte("x"), 1024)
+	blobSize := int64(headerSize + len(payload))
+	writer, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, 4)
+	for i := range keys {
+		keys[i] = Key(fmt.Sprintf("entry-%d", i))
+		if err := writer.Put(keys[i], payload); err != nil {
+			t.Fatal(err)
+		}
+		at := time.Now().Add(time.Duration(i-len(keys)) * time.Hour)
+		if err := os.Chtimes(writer.path(keys[i]), at, at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reader, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := reader.Get(keys[0]); !ok {
+		t.Fatal("reopened store missed the oldest entry")
+	}
+	collector, err := Open(dir, Options{MaxBytes: 3 * blobSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	collector.GC()
+	for i, key := range keys {
+		_, err := os.Stat(collector.path(key))
+		if evicted := i == 1; evicted != os.IsNotExist(err) {
+			t.Errorf("entry %d: on disk %v, want evicted %v", i, err == nil, evicted)
 		}
 	}
 }
@@ -357,5 +431,27 @@ func TestInstrumentAfterOpenShowsCorrupt(t *testing.T) {
 	}
 	if text := reg.PrometheusText(); !strings.Contains(text, telemetry.MetricStoreCorrupt+" 1\n") {
 		t.Fatalf("/metrics lacks %s 1:\n%s", telemetry.MetricStoreCorrupt, text)
+	}
+}
+
+// TestIndexKeepsNoCallerKey checks that neither Put nor Get leaves the
+// caller's key string in the index. A caller's key may be a substring of
+// a much larger string, such as a decoded dependency graph's string
+// table, which the index would otherwise keep alive for as long as the
+// entry lives.
+func TestIndexKeepsNoCallerKey(t *testing.T) {
+	s := open(t, Options{})
+	table := strings.Repeat("k", 1<<10) + Key("entry")
+	key := table[len(table)-64:]
+	if err := s.Put(key, []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Get(table[len(table)-64:]); !ok {
+		t.Fatal("Get missed the entry just put")
+	}
+	for k := range s.index {
+		if unsafe.StringData(k) == unsafe.StringData(key) {
+			t.Fatal("the index keeps the caller's key string")
+		}
 	}
 }
