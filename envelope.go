@@ -429,10 +429,10 @@ func (d *envelopeDecoder) traces() []report.Trace {
 	return traces
 }
 
-// report reads the report's fields, its findings with their traces
-// expanded from the step table into one backing array (each finding's
-// slice capped, so an append to it cannot overwrite the next finding's
-// steps), its patches and its warnings.
+// report reads the report's fields, its findings with their traces,
+// its patches and its warnings. A trace of one run is a slice of the
+// step table, capped so that an append to it cannot overwrite the steps
+// after it; only a trace of several runs is copied out of the table.
 func (d *envelopeDecoder) report(steps []TraceStep) *Report {
 	rep := &Report{File: d.str()}
 	switch code := d.uint(); code {
@@ -469,24 +469,28 @@ func (d *envelopeDecoder) report(steps []TraceStep) *Report {
 	if n > 0 {
 		rep.Findings = make([]Finding, n)
 	}
-	all := make([]TraceStep, 0, total)
+	named := 0 // trace steps the runs so far name
 	for i := range rep.Findings {
 		f := &rep.Findings[i]
 		f.Sink, f.Class, f.Location, f.Group = d.str(), d.str(), d.loc(), d.int()
-		start := len(all)
-		for range d.count() {
+		runs := d.count()
+		for range runs {
 			at, l := d.uint(), d.uint()
-			if at > len(steps) || l > len(steps)-at || l > total-len(all) {
+			if at > len(steps) || l > len(steps)-at || l > total-named {
 				d.bad = true
 				return nil
 			}
-			all = append(all, steps[at:at+l]...)
-		}
-		if len(all) > start {
-			f.Trace = all[start:len(all):len(all)]
+			named += l
+			switch {
+			case l == 0:
+			case runs == 1:
+				f.Trace = steps[at : at+l : at+l]
+			default:
+				f.Trace = append(f.Trace, steps[at:at+l]...)
+			}
 		}
 	}
-	if len(all) != total {
+	if named != total {
 		d.bad = true
 	}
 	if n := d.count(); n > 0 {

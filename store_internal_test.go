@@ -11,8 +11,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"webssari/internal/ai"
 	"webssari/internal/report"
@@ -522,4 +524,80 @@ func TestStoredEnvelopeStoresStepsOnce(t *testing.T) {
 	}
 	t.Logf("%s: %d findings, %d steps (%d distinct); envelope %d bytes, text %d bytes",
 		rep.File, len(rep.Findings), steps, len(distinct), len(payload), len(rep.String()))
+}
+
+// TestServedTracesShareSteps checks how a served report's traces are
+// laid out. A trace of one run is a slice of the decoded step table, not
+// a copy, and its capacity ends where it does, so an append to one
+// finding's trace cannot write into another's. Decoding a report with
+// one long trace allocates about the step table, not the step table and
+// the trace again. A trace of several runs still decodes to the steps
+// it was encoded from.
+func TestServedTracesShareSteps(t *testing.T) {
+	unsafeReport := func(traces ...[]TraceStep) *Report {
+		rep := &Report{File: "x.php", Verdict: VerdictUnsafe, Symptoms: len(traces), Groups: 1}
+		var records []report.Trace
+		for i, trace := range traces {
+			rep.Findings = append(rep.Findings, Finding{Sink: "echo", Trace: trace})
+			records = append(records, report.Trace{Finding: i})
+		}
+		rep.Patches = []PatchPoint{{Var: "v", Findings: len(traces)}}
+		report.Attach(rep, records, ai.Includes{})
+		return rep
+	}
+	step := func(line int) TraceStep {
+		return TraceStep{Location: Location{File: "x.php", Line: line}, Var: "v", Value: "tainted"}
+	}
+
+	rep := unsafeReport([]TraceStep{step(1), step(2)}, []TraceStep{step(3), step(4)})
+	d := envelopeDecoder{buf: encodeEnvelope("x.php", rep, false)}
+	d.header()
+	d.includes()
+	steps := d.steps()
+	d.traces()
+	got := d.report(steps)
+	if d.bad || len(d.buf) > 0 || len(got.Findings) != 2 {
+		t.Fatal("the two-finding envelope did not decode")
+	}
+	first, second := got.Findings[0].Trace, got.Findings[1].Trace
+	if &first[0] != &steps[0] || &second[0] != &steps[2] {
+		t.Fatal("a served single-run trace was copied out of the step table")
+	}
+	if cap(first) != len(first) {
+		t.Fatalf("a served trace has capacity %d past its %d steps", cap(first), len(first))
+	}
+	_ = append(first, step(99))
+	if second[0] != step(3) || steps[2] != step(3) {
+		t.Fatal("an append to one finding's trace overwrote the next finding's steps")
+	}
+
+	const long = 30000
+	trace := make([]TraceStep, long)
+	for i := range trace {
+		trace[i] = step(i + 1)
+	}
+	payload := encodeEnvelope("x.php", unsafeReport(trace), false)
+	if served, ok := decodeEnvelope(payload, false); !ok || len(served.Findings[0].Trace) != long {
+		t.Fatal("the long-trace envelope did not decode")
+	}
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		decodeEnvelope(payload, false)
+	}
+	runtime.ReadMemStats(&after)
+	perDecode := (after.TotalAlloc - before.TotalAlloc) / runs
+	table := uint64(long) * uint64(unsafe.Sizeof(TraceStep{}))
+	if perDecode > table*3/2 {
+		t.Fatalf("decoding a %d-step trace allocated %d bytes, want about its %d-byte step table", long, perDecode, table)
+	}
+
+	// The second trace revisits the first's steps out of table order:
+	// two runs, (1, 1) and (0, 1), concatenated.
+	multi := unsafeReport([]TraceStep{step(1), step(2)}, []TraceStep{step(2), step(1), step(3)})
+	served, ok := decodeEnvelope(encodeEnvelope("x.php", multi, false), false)
+	if !ok || !reflect.DeepEqual(served.Findings, multi.Findings) || served.String() != multi.String() {
+		t.Fatalf("a multi-run envelope decoded to %+v, want %+v", served.Findings, multi.Findings)
+	}
 }
