@@ -126,7 +126,8 @@ func verifyDirIncremental(ctx context.Context, dir string, snap incremental.Snap
 	if err != nil {
 		// Unbuildable options: let the plain path surface the per-file
 		// errors exactly as a non-incremental run would.
-		return verifyDirFiles(ctx, dir, snap, walkFails, nil, opts)
+		pr, _, err := verifyDirFiles(ctx, dir, snap, walkFails, nil, opts)
+		return pr, err
 	}
 	configFP := fcfg.configFingerprint()
 	ns := store.NamespaceOf(cfg.resultStore, GraphNamespace)
@@ -146,21 +147,6 @@ func verifyDirIncremental(ctx context.Context, dir string, snap incremental.Snap
 	plan := incremental.PlanDelta(g, snap, fsEnv)
 	psp.End()
 
-	// Serve the reuse set by remembered key. The plan proved the entry
-	// and its spliced includes unchanged, so the envelope's include
-	// snapshot needs no revalidation; a missing blob (GC eviction) just
-	// moves the file back into the verify set.
-	served := make(map[string]*Report, len(plan.Reuse))
-	for path, key := range plan.Reuse {
-		if rep, ok := storeGetTrusted(tctx, cfg, path, key); ok {
-			served[path] = rep
-		} else {
-			plan.Verify = append(plan.Verify, path)
-			plan.Invalidated++
-		}
-	}
-	sort.Strings(plan.Verify)
-
 	// Collect each verified file's include resolution and store key from
 	// the workers; reused files keep their carried-over graph nodes.
 	var recMu sync.Mutex
@@ -171,15 +157,20 @@ func verifyDirIncremental(ctx context.Context, dir string, snap incremental.Snap
 		recMu.Unlock()
 	})}, opts...)
 
-	pr, err := verifyDirFiles(ctx, dir, snap, walkFails, served, recOpts)
+	// The workers serve the reuse set by remembered key; a missing blob
+	// (GC eviction) moves the file back into the verify set.
+	pr, missed, err := verifyDirFiles(ctx, dir, snap, walkFails, plan.Reuse, recOpts)
 	if err != nil {
 		return nil, err
 	}
+	for _, path := range missed {
+		delete(plan.Reuse, path)
+	}
 
 	inc := &telemetry.IncrementalProfile{
-		Planned:     len(plan.Verify),
-		Skipped:     len(served),
-		Invalidated: plan.Invalidated,
+		Planned:     len(plan.Verify) + len(missed),
+		Skipped:     len(plan.Reuse),
+		Invalidated: plan.Invalidated + len(missed),
 		Full:        plan.Full,
 	}
 	if pr.Profile != nil {
@@ -188,10 +179,8 @@ func verifyDirIncremental(ctx context.Context, dir string, snap incremental.Snap
 
 	// Persist the rebuilt graph. Failures are swallowed like result-store
 	// writes: a read-only disk degrades the next plan, not this verdict.
-	ng := rebuildGraph(filepath.Clean(dir), configFP, snap, g, plan, served, records)
-	if payload, err := ng.Encode(); err == nil {
-		_ = ns.Put(gkey, payload)
-	}
+	ng := rebuildGraph(filepath.Clean(dir), configFP, snap, g, plan, records)
+	_ = ns.Put(gkey, ng.Encode())
 	return pr, nil
 }
 
@@ -199,9 +188,10 @@ func verifyDirIncremental(ctx context.Context, dir string, snap incremental.Snap
 // from their worker records (authoritative include resolution), reused
 // files from their previous nodes with stat fingerprints refreshed from
 // this snapshot, dependency fingerprints from the planner's validated
-// metas overlaid with freshly observed include hashes. Files that
-// failed outright get no node and are re-planned next run.
-func rebuildGraph(dir, configFP string, snap incremental.Snapshot, old *incremental.Graph, plan *incremental.Plan, served map[string]*Report, records map[string]depRecord) *incremental.Graph {
+// metas overlaid with freshly observed include hashes. plan.Reuse holds
+// exactly the files served. Files that failed outright get no node and
+// are re-planned next run.
+func rebuildGraph(dir, configFP string, snap incremental.Snapshot, old *incremental.Graph, plan *incremental.Plan, records map[string]depRecord) *incremental.Graph {
 	g := incremental.New(dir, configFP)
 	for path, dm := range plan.Deps {
 		meta := *dm
@@ -243,7 +233,7 @@ func rebuildGraph(dir, configFP string, snap incremental.Snapshot, old *incremen
 			g.Files[fm.Path] = node
 			continue
 		}
-		if _, ok := served[fm.Path]; ok {
+		if _, ok := plan.Reuse[fm.Path]; ok {
 			// PlanDelta reuses only files old has a node for.
 			prev := old.Files[fm.Path]
 			node := *prev

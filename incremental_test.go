@@ -2,14 +2,18 @@ package webssari_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"webssari"
+	"webssari/internal/incremental"
 	"webssari/internal/telemetry"
 )
 
@@ -148,26 +152,26 @@ func TestIncrementalUnchangedRunDoesZeroWork(t *testing.T) {
 	}
 
 	// A store written by older builds holds schema-2 JSON envelopes and
-	// a graph whose nodes carry per-assertion reuse keys, under schema 1.
-	// The graph decodes and plans the same zero-work run, but every
-	// schema-2 envelope reads as a miss: the four files are invalidated,
-	// re-verified and persisted again under the current schema, and the
-	// next run is served whole.
-	if envelopes, graphs := downgradeStore(t, st, storeRoot); envelopes != 4 || graphs != 1 {
-		t.Fatalf("rewrote %d envelopes and %d graphs, want 4 and 1", envelopes, graphs)
+	// a JSON graph under graph schema 1. The graph reads as foreign, so
+	// the run plans a full run, and every schema-2 envelope reads as a
+	// miss: the four files are re-verified and persisted again under the
+	// current schemas, and the next run is served whole.
+	if envelopes := downgradeEnvelopes(t, st, storeRoot); envelopes != 4 {
+		t.Fatalf("rewrote %d envelopes, want 4", envelopes)
 	}
+	downgradeGraph(t, st, dir, opts...)
 	pr3, err := webssari.VerifyDir(dir, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inc3 := incProfile(t, pr3); inc3.Planned != 4 || inc3.Skipped != 0 || inc3.Invalidated != 4 || inc3.Full {
-		t.Fatalf("parent-written store: incremental profile = %+v, want the graph's plan with 4 envelopes invalidated", inc3)
+	if inc3 := incProfile(t, pr3); inc3.Planned != 4 || inc3.Skipped != 0 || inc3.Invalidated != 0 || !inc3.Full {
+		t.Fatalf("older store: incremental profile = %+v, want a full run of 4", inc3)
 	}
 	if pr3.StoreHits != 0 {
-		t.Fatalf("parent-written store: store hits = %d, want 0", pr3.StoreHits)
+		t.Fatalf("older store: store hits = %d, want 0", pr3.StoreHits)
 	}
 	if got := envelopeSchemas(t, st, storeRoot); !reflect.DeepEqual(got, []int{3, 3, 3, 3}) {
-		t.Fatalf("parent-written store: envelope schemas after the run = %v, want four at 3", got)
+		t.Fatalf("older store: envelope schemas after the run = %v, want four at 3", got)
 	}
 	assertSameProject(t, pr1, pr3)
 	checkedAfterUpgrade := tel.Metrics.Counter(telemetry.MetricAssertionsChecked).Value()
@@ -186,6 +190,107 @@ func TestIncrementalUnchangedRunDoesZeroWork(t *testing.T) {
 			checkedAfterUpgrade, got)
 	}
 	assertSameProject(t, pr1, pr4)
+}
+
+// TestIncrementalJSONGraphPlansFullRunFromStore upgrades a store written
+// by the build before graph schema 2: current envelopes beside a JSON
+// graph. The first run plans a full run, since the graph reads as
+// foreign, but answers every file from the result store without
+// solving; the graph it writes plans the next run with zero work.
+func TestIncrementalJSONGraphPlansFullRunFromStore(t *testing.T) {
+	dir := writeCorpus(t)
+	storeRoot := t.TempDir()
+	st, err := webssari.OpenStore(storeRoot, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tel := webssari.NewTelemetry()
+	opts := []webssari.Option{webssari.WithStore(st), webssari.WithIncremental(), webssari.WithTelemetry(tel)}
+	pr1, err := webssari.VerifyDir(dir, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	downgradeGraph(t, st, dir, opts...)
+	checked := tel.Metrics.Counter(telemetry.MetricAssertionsChecked).Value()
+
+	pr2, err := webssari.VerifyDir(dir, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inc := incProfile(t, pr2); !inc.Full || inc.Planned != 4 || inc.Skipped != 0 || inc.Invalidated != 0 {
+		t.Fatalf("run over a JSON graph: incremental profile = %+v, want a full run of 4", inc)
+	}
+	if pr2.StoreHits != 4 {
+		t.Fatalf("run over a JSON graph: store hits = %d, want 4", pr2.StoreHits)
+	}
+	if got := tel.Metrics.Counter(telemetry.MetricAssertionsChecked).Value(); got != checked {
+		t.Fatalf("run over a JSON graph solved: assertions checked went %d → %d", checked, got)
+	}
+	assertSameProject(t, pr1, pr2)
+
+	pr3, err := webssari.VerifyDir(dir, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inc := incProfile(t, pr3); inc.Full || inc.Planned != 0 || inc.Skipped != 4 {
+		t.Fatalf("run after the upgrade: incremental profile = %+v, want 0 planned / 4 skipped", inc)
+	}
+	assertSameProject(t, pr1, pr3)
+}
+
+// downgradeGraph rewrites dir's dependency graph in st as the build
+// before graph schema 2 wrote it: JSON, under schema 1.
+func downgradeGraph(t *testing.T, st *webssari.ResultStore, dir string, opts ...webssari.Option) {
+	t.Helper()
+	key, err := webssari.GraphKey(dir, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, err := webssari.ConfigFingerprint(append([]webssari.Option{webssari.WithDir(dir)}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, ok := st.Get(key)
+	if !ok {
+		t.Fatal("no dependency graph in the store")
+	}
+	g, err := incremental.Decode(payload, filepath.Clean(dir), fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type node struct {
+		Size      int64    `json:"size"`
+		MTimeNS   int64    `json:"mtime_ns"`
+		Hash      string   `json:"hash"`
+		ResultKey string   `json:"result_key,omitempty"`
+		Deps      []string `json:"deps,omitempty"`
+		Misses    []string `json:"misses,omitempty"`
+	}
+	type dep struct {
+		Size    int64  `json:"size"`
+		MTimeNS int64  `json:"mtime_ns"`
+		Hash    string `json:"hash"`
+	}
+	doc := struct {
+		Schema int             `json:"schema"`
+		Dir    string          `json:"dir"`
+		Config string          `json:"config"`
+		Files  map[string]node `json:"files"`
+		Deps   map[string]dep  `json:"deps,omitempty"`
+	}{Schema: 1, Dir: g.Dir, Config: g.Config, Files: map[string]node{}, Deps: map[string]dep{}}
+	for path, n := range g.Files {
+		doc.Files[path] = node{n.Size, n.MTimeNS, n.Hash, n.ResultKey, n.Deps, n.Misses}
+	}
+	for path, m := range g.Deps {
+		doc.Deps[path] = dep{m.Size, m.MTimeNS, m.Hash}
+	}
+	out, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(key, out); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestIncrementalSharedEditReverifiesExactlyDependents edits the shared
@@ -421,5 +526,100 @@ safe($_GET['b']);
 	}
 	if got, want := len(pr2.Files[0].Findings), len(pr1.Files[0].Findings); got != want {
 		t.Fatalf("re-verified file has %d findings, want %d", got, want)
+	}
+}
+
+// TestIncrementalServeMissFallsBackOnWorker damages two reused files'
+// blobs: one is removed, as GC eviction would, and one no longer
+// decodes. The file workers verify both instead of serving them, the
+// undecodable blob is invalidated, the observer still receives every
+// file, and the verdicts match the cold run's. With the run's context
+// already cancelled, the intact files are still served, while the two
+// missed ones fail at the deadline stage.
+func TestIncrementalServeMissFallsBackOnWorker(t *testing.T) {
+	dir := writeCorpus(t)
+	storeRoot := t.TempDir()
+	st, err := webssari.OpenStore(storeRoot, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var observed []string
+	opts := []webssari.Option{webssari.WithStore(st), webssari.WithIncremental(),
+		webssari.WithFileObserver(func(rep *webssari.Report) {
+			mu.Lock()
+			observed = append(observed, filepath.Base(rep.File))
+			mu.Unlock()
+		})}
+	pr1, err := webssari.VerifyDir(dir, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	damage := func() {
+		t.Helper()
+		observed = nil
+		for key, payload := range storeBlobs(t, st, storeRoot) {
+			rep, ok := webssari.DecodeEnvelope(payload)
+			if !ok {
+				continue
+			}
+			switch filepath.Base(rep.File) {
+			case "a.php":
+				if err := os.Remove(filepath.Join(storeRoot, "objects", key[:2], key)); err != nil {
+					t.Fatal(err)
+				}
+			case "solo.php":
+				if err := st.Put(key, []byte("not an envelope")); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+
+	damage()
+	stale := st.Stats().Stale
+	pr2, err := webssari.VerifyDir(dir, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inc := incProfile(t, pr2); inc.Planned != 2 || inc.Skipped != 2 || inc.Invalidated != 2 || inc.Full {
+		t.Fatalf("incremental profile = %+v, want 2 planned / 2 skipped / 2 invalidated", inc)
+	}
+	if pr2.StoreHits != 2 {
+		t.Fatalf("store hits = %d, want 2", pr2.StoreHits)
+	}
+	if got := st.Stats().Stale; got != stale+1 {
+		t.Fatalf("stale entries went %d → %d, want the undecodable blob invalidated", stale, got)
+	}
+	sort.Strings(observed)
+	if want := []string{"a.php", "b.php", "shared.php", "solo.php"}; !reflect.DeepEqual(observed, want) {
+		t.Fatalf("observer received %v, want %v", observed, want)
+	}
+	assertSameProject(t, pr1, pr2)
+
+	damage()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	pr3, err := webssari.VerifyDirContext(ctx, dir, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pr3.StoreHits != 2 || len(pr3.Files) != 2 {
+		t.Fatalf("cancelled run: %d store hits, %d files, want the 2 intact files served", pr3.StoreHits, len(pr3.Files))
+	}
+	var failed []string
+	for _, f := range pr3.Failures {
+		if f.Stage != "deadline" {
+			t.Fatalf("cancelled run: %s failed at %q, want the deadline stage", f.File, f.Stage)
+		}
+		failed = append(failed, filepath.Base(f.File))
+	}
+	sort.Strings(failed)
+	if want := []string{"a.php", "solo.php"}; !reflect.DeepEqual(failed, want) {
+		t.Fatalf("cancelled run failed %v, want %v", failed, want)
+	}
+	sort.Strings(observed)
+	if want := []string{"b.php", "shared.php"}; !reflect.DeepEqual(observed, want) {
+		t.Fatalf("cancelled run: observer received %v, want %v", observed, want)
 	}
 }

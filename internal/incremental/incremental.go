@@ -20,96 +20,64 @@
 // time; it cannot produce a wrong verdict.
 package incremental
 
-import (
-	"encoding/json"
-	"fmt"
-	"sort"
-)
+import "sort"
 
-// Schema versions the serialized graph layout. A persisted graph with a
-// different schema reads as absent (full run), never as partial data.
-const Schema = 1
+// Schema versions the serialized graph layout (codec.go). A persisted
+// graph with a different schema, including the JSON graphs of schema 1,
+// reads as absent (full run), never as partial data.
+const Schema = 2
 
 // DepMeta fingerprints one include file as it was when some entry's
 // model spliced it in: the stat fast path (size + mtime) plus the
 // content hash that decides when the fast path misleads.
 type DepMeta struct {
-	Size    int64  `json:"size"`
-	MTimeNS int64  `json:"mtime_ns"`
-	Hash    string `json:"hash"`
+	Size    int64
+	MTimeNS int64
+	Hash    string
 }
 
 // FileNode is one entry file's record: its own fingerprint, the store
 // key its report was persisted under, and its resolved include edges.
 type FileNode struct {
-	Size    int64  `json:"size"`
-	MTimeNS int64  `json:"mtime_ns"`
-	Hash    string `json:"hash"`
+	Size    int64
+	MTimeNS int64
+	Hash    string
 	// ResultKey is the result-store address of this file's persisted
 	// report. Empty when the last run produced no persistable report
 	// (incomplete verdicts are never stored) — such files are always
 	// re-planned.
-	ResultKey string `json:"result_key,omitempty"`
+	ResultKey string
 	// Deps lists the transitive include files spliced into this file's
 	// model (paths as the include resolver produced them); their
 	// fingerprints live in Graph.Deps so shared includes are stored once.
-	Deps []string `json:"deps,omitempty"`
+	Deps []string
 	// Misses lists include candidates probed but absent during the build;
 	// one appearing invalidates the file (the model would change).
-	Misses []string `json:"misses,omitempty"`
+	Misses []string
 }
 
 // Graph is the persistent include-dependency graph of one project
 // directory under one verification configuration.
 type Graph struct {
-	Schema int `json:"schema"`
 	// Dir is the project root the graph describes, Config the
 	// fingerprint of every verdict-shaping option; either changing makes
 	// the graph unusable (full run).
-	Dir    string `json:"dir"`
-	Config string `json:"config"`
+	Dir    string
+	Config string
 	// Files maps entry-file path → node; Deps maps include path →
 	// fingerprint, shared across all dependents.
-	Files map[string]*FileNode `json:"files"`
-	Deps  map[string]*DepMeta  `json:"deps,omitempty"`
+	Files map[string]*FileNode
+	Deps  map[string]*DepMeta
 }
 
 // New returns an empty graph for the given root and config fingerprint.
 func New(dir, config string) *Graph {
 	return &Graph{
-		Schema: Schema,
 		Dir:    dir,
 		Config: config,
 		Files:  make(map[string]*FileNode),
 		Deps:   make(map[string]*DepMeta),
 	}
-}
-
-// Encode serializes the graph (JSON payload; callers frame it through
-// the store's crash-safe blob format).
-func (g *Graph) Encode() ([]byte, error) { return json.Marshal(g) }
-
-// Decode deserializes a graph payload and validates it against the
-// expected schema, root, and config fingerprint. Any mismatch or decode
-// failure returns an error — the caller degrades to a full run.
-func Decode(payload []byte, dir, config string) (*Graph, error) {
-	var g Graph
-	if err := json.Unmarshal(payload, &g); err != nil {
-		return nil, fmt.Errorf("incremental: decoding graph: %w", err)
-	}
-	if g.Schema != Schema {
-		return nil, fmt.Errorf("incremental: graph schema %d, want %d", g.Schema, Schema)
-	}
-	if g.Dir != dir || g.Config != config {
-		return nil, fmt.Errorf("incremental: graph is for %s/%s", g.Dir, g.Config)
-	}
-	if g.Files == nil {
-		g.Files = make(map[string]*FileNode)
-	}
-	if g.Deps == nil {
-		g.Deps = make(map[string]*DepMeta)
-	}
-	return &g, nil
 }
 
 // FileMeta is one file's stat snapshot: what a directory walk learns

@@ -1,6 +1,8 @@
 package incremental
 
 import (
+	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -213,41 +215,76 @@ func TestPlanDeltaConservativeFallbacks(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsForeignGraphs round-trips a graph and checks that
+// Decode refuses what is not this build's graph of this directory under
+// this configuration: a foreign schema, dir or config, a truncated
+// payload, trailing bytes, and the JSON graph that builds before schema 2
+// wrote, which must read as foreign so that the next run plans a full
+// run.
 func TestDecodeRejectsForeignGraphs(t *testing.T) {
 	g := New("/proj", "cfg")
-	g.Files["a.php"] = &FileNode{Size: 10, MTimeNS: 1, Hash: "h", ResultKey: "k"}
-	current, err := g.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Older builds also wrote function and check fingerprints into every
-	// node, under the same schema; such graphs must keep planning.
-	parent := []byte(`{"schema":1,"dir":"/proj","config":"cfg","files":{"a.php":{` +
-		`"size":10,"mtime_ns":1,"hash":"h","result_key":"k",` +
-		`"funcs":{"<main>":"9c1185a5c5e9fc54"},"safe_asserts":["6b86b273ff34fce19d6b804e"]}}}`)
+	g.Files["a.php"] = &FileNode{Size: 10, MTimeNS: 1, Hash: "h", ResultKey: "k", Deps: []string{"inc.php"}}
+	g.Deps["inc.php"] = &DepMeta{Size: 3, MTimeNS: 2, Hash: "hi"}
+	payload := g.Encode()
 
-	for name, payload := range map[string][]byte{"current": current, "parent-written": parent} {
-		decoded, err := Decode(payload, "/proj", "cfg")
+	decoded, err := Decode(payload, "/proj", "cfg")
+	if err != nil {
+		t.Fatalf("round trip: %v", err)
+	}
+	if !reflect.DeepEqual(decoded, g) {
+		t.Fatalf("round trip: decoded %+v, want %+v", decoded, g)
+	}
+	f := newFakeFS()
+	f.set("a.php", "h", 10, 1)
+	f.set("inc.php", "hi", 3, 2)
+	if p := PlanDelta(decoded, f.snapshot("a.php"), f.env()); len(p.Verify) != 0 || p.Reuse["a.php"] != "k" {
+		t.Fatalf("unchanged plan = %+v", p)
+	}
+	if _, err := Decode(payload, "/other", "cfg"); err == nil {
+		t.Fatal("foreign dir accepted")
+	}
+	if _, err := Decode(payload, "/proj", "cfg2"); err == nil {
+		t.Fatal("foreign config accepted")
+	}
+	foreign := append([]byte{Schema + 1}, payload[1:]...)
+	if _, err := Decode(foreign, "/proj", "cfg"); err == nil {
+		t.Fatal("foreign schema accepted")
+	}
+	for cut := range len(payload) {
+		if _, err := Decode(payload[:cut], "/proj", "cfg"); err == nil {
+			t.Fatalf("payload cut to %d of %d bytes accepted", cut, len(payload))
+		}
+	}
+	if _, err := Decode(append(payload, 0), "/proj", "cfg"); err == nil {
+		t.Fatal("trailing byte accepted")
+	}
+	parent := []byte(`{"schema":1,"dir":"/proj","config":"cfg","files":{"a.php":{` +
+		`"size":10,"mtime_ns":1,"hash":"h","result_key":"k"}}}`)
+	if _, err := Decode(parent, "/proj", "cfg"); err == nil {
+		t.Fatal("a schema-1 JSON graph was accepted")
+	}
+}
+
+// FuzzGraphDecode feeds arbitrary payloads to Decode, the boundary where
+// a graph blob from disk becomes the planner's input: it must never
+// panic, and any graph it accepts must re-encode to the same bytes.
+func FuzzGraphDecode(f *testing.F) {
+	g := New("/proj", "cfg")
+	g.Files["a.php"] = &FileNode{Size: 10, MTimeNS: 1, Hash: "h", ResultKey: "k",
+		Deps: []string{"inc.php", "lib/x.php"}, Misses: []string{"gone.php"}}
+	g.Files["b.php"] = &FileNode{Size: -1, MTimeNS: 1 << 62, Hash: "h", Deps: []string{"inc.php"}}
+	g.Deps["inc.php"] = &DepMeta{Size: 3, MTimeNS: 2, Hash: "hi"}
+	g.Deps["lib/x.php"] = &DepMeta{Hash: "hx"}
+	f.Add(g.Encode())
+	f.Add(New("/proj", "cfg").Encode())
+	f.Add([]byte(`{"schema":1,"dir":"/proj","config":"cfg","files":{}}`))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		g, err := Decode(payload, "/proj", "cfg")
 		if err != nil {
-			t.Fatalf("%s: round trip: %v", name, err)
+			return
 		}
-		f := newFakeFS()
-		f.set("a.php", "h", 10, 1)
-		if p := PlanDelta(decoded, f.snapshot("a.php"), f.env()); len(p.Verify) != 0 || p.Reuse["a.php"] != "k" {
-			t.Fatalf("%s: unchanged plan = %+v", name, p)
+		if again := g.Encode(); !bytes.Equal(again, payload) {
+			t.Fatalf("accepted graph re-encodes to %x, want %x", again, payload)
 		}
-		if _, err := Decode(payload, "/other", "cfg"); err == nil {
-			t.Fatalf("%s: foreign dir accepted", name)
-		}
-		if _, err := Decode(payload, "/proj", "cfg2"); err == nil {
-			t.Fatalf("%s: foreign config accepted", name)
-		}
-		bad := strings.Replace(string(payload), `"schema":1`, `"schema":99`, 1)
-		if _, err := Decode([]byte(bad), "/proj", "cfg"); err == nil {
-			t.Fatalf("%s: foreign schema accepted", name)
-		}
-	}
-	if _, err := Decode([]byte("{"), "/proj", "cfg"); err == nil {
-		t.Fatal("truncated payload accepted")
-	}
+	})
 }

@@ -124,7 +124,7 @@ func VerifyDirContext(ctx context.Context, dir string, opts ...Option) (*Project
 	if cerr == nil && cfg.incremental && cfg.resultStore != nil {
 		pr, err = verifyDirIncremental(ctx, dir, snap, walkFails, opts, cfg)
 	} else {
-		pr, err = verifyDirFiles(ctx, dir, snap, walkFails, nil, opts)
+		pr, _, err = verifyDirFiles(ctx, dir, snap, walkFails, nil, opts)
 	}
 	if err != nil {
 		return nil, err
@@ -189,12 +189,15 @@ func SnapshotFingerprint(dir string) (string, error) {
 }
 
 // verifyDirFiles verifies a snapshot's files on a fixed set of worker
-// goroutines and assembles the project report. Files present in served
-// were already resolved by the caller (the incremental reuse path) and
-// are stamped into the report — and delivered to the observer — without
-// occupying a worker or being subject to the deadline.
-func verifyDirFiles(ctx context.Context, dir string, snap incremental.Snapshot, walkFails []FileFailure, served map[string]*Report, opts []Option) (*ProjectReport, error) {
-	pr := &ProjectReport{Dir: dir}
+// goroutines and assembles the project report. Files in reuse (the
+// incremental reuse set: path → result-store key) are served from the
+// store by the same workers, after the files to verify are handed out,
+// so serving overlaps the verifying. A served file is delivered to the
+// observer like a verified one but is not subject to the deadline. A
+// reused file whose blob is missing or does not decode is verified on
+// the same worker instead and returned in missed, in sorted order.
+func verifyDirFiles(ctx context.Context, dir string, snap incremental.Snapshot, walkFails []FileFailure, reuse map[string]string, opts []Option) (pr *ProjectReport, missed []string, err error) {
+	pr = &ProjectReport{Dir: dir}
 	pr.Failures = append(pr.Failures, walkFails...)
 	phpFiles := make([]string, len(snap.Files))
 	for i, fm := range snap.Files {
@@ -202,11 +205,12 @@ func verifyDirFiles(ctx context.Context, dir string, snap incremental.Snapshot, 
 	}
 
 	parallelism := runtime.GOMAXPROCS(0)
+	cfg, cerr := buildConfig(opts)
 	var tel *telemetry.Telemetry
 	hasStore := false
 	var observer func(*Report)
 	verify := VerifyContext
-	if cfg, err := buildConfig(opts); err == nil {
+	if cerr == nil {
 		if cfg.parallelism > 0 {
 			parallelism = cfg.parallelism
 		}
@@ -228,19 +232,40 @@ func verifyDirFiles(ctx context.Context, dir string, snap incremental.Snapshot, 
 	// sorted file order so the report is independent of scheduling.
 	reps := make([]*Report, len(phpFiles))
 	fails := make([]*FileFailure, len(phpFiles))
+	misses := make([]bool, len(phpFiles))
 	pending := make(chan int, len(phpFiles))
+	var reused []int
 	for i, file := range phpFiles {
-		if rep, ok := served[file]; ok {
-			reps[i] = rep
-			if observer != nil {
-				observer(rep)
-			}
+		if _, ok := reuse[file]; ok {
+			reused = append(reused, i)
 			continue
 		}
 		pending <- i
 	}
+	for _, i := range reused {
+		pending <- i
+	}
 	close(pending)
 
+	// serve answers a reused file from the store. The plan proved the
+	// entry and its spliced includes unchanged, so the envelope's
+	// include snapshot needs no revalidation.
+	serve := func(i int) bool {
+		key, ok := reuse[phpFiles[i]]
+		if !ok {
+			return false
+		}
+		rep, ok := storeGetTrusted(ctx, cfg, phpFiles[i], key)
+		if !ok {
+			misses[i] = true
+			return false
+		}
+		reps[i] = rep
+		if observer != nil {
+			observer(rep)
+		}
+		return true
+	}
 	verifyOne := func(i int) {
 		file := phpFiles[i]
 		src, err := os.ReadFile(file)
@@ -275,6 +300,9 @@ func verifyDirFiles(ctx context.Context, dir string, snap incremental.Snapshot, 
 		go func() {
 			defer wg.Done()
 			for i := range pending {
+				if serve(i) {
+					continue
+				}
 				if err := ctx.Err(); err != nil {
 					// Deadline expired before this file was started: it
 					// degrades to a recorded failure, and files already
@@ -291,6 +319,9 @@ func verifyDirFiles(ctx context.Context, dir string, snap incremental.Snapshot, 
 
 	prof := &RunProfile{}
 	for i := range phpFiles {
+		if misses[i] {
+			missed = append(missed, phpFiles[i])
+		}
 		if fail := fails[i]; fail != nil {
 			pr.Failures = append(pr.Failures, *fail)
 			continue
@@ -328,5 +359,5 @@ func verifyDirFiles(ctx context.Context, dir string, snap incremental.Snapshot, 
 		MaxInUse: int64(workers),
 	}
 	pr.Profile = prof
-	return pr, nil
+	return pr, missed, nil
 }
