@@ -38,7 +38,7 @@ func TestConstantViolationNeedsNoSearch(t *testing.T) {
 	if enc.Trivial == TrivialUnsat {
 		t.Fatalf("constant violation misclassified as unsat")
 	}
-	res, _ := enc.F.Solve()
+	res, _ := solve(enc.F)
 	if res != sat.Sat {
 		t.Fatalf("B_0 should be satisfiable")
 	}
@@ -75,7 +75,7 @@ echo $x;`, nil)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	res, model := enc.F.Solve()
+	res, model := solve(enc.F)
 	if res != sat.Sat {
 		t.Fatalf("violation exists when c holds")
 	}
@@ -118,7 +118,7 @@ echo $x;`, nil)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	res, _ := encFree.F.Solve()
+	res, _ := solve(encFree.F)
 	if res != sat.Sat {
 		t.Fatalf("without restriction assert1 must be violable")
 	}
@@ -127,7 +127,7 @@ echo $x;`, nil)
 		t.Fatalf("encode: %v", err)
 	}
 	if encRestr.Trivial != TrivialUnsat {
-		res, _ := encRestr.F.Solve()
+		res, _ := solve(encRestr.F)
 		if res != sat.Unsat {
 			t.Fatalf("with restriction assert1 must be unsat")
 		}
@@ -177,7 +177,7 @@ sanitizer declassify public
 			}
 			got := false
 			if enc.Trivial != TrivialUnsat {
-				res, _ := enc.F.Solve()
+				res, _ := solve(enc.F)
 				got = res == sat.Sat
 			}
 			if got != want {
@@ -217,7 +217,7 @@ func TestEncodingMatchesEvaluatorQuick(t *testing.T) {
 			}
 			got := false
 			if enc.Trivial != TrivialUnsat {
-				res, _ := enc.F.Solve()
+				res, _ := solve(enc.F)
 				got = res == sat.Sat
 			}
 			want := violable[sys.Checks[j].Origin.Origin]
@@ -277,7 +277,7 @@ echo $x . $y;`, nil)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	res, model := enc.F.Solve()
+	res, model := solve(enc.F)
 	if res != sat.Sat {
 		t.Fatalf("must be violable")
 	}
@@ -312,7 +312,7 @@ echo $x;`, nil)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	res, model := enc.F.Solve()
+	res, model := solve(enc.F)
 	if res != sat.Sat {
 		t.Fatalf("echo is violable when the sanitizing arm is skipped")
 	}
@@ -353,7 +353,7 @@ echo $x;`, nil)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	res, model := enc.F.Solve()
+	res, model := solve(enc.F)
 	if res != sat.Sat {
 		t.Fatalf("must be violable")
 	}
@@ -412,4 +412,17 @@ mysql_query($b);`, nil)
 			}
 		}
 	}
+}
+
+// solve loads f into a fresh solver and solves it, returning the result
+// and, when Sat, the model.
+func solve(f *sat.CNF) (sat.Result, []bool) {
+	s := sat.New()
+	if !f.LoadInto(s) {
+		return sat.Unsat, nil
+	}
+	if res := s.Solve(); res != sat.Sat {
+		return res, nil
+	}
+	return sat.Sat, s.Model()
 }

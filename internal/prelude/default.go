@@ -113,7 +113,8 @@ sanitizer bin2hex untainted
 sanitizer websafe untainted
 `
 
-// builtin is the built-in prelude, parsed once; Default hands out copies.
+// builtin is the built-in prelude, parsed once; Default hands out copies
+// and Builtin the prelude itself.
 var builtin = sync.OnceValue(func() *Prelude {
 	p, err := Parse("builtin", []byte(defaultPreludeText))
 	if err != nil {
@@ -137,3 +138,8 @@ func Default() *Prelude {
 		varTypes:   maps.Clone(b.varTypes),
 	}
 }
+
+// Builtin returns the built-in PHP prelude itself, shared by every
+// caller and by concurrent runs: it must be read only. A caller that
+// adds definitions takes its own copy with Default.
+func Builtin() *Prelude { return builtin() }

@@ -47,20 +47,6 @@ func (f *CNF) LoadInto(s *Solver) bool {
 	return true
 }
 
-// Solve is a convenience that loads the formula into a fresh solver and
-// solves it, returning the result and (when Sat) the model.
-func (f *CNF) Solve() (Result, []bool) {
-	s := New()
-	if !f.LoadInto(s) {
-		return Unsat, nil
-	}
-	res := s.Solve()
-	if res != Sat {
-		return res, nil
-	}
-	return Sat, s.Model()
-}
-
 // WriteDIMACS writes the formula in DIMACS cnf format.
 func (f *CNF) WriteDIMACS(w io.Writer) error {
 	bw := bufio.NewWriter(w)

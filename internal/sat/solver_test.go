@@ -130,7 +130,7 @@ func pigeonhole(pigeons, holes int) *CNF {
 
 func TestPigeonholeUnsat(t *testing.T) {
 	for n := 2; n <= 6; n++ {
-		res, _ := pigeonhole(n+1, n).Solve()
+		res, _ := solveCNF(pigeonhole(n+1, n))
 		if res != Unsat {
 			t.Fatalf("PHP(%d,%d) must be Unsat, got %v", n+1, n, res)
 		}
@@ -139,7 +139,7 @@ func TestPigeonholeUnsat(t *testing.T) {
 
 func TestPigeonholeSatWhenEnoughHoles(t *testing.T) {
 	f := pigeonhole(4, 4)
-	res, model := f.Solve()
+	res, model := solveCNF(f)
 	if res != Sat {
 		t.Fatalf("PHP(4,4) must be Sat")
 	}
@@ -171,7 +171,7 @@ func TestRandomAgainstBruteForce(t *testing.T) {
 		f := randomCNF(r, nVars, nClauses, k)
 
 		wantSat, _ := BruteSolve(f)
-		res, model := f.Solve()
+		res, model := solveCNF(f)
 		if wantSat && res != Sat {
 			t.Fatalf("iter %d: solver says %v, brute force says SAT\n%+v", i, res, f.Clauses)
 		}
@@ -220,7 +220,7 @@ func TestQuickModelsAlwaysSatisfy(t *testing.T) {
 	property := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		f := randomCNF(r, 4+r.Intn(16), 5+r.Intn(60), 3)
-		res, model := f.Solve()
+		res, model := solveCNF(f)
 		if res != Sat {
 			return true // nothing to check
 		}
@@ -376,7 +376,7 @@ func TestLargeStructuredInstance(t *testing.T) {
 			f.AddClause(Lit(-vars[a][c]), Lit(-vars[b][c]))
 		}
 	}
-	res, model := f.Solve()
+	res, model := solveCNF(f)
 	if res != Sat {
 		t.Fatalf("4-coloring with sparse random edges should be Sat")
 	}
@@ -433,7 +433,7 @@ func TestSolveAssumingMatchesUnitClauses(t *testing.T) {
 		for _, a := range assumptions {
 			g.AddClause(a)
 		}
-		want, _ := g.Solve()
+		want, _ := solveCNF(g)
 		if got != want {
 			t.Fatalf("iter %d: assuming=%v, unit-clauses=%v (assumptions %v)",
 				i, got, want, assumptions)
@@ -483,4 +483,17 @@ func TestSolveAssumingUnknownVar(t *testing.T) {
 	if s.SolveAssuming([]Lit{Lit(99)}) != Unsat {
 		t.Fatalf("assumption over unallocated variable should be Unsat")
 	}
+}
+
+// solveCNF loads f into a fresh solver and solves it, returning the
+// result and, when Sat, the model.
+func solveCNF(f *CNF) (Result, []bool) {
+	s := New()
+	if !f.LoadInto(s) {
+		return Unsat, nil
+	}
+	if res := s.Solve(); res != Sat {
+		return res, nil
+	}
+	return Sat, s.Model()
 }

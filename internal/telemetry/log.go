@@ -115,9 +115,6 @@ func (l *Logger) Info(msg string, args ...any) { l.log(slog.LevelInfo, msg, args
 // Warn logs at warn level.
 func (l *Logger) Warn(msg string, args ...any) { l.log(slog.LevelWarn, msg, args...) }
 
-// Error logs at error level.
-func (l *Logger) Error(msg string, args ...any) { l.log(slog.LevelError, msg, args...) }
-
 // WithLogger returns a context carrying l, typically a job-scoped
 // logger already annotated with job_id and trace_id. Attaching nil is a
 // no-op.

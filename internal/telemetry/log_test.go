@@ -43,7 +43,6 @@ func TestNilLoggerIsNoOp(t *testing.T) {
 	l.Debug("a")
 	l.Info("b", "k", 1)
 	l.Warn("c")
-	l.Error("d")
 	if got := l.With("k", "v"); got != nil {
 		t.Fatalf("nil Logger.With = %v; want nil", got)
 	}

@@ -482,7 +482,9 @@ func buildConfig(opts []Option) (*config, error) {
 		}
 	}
 	if c.pre == nil {
-		c.pre = prelude.Default()
+		// No option wrote to the prelude, and nothing writes to it after
+		// this: share the built-in one instead of copying it.
+		c.pre = prelude.Builtin()
 	}
 	return c, nil
 }
