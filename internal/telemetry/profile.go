@@ -41,11 +41,12 @@ type StageProfile struct {
 type PoolProfile struct {
 	// Capacity is the parallelism the run was given.
 	Capacity int `json:"capacity"`
-	// Acquires counts the files a worker started.
+	// Acquires counts the files a worker started verifying; files it
+	// served from the result store do not count.
 	Acquires int64 `json:"acquires"`
 	// MaxInUse is the number of workers started: Capacity, or fewer when
-	// fewer files needed verifying. MaxInUse/Capacity is the peak
-	// utilization.
+	// fewer files needed verifying or serving. MaxInUse/Capacity is the
+	// peak utilization.
 	MaxInUse int64 `json:"max_in_use"`
 	// MaxWaiting is always 0: workers drain one channel of files and
 	// nothing waits for a slot. It stays for readers of the JSON shape.
