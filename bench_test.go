@@ -188,6 +188,7 @@ mysql_query($x);
 	}
 	for _, m := range modes {
 		b.Run(m.name, func(b *testing.B) {
+			b.ReportAllocs()
 			var cexs int
 			var solved uint64
 			for i := 0; i < b.N; i++ {

@@ -502,30 +502,30 @@ func (e *encoder) assumeCheckHolds(ch constraint.Check) {
 	}
 }
 
-// DecodeBranches reads the branch assignment BN out of a SAT model.
-func (enc *Encoded) DecodeBranches(model []bool) map[int]bool {
-	out := make(map[int]bool, len(enc.BranchVars))
-	for id, v := range enc.BranchVars {
-		if v < len(model) {
-			out[id] = model[v]
-		}
-	}
-	return out
+// Decision is one branch decision on a counterexample trace: the branch
+// ID and whether its then-arm was taken.
+type Decision struct {
+	ID    int
+	Taken bool
 }
 
-// BlockingClause builds the negation clause N of the model's BN values
-// (§3.3.2): added to B_i, it excludes this counterexample's branch
-// assignment from further enumeration. restrictTo, when non-nil, limits
-// the clause to those branch IDs (trace-relevant blocking).
-func (enc *Encoded) BlockingClause(model []bool, restrictTo map[int]bool) []sat.Lit {
-	var out []sat.Lit
-	for id, v := range enc.BranchVars {
-		if restrictTo != nil {
-			if _, ok := restrictTo[id]; !ok {
-				continue
-			}
+// BlockingClause appends to dst the negation clause N of a model's BN
+// values (§3.3.2): added to B_i, it excludes that branch assignment from
+// further enumeration. With trace nil the clause ranges over all of BN;
+// otherwise it ranges over the trace's decisions (trace-relevant
+// blocking), which must have been read from the same model. The solver
+// sorts a clause when it adds it, so the literal order here is free.
+func (enc *Encoded) BlockingClause(dst []sat.Lit, model []bool, trace []Decision) []sat.Lit {
+	if trace == nil {
+		for _, v := range enc.BranchVars {
+			dst = append(dst, sat.MkLit(v, model[v]))
 		}
-		out = append(out, sat.MkLit(v, model[v]))
+		return dst
 	}
-	return out
+	for _, d := range trace {
+		if v, ok := enc.BranchVars[d.ID]; ok {
+			dst = append(dst, sat.MkLit(v, model[v]))
+		}
+	}
+	return dst
 }

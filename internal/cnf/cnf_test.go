@@ -79,9 +79,8 @@ echo $x;`, nil)
 	if res != sat.Sat {
 		t.Fatalf("violation exists when c holds")
 	}
-	branches := enc.DecodeBranches(model)
-	if !branches[0] {
-		t.Fatalf("model must take branch 0: %v", branches)
+	if !taken(enc, model, 0) {
+		t.Fatalf("model must take branch 0: %v", model)
 	}
 	// Blocking the only violating assignment makes B_i unsat.
 	s := sat.New()
@@ -89,7 +88,7 @@ echo $x;`, nil)
 	if s.Solve() != sat.Sat {
 		t.Fatalf("reload should stay sat")
 	}
-	if s.AddClause(enc.BlockingClause(s.Model(), nil)...) {
+	if s.AddClause(enc.BlockingClause(nil, s.Model(), nil)...) {
 		if s.Solve() != sat.Unsat {
 			t.Fatalf("after blocking the single trace, B_0 must be unsat")
 		}
@@ -281,9 +280,8 @@ echo $x . $y;`, nil)
 	if res != sat.Sat {
 		t.Fatalf("must be violable")
 	}
-	br := enc.DecodeBranches(model)
-	if !br[0] && !br[1] {
-		t.Fatalf("some tainting branch must be taken: %v", br)
+	if !taken(enc, model, 0) && !taken(enc, model, 1) {
+		t.Fatalf("some tainting branch must be taken: %v", model)
 	}
 }
 
@@ -316,10 +314,9 @@ echo $x;`, nil)
 	if res != sat.Sat {
 		t.Fatalf("echo is violable when the sanitizing arm is skipped")
 	}
-	br := enc.DecodeBranches(model)
 	// Violating model cannot have taken (a ∧ ¬c): that path sanitizes.
-	if br[0] && !br[1] {
-		t.Fatalf("model took the sanitizing path: %v", br)
+	if taken(enc, model, 0) && !taken(enc, model, 1) {
+		t.Fatalf("model took the sanitizing path: %v", model)
 	}
 }
 
@@ -357,13 +354,16 @@ echo $x;`, nil)
 	if res != sat.Sat {
 		t.Fatalf("must be violable")
 	}
-	full := enc.BlockingClause(model, nil)
+	full := enc.BlockingClause(nil, model, nil)
 	if len(full) != 2 {
 		t.Fatalf("full blocking = %d lits, want 2 (both branch vars)", len(full))
 	}
-	restricted := enc.BlockingClause(model, map[int]bool{1: true})
+	restricted := enc.BlockingClause(nil, model, []Decision{{ID: 1, Taken: taken(enc, model, 1)}})
 	if len(restricted) != 1 {
 		t.Fatalf("restricted blocking = %d lits, want 1", len(restricted))
+	}
+	if v := enc.BranchVars[1]; restricted[0] != sat.MkLit(v, model[v]) {
+		t.Fatalf("restricted blocking = %v, want the negation of branch 1's value", restricted)
 	}
 }
 
@@ -425,4 +425,12 @@ func solve(f *sat.CNF) (sat.Result, []bool) {
 		return res, nil
 	}
 	return sat.Sat, s.Model()
+}
+
+// taken reads branch id's decision from a model through BranchVars, as
+// the model checker's replay does: a branch without a variable reads as
+// not taken.
+func taken(enc *Encoded, model []bool, id int) bool {
+	v, ok := enc.BranchVars[id]
+	return ok && v < len(model) && model[v]
 }

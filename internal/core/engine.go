@@ -15,7 +15,9 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
 	"time"
 
 	"webssari/internal/ai"
@@ -170,6 +172,10 @@ type Step struct {
 	Value lattice.Elem
 }
 
+// Decision is one branch decision on a counterexample trace: the branch
+// ID and whether its then-arm was taken.
+type Decision = cnf.Decision
+
 // Counterexample is one error trace: a branch resolution under which an
 // assertion fails, together with the single-assignment sequence (§3.3.2:
 // "we can trace the AI and generate a sequence of single assignments,
@@ -178,8 +184,8 @@ type Counterexample struct {
 	// Assert is the violated assertion.
 	Assert *rename.Assert
 	// Branches is the trace identity: every branch decision encountered on
-	// the path, by branch ID.
-	Branches map[int]bool
+	// the path, strictly ascending by branch ID.
+	Branches []Decision
 	// Steps is the executed single-assignment sequence, in order.
 	Steps []Step
 	// Violating lists the violating variables: the renamed variables read
@@ -189,21 +195,41 @@ type Counterexample struct {
 	// FailingArgs indexes Assert.Args entries that breached the bound.
 	FailingArgs []int
 
-	// key caches Key, set by replayTrace before the value escapes.
+	// key caches Key, set by the replayer before the value escapes.
 	key string
 }
 
-// Key returns the canonical trace identity, ai.TraceKey over the
-// assertion and its branch decisions, so it is comparable with
-// ai.Violation.Key. The model checker computes it once, when it builds
-// the counterexample; a Counterexample built any other way computes it
-// on every call and never stores it, so Key writes nothing and is safe on
-// a Result shared across goroutines.
+// Key returns the canonical trace identity: the bytes ai.TraceKey gives
+// for the assertion and the same decisions as a map, so it is comparable
+// with ai.Violation.Key. Branches being sorted, it needs no sort. The
+// model checker computes it once, when it builds the counterexample; a
+// Counterexample built any other way computes it on every call and never
+// stores it, so Key writes nothing and is safe on a Result shared across
+// goroutines.
 func (c *Counterexample) Key() string {
 	if c.key != "" {
 		return c.key
 	}
-	return ai.TraceKey(c.Assert.Origin, c.Branches)
+	var buf [128]byte
+	return string(appendTraceKey(buf[:0], c.Assert.Origin, c.Branches))
+}
+
+// appendTraceKey appends ai.TraceKey's bytes for an assertion and its
+// decisions, ascending by branch ID.
+func appendTraceKey(b []byte, a *ai.Assert, branches []Decision) []byte {
+	b = a.Site.Pos.Append(b)
+	b = append(b, '|')
+	b = append(b, a.Fn...)
+	b = append(b, '|')
+	for _, d := range branches {
+		if d.Taken {
+			b = append(b, '+')
+		} else {
+			b = append(b, '-')
+		}
+		b = strconv.AppendInt(b, int64(d.ID), 10)
+	}
+	return b
 }
 
 // AssertResult is the verification outcome for one assertion.
@@ -258,8 +284,8 @@ type Result struct {
 // order is lexicographic over the key bytes ("+10" sorts before "+9"),
 // and reports depend on it byte for byte (testdata/report_identity.golden).
 func sortCounterexamples(ar *AssertResult) {
-	sort.SliceStable(ar.Counterexamples, func(i, j int) bool {
-		return ar.Counterexamples[i].Key() < ar.Counterexamples[j].Key()
+	slices.SortStableFunc(ar.Counterexamples, func(a, b *Counterexample) int {
+		return strings.Compare(a.Key(), b.Key())
 	})
 }
 

@@ -282,7 +282,7 @@ if ($Nick) {
 	if len(cexs) != 1 {
 		t.Fatalf("counterexamples = %d, want 1", len(cexs))
 	}
-	if !cexs[0].Branches[0] {
+	if taken, _ := branchTaken(cexs[0], 0); !taken {
 		t.Fatalf("violating trace must take the Nick branch")
 	}
 }
@@ -350,7 +350,10 @@ echo $x;`, func(o *Options) { o.AssumePriorAsserts = false })
 		t.Fatalf("stop-guard mismatch:\nBMC:    %v\noracle: %v", got, want)
 	}
 	cexs := res.Counterexamples()
-	if len(cexs) != 1 || cexs[0].Branches[0] {
+	if len(cexs) != 1 {
+		t.Fatalf("violating trace must avoid the exit branch: %+v", cexs)
+	}
+	if taken, _ := branchTaken(cexs[0], 0); taken {
 		t.Fatalf("violating trace must avoid the exit branch: %+v", cexs)
 	}
 }

@@ -15,20 +15,39 @@ import (
 // was first written with. Key must reproduce its bytes exactly: reports
 // order traces lexicographically over them.
 func fmtCounterexampleKey(c *Counterexample) string {
-	ids := make([]int, 0, len(c.Branches))
-	for id := range c.Branches {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
+	ds := append([]Decision(nil), c.Branches...)
+	sort.Slice(ds, func(i, j int) bool { return ds[i].ID < ds[j].ID })
 	key := fmt.Sprintf("%s|%s|", c.Assert.Origin.Site, c.Assert.Origin.Fn)
-	for _, id := range ids {
-		if c.Branches[id] {
-			key += fmt.Sprintf("+%d", id)
+	for _, d := range ds {
+		if d.Taken {
+			key += fmt.Sprintf("+%d", d.ID)
 		} else {
-			key += fmt.Sprintf("-%d", id)
+			key += fmt.Sprintf("-%d", d.ID)
 		}
 	}
 	return key
+}
+
+// decisions lists a branch map's decisions ascending by branch ID, the
+// order Counterexample.Branches keeps.
+func decisions(branches map[int]bool) []Decision {
+	var out []Decision
+	for id, taken := range branches {
+		out = append(out, Decision{ID: id, Taken: taken})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
+}
+
+// branchTaken reports the counterexample's decision on branch id, and
+// whether the trace decided it at all.
+func branchTaken(c *Counterexample, id int) (taken, decided bool) {
+	for _, d := range c.Branches {
+		if d.ID == id {
+			return d.Taken, true
+		}
+	}
+	return false, false
 }
 
 // literalCounterexamples builds counterexamples by hand, so they carry no
@@ -53,7 +72,7 @@ func literalCounterexamples() []*Counterexample {
 		for _, fn := range []string{"echo", "mysql_query"} {
 			a := &rename.Assert{Origin: &ai.Assert{Fn: fn, Site: ai.Site{Pos: pos}}}
 			for _, br := range branchSets {
-				out = append(out, &Counterexample{Assert: a, Branches: br})
+				out = append(out, &Counterexample{Assert: a, Branches: decisions(br)})
 			}
 		}
 	}
@@ -107,10 +126,10 @@ func TestCounterexampleKeyEquivalence(t *testing.T) {
 func TestCounterexampleKeyEquivalenceOrder(t *testing.T) {
 	a := &rename.Assert{Origin: &ai.Assert{Fn: "echo", Site: ai.Site{Pos: token.Pos{File: "a.php", Line: 1, Col: 1}}}}
 	ar := &AssertResult{Counterexamples: []*Counterexample{
-		{Assert: a, Branches: map[int]bool{0: true, 9: true}},
-		{Assert: a, Branches: map[int]bool{0: true, 10: true}},
-		{Assert: a, Branches: map[int]bool{0: false, 99: true}},
-		{Assert: a, Branches: map[int]bool{0: false, 100: true}},
+		{Assert: a, Branches: decisions(map[int]bool{0: true, 9: true})},
+		{Assert: a, Branches: decisions(map[int]bool{0: true, 10: true})},
+		{Assert: a, Branches: decisions(map[int]bool{0: false, 99: true})},
+		{Assert: a, Branches: decisions(map[int]bool{0: false, 100: true})},
 	}}
 	sortCounterexamples(ar)
 	var got []string

@@ -9,12 +9,13 @@ package core
 // side of the split.
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
-	"webssari/internal/ai"
 	"webssari/internal/cnf"
 	"webssari/internal/constraint"
 	"webssari/internal/lattice"
@@ -159,6 +160,9 @@ func enumerateAssert(ctx context.Context, sys *constraint.System, idx int, encod
 	}
 
 	seen := make(map[string]bool)
+	rp := newReplayer(sys.Renamed, check.Origin, encoded)
+	var model []bool
+	var blocking []sat.Lit
 	for iteration := 0; ; iteration++ {
 		if opts.Hooks.BeforeSolve != nil {
 			opts.Hooks.BeforeSolve(idx, iteration)
@@ -186,12 +190,12 @@ func enumerateAssert(ctx context.Context, sys *constraint.System, idx int, encod
 			}
 			return
 		}
-		model := solver.Model()
-		branches := encoded.DecodeBranches(model)
+		model = solver.ModelInto(model)
 
-		cex := replayTrace(sys.Renamed, check.Origin, branches)
-		if cex != nil && !seen[cex.Key()] {
-			seen[cex.Key()] = true
+		violated := rp.replay(model)
+		if violated && !seen[string(rp.key)] {
+			cex := rp.counterexample()
+			seen[cex.key] = true
 			ar.Counterexamples = append(ar.Counterexamples, cex)
 			if len(ar.Counterexamples) >= opts.MaxCounterexamples {
 				ar.Truncated = true
@@ -199,12 +203,15 @@ func enumerateAssert(ctx context.Context, sys *constraint.System, idx int, encod
 			}
 		}
 
-		// Make B_i more restrictive: B_i^{j+1} = B_i^j ∧ N_i^j.
-		var blocking []sat.Lit
-		if opts.BlockAllBN || cex == nil {
-			blocking = encoded.BlockingClause(model, nil)
-		} else {
-			blocking = encoded.BlockingClause(model, cex.Branches)
+		// Make B_i more restrictive: B_i^{j+1} = B_i^j ∧ N_i^j. A path
+		// that decides no branch reaches the assertion under every
+		// model, so its single trace class is then exhausted.
+		blocking = blocking[:0]
+		switch {
+		case opts.BlockAllBN || !violated:
+			blocking = encoded.BlockingClause(blocking, model, nil)
+		case len(rp.decisions) > 0:
+			blocking = encoded.BlockingClause(blocking, model, rp.decisions)
 		}
 		if len(blocking) == 0 {
 			// No branch variables: the single model class is exhausted.
@@ -231,97 +238,167 @@ func interruptFor(ctx context.Context, prev func() bool) func() bool {
 	return func() bool { return ctx.Err() != nil || prev() }
 }
 
-// replayTrace walks the renamed program along the given branch decisions,
-// recording the executed single assignments, and checks the target
-// assertion. It returns nil when the path does not actually violate the
-// assertion (possible only in BlockAllBN mode quirks or when the path
-// stops early).
-func replayTrace(p *rename.Program, target *rename.Assert, branches map[int]bool) *Counterexample {
-	cex := &Counterexample{
-		Assert:   target,
-		Branches: make(map[int]bool),
-	}
-	env := make(map[string]lattice.Elem)
-	typeOf := func(v rename.SSAVar) lattice.Elem {
-		if t, ok := env[v.Name]; ok {
-			return t
-		}
-		return p.AI.InitialType(v.Name)
-	}
-	var evalExpr func(e rename.Expr) lattice.Elem
-	evalExpr = func(e rename.Expr) lattice.Elem {
-		switch e := e.(type) {
-		case rename.Const:
-			return e.Type
-		case rename.Ref:
-			return typeOf(e.V)
-		case rename.Join:
-			acc := p.AI.Lat.Bottom()
-			for _, part := range e.Parts {
-				acc = p.AI.Lat.Join(acc, evalExpr(part))
-			}
-			return acc
-		default:
-			return p.AI.Lat.Top()
-		}
-	}
+// replayer walks the renamed program along a model's branch decisions
+// (§3.3.2: "we can trace the AI and generate a sequence of single
+// assignments"), recording the executed single assignments, and checks
+// the target assertion. One replayer serves every model of one
+// assertion's enumeration: it walks into scratch buffers it keeps, and a
+// counterexample copies them out at their exact sizes, so a replay
+// allocates per trace, not per step or decision.
+type replayer struct {
+	p      *rename.Program
+	target *rename.Assert
+	enc    *cnf.Encoded
+	model  []bool
+	env    map[string]lattice.Elem
 
-	found := false
-	var walk func(cmds []rename.Cmd) bool // returns false on stop/target
-	walk = func(cmds []rename.Cmd) bool {
-		for _, c := range cmds {
-			switch c := c.(type) {
-			case *rename.Set:
-				val := evalExpr(c.RHS)
-				env[c.V.Name] = val
-				cex.Steps = append(cex.Steps, Step{Set: c, Value: val})
-			case *rename.Assert:
-				if c != target {
-					continue
-				}
-				for i, arg := range c.Args {
-					t := evalExpr(arg.Expr)
-					if !p.AI.Lat.Lt(t, c.Bound) {
-						cex.FailingArgs = append(cex.FailingArgs, i)
-						for _, ref := range rename.ExprRefs(arg.Expr) {
-							if !p.AI.Lat.Lt(typeOf(ref), c.Bound) {
-								cex.Violating = append(cex.Violating, ref)
-							}
-						}
-					}
-				}
-				found = len(cex.FailingArgs) > 0
-				return false
-			case *rename.If:
-				taken := branches[c.ID]
-				cex.Branches[c.ID] = taken
-				arm := c.Then
-				if !taken {
-					arm = c.Else
-				}
-				if !walk(arm) {
-					return false
-				}
-			case *rename.Stop:
+	// The last replay's trace: its steps, its decisions (ascending by
+	// branch ID once replay returns), the failing argument indexes, the
+	// distinct violating variables, and its key.
+	steps     []Step
+	decisions []Decision
+	failing   []int
+	violating []rename.SSAVar
+	key       []byte
+	// prev is the last counterexample built.
+	prev *Counterexample
+}
+
+func newReplayer(p *rename.Program, target *rename.Assert, enc *cnf.Encoded) *replayer {
+	return &replayer{p: p, target: target, enc: enc, env: make(map[string]lattice.Elem)}
+}
+
+// replay walks the path the model's branch variables choose and reports
+// whether the target assertion fails on it. It is false when the path
+// stops before the assertion or passes it (possible only in BlockAllBN
+// mode quirks). A branch without a variable in the model reads as not
+// taken.
+func (r *replayer) replay(model []bool) bool {
+	r.model = model
+	clear(r.env)
+	r.steps, r.decisions = r.steps[:0], r.decisions[:0]
+	r.failing, r.violating = r.failing[:0], r.violating[:0]
+	r.walk(r.p.Cmds)
+	if len(r.failing) == 0 {
+		return false
+	}
+	// The walk meets branches in program order, which ascends by ID
+	// unless inlining or includes interleaved the numbering.
+	for i := 1; i < len(r.decisions); i++ {
+		if r.decisions[i].ID <= r.decisions[i-1].ID {
+			slices.SortStableFunc(r.decisions, func(a, b Decision) int { return cmp.Compare(a.ID, b.ID) })
+			r.decisions = slices.CompactFunc(r.decisions, func(a, b Decision) bool { return a.ID == b.ID })
+			break
+		}
+	}
+	r.key = appendTraceKey(r.key[:0], r.target.Origin, r.decisions)
+	return true
+}
+
+// counterexample copies the last replay's trace out of the scratch
+// buffers. replay must have returned true. The failing arguments and
+// violating variables of one assertion's traces mostly agree, so a trace
+// whose lists equal the previous counterexample's shares them; shared
+// lists are capacity-capped, so an append to one cannot reach another.
+func (r *replayer) counterexample() *Counterexample {
+	c := &Counterexample{
+		Assert:   r.target,
+		Branches: slices.Clone(r.decisions),
+		Steps:    slices.Clone(r.steps),
+		key:      string(r.key),
+	}
+	if p := r.prev; p != nil && slices.Equal(p.Violating, r.violating) && slices.Equal(p.FailingArgs, r.failing) {
+		c.Violating, c.FailingArgs = p.Violating, p.FailingArgs
+	} else {
+		c.Violating = slices.Clip(slices.Clone(r.violating))
+		c.FailingArgs = slices.Clip(slices.Clone(r.failing))
+	}
+	r.prev = c
+	return c
+}
+
+// walk runs a command sequence; it returns false once the path stops or
+// reaches the target assertion.
+func (r *replayer) walk(cmds []rename.Cmd) bool {
+	for _, c := range cmds {
+		switch c := c.(type) {
+		case *rename.Set:
+			val := r.eval(c.RHS)
+			r.env[c.V.Name] = val
+			r.steps = append(r.steps, Step{Set: c, Value: val})
+		case *rename.Assert:
+			if c != r.target {
+				continue
+			}
+			r.check(c)
+			return false
+		case *rename.If:
+			v, ok := r.enc.BranchVars[c.ID]
+			taken := ok && v < len(r.model) && r.model[v]
+			r.decisions = append(r.decisions, Decision{ID: c.ID, Taken: taken})
+			arm := c.Then
+			if !taken {
+				arm = c.Else
+			}
+			if !r.walk(arm) {
 				return false
 			}
-		}
-		return true
-	}
-	walk(p.Cmds)
-	if !found {
-		return nil
-	}
-	// Deduplicate violating variables.
-	uniq := cex.Violating[:0]
-	seen := make(map[rename.SSAVar]bool)
-	for _, v := range cex.Violating {
-		if !seen[v] {
-			seen[v] = true
-			uniq = append(uniq, v)
+		case *rename.Stop:
+			return false
 		}
 	}
-	cex.Violating = uniq
-	cex.key = ai.TraceKey(target.Origin, cex.Branches)
-	return cex
+	return true
+}
+
+// check records the target's failing arguments and, for each, the
+// distinct variables it reads whose own type breaches the bound.
+func (r *replayer) check(c *rename.Assert) {
+	lat := r.p.AI.Lat
+	for i, arg := range c.Args {
+		if lat.Lt(r.eval(arg.Expr), c.Bound) {
+			continue
+		}
+		r.failing = append(r.failing, i)
+		r.blame(arg.Expr, c.Bound)
+	}
+}
+
+// blame records the variables e reads whose own type breaches bound,
+// each once.
+func (r *replayer) blame(e rename.Expr, bound lattice.Elem) {
+	switch e := e.(type) {
+	case rename.Ref:
+		if !r.p.AI.Lat.Lt(r.typeOf(e.V), bound) && !slices.Contains(r.violating, e.V) {
+			r.violating = append(r.violating, e.V)
+		}
+	case rename.Join:
+		for _, part := range e.Parts {
+			r.blame(part, bound)
+		}
+	}
+}
+
+func (r *replayer) typeOf(v rename.SSAVar) lattice.Elem {
+	if t, ok := r.env[v.Name]; ok {
+		return t
+	}
+	return r.p.AI.InitialType(v.Name)
+}
+
+func (r *replayer) eval(e rename.Expr) lattice.Elem {
+	lat := r.p.AI.Lat
+	switch e := e.(type) {
+	case rename.Const:
+		return e.Type
+	case rename.Ref:
+		return r.typeOf(e.V)
+	case rename.Join:
+		acc := lat.Bottom()
+		for _, part := range e.Parts {
+			acc = lat.Join(acc, r.eval(part))
+		}
+		return acc
+	default:
+		return lat.Top()
+	}
 }

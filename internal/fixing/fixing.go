@@ -15,6 +15,7 @@ package fixing
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -118,29 +119,75 @@ func Analyze(res *core.Result) *Analysis {
 		Result:    res,
 		fixPoints: make(map[string]*FixPoint),
 	}
-	for _, cex := range res.Counterexamples() {
+	cexs := res.Counterexamples()
+	n := 0
+	for _, cex := range cexs {
+		n += len(cex.Violating)
+	}
+	a.Constraints = make([]Constraint, 0, n)
+	// executed is one trace's set of assigned variables, rebuilt per
+	// trace; setFix memoises intern per defining assignment, so a span
+	// key is formatted once per assignment, not once per constraint.
+	// Each constraint's lists are built in scratch and carved from pools,
+	// first sized for one entry per constraint.
+	executed := make(map[rename.SSAVar]bool)
+	setFix := make(map[*rename.Set]*FixPoint)
+	var repl []rename.SSAVar
+	var opts []*FixPoint
+	varPool := make([]rename.SSAVar, 0, n)
+	fixPool := make([]*FixPoint, 0, n)
+	for _, cex := range cexs {
+		clear(executed)
+		for _, s := range cex.Steps {
+			executed[s.Set.V] = true
+		}
 		for _, v := range cex.Violating {
-			repl := ReplacementSet(res.Renamed, cex, v)
-			con := Constraint{Cex: cex, Var: v, Replacement: repl}
+			repl = replacementSet(repl, res.Renamed, executed, v)
+			opts = opts[:0]
 			for _, rv := range repl {
 				def := res.Renamed.Defs[rv]
 				if def == nil || !def.Origin.Patchable() {
 					continue
 				}
-				con.Options = append(con.Options, a.intern(&FixPoint{Set: def}))
+				f, ok := setFix[def]
+				if !ok {
+					f = a.intern(&FixPoint{Set: def})
+					setFix[def] = f
+				}
+				opts = append(opts, f)
 			}
-			if len(con.Options) == 0 {
+			if len(opts) == 0 {
 				// The taint enters at the sink itself: patch the argument.
-				argPos := violatingArgPos(cex, v)
-				con.Options = append(con.Options, a.intern(&FixPoint{
+				opts = append(opts, a.intern(&FixPoint{
 					Assert: cex.Assert,
-					ArgPos: argPos,
+					ArgPos: violatingArgPos(cex, v),
 				}))
 			}
-			a.Constraints = append(a.Constraints, con)
+			a.Constraints = append(a.Constraints, Constraint{
+				Cex:         cex,
+				Var:         v,
+				Replacement: carve(&varPool, repl),
+				Options:     carve(&fixPool, opts),
+			})
 		}
 	}
 	return a
+}
+
+// carve copies s into the free tail of *pool, moving on to a new chunk
+// twice the size when it does not fit, and returns the copy capped at
+// its end, so an append to it cannot write into its neighbours. An empty
+// s gives nil.
+func carve[T any](pool *[]T, s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	if cap(*pool)-len(*pool) < len(s) {
+		*pool = make([]T, 0, max(2*cap(*pool), len(s)))
+	}
+	at := len(*pool)
+	*pool = append(*pool, s...)
+	return (*pool)[at:len(*pool):len(*pool)]
 }
 
 // intern returns the analysis' fix point for f's span, adopting f (with
@@ -172,28 +219,19 @@ func violatingArgPos(cex *core.Counterexample, v rename.SSAVar) int {
 	return 1
 }
 
-// ReplacementSet computes s_vα for a violating variable along an error
-// trace (§3.3.3): starting from vα, it walks backwards through the single
-// assignments executed on the trace, adding each variable that serves as
-// the unique r-value of a single assignment — sanitizing any member has
-// the same effect as sanitizing vα (Lemma 1).
-func ReplacementSet(p *rename.Program, cex *core.Counterexample, v rename.SSAVar) []rename.SSAVar {
-	executed := make(map[rename.SSAVar]bool, len(cex.Steps))
-	for _, s := range cex.Steps {
-		executed[s.Set.V] = true
-	}
-	var out []rename.SSAVar
-	seen := make(map[rename.SSAVar]bool)
+// replacementSet computes s_vα for a violating variable along an error
+// trace (§3.3.3) into buf's storage, given the set of variables the
+// trace's steps assigned: starting from vα, it walks backwards through
+// the single assignments executed on the trace, adding each variable
+// that serves as the unique r-value of a single assignment — sanitizing
+// any member has the same effect as sanitizing vα (Lemma 1).
+func replacementSet(buf []rename.SSAVar, p *rename.Program, executed map[rename.SSAVar]bool, v rename.SSAVar) []rename.SSAVar {
+	out := buf[:0]
 	cur := effectiveVar(executed, v)
-	for {
-		if seen[cur] {
-			break
-		}
-		seen[cur] = true
-		if cur.Idx == 0 {
-			// Initial value (external data): no in-program introduction.
-			break
-		}
+	// A variable met again has been added already: every variable the
+	// walk visits joins the set unless it is an initial value, which ends
+	// it.
+	for cur.Idx != 0 && !slices.Contains(out, cur) {
 		out = append(out, cur)
 		def := p.Defs[cur]
 		if def == nil {

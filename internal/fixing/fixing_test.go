@@ -135,8 +135,8 @@ echo $x;`)
 	if len(cexs) != 1 {
 		t.Fatalf("counterexamples = %d, want 1", len(cexs))
 	}
-	if cexs[0].Branches[0] {
-		t.Fatalf("violating trace must skip the sanitizer")
+	if br := cexs[0].Branches; len(br) != 1 || br[0].ID != 0 || br[0].Taken {
+		t.Fatalf("violating trace must skip the sanitizer: %v", br)
 	}
 	// x@2 (read at echo) is effective x@1 on this trace.
 	if len(a.Constraints) != 1 {

@@ -113,17 +113,14 @@ func fmtText(res *core.Result, analysis *fixing.Analysis) string {
 }
 
 func fmtBranches(cex *core.Counterexample) string {
-	ids := make([]int, 0, len(cex.Branches))
-	for id := range cex.Branches {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	parts := make([]string, len(ids))
-	for i, id := range ids {
-		if cex.Branches[id] {
-			parts[i] = fmt.Sprintf("b%d", id)
+	ds := append([]core.Decision(nil), cex.Branches...)
+	sort.Slice(ds, func(i, j int) bool { return ds[i].ID < ds[j].ID })
+	parts := make([]string, len(ds))
+	for i, d := range ds {
+		if d.Taken {
+			parts[i] = fmt.Sprintf("b%d", d.ID)
 		} else {
-			parts[i] = fmt.Sprintf("¬b%d", id)
+			parts[i] = fmt.Sprintf("¬b%d", d.ID)
 		}
 	}
 	return strings.Join(parts, " ∧ ")

@@ -198,7 +198,7 @@ func Build(res *core.Result, analysis *fixing.Analysis) *Report {
 		group int
 		cex   string
 	}
-	seen := make(map[member]bool)
+	seen := make(map[member]bool, len(analysis.Constraints))
 	total := 0
 	for _, con := range analysis.Constraints {
 		for _, f := range con.Options {
@@ -222,9 +222,46 @@ func Build(res *core.Result, analysis *fixing.Analysis) *Report {
 
 	r.Groups = len(groups)
 	lat := res.AI.Lat
-	findings := make([]Finding, 0, total)
-	r.traces = make([]Trace, 0, total)
+	// Findings are listed by sink position, render records group by
+	// group. Sorting a permutation of the group-major traces by sink
+	// position gives each trace its finding's slot, so every finding is
+	// written once, in place. The same pass counts the tainted steps:
+	// every finding's trace is carved from one array of that size, capped
+	// at its end, so an append to one trace cannot write into the next.
+	flat := make([]*core.Counterexample, 0, total)
+	tainted := 0
+	for _, g := range groups {
+		for _, cex := range g.cexs {
+			flat = append(flat, cex)
+			for _, step := range cex.Steps {
+				if !lat.Lt(step.Value, cex.Assert.Bound) {
+					tainted++
+				}
+			}
+		}
+	}
+	order := make([]int, total)
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(i, j int) bool {
+		a, b := flat[order[i]].Assert.Origin.Site.Pos, flat[order[j]].Assert.Origin.Site.Pos
+		if a.Line != b.Line {
+			return a.Line < b.Line
+		}
+		return a.Col < b.Col
+	})
+	slot := make([]int, total)
+	for k, i := range order {
+		slot[i] = k
+	}
+	if total > 0 {
+		r.Findings = make([]Finding, total)
+	}
+	steps := make([]TraceStep, 0, tainted)
+	r.traces = make([]Trace, total)
 	var path []byte
+	next := 0
 	for gi, g := range groups {
 		pos, _ := g.fix.Span()
 		p := PatchPoint{Location: location(pos), Description: g.fix.Describe(), Findings: len(g.cexs)}
@@ -234,7 +271,9 @@ func Build(res *core.Result, analysis *fixing.Analysis) *Report {
 		r.Patches = append(r.Patches, p)
 		for _, cex := range g.cexs {
 			origin := cex.Assert.Origin
-			f := Finding{Sink: origin.Fn, Class: findingClass(origin), Location: location(origin.Site.Pos), Group: gi}
+			f := &r.Findings[slot[next]]
+			*f = Finding{Sink: origin.Fn, Class: findingClass(origin), Location: location(origin.Site.Pos), Group: gi}
+			at := len(steps)
 			for _, step := range cex.Steps {
 				// Keep the trace readable: list only the tainted flow,
 				// i.e. steps whose value breaches the assertion bound.
@@ -245,37 +284,19 @@ func Build(res *core.Result, analysis *fixing.Analysis) *Report {
 				if name == "" {
 					name = step.Set.V.Name
 				}
-				f.Trace = append(f.Trace, TraceStep{Location: location(step.Set.Origin.Site.Pos), Var: name, Value: lat.Name(step.Value)})
+				steps = append(steps, TraceStep{Location: location(step.Set.Origin.Site.Pos), Var: name, Value: lat.Name(step.Value)})
 			}
-			t := Trace{Context: origin.Context}
+			if len(steps) > at {
+				f.Trace = steps[at:len(steps):len(steps)]
+			}
+			t := &r.traces[next]
+			*t = Trace{Finding: slot[next], Context: origin.Context}
 			if len(cex.Branches) > 0 {
 				path = appendBranches(path[:0], cex.Branches)
 				t.Path = string(path)
 			}
-			findings = append(findings, f)
-			r.traces = append(r.traces, t)
+			next++
 		}
-	}
-
-	// Findings are listed by sink position. Sorting a permutation, not
-	// the findings, tells each render record where its finding went.
-	order := make([]int, len(findings))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(i, j int) bool {
-		a, b := findings[order[i]].Location, findings[order[j]].Location
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		return a.Col < b.Col
-	})
-	if len(findings) > 0 {
-		r.Findings = make([]Finding, len(findings))
-	}
-	for k, i := range order {
-		r.Findings[k] = findings[i]
-		r.traces[i].Finding = k
 	}
 	return r
 }
@@ -408,25 +429,19 @@ func (r *Report) appendVerdict(b []byte) []byte {
 	return b
 }
 
-// appendBranches appends a counterexample's branch decisions in
-// ascending branch-ID order: "b3" for a taken branch, "¬b3" for one not
-// taken, joined by " ∧ ".
-func appendBranches(b []byte, branches map[int]bool) []byte {
-	var idBuf [32]int
-	ids := idBuf[:0]
-	for id := range branches {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for i, id := range ids {
+// appendBranches appends a counterexample's branch decisions, which are
+// in ascending branch-ID order: "b3" for a taken branch, "¬b3" for one
+// not taken, joined by " ∧ ".
+func appendBranches(b []byte, branches []core.Decision) []byte {
+	for i, d := range branches {
 		if i > 0 {
 			b = append(b, " ∧ "...)
 		}
-		if !branches[id] {
+		if !d.Taken {
 			b = append(b, "¬"...)
 		}
 		b = append(b, 'b')
-		b = strconv.AppendInt(b, int64(id), 10)
+		b = strconv.AppendInt(b, int64(d.ID), 10)
 	}
 	return b
 }

@@ -171,3 +171,46 @@ DoSQL($a);`)
 		t.Fatalf("decoded report with records renders\n%s\nwant\n%s", got, want)
 	}
 }
+
+// TestBuiltTracesCapped is the cold twin of the root package's
+// TestServedTracesShareSteps: Build carves every finding's trace from one
+// array, capped at the trace's end, so appending to one finding's trace
+// changes no other finding. A finding without tainted steps keeps a nil
+// trace.
+func TestBuiltTracesCapped(t *testing.T) {
+	rep := buildReport(t, `<?php
+$a = $_GET['a'];
+if ($c) { $a = $a . '-'; }
+$b = $_POST['b'];
+echo $a;
+echo $a . $b;
+DoSQL($b);
+echo $_GET['direct'];
+`)
+	want := make([][]report.TraceStep, len(rep.Findings))
+	for i, f := range rep.Findings {
+		want[i] = append([]report.TraceStep(nil), f.Trace...)
+		if cap(f.Trace) != len(f.Trace) {
+			t.Errorf("finding %d: trace capacity %d past its %d steps", i, cap(f.Trace), len(f.Trace))
+		}
+		if f.Trace != nil && len(f.Trace) == 0 {
+			t.Errorf("finding %d: empty trace is not nil", i)
+		}
+	}
+	if len(rep.Findings) < 4 || len(want[0]) == 0 {
+		t.Fatalf("%d findings, first trace %v: want several with traces", len(rep.Findings), want[0])
+	}
+	for i := range rep.Findings {
+		_ = append(rep.Findings[i].Trace, report.TraceStep{Var: "appended"})
+		for j, f := range rep.Findings {
+			if len(f.Trace) != len(want[j]) {
+				t.Fatalf("finding %d changed length", j)
+			}
+			for k := range f.Trace {
+				if f.Trace[k] != want[j][k] {
+					t.Fatalf("an append to finding %d's trace overwrote finding %d's step %d", i, j, k)
+				}
+			}
+		}
+	}
+}

@@ -1,6 +1,8 @@
 package sat
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 )
 
@@ -77,6 +79,13 @@ type Solver struct {
 
 	// seen is scratch space for conflict analysis.
 	seen []bool
+	// addBuf is scratch space for normalising an added clause;
+	// learntBuf and originalBuf are conflict analysis's.
+	addBuf, learntBuf, originalBuf []Lit
+	// clauseSpace and litSpace are room reserved for problem clauses,
+	// which the solver never deletes (storeClause).
+	clauseSpace []clause
+	litSpace    []Lit
 }
 
 // New returns a solver with default options.
@@ -117,6 +126,50 @@ func (s *Solver) NewVar() int {
 	return v
 }
 
+// storeClause copies a problem clause's literals into a clause the
+// solver keeps for its lifetime: carved from the space reserve set aside
+// while that lasts, in allocations of its own after.
+func (s *Solver) storeClause(lits []Lit) *clause {
+	var c *clause
+	if n := len(s.clauseSpace); n < cap(s.clauseSpace) {
+		s.clauseSpace = s.clauseSpace[:n+1]
+		c = &s.clauseSpace[n]
+	} else {
+		c = &clause{}
+	}
+	if at := len(s.litSpace); cap(s.litSpace)-at >= len(lits) {
+		s.litSpace = append(s.litSpace, lits...)
+		c.lits = s.litSpace[at:len(s.litSpace):len(s.litSpace)]
+	} else {
+		c.lits = slices.Clone(lits)
+	}
+	return c
+}
+
+// reserve sets aside room for n variables and for the given number of
+// problem clauses holding lits literals in all, so loading a formula
+// neither regrows the per-variable tables one variable at a time nor
+// allocates per clause.
+func (s *Solver) reserve(n, clauses, lits int) {
+	s.clauseSpace = make([]clause, 0, clauses)
+	s.litSpace = make([]Lit, 0, lits)
+	extra := n - s.numVars
+	if extra <= 0 {
+		return
+	}
+	s.assign = slices.Grow(s.assign, extra)
+	s.level = slices.Grow(s.level, extra)
+	s.reason = slices.Grow(s.reason, extra)
+	s.activity = slices.Grow(s.activity, extra)
+	s.polarity = slices.Grow(s.polarity, extra)
+	s.seen = slices.Grow(s.seen, extra)
+	s.watches = slices.Grow(s.watches, 2*extra)
+	s.order.heap = slices.Grow(s.order.heap, extra)
+	if grow := n + 1 - len(s.order.pos); grow > 0 {
+		s.order.pos = slices.Grow(s.order.pos, grow)
+	}
+}
+
 // NumVars returns the number of allocated variables.
 func (s *Solver) NumVars() int { return s.numVars }
 
@@ -151,14 +204,11 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	// clause when a literal is already true, deduplicate, and detect
 	// tautologies.
 	// Sort by variable (then sign) so duplicates and complementary pairs
-	// are adjacent.
-	sorted := append([]Lit(nil), lits...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Var() != sorted[j].Var() {
-			return sorted[i].Var() < sorted[j].Var()
-		}
-		return sorted[i] < sorted[j]
-	})
+	// are adjacent. The sort runs in a scratch buffer the solver keeps,
+	// so only a stored clause allocates.
+	sorted := append(s.addBuf[:0], lits...)
+	s.addBuf = sorted
+	sortLits(sorted)
 	out := sorted[:0]
 	var prev Lit
 	for _, l := range sorted {
@@ -185,10 +235,37 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		s.ok = s.propagate() == nil
 		return s.ok
 	default:
-		c := &clause{lits: append([]Lit(nil), out...)}
+		c := s.storeClause(out)
 		s.clauses = append(s.clauses, c)
 		s.attach(c)
 		return true
+	}
+}
+
+// litCompare orders literals by variable, then sign (negative first).
+func litCompare(a, b Lit) int {
+	if c := cmp.Compare(a.Var(), b.Var()); c != 0 {
+		return c
+	}
+	return cmp.Compare(a, b)
+}
+
+// sortLits sorts a clause's literals by litCompare in place: by
+// insertion for the short clauses the encoder emits, by slices.SortFunc
+// above that. The order is total on distinct literals, so both give the
+// same result.
+func sortLits(lits []Lit) {
+	if len(lits) > 16 {
+		slices.SortFunc(lits, litCompare)
+		return
+	}
+	for i := 1; i < len(lits); i++ {
+		l := lits[i]
+		j := i
+		for ; j > 0 && litCompare(l, lits[j-1]) < 0; j-- {
+			lits[j] = lits[j-1]
+		}
+		lits[j] = l
 	}
 }
 
@@ -303,8 +380,11 @@ func (s *Solver) cancelUntil(level int) {
 
 // analyze performs first-UIP conflict analysis, returning the learned
 // clause (with the asserting literal first) and the backjump level.
+//
+// The clause is built in scratch space the solver keeps, so it is valid
+// only until the next conflict: a caller that keeps it copies it.
 func (s *Solver) analyze(conflict *clause) ([]Lit, int) {
-	learnt := []Lit{0} // slot 0 reserved for the asserting literal
+	learnt := append(s.learntBuf[:0], 0) // slot 0 reserved for the asserting literal
 	counter := 0
 	var p Lit
 	idx := len(s.trail) - 1
@@ -347,7 +427,9 @@ func (s *Solver) analyze(conflict *clause) ([]Lit, int) {
 	// Clause minimization: drop literals implied by the rest of the clause
 	// through their reasons. The seen marks of dropped literals must be
 	// cleared too, so work on a copy and unmark from the original.
-	original := append([]Lit(nil), learnt...)
+	s.learntBuf = learnt
+	original := append(s.originalBuf[:0], learnt...)
+	s.originalBuf = original
 	minimized := learnt[:1]
 	for _, l := range learnt[1:] {
 		if !s.redundant(l, original) {
@@ -562,6 +644,7 @@ func (s *Solver) SolveAssuming(assumptions []Lit) Result {
 			if len(learnt) == 1 {
 				s.uncheckedEnqueue(learnt[0], nil)
 			} else {
+				learnt = slices.Clone(learnt)
 				c := &clause{lits: learnt, learnt: true, activity: s.claInc}
 				if !s.opts.DisableLearning {
 					s.learnts = append(s.learnts, c)
@@ -653,8 +736,13 @@ func (s *Solver) Value(v int) bool {
 // Model returns a copy of the satisfying assignment indexed by variable
 // (entry 0 unused). Unassigned variables (possible only before Solve)
 // read as false.
-func (s *Solver) Model() []bool {
-	m := make([]bool, s.numVars+1)
+func (s *Solver) Model() []bool { return s.ModelInto(nil) }
+
+// ModelInto is Model written into m, which it grows as needed, so a
+// caller enumerating many models can reuse one slice.
+func (s *Solver) ModelInto(m []bool) []bool {
+	m = slices.Grow(m[:0], s.numVars+1)[:s.numVars+1]
+	m[0] = false
 	for v := 1; v <= s.numVars; v++ {
 		m[v] = s.assign[v] == lTrue
 	}

@@ -38,6 +38,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -47,6 +48,7 @@ import (
 	"webssari/internal/ir"
 	"webssari/internal/lattice"
 	"webssari/internal/patch"
+	"webssari/internal/php/token"
 	"webssari/internal/policy"
 	"webssari/internal/prelude"
 	"webssari/internal/report"
@@ -614,8 +616,7 @@ func runAnalysis(ctx context.Context, src []byte, name string, cfg *config) (res
 		}
 		if ar.Assert != nil {
 			ap.Sink = ar.Assert.Origin.Fn
-			pos := ar.Assert.Origin.Site.Pos
-			ap.Site = fmt.Sprintf("%s:%d:%d", pos.File, pos.Line, pos.Col)
+			ap.Site = siteString(ar.Assert.Origin.Site.Pos)
 		}
 		prof.Assertions = append(prof.Assertions, ap)
 		if ar.Unknown {
@@ -625,6 +626,18 @@ func runAnalysis(ctx context.Context, src []byte, name string, cfg *config) (res
 	cfg.metrics().Record(prof)
 	telemetry.DrawProfile(ctx, start, name, prof, "")
 	return res, analysis, prof, nil
+}
+
+// siteString renders an assertion site as "file:line:col", with the
+// leading ':' kept when the file name is empty.
+func siteString(pos token.Pos) string {
+	var buf [128]byte
+	b := append(buf[:0], pos.File...)
+	b = append(b, ':')
+	b = strconv.AppendInt(b, int64(pos.Line), 10)
+	b = append(b, ':')
+	b = strconv.AppendInt(b, int64(pos.Col), 10)
+	return string(b)
 }
 
 // Verify analyzes one PHP source text and returns its report. A non-nil
