@@ -1,7 +1,8 @@
 package ai
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strconv"
 
 	"webssari/internal/lattice"
@@ -29,33 +30,47 @@ type Violation struct {
 // plus the encountered branch decisions (see TraceKey).
 func (v Violation) Key() string { return TraceKey(v.Assert, v.Branches) }
 
+// Decision is one branch decision on an error trace: the branch ID and
+// whether its then-arm was taken.
+type Decision struct {
+	ID    int
+	Taken bool
+}
+
 // TraceKey renders the canonical identity of an error trace that reaches
-// assertion a under the given branch decisions: "<site>|<fn>|" followed
-// by "+id" (taken) or "-id" (not taken) for each decision in ascending
-// branch-ID order. Both the exhaustive oracle and the model checker's
-// counterexamples are keyed by it, and canonical counterexample order is
-// lexicographic over these bytes, so they must not change.
+// assertion a under the given branch decisions (see AppendTraceKey).
 func TraceKey(a *Assert, branches map[int]bool) string {
-	var idBuf [32]int
-	ids := idBuf[:0]
-	for id := range branches {
-		ids = append(ids, id)
+	var dBuf [32]Decision
+	ds := dBuf[:0]
+	for id, taken := range branches {
+		ds = append(ds, Decision{ID: id, Taken: taken})
 	}
-	sort.Ints(ids)
+	slices.SortFunc(ds, func(x, y Decision) int { return cmp.Compare(x.ID, y.ID) })
 	var buf [128]byte
-	b := a.Site.Pos.Append(buf[:0])
+	return string(AppendTraceKey(buf[:0], a, ds))
+}
+
+// AppendTraceKey appends the canonical identity of an error trace that
+// reaches assertion a under the given decisions, which must be ascending
+// by branch ID: "<site>|<fn>|" followed by "+id" (taken) or "-id" (not
+// taken) for each decision. Both the exhaustive oracle and the model
+// checker's counterexamples are keyed by it, and canonical
+// counterexample order is lexicographic over these bytes, so they must
+// not change.
+func AppendTraceKey(b []byte, a *Assert, decisions []Decision) []byte {
+	b = a.Site.Pos.Append(b)
 	b = append(b, '|')
 	b = append(b, a.Fn...)
 	b = append(b, '|')
-	for _, id := range ids {
-		if branches[id] {
+	for _, d := range decisions {
+		if d.Taken {
 			b = append(b, '+')
 		} else {
 			b = append(b, '-')
 		}
-		b = strconv.AppendInt(b, int64(id), 10)
+		b = strconv.AppendInt(b, int64(d.ID), 10)
 	}
-	return string(b)
+	return b
 }
 
 // Eval executes the program with branch decisions supplied by choose

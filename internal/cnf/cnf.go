@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"sort"
 
+	"webssari/internal/ai"
 	"webssari/internal/constraint"
 	"webssari/internal/lattice"
 	"webssari/internal/rename"
@@ -502,20 +503,13 @@ func (e *encoder) assumeCheckHolds(ch constraint.Check) {
 	}
 }
 
-// Decision is one branch decision on a counterexample trace: the branch
-// ID and whether its then-arm was taken.
-type Decision struct {
-	ID    int
-	Taken bool
-}
-
 // BlockingClause appends to dst the negation clause N of a model's BN
 // values (§3.3.2): added to B_i, it excludes that branch assignment from
 // further enumeration. With trace nil the clause ranges over all of BN;
 // otherwise it ranges over the trace's decisions (trace-relevant
 // blocking), which must have been read from the same model. The solver
 // sorts a clause when it adds it, so the literal order here is free.
-func (enc *Encoded) BlockingClause(dst []sat.Lit, model []bool, trace []Decision) []sat.Lit {
+func (enc *Encoded) BlockingClause(dst []sat.Lit, model []bool, trace []ai.Decision) []sat.Lit {
 	if trace == nil {
 		for _, v := range enc.BranchVars {
 			dst = append(dst, sat.MkLit(v, model[v]))

@@ -358,7 +358,7 @@ echo $x;`, nil)
 	if len(full) != 2 {
 		t.Fatalf("full blocking = %d lits, want 2 (both branch vars)", len(full))
 	}
-	restricted := enc.BlockingClause(nil, model, []Decision{{ID: 1, Taken: taken(enc, model, 1)}})
+	restricted := enc.BlockingClause(nil, model, []ai.Decision{{ID: 1, Taken: taken(enc, model, 1)}})
 	if len(restricted) != 1 {
 		t.Fatalf("restricted blocking = %d lits, want 1", len(restricted))
 	}

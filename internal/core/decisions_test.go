@@ -104,10 +104,10 @@ func TestReplayNormalisesDecisionOrder(t *testing.T) {
 // maxAllocsPerCounterexample bounds what one enumerated trace costs in
 // allocations: the SAT call's learned clauses, the stored blocking
 // clause, and the counterexample itself, copied out of the replay's
-// scratch at exact sizes. It measures 9.2 (27.3 when every replay built
-// its own maps and the solver copied each clause three times); the bound
-// leaves headroom for a change of the search.
-const maxAllocsPerCounterexample = 12
+// scratch. It measures 11.2 (27.3 when every replay built its own maps
+// and the solver copied each clause three times); the bound leaves
+// headroom for a change of the search.
+const maxAllocsPerCounterexample = 14
 
 // TestEnumerationAllocs bounds the allocations per counterexample of
 // one assertion with 8 free conditionals, 256 traces, solved from a

@@ -16,7 +16,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"strconv"
 	"strings"
 	"time"
 
@@ -174,7 +173,7 @@ type Step struct {
 
 // Decision is one branch decision on a counterexample trace: the branch
 // ID and whether its then-arm was taken.
-type Decision = cnf.Decision
+type Decision = ai.Decision
 
 // Counterexample is one error trace: a branch resolution under which an
 // assertion fails, together with the single-assignment sequence (§3.3.2:
@@ -199,9 +198,9 @@ type Counterexample struct {
 	key string
 }
 
-// Key returns the canonical trace identity: the bytes ai.TraceKey gives
-// for the assertion and the same decisions as a map, so it is comparable
-// with ai.Violation.Key. Branches being sorted, it needs no sort. The
+// Key returns the canonical trace identity, ai.AppendTraceKey's bytes for
+// the assertion and its decisions, so it is comparable with
+// ai.Violation.Key. Branches being sorted, it needs no sort. The
 // model checker computes it once, when it builds the counterexample; a
 // Counterexample built any other way computes it on every call and never
 // stores it, so Key writes nothing and is safe on a Result shared across
@@ -211,25 +210,7 @@ func (c *Counterexample) Key() string {
 		return c.key
 	}
 	var buf [128]byte
-	return string(appendTraceKey(buf[:0], c.Assert.Origin, c.Branches))
-}
-
-// appendTraceKey appends ai.TraceKey's bytes for an assertion and its
-// decisions, ascending by branch ID.
-func appendTraceKey(b []byte, a *ai.Assert, branches []Decision) []byte {
-	b = a.Site.Pos.Append(b)
-	b = append(b, '|')
-	b = append(b, a.Fn...)
-	b = append(b, '|')
-	for _, d := range branches {
-		if d.Taken {
-			b = append(b, '+')
-		} else {
-			b = append(b, '-')
-		}
-		b = strconv.AppendInt(b, int64(d.ID), 10)
-	}
-	return b
+	return string(ai.AppendTraceKey(buf[:0], c.Assert.Origin, c.Branches))
 }
 
 // AssertResult is the verification outcome for one assertion.

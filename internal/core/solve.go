@@ -16,6 +16,7 @@ import (
 	"slices"
 	"time"
 
+	"webssari/internal/ai"
 	"webssari/internal/cnf"
 	"webssari/internal/constraint"
 	"webssari/internal/lattice"
@@ -260,8 +261,6 @@ type replayer struct {
 	failing   []int
 	violating []rename.SSAVar
 	key       []byte
-	// prev is the last counterexample built.
-	prev *Counterexample
 }
 
 func newReplayer(p *rename.Program, target *rename.Assert, enc *cnf.Encoded) *replayer {
@@ -291,30 +290,21 @@ func (r *replayer) replay(model []bool) bool {
 			break
 		}
 	}
-	r.key = appendTraceKey(r.key[:0], r.target.Origin, r.decisions)
+	r.key = ai.AppendTraceKey(r.key[:0], r.target.Origin, r.decisions)
 	return true
 }
 
 // counterexample copies the last replay's trace out of the scratch
-// buffers. replay must have returned true. The failing arguments and
-// violating variables of one assertion's traces mostly agree, so a trace
-// whose lists equal the previous counterexample's shares them; shared
-// lists are capacity-capped, so an append to one cannot reach another.
+// buffers. replay must have returned true.
 func (r *replayer) counterexample() *Counterexample {
-	c := &Counterexample{
-		Assert:   r.target,
-		Branches: slices.Clone(r.decisions),
-		Steps:    slices.Clone(r.steps),
-		key:      string(r.key),
+	return &Counterexample{
+		Assert:      r.target,
+		Branches:    slices.Clone(r.decisions),
+		Steps:       slices.Clone(r.steps),
+		Violating:   slices.Clone(r.violating),
+		FailingArgs: slices.Clone(r.failing),
+		key:         string(r.key),
 	}
-	if p := r.prev; p != nil && slices.Equal(p.Violating, r.violating) && slices.Equal(p.FailingArgs, r.failing) {
-		c.Violating, c.FailingArgs = p.Violating, p.FailingArgs
-	} else {
-		c.Violating = slices.Clip(slices.Clone(r.violating))
-		c.FailingArgs = slices.Clip(slices.Clone(r.failing))
-	}
-	r.prev = c
-	return c
 }
 
 // walk runs a command sequence; it returns false once the path stops or

@@ -128,14 +128,11 @@ func Analyze(res *core.Result) *Analysis {
 	// executed is one trace's set of assigned variables, rebuilt per
 	// trace; setFix memoises intern per defining assignment, so a span
 	// key is formatted once per assignment, not once per constraint.
-	// Each constraint's lists are built in scratch and carved from pools,
-	// first sized for one entry per constraint.
+	// Each constraint's lists are built in scratch and copied out.
 	executed := make(map[rename.SSAVar]bool)
 	setFix := make(map[*rename.Set]*FixPoint)
 	var repl []rename.SSAVar
 	var opts []*FixPoint
-	varPool := make([]rename.SSAVar, 0, n)
-	fixPool := make([]*FixPoint, 0, n)
 	for _, cex := range cexs {
 		clear(executed)
 		for _, s := range cex.Steps {
@@ -166,28 +163,12 @@ func Analyze(res *core.Result) *Analysis {
 			a.Constraints = append(a.Constraints, Constraint{
 				Cex:         cex,
 				Var:         v,
-				Replacement: carve(&varPool, repl),
-				Options:     carve(&fixPool, opts),
+				Replacement: slices.Clone(repl),
+				Options:     slices.Clone(opts),
 			})
 		}
 	}
 	return a
-}
-
-// carve copies s into the free tail of *pool, moving on to a new chunk
-// twice the size when it does not fit, and returns the copy capped at
-// its end, so an append to it cannot write into its neighbours. An empty
-// s gives nil.
-func carve[T any](pool *[]T, s []T) []T {
-	if len(s) == 0 {
-		return nil
-	}
-	if cap(*pool)-len(*pool) < len(s) {
-		*pool = make([]T, 0, max(2*cap(*pool), len(s)))
-	}
-	at := len(*pool)
-	*pool = append(*pool, s...)
-	return (*pool)[at:len(*pool):len(*pool)]
 }
 
 // intern returns the analysis' fix point for f's span, adopting f (with

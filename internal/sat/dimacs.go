@@ -36,11 +36,7 @@ func (f *CNF) NewVar() int {
 // LoadInto feeds the formula into a solver; it returns false if the solver
 // detects trivial unsatisfiability while loading.
 func (f *CNF) LoadInto(s *Solver) bool {
-	lits := 0
-	for _, cl := range f.Clauses {
-		lits += len(cl)
-	}
-	s.reserve(f.NumVars, len(f.Clauses), lits)
+	s.reserve(f.NumVars)
 	for s.NumVars() < f.NumVars {
 		s.NewVar()
 	}

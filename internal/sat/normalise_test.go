@@ -41,8 +41,7 @@ func referenceNormalise(s *Solver, lits []Lit) (out []Lit, satisfied bool) {
 // tautologies and literals fixed at level 0, to solvers holding a few
 // unit clauses, and checks that each stores what the sort.Slice
 // reference gives: nothing for a satisfied clause, a unit on the trail,
-// or the same literals in the same order. Clauses run past 16 literals,
-// so both of sortLits' paths are covered.
+// or the same literals in the same order.
 func TestAddClauseNormalisation(t *testing.T) {
 	r := rand.New(rand.NewSource(35))
 	const vars = 24

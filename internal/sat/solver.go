@@ -82,10 +82,6 @@ type Solver struct {
 	// addBuf is scratch space for normalising an added clause;
 	// learntBuf and originalBuf are conflict analysis's.
 	addBuf, learntBuf, originalBuf []Lit
-	// clauseSpace and litSpace are room reserved for problem clauses,
-	// which the solver never deletes (storeClause).
-	clauseSpace []clause
-	litSpace    []Lit
 }
 
 // New returns a solver with default options.
@@ -126,33 +122,9 @@ func (s *Solver) NewVar() int {
 	return v
 }
 
-// storeClause copies a problem clause's literals into a clause the
-// solver keeps for its lifetime: carved from the space reserve set aside
-// while that lasts, in allocations of its own after.
-func (s *Solver) storeClause(lits []Lit) *clause {
-	var c *clause
-	if n := len(s.clauseSpace); n < cap(s.clauseSpace) {
-		s.clauseSpace = s.clauseSpace[:n+1]
-		c = &s.clauseSpace[n]
-	} else {
-		c = &clause{}
-	}
-	if at := len(s.litSpace); cap(s.litSpace)-at >= len(lits) {
-		s.litSpace = append(s.litSpace, lits...)
-		c.lits = s.litSpace[at:len(s.litSpace):len(s.litSpace)]
-	} else {
-		c.lits = slices.Clone(lits)
-	}
-	return c
-}
-
-// reserve sets aside room for n variables and for the given number of
-// problem clauses holding lits literals in all, so loading a formula
-// neither regrows the per-variable tables one variable at a time nor
-// allocates per clause.
-func (s *Solver) reserve(n, clauses, lits int) {
-	s.clauseSpace = make([]clause, 0, clauses)
-	s.litSpace = make([]Lit, 0, lits)
+// reserve sets aside room for n variables, so loading a formula does not
+// regrow the per-variable tables one variable at a time.
+func (s *Solver) reserve(n int) {
 	extra := n - s.numVars
 	if extra <= 0 {
 		return
@@ -208,7 +180,7 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	// so only a stored clause allocates.
 	sorted := append(s.addBuf[:0], lits...)
 	s.addBuf = sorted
-	sortLits(sorted)
+	slices.SortFunc(sorted, litCompare)
 	out := sorted[:0]
 	var prev Lit
 	for _, l := range sorted {
@@ -235,38 +207,21 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		s.ok = s.propagate() == nil
 		return s.ok
 	default:
-		c := s.storeClause(out)
+		c := &clause{lits: slices.Clone(out)}
 		s.clauses = append(s.clauses, c)
 		s.attach(c)
 		return true
 	}
 }
 
-// litCompare orders literals by variable, then sign (negative first).
+// litCompare orders literals by variable, then sign (negative first). It
+// is a total order on distinct literals, so the sorted order does not
+// depend on the sort algorithm.
 func litCompare(a, b Lit) int {
 	if c := cmp.Compare(a.Var(), b.Var()); c != 0 {
 		return c
 	}
 	return cmp.Compare(a, b)
-}
-
-// sortLits sorts a clause's literals by litCompare in place: by
-// insertion for the short clauses the encoder emits, by slices.SortFunc
-// above that. The order is total on distinct literals, so both give the
-// same result.
-func sortLits(lits []Lit) {
-	if len(lits) > 16 {
-		slices.SortFunc(lits, litCompare)
-		return
-	}
-	for i := 1; i < len(lits); i++ {
-		l := lits[i]
-		j := i
-		for ; j > 0 && litCompare(l, lits[j-1]) < 0; j-- {
-			lits[j] = lits[j-1]
-		}
-		lits[j] = l
-	}
 }
 
 func (s *Solver) attach(c *clause) {
