@@ -244,8 +244,8 @@ func interruptFor(ctx context.Context, prev func() bool) func() bool {
 // assignments"), recording the executed single assignments, and checks
 // the target assertion. One replayer serves every model of one
 // assertion's enumeration: it walks into scratch buffers it keeps, and a
-// counterexample copies them out at their exact sizes, so a replay
-// allocates per trace, not per step or decision.
+// counterexample copies them out, so a replay allocates per trace, not
+// per step or decision.
 type replayer struct {
 	p      *rename.Program
 	target *rename.Assert
